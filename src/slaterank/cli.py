@@ -31,7 +31,7 @@ from .errors import (
     NumericsError,
     SlaterankError,
 )
-from .evaluator import init_evaluator_params, score_slate, select_best, train_evaluator
+from .evaluator import init_evaluator_params, score_slate, score_slates, train_evaluator
 from .generator import forward, init_generator_params
 from .metrics import EvalReport, auc, logloss, ndcg_list, recall_at_k
 from .numerics import load_checkpoint, save_checkpoint
@@ -132,13 +132,25 @@ def _evaluator_meta(cfg) -> dict:
             "m": cfg.m, "types": list(cfg.types)}
 
 
-def _load_matching(path, want: dict):
+def _load_matching(path, want: dict, expected):
+    """Load a checkpoint whose meta matches `want` and whose parameters have
+    the names and shapes of `expected` (the freshly initialized params)."""
     params, meta = load_checkpoint(path)
     for key, value in want.items():
         if meta.get(key) != value:
             raise CheckpointError(
                 f"{path}: checkpoint has {key}={meta.get(key)!r}, "
                 f"config expects {value!r}")
+    for name, tensor in expected.items():
+        if name not in params:
+            raise CheckpointError(f"{path}: checkpoint lacks parameter {name}")
+        if params[name].shape != tensor.shape:
+            raise CheckpointError(
+                f"{path}: parameter {name} has shape {params[name].shape}, "
+                f"config expects {tensor.shape}")
+    extra = sorted(set(params.names()) - set(expected.names()))
+    if extra:
+        raise CheckpointError(f"{path}: checkpoint has unexpected parameters {extra}")
     return params
 
 
@@ -238,11 +250,18 @@ def cmd_train_ar(run: RunConfig, args) -> int:
     return 0
 
 
-def cmd_generate(run: RunConfig, args) -> int:
+def _load_models(run: RunConfig):
     gen_params = _load_matching(run.paths.generator_checkpoint,
-                                _generator_meta(run.generator))
+                                _generator_meta(run.generator),
+                                init_generator_params(run.generator))
     ev_params = _load_matching(run.paths.evaluator_checkpoint,
-                               _evaluator_meta(run.evaluator))
+                               _evaluator_meta(run.evaluator),
+                               init_evaluator_params(run.evaluator))
+    return gen_params, ev_params
+
+
+def cmd_generate(run: RunConfig, args) -> int:
+    gen_params, ev_params = _load_models(run)
     logs = read_logs(run.paths.test_log)
     if not logs:
         raise DataError(f"{run.paths.test_log} is empty")
@@ -253,11 +272,13 @@ def cmd_generate(run: RunConfig, args) -> int:
         req = log.request
         probs = forward(req, gen_params, run.generator)
         slates = sample_slates(probs, run.decode, rng)
-        best = select_best(req, slates, ev_params, run.evaluator)
-        utility = score_slate(req, best, ev_params, run.evaluator).utility
+        # one evaluator pass scores every proposal; the first maximum wins,
+        # as in select_best
+        utilities = score_slates(req, slates, ev_params, run.evaluator)
+        best = int(np.argmax(utilities))
         rows.append({"request_id": req.request_id,
-                     "slate": [int(i) for i in best.indices],
-                     "utility": utility})
+                     "slate": [int(i) for i in slates[best].indices],
+                     "utility": float(utilities[best])})
     out = _out_path(run, args.out, "slates.jsonl")
     write_jsonl(out, rows)
     mean_u = float(np.mean([r["utility"] for r in rows]))
@@ -267,10 +288,7 @@ def cmd_generate(run: RunConfig, args) -> int:
 
 
 def cmd_evaluate(run: RunConfig, args) -> int:
-    gen_params = _load_matching(run.paths.generator_checkpoint,
-                                _generator_meta(run.generator))
-    ev_params = _load_matching(run.paths.evaluator_checkpoint,
-                               _evaluator_meta(run.evaluator))
+    gen_params, ev_params = _load_models(run)
     logs = read_logs(run.paths.test_log)
     if not logs:
         raise DataError(f"{run.paths.test_log} is empty")

@@ -11,7 +11,9 @@ against the maximum cosine similarity to anything already placed, so a
 near-duplicate of a chosen item has to clear a penalty before it can win a
 later slot. The others (greedy, top-k sampling, beam search) are ablation
 baselines, and `sample_slates` pools them into a candidate set for slate-level
-reranking.
+reranking. Its top-k samples are drawn together: each column is ranked once,
+and one block of uniforms fills every missing sample's positions, consuming
+the random stream exactly as drawing the samples one by one would.
 """
 
 from __future__ import annotations
@@ -130,6 +132,47 @@ def greedy_decode(probs: ProbMatrix) -> SlateSequence:
     return _slate(chosen, values, "greedy")
 
 
+def _topk_draws(
+    probs: ProbMatrix, k: int, num: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """`num` independent top-k samples drawn together: their (num, m) chosen
+    indices, plus the active column probabilities.
+
+    Each column is ranked once (a stable sort, so ties go to the lower index)
+    and every sample's free candidates are read off in that order. One
+    `rng.random((num, m))` block supplies one uniform per pick, row by row,
+    and a pick is the first cdf entry above its uniform, exactly as
+    `Generator.choice(p=...)` picks. The stream is therefore consumed in the
+    same order and amount as `num` one-at-a-time samples.
+    """
+    values, n = _active(probs)
+    if k > n:
+        raise ConfigError(f"k={k} exceeds {n} candidates")
+    order = np.argsort(-values, axis=0, kind="stable")
+    uniforms = rng.random((num, probs.m))
+    selected = np.zeros((num, n), dtype=bool)
+    chosen = np.empty((num, probs.m), dtype=np.int64)
+    rows = np.arange(num)
+    for t in range(probs.m):
+        ranked = order[:, t]
+        # a stable sort of the taken flags moves free candidates to the
+        # front and keeps them in rank order
+        free_first = np.argsort(selected[:, ranked], axis=1, kind="stable")
+        group = ranked[free_first[:, :min(k, n - t)]]
+        weights = values[group, t]
+        total = weights.sum(axis=1, keepdims=True)
+        # a rank group whose probabilities sum to zero is sampled uniformly
+        weights = np.divide(weights, total,
+                            out=np.full_like(weights, 1.0 / group.shape[1]),
+                            where=total > 0.0)
+        cdf = weights.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        pick = group[rows, (cdf <= uniforms[:, t:t + 1]).sum(axis=1)]
+        chosen[:, t] = pick
+        selected[rows, pick] = True
+    return chosen, values
+
+
 def topk_sample(
     probs: ProbMatrix, cfg: DecodeConfig, rng: np.random.Generator
 ) -> SlateSequence:
@@ -139,22 +182,8 @@ def topk_sample(
     in the slate automatically fall back to lower-ranked candidates. A
     rank group whose probabilities sum to zero is sampled uniformly.
     """
-    values, n = _active(probs)
-    if cfg.k > n:
-        raise ConfigError(f"k={cfg.k} exceeds {n} candidates")
-    selected = np.zeros(n, dtype=bool)
-    chosen: list[int] = []
-    for t in range(probs.m):
-        avail = np.flatnonzero(~selected)
-        ranked = avail[np.argsort(-values[avail, t], kind="stable")]
-        group = ranked[: cfg.k]
-        weights = values[group, t]
-        total = weights.sum()
-        weights = weights / total if total > 0.0 else np.full(len(group), 1.0 / len(group))
-        pick = int(rng.choice(group, p=weights))
-        chosen.append(pick)
-        selected[pick] = True
-    return _slate(chosen, values, "topk")
+    chosen, values = _topk_draws(probs, cfg.k, 1, rng)
+    return _slate(chosen[0].tolist(), values, "topk")
 
 
 def beam_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
@@ -187,18 +216,25 @@ def sample_slates(
     probs: ProbMatrix, cfg: DecodeConfig, rng: np.random.Generator | None = None
 ) -> list[SlateSequence]:
     """The contrastive slate plus deduplicated top-k samples, up to
-    cfg.num_samples of them; deterministic given cfg.seed."""
+    cfg.num_samples of them; deterministic given cfg.seed.
+
+    Each refill draws as many samples as are still missing in one batch, so
+    it never draws past the sample that completes the pool: the proposals
+    and the rng state afterwards match drawing one sample at a time.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     slates = [contrastive_decode(probs, cfg)]
     seen = {slates[0].indices}
-    attempts = 0
-    while len(slates) < cfg.num_samples and attempts < 20 * cfg.num_samples:
-        attempts += 1
-        candidate = topk_sample(probs, cfg, rng)
-        if candidate.indices not in seen:
-            seen.add(candidate.indices)
-            slates.append(candidate)
+    attempts, budget = 0, 20 * cfg.num_samples
+    while len(slates) < cfg.num_samples and attempts < budget:
+        num = min(cfg.num_samples - len(slates), budget - attempts)
+        attempts += num
+        chosen, values = _topk_draws(probs, cfg.k, num, rng)
+        for indices in chosen.tolist():
+            if tuple(indices) not in seen:
+                seen.add(tuple(indices))
+                slates.append(_slate(indices, values, "topk"))
     return slates
 
 

@@ -7,6 +7,11 @@ position embeddings added to the item features. The overall utility is the
 weighted sum of predicted scores, and `select_best` picks the highest-utility
 slate from a candidate pool.
 
+`score_slates` scores a whole pool in one pass: the K slates' rows are stacked
+into one (K*m, d) matrix, and a block-diagonal attention mask keeps each slate
+attending to its own items only. `score_slate` is the K = 1 case, with no mask,
+and training goes through it one slate at a time.
+
 Training is plain off-policy regression: binary cross-entropy of each head
 against the logged feedback on exposed slates.
 """
@@ -102,33 +107,72 @@ def _slate_indices(slate, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray
     return idx
 
 
+def _score_stack(req: RequestBatch, idx: np.ndarray, params: Params,
+                 cfg: EvaluatorConfig, tape: Tape
+                 ) -> tuple[dict[str, Tensor], np.ndarray, np.ndarray]:
+    """Logits, per-type probabilities (types, K, m) and utilities (K,) of
+    the K slates in the rows of `idx`, run through the block as one stacked
+    (K*m, d) matrix.
+
+    Each slate's rows get the position embeddings, and a block-diagonal key
+    mask keeps every row attending within its own slate only. With K = 1
+    there is no mask, so a single slate takes exactly the unstacked path.
+    """
+    k = idx.shape[0]
+    feats = req.features[idx.ravel()]
+    if feats.shape[1] != cfg.d_x:
+        raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
+    pos = params["ev.pos"]
+    key_mask = None
+    if k > 1:
+        pos = tape.concat_rows([pos] * k)
+        key_mask = np.kron(np.eye(k, dtype=bool), np.ones((cfg.m, cfg.m), dtype=bool))
+    x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
+    x = tape.add(x, pos)
+    normed = _ln(tape, params, "ev.ln1", x)
+    x = tape.add(x, multi_head_attention(tape, params, "ev.attn", normed, normed, cfg,
+                                         key_mask=key_mask))
+    x = tape.add(x, _ffn(tape, params, "ev.ffn", _ln(tape, params, "ev.ln2", x)))
+    states = _ln(tape, params, "ev.final_ln", x)
+    logits: dict[str, Tensor] = {}
+    rows = []
+    utility = np.zeros(k)
+    for t, w in zip(cfg.types, cfg.weights):
+        z = tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"])
+        logits[t] = z
+        row = tape.sigmoid(z).data[:, 0].reshape(k, cfg.m)
+        rows.append(row)
+        utility += w * row.sum(axis=1)
+    return logits, np.stack(rows), utility
+
+
 def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
                 tape: Tape | None = None) -> SlateScore:
     """Listwise scores for one slate; `slate` is a SlateSequence or indices."""
     if tape is None:
         tape = Tape(recording=False)
-    idx = _slate_indices(slate, req, cfg)
-    feats = req.features[idx]
-    if feats.shape[1] != cfg.d_x:
-        raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
-    x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
-    x = tape.add(x, params["ev.pos"])
-    normed = _ln(tape, params, "ev.ln1", x)
-    x = tape.add(x, multi_head_attention(tape, params, "ev.attn", normed, normed, cfg))
-    x = tape.add(x, _ffn(tape, params, "ev.ffn", _ln(tape, params, "ev.ln2", x)))
-    states = _ln(tape, params, "ev.final_ln", x)
-    logits: dict[str, Tensor] = {}
-    rows = []
-    utility = 0.0
-    for t, w in zip(cfg.types, cfg.weights):
-        z = tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"])
-        logits[t] = z
-        p = tape.sigmoid(z)
-        row = p.data[:, 0]
-        rows.append(row)
-        utility += w * float(row.sum())
-    return SlateScore(scores=np.stack(rows), utility=utility, types=cfg.types,
+    idx = _slate_indices(slate, req, cfg)[None]
+    logits, scores, utility = _score_stack(req, idx, params, cfg, tape)
+    return SlateScore(scores=scores[:, 0], utility=float(utility[0]), types=cfg.types,
                       logits=logits)
+
+
+def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
+                 tape: Tape | None = None) -> np.ndarray:
+    """Predicted utility of each slate, from one stacked evaluator pass.
+
+    A slate's rows can round differently at another offset in the stack, so
+    repeated slates are scored once and share one utility: equal slates
+    always tie exactly.
+    """
+    if tape is None:
+        tape = Tape(recording=False)
+    first: dict[tuple[int, ...], int] = {}
+    where = [first.setdefault(tuple(_slate_indices(s, req, cfg).tolist()), len(first))
+             for s in slates]
+    if not first:
+        raise EmptyCandidatesError("no slates to choose from")
+    return _score_stack(req, np.array(list(first)), params, cfg, tape)[2][where]
 
 
 def bce_loss(tape: Tape, score: SlateScore, feedback) -> Tensor:
@@ -174,12 +218,4 @@ def select_best(req: RequestBatch, slates, params: Params,
                 cfg: EvaluatorConfig):
     """Slate with the highest predicted utility; first wins exact ties."""
     slates = list(slates)
-    if not slates:
-        raise EmptyCandidatesError("no slates to choose from")
-    best = slates[0]
-    best_u = score_slate(req, best, params, cfg).utility
-    for slate in slates[1:]:
-        u = score_slate(req, slate, params, cfg).utility
-        if u > best_u:
-            best, best_u = slate, u
-    return best
+    return slates[int(np.argmax(score_slates(req, slates, params, cfg)))]

@@ -42,11 +42,12 @@ class TrainStep:
                 "positive_fraction,clamp_fraction")
 
     def csv_row(self) -> str:
-        return ",".join([str(self.step), repr(self.total), repr(self.ce_or_ul),
-                         repr(self.item_contrastive),
-                         repr(self.position_contrastive),
-                         repr(self.positive_fraction),
-                         repr(self.clamp_fraction)])
+        # float() first: under NumPy 2 the repr of a NumPy scalar is
+        # "np.float64(...)", which is not a CSV number
+        values = (self.total, self.ce_or_ul, self.item_contrastive,
+                  self.position_contrastive, self.positive_fraction,
+                  self.clamp_fraction)
+        return ",".join([str(self.step)] + [repr(float(v)) for v in values])
 
 
 def steps_to_csv(steps: list[TrainStep]) -> str:

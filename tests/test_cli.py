@@ -14,7 +14,7 @@ from slaterank.data import read_logs
 from slaterank.decoding import DecodeConfig, contrastive_decode
 from slaterank.generator import GeneratorConfig, forward
 from slaterank.metrics import EvalReport
-from slaterank.numerics import load_checkpoint
+from slaterank.numerics import Params, load_checkpoint, save_checkpoint
 
 
 def write_cfg(tmp_path, extra=()):
@@ -84,6 +84,26 @@ def test_checkpoint_mismatch_exit_2(tmp_path, capsys):
     code = main(["generate", "--config", cfg, "--set", "generator.d=16"])
     assert code == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_missing_or_misshapen_parameter_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    params, meta = load_checkpoint(tmp_path / "ev.npz")
+    for name, broken in (("ev.head.like.w", None),
+                         ("ev.pos", np.zeros((5, 8)))):
+        damaged = Params()
+        for key, tensor in params.items():
+            if key != name:
+                damaged.add(key, tensor.data)
+            elif broken is not None:
+                damaged.add(key, broken)
+        save_checkpoint(tmp_path / "ev.npz", damaged, meta=meta)
+        assert main(["generate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "ev.npz" in err and name in err
+    save_checkpoint(tmp_path / "ev.npz", params, meta=meta)
+    assert main(["generate", "--config", cfg]) == 0
 
 
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):

@@ -341,3 +341,105 @@ def test_slate_score_matches_manual_sum():
     idx = (2, 0, 3)
     want = sum(math.log(pm.values.data[i, j]) for j, i in enumerate(idx))
     assert abs(slate_score(pm, idx) - want) < 1e-12
+
+
+# ------------------------------------- batched draws vs one-at-a-time loop
+
+
+def loop_topk_sample(probs, cfg, rng):
+    """The one-sample-at-a-time top-k sampler the batched draw replaced."""
+    n = probs.n if probs.valid is None else int(probs.valid.sum())
+    values = probs.values.data[:n]
+    selected = np.zeros(n, dtype=bool)
+    chosen = []
+    for t in range(probs.m):
+        avail = np.flatnonzero(~selected)
+        ranked = avail[np.argsort(-values[avail, t], kind="stable")]
+        group = ranked[: cfg.k]
+        weights = values[group, t]
+        total = weights.sum()
+        weights = weights / total if total > 0.0 else np.full(len(group), 1.0 / len(group))
+        pick = int(rng.choice(group, p=weights))
+        chosen.append(pick)
+        selected[pick] = True
+    return tuple(chosen)
+
+
+def loop_sample_slates(probs, cfg, rng):
+    slates = [contrastive_decode(probs, cfg).indices]
+    seen = {slates[0]}
+    attempts = 0
+    while len(slates) < cfg.num_samples and attempts < 20 * cfg.num_samples:
+        attempts += 1
+        candidate = loop_topk_sample(probs, cfg, rng)
+        if candidate not in seen:
+            seen.add(candidate)
+            slates.append(candidate)
+    return slates
+
+
+def assert_same_draws(pm, cfg, seed):
+    """New and loop samplers emit equal slates and leave equal rng states,
+    for a single sample and for a whole pool on one shared rng."""
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert topk_sample(pm, cfg, new_rng).indices == loop_topk_sample(pm, cfg, old_rng)
+    for _ in range(3):
+        got = [s.indices for s in sample_slates(pm, cfg, new_rng)]
+        assert got == loop_sample_slates(pm, cfg, old_rng)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def padded_probs(rng, n_real, n_pad, m):
+    raw = np.zeros((n_real + n_pad, m))
+    raw[:n_real] = rng.uniform(0.01, 1.0, size=(n_real, m))
+    raw /= raw.sum(axis=0)
+    return ProbMatrix(values=Tensor(raw),
+                      candidate_reps=Tensor(rng.normal(size=(n_real + n_pad, 4))),
+                      position_reps=Tensor(rng.normal(size=(m, 4))),
+                      valid=np.arange(n_real + n_pad) < n_real)
+
+
+def test_batched_draws_match_loop_on_random_matrices():
+    rng = np.random.default_rng(30)
+    for trial in range(60):
+        n = int(rng.integers(2, 21))
+        m = int(rng.integers(1, min(n, 7) + 1))
+        pm = random_probs(rng, n, m)
+        cfg = DecodeConfig(k=int(rng.integers(1, n + 1)),
+                           num_samples=int(rng.integers(1, 10)))
+        assert_same_draws(pm, cfg, seed=trial)
+
+
+def test_batched_draws_match_loop_with_padded_rows():
+    rng = np.random.default_rng(31)
+    for trial in range(30):
+        n_real = int(rng.integers(3, 12))
+        pm = padded_probs(rng, n_real, int(rng.integers(1, 6)),
+                          int(rng.integers(1, min(n_real, 6) + 1)))
+        cfg = DecodeConfig(k=int(rng.integers(1, n_real + 1)), num_samples=8)
+        assert_same_draws(pm, cfg, seed=100 + trial)
+
+
+def test_batched_draws_match_loop_when_k_covers_every_free_candidate():
+    # late positions have fewer free candidates than k; k == n keeps every
+    # free candidate in the group at every position
+    rng = np.random.default_rng(32)
+    for trial in range(20):
+        n = int(rng.integers(3, 9))
+        pm = random_probs(rng, n, n)
+        for k in (n - 1, n):
+            assert_same_draws(pm, DecodeConfig(k=k, num_samples=8), seed=200 + trial)
+
+
+def test_batched_draws_match_loop_on_all_zero_groups():
+    # exact-zero probabilities and ties: zero-sum groups fall back to uniform
+    # and ties rank toward the lower index
+    rng = np.random.default_rng(33)
+    for trial in range(30):
+        n, m = int(rng.integers(4, 10)), 3
+        values = np.zeros((n, m))
+        live = rng.random((n, m)) < 0.3
+        values[live] = rng.choice([0.25, 0.5], size=int(live.sum()))
+        pm = make_probs(values, rng=rng)
+        cfg = DecodeConfig(k=int(rng.integers(1, 4)), num_samples=6)
+        assert_same_draws(pm, cfg, seed=300 + trial)

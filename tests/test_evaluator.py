@@ -21,6 +21,7 @@ from slaterank.evaluator import (
     bce_loss,
     init_evaluator_params,
     score_slate,
+    score_slates,
     select_best,
     train_evaluator,
 )
@@ -156,6 +157,44 @@ def test_select_best_is_argmax_and_breaks_ties_first():
 
     with pytest.raises(EmptyCandidatesError):
         select_best(req, [], params, TINY)
+
+
+def test_score_slates_single_slate_is_bit_identical_to_score_slate():
+    params = init_evaluator_params(TINY)
+    inflate_weights(params, 15.0)
+    for seed in range(10):
+        req = tiny_request(seed=seed, n=7)
+        slate = tuple(np.random.default_rng(seed).permutation(7)[:3])
+        assert score_slates(req, [slate], params, TINY)[0] == \
+            score_slate(req, slate, params, TINY).utility
+
+
+def test_stacked_utilities_match_one_pass_per_slate():
+    cfg = EvaluatorConfig(d=16, h=4, d_x=4, m=4, seed=3)
+    params = init_evaluator_params(cfg)
+    inflate_weights(params, 15.0)
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        req = tiny_request(seed=trial, n=9)
+        slates = [tuple(rng.permutation(9)[:4]) for _ in range(int(rng.integers(2, 10)))]
+        got = score_slates(req, slates, params, cfg)
+        want = [score_slate(req, s, params, cfg).utility for s in slates]
+        assert got.shape == (len(slates),)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_select_best_returns_first_maximizer():
+    params = init_evaluator_params(TINY)
+    inflate_weights(params, 15.0)
+    req = tiny_request(seed=29, n=8)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        distinct = [tuple(rng.permutation(8)[:3]) for _ in range(5)]
+        utilities = [score_slate(req, s, params, TINY).utility for s in distinct]
+        top = distinct[int(np.argmax(utilities))]
+        # a later equal copy of the winner never displaces the first
+        pool = distinct + [list(top), list(distinct[0])]
+        assert select_best(req, pool, params, TINY) is top
 
 
 def test_training_fits_constant_positive_labels():

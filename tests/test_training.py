@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slaterank.ar import init_ar_params
+from slaterank.cli import main
 from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
 from slaterank.errors import DataError, InvalidSlateError, NumericsError
 from slaterank.generator import GeneratorConfig, init_generator_params
@@ -89,6 +90,30 @@ def test_mixed_logs_hit_both_branches():
     assert row.startswith("0,")
     assert trailer == ""
     assert float(row.split(",")[5]) == steps[0].positive_fraction
+
+
+def test_cli_loss_curve_cells_are_numbers(tmp_path):
+    # NumPy 2 reprs scalars as "np.float64(...)"; every written cell must
+    # parse back as a number
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([
+        "num_requests=40", "world.n_candidates=8", "generator.n_max=8",
+        "generator.d=8", "generator.h=2", "generator.L=1", "generator.d_t=8",
+        "train.epochs=1", "train.batch_size=16",
+        f"paths.train_log={tmp_path}/train.jsonl",
+        f"paths.generator_checkpoint={tmp_path}/gen.npz",
+        f"paths.out_dir={tmp_path}",
+    ]) + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train-generator", "--config", str(cfg)]) == 0
+    header, *rows = (tmp_path / "generator_loss.csv").read_text().splitlines()
+    assert header == TrainStep.csv_header()
+    assert len(rows) == 3
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        for cell in cells:
+            float(cell)
 
 
 def test_rejects_bad_logs():
