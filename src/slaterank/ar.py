@@ -85,12 +85,11 @@ def ar_forward(req: RequestBatch, params: Params, cfg: GeneratorConfig,
     FORWARD_PASSES.bump()
     cand = encode_candidates(req.features, params, cfg, tape)
     x = _decoder_rows(tape, params, cand, tuple(prefix))
-    causal = np.tril(np.ones((k, k), dtype=bool))
     for layer in range(cfg.L):
         p = f"dec.{layer}"
         normed = _ln(tape, params, f"{p}.ln1", x)
         x = tape.add(x, multi_head_attention(tape, params, f"{p}.self",
-                                             normed, normed, cfg, key_mask=causal))
+                                             normed, normed, cfg, causal=True))
         x = tape.add(x, multi_head_attention(tape, params, f"{p}.cross",
                                              _ln(tape, params, f"{p}.ln2", x),
                                              cand, cfg))

@@ -21,7 +21,7 @@ import numpy as np
 from .ar import init_ar_params
 from .bench import run_bench
 from .configs import RunConfig, apply_overrides, check_pipeline, load_config
-from .data import read_logs, write_jsonl, write_logs
+from .data import LogSchema, read_logs, write_jsonl, write_logs
 from .decoding import sample_slates
 from .errors import (
     ConfigError,
@@ -154,14 +154,13 @@ def _load_matching(path, want: dict, expected):
     return params
 
 
-def _check_log_shapes(logs, cfg) -> None:
-    req = logs[0].request
-    if req.features.shape[1] != cfg.d_x:
-        raise ConfigError(f"log features have width {req.features.shape[1]}, "
-                          f"config d_x={cfg.d_x}")
-    if len(logs[0].exposed) != cfg.m:
-        raise ConfigError(f"log slates have {len(logs[0].exposed)} positions, "
-                          f"config m={cfg.m}")
+def _read_log(path, cfg):
+    """A non-empty log whose every record fits the model config `cfg`:
+    feature width, slate length and, for the generator, n_max."""
+    logs = read_logs(path, LogSchema(cfg.d_x, cfg.m, getattr(cfg, "n_max", None)))
+    if not logs:
+        raise DataError(f"{path} is empty")
+    return logs
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
@@ -177,10 +176,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 
 def cmd_train_generator(run: RunConfig, args) -> int:
-    logs = read_logs(run.paths.train_log)
-    if not logs:
-        raise DataError(f"{run.paths.train_log} is empty")
-    _check_log_shapes(logs, run.generator)
+    logs = _read_log(run.paths.train_log, run.generator)
     uncovered = [t for t in logs[0].feedback.types if t not in run.utility.types]
     if uncovered:
         raise ConfigError(f"utility spec has no weights for logged "
@@ -204,10 +200,7 @@ def cmd_train_generator(run: RunConfig, args) -> int:
 
 
 def cmd_train_evaluator(run: RunConfig, args) -> int:
-    logs = read_logs(run.paths.train_log)
-    if not logs:
-        raise DataError(f"{run.paths.train_log} is empty")
-    _check_log_shapes(logs, run.evaluator)
+    logs = _read_log(run.paths.train_log, run.evaluator)
     if tuple(logs[0].feedback.types) != tuple(run.evaluator.types):
         raise ConfigError(f"log feedback types {logs[0].feedback.types} do not "
                           f"match evaluator types {run.evaluator.types}")
@@ -229,10 +222,7 @@ def cmd_train_evaluator(run: RunConfig, args) -> int:
 
 
 def cmd_train_ar(run: RunConfig, args) -> int:
-    logs = read_logs(run.paths.train_log)
-    if not logs:
-        raise DataError(f"{run.paths.train_log} is empty")
-    _check_log_shapes(logs, run.generator)
+    logs = _read_log(run.paths.train_log, run.generator)
     params = init_ar_params(run.generator)
     losses: list[float] = []
     train_ar(logs, params, run.generator, lr=run.train.lr,
@@ -262,10 +252,7 @@ def _load_models(run: RunConfig):
 
 def cmd_generate(run: RunConfig, args) -> int:
     gen_params, ev_params = _load_models(run)
-    logs = read_logs(run.paths.test_log)
-    if not logs:
-        raise DataError(f"{run.paths.test_log} is empty")
-    _check_log_shapes(logs, run.generator)
+    logs = _read_log(run.paths.test_log, run.generator)
     rng = np.random.default_rng(run.seed)
     rows = []
     for log in logs:
@@ -289,11 +276,10 @@ def cmd_generate(run: RunConfig, args) -> int:
 
 def cmd_evaluate(run: RunConfig, args) -> int:
     gen_params, ev_params = _load_models(run)
-    logs = read_logs(run.paths.test_log)
-    if not logs:
-        raise DataError(f"{run.paths.test_log} is empty")
-    _check_log_shapes(logs, run.generator)
-    _check_log_shapes(logs, run.evaluator)
+    logs = _read_log(run.paths.test_log, run.generator)
+    if (run.evaluator.d_x, run.evaluator.m) != (run.generator.d_x, run.generator.m):
+        raise ConfigError(f"evaluator d_x={run.evaluator.d_x}, m={run.evaluator.m} do not "
+                          f"match generator d_x={run.generator.d_x}, m={run.generator.m}")
 
     target = run.evaluator.types[0]
     m = run.generator.m

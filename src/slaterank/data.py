@@ -8,7 +8,8 @@ One log line per request:
      "feedback": {"click": [...], "like": [...]}}
 
 Floats are serialized with Python's repr, so a write/read cycle is
-bit-exact.
+bit-exact. `read_logs` checks every record as it reads it, against a
+`LogSchema` when one is given, and names the line of the first bad record.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "FeedbackMatrix",
     "RequestBatch",
     "ExposureLog",
+    "LogSchema",
     "read_logs",
     "write_logs",
     "write_jsonl",
@@ -143,6 +145,35 @@ def _record_to_log(rec: dict) -> ExposureLog:
     return ExposureLog(req)
 
 
+@dataclass(frozen=True)
+class LogSchema:
+    """What every record of a log must match: feature width d_x, slate length
+    m and, unless None, at most n_max candidates."""
+
+    d_x: int
+    m: int
+    n_max: int | None = None
+
+
+def _mismatch(log: ExposureLog, schema: LogSchema | None,
+              types: tuple[str, ...] | None) -> str | None:
+    """Why a parsed record does not fit the schema or the first record's
+    feedback types, or None."""
+    req = log.request
+    if types is not None and log.feedback.types != types:
+        return (f"feedback types {list(log.feedback.types)} differ from "
+                f"the first record's {list(types)}")
+    if schema is None:
+        return None
+    if req.features.shape[1] != schema.d_x:
+        return f"features have width {req.features.shape[1]}, config d_x={schema.d_x}"
+    if schema.n_max is not None and req.n > schema.n_max:
+        return f"{req.n} candidates exceed n_max={schema.n_max}"
+    if len(log.exposed) != schema.m:
+        return f"slate has {len(log.exposed)} positions, config m={schema.m}"
+    return None
+
+
 def write_logs(path, logs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for log in logs:
@@ -158,20 +189,31 @@ def write_jsonl(path, rows) -> None:
             fh.write("\n")
 
 
-def read_logs(path) -> list[ExposureLog]:
+def read_logs(path, schema: LogSchema | None = None) -> list[ExposureLog]:
+    """Every record of a JSONL log. A record that does not parse raises
+    DataError with its line number; once every line has parsed, so does the
+    first record that does not fit `schema` or has other feedback types than
+    the first record."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open log {path}: {exc}") from exc
     out = []
+    misfit = None
     with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                out.append(_record_to_log(rec))
+                log = _record_to_log(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     ShapeError, InvalidSlateError) as exc:
                 raise DataError(f"malformed log record: {exc}", line=lineno) from exc
+            if misfit is None:
+                problem = _mismatch(log, schema, out[0].feedback.types if out else None)
+                if problem is not None:
+                    misfit = DataError(problem, line=lineno)
+            out.append(log)
+    if misfit is not None:
+        raise misfit
     return out

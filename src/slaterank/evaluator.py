@@ -7,13 +7,13 @@ position embeddings added to the item features. The overall utility is the
 weighted sum of predicted scores, and `select_best` picks the highest-utility
 slate from a candidate pool.
 
-`score_slates` scores a whole pool in one pass: the K slates' rows are stacked
-into one (K*m, d) matrix, and a block-diagonal attention mask keeps each slate
-attending to its own items only. `score_slate` is the K = 1 case, with no mask,
-and training goes through it one slate at a time.
+The block takes an optional leading batch axis: `score_slate` runs one
+slate's (m, d) rows, while `score_slates` scores a whole pool in one pass with
+the K slates stacked as (K, m, d), each attending to its own items only.
 
 Training is plain off-policy regression: binary cross-entropy of each head
-against the logged feedback on exposed slates.
+against the logged feedback on exposed slates. A minibatch of B exposed
+slates is one (B, m, d) stack on one tape, with one backward pass.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExposureLog, RequestBatch
+from .data import ExposureLog, FeedbackMatrix, RequestBatch
 from .errors import (
     ConfigError,
     DataError,
@@ -71,10 +71,14 @@ class EvaluatorConfig:
 
 @dataclass
 class SlateScore:
-    """Predicted per-item per-type scores plus their weighted sum."""
+    """Predicted per-item per-type scores plus their weighted sum.
+
+    For one slate scores is (types, m) and utility a float; for a stack of B
+    slates scores is (types, B, m) and utility a (B,) array.
+    """
 
     scores: np.ndarray
-    utility: float
+    utility: float | np.ndarray
     types: tuple[str, ...]
     logits: dict[str, Tensor]
 
@@ -107,43 +111,32 @@ def _slate_indices(slate, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray
     return idx
 
 
-def _score_stack(req: RequestBatch, idx: np.ndarray, params: Params,
-                 cfg: EvaluatorConfig, tape: Tape
-                 ) -> tuple[dict[str, Tensor], np.ndarray, np.ndarray]:
-    """Logits, per-type probabilities (types, K, m) and utilities (K,) of
-    the K slates in the rows of `idx`, run through the block as one stacked
-    (K*m, d) matrix.
+def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
+           tape: Tape) -> SlateScore:
+    """Scores of one slate's (m, d_x) feature rows, or of a (B, m, d_x) stack
+    of B slates run through the block side by side on the batch axis.
 
-    Each slate's rows get the position embeddings, and a block-diagonal key
-    mask keeps every row attending within its own slate only. With K = 1
-    there is no mask, so a single slate takes exactly the unstacked path.
+    A stack gives scores (types, B, m), utility (B,) and (B, m, 1) logits.
     """
-    k = idx.shape[0]
-    feats = req.features[idx.ravel()]
-    if feats.shape[1] != cfg.d_x:
+    if feats.shape[-1] != cfg.d_x:
         raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
-    pos = params["ev.pos"]
-    key_mask = None
-    if k > 1:
-        pos = tape.concat_rows([pos] * k)
-        key_mask = np.kron(np.eye(k, dtype=bool), np.ones((cfg.m, cfg.m), dtype=bool))
     x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
-    x = tape.add(x, pos)
+    x = tape.add(x, params["ev.pos"])
     normed = _ln(tape, params, "ev.ln1", x)
-    x = tape.add(x, multi_head_attention(tape, params, "ev.attn", normed, normed, cfg,
-                                         key_mask=key_mask))
+    x = tape.add(x, multi_head_attention(tape, params, "ev.attn", normed, normed, cfg))
     x = tape.add(x, _ffn(tape, params, "ev.ffn", _ln(tape, params, "ev.ln2", x)))
     states = _ln(tape, params, "ev.final_ln", x)
     logits: dict[str, Tensor] = {}
     rows = []
-    utility = np.zeros(k)
+    utility = 0.0
     for t, w in zip(cfg.types, cfg.weights):
         z = tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"])
         logits[t] = z
-        row = tape.sigmoid(z).data[:, 0].reshape(k, cfg.m)
+        row = tape.sigmoid(z).data[..., 0]
         rows.append(row)
-        utility += w * row.sum(axis=1)
-    return logits, np.stack(rows), utility
+        utility = utility + w * row.sum(axis=-1)
+    return SlateScore(scores=np.stack(rows), utility=utility, types=cfg.types,
+                      logits=logits)
 
 
 def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
@@ -151,17 +144,17 @@ def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
     """Listwise scores for one slate; `slate` is a SlateSequence or indices."""
     if tape is None:
         tape = Tape(recording=False)
-    idx = _slate_indices(slate, req, cfg)[None]
-    logits, scores, utility = _score_stack(req, idx, params, cfg, tape)
-    return SlateScore(scores=scores[:, 0], utility=float(utility[0]), types=cfg.types,
-                      logits=logits)
+    score = _score(req.features[_slate_indices(slate, req, cfg)], params, cfg, tape)
+    score.utility = float(score.utility)
+    return score
 
 
 def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
                  tape: Tape | None = None) -> np.ndarray:
-    """Predicted utility of each slate, from one stacked evaluator pass.
+    """Predicted utility of each slate, from one evaluator pass over the
+    slates stacked on the batch axis.
 
-    A slate's rows can round differently at another offset in the stack, so
+    A slate's rows can round differently at another place in the stack, so
     repeated slates are scored once and share one utility: equal slates
     always tie exactly.
     """
@@ -172,17 +165,27 @@ def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig
              for s in slates]
     if not first:
         raise EmptyCandidatesError("no slates to choose from")
-    return _score_stack(req, np.array(list(first)), params, cfg, tape)[2][where]
+    feats = req.features[np.array(list(first))]
+    return _score(feats, params, cfg, tape).utility[where]
 
 
 def bce_loss(tape: Tape, score: SlateScore, feedback) -> Tensor:
     """Summed binary cross-entropy of every head against logged feedback,
-    computed from logits (softplus(z) - y*z) so saturation cannot overflow."""
+    computed from logits (softplus(z) - y*z) so saturation cannot overflow.
+
+    For a stack of B slates `feedback` holds one FeedbackMatrix per slate,
+    and the loss comes back per slate, as a (B,) vector.
+    """
     total = None
     for t in score.types:
         z = score.logits[t]
-        y = np.asarray(feedback.row(t), dtype=np.float64).reshape(z.data.shape)
-        term = tape.sub(tape.sum(tape.softplus(z)), tape.sum(tape.mask(z, y)))
+        if isinstance(feedback, FeedbackMatrix):
+            rows = feedback.row(t)
+        else:
+            rows = [f.row(t) for f in feedback]
+        y = np.asarray(rows, dtype=np.float64).reshape(z.data.shape)
+        term = tape.sub(tape.sum(tape.softplus(z), axis=(-2, -1)),
+                        tape.sum(tape.mask(z, y), axis=(-2, -1)))
         total = term if total is None else tape.add(total, term)
     return total
 
@@ -190,7 +193,11 @@ def bce_loss(tape: Tape, score: SlateScore, feedback) -> Tensor:
 def train_evaluator(logs: list[ExposureLog], params: Params, cfg: EvaluatorConfig,
                     lr: float = 1e-3, epochs: int = 1, batch_size: int = 256,
                     seed: int = 0, loss_log: list | None = None) -> Params:
-    """Minibatch Adam on BCE over logged exposures; returns the params."""
+    """Minibatch Adam on BCE over logged exposures; returns the params.
+
+    Each minibatch's exposed slates go through one evaluator pass, stacked
+    on the batch axis, and one backward pass from their summed loss.
+    """
     if not logs:
         raise DataError("cannot train the evaluator on an empty log")
     state = AdamState(lr=lr)
@@ -198,19 +205,17 @@ def train_evaluator(logs: list[ExposureLog], params: Params, cfg: EvaluatorConfi
     for epoch in range(epochs):
         order = rng.permutation(len(logs))
         for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            running = 0.0
-            for li in batch:
-                log = logs[li]
-                tape = Tape()
-                score = score_slate(log.request, log.exposed, params, cfg, tape)
-                loss = bce_loss(tape, score, log.feedback)
-                tape.backward(loss)
-                running += loss.item()
+            batch = [logs[li] for li in order[start:start + batch_size]]
+            tape = Tape()
+            feats = np.stack([log.request.features[_slate_indices(log.exposed, log.request, cfg)]
+                              for log in batch])
+            score = _score(feats, params, cfg, tape)
+            losses = bce_loss(tape, score, [log.feedback for log in batch])
+            tape.backward(tape.sum(losses))
             params.scale_grads(1.0 / len(batch))
             adam_step(params, state)
             if loss_log is not None:
-                loss_log.append(running / len(batch))
+                loss_log.append(float(losses.data.sum()) / len(batch))
     return params
 
 

@@ -9,11 +9,15 @@ by a column softmax into a column-stochastic n x m probability matrix.
 All m position distributions come out of a single forward pass. That is the
 property the autoregressive baseline in `ar` deliberately gives up, and the
 one the bench harness measures.
+
+Training runs a whole minibatch through the same pass: the requests' feature
+rows are stacked on a leading batch axis, zero-padded to the largest n in the
+minibatch, and the `valid` mask keeps the padded rows out of attention and
+gives them probability exactly 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +87,11 @@ FORWARD_PASSES = ForwardCounter()
 @dataclass
 class ProbMatrix:
     """Column-stochastic candidate-at-position probabilities plus the hidden
-    representations the decoder's similarity penalty reads."""
+    representations the decoder's similarity penalty reads.
+
+    For a minibatch every field gains a leading batch axis: values is
+    (B, n, m) and valid, when rows were padded, (B, n).
+    """
 
     values: Tensor
     candidate_reps: Tensor
@@ -92,11 +100,11 @@ class ProbMatrix:
 
     @property
     def n(self) -> int:
-        return self.values.data.shape[0]
+        return self.values.data.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.values.data.shape[1]
+        return self.values.data.shape[-1]
 
 
 # ---- parameter construction ----
@@ -154,23 +162,13 @@ def init_generator_params(cfg: GeneratorConfig) -> Params:
 
 def multi_head_attention(tape: Tape, params: Params, prefix: str, q_in: Tensor,
                          kv_in: Tensor, cfg: GeneratorConfig,
-                         key_mask: np.ndarray | None = None) -> Tensor:
-    q = tape.matmul(q_in, params[f"{prefix}.wq"])
-    k = tape.matmul(kv_in, params[f"{prefix}.wk"])
-    v = tape.matmul(kv_in, params[f"{prefix}.wv"])
-    hd = cfg.head_dim
-    inv_sqrt = 1.0 / math.sqrt(hd)
-    heads = []
-    for i in range(cfg.h):
-        lo, hi = i * hd, (i + 1) * hd
-        qs = tape.slice_cols(q, lo, hi)
-        ks = tape.slice_cols(k, lo, hi)
-        vs = tape.slice_cols(v, lo, hi)
-        scores = tape.scale(tape.matmul(qs, tape.transpose(ks)), inv_sqrt)
-        weights = tape.softmax_rows(scores, key_mask=key_mask)
-        heads.append(tape.matmul(weights, vs))
-    merged = heads[0] if cfg.h == 1 else tape.concat_cols(heads)
-    return tape.matmul(merged, params[f"{prefix}.wo"])
+                         key_mask: np.ndarray | None = None,
+                         causal: bool = False) -> Tensor:
+    q = tape.linear(q_in, params[f"{prefix}.wq"])
+    k = tape.linear(kv_in, params[f"{prefix}.wk"])
+    v = tape.linear(kv_in, params[f"{prefix}.wv"])
+    heads = tape.attention(q, k, v, cfg.h, key_mask=key_mask, causal=causal)
+    return tape.linear(heads, params[f"{prefix}.wo"])
 
 
 def _ln(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
@@ -178,19 +176,22 @@ def _ln(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
 
 
 def _ffn(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
-    hidden = tape.gelu(tape.matmul(x, params[f"{prefix}.w1"]))
-    return tape.matmul(hidden, params[f"{prefix}.w2"])
+    hidden = tape.gelu(tape.linear(x, params[f"{prefix}.w1"]))
+    return tape.linear(hidden, params[f"{prefix}.w2"])
 
 
 def encode_candidates(feats, params: Params, cfg: GeneratorConfig, tape: Tape,
                       valid: np.ndarray | None = None) -> Tensor:
-    """Project raw features to width d and run L pre-norm transformer layers."""
+    """Project raw features to width d and run L pre-norm transformer layers.
+
+    feats is (n, d_x), or (B, n, d_x) for a padded minibatch whose valid
+    mask, (B, n), keeps padded rows out of every row's attention.
+    """
     x = feats if isinstance(feats, Tensor) else Tensor(feats)
-    n = x.data.shape[0]
-    if n == 0:
-        raise EmptyCandidatesError("request has no candidates")
-    if x.data.ndim != 2 or x.data.shape[1] != cfg.d_x:
+    if x.data.ndim not in (2, 3) or x.data.shape[-1] != cfg.d_x:
         raise ShapeError(f"features {x.data.shape} do not match d_x={cfg.d_x}")
+    if x.data.shape[-2] == 0:
+        raise EmptyCandidatesError("request has no candidates")
     h = tape.linear(x, params["embed.x.w"], params["embed.x.b"])
     for layer in range(cfg.L):
         p = f"cand.{layer}"
@@ -204,8 +205,12 @@ def encode_candidates(feats, params: Params, cfg: GeneratorConfig, tape: Tape,
 def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
                      tape: Tape, valid: np.ndarray | None = None) -> Tensor:
     """Self-attention over the m learned position slots, cross-attention into
-    the candidate states, then feed-forward; per layer, pre-norm."""
-    if cand_hidden.data.shape[1] != cfg.d:
+    the candidate states, then feed-forward; per layer, pre-norm.
+
+    The slots start shared, (m, d); the first cross-attention into a
+    (B, n, d) batch of candidate states gives every request its own.
+    """
+    if cand_hidden.data.shape[-1] != cfg.d:
         raise ShapeError("candidate hidden width does not match config d")
     t = tape.linear(params["pos.table"], params["embed.t.w"], params["embed.t.b"])
     for layer in range(cfg.L):
@@ -229,29 +234,41 @@ def matching_head(cand_reps: Tensor, pos_reps: Tensor, tape: Tape,
                       position_reps=pos_reps, valid=valid)
 
 
-def forward(req: RequestBatch, params: Params, cfg: GeneratorConfig,
+def forward(req, params: Params, cfg: GeneratorConfig,
             tape: Tape | None = None, pad_to: int | None = None) -> ProbMatrix:
     """One pass: all m position distributions at once.
 
-    pad_to simulates fixed-width batching: feature rows are zero-padded and
-    masked so padded candidates end up with probability exactly 0.
+    `req` is one RequestBatch, giving an (n, m) matrix, or a sequence of
+    them, giving a (B, n, m) stack for a minibatch. Feature rows are
+    zero-padded to the largest n among the requests, or to pad_to, and
+    masked so padded candidates end up with probability exactly 0; `valid`
+    marks the real rows and is None when nothing was padded.
     """
     if tape is None:
         tape = Tape(recording=False)
-    feats = req.features
-    n = feats.shape[0]
-    if n == 0:
+    single = isinstance(req, RequestBatch)
+    reqs = [req] if single else list(req)
+    if not reqs:
+        raise EmptyCandidatesError("no requests to rank")
+    ns = np.array([r.features.shape[0] for r in reqs])
+    if ns.min() == 0:
         raise EmptyCandidatesError("request has no candidates")
-    if n > cfg.n_max:
-        raise ShapeError(f"n={n} exceeds n_max={cfg.n_max}")
+    if ns.max() > cfg.n_max:
+        raise ShapeError(f"n={ns.max()} exceeds n_max={cfg.n_max}")
+    width = int(ns.max()) if pad_to is None else pad_to
+    if width < ns.max() or width > cfg.n_max:
+        raise ShapeError(f"pad_to={pad_to} out of range for n={ns.max()}")
+    feats = np.zeros((len(reqs), width, cfg.d_x))
+    for b, r in enumerate(reqs):
+        if r.features.shape[1] != cfg.d_x:
+            raise ShapeError(f"features {r.features.shape} do not match d_x={cfg.d_x}")
+        feats[b, :r.features.shape[0]] = r.features
     valid = None
-    if pad_to is not None:
-        if pad_to < n or pad_to > cfg.n_max:
-            raise ShapeError(f"pad_to={pad_to} out of range for n={n}")
-        if pad_to > n:
-            feats = np.vstack([feats, np.zeros((pad_to - n, feats.shape[1]))])
-            valid = np.zeros(pad_to, dtype=bool)
-            valid[:n] = True
+    if ns.min() < width:
+        valid = np.arange(width) < ns[:, None]
+    if single:
+        feats = feats[0]
+        valid = None if valid is None else valid[0]
     FORWARD_PASSES.bump()
     cand = encode_candidates(feats, params, cfg, tape, valid=valid)
     pos = encode_positions(params, cand, cfg, tape, valid=valid)

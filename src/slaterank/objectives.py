@@ -8,10 +8,11 @@ term on the same cells. Two hinge losses on cosine similarity spread the
 candidate and position representations apart so that near-duplicate rows
 stop collapsing onto the same column.
 
-All losses are recorded on a Tape and return scalar Tensors, so a single
-`tape.backward(breakdown.total)` reaches every parameter. `utility` is a
-plain float: it is a statistic of the logged feedback, not a function of
-the model.
+All losses are recorded on a Tape. On one request's (n, m) matrix they
+return scalar Tensors, so `tape.backward(breakdown.total)` reaches every
+parameter; on a (B, n, m) minibatch they return one value per request, and
+training backprops their sum. `utility` is a plain float: it is a statistic
+of the logged feedback, not a function of the model.
 """
 
 from __future__ import annotations
@@ -69,19 +70,21 @@ class UtilitySpec:
 
 @dataclass
 class LossBreakdown:
-    """Per-request loss terms. `total` is the tensor to backprop.
+    """Loss terms per request. `total` is the tensor to backprop.
 
     total = ce_or_ul + omega * (item_contrastive + position_contrastive).
     `clamped` reports that at least one labeled probability sat at 1 on the
-    negative branch and was clamped before the log.
+    negative branch and was clamped before the log. For one request every
+    term is a scalar and the flags are bools; for a minibatch every term is
+    a (B,) vector and the flags are (B,) bool arrays.
     """
 
     total: Tensor
     ce_or_ul: Tensor
     item_contrastive: Tensor
     position_contrastive: Tensor
-    is_positive_sequence: bool
-    clamped: bool = False
+    is_positive_sequence: bool | np.ndarray
+    clamped: bool | np.ndarray = False
 
 
 def utility(feedback: FeedbackMatrix, spec: UtilitySpec) -> float:
@@ -92,20 +95,30 @@ def utility(feedback: FeedbackMatrix, spec: UtilitySpec) -> float:
     return total
 
 
+def _flag(x: np.ndarray) -> bool | np.ndarray:
+    """A bool for one request, the array for a minibatch."""
+    return bool(x) if x.ndim == 0 else x
+
+
 def _label_indices(exposed, probs: ProbMatrix) -> np.ndarray:
     """Validate exposed positions against the matrix; returns int indices.
 
     Accepts a decoded SlateSequence or any plain sequence of candidate
-    indices. Indices must address real (non-padded) candidates.
+    indices, or for a (B, n, m) minibatch a sequence of B of them, giving
+    (B, m) indices. Indices must address real (non-padded) candidates.
     """
-    raw = getattr(exposed, "indices", exposed)
+    if probs.values.data.ndim == 2:
+        raw = getattr(exposed, "indices", exposed)
+    else:
+        raw = [getattr(e, "indices", e) for e in exposed]
     idx = np.asarray(raw, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != probs.m:
+    want = probs.values.data.shape[:-2] + (probs.m,)
+    if idx.shape != want:
         raise ShapeError(f"expected {probs.m} exposed indices, got shape {idx.shape}")
-    n_valid = probs.n if probs.valid is None else int(probs.valid.sum())
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= n_valid:
+    n_valid = probs.n if probs.valid is None else probs.valid.sum(axis=-1)
+    if idx.min(initial=0) < 0 or (idx >= np.asarray(n_valid)[..., None]).any():
         raise InvalidSlateError(f"exposed index out of range [0, {n_valid})")
-    if len(set(idx.tolist())) != idx.shape[0]:
+    if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
         raise InvalidSlateError("exposed indices must be pairwise distinct")
     return idx
 
@@ -115,54 +128,69 @@ def _labeled_probs(tape: Tape, probs: ProbMatrix, exposed) -> Tensor:
     return tape.take_entries(probs.values, idx, np.arange(probs.m))
 
 
+def _neg_log_sum(tape: Tape, p: Tensor) -> Tensor:
+    """-sum_j log max(p_j, 1e-12) over the last axis: one value per request."""
+    return tape.neg(tape.sum(tape.log(tape.clamp_min(p, _P_CLAMP)), axis=-1))
+
+
 def ce_loss(tape: Tape, probs: ProbMatrix, exposed) -> Tensor:
     """Cross-entropy of the exposed slate: -sum_j log p[exposed_j, j]."""
-    picked = _labeled_probs(tape, probs, exposed)
-    return tape.neg(tape.sum(tape.log(tape.clamp_min(picked, _P_CLAMP))))
+    return _neg_log_sum(tape, _labeled_probs(tape, probs, exposed))
 
 
 def unlikelihood_loss(
-    tape: Tape, probs: ProbMatrix, exposed, r: float, spec: UtilitySpec
-) -> tuple[Tensor, bool, bool]:
+    tape: Tape, probs: ProbMatrix, exposed, r, spec: UtilitySpec
+) -> tuple[Tensor, bool | np.ndarray, bool | np.ndarray]:
     """Likelihood loss for positive sequences, unlikelihood for negative.
 
     Returns (loss, is_positive_sequence, clamped). The branch depends only
     on the sign of r - tau. On the negative branch the loss is
     -sum_j log(1 - p[exposed_j, j]), which shrinks as the matched
     probabilities shrink; labeled cells saturated at 1 are clamped to
-    1 - 1e-12 and flagged.
+    1 - 1e-12 and flagged. For a minibatch r holds one utility per request,
+    and each request takes its own branch.
     """
-    is_positive = r >= spec.tau
-    if is_positive:
-        return ce_loss(tape, probs, exposed), True, False
+    is_positive = np.asarray(r) >= spec.tau
     picked = _labeled_probs(tape, probs, exposed)
-    complement = tape.add_scalar(tape.neg(picked), 1.0)
-    clamped = bool((complement.data < _P_CLAMP).any())
-    loss = tape.neg(tape.sum(tape.log(tape.clamp_min(complement, _P_CLAMP))))
-    return loss, False, clamped
+    # p on the positive branch, 1 - p on the negative one: p * 1 + 0 and
+    # p * -1 + 1 are exact, so each branch rounds as if computed alone
+    sign = np.where(is_positive, 1.0, -1.0)[..., None]
+    shift = np.where(is_positive, 0.0, 1.0)[..., None]
+    target = tape.add_scalar(tape.mask(picked, sign), shift)
+    clamped = ~is_positive & (target.data < _P_CLAMP).any(axis=-1)
+    return _neg_log_sum(tape, target), _flag(is_positive), _flag(clamped)
 
 
-def _pairwise_hinge(tape: Tape, reps: Tensor, rho: float) -> Tensor:
-    """Mean over ordered pairs i != j of max(0, rho - 1 + cos(x_i, x_j))."""
-    k = reps.data.shape[0]
-    if k < 2:
+def _pairwise_hinge(tape: Tape, reps: Tensor, rho: float,
+                    valid: np.ndarray | None = None) -> Tensor:
+    """Mean over ordered pairs i != j of max(0, rho - 1 + cos(x_i, x_j)),
+    over the last two axes; with `valid`, over pairs of valid rows only."""
+    n = reps.data.shape[-2]
+    pairs = ~np.eye(n, dtype=bool)
+    k = n
+    if valid is not None:
+        pairs = pairs & valid[..., :, None] & valid[..., None, :]
+        k = valid.sum(axis=-1)
+    if np.min(k) < 2:
         raise ShapeError("contrastive loss needs at least 2 representations")
     if not -1.0 <= rho <= 1.0:
         raise ConfigError(f"margin rho must lie in [-1, 1], got {rho}")
     unit = tape.row_normalize(reps)
     cos = tape.matmul(unit, tape.transpose(unit))
-    hinge = tape.relu(tape.add_scalar(cos, rho - 1.0))
-    off_diagonal = 1.0 - np.eye(k)
-    return tape.scale(tape.sum(tape.mask(hinge, off_diagonal)), 1.0 / (k * (k - 1)))
+    # -inf shifts the pairs left out below the hinge: exactly 0, no gradient
+    hinge = tape.relu(tape.add_scalar(cos, np.where(pairs, rho - 1.0, -np.inf)))
+    return tape.mask(tape.sum(hinge, axis=(-2, -1)), 1.0 / (k * (k - 1)))
 
 
-def item_contrastive_loss(tape: Tape, cand_reps: Tensor, rho: float) -> Tensor:
-    """Hinge separation over candidate representations.
+def item_contrastive_loss(tape: Tape, cand_reps: Tensor, rho: float,
+                          valid: np.ndarray | None = None) -> Tensor:
+    """Hinge separation over candidate representations; padded rows, those
+    outside `valid`, take no part.
 
     Zero-norm rows get similarity 0 against everything (row_normalize
     warns when that happens).
     """
-    return _pairwise_hinge(tape, cand_reps, rho)
+    return _pairwise_hinge(tape, cand_reps, rho, valid)
 
 
 def position_contrastive_loss(tape: Tape, pos_reps: Tensor, rho: float) -> Tensor:
@@ -174,25 +202,26 @@ def total_loss(
     tape: Tape,
     probs: ProbMatrix,
     exposed,
-    feedback: FeedbackMatrix,
+    feedback,
     spec: UtilitySpec,
     rho: float = 0.5,
     omega: float = 0.01,
 ) -> LossBreakdown:
     """Combine the branch loss with the two contrastive terms.
 
+    For a (B, n, m) minibatch, `exposed` and `feedback` hold one slate and
+    one FeedbackMatrix per request, and every term comes back per request.
     With omega = 0 the total equals the branch loss exactly (the weighted
     term is a multiply by 0.0); with rho = 0 the hinges only fire on
     exact-duplicate representations, so the objective degenerates to plain
     likelihood/unlikelihood training.
     """
-    r = utility(feedback, spec)
+    if probs.values.data.ndim == 2:
+        r = utility(feedback, spec)
+    else:
+        r = np.array([utility(f, spec) for f in feedback])
     ul, is_positive, clamped = unlikelihood_loss(tape, probs, exposed, r, spec)
-    reps = probs.candidate_reps
-    n_valid = probs.n if probs.valid is None else int(probs.valid.sum())
-    if n_valid < reps.data.shape[0]:
-        reps = tape.slice_rows(reps, 0, n_valid)
-    item = item_contrastive_loss(tape, reps, rho)
+    item = item_contrastive_loss(tape, probs.candidate_reps, rho, probs.valid)
     position = position_contrastive_loss(tape, probs.position_reps, rho)
     total = tape.add(ul, tape.scale(tape.add(item, position), omega))
     return LossBreakdown(

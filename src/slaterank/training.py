@@ -1,8 +1,14 @@
 """Minibatch training loops for the matching generator and the pointer baseline.
 
-Both loops accumulate per-request gradients on a fresh tape, average them
-over the minibatch, and take one Adam step per batch. Shuffling is driven
-by the training seed only, so a (logs, seed) pair fixes the whole parameter
+The generator loop records a whole minibatch on one tape: the requests are
+stacked on a leading batch axis and zero-padded to the largest candidate
+count in that minibatch (not to n_max), the `valid` mask keeps padded rows
+out of attention, the probabilities and the contrastive terms, and
+`total_loss` returns one value per request. One backward pass from their sum
+fills the gradients, which are averaged over the minibatch before one Adam
+step. The pointer baseline still records one tape per request and
+accumulates their gradients into the same step. Shuffling is driven by the
+training seed only, so a (logs, seed) pair fixes the whole parameter
 trajectory.
 """
 
@@ -85,34 +91,29 @@ def train_generator(logs: list[ExposureLog], params: Params,
     for epoch in range(epochs):
         order = rng.permutation(len(logs))
         for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            sums = np.zeros(4)
-            positives = 0
-            clamps = 0
-            for li in batch:
-                log = logs[li]
-                tape = Tape()
-                probs = forward(log.request, params, cfg, tape)
-                breakdown = total_loss(tape, probs, log.exposed, log.feedback,
-                                       spec, rho=rho, omega=omega)
-                if not np.isfinite(breakdown.total.item()):
-                    raise NumericsError(_nan_diagnostics(
-                        "loss", epoch, step, log.request.request_id))
-                tape.backward(breakdown.total)
-                sums += (breakdown.total.item(), breakdown.ce_or_ul.item(),
-                         breakdown.item_contrastive.item(),
-                         breakdown.position_contrastive.item())
-                positives += breakdown.is_positive_sequence
-                clamps += breakdown.clamped
+            batch = [logs[li] for li in order[start:start + batch_size]]
+            tape = Tape()
+            probs = forward([log.request for log in batch], params, cfg, tape)
+            breakdown = total_loss(tape, probs, [log.exposed for log in batch],
+                                   [log.feedback for log in batch],
+                                   spec, rho=rho, omega=omega)
+            finite = np.isfinite(breakdown.total.data)
+            if not finite.all():
+                first = batch[int(np.argmin(finite))]
+                raise NumericsError(_nan_diagnostics(
+                    "loss", epoch, step, first.request.request_id))
+            tape.backward(tape.sum(breakdown.total))
             params.scale_grads(1.0 / len(batch))
             adam_step(params, state)
             if step_log is not None:
-                mean = sums / len(batch)
+                mean = [float(t.data.sum()) / len(batch) for t in (
+                    breakdown.total, breakdown.ce_or_ul,
+                    breakdown.item_contrastive, breakdown.position_contrastive)]
                 step_log.append(TrainStep(
                     step=step, total=mean[0], ce_or_ul=mean[1],
                     item_contrastive=mean[2], position_contrastive=mean[3],
-                    positive_fraction=positives / len(batch),
-                    clamp_fraction=clamps / len(batch)))
+                    positive_fraction=int(breakdown.is_positive_sequence.sum()) / len(batch),
+                    clamp_fraction=int(breakdown.clamped.sum()) / len(batch)))
             step += 1
     return params
 

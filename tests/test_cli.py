@@ -193,3 +193,53 @@ def test_empty_test_log_exits_2(tmp_path):
     (tmp_path / "test.jsonl").write_text("", encoding="utf-8")
     assert main(["generate", "--config", cfg]) == 2
     assert main(["evaluate", "--config", cfg]) == 2
+
+
+def _damage_record(tmp_path, lineno, damage):
+    """Rewrite one record of the simulated training log in place."""
+    path = tmp_path / "train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[lineno - 1])
+    damage(rec)
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _wider(rec):
+    for cand in rec["candidates"]:
+        cand["features"].append(0.5)
+
+
+def _more_candidates(rec):
+    rec["candidates"].append(dict(rec["candidates"][0], item_id=99_999))
+
+
+def _shorter_slate(rec):
+    rec["exposed"] = rec["exposed"][:-1]
+    rec["feedback"] = {t: row[:-1] for t, row in rec["feedback"].items()}
+
+
+def _other_types(rec):
+    rec["feedback"] = {"click": rec["feedback"]["click"]}
+
+
+def test_every_log_record_is_checked_at_the_boundary(tmp_path, capsys):
+    # a bad record after the first used to pass the boundary and fail
+    # mid-training with exit 1 and no line number
+    cfg = write_cfg(tmp_path)
+    generator_side = ("train-generator", "train-ar")
+    cases = (("features have width 11", _wider, generator_side + ("train-evaluator",)),
+             ("9 candidates exceed n_max=8", _more_candidates, generator_side),
+             ("slate has 5 positions", _shorter_slate, generator_side + ("train-evaluator",)),
+             ("feedback types", _other_types, generator_side + ("train-evaluator",)))
+    for message, damage, commands in cases:
+        assert main(["simulate", "--config", cfg]) == 0
+        _damage_record(tmp_path, 5, damage)
+        for command in commands:
+            assert main([command, "--config", cfg]) == 2, (message, command)
+            err = capsys.readouterr().err
+            assert "line 5" in err and message in err, (command, err)
+    # the evaluator has no n_max: more candidates are fine there
+    assert main(["simulate", "--config", cfg]) == 0
+    _damage_record(tmp_path, 5, _more_candidates)
+    assert main(["train-evaluator", "--config", cfg]) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from slaterank.decoding import (
     DecodeConfig,
+    _topk_draws,
     SlateSequence,
     beam_decode,
     contrastive_decode,
@@ -186,16 +187,13 @@ def test_topk_frequencies_match_renormalized_column():
     pm = make_probs(column)
     rng = np.random.default_rng(4)
     draws = 100_000
-    counts = np.zeros(3)
-    cfg = DecodeConfig(method="topk", k=3)
-    for _ in range(draws):
-        counts[topk_sample(pm, cfg, rng).indices[0]] += 1
+    # one batched draw consumes the stream exactly as `draws` topk_sample calls
+    chosen, _ = _topk_draws(pm, 3, draws, rng)
+    counts = np.bincount(chosen[:, 0], minlength=3)
     assert np.abs(counts / draws - column[:, 0]).max() < 0.01
 
-    counts = np.zeros(3)
-    cfg = DecodeConfig(method="topk", k=2)
-    for _ in range(draws):
-        counts[topk_sample(pm, cfg, rng).indices[0]] += 1
+    chosen, _ = _topk_draws(pm, 2, draws, rng)
+    counts = np.bincount(chosen[:, 0], minlength=3)
     expected = np.array([0.5 / 0.8, 0.3 / 0.8, 0.0])
     assert np.abs(counts / draws - expected).max() < 0.01
 

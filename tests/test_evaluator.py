@@ -18,6 +18,7 @@ from slaterank.errors import (
 )
 from slaterank.evaluator import (
     EvaluatorConfig,
+    _score,
     bce_loss,
     init_evaluator_params,
     score_slate,
@@ -243,3 +244,47 @@ def test_training_improves_held_out_click_auc():
 def test_training_rejects_empty_log():
     with pytest.raises(DataError):
         train_evaluator([], init_evaluator_params(TINY), TINY)
+
+
+def test_batched_training_pass_matches_one_tape_per_slate():
+    cfg = EvaluatorConfig(types=("click", "like"), weights=(1.0, 0.5), d=8, h=2,
+                          d_x=4, m=3)
+    params = init_evaluator_params(cfg)
+    inflate_weights(params, 15.0)
+    rng = np.random.default_rng(23)
+    logs = []
+    for i, n in enumerate((3, 7, 4, 5, 3)):
+        fb = FeedbackMatrix(values=rng.integers(0, 2, size=(2, 3)).astype(float),
+                            types=("click", "like"))
+        logs.append(ExposureLog(RequestBatch(
+            request_id=i, user_id=0, item_ids=np.arange(n),
+            features=rng.normal(size=(n, 4)),
+            exposed=tuple(rng.choice(n, size=3, replace=False).tolist()), feedback=fb)))
+
+    losses = []
+    for log in logs:
+        tape = Tape()
+        loss = bce_loss(tape, score_slate(log.request, log.exposed, params, cfg, tape),
+                        log.feedback)
+        tape.backward(loss)
+        losses.append(loss.item())
+    single = {name: t.grad.copy() for name, t in params.items()}
+    params.zero_grad()
+
+    tape = Tape()
+    feats = np.stack([log.request.features[list(log.exposed)] for log in logs])
+    batched = bce_loss(tape, _score(feats, params, cfg, tape), [log.feedback for log in logs])
+    assert batched.data.shape == (len(logs),)
+    assert np.abs(batched.data - losses).max() <= 1e-10 * max(losses)
+    tape.backward(tape.sum(batched))
+    for name, t in params.items():
+        scale = max(1.0, float(np.abs(single[name]).max()))
+        assert np.abs(t.grad - single[name]).max() <= 1e-10 * scale, name
+
+    loss_log = []
+    train_evaluator(logs, init_evaluator_params(cfg), cfg, epochs=1,
+                    batch_size=len(logs), loss_log=loss_log)
+    fresh = init_evaluator_params(cfg)
+    want = np.mean([bce_loss(Tape(), score_slate(log.request, log.exposed, fresh, cfg),
+                             log.feedback).item() for log in logs])
+    assert abs(loss_log[0] - want) <= 1e-12 * want

@@ -136,10 +136,9 @@ def test_concat_slice_transpose_gradients():
     b = Tensor(rng.normal(size=(3, 2)))
 
     def loss(tape):
-        joined = tape.concat_cols([a, b])
-        left = tape.slice_cols(joined, 1, 3)
         stacked = tape.concat_rows([a, b])
-        prod = tape.matmul(left, tape.transpose(stacked))
+        middle = tape.slice_rows(stacked, 1, 4)
+        prod = tape.matmul(middle, tape.transpose(stacked))
         return tape.mean(prod)
 
     gradcheck(loss, [a, b])
@@ -292,3 +291,105 @@ def test_central_diff_helper_on_known_gradient():
 
     num = central_diff(value, [x])[0]
     assert max_rel_err([3.0 * x.data ** 2], [num]) < 1e-8
+
+
+def _attention_loop(q, k, v, heads, allowed):
+    """Reference: one head at a time, plain NumPy, on one matrix."""
+    hd = q.shape[-1] // heads
+    out = []
+    for i in range(heads):
+        cols = slice(i * hd, (i + 1) * hd)
+        s = q[:, cols] @ k[:, cols].T / np.sqrt(hd)
+        s = np.where(allowed, s, -np.inf)
+        w = np.exp(s - s.max(axis=1, keepdims=True))
+        out.append((w / w.sum(axis=1, keepdims=True)) @ v[:, cols])
+    return np.concatenate(out, axis=1)
+
+
+def test_fused_attention_matches_per_head_loop():
+    rng = np.random.default_rng(8)
+    q, k, v = (rng.normal(size=(3, n, 6)) for n in (4, 5, 5))
+    mask = rng.random((3, 5)) < 0.6
+    mask[:, 0] = True
+    out = Tape(recording=False).attention(Tensor(q), Tensor(k), Tensor(v), 2, key_mask=mask)
+    for b in range(3):
+        want = _attention_loop(q[b], k[b], v[b], 2, np.broadcast_to(mask[b], (4, 5)))
+        assert np.abs(out.data[b] - want).max() < 1e-12
+    causal = Tape(recording=False).attention(Tensor(q[0]), Tensor(q[0]), Tensor(q[0]), 3,
+                                             causal=True)
+    want = _attention_loop(q[0], q[0], q[0], 3, np.tril(np.ones((4, 4), dtype=bool)))
+    assert np.abs(causal.data - want).max() < 1e-12
+
+
+def test_fused_attention_gradients_on_a_masked_batch():
+    rng = np.random.default_rng(9)
+    q = Tensor(rng.normal(size=(3, 4, 6)))
+    k = Tensor(rng.normal(size=(3, 5, 6)))
+    v = Tensor(rng.normal(size=(3, 5, 6)))
+    mask = rng.random((3, 5)) < 0.6
+    mask[:, 0] = True
+    mask[1, 4] = False
+    coef = rng.normal(size=(3, 4, 6))
+
+    def loss(tape):
+        out = tape.attention(q, k, v, 2, key_mask=mask)
+        return tape.sum(tape.mask(out, coef))
+
+    gradcheck(loss, [q, k, v])
+    tape = Tape()
+    tape.backward(loss(tape))
+    # masked keys get weight exactly 0, so their rows get gradient exactly 0
+    assert (k.grad[~mask] == 0.0).all() and (v.grad[~mask] == 0.0).all()
+
+
+def test_fused_attention_broadcasts_shared_queries_and_checks_masks():
+    rng = np.random.default_rng(10)
+    q = Tensor(rng.normal(size=(4, 6)))
+    kv = Tensor(rng.normal(size=(3, 5, 6)))
+    coef = rng.normal(size=(3, 4, 6))
+
+    def loss(tape):
+        return tape.sum(tape.mask(tape.attention(q, kv, kv, 2, causal=True), coef))
+
+    gradcheck(loss, [q, kv])
+    with pytest.raises(ShapeError):
+        Tape().attention(q, kv, kv, 2, key_mask=np.zeros((3, 5), dtype=bool))
+    with pytest.raises(ShapeError):
+        Tape().attention(q, kv, kv, 4)
+
+
+def test_batched_ops_sum_broadcast_gradients():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w = Tensor(rng.normal(size=(4, 4)))
+    b = Tensor(rng.normal(size=4))
+    shared = Tensor(rng.normal(size=(3, 4)))
+    gain = Tensor(rng.normal(size=4) + 1.0)
+    valid = np.array([[True, True, False], [True, True, True]])
+
+    def loss(tape):
+        h = tape.add(tape.linear(x, w, b), shared)
+        h = tape.gelu(tape.layer_norm(h, gain, b))
+        s = tape.softmax_columns(tape.matmul(h, tape.transpose(h)), valid_rows=valid)
+        picked = tape.take_entries(s, [[0, 1], [2, 0]], [1, 2])
+        return tape.sum(tape.log(tape.clamp_min(picked, 1e-12)))
+
+    gradcheck(loss, [x, w, b, shared, gain])
+    tape = Tape()
+    tape.backward(loss(tape))
+    assert len(tape) == 11 and not tape._ops
+
+
+def test_pass_through_gradients_do_not_share_buffers():
+    # add hands the same upstream gradient to both operands; x then takes a
+    # second contribution from mul, which must not leak into y's gradient
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(3, 2)))
+    y = Tensor(rng.normal(size=(3, 2)))
+
+    def loss(tape):
+        square = tape.mul(x, x)
+        both = tape.add(x, y)
+        return tape.add(tape.sum(both), tape.sum(square))
+
+    gradcheck(loss, [x, y])

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import inflate_weights
 from slaterank.ar import init_ar_params
 from slaterank.cli import main
 from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
 from slaterank.errors import DataError, InvalidSlateError, NumericsError
-from slaterank.generator import GeneratorConfig, init_generator_params
-from slaterank.objectives import UtilitySpec
+from slaterank.generator import GeneratorConfig, forward, init_generator_params
+from slaterank.numerics import Tape
+from slaterank.objectives import UtilitySpec, total_loss
 from slaterank.training import (
     CE_ONLY_TAU,
     TrainStep,
@@ -168,3 +170,117 @@ def test_train_ar_fits_logged_slates():
 
     with pytest.raises(DataError):
         train_ar([], params, SMALL)
+
+
+# ------------------------------------------- one tape per minibatch
+
+def _ragged_minibatch():
+    """Sharpened params plus logs with n from 3 to n_max, positive and
+    negative feedback, and one negative slate on a cell at probability 1."""
+    params = init_generator_params(SMALL)
+    inflate_weights(params, 15.0)
+    # sharpen the matching head until some columns put all mass on one row
+    params["cand.final_ln.g"].data *= 30.0
+    rng = np.random.default_rng(3)
+    logs = []
+    saturated = False
+    for i, n in enumerate((3, 4, 5, 6, 5, 4, 6, 3)):
+        req = RequestBatch(request_id=100 + i, user_id=0, item_ids=np.arange(n),
+                           features=rng.normal(size=(n, SMALL.d_x)))
+        slate = rng.choice(n, size=SMALL.m, replace=False)
+        positive = i % 2 == 0
+        values = forward(req, params, SMALL).values.data
+        rows, cols = np.nonzero(values >= 1.0 - 1e-12)
+        if not positive and not saturated and rows.size:
+            # put the saturated row at its column: the negative branch clamps
+            j, row = cols[0], rows[0]
+            slate[slate == row] = slate[j]
+            slate[j] = row
+            saturated = True
+        fb = FeedbackMatrix(values=np.full((1, SMALL.m), float(positive)),
+                            types=("click",))
+        logs.append(ExposureLog(RequestBatch(
+            request_id=req.request_id, user_id=0, item_ids=req.item_ids,
+            features=req.features, exposed=tuple(slate.tolist()), feedback=fb)))
+    assert saturated
+    return params, logs
+
+
+def _grads(params):
+    grads = {name: t.grad.copy() for name, t in params.items()}
+    params.zero_grad()
+    return grads
+
+
+def test_batched_loss_and_gradients_match_one_tape_per_request():
+    params, logs = _ragged_minibatch()
+    tape = Tape()
+    probs = forward([log.request for log in logs], params, SMALL, tape)
+    batch = total_loss(tape, probs, [log.exposed for log in logs],
+                       [log.feedback for log in logs], CLICK)
+    tape.backward(tape.sum(batch.total))
+    batched = _grads(params)
+
+    assert batch.is_positive_sequence.any() and not batch.is_positive_sequence.all()
+    assert batch.clamped.sum() == 1
+    for b, log in enumerate(logs):
+        tape = Tape()
+        one = total_loss(tape, forward(log.request, params, SMALL, tape),
+                         log.exposed, log.feedback, CLICK)
+        tape.backward(one.total)
+        for part in ("total", "ce_or_ul", "item_contrastive", "position_contrastive"):
+            got = getattr(batch, part).data[b]
+            want = getattr(one, part).item()
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (part, b)
+        assert batch.is_positive_sequence[b] == one.is_positive_sequence
+        assert batch.clamped[b] == one.clamped
+    for name, grad in _grads(params).items():
+        scale = max(1.0, float(np.abs(grad).max()))
+        assert np.abs(batched[name] - grad).max() <= 1e-10 * scale, name
+
+
+def test_batched_padded_rows_get_zero_probability_and_gradient():
+    params, logs = _ragged_minibatch()
+    tape = Tape()
+    probs = forward([log.request for log in logs], params, SMALL, tape)
+    assert probs.values.data.shape == (len(logs), SMALL.n_max, SMALL.m)
+    batch = total_loss(tape, probs, [log.exposed for log in logs],
+                       [log.feedback for log in logs], CLICK)
+    tape.backward(tape.sum(batch.total))
+    for b, log in enumerate(logs):
+        n = log.request.n
+        assert (probs.values.data[b, n:] == 0.0).all()
+        assert (probs.candidate_reps.grad[b, n:] == 0.0).all()
+        assert np.abs(probs.values.data[b].sum(axis=0) - 1.0).max() < 1e-12
+
+
+def test_batched_step_log_matches_per_request_losses():
+    params, logs = _ragged_minibatch()
+    totals, positives, clamps = [], 0, 0
+    for log in logs:
+        one = total_loss(Tape(recording=False),
+                         forward(log.request, params, SMALL), log.exposed,
+                         log.feedback, CLICK)
+        totals.append(one.total.item())
+        positives += one.is_positive_sequence
+        clamps += one.clamped
+    steps = []
+    train_generator(logs, params, SMALL, CLICK, epochs=1, batch_size=len(logs),
+                    step_log=steps)
+    assert len(steps) == 1
+    assert abs(steps[0].total - np.mean(totals)) <= 1e-10 * abs(np.mean(totals))
+    assert steps[0].positive_fraction == positives / len(logs)
+    assert steps[0].clamp_fraction == clamps / len(logs) > 0.0
+
+
+def test_batched_nan_names_the_request():
+    logs = mixed_logs(6)
+    bad = make_log(4242, np.random.default_rng(9), feedback_value=1)
+    bad.request.features[...] = 1e308
+    logs.insert(3, bad)
+    params = init_generator_params(SMALL)
+    params["embed.x.w"].data *= 100.0  # 1e308 rows overflow to inf, others stay finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericsError, match="request 4242;"):
+            train_generator(logs, params, SMALL, CLICK, epochs=1, batch_size=len(logs))
