@@ -3,10 +3,18 @@
 Same candidate encoder as the one-shot generator (built by the same
 function, so the two differ only in how positions are filled): a causal
 decoder consumes a start row plus the already-chosen items and points back
-into the candidate states for the next pick. Training is teacher-forced in
-a single pass with a causal mask; inference re-runs the whole model once
-per position, which is exactly the sequential cost the benchmark contrasts
-against the one-pass generator.
+into the candidate states for the next pick. Inference re-runs the whole
+model once per position, which is exactly the sequential cost the benchmark
+contrasts against the one-pass generator.
+
+Training is teacher-forced in a single pass with a causal mask, and a
+minibatch goes through that pass on one tape, as the generator's does: the
+requests' features are stacked and zero-padded to the largest n in the
+minibatch (`generator._stack_requests`), and the `valid` mask keeps padded
+candidates out of the encoder's attention, the decoder's cross-attention
+and the pointer softmax. The decoder rows [bos, y_1 ... y_{m-1}] are
+gathered for the whole stack at once; every slate has length m, so the
+decoder side needs no padding.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .generator import (
     _build_layer_norm,
     _ffn,
     _ln,
+    _stack_requests,
     build_candidate_encoder,
     encode_candidates,
     multi_head_attention,
@@ -51,15 +60,60 @@ def init_ar_params(cfg: GeneratorConfig) -> Params:
     return params
 
 
+def _check_items(items, n: int, what: str) -> None:
+    if len(set(items)) != len(items):
+        raise InvalidSlateError(f"{what} repeats an item: {tuple(items)}")
+    if any(i < 0 or i >= n for i in items):
+        raise InvalidSlateError(f"{what} index out of range for n={n}")
+
+
 def _decoder_rows(tape: Tape, params: Params, cand_hidden: Tensor,
-                  prefix: tuple[int, ...]) -> Tensor:
-    """Input rows: [bos, chosen_1, ..., chosen_k] plus position embeddings."""
-    rows = [params["dec.bos"]]
-    for i in prefix:
-        item = tape.slice_rows(cand_hidden, i, i + 1)
-        rows.append(tape.linear(item, params["dec.in.w"], params["dec.in.b"]))
-    x = rows[0] if len(rows) == 1 else tape.concat_rows(rows)
-    return tape.add(x, tape.slice_rows(params["dec.pos"], 0, len(rows)))
+                  prefix: np.ndarray) -> Tensor:
+    """Input rows [bos, chosen_1, ..., chosen_k] plus position embeddings.
+
+    prefix is (k,) for one request or (B, k) for a stack. The chosen
+    candidate rows are gathered before the dec.in projection, so only k rows
+    per request are projected, not all n.
+    """
+    k = prefix.shape[-1]
+    x = params["dec.bos"]
+    if k:
+        chosen = tape.linear(tape.take_rows(cand_hidden, prefix),
+                             params["dec.in.w"], params["dec.in.b"])
+        x = tape.concat_rows([x, chosen])
+    return tape.add(x, tape.slice_rows(params["dec.pos"], 0, k + 1))
+
+
+def _pointer_mask(prefix: np.ndarray, n: int, valid: np.ndarray | None) -> np.ndarray:
+    """allowed[..., t, i]: candidate i is real and not among prefix[..., :t]."""
+    k = prefix.shape[-1]
+    allowed = np.ones(prefix.shape[:-1] + (k + 1, n), dtype=bool)
+    batch = (np.arange(len(prefix)),) if prefix.ndim == 2 else ()
+    for t in range(1, k + 1):
+        allowed[batch + (slice(t, None), prefix[..., t - 1])] = False
+    return allowed if valid is None else allowed & valid[..., None, :]
+
+
+def _pointer_probs(tape: Tape, params: Params, cfg: GeneratorConfig,
+                   feats, prefix: np.ndarray, valid: np.ndarray | None) -> Tensor:
+    """One full model pass over (n, d_x) features with a (k,) prefix, or over
+    a padded (B, n, d_x) stack with (B, k) prefixes: encode the candidates,
+    decode k + 1 rows, return row-stochastic pointer probabilities."""
+    FORWARD_PASSES.bump()
+    cand = encode_candidates(feats, params, cfg, tape, valid=valid)
+    x = _decoder_rows(tape, params, cand, prefix)
+    for layer in range(cfg.L):
+        p = f"dec.{layer}"
+        normed = _ln(tape, params, f"{p}.ln1", x)
+        x = tape.add(x, multi_head_attention(tape, params, f"{p}.self",
+                                             normed, normed, cfg, causal=True))
+        x = tape.add(x, multi_head_attention(tape, params, f"{p}.cross",
+                                             _ln(tape, params, f"{p}.ln2", x),
+                                             cand, cfg, key_mask=valid))
+        x = tape.add(x, _ffn(tape, params, f"{p}.ffn", _ln(tape, params, f"{p}.ln3", x)))
+    states = _ln(tape, params, "dec.final_ln", x)
+    logits = tape.matmul(states, tape.transpose(cand))
+    return tape.softmax_rows(logits, key_mask=_pointer_mask(prefix, cand.shape[-2], valid))
 
 
 def ar_forward(req: RequestBatch, params: Params, cfg: GeneratorConfig,
@@ -72,47 +126,36 @@ def ar_forward(req: RequestBatch, params: Params, cfg: GeneratorConfig,
     """
     if tape is None:
         tape = Tape(recording=False)
-    n = req.n
-    if n > cfg.n_max:
-        raise ShapeError(f"n={n} exceeds n_max={cfg.n_max}")
-    k = len(prefix) + 1
-    if k > cfg.m:
+    feats, _ = _stack_requests(req, cfg)
+    if len(prefix) + 1 > cfg.m:
         raise ShapeError(f"prefix of {len(prefix)} items overruns m={cfg.m}")
-    if len(set(prefix)) != len(prefix):
-        raise InvalidSlateError(f"prefix repeats an item: {prefix}")
-    if any(i < 0 or i >= n for i in prefix):
-        raise InvalidSlateError("prefix index out of range")
-    FORWARD_PASSES.bump()
-    cand = encode_candidates(req.features, params, cfg, tape)
-    x = _decoder_rows(tape, params, cand, tuple(prefix))
-    for layer in range(cfg.L):
-        p = f"dec.{layer}"
-        normed = _ln(tape, params, f"{p}.ln1", x)
-        x = tape.add(x, multi_head_attention(tape, params, f"{p}.self",
-                                             normed, normed, cfg, causal=True))
-        x = tape.add(x, multi_head_attention(tape, params, f"{p}.cross",
-                                             _ln(tape, params, f"{p}.ln2", x),
-                                             cand, cfg))
-        x = tape.add(x, _ffn(tape, params, f"{p}.ffn", _ln(tape, params, f"{p}.ln3", x)))
-    states = _ln(tape, params, "dec.final_ln", x)
-    logits = tape.matmul(states, tape.transpose(cand))
-    allowed = np.ones((k, n), dtype=bool)
-    for t in range(1, k):
-        allowed[t:, prefix[t - 1]] = False
-    return tape.softmax_rows(logits, key_mask=allowed)
+    _check_items(prefix, req.n, "prefix")
+    return _pointer_probs(tape, params, cfg, feats,
+                          np.asarray(prefix, dtype=np.intp), None)
 
 
-def ar_sequence_loss(req: RequestBatch, params: Params, cfg: GeneratorConfig,
+def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
                      tape: Tape) -> Tensor:
-    """Teacher-forced cross-entropy -sum_t log p(y_t | y_<t) in one pass."""
-    if req.exposed is None:
-        raise InvalidSlateError("request has no exposed slate to fit")
-    y = tuple(req.exposed)
-    if len(y) != cfg.m:
-        raise ShapeError(f"slate length {len(y)} does not match m={cfg.m}")
-    probs = ar_forward(req, params, cfg, prefix=y[:-1], tape=tape)
-    picked = tape.take_entries(probs, np.arange(cfg.m), np.asarray(y))
-    return tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12))))
+    """Teacher-forced cross-entropy -sum_t log p(y_t | y_<t) in one pass.
+
+    `req` is one RequestBatch, giving a scalar, or a sequence of them,
+    giving one loss per request, (B,), from one pass over the padded stack.
+    """
+    feats, valid = _stack_requests(req, cfg)
+    single = isinstance(req, RequestBatch)
+    reqs = [req] if single else list(req)
+    for r in reqs:
+        if r.exposed is None:
+            raise InvalidSlateError("request has no exposed slate to fit")
+        if len(r.exposed) != cfg.m:
+            raise ShapeError(f"slate length {len(r.exposed)} does not match m={cfg.m}")
+        _check_items(r.exposed, r.n, "slate")
+    y = np.array([r.exposed for r in reqs], dtype=np.intp)
+    if single:
+        y = y[0]
+    probs = _pointer_probs(tape, params, cfg, feats, y[..., :-1], valid)
+    picked = tape.take_entries(probs, np.broadcast_to(np.arange(cfg.m), y.shape), y)
+    return tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12)), axis=-1))
 
 
 def ar_decode(req: RequestBatch, params: Params, cfg: GeneratorConfig) -> SlateSequence:

@@ -234,6 +234,43 @@ def matching_head(cand_reps: Tensor, pos_reps: Tensor, tape: Tape,
                       position_reps=pos_reps, valid=valid)
 
 
+def _stack_requests(req, cfg: GeneratorConfig,
+                    pad_to: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Feature rows of one RequestBatch, (n, d_x), or of a sequence of them,
+    stacked to (B, width, d_x) and zero-padded to the largest n among them,
+    or to pad_to. `valid` marks the real rows, (n,) or (B, width), and is
+    None when nothing was padded. Both the one-shot generator and the AR
+    baseline take their minibatches from here.
+    """
+    single = isinstance(req, RequestBatch)
+    reqs = [req] if single else list(req)
+    if not reqs:
+        raise EmptyCandidatesError("no requests to rank")
+    ns = [r.features.shape[0] for r in reqs]
+    if min(ns) == 0:
+        raise EmptyCandidatesError("request has no candidates")
+    if max(ns) > cfg.n_max:
+        raise ShapeError(f"n={max(ns)} exceeds n_max={cfg.n_max}")
+    width = max(ns) if pad_to is None else pad_to
+    if width < max(ns) or width > cfg.n_max:
+        raise ShapeError(f"pad_to={pad_to} out of range for n={max(ns)}")
+    for r in reqs:
+        if r.features.shape[1] != cfg.d_x:
+            raise ShapeError(f"features {r.features.shape} do not match d_x={cfg.d_x}")
+    valid = None
+    if min(ns) < width:
+        valid = np.arange(width) < np.array(ns)[:, None]
+    if single and valid is None:
+        # nothing to pad: a one-request pass reads the features in place
+        return np.ascontiguousarray(req.features, dtype=np.float64), None
+    feats = np.zeros((len(reqs), width, cfg.d_x))
+    for b, r in enumerate(reqs):
+        feats[b, :r.features.shape[0]] = r.features
+    if single:
+        return feats[0], valid[0]
+    return feats, valid
+
+
 def forward(req, params: Params, cfg: GeneratorConfig,
             tape: Tape | None = None, pad_to: int | None = None) -> ProbMatrix:
     """One pass: all m position distributions at once.
@@ -246,29 +283,7 @@ def forward(req, params: Params, cfg: GeneratorConfig,
     """
     if tape is None:
         tape = Tape(recording=False)
-    single = isinstance(req, RequestBatch)
-    reqs = [req] if single else list(req)
-    if not reqs:
-        raise EmptyCandidatesError("no requests to rank")
-    ns = np.array([r.features.shape[0] for r in reqs])
-    if ns.min() == 0:
-        raise EmptyCandidatesError("request has no candidates")
-    if ns.max() > cfg.n_max:
-        raise ShapeError(f"n={ns.max()} exceeds n_max={cfg.n_max}")
-    width = int(ns.max()) if pad_to is None else pad_to
-    if width < ns.max() or width > cfg.n_max:
-        raise ShapeError(f"pad_to={pad_to} out of range for n={ns.max()}")
-    feats = np.zeros((len(reqs), width, cfg.d_x))
-    for b, r in enumerate(reqs):
-        if r.features.shape[1] != cfg.d_x:
-            raise ShapeError(f"features {r.features.shape} do not match d_x={cfg.d_x}")
-        feats[b, :r.features.shape[0]] = r.features
-    valid = None
-    if ns.min() < width:
-        valid = np.arange(width) < ns[:, None]
-    if single:
-        feats = feats[0]
-        valid = None if valid is None else valid[0]
+    feats, valid = _stack_requests(req, cfg, pad_to)
     FORWARD_PASSES.bump()
     cand = encode_candidates(feats, params, cfg, tape, valid=valid)
     pos = encode_positions(params, cand, cfg, tape, valid=valid)

@@ -645,9 +645,39 @@ class Tape:
         self._push(back)
         return out
 
+    def take_rows(self, a: Tensor, rows) -> Tensor:
+        """Rows a[rows] of a matrix, for (k,) rows; of a (B, r, c) stack,
+        out[b, j] = a[b, rows[b, j]] for (B, k) rows."""
+        idx = np.asarray(rows, dtype=np.intp)
+        ad = a.data
+        if ad.ndim == 2 and idx.ndim == 1:
+            index = (idx,)
+        elif ad.ndim == 3 and idx.ndim == 2 and idx.shape[0] == ad.shape[0]:
+            index = (np.arange(ad.shape[0])[:, None], idx)
+        else:
+            raise ShapeError(f"take_rows got {ad.shape} with rows {idx.shape}")
+        out = Tensor(ad[index])
+
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            np.add.at(a.ensure_grad(), index, g)
+
+        self._push(back)
+        return out
+
     def concat_rows(self, parts: list[Tensor]) -> Tensor:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-        heights = [p.data.shape[0] for p in parts]
+        """Join parts along the row (second to last) axis. Leading axes
+        broadcast, so a shared (r, c) part joins a (B, r', c) stack."""
+        datas = [p.data for p in parts]
+        if any(d.ndim < 2 for d in datas):
+            raise ShapeError("concat_rows expects matrices")
+        if len({d.shape[:-2] for d in datas}) > 1:
+            lead = np.broadcast_shapes(*(d.shape[:-2] for d in datas))
+            datas = [np.broadcast_to(d, lead + d.shape[-2:]) for d in datas]
+        out = Tensor(np.concatenate(datas, axis=-2))
+        heights = [p.data.shape[-2] for p in parts]
 
         def back():
             g = out.grad
@@ -655,7 +685,7 @@ class Tape:
                 return
             i = 0
             for p, h in zip(parts, heights):
-                p.ensure_grad()[...] += g[i:i + h]
+                p.ensure_grad()[...] += _unbroadcast(g[..., i:i + h, :], p.data.shape)
                 i += h
 
         self._push(back)

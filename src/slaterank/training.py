@@ -1,15 +1,16 @@
 """Minibatch training loops for the matching generator and the pointer baseline.
 
-The generator loop records a whole minibatch on one tape: the requests are
-stacked on a leading batch axis and zero-padded to the largest candidate
-count in that minibatch (not to n_max), the `valid` mask keeps padded rows
-out of attention, the probabilities and the contrastive terms, and
-`total_loss` returns one value per request. One backward pass from their sum
-fills the gradients, which are averaged over the minibatch before one Adam
-step. The pointer baseline still records one tape per request and
-accumulates their gradients into the same step. Shuffling is driven by the
-training seed only, so a (logs, seed) pair fixes the whole parameter
-trajectory.
+Both loops run through one helper, `_fit`: it shuffles with the training
+seed, records each minibatch on one tape, checks that every request's loss
+is finite (naming the first request that is not), backprops the sum of the
+per-request losses once, averages the gradients over the minibatch and takes
+one Adam step. The models stack a minibatch the same way: the requests are
+put on a leading batch axis and zero-padded to the largest candidate count in
+that minibatch (not to n_max), and the `valid` mask keeps padded rows out of
+attention and out of every probability. For the generator `total_loss`
+returns one value per request; for the pointer baseline `ar_sequence_loss`
+does, from one teacher-forced pass. Shuffling is driven by the training seed
+only, so a (logs, seed) pair fixes the whole parameter trajectory.
 """
 
 from __future__ import annotations
@@ -62,15 +63,39 @@ def steps_to_csv(steps: list[TrainStep]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_logs(logs: list[ExposureLog]) -> None:
+def _fit(logs: list[ExposureLog], params: Params, batch_loss, *, lr: float,
+         epochs: int, batch_size: int, seed: int, after_step=None) -> Params:
+    """Adam over seeded shuffles of `logs`, one tape per minibatch.
+
+    batch_loss(tape, batch) returns the per-request loss vector and a value
+    that after_step(step, batch, value) receives once the step is taken; the
+    value stays alive until the next minibatch has been recorded.
+    """
     # ExposureLog guarantees exposure and feedback exist per entry.
     if not logs:
         raise DataError("training log is empty")
-
-
-def _nan_diagnostics(what: str, epoch: int, step: int, request_id: int) -> str:
-    return (f"non-finite {what} at epoch {epoch} step {step} "
-            f"request {request_id}; lower the learning rate or check the log")
+    state = AdamState(lr=lr)
+    rng = np.random.default_rng(seed)
+    step = 0
+    for epoch in range(epochs):
+        order = rng.permutation(len(logs))
+        for start in range(0, len(order), batch_size):
+            batch = [logs[li] for li in order[start:start + batch_size]]
+            tape = Tape()
+            losses, value = batch_loss(tape, batch)
+            finite = np.isfinite(losses.data)
+            if not finite.all():
+                first = batch[int(np.argmin(finite))].request.request_id
+                raise NumericsError(
+                    f"non-finite loss at epoch {epoch} step {step} request {first}; "
+                    "lower the learning rate or check the log")
+            tape.backward(tape.sum(losses))
+            params.scale_grads(1.0 / len(batch))
+            adam_step(params, state)
+            if after_step is not None:
+                after_step(step, batch, value)
+            step += 1
+    return params
 
 
 def train_generator(logs: list[ExposureLog], params: Params,
@@ -80,69 +105,52 @@ def train_generator(logs: list[ExposureLog], params: Params,
                     objective: str = "ul", seed: int = 0,
                     step_log: list[TrainStep] | None = None) -> Params:
     """Unlikelihood (or plain CE) training of the matching generator."""
-    _check_logs(logs)
     if objective == "ce":
         spec = replace(spec, tau=CE_ONLY_TAU)
     elif objective != "ul":
         raise DataError(f"unknown objective {objective!r}")
-    state = AdamState(lr=lr)
-    rng = np.random.default_rng(seed)
-    step = 0
-    for epoch in range(epochs):
-        order = rng.permutation(len(logs))
-        for start in range(0, len(order), batch_size):
-            batch = [logs[li] for li in order[start:start + batch_size]]
-            tape = Tape()
-            probs = forward([log.request for log in batch], params, cfg, tape)
-            breakdown = total_loss(tape, probs, [log.exposed for log in batch],
-                                   [log.feedback for log in batch],
-                                   spec, rho=rho, omega=omega)
-            finite = np.isfinite(breakdown.total.data)
-            if not finite.all():
-                first = batch[int(np.argmin(finite))]
-                raise NumericsError(_nan_diagnostics(
-                    "loss", epoch, step, first.request.request_id))
-            tape.backward(tape.sum(breakdown.total))
-            params.scale_grads(1.0 / len(batch))
-            adam_step(params, state)
-            if step_log is not None:
-                mean = [float(t.data.sum()) / len(batch) for t in (
-                    breakdown.total, breakdown.ce_or_ul,
-                    breakdown.item_contrastive, breakdown.position_contrastive)]
-                step_log.append(TrainStep(
-                    step=step, total=mean[0], ce_or_ul=mean[1],
-                    item_contrastive=mean[2], position_contrastive=mean[3],
-                    positive_fraction=int(breakdown.is_positive_sequence.sum()) / len(batch),
-                    clamp_fraction=int(breakdown.clamped.sum()) / len(batch)))
-            step += 1
-    return params
+
+    def batch_loss(tape, batch):
+        probs = forward([log.request for log in batch], params, cfg, tape)
+        breakdown = total_loss(tape, probs, [log.exposed for log in batch],
+                               [log.feedback for log in batch],
+                               spec, rho=rho, omega=omega)
+        # probs rides along so that _fit holds it until the next minibatch is
+        # recorded. The allocator then reuses the freed activations' pages
+        # instead of returning them to the OS after each backward pass and
+        # faulting them in again: without it a training run took ~75% more
+        # minor page faults and ~6% longer.
+        return breakdown.total, (breakdown, probs)
+
+    def log_step(step, batch, value):
+        breakdown = value[0]
+        mean = [float(t.data.sum()) / len(batch) for t in (
+            breakdown.total, breakdown.ce_or_ul,
+            breakdown.item_contrastive, breakdown.position_contrastive)]
+        step_log.append(TrainStep(
+            step=step, total=mean[0], ce_or_ul=mean[1],
+            item_contrastive=mean[2], position_contrastive=mean[3],
+            positive_fraction=int(breakdown.is_positive_sequence.sum()) / len(batch),
+            clamp_fraction=int(breakdown.clamped.sum()) / len(batch)))
+
+    return _fit(logs, params, batch_loss, lr=lr, epochs=epochs,
+                batch_size=batch_size, seed=seed,
+                after_step=None if step_log is None else log_step)
 
 
 def train_ar(logs: list[ExposureLog], params: Params, cfg: GeneratorConfig, *,
              lr: float = 1e-3, epochs: int = 1, batch_size: int = 256,
              seed: int = 0, loss_log: list[float] | None = None) -> Params:
-    """Teacher-forced CE training of the autoregressive pointer baseline."""
-    _check_logs(logs)
-    state = AdamState(lr=lr)
-    rng = np.random.default_rng(seed)
-    step = 0
-    for epoch in range(epochs):
-        order = rng.permutation(len(logs))
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            running = 0.0
-            for li in batch:
-                log = logs[li]
-                tape = Tape()
-                loss = ar_sequence_loss(log.request, params, cfg, tape)
-                if not np.isfinite(loss.item()):
-                    raise NumericsError(_nan_diagnostics(
-                        "loss", epoch, step, log.request.request_id))
-                tape.backward(loss)
-                running += loss.item()
-            params.scale_grads(1.0 / len(batch))
-            adam_step(params, state)
-            if loss_log is not None:
-                loss_log.append(running / len(batch))
-            step += 1
-    return params
+    """Teacher-forced CE training of the autoregressive pointer baseline;
+    loss_log gets each step's mean loss per request as a Python float."""
+
+    def batch_loss(tape, batch):
+        losses = ar_sequence_loss([log.request for log in batch], params, cfg, tape)
+        return losses, losses
+
+    def log_step(step, batch, losses):
+        loss_log.append(float(losses.data.sum()) / len(batch))
+
+    return _fit(logs, params, batch_loss, lr=lr, epochs=epochs,
+                batch_size=batch_size, seed=seed,
+                after_step=None if loss_log is None else log_step)

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from helpers import gradcheck, inflate_weights
-from slaterank.ar import ar_decode, ar_forward, ar_sequence_loss, init_ar_params
+from slaterank.ar import (
+    _pointer_probs,
+    ar_decode,
+    ar_forward,
+    ar_sequence_loss,
+    init_ar_params,
+)
 from slaterank.data import RequestBatch
 from slaterank.errors import InfeasibleSlateError, InvalidSlateError, ShapeError
-from slaterank.generator import FORWARD_PASSES, GeneratorConfig, init_generator_params
-from slaterank.numerics import AdamState, Tape, adam_step
+from slaterank.generator import (
+    FORWARD_PASSES,
+    GeneratorConfig,
+    _stack_requests,
+    init_generator_params,
+)
+from slaterank.numerics import AdamState, Tape, Tensor, adam_step
 
 SMALL = GeneratorConfig(n_max=6, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=0)
 
@@ -136,3 +147,71 @@ def test_single_request_overfit_recovers_logged_slate():
         adam_step(params, state)
     assert loss.item() < 0.1
     assert ar_decode(req, params, cfg).indices == (3, 1)
+
+
+# ------------------------------------------- one tape per minibatch
+
+def _ragged_requests(seed=11, ns=(3, 6, 4, 5, 3, 6)):
+    """Requests with n from m to n_max, each with its own logged slate."""
+    rng = np.random.default_rng(seed)
+    return [RequestBatch(request_id=200 + i, user_id=0, item_ids=np.arange(n),
+                         features=rng.normal(size=(n, SMALL.d_x)),
+                         exposed=tuple(rng.choice(n, size=SMALL.m, replace=False).tolist()))
+            for i, n in enumerate(ns)]
+
+
+def _sharp_params():
+    params = init_ar_params(SMALL)
+    inflate_weights(params, 15.0)
+    return params
+
+
+def test_batched_sequence_loss_and_gradients_match_one_tape_per_request():
+    params = _sharp_params()
+    reqs = _ragged_requests()
+    tape = Tape()
+    losses = ar_sequence_loss(reqs, params, SMALL, tape)
+    assert losses.data.shape == (len(reqs),)
+    tape.backward(tape.sum(losses))
+    batched = {name: t.grad.copy() for name, t in params.items()}
+    params.zero_grad()
+
+    for b, req in enumerate(reqs):
+        tape = Tape()
+        one = ar_sequence_loss(req, params, SMALL, tape)
+        assert one.data.shape == ()
+        assert abs(losses.data[b] - one.item()) <= 1e-10 * max(1.0, abs(one.item())), b
+        tape.backward(one)  # gradients add up over the per-request tapes
+    for name, t in params.items():
+        scale = max(1.0, float(np.abs(t.grad).max()))
+        assert np.abs(batched[name] - t.grad).max() <= 1e-10 * scale, name
+
+
+def test_batched_padded_candidates_get_zero_probability_and_gradient():
+    params = _sharp_params()
+    reqs = _ragged_requests()
+    feats, valid = _stack_requests(reqs, SMALL)
+    x = Tensor(feats)
+    y = np.array([r.exposed for r in reqs])
+    tape = Tape()
+    probs = _pointer_probs(tape, params, SMALL, x, y[:, :-1], valid)
+    assert probs.data.shape == (len(reqs), SMALL.m, SMALL.n_max)
+    picked = tape.take_entries(probs, np.broadcast_to(np.arange(SMALL.m), y.shape), y)
+    tape.backward(tape.sum(tape.log(picked)))
+    for b, req in enumerate(reqs):
+        n = req.n
+        assert (probs.data[b, :, n:] == 0.0).all()
+        assert (x.grad[b, n:] == 0.0).all()
+        assert (x.grad[b, :n] != 0.0).any()
+        assert np.abs(probs.data[b].sum(axis=1) - 1.0).max() < 1e-12
+        for t in range(1, SMALL.m):  # chosen items are out of later rows
+            assert (probs.data[b, t:, y[b, t - 1]] == 0.0).all()
+
+
+def test_batched_sequence_loss_validates_every_slate():
+    reqs = _ragged_requests()
+    params = init_ar_params(SMALL)
+    bad = RequestBatch(request_id=7, user_id=0, item_ids=np.arange(4),
+                       features=np.zeros((4, SMALL.d_x)), exposed=(0, 1, 5))
+    with pytest.raises(InvalidSlateError, match="out of range"):
+        ar_sequence_loss(reqs + [bad], params, SMALL, Tape())

@@ -144,6 +144,30 @@ def test_concat_slice_transpose_gradients():
     gradcheck(loss, [a, b])
 
 
+def test_take_rows_and_broadcast_concat_gradients():
+    # a repeated row index must add both gradients into that row; a shared
+    # (1, c) row joins a (B, r, c) stack and gets the batch's summed gradient
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.normal(size=(4, 3)))
+    stack = Tensor(rng.normal(size=(2, 4, 3)))
+    shared = Tensor(rng.normal(size=(1, 3)))
+    coef = rng.normal(size=(2, 4, 3))
+
+    def loss(tape):
+        rows = tape.take_rows(a, [2, 0, 2])
+        picked = tape.take_rows(stack, [[1, 3, 1], [0, 0, 2]])
+        joined = tape.concat_rows([shared, tape.add(picked, rows)])
+        return tape.sum(tape.mask(tape.gelu(joined), coef))
+
+    gradcheck(loss, [a, stack, shared])
+    out = Tape().take_rows(stack, [[1, 3], [0, 2]])
+    assert np.array_equal(out.data[1], stack.data[1, [0, 2]])
+    with pytest.raises(ShapeError):
+        Tape().take_rows(stack, [1, 3])
+    with pytest.raises(ShapeError):
+        Tape().take_rows(a, [[1, 3]])
+
+
 def test_row_normalize_gradient_and_zero_row_flag():
     rng = np.random.default_rng(6)
     a = Tensor(rng.normal(size=(4, 3)))

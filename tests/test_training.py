@@ -95,8 +95,8 @@ def test_mixed_logs_hit_both_branches():
 
 
 def test_cli_loss_curve_cells_are_numbers(tmp_path):
-    # NumPy 2 reprs scalars as "np.float64(...)"; every written cell must
-    # parse back as a number
+    # NumPy 2 reprs scalars as "np.float64(...)"; every written cell of the
+    # generator's and the AR baseline's curves must parse back as a number
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join([
         "num_requests=40", "world.n_candidates=8", "generator.n_max=8",
@@ -104,18 +104,22 @@ def test_cli_loss_curve_cells_are_numbers(tmp_path):
         "train.epochs=1", "train.batch_size=16",
         f"paths.train_log={tmp_path}/train.jsonl",
         f"paths.generator_checkpoint={tmp_path}/gen.npz",
+        f"paths.ar_checkpoint={tmp_path}/ar.npz",
         f"paths.out_dir={tmp_path}",
     ]) + "\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert main(["train-generator", "--config", str(cfg)]) == 0
-    header, *rows = (tmp_path / "generator_loss.csv").read_text().splitlines()
-    assert header == TrainStep.csv_header()
-    assert len(rows) == 3
-    for row in rows:
-        cells = row.split(",")
-        assert len(cells) == len(header.split(","))
-        for cell in cells:
-            float(cell)
+    assert main(["train-ar", "--config", str(cfg)]) == 0
+    for curve, want_header in (("generator_loss.csv", TrainStep.csv_header()),
+                               ("ar_loss.csv", "step,loss")):
+        header, *rows = (tmp_path / curve).read_text().splitlines()
+        assert header == want_header
+        assert len(rows) == 3
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(","))
+            for cell in cells:
+                float(cell)
 
 
 def test_rejects_bad_logs():
@@ -284,3 +288,33 @@ def test_batched_nan_names_the_request():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericsError, match="request 4242;"):
             train_generator(logs, params, SMALL, CLICK, epochs=1, batch_size=len(logs))
+
+
+def test_train_ar_nan_names_the_request():
+    logs = mixed_logs(6)
+    bad = make_log(4242, np.random.default_rng(9), feedback_value=1)
+    bad.request.features[...] = 1e308
+    logs.insert(3, bad)
+    params = init_ar_params(SMALL)
+    params["embed.x.w"].data *= 100.0  # 1e308 rows overflow to inf, others stay finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericsError, match="request 4242;"):
+            train_ar(logs, params, SMALL, epochs=1, batch_size=len(logs))
+
+
+def test_train_ar_is_seed_deterministic():
+    rng = np.random.default_rng(6)
+    logs = [make_log(i, rng, feedback_value=1, n=int(rng.integers(3, 7)),
+                     slate=(2, 0, 1)) for i in range(10)]
+
+    def run(seed):
+        params = init_ar_params(SMALL)
+        train_ar(logs, params, SMALL, epochs=2, batch_size=4, seed=seed)
+        return params
+
+    a, b, c = run(3), run(3), run(4)
+    for name, tensor in a.items():
+        assert np.array_equal(tensor.data, b[name].data), name
+    assert any(not np.array_equal(tensor.data, c[name].data)
+               for name, tensor in a.items())
