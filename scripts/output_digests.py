@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of the models' outputs at fixed seeds.
+
+Run it on two checkouts (PYTHONPATH=<checkout>/src python3 scripts/output_digests.py)
+and diff the output: equal lines mean a refactor kept these outputs bit for
+bit. Covered: initial parameters (names, order, shapes, bytes) of the
+generator, the AR baseline and the evaluator; the generator forward on one
+request and on a padded stack; AR decoded slates and sequence-loss gradients;
+evaluator scores and pooled utilities; and the trained parameters and loss
+logs of train_generator, train_ar and train_evaluator.
+"""
+
+import hashlib
+
+import numpy as np
+
+from slaterank.ar import ar_decode, ar_sequence_loss, init_ar_params
+from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
+from slaterank.evaluator import (
+    EvaluatorConfig,
+    init_evaluator_params,
+    score_slate,
+    score_slates,
+    train_evaluator,
+)
+from slaterank.generator import GeneratorConfig, forward, init_generator_params
+from slaterank.numerics import Tape
+from slaterank.objectives import UtilitySpec
+from slaterank.training import steps_to_csv, train_ar, train_generator
+
+GEN = GeneratorConfig(n_max=8, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=11)
+EV = EvaluatorConfig(types=("click", "like"), weights=(1.0, 0.5), d=8, h=2,
+                     d_x=4, m=3, seed=12)
+SPEC = UtilitySpec(types=("click", "like"), weights=(1.0, 0.5), tau=1.0)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr((part.dtype.str, part.shape)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def params_digest(params) -> str:
+    return digest(*[x for name, t in params.items() for x in (name, t.data)])
+
+
+def grads_digest(params) -> str:
+    return digest(*[x for name, t in params.items()
+                    for x in (name, np.zeros(0) if t.grad is None else t.grad)])
+
+
+def make_logs(count: int, seed: int) -> list[ExposureLog]:
+    rng = np.random.default_rng(seed)
+    logs = []
+    for i in range(count):
+        n = int(rng.integers(GEN.m, GEN.n_max + 1))
+        fb = FeedbackMatrix(values=(rng.random((2, GEN.m)) < 0.4).astype(float),
+                            types=("click", "like"))
+        logs.append(ExposureLog(RequestBatch(
+            request_id=i, user_id=0, item_ids=np.arange(n),
+            features=rng.normal(size=(n, GEN.d_x)),
+            exposed=tuple(rng.choice(n, size=GEN.m, replace=False).tolist()),
+            feedback=fb)))
+    return logs
+
+
+def main() -> None:
+    logs = make_logs(24, seed=5)
+    reqs = [log.request for log in logs]
+    gen, ar, ev = init_generator_params(GEN), init_ar_params(GEN), init_evaluator_params(EV)
+    for name, params in (("generator", gen), ("ar", ar), ("evaluator", ev)):
+        print(f"init.{name}", params_digest(params))
+
+    one = forward(reqs[0], gen, GEN)
+    print("forward.one", digest(one.values.data, one.candidate_reps.data,
+                                one.position_reps.data))
+    stack = forward(reqs[:6], gen, GEN)
+    print("forward.stack", digest(stack.values.data, stack.candidate_reps.data,
+                                  stack.position_reps.data, stack.valid))
+
+    print("ar_decode", digest([ar_decode(r, ar, GEN).indices for r in reqs[:6]]))
+    tape = Tape()
+    tape.backward(ar_sequence_loss(reqs[0], ar, GEN, tape))
+    print("ar_sequence_loss.one.grads", grads_digest(ar))
+    ar.zero_grad()
+    tape = Tape()
+    losses = ar_sequence_loss(reqs[:6], ar, GEN, tape)
+    tape.backward(tape.sum(losses))
+    print("ar_sequence_loss.stack", digest(losses.data), grads_digest(ar))
+    ar.zero_grad()
+
+    print("score_slate", digest(*[score_slate(r, r.exposed, ev, EV).scores
+                                  for r in reqs[:6]]))
+    rng = np.random.default_rng(3)
+    pools = [[tuple(rng.choice(r.n, size=EV.m, replace=False).tolist()) for _ in range(5)]
+             for r in reqs[:6]]
+    print("score_slates", digest(*[score_slates(r, pool, ev, EV)
+                                   for r, pool in zip(reqs, pools)]))
+
+    steps = []
+    train_generator(logs, gen, GEN, SPEC, lr=1e-2, epochs=2, batch_size=7, seed=4,
+                    step_log=steps)
+    print("train_generator", params_digest(gen), digest(steps_to_csv(steps)))
+    ar_losses = []
+    train_ar(logs, ar, GEN, lr=1e-2, epochs=2, batch_size=7, seed=4, loss_log=ar_losses)
+    print("train_ar", params_digest(ar), digest(ar_losses))
+    ev_losses = []
+    train_evaluator(logs, ev, EV, lr=1e-2, epochs=2, batch_size=7, seed=4,
+                    loss_log=ev_losses)
+    print("train_evaluator", params_digest(ev), digest(ev_losses))
+
+
+if __name__ == "__main__":
+    main()

@@ -27,15 +27,11 @@ from .errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from .generator import (
     FORWARD_PASSES,
     GeneratorConfig,
-    _build_attention,
-    _build_ffn,
-    _build_layer_norm,
-    _ffn,
-    _ln,
     _stack_requests,
+    blocks,
+    build_blocks,
     build_candidate_encoder,
     encode_candidates,
-    multi_head_attention,
 )
 from .numerics import Params, Tape, Tensor
 
@@ -48,15 +44,7 @@ def init_ar_params(cfg: GeneratorConfig) -> Params:
     params.new_gaussian("dec.pos", (cfg.m, cfg.d), rng)
     params.new_gaussian("dec.in.w", (cfg.d, cfg.d), rng)
     params.new_zeros("dec.in.b", (cfg.d,))
-    for layer in range(cfg.L):
-        p = f"dec.{layer}"
-        _build_layer_norm(params, f"{p}.ln1", cfg.d)
-        _build_attention(params, f"{p}.self", cfg.d, rng)
-        _build_layer_norm(params, f"{p}.ln2", cfg.d)
-        _build_attention(params, f"{p}.cross", cfg.d, rng)
-        _build_layer_norm(params, f"{p}.ln3", cfg.d)
-        _build_ffn(params, f"{p}.ffn", cfg.d, cfg.d_ff, rng)
-    _build_layer_norm(params, "dec.final_ln", cfg.d)
+    build_blocks(params, "dec", cfg, rng, cross=True)
     return params
 
 
@@ -101,17 +89,8 @@ def _pointer_probs(tape: Tape, params: Params, cfg: GeneratorConfig,
     decode k + 1 rows, return row-stochastic pointer probabilities."""
     FORWARD_PASSES.bump()
     cand = encode_candidates(feats, params, cfg, tape, valid=valid)
-    x = _decoder_rows(tape, params, cand, prefix)
-    for layer in range(cfg.L):
-        p = f"dec.{layer}"
-        normed = _ln(tape, params, f"{p}.ln1", x)
-        x = tape.add(x, multi_head_attention(tape, params, f"{p}.self",
-                                             normed, normed, cfg, causal=True))
-        x = tape.add(x, multi_head_attention(tape, params, f"{p}.cross",
-                                             _ln(tape, params, f"{p}.ln2", x),
-                                             cand, cfg, key_mask=valid))
-        x = tape.add(x, _ffn(tape, params, f"{p}.ffn", _ln(tape, params, f"{p}.ln3", x)))
-    states = _ln(tape, params, "dec.final_ln", x)
+    states = blocks(tape, params, "dec", _decoder_rows(tape, params, cand, prefix), cfg,
+                    causal=True, memory=cand, memory_mask=valid)
     logits = tape.matmul(states, tape.transpose(cand))
     return tape.softmax_rows(logits, key_mask=_pointer_mask(prefix, cand.shape[-2], valid))
 

@@ -65,17 +65,12 @@ def build_parser() -> _Parser:
     p.add_argument("--start-id", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train-generator", help="fit the one-shot generator")
-    common(p)
-    p.set_defaults(func=cmd_train_generator)
-
-    p = sub.add_parser("train-evaluator", help="fit the listwise evaluator")
-    common(p)
-    p.set_defaults(func=cmd_train_evaluator)
-
-    p = sub.add_parser("train-ar", help="fit the sequential pointer baseline")
-    common(p)
-    p.set_defaults(func=cmd_train_ar)
+    for command, text in (("train-generator", "fit the one-shot generator"),
+                          ("train-evaluator", "fit the listwise evaluator"),
+                          ("train-ar", "fit the sequential pointer baseline")):
+        p = sub.add_parser(command, help=text)
+        common(p)
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="rerank logged requests end to end")
     common(p)
@@ -134,7 +129,8 @@ def _evaluator_meta(cfg) -> dict:
 
 def _load_matching(path, want: dict, expected):
     """Load a checkpoint whose meta matches `want` and whose parameters have
-    the names and shapes of `expected` (the freshly initialized params)."""
+    the names and shapes of `expected` (the freshly initialized params) and
+    finite values."""
     params, meta = load_checkpoint(path)
     for key, value in want.items():
         if meta.get(key) != value:
@@ -148,6 +144,8 @@ def _load_matching(path, want: dict, expected):
             raise CheckpointError(
                 f"{path}: parameter {name} has shape {params[name].shape}, "
                 f"config expects {tensor.shape}")
+        if not np.isfinite(params[name].data).all():
+            raise CheckpointError(f"{path}: parameter {name} has non-finite values")
     extra = sorted(set(params.names()) - set(expected.names()))
     if extra:
         raise CheckpointError(f"{path}: checkpoint has unexpected parameters {extra}")
@@ -175,68 +173,52 @@ def cmd_simulate(run: RunConfig, args) -> int:
     return 0
 
 
-def cmd_train_generator(run: RunConfig, args) -> int:
-    logs = _read_log(run.paths.train_log, run.generator)
-    uncovered = [t for t in logs[0].feedback.types if t not in run.utility.types]
-    if uncovered:
-        raise ConfigError(f"utility spec has no weights for logged "
-                          f"interaction types {uncovered}")
-    params = init_generator_params(run.generator)
-    steps = []
-    train_generator(logs, params, run.generator, run.utility,
-                    lr=run.train.lr, epochs=run.train.epochs,
-                    batch_size=run.train.batch_size, omega=run.train.omega,
-                    rho=run.train.rho, objective=run.train.objective,
-                    seed=run.train.seed, step_log=steps)
-    save_checkpoint(run.paths.generator_checkpoint, params,
-                    meta=_generator_meta(run.generator))
-    curve = _out_path(run, None, "generator_loss.csv")
+def cmd_train(run: RunConfig, args) -> int:
+    """train-generator, train-evaluator or train-ar: fit the model on the
+    training log, then write its checkpoint and its loss curve."""
+    kind = args.command.removeprefix("train-")
+    cfg = run.evaluator if kind == "evaluator" else run.generator
+    logs = _read_log(run.paths.train_log, cfg)
+    fit = dict(lr=run.train.lr, epochs=run.train.epochs,
+               batch_size=run.train.batch_size, seed=run.train.seed)
+    curve_log: list = []  # TrainSteps for the generator, mean losses otherwise
+    if kind == "generator":
+        uncovered = [t for t in logs[0].feedback.types if t not in run.utility.types]
+        if uncovered:
+            raise ConfigError(f"utility spec has no weights for logged "
+                              f"interaction types {uncovered}")
+        params = init_generator_params(cfg)
+        train_generator(logs, params, cfg, run.utility, omega=run.train.omega,
+                        rho=run.train.rho, objective=run.train.objective,
+                        step_log=curve_log, **fit)
+        name, checkpoint = "generator", run.paths.generator_checkpoint
+        meta = _generator_meta(cfg)
+        summary = f"{run.train.objective}, final loss {curve_log[-1].total:.4f}"
+    elif kind == "evaluator":
+        if tuple(logs[0].feedback.types) != tuple(cfg.types):
+            raise ConfigError(f"log feedback types {logs[0].feedback.types} do not "
+                              f"match evaluator types {cfg.types}")
+        params = init_evaluator_params(cfg)
+        train_evaluator(logs, params, cfg, loss_log=curve_log, **fit)
+        name, checkpoint = "evaluator", run.paths.evaluator_checkpoint
+        meta = _evaluator_meta(cfg)
+        summary = f"final BCE {curve_log[-1]:.4f}"
+    else:
+        params = init_ar_params(cfg)
+        train_ar(logs, params, cfg, loss_log=curve_log, **fit)
+        name, checkpoint = "AR baseline", run.paths.ar_checkpoint
+        meta = dict(_generator_meta(cfg), kind="ar")
+        summary = f"final CE {curve_log[-1]:.4f}"
+    save_checkpoint(checkpoint, params, meta=meta)
+    curve = _out_path(run, None, f"{kind}_loss.csv")
     with open(curve, "w", encoding="utf-8") as fh:
-        fh.write(steps_to_csv(steps))
-    print(f"trained generator on {len(logs)} requests "
-          f"({run.train.objective}, final loss {steps[-1].total:.4f}); "
-          f"checkpoint {run.paths.generator_checkpoint}, curve {curve}")
-    return 0
-
-
-def cmd_train_evaluator(run: RunConfig, args) -> int:
-    logs = _read_log(run.paths.train_log, run.evaluator)
-    if tuple(logs[0].feedback.types) != tuple(run.evaluator.types):
-        raise ConfigError(f"log feedback types {logs[0].feedback.types} do not "
-                          f"match evaluator types {run.evaluator.types}")
-    params = init_evaluator_params(run.evaluator)
-    losses: list[float] = []
-    train_evaluator(logs, params, run.evaluator, lr=run.train.lr,
-                    epochs=run.train.epochs, batch_size=run.train.batch_size,
-                    seed=run.train.seed, loss_log=losses)
-    save_checkpoint(run.paths.evaluator_checkpoint, params,
-                    meta=_evaluator_meta(run.evaluator))
-    curve = _out_path(run, None, "evaluator_loss.csv")
-    with open(curve, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        fh.writelines(f"{i},{loss!r}\n" for i, loss in enumerate(losses))
-    print(f"trained evaluator on {len(logs)} requests "
-          f"(final BCE {losses[-1]:.4f}); "
-          f"checkpoint {run.paths.evaluator_checkpoint}, curve {curve}")
-    return 0
-
-
-def cmd_train_ar(run: RunConfig, args) -> int:
-    logs = _read_log(run.paths.train_log, run.generator)
-    params = init_ar_params(run.generator)
-    losses: list[float] = []
-    train_ar(logs, params, run.generator, lr=run.train.lr,
-             epochs=run.train.epochs, batch_size=run.train.batch_size,
-             seed=run.train.seed, loss_log=losses)
-    meta = dict(_generator_meta(run.generator), kind="ar")
-    save_checkpoint(run.paths.ar_checkpoint, params, meta=meta)
-    curve = _out_path(run, None, "ar_loss.csv")
-    with open(curve, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        fh.writelines(f"{i},{loss!r}\n" for i, loss in enumerate(losses))
-    print(f"trained AR baseline on {len(logs)} requests "
-          f"(final CE {losses[-1]:.4f}); "
-          f"checkpoint {run.paths.ar_checkpoint}, curve {curve}")
+        if kind == "generator":
+            fh.write(steps_to_csv(curve_log))
+        else:
+            fh.write("step,loss\n")
+            fh.writelines(f"{i},{loss!r}\n" for i, loss in enumerate(curve_log))
+    print(f"trained {name} on {len(logs)} requests ({summary}); "
+          f"checkpoint {checkpoint}, curve {curve}")
     return 0
 
 

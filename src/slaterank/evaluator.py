@@ -1,7 +1,8 @@
 """Listwise slate evaluator.
 
 Scores a proposed slate as a whole: the chosen items' features, in slate
-order, run through one self-attention + feed-forward block, then per-item
+order, run through one pre-norm self-attention + feed-forward block (the
+same `generator.block` the generator and the AR baseline stack), then per-item
 sigmoid heads predict each interaction type. Order enters through learned
 position embeddings added to the item features. The overall utility is the
 weighted sum of predicted scores, and `select_best` picks the highest-utility
@@ -13,7 +14,8 @@ the K slates stacked as (K, m, d), each attending to its own items only.
 
 Training is plain off-policy regression: binary cross-entropy of each head
 against the logged feedback on exposed slates. A minibatch of B exposed
-slates is one (B, m, d) stack on one tape, with one backward pass.
+slates is one (B, m, d) stack on one tape, and the loop around it is the
+generator's and the AR baseline's, `training._fit`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import numpy as np
 from .data import ExposureLog, FeedbackMatrix, RequestBatch
 from .errors import (
     ConfigError,
-    DataError,
     EmptyCandidatesError,
     InvalidSlateError,
     ShapeError,
 )
-from .generator import _build_attention, _build_ffn, _build_layer_norm, _ffn, _ln, multi_head_attention
-from .numerics import AdamState, Params, Tape, Tensor, adam_step
+from .generator import _build_layer_norm, _ln, block, build_block
+from .numerics import Params, Tape, Tensor
+from .training import _fit, _log_mean_loss
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,7 @@ def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
     params.new_gaussian("ev.embed.w", (cfg.d_x, cfg.d), rng)
     params.new_zeros("ev.embed.b", (cfg.d,))
     params.new_gaussian("ev.pos", (cfg.m, cfg.d), rng)
-    _build_layer_norm(params, "ev.ln1", cfg.d)
-    _build_attention(params, "ev.attn", cfg.d, rng)
-    _build_layer_norm(params, "ev.ln2", cfg.d)
-    _build_ffn(params, "ev.ffn", cfg.d, cfg.d_ff, rng)
+    build_block(params, "ev", cfg, rng)
     _build_layer_norm(params, "ev.final_ln", cfg.d)
     for t in cfg.types:
         params.new_gaussian(f"ev.head.{t}.w", (cfg.d, 1), rng)
@@ -122,10 +121,7 @@ def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
         raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
     x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
     x = tape.add(x, params["ev.pos"])
-    normed = _ln(tape, params, "ev.ln1", x)
-    x = tape.add(x, multi_head_attention(tape, params, "ev.attn", normed, normed, cfg))
-    x = tape.add(x, _ffn(tape, params, "ev.ffn", _ln(tape, params, "ev.ln2", x)))
-    states = _ln(tape, params, "ev.final_ln", x)
+    states = _ln(tape, params, "ev.final_ln", block(tape, params, "ev", x, cfg))
     logits: dict[str, Tensor] = {}
     rows = []
     utility = 0.0
@@ -196,27 +192,19 @@ def train_evaluator(logs: list[ExposureLog], params: Params, cfg: EvaluatorConfi
     """Minibatch Adam on BCE over logged exposures; returns the params.
 
     Each minibatch's exposed slates go through one evaluator pass, stacked
-    on the batch axis, and one backward pass from their summed loss.
+    on the batch axis; `training._fit` checks that every slate's loss is
+    finite, naming the request, and backprops their sum once.
     """
-    if not logs:
-        raise DataError("cannot train the evaluator on an empty log")
-    state = AdamState(lr=lr)
-    rng = np.random.default_rng(seed)
-    for epoch in range(epochs):
-        order = rng.permutation(len(logs))
-        for start in range(0, len(order), batch_size):
-            batch = [logs[li] for li in order[start:start + batch_size]]
-            tape = Tape()
-            feats = np.stack([log.request.features[_slate_indices(log.exposed, log.request, cfg)]
-                              for log in batch])
-            score = _score(feats, params, cfg, tape)
-            losses = bce_loss(tape, score, [log.feedback for log in batch])
-            tape.backward(tape.sum(losses))
-            params.scale_grads(1.0 / len(batch))
-            adam_step(params, state)
-            if loss_log is not None:
-                loss_log.append(float(losses.data.sum()) / len(batch))
-    return params
+
+    def batch_loss(tape, batch):
+        feats = np.stack([log.request.features[_slate_indices(log.exposed, log.request, cfg)]
+                          for log in batch])
+        losses = bce_loss(tape, _score(feats, params, cfg, tape),
+                          [log.feedback for log in batch])
+        return losses, losses
+
+    return _fit(logs, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
+                seed=seed, after_step=_log_mean_loss(loss_log))
 
 
 def select_best(req: RequestBatch, slates, params: Params,

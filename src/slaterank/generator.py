@@ -6,6 +6,14 @@ m learned position embeddings, cross-attention into the candidate states)
 feed a matching head: logits[i, j] = cand_reps[i] . pos_reps[j], normalized
 by a column softmax into a column-stochastic n x m probability matrix.
 
+Both encoders stack L copies of one pre-norm block, written once here and
+also used by the AR decoder and the evaluator: x + attention(ln1(x)), then,
+with cross-attention, + attention(ln2(x), memory), then + ffn(ln(x)), with a
+final layer norm after the stack (`build_block`/`block` for one block,
+`build_blocks`/`blocks` for the stack). The self-attention is named `attn`,
+or `self` beside a `cross`; the feed-forward's norm is `ln2`, or `ln3` after
+the cross-attention's.
+
 All m position distributions come out of a single forward pass. That is the
 property the autoregressive baseline in `ar` deliberately gives up, and the
 one the bench harness measures.
@@ -107,12 +115,7 @@ class ProbMatrix:
         return self.values.data.shape[-1]
 
 
-# ---- parameter construction ----
-
-
-def _build_attention(params: Params, prefix: str, d: int, rng) -> None:
-    for w in ("wq", "wk", "wv", "wo"):
-        params.new_gaussian(f"{prefix}.{w}", (d, d), rng)
+# ---- the pre-norm block, shared by every model ----
 
 
 def _build_layer_norm(params: Params, prefix: str, d: int) -> None:
@@ -120,22 +123,80 @@ def _build_layer_norm(params: Params, prefix: str, d: int) -> None:
     params.new_zeros(f"{prefix}.b", (d,))
 
 
-def _build_ffn(params: Params, prefix: str, d: int, d_ff: int, rng) -> None:
-    params.new_gaussian(f"{prefix}.w1", (d, d_ff), rng)
-    params.new_gaussian(f"{prefix}.w2", (d_ff, d), rng)
+def _build_attention(params: Params, prefix: str, d: int, rng) -> None:
+    for w in ("wq", "wk", "wv", "wo"):
+        params.new_gaussian(f"{prefix}.{w}", (d, d), rng)
+
+
+def build_block(params: Params, prefix: str, cfg, rng, cross: bool = False) -> None:
+    """One block's parameters; cfg gives the width d and the FFN width d_ff."""
+    _build_layer_norm(params, f"{prefix}.ln1", cfg.d)
+    _build_attention(params, f"{prefix}.{'self' if cross else 'attn'}", cfg.d, rng)
+    if cross:
+        _build_layer_norm(params, f"{prefix}.ln2", cfg.d)
+        _build_attention(params, f"{prefix}.cross", cfg.d, rng)
+    _build_layer_norm(params, f"{prefix}.{'ln3' if cross else 'ln2'}", cfg.d)
+    params.new_gaussian(f"{prefix}.ffn.w1", (cfg.d, cfg.d_ff), rng)
+    params.new_gaussian(f"{prefix}.ffn.w2", (cfg.d_ff, cfg.d), rng)
+
+
+def build_blocks(params: Params, prefix: str, cfg, rng, cross: bool = False) -> None:
+    """cfg.L blocks named prefix.0 ... prefix.{L-1}, then prefix.final_ln."""
+    for layer in range(cfg.L):
+        build_block(params, f"{prefix}.{layer}", cfg, rng, cross=cross)
+    _build_layer_norm(params, f"{prefix}.final_ln", cfg.d)
+
+
+def _ln(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
+    return tape.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
+
+
+def _attention(tape: Tape, params: Params, prefix: str, q_in: Tensor, kv_in: Tensor,
+               cfg, key_mask: np.ndarray | None = None, causal: bool = False) -> Tensor:
+    q = tape.linear(q_in, params[f"{prefix}.wq"])
+    k = tape.linear(kv_in, params[f"{prefix}.wk"])
+    v = tape.linear(kv_in, params[f"{prefix}.wv"])
+    heads = tape.attention(q, k, v, cfg.h, key_mask=key_mask, causal=causal)
+    return tape.linear(heads, params[f"{prefix}.wo"])
+
+
+def block(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, *,
+          mask: np.ndarray | None = None, causal: bool = False,
+          memory: Tensor | None = None,
+          memory_mask: np.ndarray | None = None) -> Tensor:
+    """One block over x. `mask` and `causal` restrict the self-attention's
+    keys; given `memory`, the block also cross-attends into it, with
+    memory_mask over its keys. cfg gives the head count h."""
+    normed = _ln(tape, params, f"{prefix}.ln1", x)
+    name = "attn" if memory is None else "self"
+    x = tape.add(x, _attention(tape, params, f"{prefix}.{name}", normed, normed, cfg,
+                               key_mask=mask, causal=causal))
+    ffn_ln = "ln2"
+    if memory is not None:
+        x = tape.add(x, _attention(tape, params, f"{prefix}.cross",
+                                   _ln(tape, params, f"{prefix}.ln2", x), memory, cfg,
+                                   key_mask=memory_mask))
+        ffn_ln = "ln3"
+    hidden = tape.gelu(tape.linear(_ln(tape, params, f"{prefix}.{ffn_ln}", x),
+                                   params[f"{prefix}.ffn.w1"]))
+    return tape.add(x, tape.linear(hidden, params[f"{prefix}.ffn.w2"]))
+
+
+def blocks(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, **kwargs) -> Tensor:
+    """The cfg.L blocks of build_blocks, then the final layer norm."""
+    for layer in range(cfg.L):
+        x = block(tape, params, f"{prefix}.{layer}", x, cfg, **kwargs)
+    return _ln(tape, params, f"{prefix}.final_ln", x)
+
+
+# ---- the generator ----
 
 
 def build_candidate_encoder(params: Params, cfg: GeneratorConfig, rng) -> None:
     """Shared between the one-shot generator and the AR baseline."""
     params.new_gaussian("embed.x.w", (cfg.d_x, cfg.d), rng)
     params.new_zeros("embed.x.b", (cfg.d,))
-    for layer in range(cfg.L):
-        p = f"cand.{layer}"
-        _build_layer_norm(params, f"{p}.ln1", cfg.d)
-        _build_attention(params, f"{p}.attn", cfg.d, rng)
-        _build_layer_norm(params, f"{p}.ln2", cfg.d)
-        _build_ffn(params, f"{p}.ffn", cfg.d, cfg.d_ff, rng)
-    _build_layer_norm(params, "cand.final_ln", cfg.d)
+    build_blocks(params, "cand", cfg, rng)
 
 
 def init_generator_params(cfg: GeneratorConfig) -> Params:
@@ -145,44 +206,13 @@ def init_generator_params(cfg: GeneratorConfig) -> Params:
     params.new_gaussian("pos.table", (cfg.m, cfg.d_t), rng)
     params.new_gaussian("embed.t.w", (cfg.d_t, cfg.d), rng)
     params.new_zeros("embed.t.b", (cfg.d,))
-    for layer in range(cfg.L):
-        p = f"pos.{layer}"
-        _build_layer_norm(params, f"{p}.ln1", cfg.d)
-        _build_attention(params, f"{p}.self", cfg.d, rng)
-        _build_layer_norm(params, f"{p}.ln2", cfg.d)
-        _build_attention(params, f"{p}.cross", cfg.d, rng)
-        _build_layer_norm(params, f"{p}.ln3", cfg.d)
-        _build_ffn(params, f"{p}.ffn", cfg.d, cfg.d_ff, rng)
-    _build_layer_norm(params, "pos.final_ln", cfg.d)
+    build_blocks(params, "pos", cfg, rng, cross=True)
     return params
-
-
-# ---- forward blocks ----
-
-
-def multi_head_attention(tape: Tape, params: Params, prefix: str, q_in: Tensor,
-                         kv_in: Tensor, cfg: GeneratorConfig,
-                         key_mask: np.ndarray | None = None,
-                         causal: bool = False) -> Tensor:
-    q = tape.linear(q_in, params[f"{prefix}.wq"])
-    k = tape.linear(kv_in, params[f"{prefix}.wk"])
-    v = tape.linear(kv_in, params[f"{prefix}.wv"])
-    heads = tape.attention(q, k, v, cfg.h, key_mask=key_mask, causal=causal)
-    return tape.linear(heads, params[f"{prefix}.wo"])
-
-
-def _ln(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
-    return tape.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
-
-
-def _ffn(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
-    hidden = tape.gelu(tape.linear(x, params[f"{prefix}.w1"]))
-    return tape.linear(hidden, params[f"{prefix}.w2"])
 
 
 def encode_candidates(feats, params: Params, cfg: GeneratorConfig, tape: Tape,
                       valid: np.ndarray | None = None) -> Tensor:
-    """Project raw features to width d and run L pre-norm transformer layers.
+    """Project raw features to width d and run L pre-norm blocks.
 
     feats is (n, d_x), or (B, n, d_x) for a padded minibatch whose valid
     mask, (B, n), keeps padded rows out of every row's attention.
@@ -193,19 +223,13 @@ def encode_candidates(feats, params: Params, cfg: GeneratorConfig, tape: Tape,
     if x.data.shape[-2] == 0:
         raise EmptyCandidatesError("request has no candidates")
     h = tape.linear(x, params["embed.x.w"], params["embed.x.b"])
-    for layer in range(cfg.L):
-        p = f"cand.{layer}"
-        normed = _ln(tape, params, f"{p}.ln1", h)
-        h = tape.add(h, multi_head_attention(tape, params, f"{p}.attn",
-                                             normed, normed, cfg, key_mask=valid))
-        h = tape.add(h, _ffn(tape, params, f"{p}.ffn", _ln(tape, params, f"{p}.ln2", h)))
-    return _ln(tape, params, "cand.final_ln", h)
+    return blocks(tape, params, "cand", h, cfg, mask=valid)
 
 
 def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
                      tape: Tape, valid: np.ndarray | None = None) -> Tensor:
-    """Self-attention over the m learned position slots, cross-attention into
-    the candidate states, then feed-forward; per layer, pre-norm.
+    """L pre-norm blocks over the m learned position slots: self-attention
+    among the slots, cross-attention into the candidate states.
 
     The slots start shared, (m, d); the first cross-attention into a
     (B, n, d) batch of candidate states gives every request its own.
@@ -213,16 +237,7 @@ def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
     if cand_hidden.data.shape[-1] != cfg.d:
         raise ShapeError("candidate hidden width does not match config d")
     t = tape.linear(params["pos.table"], params["embed.t.w"], params["embed.t.b"])
-    for layer in range(cfg.L):
-        p = f"pos.{layer}"
-        normed = _ln(tape, params, f"{p}.ln1", t)
-        t = tape.add(t, multi_head_attention(tape, params, f"{p}.self",
-                                             normed, normed, cfg))
-        t = tape.add(t, multi_head_attention(tape, params, f"{p}.cross",
-                                             _ln(tape, params, f"{p}.ln2", t),
-                                             cand_hidden, cfg, key_mask=valid))
-        t = tape.add(t, _ffn(tape, params, f"{p}.ffn", _ln(tape, params, f"{p}.ln3", t)))
-    return _ln(tape, params, "pos.final_ln", t)
+    return blocks(tape, params, "pos", t, cfg, memory=cand_hidden, memory_mask=valid)
 
 
 def matching_head(cand_reps: Tensor, pos_reps: Tensor, tape: Tape,

@@ -1,15 +1,18 @@
-"""Minibatch training loops for the matching generator and the pointer baseline.
+"""Minibatch training loops for the matching generator and the pointer baseline,
+and the helper that the evaluator's loop shares with them.
 
-Both loops run through one helper, `_fit`: it shuffles with the training
-seed, records each minibatch on one tape, checks that every request's loss
-is finite (naming the first request that is not), backprops the sum of the
-per-request losses once, averages the gradients over the minibatch and takes
-one Adam step. The models stack a minibatch the same way: the requests are
-put on a leading batch axis and zero-padded to the largest candidate count in
-that minibatch (not to n_max), and the `valid` mask keeps padded rows out of
-attention and out of every probability. For the generator `total_loss`
-returns one value per request; for the pointer baseline `ar_sequence_loss`
-does, from one teacher-forced pass. Shuffling is driven by the training seed
+All three loops, these two and `evaluator.train_evaluator`, run through one
+helper, `_fit`: it shuffles with the training seed, records each minibatch
+on one tape, checks that every request's loss is finite (naming the first
+request that is not), backprops the sum of the per-request losses once,
+averages the gradients over the minibatch and takes one Adam step. The
+models stack a minibatch the same way: the requests are put on a leading
+batch axis and zero-padded to the largest candidate count in that minibatch
+(not to n_max), and the `valid` mask keeps padded rows out of attention and
+out of every probability. For the generator `total_loss` returns one value
+per request; for the pointer baseline `ar_sequence_loss` does, from one
+teacher-forced pass; for the evaluator `bce_loss` does, over the exposed
+slates stacked on the batch axis. Shuffling is driven by the training seed
 only, so a (logs, seed) pair fixes the whole parameter trajectory.
 """
 
@@ -98,6 +101,17 @@ def _fit(logs: list[ExposureLog], params: Params, batch_loss, *, lr: float,
     return params
 
 
+def _log_mean_loss(loss_log: list[float] | None):
+    """after_step for a batch_loss whose value is its per-request losses:
+    appends each step's mean loss per request to loss_log as a Python float."""
+    if loss_log is None:
+        return None
+
+    def log_step(step, batch, losses):
+        loss_log.append(float(losses.data.sum()) / len(batch))
+    return log_step
+
+
 def train_generator(logs: list[ExposureLog], params: Params,
                     cfg: GeneratorConfig, spec: UtilitySpec, *,
                     lr: float = 1e-3, epochs: int = 1, batch_size: int = 256,
@@ -148,9 +162,5 @@ def train_ar(logs: list[ExposureLog], params: Params, cfg: GeneratorConfig, *,
         losses = ar_sequence_loss([log.request for log in batch], params, cfg, tape)
         return losses, losses
 
-    def log_step(step, batch, losses):
-        loss_log.append(float(losses.data.sum()) / len(batch))
-
-    return _fit(logs, params, batch_loss, lr=lr, epochs=epochs,
-                batch_size=batch_size, seed=seed,
-                after_step=None if loss_log is None else log_step)
+    return _fit(logs, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
+                seed=seed, after_step=_log_mean_loss(loss_log))

@@ -5,9 +5,14 @@ stay visible; each scenario works in its own tmp_path sandbox.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import slaterank
 from slaterank.cli import main
 from slaterank.errors import NumericsError
 from slaterank.data import read_logs
@@ -89,20 +94,25 @@ def test_checkpoint_mismatch_exit_2(tmp_path, capsys):
 def test_checkpoint_missing_or_misshapen_parameter_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     run_pipeline(tmp_path, cfg)
-    params, meta = load_checkpoint(tmp_path / "ev.npz")
-    for name, broken in (("ev.head.like.w", None),
-                         ("ev.pos", np.zeros((5, 8)))):
+    nan_at_first = np.zeros((10, 8))
+    nan_at_first[0, 0] = np.nan
+    for file, name, broken in (("ev.npz", "ev.head.like.w", None),
+                               ("ev.npz", "ev.pos", np.zeros((5, 8))),
+                               # a NaN used to load and rerank with exit 0
+                               ("gen.npz", "embed.x.w", nan_at_first),
+                               ("ev.npz", "ev.embed.w", nan_at_first)):
+        params, meta = load_checkpoint(tmp_path / file)
         damaged = Params()
         for key, tensor in params.items():
             if key != name:
                 damaged.add(key, tensor.data)
             elif broken is not None:
                 damaged.add(key, broken)
-        save_checkpoint(tmp_path / "ev.npz", damaged, meta=meta)
+        save_checkpoint(tmp_path / file, damaged, meta=meta)
         assert main(["generate", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "ev.npz" in err and name in err
-    save_checkpoint(tmp_path / "ev.npz", params, meta=meta)
+        assert file in err and name in err
+        save_checkpoint(tmp_path / file, params, meta=meta)
     assert main(["generate", "--config", cfg]) == 0
 
 
@@ -243,3 +253,23 @@ def test_every_log_record_is_checked_at_the_boundary(tmp_path, capsys):
     assert main(["simulate", "--config", cfg]) == 0
     _damage_record(tmp_path, 5, _more_candidates)
     assert main(["train-evaluator", "--config", cfg]) == 0
+
+
+def test_desk_pipeline_script_writes_every_artifact(tmp_path):
+    # scripts/run_pipeline.py drives every command, run as a user runs it
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(slaterank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "desk"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "run_pipeline.py"), "--out", str(out),
+         "--requests", "40", "--test-requests", "10"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, _, listed = proc.stdout.rstrip().rpartition(f"artifacts in {out}/: ")
+    assert before.endswith("\n\n")
+    names = listed.split()
+    assert len(names) == 8
+    for name in names:
+        assert (out / name).stat().st_size > 0, name

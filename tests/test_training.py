@@ -11,6 +11,7 @@ from slaterank.ar import init_ar_params
 from slaterank.cli import main
 from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
 from slaterank.errors import DataError, InvalidSlateError, NumericsError
+from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, train_evaluator
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
 from slaterank.numerics import Tape
 from slaterank.objectives import UtilitySpec, total_loss
@@ -96,7 +97,8 @@ def test_mixed_logs_hit_both_branches():
 
 def test_cli_loss_curve_cells_are_numbers(tmp_path):
     # NumPy 2 reprs scalars as "np.float64(...)"; every written cell of the
-    # generator's and the AR baseline's curves must parse back as a number
+    # generator's, the evaluator's and the AR baseline's curves must parse
+    # back as a number
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join([
         "num_requests=40", "world.n_candidates=8", "generator.n_max=8",
@@ -104,13 +106,16 @@ def test_cli_loss_curve_cells_are_numbers(tmp_path):
         "train.epochs=1", "train.batch_size=16",
         f"paths.train_log={tmp_path}/train.jsonl",
         f"paths.generator_checkpoint={tmp_path}/gen.npz",
+        f"paths.evaluator_checkpoint={tmp_path}/ev.npz",
         f"paths.ar_checkpoint={tmp_path}/ar.npz",
         f"paths.out_dir={tmp_path}",
     ]) + "\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert main(["train-generator", "--config", str(cfg)]) == 0
+    assert main(["train-evaluator", "--config", str(cfg)]) == 0
     assert main(["train-ar", "--config", str(cfg)]) == 0
     for curve, want_header in (("generator_loss.csv", TrainStep.csv_header()),
+                               ("evaluator_loss.csv", "step,loss"),
                                ("ar_loss.csv", "step,loss")):
         header, *rows = (tmp_path / curve).read_text().splitlines()
         assert header == want_header
@@ -135,14 +140,28 @@ def test_rejects_bad_logs():
         train_generator(mixed_logs(2), params, SMALL, CLICK, objective="mle")
 
 
-def test_nan_loss_aborts_with_location():
-    logs = mixed_logs(4)
-    params = init_generator_params(SMALL)
-    params["embed.x.w"].data[0, 0] = np.nan
+EV_SMALL = EvaluatorConfig(types=("click",), weights=(1.0,), d=8, h=2, d_x=4, m=3)
+TRAINERS = {
+    "train_generator": lambda logs: train_generator(
+        logs, init_generator_params(SMALL), SMALL, CLICK, epochs=1, batch_size=4),
+    "train_ar": lambda logs: train_ar(
+        logs, init_ar_params(SMALL), SMALL, epochs=1, batch_size=4),
+    "train_evaluator": lambda logs: train_evaluator(
+        logs, init_evaluator_params(EV_SMALL), EV_SMALL, epochs=1, batch_size=4),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_nan_loss_aborts_with_location(trainer):
+    # every loop names the first request whose loss is not finite; the
+    # evaluator's used to stop in backward with no location
+    logs = mixed_logs(7)
+    logs[1] = make_log(4242, np.random.default_rng(9), feedback_value=1)
+    logs[1].request.features[...] = np.nan  # third of the second minibatch at seed 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(NumericsError, match="request"):
-            train_generator(logs, params, SMALL, CLICK, epochs=1, batch_size=4)
+        with pytest.raises(NumericsError, match="epoch 0 step 1 request 4242;"):
+            TRAINERS[trainer](logs)
 
 
 def test_training_is_seed_deterministic():
