@@ -6,8 +6,10 @@ and diff the output: equal lines mean a refactor kept these outputs bit for
 bit. Covered: initial parameters (names, order, shapes, bytes) of the
 generator, the AR baseline and the evaluator; the generator forward on one
 request and on a padded stack; AR decoded slates and sequence-loss gradients;
-evaluator scores and pooled utilities; and the trained parameters and loss
-logs of train_generator, train_ar and train_evaluator.
+evaluator scores and pooled utilities; the trained parameters and loss
+logs of train_generator, train_ar and train_evaluator; and, one line per
+public Tape op, its forward value and its input gradients on seeded inputs,
+so a change to numerics is checked op by op and not only through the models.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from slaterank.evaluator import (
     train_evaluator,
 )
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
-from slaterank.numerics import Tape
+from slaterank.numerics import Tape, Tensor
 from slaterank.objectives import UtilitySpec
 from slaterank.training import steps_to_csv, train_ar, train_generator
 
@@ -67,6 +69,71 @@ def make_logs(count: int, seed: int) -> list[ExposureLog]:
             exposed=tuple(rng.choice(n, size=GEN.m, replace=False).tolist()),
             feedback=fb)))
     return logs
+
+
+def op_cases(rng: np.random.Generator):
+    """(op name, call, input tensors) for every public Tape op, batched
+    (B, n, d) where the op takes a batch."""
+    B, n, d = 3, 5, 4
+
+    def t(*shape, scale=1.0):
+        return Tensor(rng.normal(scale=scale, size=shape))
+
+    def keep_first(mask):
+        mask[..., 0] = True
+        return mask
+
+    key_mask = keep_first(rng.random((B, n)) < 0.6)
+    col_mask = keep_first(rng.random((B, n, d)) < 0.6)
+    row_mask = keep_first(rng.random((B, n)) < 0.6)
+    const = rng.normal(size=(n, d))
+    coef = rng.normal(size=(B, n, d))
+    rows, cols = rng.integers(0, n, size=(B, 6)), rng.integers(0, d, size=6)
+    return [
+        ("matmul", lambda tp, a, b: tp.matmul(a, b), [t(B, n, d), t(d, 3)]),
+        ("linear", lambda tp, x, w, b: tp.linear(x, w, b), [t(B, n, d), t(d, 3), t(3)]),
+        ("transpose", lambda tp, a: tp.transpose(a), [t(B, n, d)]),
+        ("attention", lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask,
+                                                        causal=True),
+         [t(B, n, d), t(B, n, d), t(B, n, d)]),
+        ("add", lambda tp, a, b: tp.add(a, b), [t(B, n, d), t(d)]),
+        ("sub", lambda tp, a, b: tp.sub(a, b), [t(B, n, d), t(n, d)]),
+        ("mul", lambda tp, a, b: tp.mul(a, b), [t(B, n, d), t(B, 1, d)]),
+        ("scale", lambda tp, a: tp.scale(a, 1.7), [t(B, n, d)]),
+        ("neg", lambda tp, a: tp.neg(a), [t(B, n, d)]),
+        ("add_scalar", lambda tp, a: tp.add_scalar(a, const), [t(B, n, d)]),
+        ("mask", lambda tp, a: tp.mask(a, coef), [t(B, n, d)]),
+        ("gelu", lambda tp, a: tp.gelu(a), [t(B, n, d, scale=3.0)]),
+        ("relu", lambda tp, a: tp.relu(a), [t(B, n, d)]),
+        ("sigmoid", lambda tp, a: tp.sigmoid(a), [t(B, n, d, scale=5.0)]),
+        ("log", lambda tp, a: tp.log(a), [Tensor(rng.random((B, n, d)) + 0.1)]),
+        ("clamp_min", lambda tp, a: tp.clamp_min(a, 0.3), [t(B, n, d)]),
+        ("softplus", lambda tp, a: tp.softplus(a), [t(B, n, d, scale=5.0)]),
+        ("sum", lambda tp, a: tp.sum(a, axis=-1), [t(B, n, d)]),
+        ("mean", lambda tp, a: tp.mean(a), [t(B, n, d)]),
+        ("layer_norm", lambda tp, x, g, b: tp.layer_norm(x, g, b),
+         [t(B, n, d, scale=2.0), t(d), t(d)]),
+        ("softmax_rows", lambda tp, a: tp.softmax_rows(a, key_mask=col_mask),
+         [t(B, n, d, scale=3.0)]),
+        ("softmax_columns", lambda tp, a: tp.softmax_columns(a, valid_rows=row_mask),
+         [t(B, n, d, scale=3.0)]),
+        ("row_normalize", lambda tp, a: tp.row_normalize(a), [t(B, n, d)]),
+        ("take_entries", lambda tp, a: tp.take_entries(a, rows, cols), [t(B, n, d)]),
+        ("slice_rows", lambda tp, a: tp.slice_rows(a, 1, 4), [t(n, d)]),
+        ("take_rows", lambda tp, a: tp.take_rows(a, rows), [t(B, n, d)]),
+        ("concat_rows", lambda tp, a, b: tp.concat_rows([a, b]), [t(n, d), t(B, 2, d)]),
+    ]
+
+
+def op_digests() -> None:
+    """Print each op's output and the gradients of sum(out * c) with respect
+    to its inputs, for a seeded array c of out's shape."""
+    rng = np.random.default_rng(17)
+    for name, call, inputs in op_cases(rng):
+        tape = Tape()
+        out = call(tape, *inputs)
+        tape.backward(tape.sum(tape.mask(out, rng.normal(size=out.shape))))
+        print(f"op.{name}", digest(out.data, *[x.grad for x in inputs]))
 
 
 def main() -> None:
@@ -113,6 +180,7 @@ def main() -> None:
     train_evaluator(logs, ev, EV, lr=1e-2, epochs=2, batch_size=7, seed=4,
                     loss_log=ev_losses)
     print("train_evaluator", params_digest(ev), digest(ev_losses))
+    op_digests()
 
 
 if __name__ == "__main__":

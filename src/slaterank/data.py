@@ -133,13 +133,19 @@ def _log_to_record(log: ExposureLog) -> dict:
 def _record_to_log(rec: dict) -> ExposureLog:
     cands = rec["candidates"]
     feedback = rec["feedback"]
+    if not isinstance(feedback, dict):
+        raise TypeError("feedback must be an object with one row per type")
+    exposed = rec["exposed"]
+    # JSON integers only: int() would read 1.7 as 1 and "012345" as a slate
+    if not isinstance(exposed, list) or any(type(i) is not int for i in exposed):
+        raise TypeError(f"exposed must be a list of integers, got {exposed!r}")
     types = tuple(feedback.keys())
     req = RequestBatch(
         request_id=int(rec["request_id"]),
         user_id=int(rec["user_id"]),
         item_ids=np.array([c["item_id"] for c in cands], dtype=np.int64),
         features=np.array([c["features"] for c in cands], dtype=np.float64),
-        exposed=tuple(rec["exposed"]),
+        exposed=tuple(exposed),
         feedback=FeedbackMatrix(np.array([feedback[t] for t in types]), types),
     )
     return ExposureLog(req)

@@ -1,11 +1,14 @@
 """Tape-based reverse-mode differentiation over dense float64 arrays.
 
 Every op is a method on `Tape`: it computes the forward value eagerly with
-NumPy and, when the tape is recording, pushes one backward closure.
-`Tape.backward(loss)` seeds the scalar loss with gradient 1 and replays the
-closures in reverse, accumulating into each operand's `.grad` buffer. Each
-closure is dropped as soon as it has run, so the activations and gradients
-it holds are freed during the pass rather than after it.
+NumPy and hands its output and a backward function to `Tape._record`, which
+keeps the `(out, back)` pair only when the tape is recording.
+`Tape.backward(loss)` seeds the scalar loss with gradient 1, then pops the
+pairs in reverse and calls `back(out.grad)`, which accumulates into each
+operand's `.grad` buffer. A pair whose output received no gradient fed
+nothing the loss depends on; it is skipped, so its operands get nothing from
+it. Each pair is dropped as soon as it is popped, so the activations and
+gradients it holds are freed during the pass rather than after it.
 
 Ops take an optional leading batch axis: a (rows, cols) matrix is one
 example, a (B, rows, cols) stack is a minibatch of B examples that share the
@@ -110,11 +113,21 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(*lead, n, heads * hd)
 
 
-class Tape:
-    """Records backward closures for the ops applied through it.
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), without overflow for x of either sign."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
 
-    Build with recording=False for pure inference: ops then skip closure
-    creation entirely and behave as plain NumPy compositions.
+
+class Tape:
+    """Records one (output, backward function) pair per op applied through it.
+
+    Build with recording=False for pure inference: ops then record nothing
+    and behave as plain NumPy compositions.
     """
 
     def __init__(self, recording: bool = True):
@@ -126,14 +139,18 @@ class Tape:
         """Ops recorded, including those a backward pass has already run."""
         return self._recorded
 
-    def _push(self, fn) -> None:
+    def _record(self, out: Tensor, back) -> Tensor:
+        """Return `out`; when recording, keep `back` to be called with out's
+        gradient during the backward pass."""
         if self.recording:
-            self._ops.append(fn)
+            self._ops.append((out, back))
             self._recorded += 1
+        return out
 
     def backward(self, root: Tensor) -> None:
-        """Seed `root` (a scalar) with gradient 1 and replay the tape, dropping
-        each closure once it has run."""
+        """Seed `root` (a scalar) with gradient 1 and replay the tape in
+        reverse, dropping each pair once it has run. An op whose output got
+        no gradient fed nothing `root` depends on, and is skipped."""
         if root.data.shape != ():
             raise ShapeError(f"backward root must be a scalar, got {root.data.shape}")
         if not np.isfinite(root.data):
@@ -141,7 +158,9 @@ class Tape:
         root.ensure_grad()[...] = 1.0
         ops = self._ops
         while ops:
-            ops.pop()()
+            out, back = ops.pop()
+            if out.grad is not None:
+                back(out.grad)
 
     # ---- core linear algebra ----
 
@@ -150,17 +169,12 @@ class Tape:
         ad, bd = a.data, b.data
         if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
             raise ShapeError(f"matmul got {ad.shape} @ {bd.shape}")
-        out = Tensor(ad @ bd)
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             _accumulate(a, _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape))
             _accumulate(b, _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape))
 
-        self._push(back)
-        return out
+        return self._record(Tensor(ad @ bd), back)
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         """x @ w with an optional bias row; every row of every leading axis of
@@ -174,35 +188,25 @@ class Tape:
             if b.data.shape != (wd.shape[1],):
                 raise ShapeError(f"bias shape {b.data.shape} vs {wd.shape[1]} columns")
             y = y + b.data
-        out = Tensor(y.reshape(*xd.shape[:-1], wd.shape[1]))
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             g2 = g.reshape(-1, wd.shape[1])
             _accumulate(x, (g2 @ wd.T).reshape(xd.shape))
             _accumulate(w, rows.T @ g2)
             if b is not None:
                 _accumulate(b, g2.sum(axis=0))
 
-        self._push(back)
-        return out
+        return self._record(Tensor(y.reshape(*xd.shape[:-1], wd.shape[1])), back)
 
     def transpose(self, a: Tensor) -> Tensor:
         """Swap the last two axes."""
         if a.data.ndim < 2:
             raise ShapeError("transpose expects a matrix")
-        out = Tensor(a.data.swapaxes(-1, -2))
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             a.ensure_grad()[...] += g.swapaxes(-1, -2)
 
-        self._push(back)
-        return out
+        return self._record(Tensor(a.data.swapaxes(-1, -2)), back)
 
     def attention(self, q: Tensor, k: Tensor, v: Tensor, heads: int,
                   key_mask: np.ndarray | None = None, causal: bool = False) -> Tensor:
@@ -241,12 +245,8 @@ class Tape:
             raise ShapeError("attention with a fully masked query row")
         w = np.exp(scores - top)
         w /= w.sum(axis=-1, keepdims=True)
-        out = Tensor(_merge_heads(w @ vh))
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             gh = _split_heads(g, heads)
             dw = gh @ vh.swapaxes(-1, -2)
             ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv_sqrt
@@ -254,68 +254,42 @@ class Tape:
             _accumulate(k, _unbroadcast(_merge_heads(ds.swapaxes(-1, -2) @ qh), kd.shape))
             _accumulate(v, _unbroadcast(_merge_heads(w.swapaxes(-1, -2) @ gh), vd.shape))
 
-        self._push(back)
-        return out
+        return self._record(Tensor(_merge_heads(w @ vh)), back)
 
     # ---- elementwise ----
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
         _check_broadcast(ad, bd, "add")
-        out = Tensor(ad + bd)
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             a.ensure_grad()[...] += _unbroadcast(g, ad.shape)
             b.ensure_grad()[...] += _unbroadcast(g, bd.shape)
 
-        self._push(back)
-        return out
+        return self._record(Tensor(ad + bd), back)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
         _check_broadcast(ad, bd, "sub")
-        out = Tensor(ad - bd)
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             a.ensure_grad()[...] += _unbroadcast(g, ad.shape)
             b.ensure_grad()[...] -= _unbroadcast(g, bd.shape)
 
-        self._push(back)
-        return out
+        return self._record(Tensor(ad - bd), back)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
         _check_broadcast(ad, bd, "mul")
-        out = Tensor(ad * bd)
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             _accumulate(a, _unbroadcast(g * bd, ad.shape))
             _accumulate(b, _unbroadcast(g * ad, bd.shape))
 
-        self._push(back)
-        return out
+        return self._record(Tensor(ad * bd), back)
 
     def scale(self, a: Tensor, c: float) -> Tensor:
-        c = float(c)
-        out = Tensor(a.data * c)
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, g * c)
-
-        self._push(back)
-        return out
+        return self.mask(a, float(c))
 
     def neg(self, a: Tensor) -> Tensor:
         return self.scale(a, -1.0)
@@ -326,14 +300,10 @@ class Tape:
         if out.data.shape != a.data.shape:
             raise ShapeError(f"add_scalar constant does not fit {a.data.shape}")
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             a.ensure_grad()[...] += g
 
-        self._push(back)
-        return out
+        return self._record(out, back)
 
     def mask(self, a: Tensor, m: np.ndarray) -> Tensor:
         """Elementwise product with a constant array that broadcasts into a
@@ -342,15 +312,7 @@ class Tape:
         out = Tensor(a.data * md)
         if out.data.shape != a.data.shape:
             raise ShapeError(f"mask {md.shape} does not fit {a.data.shape}")
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, g * md)
-
-        self._push(back)
-        return out
+        return self._record(out, lambda g: _accumulate(a, g * md))
 
     def gelu(self, a: Tensor) -> Tensor:
         def tanh_inner(x):
@@ -358,125 +320,56 @@ class Tape:
             return np.tanh(_GELU_C * (x + _GELU_K * (x * x * x)))
 
         x = a.data
-        out = Tensor(0.5 * x * (1.0 + tanh_inner(x)))
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             # recomputed rather than kept: the tape then holds no copy
             t = tanh_inner(x)
             d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
             _accumulate(a, g * local)
 
-        self._push(back)
-        return out
+        return self._record(Tensor(0.5 * x * (1.0 + tanh_inner(x))), back)
 
     def relu(self, a: Tensor) -> Tensor:
-        out = Tensor(np.maximum(a.data, 0.0))
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, g * (a.data > 0.0))
-
-        self._push(back)
-        return out
+        return self.clamp_min(a, 0.0)
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        x = a.data
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        out = Tensor(y)
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, g * y * (1.0 - y))
-
-        self._push(back)
-        return out
+        y = _logistic(a.data)
+        return self._record(Tensor(y), lambda g: _accumulate(a, g * y * (1.0 - y)))
 
     def log(self, a: Tensor) -> Tensor:
         if (a.data <= 0.0).any():
             raise NumericsError("log of a non-positive value; clamp first")
-        out = Tensor(np.log(a.data))
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, g / a.data)
-
-        self._push(back)
-        return out
+        return self._record(Tensor(np.log(a.data)), lambda g: _accumulate(a, g / a.data))
 
     def clamp_min(self, a: Tensor, lo: float) -> Tensor:
         lo = float(lo)
-        out = Tensor(np.maximum(a.data, lo))
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, g * (a.data > lo))
-
-        self._push(back)
-        return out
+        return self._record(Tensor(np.maximum(a.data, lo)),
+                            lambda g: _accumulate(a, g * (a.data > lo)))
 
     def softplus(self, a: Tensor) -> Tensor:
         """log(1 + exp(x)) computed without overflow."""
         x = a.data
-        out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            s = np.empty_like(x)
-            pos = x >= 0
-            s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            s[~pos] = ex / (1.0 + ex)
-            _accumulate(a, g * s)
-
-        self._push(back)
-        return out
+        return self._record(Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))),
+                            lambda g: _accumulate(a, g * _logistic(x)))
 
     # ---- reductions and normalization ----
 
     def sum(self, a: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
         """Sum of every entry, or over `axis` only (a per-example sum keeps
         the batch axis)."""
-        out = Tensor(a.data.sum(axis=axis))
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             a.ensure_grad()[...] += g if axis is None else np.expand_dims(g, axis)
 
-        self._push(back)
-        return out
+        return self._record(Tensor(a.data.sum(axis=axis)), back)
 
     def mean(self, a: Tensor) -> Tensor:
         n = a.data.size
-        out = Tensor(a.data.sum() / n)
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             a.ensure_grad()[...] += g / n
 
-        self._push(back)
-        return out
+        return self._record(Tensor(a.data.sum() / n), back)
 
     def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
         """Per-row normalization to zero mean, unit variance, then affine."""
@@ -492,12 +385,7 @@ class Tape:
             inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
             return xc * inv, inv
 
-        out = Tensor(normalized()[0] * gain.data + bias.data)
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             # recomputed from x, which the tape holds anyway, rather than kept
             xhat, inv = normalized()
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
@@ -507,8 +395,20 @@ class Tape:
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, inv * term)
 
-        self._push(back)
-        return out
+        return self._record(Tensor(normalized()[0] * gain.data + bias.data), back)
+
+    def _softmax(self, a: Tensor, allowed: np.ndarray | None, axis: int) -> Tensor:
+        """Softmax along `axis`; entries where `allowed` (which broadcasts
+        into a) is False get exactly zero."""
+        work = a.data if allowed is None else np.where(allowed, a.data, -np.inf)
+        e = np.exp(work - work.max(axis=axis, keepdims=True))
+        y = e / e.sum(axis=axis, keepdims=True)
+
+        def back(g):
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            _accumulate(a, y * (g - dot))
+
+        return self._record(Tensor(y), back)
 
     def softmax_rows(self, a: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         """Softmax along each row; masked-out columns get exactly zero.
@@ -516,34 +416,18 @@ class Tape:
         key_mask covers the columns, (cols,), or broadcasts into the array,
         e.g. (rows, cols) for a different set of columns per row.
         """
-        ad = a.data
-        if ad.ndim < 2:
+        if a.data.ndim < 2:
             raise ShapeError("softmax_rows expects a matrix")
+        km = None
         if key_mask is not None:
             km = np.asarray(key_mask, dtype=bool)
             try:
-                full = np.broadcast_to(km, ad.shape)
+                full = np.broadcast_to(km, a.data.shape)
             except ValueError:
                 raise ShapeError("key_mask must cover columns or the full matrix") from None
             if not full.any(axis=-1).all():
                 raise ShapeError("softmax_rows with a fully masked row")
-            work = np.where(km, ad, -np.inf)
-        else:
-            work = ad
-        shifted = work - work.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=-1, keepdims=True)
-        out = Tensor(y)
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            _accumulate(a, y * (g - dot))
-
-        self._push(back)
-        return out
+        return self._softmax(a, km, axis=-1)
 
     def softmax_columns(self, a: Tensor, valid_rows: np.ndarray | None = None) -> Tensor:
         """Softmax along each column; rows outside valid_rows get exactly zero.
@@ -551,32 +435,17 @@ class Tape:
         valid_rows has one entry per row of each matrix: (rows,), or
         (B, rows) for a stack of B matrices.
         """
-        ad = a.data
-        if ad.ndim < 2:
+        if a.data.ndim < 2:
             raise ShapeError("softmax_columns expects a matrix")
+        vm = None
         if valid_rows is not None:
             vm = np.asarray(valid_rows, dtype=bool)
-            if vm.shape != ad.shape[:-1]:
+            if vm.shape != a.data.shape[:-1]:
                 raise ShapeError("valid_rows must have one entry per row")
             if not vm.any(axis=-1).all():
                 raise ShapeError("softmax_columns with every row masked")
-            work = np.where(vm[..., None], ad, -np.inf)
-        else:
-            work = ad
-        shifted = work - work.max(axis=-2, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=-2, keepdims=True)
-        out = Tensor(y)
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            dot = (g * y).sum(axis=-2, keepdims=True)
-            _accumulate(a, y * (g - dot))
-
-        self._push(back)
-        return out
+            vm = vm[..., None]
+        return self._softmax(a, vm, axis=-2)
 
     def row_normalize(self, a: Tensor) -> Tensor:
         """Scale each row to unit L2 norm; all-zero rows stay zero (flagged)."""
@@ -593,20 +462,20 @@ class Tape:
             )
         safe = np.where(zero, 1.0, norms)
         y = ad / safe
-        out = Tensor(y)
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             proj = (g * y).sum(axis=-1, keepdims=True)
             da = (g - y * proj) / safe
             _accumulate(a, np.where(zero, 0.0, da))
 
-        self._push(back)
-        return out
+        return self._record(Tensor(y), back)
 
     # ---- indexing and shaping ----
+
+    def _gather(self, a: Tensor, index: tuple) -> Tensor:
+        """a[index] for an advanced index; repeated entries add their gradients."""
+        return self._record(Tensor(a.data[index]),
+                            lambda g: np.add.at(a.ensure_grad(), index, g))
 
     def take_entries(self, a: Tensor, rows, cols) -> Tensor:
         """Entries a[rows[j], cols[j]] of a matrix, as a vector; of a (B, r, c)
@@ -616,34 +485,17 @@ class Tape:
         cidx = np.asarray(cols, dtype=np.intp)
         ad = a.data
         if ad.ndim == 2 and ridx.ndim == 1 and ridx.shape == cidx.shape:
-            index = (ridx, cidx)
-        elif ad.ndim == 3 and ridx.ndim == 2 and ridx.shape[0] == ad.shape[0] \
+            return self._gather(a, (ridx, cidx))
+        if ad.ndim == 3 and ridx.ndim == 2 and ridx.shape[0] == ad.shape[0] \
                 and cidx.shape in (ridx.shape, ridx.shape[1:]):
-            index = (np.arange(ad.shape[0])[:, None], ridx, cidx)
-        else:
-            raise ShapeError("take_entries wants parallel index arrays, one row per matrix")
-        out = Tensor(ad[index])
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            np.add.at(a.ensure_grad(), index, g)
-
-        self._push(back)
-        return out
+            return self._gather(a, (np.arange(ad.shape[0])[:, None], ridx, cidx))
+        raise ShapeError("take_entries wants parallel index arrays, one row per matrix")
 
     def slice_rows(self, a: Tensor, i0: int, i1: int) -> Tensor:
-        out = Tensor(a.data[i0:i1].copy())
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             a.ensure_grad()[i0:i1] += g
 
-        self._push(back)
-        return out
+        return self._record(Tensor(a.data[i0:i1].copy()), back)
 
     def take_rows(self, a: Tensor, rows) -> Tensor:
         """Rows a[rows] of a matrix, for (k,) rows; of a (B, r, c) stack,
@@ -651,21 +503,10 @@ class Tape:
         idx = np.asarray(rows, dtype=np.intp)
         ad = a.data
         if ad.ndim == 2 and idx.ndim == 1:
-            index = (idx,)
-        elif ad.ndim == 3 and idx.ndim == 2 and idx.shape[0] == ad.shape[0]:
-            index = (np.arange(ad.shape[0])[:, None], idx)
-        else:
-            raise ShapeError(f"take_rows got {ad.shape} with rows {idx.shape}")
-        out = Tensor(ad[index])
-
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            np.add.at(a.ensure_grad(), index, g)
-
-        self._push(back)
-        return out
+            return self._gather(a, (idx,))
+        if ad.ndim == 3 and idx.ndim == 2 and idx.shape[0] == ad.shape[0]:
+            return self._gather(a, (np.arange(ad.shape[0])[:, None], idx))
+        raise ShapeError(f"take_rows got {ad.shape} with rows {idx.shape}")
 
     def concat_rows(self, parts: list[Tensor]) -> Tensor:
         """Join parts along the row (second to last) axis. Leading axes
@@ -676,20 +517,15 @@ class Tape:
         if len({d.shape[:-2] for d in datas}) > 1:
             lead = np.broadcast_shapes(*(d.shape[:-2] for d in datas))
             datas = [np.broadcast_to(d, lead + d.shape[-2:]) for d in datas]
-        out = Tensor(np.concatenate(datas, axis=-2))
         heights = [p.data.shape[-2] for p in parts]
 
-        def back():
-            g = out.grad
-            if g is None:
-                return
+        def back(g):
             i = 0
             for p, h in zip(parts, heights):
                 p.ensure_grad()[...] += _unbroadcast(g[..., i:i + h, :], p.data.shape)
                 i += h
 
-        self._push(back)
-        return out
+        return self._record(Tensor(np.concatenate(datas, axis=-2)), back)
 
 
 class Params:
@@ -738,9 +574,6 @@ class Params:
         for t in self._tensors.values():
             if t.grad is not None:
                 t.grad[...] *= c
-
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
 
 
 class AdamState:
@@ -806,12 +639,22 @@ def load_checkpoint(path) -> tuple[Params, dict]:
     with payload:
         if "__checkpoint_version__" not in payload.files:
             raise CheckpointError(f"{path} has no version stamp")
-        version = int(payload["__checkpoint_version__"][0])
+        try:
+            version = int(payload["__checkpoint_version__"][0])
+        except (IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path} has an unreadable version stamp") from exc
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path} is version {version}, expected {CHECKPOINT_VERSION}"
             )
-        meta = json.loads(str(payload["__meta__"]))
+        if "__meta__" not in payload.files:
+            raise CheckpointError(f"{path} has no metadata")
+        try:
+            meta = json.loads(str(payload["__meta__"]))
+        except ValueError as exc:
+            raise CheckpointError(f"{path} has unreadable metadata: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path} metadata is not a JSON object")
         params = Params()
         for key in payload.files:
             if key.startswith("param:"):

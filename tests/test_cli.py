@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import slaterank
 from slaterank.cli import main
@@ -113,6 +114,31 @@ def test_checkpoint_missing_or_misshapen_parameter_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert file in err and name in err
         save_checkpoint(tmp_path / file, params, meta=meta)
+    assert main(["generate", "--config", cfg]) == 0
+
+
+def test_malformed_checkpoint_stamp_or_meta_exits_2(tmp_path, capsys):
+    # each used to escape as a traceback: JSONDecodeError, KeyError,
+    # IndexError, and AttributeError in the meta check after loading
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    path = tmp_path / "gen.npz"
+    with np.load(path) as payload:
+        good = {key: payload[key] for key in payload.files}
+    cases = (("__meta__", np.array("{not json")),
+             ("__meta__", None),
+             ("__checkpoint_version__", np.zeros(0, dtype=np.int64)),
+             ("__meta__", np.array("[1, 2]")))
+    for key, value in cases:
+        arrays = {k: v for k, v in good.items() if k != key}
+        if value is not None:
+            arrays[key] = value
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert main(["generate", "--config", cfg]) == 2, key
+        assert "gen.npz" in capsys.readouterr().err, key
+    with open(path, "wb") as fh:
+        np.savez(fh, **good)
     assert main(["generate", "--config", cfg]) == 0
 
 
@@ -253,6 +279,23 @@ def test_every_log_record_is_checked_at_the_boundary(tmp_path, capsys):
     assert main(["simulate", "--config", cfg]) == 0
     _damage_record(tmp_path, 5, _more_candidates)
     assert main(["train-evaluator", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("damage", [
+    # a JSON list used to escape as AttributeError from feedback.keys()
+    lambda rec: rec.update(feedback=list(rec["feedback"].values())),
+    # both used to be coerced by int() into the logged slate (n=8, so every
+    # index is one digit)
+    lambda rec: rec.update(exposed=[rec["exposed"][0] + 0.7] + rec["exposed"][1:]),
+    lambda rec: rec.update(exposed="".join(map(str, rec["exposed"]))),
+], ids=["feedback_list", "exposed_float", "exposed_string"])
+def test_mistyped_log_fields_exit_2_with_line(tmp_path, capsys, damage):
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg]) == 0
+    _damage_record(tmp_path, 5, damage)
+    for command in ("train-generator", "train-evaluator"):
+        assert main([command, "--config", cfg]) == 2, command
+        assert "line 5" in capsys.readouterr().err
 
 
 def test_desk_pipeline_script_writes_every_artifact(tmp_path):

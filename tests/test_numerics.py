@@ -417,3 +417,23 @@ def test_pass_through_gradients_do_not_share_buffers():
         return tape.add(tape.sum(both), tape.sum(square))
 
     gradcheck(loss, [x, y])
+
+
+def test_recording_rule_skips_unused_outputs_and_counts_ops():
+    # evaluator._score reads a sigmoid through .data only: that output gets
+    # no gradient, so backward skips it and its inputs keep .grad None
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 3)))
+    w = Tensor(rng.normal(size=(3, 1)))
+    tape = Tape()
+    logits = tape.matmul(x, w)
+    scores = tape.sigmoid(logits)
+    assert scores.data.shape == (2, 1)
+    tape.backward(tape.sum(tape.mul(w, w)))
+    assert scores.grad is None and logits.grad is None and x.grad is None
+    assert np.array_equal(w.grad, 2.0 * w.data)
+    assert len(tape) == 4 and not tape._ops
+
+    quiet = Tape(recording=False)
+    quiet.sum(quiet.sigmoid(quiet.matmul(x, w)))
+    assert len(quiet) == 0 and not quiet._ops
