@@ -5,9 +5,11 @@ Run it on two checkouts (PYTHONPATH=<checkout>/src python3 scripts/output_digest
 and diff the output: equal lines mean a refactor kept these outputs bit for
 bit. Covered: initial parameters (names, order, shapes, bytes) of the
 generator, the AR baseline and the evaluator; the generator forward on one
-request and on a padded stack; AR decoded slates and sequence-loss gradients;
-evaluator scores and pooled utilities; the trained parameters and loss
-logs of train_generator, train_ar and train_evaluator; and, one line per
+request and on a padded stack; contrastive slates, every `sample_slates`
+proposal (indices, probabilities, method) with the rng state it leaves, and
+the `select_best` winners among them; AR decoded slates and sequence-loss
+gradients; evaluator scores and pooled utilities; the trained parameters and
+loss logs of train_generator, train_ar and train_evaluator; and, one line per
 public Tape op, its forward value and its input gradients on seeded inputs,
 so a change to numerics is checked op by op and not only through the models.
 """
@@ -18,11 +20,13 @@ import numpy as np
 
 from slaterank.ar import ar_decode, ar_sequence_loss, init_ar_params
 from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
+from slaterank.decoding import DecodeConfig, contrastive_decode, sample_slates
 from slaterank.evaluator import (
     EvaluatorConfig,
     init_evaluator_params,
     score_slate,
     score_slates,
+    select_best,
     train_evaluator,
 )
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
@@ -34,6 +38,8 @@ GEN = GeneratorConfig(n_max=8, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=11)
 EV = EvaluatorConfig(types=("click", "like"), weights=(1.0, 0.5), d=8, h=2,
                      d_x=4, m=3, seed=12)
 SPEC = UtilitySpec(types=("click", "like"), weights=(1.0, 0.5), tau=1.0)
+# k=3 fits every request (n >= m = 3); small n makes sample_slates dedupe
+DEC = DecodeConfig(alpha=0.3, k=3, num_samples=6)
 
 
 def digest(*parts) -> str:
@@ -136,6 +142,27 @@ def op_digests() -> None:
         print(f"op.{name}", digest(out.data, *[x.grad for x in inputs]))
 
 
+def slate_fields(slate) -> tuple:
+    return slate.indices, slate.probabilities, slate.method
+
+
+def decode_digests(reqs, gen, ev) -> None:
+    """Contrastive slates, the proposal pools and the rng state each pool
+    leaves behind, and the evaluator's pick from each pool."""
+    probs = [forward(r, gen, GEN) for r in reqs]
+    print("contrastive_decode", digest([slate_fields(contrastive_decode(p, DEC))
+                                        for p in probs]))
+    pools, states = [], []
+    for i, p in enumerate(probs):
+        rng = np.random.default_rng(100 + i)
+        pools.append(sample_slates(p, DEC, rng))
+        states.append(rng.bit_generator.state)
+    print("sample_slates", digest([[slate_fields(s) for s in pool] for pool in pools],
+                                  states))
+    print("select_best", digest([slate_fields(select_best(r, pool, ev, EV))
+                                 for r, pool in zip(reqs, pools)]))
+
+
 def main() -> None:
     logs = make_logs(24, seed=5)
     reqs = [log.request for log in logs]
@@ -149,6 +176,8 @@ def main() -> None:
     stack = forward(reqs[:6], gen, GEN)
     print("forward.stack", digest(stack.values.data, stack.candidate_reps.data,
                                   stack.position_reps.data, stack.valid))
+
+    decode_digests(reqs[:12], gen, ev)
 
     print("ar_decode", digest([ar_decode(r, ar, GEN).indices for r in reqs[:6]]))
     tape = Tape()

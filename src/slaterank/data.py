@@ -139,11 +139,19 @@ def _record_to_log(rec: dict) -> ExposureLog:
     # JSON integers only: int() would read 1.7 as 1 and "012345" as a slate
     if not isinstance(exposed, list) or any(type(i) is not int for i in exposed):
         raise TypeError(f"exposed must be a list of integers, got {exposed!r}")
+    # and so are the ids: int() would read "7" as 7 and 2.9 as 2
+    for field in ("request_id", "user_id"):
+        if type(rec[field]) is not int:
+            raise TypeError(f"{field} must be an integer, got {rec[field]!r}")
+    item_ids = [c["item_id"] for c in cands]
+    bad = [i for i in item_ids if type(i) is not int]
+    if bad:
+        raise TypeError(f"item_id must be an integer, got {bad[0]!r}")
     types = tuple(feedback.keys())
     req = RequestBatch(
-        request_id=int(rec["request_id"]),
-        user_id=int(rec["user_id"]),
-        item_ids=np.array([c["item_id"] for c in cands], dtype=np.int64),
+        request_id=rec["request_id"],
+        user_id=rec["user_id"],
+        item_ids=np.array(item_ids, dtype=np.int64),
         features=np.array([c["features"] for c in cands], dtype=np.float64),
         exposed=tuple(exposed),
         feedback=FeedbackMatrix(np.array([feedback[t] for t in types]), types),
@@ -213,7 +221,7 @@ def read_logs(path, schema: LogSchema | None = None) -> list[ExposureLog]:
             try:
                 log = _record_to_log(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    ShapeError, InvalidSlateError) as exc:
+                    OverflowError, ShapeError, InvalidSlateError) as exc:
                 raise DataError(f"malformed log record: {exc}", line=lineno) from exc
             if misfit is None:
                 problem = _mismatch(log, schema, out[0].feedback.types if out else None)

@@ -110,6 +110,27 @@ def _slate_indices(slate, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray
     return idx
 
 
+def _pool_indices(slates, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray:
+    """A pool of K slates as one (K, m) index array, checked as a whole with
+    the rules of `_slate_indices`."""
+    rows = [getattr(s, "indices", s) for s in slates]
+    if not rows:
+        raise EmptyCandidatesError("no slates to choose from")
+    try:
+        idx = np.array(rows, dtype=np.int64)
+    except ValueError as exc:
+        # a ragged pool does not stack
+        raise ShapeError(f"expected slates of {cfg.m} items: {exc}") from None
+    if idx.ndim != 2 or idx.shape[1] != cfg.m:
+        raise ShapeError(f"expected slates of {cfg.m} items, got a pool of shape {idx.shape}")
+    ordered = np.sort(idx, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise InvalidSlateError("slate repeats an item")
+    if idx.min() < 0 or idx.max() >= req.n:
+        raise InvalidSlateError(f"slate index out of range for n={req.n}")
+    return idx
+
+
 def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
            tape: Tape) -> SlateScore:
     """Scores of one slate's (m, d_x) feature rows, or of a (B, m, d_x) stack
@@ -156,11 +177,9 @@ def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig
     """
     if tape is None:
         tape = Tape(recording=False)
+    idx = _pool_indices(slates, req, cfg)
     first: dict[tuple[int, ...], int] = {}
-    where = [first.setdefault(tuple(_slate_indices(s, req, cfg).tolist()), len(first))
-             for s in slates]
-    if not first:
-        raise EmptyCandidatesError("no slates to choose from")
+    where = [first.setdefault(tuple(row), len(first)) for row in idx.tolist()]
     feats = req.features[np.array(list(first))]
     return _score(feats, params, cfg, tape).utility[where]
 

@@ -76,9 +76,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
+def _broadcast_op(ufunc, a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
+    """ufunc(a, b), with operands that do not broadcast reported as a
+    ShapeError (NumPy raises ValueError for them)."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a, b)
     except ValueError:
         raise ShapeError(f"{op} got {a.shape} and {b.shape}") from None
 
@@ -260,33 +262,30 @@ class Tape:
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
-        _check_broadcast(ad, bd, "add")
 
         def back(g):
             a.ensure_grad()[...] += _unbroadcast(g, ad.shape)
             b.ensure_grad()[...] += _unbroadcast(g, bd.shape)
 
-        return self._record(Tensor(ad + bd), back)
+        return self._record(Tensor(_broadcast_op(np.add, ad, bd, "add")), back)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
-        _check_broadcast(ad, bd, "sub")
 
         def back(g):
             a.ensure_grad()[...] += _unbroadcast(g, ad.shape)
             b.ensure_grad()[...] -= _unbroadcast(g, bd.shape)
 
-        return self._record(Tensor(ad - bd), back)
+        return self._record(Tensor(_broadcast_op(np.subtract, ad, bd, "sub")), back)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
-        _check_broadcast(ad, bd, "mul")
 
         def back(g):
             _accumulate(a, _unbroadcast(g * bd, ad.shape))
             _accumulate(b, _unbroadcast(g * ad, bd.shape))
 
-        return self._record(Tensor(ad * bd), back)
+        return self._record(Tensor(_broadcast_op(np.multiply, ad, bd, "mul")), back)
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         return self.mask(a, float(c))
@@ -380,9 +379,11 @@ class Tape:
         if gain.data.shape != (d,) or bias.data.shape != (d,):
             raise ShapeError("layer_norm gain/bias must match row width")
 
+        # a sum divided by d, not .mean(): the same bits without the
+        # Python-level overhead of np.mean
         def normalized():
-            xc = xd - xd.mean(axis=-1, keepdims=True)
-            inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+            xc = xd - xd.sum(axis=-1, keepdims=True) / d
+            inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
             return xc * inv, inv
 
         def back(g):
@@ -391,8 +392,8 @@ class Tape:
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
             _accumulate(bias, g.reshape(-1, d).sum(axis=0))
             dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
+                - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
             _accumulate(x, inv * term)
 
         return self._record(Tensor(normalized()[0] * gain.data + bias.data), back)
@@ -658,5 +659,15 @@ def load_checkpoint(path) -> tuple[Params, dict]:
         params = Params()
         for key in payload.files:
             if key.startswith("param:"):
-                params.add(key[len("param:"):], payload[key])
+                name = key[len("param:"):]
+                try:
+                    array = payload[key]
+                except ValueError as exc:
+                    # an object array, which would need pickle to load
+                    raise CheckpointError(
+                        f"{path} parameter {name!r} is unreadable: {exc}") from exc
+                if array.dtype.kind not in "iuf":
+                    raise CheckpointError(
+                        f"{path} parameter {name!r} is not numeric ({array.dtype})")
+                params.add(name, array)
     return params, meta

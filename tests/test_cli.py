@@ -142,6 +142,23 @@ def test_malformed_checkpoint_stamp_or_meta_exits_2(tmp_path, capsys):
     assert main(["generate", "--config", cfg]) == 0
 
 
+def test_non_numeric_checkpoint_parameter_exits_2(tmp_path, capsys):
+    # a string parameter used to escape Params.add and an object one np.load,
+    # both as ValueError tracebacks
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    path = tmp_path / "gen.npz"
+    with np.load(path) as payload:
+        good = {key: payload[key] for key in payload.files}
+    key = next(k for k in good if k.startswith("param:"))
+    for value in (np.array(["a", "b"]), np.array([1.0, None], dtype=object)):
+        with open(path, "wb") as fh:
+            np.savez(fh, **dict(good, **{key: value}))
+        assert main(["generate", "--config", cfg]) == 2, value.dtype
+        err = capsys.readouterr().err
+        assert "gen.npz" in err and key[len("param:"):] in err, err
+
+
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     # Clamps and pre-norm blocks keep every realistic input finite, so the
     # exit mapping is tested at its seam: a training loop that aborts with
@@ -288,7 +305,14 @@ def test_every_log_record_is_checked_at_the_boundary(tmp_path, capsys):
     # index is one digit)
     lambda rec: rec.update(exposed=[rec["exposed"][0] + 0.7] + rec["exposed"][1:]),
     lambda rec: rec.update(exposed="".join(map(str, rec["exposed"]))),
-], ids=["feedback_list", "exposed_float", "exposed_string"])
+    # ids were coerced the same way: "7" read as 7, 2.9 as 2 and 1.7 as 1
+    lambda rec: rec.update(request_id=str(rec["request_id"])),
+    lambda rec: rec.update(user_id=rec["user_id"] + 0.9),
+    lambda rec: rec["candidates"][2].update(item_id=rec["candidates"][2]["item_id"] + 0.7),
+    # an integer id past int64 used to escape as OverflowError
+    lambda rec: rec["candidates"][2].update(item_id=2 ** 70),
+], ids=["feedback_list", "exposed_float", "exposed_string", "request_id_string",
+        "user_id_float", "item_id_float", "item_id_overflow"])
 def test_mistyped_log_fields_exit_2_with_line(tmp_path, capsys, damage):
     cfg = write_cfg(tmp_path)
     assert main(["simulate", "--config", cfg]) == 0

@@ -297,6 +297,27 @@ def test_sample_slates_valid_and_deterministic():
             assert all(0 <= i < n for i in s.indices)
 
 
+def test_sample_slates_proposals_equal_checked_slates():
+    # top-k proposals are built without SlateSequence's checks; each must
+    # still be the slate the public constructor makes of its fields
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(1, min(n, 5) + 1))
+        pm = random_probs(rng, n, m)
+        slates = sample_slates(pm, DecodeConfig(num_samples=8, k=min(3, n), seed=22))
+        for s in slates:
+            checked = SlateSequence(s.indices, s.probabilities, s.method)
+            assert (s.indices, s.probabilities, s.method) == \
+                (checked.indices, checked.probabilities, checked.method)
+            assert hash(s) == hash(checked)
+            assert type(s.indices) is tuple and type(s.probabilities) is tuple
+            assert all(type(i) is int for i in s.indices)
+            assert all(type(p) is float for p in s.probabilities)
+            assert s.probabilities == tuple(pm.values.data[i, t]
+                                            for t, i in enumerate(s.indices))
+
+
 # ------------------------------------------------------- shared behavior
 
 

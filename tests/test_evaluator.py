@@ -118,6 +118,22 @@ def test_slate_validation():
         score_slate(bad, (0, 1, 2), params, TINY)
 
 
+def test_pool_is_validated_as_a_whole():
+    # score_slates checks the pool as one (K, m) array, not slate by slate
+    params = init_evaluator_params(TINY)
+    req = tiny_request()
+    cases = (((0, 1), ShapeError),              # too short: a ragged pool
+             ((0, 1, 2, 3), ShapeError),        # too long
+             ((0, 1, 1), InvalidSlateError),    # repeats an item
+             ((0, 1, 5), InvalidSlateError),    # index n
+             ((-1, 1, 2), InvalidSlateError))   # index -1
+    for third, error in cases:
+        pool = [(0, 1, 2), [4, 3, 2], third, (1, 2, 3)]
+        for call in (score_slates, select_best):
+            with pytest.raises(error):
+                call(req, pool, params, TINY)
+
+
 def test_bce_matches_manual_formula():
     params = init_evaluator_params(TINY)
     req = tiny_request(seed=11)

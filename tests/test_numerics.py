@@ -42,6 +42,14 @@ def test_matmul_shape_mismatch():
         Tape().matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+def test_elementwise_shape_mismatch_names_op_and_shapes():
+    # NumPy's broadcast ValueError comes back as a ShapeError
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4,)))
+    for op in ("add", "sub", "mul"):
+        with pytest.raises(ShapeError, match=rf"{op} got \(2, 3\) and \(4,\)"):
+            getattr(Tape(), op)(a, b)
+
+
 def test_matmul_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)))
