@@ -94,16 +94,6 @@ def _slate(indices: list[int], values: np.ndarray, method: str) -> SlateSequence
     )
 
 
-def _trusted_slate(indices: tuple[int, ...], probabilities: tuple[float, ...],
-                   method: str) -> SlateSequence:
-    """A SlateSequence built without `__post_init__`'s checks, for Python int
-    indices known to be distinct and in range, and Python float
-    probabilities."""
-    slate = object.__new__(SlateSequence)
-    slate.__dict__.update(indices=indices, probabilities=probabilities, method=method)
-    return slate
-
-
 def contrastive_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
     """Fill each position with the unselected candidate maximizing
     (1 - alpha) * p[x, t] - alpha * max_{chosen j} cos(x, x_j).
@@ -241,12 +231,11 @@ def sample_slates(
         num = min(cfg.num_samples - len(slates), budget - attempts)
         attempts += num
         chosen, values = _topk_draws(probs, cfg.k, num, rng)
-        # rows of `chosen` are distinct and in range by construction
         picked = values[chosen, np.arange(probs.m)].tolist()
         for indices, chosen_p in zip(map(tuple, chosen.tolist()), picked):
             if indices not in seen:
                 seen.add(indices)
-                slates.append(_trusted_slate(indices, tuple(chosen_p), "topk"))
+                slates.append(SlateSequence(indices, chosen_p, "topk"))
     return slates
 
 

@@ -99,30 +99,26 @@ def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
     return params
 
 
-def _slate_indices(slate, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray:
-    idx = np.asarray(getattr(slate, "indices", slate), dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != cfg.m:
-        raise ShapeError(f"expected a slate of {cfg.m} items, got shape {idx.shape}")
-    if len(set(idx.tolist())) != cfg.m:
-        raise InvalidSlateError("slate repeats an item")
-    if idx.min() < 0 or idx.max() >= req.n:
-        raise InvalidSlateError(f"slate index out of range for n={req.n}")
-    return idx
+def _slate_indices(slates, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray:
+    """K slates (SlateSequences or index sequences) as one (K, m) int64 array.
 
-
-def _pool_indices(slates, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray:
-    """A pool of K slates as one (K, m) index array, checked as a whole with
-    the rules of `_slate_indices`."""
+    The pool is checked rule by rule, each rule over every slate: m items per
+    slate (`ShapeError`), then no repeated item, then every index in 0..n-1
+    (`InvalidSlateError`). An entry that is not an integer keeps NumPy's own
+    error.
+    """
     rows = [getattr(s, "indices", s) for s in slates]
     if not rows:
         raise EmptyCandidatesError("no slates to choose from")
     try:
-        idx = np.array(rows, dtype=np.int64)
-    except ValueError as exc:
-        # a ragged pool does not stack
-        raise ShapeError(f"expected slates of {cfg.m} items: {exc}") from None
-    if idx.ndim != 2 or idx.shape[1] != cfg.m:
-        raise ShapeError(f"expected slates of {cfg.m} items, got a pool of shape {idx.shape}")
+        ragged = any(len(r) != cfg.m for r in rows)
+    except TypeError:  # a slate that is not a sequence
+        ragged = True
+    if ragged:
+        raise ShapeError(f"expected slates of {cfg.m} items")
+    idx = np.array(rows, dtype=np.int64)
+    if idx.ndim != 2:
+        raise ShapeError(f"expected slates of {cfg.m} items, got shape {idx.shape}")
     ordered = np.sort(idx, axis=1)
     if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise InvalidSlateError("slate repeats an item")
@@ -161,7 +157,7 @@ def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
     """Listwise scores for one slate; `slate` is a SlateSequence or indices."""
     if tape is None:
         tape = Tape(recording=False)
-    score = _score(req.features[_slate_indices(slate, req, cfg)], params, cfg, tape)
+    score = _score(req.features[_slate_indices([slate], req, cfg)[0]], params, cfg, tape)
     score.utility = float(score.utility)
     return score
 
@@ -177,7 +173,7 @@ def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig
     """
     if tape is None:
         tape = Tape(recording=False)
-    idx = _pool_indices(slates, req, cfg)
+    idx = _slate_indices(slates, req, cfg)
     first: dict[tuple[int, ...], int] = {}
     where = [first.setdefault(tuple(row), len(first)) for row in idx.tolist()]
     feats = req.features[np.array(list(first))]
@@ -216,8 +212,9 @@ def train_evaluator(logs: list[ExposureLog], params: Params, cfg: EvaluatorConfi
     """
 
     def batch_loss(tape, batch):
-        feats = np.stack([log.request.features[_slate_indices(log.exposed, log.request, cfg)]
-                          for log in batch])
+        feats = np.concatenate([
+            log.request.features[_slate_indices([log.exposed], log.request, cfg)]
+            for log in batch])
         losses = bce_loss(tape, _score(feats, params, cfg, tape),
                           [log.feedback for log in batch])
         return losses, losses

@@ -298,8 +298,8 @@ def test_sample_slates_valid_and_deterministic():
 
 
 def test_sample_slates_proposals_equal_checked_slates():
-    # top-k proposals are built without SlateSequence's checks; each must
-    # still be the slate the public constructor makes of its fields
+    # top-k proposals take their probabilities from one batched gather; each
+    # must be the slate the public constructor makes of its own fields
     rng = np.random.default_rng(14)
     for _ in range(20):
         n = int(rng.integers(3, 9))

@@ -132,6 +132,15 @@ def test_pool_is_validated_as_a_whole():
         for call in (score_slates, select_best):
             with pytest.raises(error):
                 call(req, pool, params, TINY)
+    # rule by rule over the whole pool: a short slate anywhere is a
+    # ShapeError even after an earlier slate that repeats an item
+    with pytest.raises(ShapeError):
+        score_slates(req, [(0, 1, 1), (0, 1)], params, TINY)
+    # an entry that is not an integer keeps NumPy's ValueError
+    with pytest.raises(ValueError):
+        score_slates(req, [(0, 1, 2), (0, 1, "a")], params, TINY)
+    with pytest.raises(ValueError):
+        score_slate(req, (0, 1, "a"), params, TINY)
 
 
 def test_bce_matches_manual_formula():
