@@ -9,12 +9,15 @@ request and on a padded stack; contrastive slates, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them; AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
-loss logs of train_generator, train_ar and train_evaluator; and, one line per
-public Tape op, its forward value and its input gradients on seeded inputs,
-so a change to numerics is checked op by op and not only through the models.
+loss logs of train_generator, train_ar and train_evaluator; every record of a
+seeded simulator log, and the oracle's click probabilities and expected
+utilities for seeded slates; and, one line per public Tape op, its forward
+value and its input gradients on seeded inputs, so a change to numerics is
+checked op by op and not only through the models.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 
@@ -32,6 +35,13 @@ from slaterank.evaluator import (
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
 from slaterank.numerics import Tape, Tensor
 from slaterank.objectives import UtilitySpec
+from slaterank.simulator import (
+    World,
+    WorldConfig,
+    gen_log,
+    oracle_click_probs,
+    oracle_expected_utility,
+)
 from slaterank.training import steps_to_csv, train_ar, train_generator
 
 GEN = GeneratorConfig(n_max=8, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=11)
@@ -40,6 +50,7 @@ EV = EvaluatorConfig(types=("click", "like"), weights=(1.0, 0.5), d=8, h=2,
 SPEC = UtilitySpec(types=("click", "like"), weights=(1.0, 0.5), tau=1.0)
 # k=3 fits every request (n >= m = 3); small n makes sample_slates dedupe
 DEC = DecodeConfig(alpha=0.3, k=3, num_samples=6)
+WORLD = WorldConfig(num_users=40, num_items=120, latent_dim=4, n_candidates=9, seed=13)
 
 
 def digest(*parts) -> str:
@@ -163,6 +174,24 @@ def decode_digests(reqs, gen, ev) -> None:
                                  for r, pool in zip(reqs, pools)]))
 
 
+def simulator_digests() -> None:
+    """Every record of a seeded 16-request log, and the oracle on seeded
+    slates over its requests."""
+    world = World(WORLD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's clamp warning
+        logs = gen_log(world, "random", 16, np.random.default_rng(21))
+        print("gen_log", digest(*[x for log in logs for x in (
+            log.request.request_id, log.request.user_id, log.request.item_ids,
+            log.request.features, log.exposed, log.feedback.types, log.feedback.values)]))
+        rng = np.random.default_rng(22)
+        cases = [(log.request, tuple(rng.choice(log.request.n, size=WORLD.m,
+                                                 replace=False).tolist()))
+                 for log in logs for _ in range(3)]
+        print("oracle", digest(*[oracle_click_probs(world, r, s) for r, s in cases],
+                               [oracle_expected_utility(world, r, s, SPEC) for r, s in cases]))
+
+
 def main() -> None:
     logs = make_logs(24, seed=5)
     reqs = [log.request for log in logs]
@@ -209,6 +238,7 @@ def main() -> None:
     train_evaluator(logs, ev, EV, lr=1e-2, epochs=2, batch_size=7, seed=4,
                     loss_log=ev_losses)
     print("train_evaluator", params_digest(ev), digest(ev_losses))
+    simulator_digests()
     op_digests()
 
 

@@ -15,13 +15,17 @@ candidates out of the encoder's attention, the decoder's cross-attention
 and the pointer softmax. The decoder rows [bos, y_1 ... y_{m-1}] are
 gathered for the whole stack at once; every slate has length m, so the
 decoder side needs no padding.
+
+Logged slates (a minibatch's in one call) and decode prefixes are checked
+by the one slate rule, `data.slate_indices`; a prefix may be shorter than m,
+and one that overruns m is a ShapeError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import RequestBatch
+from .data import RequestBatch, slate_indices
 from .decoding import SlateSequence
 from .errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from .generator import (
@@ -46,13 +50,6 @@ def init_ar_params(cfg: GeneratorConfig) -> Params:
     params.new_zeros("dec.in.b", (cfg.d,))
     build_blocks(params, "dec", cfg, rng, cross=True)
     return params
-
-
-def _check_items(items, n: int, what: str) -> None:
-    if len(set(items)) != len(items):
-        raise InvalidSlateError(f"{what} repeats an item: {tuple(items)}")
-    if any(i < 0 or i >= n for i in items):
-        raise InvalidSlateError(f"{what} index out of range for n={n}")
 
 
 def _decoder_rows(tape: Tape, params: Params, cand_hidden: Tensor,
@@ -108,9 +105,8 @@ def ar_forward(req: RequestBatch, params: Params, cfg: GeneratorConfig,
     feats, _ = _stack_requests(req, cfg)
     if len(prefix) + 1 > cfg.m:
         raise ShapeError(f"prefix of {len(prefix)} items overruns m={cfg.m}")
-    _check_items(prefix, req.n, "prefix")
     return _pointer_probs(tape, params, cfg, feats,
-                          np.asarray(prefix, dtype=np.intp), None)
+                          slate_indices([prefix], req.n, len(prefix))[0], None)
 
 
 def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
@@ -123,13 +119,9 @@ def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
     feats, valid = _stack_requests(req, cfg)
     single = isinstance(req, RequestBatch)
     reqs = [req] if single else list(req)
-    for r in reqs:
-        if r.exposed is None:
-            raise InvalidSlateError("request has no exposed slate to fit")
-        if len(r.exposed) != cfg.m:
-            raise ShapeError(f"slate length {len(r.exposed)} does not match m={cfg.m}")
-        _check_items(r.exposed, r.n, "slate")
-    y = np.array([r.exposed for r in reqs], dtype=np.intp)
+    if any(r.exposed is None for r in reqs):
+        raise InvalidSlateError("request has no exposed slate to fit")
+    y = slate_indices([r.exposed for r in reqs], [r.n for r in reqs], cfg.m)
     if single:
         y = y[0]
     probs = _pointer_probs(tape, params, cfg, feats, y[..., :-1], valid)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InvalidSlateError, ShapeError
+from .errors import DataError, EmptyCandidatesError, InvalidSlateError, ShapeError
 
 __all__ = [
+    "slate_indices",
     "FeedbackMatrix",
     "RequestBatch",
     "ExposureLog",
@@ -30,6 +31,41 @@ __all__ = [
     "write_logs",
     "write_jsonl",
 ]
+
+
+def slate_indices(slates, n, m: int) -> np.ndarray:
+    """K slates (SlateSequences or index sequences) as one (K, m) int64 array.
+
+    The one slate rule, shared by every stage that takes a slate. `n` is one
+    candidate count for every slate or a sequence of one count per slate.
+    Each rule runs over the whole pool before the next: an empty pool raises
+    EmptyCandidatesError; a slate without exactly m items, ShapeError; a
+    float entry, a repeated item, or an index outside 0..n-1 (in that order),
+    InvalidSlateError. An entry that is neither a number nor a numeric string
+    keeps NumPy's own error.
+    """
+    rows = [getattr(s, "indices", s) for s in slates]
+    if not rows:
+        raise EmptyCandidatesError("no slates to choose from")
+    counts = n if hasattr(n, "__len__") else [n] * len(rows)
+    try:
+        idx = np.array(rows)
+    except ValueError:  # slates of different lengths
+        idx = None
+    if idx is None or idx.shape != (len(rows), m) or len(counts) != len(rows):
+        raise ShapeError(f"expected {len(counts)} slate(s) of {m} items")
+    # np.array([()]) is float64, so only a non-empty float array holds a float
+    if idx.dtype.kind == "f" and idx.size:
+        raise InvalidSlateError("slate index is not an integer")
+    idx = idx.astype(np.int64, copy=False)
+    rows = idx.tolist()
+    for row in rows:
+        if len(set(row)) != m:
+            raise InvalidSlateError(f"slate repeats an item: {tuple(row)}")
+    for row, count in zip(rows, counts):
+        if m and (min(row) < 0 or max(row) >= count):
+            raise InvalidSlateError(f"slate index out of range for n={count}: {tuple(row)}")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -80,7 +116,9 @@ class RequestBatch:
         if not np.isfinite(self.features).all():
             raise ShapeError("candidate features contain non-finite values")
         if self.exposed is not None:
-            self.exposed = tuple(int(i) for i in self.exposed)
+            # int() would truncate 1.7 to 1: a float stays for slate_indices to reject
+            self.exposed = tuple(i if isinstance(i, (float, np.floating)) else int(i)
+                                 for i in self.exposed)
 
     @property
     def n(self) -> int:
@@ -97,13 +135,7 @@ class ExposureLog:
         req = self.request
         if req.exposed is None or req.feedback is None:
             raise InvalidSlateError("exposure log needs a slate and feedback")
-        n = req.n
-        if len(set(req.exposed)) != len(req.exposed):
-            raise InvalidSlateError(f"duplicate exposed index in {req.exposed}")
-        if any(i < 0 or i >= n for i in req.exposed):
-            raise InvalidSlateError(f"exposed index out of range for n={n}")
-        if req.feedback.m != len(req.exposed):
-            raise ShapeError("feedback columns must match slate length")
+        slate_indices([req.exposed], req.n, req.feedback.m)
 
     @property
     def exposed(self) -> tuple[int, ...]:
@@ -130,6 +162,15 @@ def _log_to_record(log: ExposureLog) -> dict:
     }
 
 
+def _numbers(rows, field: str) -> np.ndarray:
+    """JSON numbers only: a float64 array would read "0.5" as 0.5 and True
+    as 1.0, so the array is built without a dtype and checked first."""
+    arr = np.array(rows)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{field} must hold numbers only, got {arr.dtype} entries")
+    return arr.astype(np.float64, copy=False)
+
+
 def _record_to_log(rec: dict) -> ExposureLog:
     cands = rec["candidates"]
     feedback = rec["feedback"]
@@ -152,9 +193,9 @@ def _record_to_log(rec: dict) -> ExposureLog:
         request_id=rec["request_id"],
         user_id=rec["user_id"],
         item_ids=np.array(item_ids, dtype=np.int64),
-        features=np.array([c["features"] for c in cands], dtype=np.float64),
+        features=_numbers([c["features"] for c in cands], "features"),
         exposed=tuple(exposed),
-        feedback=FeedbackMatrix(np.array([feedback[t] for t in types]), types),
+        feedback=FeedbackMatrix(_numbers([feedback[t] for t in types], "feedback"), types),
     )
     return ExposureLog(req)
 

@@ -22,7 +22,7 @@ class InfeasibleSlateError(SlaterankError):
 
 
 class InvalidSlateError(SlaterankError):
-    """Slate indices are duplicated or out of range."""
+    """Slate indices are not integers, are duplicated or are out of range."""
 
 
 class MissingGradientError(SlaterankError):

@@ -11,6 +11,8 @@ slate from a candidate pool.
 The block takes an optional leading batch axis: `score_slate` runs one
 slate's (m, d) rows, while `score_slates` scores a whole pool in one pass with
 the K slates stacked as (K, m, d), each attending to its own items only.
+Slates are checked by the one slate rule, `data.slate_indices`: a pool, or a
+training minibatch's exposed slates, in one call.
 
 Training is plain off-policy regression: binary cross-entropy of each head
 against the logged feedback on exposed slates. A minibatch of B exposed
@@ -24,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExposureLog, FeedbackMatrix, RequestBatch
-from .errors import (
-    ConfigError,
-    EmptyCandidatesError,
-    InvalidSlateError,
-    ShapeError,
-)
+from .data import ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
+from .errors import ConfigError, ShapeError
 from .generator import _build_layer_norm, _ln, block, build_block
 from .numerics import Params, Tape, Tensor
 from .training import _fit, _log_mean_loss
@@ -99,34 +96,6 @@ def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
     return params
 
 
-def _slate_indices(slates, req: RequestBatch, cfg: EvaluatorConfig) -> np.ndarray:
-    """K slates (SlateSequences or index sequences) as one (K, m) int64 array.
-
-    The pool is checked rule by rule, each rule over every slate: m items per
-    slate (`ShapeError`), then no repeated item, then every index in 0..n-1
-    (`InvalidSlateError`). An entry that is not an integer keeps NumPy's own
-    error.
-    """
-    rows = [getattr(s, "indices", s) for s in slates]
-    if not rows:
-        raise EmptyCandidatesError("no slates to choose from")
-    try:
-        ragged = any(len(r) != cfg.m for r in rows)
-    except TypeError:  # a slate that is not a sequence
-        ragged = True
-    if ragged:
-        raise ShapeError(f"expected slates of {cfg.m} items")
-    idx = np.array(rows, dtype=np.int64)
-    if idx.ndim != 2:
-        raise ShapeError(f"expected slates of {cfg.m} items, got shape {idx.shape}")
-    ordered = np.sort(idx, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise InvalidSlateError("slate repeats an item")
-    if idx.min() < 0 or idx.max() >= req.n:
-        raise InvalidSlateError(f"slate index out of range for n={req.n}")
-    return idx
-
-
 def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
            tape: Tape) -> SlateScore:
     """Scores of one slate's (m, d_x) feature rows, or of a (B, m, d_x) stack
@@ -157,7 +126,7 @@ def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
     """Listwise scores for one slate; `slate` is a SlateSequence or indices."""
     if tape is None:
         tape = Tape(recording=False)
-    score = _score(req.features[_slate_indices([slate], req, cfg)[0]], params, cfg, tape)
+    score = _score(req.features[slate_indices([slate], req.n, cfg.m)[0]], params, cfg, tape)
     score.utility = float(score.utility)
     return score
 
@@ -165,7 +134,8 @@ def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
 def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
                  tape: Tape | None = None) -> np.ndarray:
     """Predicted utility of each slate, from one evaluator pass over the
-    slates stacked on the batch axis.
+    slates stacked on the batch axis. The pool is checked as a whole by
+    `slate_indices`.
 
     A slate's rows can round differently at another place in the stack, so
     repeated slates are scored once and share one utility: equal slates
@@ -173,7 +143,7 @@ def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig
     """
     if tape is None:
         tape = Tape(recording=False)
-    idx = _slate_indices(slates, req, cfg)
+    idx = slate_indices(slates, req.n, cfg.m)
     first: dict[tuple[int, ...], int] = {}
     where = [first.setdefault(tuple(row), len(first)) for row in idx.tolist()]
     feats = req.features[np.array(list(first))]
@@ -206,15 +176,16 @@ def train_evaluator(logs: list[ExposureLog], params: Params, cfg: EvaluatorConfi
                     seed: int = 0, loss_log: list | None = None) -> Params:
     """Minibatch Adam on BCE over logged exposures; returns the params.
 
-    Each minibatch's exposed slates go through one evaluator pass, stacked
-    on the batch axis; `training._fit` checks that every slate's loss is
+    Each minibatch's exposed slates are checked against m in one
+    `slate_indices` call and go through one evaluator pass, stacked on the
+    batch axis; `training._fit` checks that every slate's loss is
     finite, naming the request, and backprops their sum once.
     """
 
     def batch_loss(tape, batch):
-        feats = np.concatenate([
-            log.request.features[_slate_indices([log.exposed], log.request, cfg)]
-            for log in batch])
+        idx = slate_indices([log.exposed for log in batch],
+                            [log.request.n for log in batch], cfg.m)
+        feats = np.stack([log.request.features[row] for log, row in zip(batch, idx)])
         losses = bce_loss(tape, _score(feats, params, cfg, tape),
                           [log.feedback for log in batch])
         return losses, losses

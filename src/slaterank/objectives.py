@@ -8,6 +8,10 @@ term on the same cells. Two hinge losses on cosine similarity spread the
 candidate and position representations apart so that near-duplicate rows
 stop collapsing onto the same column.
 
+The exposed slate names the labeled cells. `data.slate_indices` checks it,
+or a minibatch's B slates in one call: m distinct integer indices into each
+request's real (non-padded) candidates.
+
 All losses are recorded on a Tape. On one request's (n, m) matrix they
 return scalar Tensors, so `tape.backward(breakdown.total)` reaches every
 parameter; on a (B, n, m) minibatch they return one value per request, and
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeedbackMatrix
-from .errors import ConfigError, InvalidSlateError, ShapeError
+from .data import FeedbackMatrix, slate_indices
+from .errors import ConfigError, ShapeError
 from .generator import ProbMatrix
 from .numerics import Tape, Tensor
 
@@ -101,26 +105,14 @@ def _flag(x: np.ndarray) -> bool | np.ndarray:
 
 
 def _label_indices(exposed, probs: ProbMatrix) -> np.ndarray:
-    """Validate exposed positions against the matrix; returns int indices.
-
-    Accepts a decoded SlateSequence or any plain sequence of candidate
-    indices, or for a (B, n, m) minibatch a sequence of B of them, giving
-    (B, m) indices. Indices must address real (non-padded) candidates.
-    """
-    if probs.values.data.ndim == 2:
-        raw = getattr(exposed, "indices", exposed)
-    else:
-        raw = [getattr(e, "indices", e) for e in exposed]
-    idx = np.asarray(raw, dtype=np.int64)
-    want = probs.values.data.shape[:-2] + (probs.m,)
-    if idx.shape != want:
-        raise ShapeError(f"expected {probs.m} exposed indices, got shape {idx.shape}")
-    n_valid = probs.n if probs.valid is None else probs.valid.sum(axis=-1)
-    if idx.min(initial=0) < 0 or (idx >= np.asarray(n_valid)[..., None]).any():
-        raise InvalidSlateError(f"exposed index out of range [0, {n_valid})")
-    if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
-        raise InvalidSlateError("exposed indices must be pairwise distinct")
-    return idx
+    """The exposed slate as (m,) indices, or for a (B, n, m) minibatch B
+    slates as (B, m), each checked by `slate_indices` against its request's
+    real (non-padded) candidates."""
+    lead = probs.values.data.shape[:-2]
+    n = np.full(lead, probs.n) if probs.valid is None else probs.valid.sum(axis=-1)
+    if not lead:
+        return slate_indices([exposed], int(n), probs.m)[0]
+    return slate_indices(exposed, n.tolist(), probs.m)
 
 
 def _labeled_probs(tape: Tape, probs: ProbMatrix, exposed) -> Tensor:

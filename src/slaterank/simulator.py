@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExposureLog, FeedbackMatrix, RequestBatch
-from .errors import ConfigError, InvalidSlateError
+from .data import ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
+from .errors import ConfigError
 from .objectives import UtilitySpec
 
 
@@ -109,18 +109,9 @@ def gen_request(world: World, rng: np.random.Generator,
                         item_ids=item_ids, features=features)
 
 
-def _slate_array(slate, n: int, m: int) -> np.ndarray:
-    idx = np.asarray(getattr(slate, "indices", slate), dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != m:
-        raise InvalidSlateError(f"expected a slate of {m} positions, got {idx.shape}")
-    if len(set(idx.tolist())) != m or idx.min() < 0 or idx.max() >= n:
-        raise InvalidSlateError(f"invalid slate {idx.tolist()} for n={n}")
-    return idx
-
-
 def _click_probs(world: World, req: RequestBatch, slate) -> tuple[np.ndarray, bool]:
     cfg = world.config
-    idx = _slate_array(slate, req.n, cfg.m)
+    idx = slate_indices([slate], req.n, cfg.m)[0]
     latents = world.items[req.item_ids[idx]]
     affinity = world.affinity(req.user_id, req.item_ids[idx])
     base = 1.0 / (1.0 + np.exp(-(cfg.affinity_scale * affinity + cfg.affinity_shift)))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from slaterank.data import RequestBatch, read_logs, write_logs
-from slaterank.errors import ConfigError, InvalidSlateError
+from slaterank.errors import ConfigError, InvalidSlateError, ShapeError
 from slaterank.objectives import UtilitySpec, utility
 from slaterank.simulator import (
     POLICIES,
@@ -92,7 +92,7 @@ def test_request_layout():
 def test_slate_validation():
     world = World(WorldConfig())
     req = gen_request(world, np.random.default_rng(0))
-    with pytest.raises(InvalidSlateError):
+    with pytest.raises(ShapeError):
         quiet_probs(world, req, (0, 1, 2))
     with pytest.raises(InvalidSlateError):
         quiet_probs(world, req, (0, 1, 2, 3, 4, 4))
