@@ -9,20 +9,25 @@ request and on a padded stack; contrastive slates, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them; AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
-loss logs of train_generator, train_ar and train_evaluator; every record of a
-seeded simulator log, and the oracle's click probabilities and expected
-utilities for seeded slates; and, one line per public Tape op, its forward
+loss logs of train_generator, train_ar and train_evaluator; every record of
+two seeded simulator logs (a small random-policy one, and an affinity_greedy
+one on a default-sized world that spans several of gen_log's blocks), the
+bytes write_logs writes for the second, and the oracle's click probabilities
+and expected utilities for seeded slates on both worlds; and, one line per
+public Tape op, its forward
 value and its input gradients on seeded inputs, so a change to numerics is
 checked op by op and not only through the models.
 """
 
 import hashlib
+import os
+import tempfile
 import warnings
 
 import numpy as np
 
 from slaterank.ar import ar_decode, ar_sequence_loss, init_ar_params
-from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
+from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch, write_logs
 from slaterank.decoding import DecodeConfig, contrastive_decode, sample_slates
 from slaterank.evaluator import (
     EvaluatorConfig,
@@ -174,22 +179,43 @@ def decode_digests(reqs, gen, ev) -> None:
                                  for r, pool in zip(reqs, pools)]))
 
 
+def log_digest(logs) -> str:
+    return digest(*[x for log in logs for x in (
+        log.request.request_id, log.request.user_id, log.request.item_ids,
+        log.request.features, log.exposed, log.feedback.types, log.feedback.values)])
+
+
+def oracle_digest(world, logs, rng) -> str:
+    """The oracle on three seeded slates over each logged request."""
+    m = world.config.m
+    cases = [(log.request, tuple(rng.choice(log.request.n, size=m, replace=False).tolist()))
+             for log in logs for _ in range(3)]
+    return digest(*[oracle_click_probs(world, r, s) for r, s in cases],
+                  [oracle_expected_utility(world, r, s, SPEC) for r, s in cases])
+
+
 def simulator_digests() -> None:
-    """Every record of a seeded 16-request log, and the oracle on seeded
-    slates over its requests."""
+    """Every record of a seeded 16-request log and of a 600-request
+    affinity_greedy log (latent 8, n=20, m=6, ids from 1000), the SHA-256 of
+    the file write_logs writes for the second, and the oracle on seeded
+    slates over the requests of each."""
     world = World(WORLD)
+    big_world = World(WorldConfig(seed=14))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's clamp warning
         logs = gen_log(world, "random", 16, np.random.default_rng(21))
-        print("gen_log", digest(*[x for log in logs for x in (
-            log.request.request_id, log.request.user_id, log.request.item_ids,
-            log.request.features, log.exposed, log.feedback.types, log.feedback.values)]))
-        rng = np.random.default_rng(22)
-        cases = [(log.request, tuple(rng.choice(log.request.n, size=WORLD.m,
-                                                 replace=False).tolist()))
-                 for log in logs for _ in range(3)]
-        print("oracle", digest(*[oracle_click_probs(world, r, s) for r, s in cases],
-                               [oracle_expected_utility(world, r, s, SPEC) for r, s in cases]))
+        print("gen_log", log_digest(logs))
+        print("oracle", oracle_digest(world, logs, np.random.default_rng(22)))
+        big = gen_log(big_world, "affinity_greedy", 600, np.random.default_rng(23),
+                      start_id=1000)
+        print("gen_log.greedy_600", log_digest(big))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.jsonl")
+            write_logs(path, big)
+            with open(path, "rb") as fh:
+                print("write_logs.greedy_600", hashlib.sha256(fh.read()).hexdigest()[:16])
+        print("oracle.greedy_600", oracle_digest(big_world, big[:200],
+                                                 np.random.default_rng(24)))
 
 
 def main() -> None:
