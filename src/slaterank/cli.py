@@ -106,14 +106,13 @@ def _out_path(run: RunConfig, override, default_name: str) -> str:
 
 
 def _quiet_world_call(fn, *args, **kwargs):
-    """Run a simulator call, folding repeated clamp warnings into one note."""
+    """Run a simulator call, printing its clamp warning as a note on stderr."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         result = fn(*args, **kwargs)
-    clamps = sum(issubclass(w.category, RuntimeWarning) for w in caught)
-    if clamps:
-        print(f"note: {clamps} oracle probabilities clamped into [0, 1]",
-              file=sys.stderr)
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning):
+            print(f"note: {w.message}", file=sys.stderr)
     return result
 
 

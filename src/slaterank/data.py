@@ -147,18 +147,17 @@ class ExposureLog:
 
 
 def _log_to_record(log: ExposureLog) -> dict:
+    # .tolist() gives Python floats; json writes them, like NumPy's, by float.__repr__
     req = log.request
     return {
         "request_id": req.request_id,
         "user_id": req.user_id,
         "candidates": [
-            {"item_id": int(item), "features": list(row)}
-            for item, row in zip(req.item_ids, req.features)
+            {"item_id": item, "features": row}
+            for item, row in zip(req.item_ids.tolist(), req.features.tolist())
         ],
         "exposed": list(log.exposed),
-        "feedback": {
-            t: list(log.feedback.values[b]) for b, t in enumerate(log.feedback.types)
-        },
+        "feedback": dict(zip(log.feedback.types, log.feedback.values.tolist())),
     }
 
 

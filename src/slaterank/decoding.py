@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSlateError
+from .errors import ConfigError, InfeasibleSlateError, InvalidSlateError
 from .generator import ProbMatrix
 
 _METHODS = ("contrastive", "greedy", "topk", "beam")
@@ -38,6 +38,9 @@ class SlateSequence:
     method: str
 
     def __post_init__(self) -> None:
+        # int() would truncate 1.7 to 1 before any slate rule sees it
+        if any(isinstance(i, (float, np.floating)) for i in self.indices):
+            raise InvalidSlateError(f"slate index is not an integer: {tuple(self.indices)}")
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(
             self, "probabilities", tuple(float(p) for p in self.probabilities)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import slate_indices
 from .errors import DegenerateLabelsError, ShapeError
 from .generator import ProbMatrix
 
@@ -101,7 +102,7 @@ def recall_at_k(probs: ProbMatrix, exposed, k: int) -> float:
     n = probs.n if probs.valid is None else int(probs.valid.sum())
     if not 1 <= k <= n:
         raise ShapeError(f"k={k} out of range for n={n}")
-    exposed = tuple(int(i) for i in getattr(exposed, "indices", exposed))
+    exposed = slate_indices([exposed], n, probs.m)[0].tolist()
     per_item = probs.values.data[:n].max(axis=1)
     top = np.argsort(-per_item, kind="stable")[:k]
     return len(set(top.tolist()) & set(exposed)) / len(exposed)

@@ -94,53 +94,82 @@ class World:
         self.users = _unit_rows(rng, (cfg.num_users, cfg.latent_dim))
 
     def affinity(self, user_id: int, item_ids: np.ndarray) -> np.ndarray:
-        return self.items[item_ids] @ self.users[user_id]
+        return _affinity(self.items[item_ids], self.users[user_id])
+
+
+def _affinity(latents: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """(..., n) dot products of (..., n, L) item latents with (..., L) user
+    latents. A stacked matrix-vector product gives each request the BLAS
+    kernel it gets alone, so a block of requests matches one-at-a-time bit
+    for bit (never `A @ A.T`, which NumPy sends to another routine)."""
+    return (latents @ users[..., None])[..., 0]
+
+
+def _draw_request(world: World, rng: np.random.Generator):
+    """One request's draws from its stream, in order: user, items, noise."""
+    cfg = world.config
+    user_id = int(rng.integers(cfg.num_users))
+    item_ids = rng.choice(cfg.num_items, size=cfg.n_candidates, replace=False)
+    noise = rng.normal(0.0, cfg.noise_std, size=(cfg.n_candidates, 1))
+    return user_id, item_ids, noise
+
+
+def _features(world: World, user_ids, item_ids: np.ndarray,
+              noise: np.ndarray) -> np.ndarray:
+    """(K, n, d_x) candidate features of K requests: item latent, affinity,
+    noise."""
+    latents = world.items[item_ids]
+    affinity = _affinity(latents, world.users[user_ids])
+    return np.concatenate([latents, affinity[..., None], noise], axis=-1)
 
 
 def gen_request(world: World, rng: np.random.Generator,
                 request_id: int = 0) -> RequestBatch:
-    cfg = world.config
-    user_id = int(rng.integers(cfg.num_users))
-    item_ids = rng.choice(cfg.num_items, size=cfg.n_candidates, replace=False)
-    affinity = world.affinity(user_id, item_ids)
-    noise = rng.normal(0.0, cfg.noise_std, size=(cfg.n_candidates, 1))
-    features = np.hstack([world.items[item_ids], affinity[:, None], noise])
+    user_id, item_ids, noise = _draw_request(world, rng)
+    features = _features(world, [user_id], item_ids[None], noise[None])[0]
     return RequestBatch(request_id=request_id, user_id=user_id,
                         item_ids=item_ids, features=features)
 
 
-def _click_probs(world: World, req: RequestBatch, slate) -> tuple[np.ndarray, bool]:
+def _click_probs(world: World, user_ids,
+                 slate_items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, |B|, m) interaction probabilities of K slates, given as (K, m)
+    item ids, clipped into [0, 1]; and (K,) whether each slate had one
+    clipped."""
     cfg = world.config
-    idx = slate_indices([slate], req.n, cfg.m)[0]
-    latents = world.items[req.item_ids[idx]]
-    affinity = world.affinity(req.user_id, req.item_ids[idx])
+    latents = world.items[slate_items]
+    affinity = _affinity(latents, world.users[user_ids])
     base = 1.0 / (1.0 + np.exp(-(cfg.affinity_scale * affinity + cfg.affinity_shift)))
-    factor = np.ones(cfg.m)
+    factor = np.ones(slate_items.shape)
     for j in range(1, cfg.m):
-        max_sim = float((latents[:j] @ latents[j]).max())
-        factor[j] = 1.0 - cfg.suppression * max_sim
+        max_sim = _affinity(latents[:, :j], latents[:, j]).max(axis=1)
+        factor[:, j] = 1.0 - cfg.suppression * max_sim
     raw = base * np.asarray(cfg.posbias) * factor
-    probs = np.outer(cfg.base_rates, raw)
+    probs = np.asarray(cfg.base_rates)[:, None] * raw[:, None, :]
     clipped = np.clip(probs, 0.0, 1.0)
-    clamped = bool((clipped != probs).any())
-    return clipped, clamped
+    return clipped, (clipped != probs).any(axis=(1, 2))
 
 
 def oracle_click_probs(world: World, req: RequestBatch, slate) -> np.ndarray:
     """Closed-form per-type per-position interaction probabilities (|B| x m)."""
-    probs, clamped = _click_probs(world, req, slate)
-    if clamped:
+    idx = slate_indices([slate], req.n, world.config.m)
+    probs, clamped = _click_probs(world, [req.user_id], req.item_ids[idx])
+    if clamped[0]:
         warnings.warn("oracle probability clamped into [0, 1]", RuntimeWarning,
                       stacklevel=2)
-    return probs
+    return probs[0]
+
+
+def _bernoulli(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    return (uniforms < probs).astype(np.float64)
 
 
 def oracle_feedback(world: World, req: RequestBatch, slate,
                     rng: np.random.Generator) -> FeedbackMatrix:
     """One Bernoulli draw per interaction type and position."""
     probs = oracle_click_probs(world, req, slate)
-    draws = (rng.random(size=probs.shape) < probs).astype(np.float64)
-    return FeedbackMatrix(values=draws, types=world.config.types)
+    return FeedbackMatrix(values=_bernoulli(rng.random(size=probs.shape), probs),
+                          types=world.config.types)
 
 
 def oracle_expected_utility(world: World, req: RequestBatch, slate,
@@ -156,32 +185,71 @@ def oracle_expected_utility(world: World, req: RequestBatch, slate,
 POLICIES = ("random", "affinity_greedy")
 
 
+def _draw_slate(policy: str, n: int, m: int, rng: np.random.Generator):
+    """The random policy's slate, drawn from the request's stream; None for
+    affinity_greedy, which draws nothing."""
+    if policy == "random":
+        return rng.choice(n, size=m, replace=False)
+    if policy == "affinity_greedy":
+        return None
+    raise ConfigError(f"unknown logging policy {policy!r}; use one of {POLICIES}")
+
+
+def _greedy_slates(features: np.ndarray, m: int) -> np.ndarray:
+    """The m highest-affinity candidates of each request, in order; the first
+    index wins a tie."""
+    return np.argsort(-features[..., -2], axis=-1, kind="stable")[..., :m]
+
+
 def policy_slate(policy: str, req: RequestBatch, m: int,
                  rng: np.random.Generator) -> tuple[int, ...]:
     """Logging policies: uniform random slates, or the pointwise ranker that
     fills the slate with the m highest-affinity candidates in order."""
-    if policy == "random":
-        return tuple(int(i) for i in rng.choice(req.n, size=m, replace=False))
-    if policy == "affinity_greedy":
-        affinity = req.features[:, -2]
-        return tuple(int(i) for i in np.argsort(-affinity, kind="stable")[:m])
-    raise ConfigError(f"unknown logging policy {policy!r}; use one of {POLICIES}")
+    slate = _draw_slate(policy, req.n, m, rng)
+    return tuple((_greedy_slates(req.features, m) if slate is None else slate).tolist())
+
+
+# Requests gen_log computes at once: a block's arrays hold at most this many
+# requests, however long the log.
+BLOCK_REQUESTS = 256
 
 
 def gen_log(world: World, policy: str, num_requests: int,
             rng: np.random.Generator, start_id: int = 0) -> list[ExposureLog]:
     """Exposure logs under a logging policy, one derived stream per request
-    so generation order cannot change the data."""
+    so generation order cannot change the data.
+
+    Each stream makes its draws in order: user, items, noise, the random
+    policy's slate, the feedback uniforms. Features, greedy slates, click
+    probabilities and feedback are then computed once per block of at most
+    BLOCK_REQUESTS requests. One warning counts the requests whose
+    probabilities were clamped."""
     if num_requests < 1:
         raise ConfigError("num_requests must be >= 1")
-    m = world.config.m
+    cfg = world.config
+    shape = (len(cfg.types), cfg.m)
     logs = []
-    for child, rid in zip(rng.spawn(num_requests), range(num_requests)):
-        req = gen_request(world, child, request_id=start_id + rid)
-        slate = policy_slate(policy, req, m, child)
-        feedback = oracle_feedback(world, req, slate, child)
-        logged = RequestBatch(request_id=req.request_id, user_id=req.user_id,
-                              item_ids=req.item_ids, features=req.features,
-                              exposed=slate, feedback=feedback)
-        logs.append(ExposureLog(logged))
+    clamped = 0
+    for first in range(0, num_requests, BLOCK_REQUESTS):
+        draws = []
+        for child in rng.spawn(min(BLOCK_REQUESTS, num_requests - first)):
+            user_id, item_ids, noise = _draw_request(world, child)
+            slate = _draw_slate(policy, cfg.n_candidates, cfg.m, child)
+            draws.append((user_id, item_ids, noise, slate, child.random(shape)))
+        user_ids, item_ids, noise, slates, uniforms = zip(*draws)
+        item_ids = np.stack(item_ids)
+        features = _features(world, list(user_ids), item_ids, np.stack(noise))
+        slates = _greedy_slates(features, cfg.m) if slates[0] is None else np.stack(slates)
+        probs, block_clamped = _click_probs(world, list(user_ids),
+                                            np.take_along_axis(item_ids, slates, axis=1))
+        clamped += int(block_clamped.sum())
+        feedback = _bernoulli(np.stack(uniforms), probs)
+        for k, slate in enumerate(slates.tolist()):
+            logs.append(ExposureLog(RequestBatch(
+                request_id=start_id + first + k, user_id=user_ids[k],
+                item_ids=item_ids[k], features=features[k], exposed=tuple(slate),
+                feedback=FeedbackMatrix(feedback[k], cfg.types))))
+    if clamped:
+        warnings.warn(f"oracle probability clamped into [0, 1] in {clamped} of "
+                      f"{num_requests} requests", RuntimeWarning, stacklevel=2)
     return logs

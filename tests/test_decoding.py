@@ -16,7 +16,7 @@ from slaterank.decoding import (
     slate_score,
     topk_sample,
 )
-from slaterank.errors import ConfigError, InfeasibleSlateError
+from slaterank.errors import ConfigError, InfeasibleSlateError, InvalidSlateError
 from slaterank.generator import ProbMatrix
 from slaterank.numerics import Tensor
 
@@ -70,6 +70,18 @@ def test_slate_sequence_invariants():
         SlateSequence((-1, 1), (0.5, 0.5), "greedy")
     s = SlateSequence((2, 0), (0.25, 0.5), "beam")
     assert s.m == 2 and s.indices == (2, 0)
+
+
+@pytest.mark.parametrize("indices", [(0, 1.7, 2), (0, 1.0, 2), (0, np.float32(1.0), 2)])
+def test_slate_sequence_rejects_float_indices(indices):
+    # int() would read 1.7 as 1, so a float slate would reach every consumer truncated
+    with pytest.raises(InvalidSlateError, match="not an integer"):
+        SlateSequence(indices, (0.5, 0.25, 0.125), "greedy")
+
+
+def test_slate_sequence_takes_numpy_integers():
+    s = SlateSequence(np.array([2, 0, 1]), (0.5, 0.25, 0.125), "greedy")
+    assert s.indices == (2, 0, 1) and all(type(i) is int for i in s.indices)
 
 
 def test_decode_config_validation():

@@ -5,6 +5,7 @@ the stochastic parts (feedback draws, policy logs) are pinned by seed
 and checked against Monte Carlo estimates with explicit error budgets.
 """
 
+import json
 import math
 import warnings
 from itertools import permutations
@@ -16,6 +17,7 @@ from slaterank.data import RequestBatch, read_logs, write_logs
 from slaterank.errors import ConfigError, InvalidSlateError, ShapeError
 from slaterank.objectives import UtilitySpec, utility
 from slaterank.simulator import (
+    BLOCK_REQUESTS,
     POLICIES,
     World,
     WorldConfig,
@@ -37,10 +39,10 @@ def quiet_probs(world, req, slate):
         return oracle_click_probs(world, req, slate)
 
 
-def quiet_log(world, policy, num_requests, rng):
+def quiet_log(world, policy, num_requests, rng, start_id=0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return gen_log(world, policy, num_requests, rng)
+        return gen_log(world, policy, num_requests, rng, start_id=start_id)
 
 
 def test_world_config_validation():
@@ -293,3 +295,98 @@ def test_policies():
         policy_slate("oracle", req, 6, rng)
     with pytest.raises(ConfigError):
         gen_log(world, "random", 0, rng)
+
+
+def per_request_log(world, policy, num_requests, rng, start_id=0):
+    """The per-request loop that gen_log's blocks replaced, kept as their
+    reference: one request's draws, features, slate, click probabilities
+    and feedback at a time. Records are tuples of gen_log's fields, then the
+    click probabilities."""
+    cfg = world.config
+    records = []
+    for rid, child in enumerate(rng.spawn(num_requests)):
+        user_id = int(child.integers(cfg.num_users))
+        item_ids = child.choice(cfg.num_items, size=cfg.n_candidates, replace=False)
+        affinity = world.items[item_ids] @ world.users[user_id]
+        noise = child.normal(0.0, cfg.noise_std, size=(cfg.n_candidates, 1))
+        features = np.hstack([world.items[item_ids], affinity[:, None], noise])
+        if policy == "random":
+            slate = tuple(int(i) for i in child.choice(cfg.n_candidates, size=cfg.m,
+                                                       replace=False))
+        else:
+            slate = tuple(int(i) for i in np.argsort(-features[:, -2], kind="stable")[:cfg.m])
+        idx = np.asarray(slate)
+        latents = world.items[item_ids[idx]]
+        aff = world.items[item_ids[idx]] @ world.users[user_id]
+        base = 1.0 / (1.0 + np.exp(-(cfg.affinity_scale * aff + cfg.affinity_shift)))
+        factor = np.ones(cfg.m)
+        for j in range(1, cfg.m):
+            max_sim = float((latents[:j] @ latents[j]).max())
+            factor[j] = 1.0 - cfg.suppression * max_sim
+        probs = np.clip(np.outer(cfg.base_rates, base * np.asarray(cfg.posbias) * factor),
+                        0.0, 1.0)
+        feedback = (child.random(size=probs.shape) < probs).astype(np.float64)
+        records.append((start_id + rid, user_id, item_ids, features, slate, cfg.types,
+                        feedback, probs))
+    return records
+
+
+def fields(log):
+    req = log.request
+    return (req.request_id, req.user_id, req.item_ids, req.features, log.exposed,
+            log.feedback.types, log.feedback.values)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("n", [6, 9, 20])
+@pytest.mark.parametrize("size", [1, BLOCK_REQUESTS, BLOCK_REQUESTS + 1])
+def test_blocks_match_the_per_request_loop(policy, n, size):
+    world = World(WorldConfig(n_candidates=n, seed=n))
+    rng, ref_rng = np.random.default_rng(n + size), np.random.default_rng(n + size)
+    logs = quiet_log(world, policy, size, rng, start_id=700)
+    want = per_request_log(world, policy, size, ref_rng, start_id=700)
+    assert len(logs) == len(want)
+    for log, ref in zip(logs, want):
+        for got, expect in zip(fields(log), ref):
+            if isinstance(expect, np.ndarray):
+                assert got.dtype == expect.dtype and got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes()
+            else:
+                assert got == expect and type(got) is type(expect)
+        assert quiet_probs(world, log.request, log.exposed).tobytes() == ref[-1].tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
+
+
+def test_gen_log_warns_once_when_it_clamps():
+    # the default suppression pushes some probabilities above 1
+    with pytest.warns(RuntimeWarning, match="clamped") as caught:
+        gen_log(World(WorldConfig()), "random", 300, np.random.default_rng(8))
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gen_log(World(WorldConfig(suppression=0.0)), "random", 300, np.random.default_rng(8))
+
+
+def per_line_records(logs):
+    """The JSONL writer before it took .tolist() rows: NumPy scalars, which
+    json writes by float.__repr__ too."""
+    for log in logs:
+        req = log.request
+        yield {
+            "request_id": req.request_id,
+            "user_id": req.user_id,
+            "candidates": [{"item_id": int(item), "features": list(row)}
+                           for item, row in zip(req.item_ids, req.features)],
+            "exposed": list(log.exposed),
+            "feedback": {t: list(log.feedback.values[b])
+                         for b, t in enumerate(log.feedback.types)},
+        }
+
+
+def test_write_logs_bytes_match_the_scalar_writer(tmp_path):
+    logs = quiet_log(World(WorldConfig()), "affinity_greedy", 50, np.random.default_rng(9))
+    path = tmp_path / "log.jsonl"
+    write_logs(path, logs)
+    want = "".join(json.dumps(rec) + "\n" for rec in per_line_records(logs))
+    assert path.read_bytes() == want.encode("utf-8")

@@ -16,6 +16,7 @@ from slaterank.evaluator import (
     select_best,
 )
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
+from slaterank.metrics import recall_at_k
 from slaterank.numerics import Tape
 from slaterank.objectives import ce_loss
 from slaterank.simulator import World, WorldConfig, gen_request, oracle_click_probs
@@ -58,6 +59,7 @@ def _consumers():
         "score_slates": lambda s: score_slates(REQ, [GOOD, s], ev, EV),
         "select_best": lambda s: select_best(REQ, [GOOD, s], ev, EV),
         "oracle_click_probs": lambda s: oracle_click_probs(WORLD, REQ, s),
+        "recall_at_k": lambda s: recall_at_k(forward(REQ, gen, GEN), s, N),
     }
 
 
