@@ -160,16 +160,12 @@ def oracle_click_probs(world: World, req: RequestBatch, slate) -> np.ndarray:
     return probs[0]
 
 
-def _bernoulli(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    return (uniforms < probs).astype(np.float64)
-
-
 def oracle_feedback(world: World, req: RequestBatch, slate,
                     rng: np.random.Generator) -> FeedbackMatrix:
     """One Bernoulli draw per interaction type and position."""
     probs = oracle_click_probs(world, req, slate)
-    return FeedbackMatrix(values=_bernoulli(rng.random(size=probs.shape), probs),
-                          types=world.config.types)
+    draws = (rng.random(size=probs.shape) < probs).astype(np.float64)
+    return FeedbackMatrix(values=draws, types=world.config.types)
 
 
 def oracle_expected_utility(world: World, req: RequestBatch, slate,
@@ -237,13 +233,13 @@ def gen_log(world: World, policy: str, num_requests: int,
             slate = _draw_slate(policy, cfg.n_candidates, cfg.m, child)
             draws.append((user_id, item_ids, noise, slate, child.random(shape)))
         user_ids, item_ids, noise, slates, uniforms = zip(*draws)
-        item_ids = np.stack(item_ids)
-        features = _features(world, list(user_ids), item_ids, np.stack(noise))
+        users, item_ids = list(user_ids), np.stack(item_ids)
+        features = _features(world, users, item_ids, np.stack(noise))
         slates = _greedy_slates(features, cfg.m) if slates[0] is None else np.stack(slates)
-        probs, block_clamped = _click_probs(world, list(user_ids),
+        probs, block_clamped = _click_probs(world, users,
                                             np.take_along_axis(item_ids, slates, axis=1))
         clamped += int(block_clamped.sum())
-        feedback = _bernoulli(np.stack(uniforms), probs)
+        feedback = (np.stack(uniforms) < probs).astype(np.float64)
         for k, slate in enumerate(slates.tolist()):
             logs.append(ExposureLog(RequestBatch(
                 request_id=start_id + first + k, user_id=user_ids[k],
