@@ -9,7 +9,10 @@ request and on a padded stack; contrastive slates, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them; AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
-loss logs of train_generator, train_ar and train_evaluator; every record of
+loss logs of train_generator, train_ar and train_evaluator; every field of a
+ragged log (n from m to n_max, two feedback types) written by write_logs and
+read back by read_logs against a LogSchema, and the parameters and loss logs
+of the three trainers run on the log as read back; every record of
 two seeded simulator logs (a small random-policy one, and an affinity_greedy
 one on a default-sized world that spans several of gen_log's blocks), the
 bytes write_logs writes for the second, and the oracle's click probabilities
@@ -27,7 +30,14 @@ import warnings
 import numpy as np
 
 from slaterank.ar import ar_decode, ar_sequence_loss, init_ar_params
-from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch, write_logs
+from slaterank.data import (
+    ExposureLog,
+    FeedbackMatrix,
+    LogSchema,
+    RequestBatch,
+    read_logs,
+    write_logs,
+)
 from slaterank.decoding import DecodeConfig, contrastive_decode, sample_slates
 from slaterank.evaluator import (
     EvaluatorConfig,
@@ -88,6 +98,24 @@ def make_logs(count: int, seed: int) -> list[ExposureLog]:
         logs.append(ExposureLog(RequestBatch(
             request_id=i, user_id=0, item_ids=np.arange(n),
             features=rng.normal(size=(n, GEN.d_x)),
+            exposed=tuple(rng.choice(n, size=GEN.m, replace=False).tolist()),
+            feedback=fb)))
+    return logs
+
+
+def make_ragged_logs(count: int, seed: int) -> list[ExposureLog]:
+    """Requests with n from m to n_max and ids that differ from their row
+    numbers, so a reader that mixed up fields or rows would show."""
+    rng = np.random.default_rng(seed)
+    logs = []
+    for i in range(count):
+        n = int(rng.integers(GEN.m, GEN.n_max + 1))
+        fb = FeedbackMatrix(values=(rng.random((2, GEN.m)) < 0.5).astype(float),
+                            types=("click", "like"))
+        logs.append(ExposureLog(RequestBatch(
+            request_id=500 + 3 * i, user_id=int(rng.integers(0, 1000)),
+            item_ids=rng.choice(10_000, size=n, replace=False),
+            features=rng.normal(scale=2.0, size=(n, GEN.d_x)),
             exposed=tuple(rng.choice(n, size=GEN.m, replace=False).tolist()),
             feedback=fb)))
     return logs
@@ -194,6 +222,30 @@ def oracle_digest(world, logs, rng) -> str:
                   [oracle_expected_utility(world, r, s, SPEC) for r, s in cases])
 
 
+def read_logs_digests() -> None:
+    """A ragged log written by write_logs and read back with a LogSchema:
+    every field of every record, then the three trainers on the log as read.
+    At shuffle seed 5 the last minibatch of the first epoch holds two
+    requests of equal n, so one step runs with nothing padded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ragged.jsonl")
+        write_logs(path, make_ragged_logs(32, seed=31))
+        logs = read_logs(path, LogSchema(GEN.d_x, GEN.m, GEN.n_max))
+    print("read_logs.ragged", log_digest(logs))
+    gen, ar, ev = init_generator_params(GEN), init_ar_params(GEN), init_evaluator_params(EV)
+    steps = []
+    train_generator(logs, gen, GEN, SPEC, lr=1e-2, epochs=2, batch_size=6, seed=5,
+                    step_log=steps)
+    print("train_generator.ragged", params_digest(gen), digest(steps_to_csv(steps)))
+    ar_losses = []
+    train_ar(logs, ar, GEN, lr=1e-2, epochs=2, batch_size=6, seed=5, loss_log=ar_losses)
+    print("train_ar.ragged", params_digest(ar), digest(ar_losses))
+    ev_losses = []
+    train_evaluator(logs, ev, EV, lr=1e-2, epochs=2, batch_size=6, seed=5,
+                    loss_log=ev_losses)
+    print("train_evaluator.ragged", params_digest(ev), digest(ev_losses))
+
+
 def simulator_digests() -> None:
     """Every record of a seeded 16-request log and of a 600-request
     affinity_greedy log (latent 8, n=20, m=6, ids from 1000), the SHA-256 of
@@ -264,6 +316,7 @@ def main() -> None:
     train_evaluator(logs, ev, EV, lr=1e-2, epochs=2, batch_size=7, seed=4,
                     loss_log=ev_losses)
     print("train_evaluator", params_digest(ev), digest(ev_losses))
+    read_logs_digests()
     simulator_digests()
     op_digests()
 
