@@ -152,8 +152,8 @@ def _load_matching(path, want: dict, expected):
 
 
 def _read_log(path, cfg):
-    """A non-empty log whose every record fits the model config `cfg`:
-    feature width, slate length and, for the generator, n_max."""
+    """A non-empty log, as one LogTable, whose every record fits the model
+    config `cfg`: feature width, slate length and, for the generator, n_max."""
     logs = read_logs(path, LogSchema(cfg.d_x, cfg.m, getattr(cfg, "n_max", None)))
     if not logs:
         raise DataError(f"{path} is empty")
@@ -182,7 +182,7 @@ def cmd_train(run: RunConfig, args) -> int:
                batch_size=run.train.batch_size, seed=run.train.seed)
     curve_log: list = []  # TrainSteps for the generator, mean losses otherwise
     if kind == "generator":
-        uncovered = [t for t in logs[0].feedback.types if t not in run.utility.types]
+        uncovered = [t for t in logs.types if t not in run.utility.types]
         if uncovered:
             raise ConfigError(f"utility spec has no weights for logged "
                               f"interaction types {uncovered}")
@@ -194,8 +194,8 @@ def cmd_train(run: RunConfig, args) -> int:
         meta = _generator_meta(cfg)
         summary = f"{run.train.objective}, final loss {curve_log[-1].total:.4f}"
     elif kind == "evaluator":
-        if tuple(logs[0].feedback.types) != tuple(cfg.types):
-            raise ConfigError(f"log feedback types {logs[0].feedback.types} do not "
+        if logs.types != tuple(cfg.types):
+            raise ConfigError(f"log feedback types {logs.types} do not "
                               f"match evaluator types {cfg.types}")
         params = init_evaluator_params(cfg)
         train_evaluator(logs, params, cfg, loss_log=curve_log, **fit)

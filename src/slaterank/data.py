@@ -8,14 +8,21 @@ One log line per request:
      "feedback": {"click": [...], "like": [...]}}
 
 Floats are serialized with Python's repr, so a write/read cycle is
-bit-exact. `read_logs` checks every record as it reads it, against a
-`LogSchema` when one is given, and names the line of the first bad record.
+bit-exact. `read_logs` checks every record, against a `LogSchema` when one
+is given, names the line of the first bad record, and returns the log as
+one `LogTable`: a column per field, with every request's candidates
+stacked on one axis and zero-padded to the largest n in the log. The table
+is built once per read, and training takes its minibatches from it by row
+number (`LogTable.take`). It is also a sequence of `ExposureLog` views, one
+per request, for the code that walks a log request by request.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +33,7 @@ __all__ = [
     "FeedbackMatrix",
     "RequestBatch",
     "ExposureLog",
+    "LogTable",
     "LogSchema",
     "read_logs",
     "write_logs",
@@ -161,42 +169,101 @@ def _log_to_record(log: ExposureLog) -> dict:
     }
 
 
-def _numbers(rows, field: str) -> np.ndarray:
-    """JSON numbers only: a float64 array would read "0.5" as 0.5 and True
-    as 1.0, so the array is built without a dtype and checked first."""
-    arr = np.array(rows)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"{field} must hold numbers only, got {arr.dtype} entries")
-    return arr.astype(np.float64, copy=False)
+def _padded(rows: list[np.ndarray]) -> np.ndarray:
+    """N requests' arrays of n_i rows each as one (N, max n_i, ...) array:
+    request i's rows first, zeros after them. All share their other axes."""
+    out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:],
+                   dtype=rows[0].dtype)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
 
 
-def _record_to_log(rec: dict) -> ExposureLog:
-    cands = rec["candidates"]
-    feedback = rec["feedback"]
-    if not isinstance(feedback, dict):
-        raise TypeError("feedback must be an object with one row per type")
-    exposed = rec["exposed"]
-    # JSON integers only: int() would read 1.7 as 1 and "012345" as a slate
-    if not isinstance(exposed, list) or any(type(i) is not int for i in exposed):
-        raise TypeError(f"exposed must be a list of integers, got {exposed!r}")
-    # and so are the ids: int() would read "7" as 7 and 2.9 as 2
-    for field in ("request_id", "user_id"):
-        if type(rec[field]) is not int:
-            raise TypeError(f"{field} must be an integer, got {rec[field]!r}")
-    item_ids = [c["item_id"] for c in cands]
-    bad = [i for i in item_ids if type(i) is not int]
-    if bad:
-        raise TypeError(f"item_id must be an integer, got {bad[0]!r}")
-    types = tuple(feedback.keys())
-    req = RequestBatch(
-        request_id=rec["request_id"],
-        user_id=rec["user_id"],
-        item_ids=np.array(item_ids, dtype=np.int64),
-        features=_numbers([c["features"] for c in cands], "features"),
-        exposed=tuple(exposed),
-        feedback=FeedbackMatrix(_numbers([feedback[t] for t in types], "feedback"), types),
-    )
-    return ExposureLog(req)
+@dataclass(frozen=True, eq=False)
+class LogTable(Sequence):
+    """A log of N exposures as columns.
+
+    features is (N, width, d_x) and item_ids (N, width), both zero-padded
+    after each request's n[i] real rows, where width is the largest n in the
+    table; exposed is (N, m), feedback (N, T, m) with its rows in `types`
+    order. Every slate was checked by the one slate rule when the table was
+    built. table[i] is request i as an ExposureLog whose arrays are views
+    into the table.
+    """
+
+    request_id: np.ndarray
+    user_id: np.ndarray
+    item_ids: np.ndarray
+    features: np.ndarray
+    n: np.ndarray
+    exposed: np.ndarray
+    feedback: np.ndarray
+    types: tuple[str, ...]
+
+    @classmethod
+    def of(cls, logs) -> LogTable:
+        """`logs` itself when it is a LogTable; a sequence of ExposureLogs
+        stacked into one otherwise. The logs must share their feature width,
+        slate length and feedback types."""
+        if isinstance(logs, LogTable):
+            return logs
+        logs = list(logs)
+        if not logs:
+            return cls.empty()
+        reqs = [log.request for log in logs]
+        shared = ({log.feedback.types for log in logs}, {r.features.shape[1] for r in reqs},
+                  {len(log.exposed) for log in logs})
+        if any(len(values) > 1 for values in shared):
+            raise ShapeError("logs with different feedback types, feature widths or "
+                             "slate lengths do not stack")
+        return cls._stack([r.request_id for r in reqs], [r.user_id for r in reqs],
+                          [r.item_ids for r in reqs], [r.features for r in reqs],
+                          [log.exposed for log in logs],
+                          [log.feedback.values for log in logs], logs[0].feedback.types)
+
+    @classmethod
+    def empty(cls) -> LogTable:
+        """A table of no requests."""
+        ids = np.zeros(0, dtype=np.int64)
+        return cls(ids, ids, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0, 0)), ids,
+                   np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0, 0)), ())
+
+    @classmethod
+    def _stack(cls, request_ids, user_ids, item_ids, features, exposed, feedback,
+               types) -> LogTable:
+        """One table from per-request columns, at least one request: item_ids
+        (n,), features (n, d_x), m slate indices and (T, m) feedback each."""
+        return cls(request_id=np.array(request_ids, dtype=np.int64),
+                   user_id=np.array(user_ids, dtype=np.int64),
+                   item_ids=_padded(item_ids),
+                   features=_padded(features),
+                   n=np.array([len(f) for f in features], dtype=np.int64),
+                   exposed=np.array(exposed, dtype=np.int64),
+                   feedback=np.stack(feedback),
+                   types=tuple(types))
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i: int) -> ExposureLog:
+        n = int(self.n[i])
+        return ExposureLog(RequestBatch(
+            request_id=int(self.request_id[i]), user_id=int(self.user_id[i]),
+            item_ids=self.item_ids[i, :n], features=self.features[i, :n],
+            exposed=tuple(self.exposed[i].tolist()),
+            feedback=FeedbackMatrix(self.feedback[i], self.types)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def take(self, rows) -> LogTable:
+        """The requests at `rows`, in that order, padded only to the largest
+        n among them: a training minibatch."""
+        n = self.n[rows]
+        width = int(n.max(initial=0))
+        return LogTable(self.request_id[rows], self.user_id[rows],
+                        self.item_ids[rows, :width], self.features[rows, :width], n,
+                        self.exposed[rows], self.feedback[rows], self.types)
 
 
 @dataclass(frozen=True)
@@ -209,23 +276,122 @@ class LogSchema:
     n_max: int | None = None
 
 
-def _mismatch(log: ExposureLog, schema: LogSchema | None,
-              types: tuple[str, ...] | None) -> str | None:
-    """Why a parsed record does not fit the schema or the first record's
-    feedback types, or None."""
-    req = log.request
-    if types is not None and log.feedback.types != types:
-        return (f"feedback types {list(log.feedback.types)} differ from "
-                f"the first record's {list(types)}")
-    if schema is None:
+def _numbers(rows, field: str) -> np.ndarray:
+    """JSON numbers only: a float64 array would read "0.5" as 0.5 and True
+    as 1.0, so the array is built without a dtype and checked first."""
+    arr = np.array(rows)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{field} must hold numbers only, got {arr.dtype} entries")
+    return arr.astype(np.float64, copy=False)
+
+
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer that fits int64: int() would read "7" as 7 and 2.9 as 2."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise OverflowError(f"{field} {value} does not fit in int64")
+    return value
+
+
+class _Record(NamedTuple):
+    """One parsed log line: its fields have the right JSON types, and its
+    arrays are not yet checked for shape or finiteness, nor its slate."""
+
+    line: int
+    request_id: int
+    user_id: int
+    item_ids: np.ndarray
+    features: np.ndarray
+    exposed: list
+    types: tuple[str, ...]
+    feedback: np.ndarray
+
+
+def _parse(rec: dict, line: int) -> _Record:
+    cands = rec["candidates"]
+    feedback = rec["feedback"]
+    if not isinstance(feedback, dict):
+        raise TypeError("feedback must be an object with one row per type")
+    exposed = rec["exposed"]
+    # JSON integers only: int() would read 1.7 as 1 and "012345" as a slate
+    if not isinstance(exposed, list) or any(type(i) is not int for i in exposed):
+        raise TypeError(f"exposed must be a list of integers, got {exposed!r}")
+    request_id = _integer(rec["request_id"], "request_id")
+    user_id = _integer(rec["user_id"], "user_id")
+    item_ids = [c["item_id"] for c in cands]
+    bad = [i for i in item_ids if type(i) is not int]
+    if bad:
+        raise TypeError(f"item_id must be an integer, got {bad[0]!r}")
+    types = tuple(feedback)
+    return _Record(line, request_id, user_id, np.array(item_ids, dtype=np.int64),
+                   _numbers([c["features"] for c in cands], "features"), exposed, types,
+                   _numbers([feedback[t] for t in types], "feedback"))
+
+
+# what a record that does not parse raises; read_logs reports each as DataError
+_RECORD_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
+                  ShapeError, InvalidSlateError)
+
+
+def _check_values(records: list[_Record]) -> None:
+    """The checks of RequestBatch, FeedbackMatrix and ExposureLog on parsed
+    records: a feature row per item and a feedback row per type, finite
+    values, and the one slate rule against each record's own n and feedback
+    width. They run over all the records at once; only when that finds a
+    problem are the records built one at a time, in order, so that the first
+    bad one raises DataError with its line."""
+    if not records:
+        return
+    m = records[0].feedback.shape[1]
+    try:
+        if (all(r.features.ndim == r.feedback.ndim == 2
+                and r.features.shape[0] == len(r.item_ids)
+                and r.feedback.shape[0] == len(r.types)
+                and len(r.exposed) == r.feedback.shape[1] == m for r in records)
+                and np.isfinite(np.concatenate([r.features.ravel() for r in records])).all()
+                and np.isfinite(np.concatenate([r.feedback.ravel() for r in records])).all()):
+            slate_indices([r.exposed for r in records], [len(r.item_ids) for r in records], m)
+            return
+    except _RECORD_ERRORS:
+        pass
+    for r in records:
+        try:
+            ExposureLog(RequestBatch(r.request_id, r.user_id, r.item_ids, r.features,
+                                     tuple(r.exposed), FeedbackMatrix(r.feedback, r.types)))
+        except _RECORD_ERRORS as exc:
+            raise DataError(f"malformed log record: {exc}", line=r.line) from exc
+
+
+def _misfit(records: list[_Record], schema: LogSchema | None) -> DataError | None:
+    """The first record that has other feedback types than the first record
+    or does not fit `schema` (without one, the first record's feature width
+    and slate length), as a DataError with its line; None if all fit."""
+    first = records[0]
+    d_x = schema.d_x if schema else first.features.shape[1]
+    m = schema.m if schema else len(first.exposed)
+    want_d_x = f"config d_x={d_x}" if schema else f"the first record's {d_x}"
+    want_m = f"config m={m}" if schema else f"the first record's {m}"
+    n_max = schema.n_max if schema and schema.n_max is not None else np.inf
+    width = np.array([r.features.shape[1] for r in records])
+    n = np.array([len(r.item_ids) for r in records])
+    slate = np.array([len(r.exposed) for r in records])
+    checks = (  # (which records fail, the message for record i), in reporting order
+        (np.array([r.types != first.types for r in records]),
+         lambda i: f"feedback types {list(records[i].types)} differ from "
+                   f"the first record's {list(first.types)}"),
+        (width != d_x, lambda i: f"features have width {width[i]}, {want_d_x}"),
+        (n > n_max, lambda i: f"{n[i]} candidates exceed n_max={n_max}"),
+        (slate != m, lambda i: f"slate has {slate[i]} positions, {want_m}"),
+    )
+    bad = np.array([fails for fails, _ in checks])
+    if not bad.any():
         return None
-    if req.features.shape[1] != schema.d_x:
-        return f"features have width {req.features.shape[1]}, config d_x={schema.d_x}"
-    if schema.n_max is not None and req.n > schema.n_max:
-        return f"{req.n} candidates exceed n_max={schema.n_max}"
-    if len(log.exposed) != schema.m:
-        return f"slate has {len(log.exposed)} positions, config m={schema.m}"
-    return None
+    i = int(bad.any(axis=0).argmax())
+    return DataError(checks[int(bad[:, i].argmax())][1](i), line=records[i].line)
 
 
 def write_logs(path, logs) -> None:
@@ -243,31 +409,37 @@ def write_jsonl(path, rows) -> None:
             fh.write("\n")
 
 
-def read_logs(path, schema: LogSchema | None = None) -> list[ExposureLog]:
-    """Every record of a JSONL log. A record that does not parse raises
-    DataError with its line number; once every line has parsed, so does the
-    first record that does not fit `schema` or has other feedback types than
-    the first record."""
+def read_logs(path, schema: LogSchema | None = None) -> LogTable:
+    """Every record of a JSONL log, as one LogTable.
+
+    A record that does not parse raises DataError with its line number. The
+    checks on values (shapes, finiteness, slates) run over the whole log once
+    every line has parsed, and over the lines before a line that does not
+    parse, so the first bad record is always the one reported. Then the
+    first record that does not fit `schema` (without one, the first record's
+    feature width and slate length) or has other feedback types than the
+    first record raises DataError with its line.
+    """
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open log {path}: {exc}") from exc
-    out = []
-    misfit = None
+    records: list[_Record] = []
     with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                log = _record_to_log(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError, ShapeError, InvalidSlateError) as exc:
+                records.append(_parse(json.loads(line), lineno))
+            except _RECORD_ERRORS as exc:
+                _check_values(records)
                 raise DataError(f"malformed log record: {exc}", line=lineno) from exc
-            if misfit is None:
-                problem = _mismatch(log, schema, out[0].feedback.types if out else None)
-                if problem is not None:
-                    misfit = DataError(problem, line=lineno)
-            out.append(log)
+    if not records:
+        return LogTable.empty()
+    _check_values(records)
+    misfit = _misfit(records, schema)
     if misfit is not None:
         raise misfit
-    return out
+    _, request_ids, user_ids, item_ids, features, exposed, types, feedback = zip(*records)
+    return LogTable._stack(request_ids, user_ids, item_ids, features, exposed, feedback,
+                           types[0])

@@ -15,9 +15,11 @@ Slates are checked by the one slate rule, `data.slate_indices`: a pool, or a
 training minibatch's exposed slates, in one call.
 
 Training is plain off-policy regression: binary cross-entropy of each head
-against the logged feedback on exposed slates. A minibatch of B exposed
-slates is one (B, m, d) stack on one tape, and the loop around it is the
-generator's and the AR baseline's, `training._fit`.
+against the logged feedback on exposed slates. It runs on a `data.LogTable`,
+whose slates were checked when it was built: a minibatch of B exposed slates
+is gathered from the table's features by one index into one (B, m, d) stack
+on one tape, and the loop around it is the generator's and the AR
+baseline's, `training._fit`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
+from .data import FeedbackMatrix, RequestBatch, slate_indices
 from .errors import ConfigError, ShapeError
 from .generator import _build_layer_norm, _ln, block, build_block
 from .numerics import Params, Tape, Tensor
-from .training import _fit, _log_mean_loss
+from .training import _fit, _log_mean_loss, _table
 
 
 @dataclass(frozen=True)
@@ -155,13 +157,16 @@ def bce_loss(tape: Tape, score: SlateScore, feedback) -> Tensor:
     computed from logits (softplus(z) - y*z) so saturation cannot overflow.
 
     For a stack of B slates `feedback` holds one FeedbackMatrix per slate,
-    and the loss comes back per slate, as a (B,) vector.
+    or is a (B, T, m) array with its rows in `score.types` order, and the
+    loss comes back per slate, as a (B,) vector.
     """
     total = None
-    for t in score.types:
+    for k, t in enumerate(score.types):
         z = score.logits[t]
         if isinstance(feedback, FeedbackMatrix):
             rows = feedback.row(t)
+        elif isinstance(feedback, np.ndarray):
+            rows = feedback[:, k]
         else:
             rows = [f.row(t) for f in feedback]
         y = np.asarray(rows, dtype=np.float64).reshape(z.data.shape)
@@ -171,26 +176,30 @@ def bce_loss(tape: Tape, score: SlateScore, feedback) -> Tensor:
     return total
 
 
-def train_evaluator(logs: list[ExposureLog], params: Params, cfg: EvaluatorConfig,
+def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
                     lr: float = 1e-3, epochs: int = 1, batch_size: int = 256,
                     seed: int = 0, loss_log: list | None = None) -> Params:
-    """Minibatch Adam on BCE over logged exposures; returns the params.
+    """Minibatch Adam on BCE over logged exposures, a LogTable or a list of
+    ExposureLogs; returns the params.
 
-    Each minibatch's exposed slates are checked against m in one
-    `slate_indices` call and go through one evaluator pass, stacked on the
-    batch axis; `training._fit` checks that every slate's loss is
-    finite, naming the request, and backprops their sum once.
+    The feedback rows are put in the heads' order once for the whole table.
+    Each minibatch's exposed feature rows are gathered from the table by one
+    index and go through one evaluator pass, stacked on the batch axis;
+    `training._fit` checks that every slate's loss is finite, naming the
+    request, and backprops their sum once.
     """
+    table = _table(logs)
+    if table.exposed.shape[1] != cfg.m:
+        raise ShapeError(f"logged slates have {table.exposed.shape[1]} items, "
+                         f"config m={cfg.m}")
+    y = table.feedback[:, [table.types.index(t) for t in cfg.types]]
 
-    def batch_loss(tape, batch):
-        idx = slate_indices([log.exposed for log in batch],
-                            [log.request.n for log in batch], cfg.m)
-        feats = np.stack([log.request.features[row] for log, row in zip(batch, idx)])
-        losses = bce_loss(tape, _score(feats, params, cfg, tape),
-                          [log.feedback for log in batch])
+    def batch_loss(tape, rows):
+        feats = table.features[rows[:, None], table.exposed[rows]]
+        losses = bce_loss(tape, _score(feats, params, cfg, tape), y[rows])
         return losses, losses
 
-    return _fit(logs, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
+    return _fit(table, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
                 seed=seed, after_step=_log_mean_loss(loss_log))
 
 

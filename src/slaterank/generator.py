@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RequestBatch
+from .data import LogTable, RequestBatch
 from .errors import ConfigError, EmptyCandidatesError, ShapeError
 from .numerics import Params, Tape, Tensor
 
@@ -251,17 +251,24 @@ def matching_head(cand_reps: Tensor, pos_reps: Tensor, tape: Tape,
 
 def _stack_requests(req, cfg: GeneratorConfig,
                     pad_to: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Feature rows of one RequestBatch, (n, d_x), or of a sequence of them,
-    stacked to (B, width, d_x) and zero-padded to the largest n among them,
-    or to pad_to. `valid` marks the real rows, (n,) or (B, width), and is
-    None when nothing was padded. Both the one-shot generator and the AR
-    baseline take their minibatches from here.
+    """Feature rows of one RequestBatch, (n, d_x), or of a sequence of them
+    or a LogTable, stacked to (B, width, d_x) and zero-padded to the largest
+    n among them, or to pad_to. `valid` marks the real rows, (n,) or
+    (B, width), and is None when nothing was padded. Both the one-shot
+    generator and the AR baseline take their minibatches from here; a
+    LogTable minibatch is already stacked and padded, so only its checks run.
     """
     single = isinstance(req, RequestBatch)
-    reqs = [req] if single else list(req)
-    if not reqs:
+    table = req if isinstance(req, LogTable) else None
+    if table is None:
+        reqs = [req] if single else list(req)
+        ns = [r.features.shape[0] for r in reqs]
+        widths = [r.features.shape for r in reqs]
+    else:
+        ns = table.n.tolist()
+        widths = [table.features.shape]
+    if not ns:
         raise EmptyCandidatesError("no requests to rank")
-    ns = [r.features.shape[0] for r in reqs]
     if min(ns) == 0:
         raise EmptyCandidatesError("request has no candidates")
     if max(ns) > cfg.n_max:
@@ -269,12 +276,17 @@ def _stack_requests(req, cfg: GeneratorConfig,
     width = max(ns) if pad_to is None else pad_to
     if width < max(ns) or width > cfg.n_max:
         raise ShapeError(f"pad_to={pad_to} out of range for n={max(ns)}")
-    for r in reqs:
-        if r.features.shape[1] != cfg.d_x:
-            raise ShapeError(f"features {r.features.shape} do not match d_x={cfg.d_x}")
+    for shape in widths:
+        if shape[-1] != cfg.d_x:
+            raise ShapeError(f"features {shape} do not match d_x={cfg.d_x}")
     valid = None
     if min(ns) < width:
         valid = np.arange(width) < np.array(ns)[:, None]
+    if table is not None:
+        feats = table.features[:, :width]
+        if feats.shape[1] < width:
+            feats = np.pad(feats, ((0, 0), (0, width - feats.shape[1]), (0, 0)))
+        return feats, valid
     if single and valid is None:
         # nothing to pad: a one-request pass reads the features in place
         return np.ascontiguousarray(req.features, dtype=np.float64), None
@@ -291,10 +303,10 @@ def forward(req, params: Params, cfg: GeneratorConfig,
     """One pass: all m position distributions at once.
 
     `req` is one RequestBatch, giving an (n, m) matrix, or a sequence of
-    them, giving a (B, n, m) stack for a minibatch. Feature rows are
-    zero-padded to the largest n among the requests, or to pad_to, and
-    masked so padded candidates end up with probability exactly 0; `valid`
-    marks the real rows and is None when nothing was padded.
+    them or a LogTable, giving a (B, n, m) stack for a minibatch. Feature
+    rows are zero-padded to the largest n among the requests, or to pad_to,
+    and masked so padded candidates end up with probability exactly 0;
+    `valid` marks the real rows and is None when nothing was padded.
     """
     if tape is None:
         tape = Tape(recording=False)

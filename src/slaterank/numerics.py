@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from itertools import zip_longest
 
 import numpy as np
 
@@ -314,20 +315,16 @@ class Tape:
         return self._record(out, lambda g: _accumulate(a, g * md))
 
     def gelu(self, a: Tensor) -> Tensor:
-        def tanh_inner(x):
-            # x * x * x, not x**3: NumPy runs a float power through pow()
-            return np.tanh(_GELU_C * (x + _GELU_K * (x * x * x)))
-
         x = a.data
+        # x * x * x, not x**3: NumPy runs a float power through pow()
+        t = np.tanh(_GELU_C * (x + _GELU_K * (x * x * x)))
 
         def back(g):
-            # recomputed rather than kept: the tape then holds no copy
-            t = tanh_inner(x)
             d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
             _accumulate(a, g * local)
 
-        return self._record(Tensor(0.5 * x * (1.0 + tanh_inner(x))), back)
+        return self._record(Tensor(0.5 * x * (1.0 + t)), back)
 
     def relu(self, a: Tensor) -> Tensor:
         return self.clamp_min(a, 0.0)
@@ -380,15 +377,14 @@ class Tape:
             raise ShapeError("layer_norm gain/bias must match row width")
 
         # a sum divided by d, not .mean(): the same bits without the
-        # Python-level overhead of np.mean
-        def normalized():
-            xc = xd - xd.sum(axis=-1, keepdims=True) / d
-            inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
-            return xc * inv, inv
+        # Python-level overhead of np.mean. Backward keeps the per-row mu and
+        # inv and rebuilds xhat from x, which the tape holds anyway.
+        mu = xd.sum(axis=-1, keepdims=True) / d
+        xc = xd - mu
+        inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
 
         def back(g):
-            # recomputed from x, which the tape holds anyway, rather than kept
-            xhat, inv = normalized()
+            xhat = (xd - mu) * inv
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
             _accumulate(bias, g.reshape(-1, d).sum(axis=0))
             dxhat = g * gain.data
@@ -396,7 +392,7 @@ class Tape:
                 - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
             _accumulate(x, inv * term)
 
-        return self._record(Tensor(normalized()[0] * gain.data + bias.data), back)
+        return self._record(Tensor(xc * inv * gain.data + bias.data), back)
 
     def _softmax(self, a: Tensor, allowed: np.ndarray | None, axis: int) -> Tensor:
         """Softmax along `axis`; entries where `allowed` (which broadcasts
@@ -571,14 +567,13 @@ class Params:
             if t.grad is not None:
                 t.grad[...] = 0.0
 
-    def scale_grads(self, c: float) -> None:
-        for t in self._tensors.values():
-            if t.grad is not None:
-                t.grad[...] *= c
-
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers plus the shared step counter.
+
+    m and v are flat: every parameter's moments, in the order of the Params
+    they were built for, which `layout` records as (name, shape) pairs.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -587,35 +582,57 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self.layout: tuple[tuple[str, tuple[int, ...]], ...] | None = None
 
 
-def adam_step(params: Params, state: AdamState) -> Params:
-    """One bias-corrected Adam update in place; zeroes every gradient after."""
+def adam_step(params: Params, state: AdamState, grad_scale: float = 1.0) -> Params:
+    """One bias-corrected Adam update in place on the gradients times
+    grad_scale (1 / batch size for a minibatch mean); zeroes every gradient
+    after.
+
+    The gradients are joined into one flat vector, so the finiteness check
+    and the moment update run once over all of them. Nothing is updated when
+    a gradient is missing or not finite; a state built for other parameters
+    is a ShapeError.
+    """
+    items = list(params.items())
+    for name, p in items:
+        if p.grad is None:
+            raise MissingGradientError(f"no gradient for {name!r}")
+    layout = tuple((name, p.data.shape) for name, p in items)
+    if state.layout is None:
+        state.layout = layout
+        state.m = np.zeros(sum(p.data.size for _, p in items))
+        state.v = np.zeros_like(state.m)
+    elif state.layout != layout:
+        # the first parameter, here or in the state's layout, that differs
+        stale = next(new or old for new, old in zip_longest(layout, state.layout)
+                     if new != old)
+        raise ShapeError(f"stale Adam buffer for {stale[0]!r}")
+    g = np.concatenate([p.grad.ravel() for _, p in items] or [np.zeros(0)]) * grad_scale
+    bad = ~np.isfinite(g)
+    if bad.any():
+        ends = np.cumsum([p.data.size for _, p in items])
+        name = items[int(np.searchsorted(ends, bad.argmax(), side="right"))][0]
+        raise NumericsError(f"non-finite gradient for {name!r}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            raise MissingGradientError(f"no gradient for {name!r}")
-        if not np.isfinite(g).all():
-            raise NumericsError(f"non-finite gradient for {name!r}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        if m.shape != p.data.shape:
-            raise ShapeError(f"stale Adam buffer for {name!r}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        g[...] = 0.0
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    start = 0
+    for _, p in items:
+        size = p.data.size
+        p.data -= update[start:start + size].reshape(p.data.shape)
+        p.grad[...] = 0.0
+        start += size
     return params
 
 

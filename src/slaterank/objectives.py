@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeedbackMatrix, slate_indices
+from .data import FeedbackMatrix, LogTable, slate_indices
 from .errors import ConfigError, ShapeError
 from .generator import ProbMatrix
 from .numerics import Tape, Tensor
@@ -96,6 +96,18 @@ def utility(feedback: FeedbackMatrix, spec: UtilitySpec) -> float:
     total = 0.0
     for name, row in zip(feedback.types, feedback.values):
         total += spec.weight_for(name) * float(row.sum())
+    return total
+
+
+def utilities(table: LogTable, spec: UtilitySpec) -> np.ndarray:
+    """`utility` of every logged slate of a LogTable, as one (N,) array.
+
+    The same bits as `utility` per request: each type's row sums, weighted,
+    are added in the table's type order to a total that starts at 0.0.
+    """
+    total = np.zeros(len(table))
+    for k, name in enumerate(table.types):
+        total = total + spec.weight_for(name) * table.feedback[:, k].sum(axis=-1)
     return total
 
 
@@ -201,8 +213,10 @@ def total_loss(
 ) -> LossBreakdown:
     """Combine the branch loss with the two contrastive terms.
 
-    For a (B, n, m) minibatch, `exposed` and `feedback` hold one slate and
-    one FeedbackMatrix per request, and every term comes back per request.
+    For a (B, n, m) minibatch, `exposed` holds one slate per request and
+    `feedback` one FeedbackMatrix per request, or is already the (B,) array
+    of their utilities (training takes it from `utilities`); every term
+    comes back per request.
     With omega = 0 the total equals the branch loss exactly (the weighted
     term is a multiply by 0.0); with rho = 0 the hinges only fire on
     exact-duplicate representations, so the objective degenerates to plain
@@ -210,6 +224,8 @@ def total_loss(
     """
     if probs.values.data.ndim == 2:
         r = utility(feedback, spec)
+    elif isinstance(feedback, np.ndarray):
+        r = feedback
     else:
         r = np.array([utility(f, spec) for f in feedback])
     ul, is_positive, clamped = unlikelihood_loss(tape, probs, exposed, r, spec)

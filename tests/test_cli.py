@@ -311,6 +311,8 @@ def test_every_log_record_is_checked_at_the_boundary(tmp_path, capsys):
     lambda rec: rec["candidates"][2].update(item_id=rec["candidates"][2]["item_id"] + 0.7),
     # an integer id past int64 used to escape as OverflowError
     lambda rec: rec["candidates"][2].update(item_id=2 ** 70),
+    # request ids are int64 columns of the log table too
+    lambda rec: rec.update(request_id=-2 ** 63 - 1),
     # numeric strings used to be read as numbers by a float64 array
     lambda rec: rec["candidates"][2].update(
         features=["0.5", "1e3"] + rec["candidates"][2]["features"][2:]),
@@ -320,7 +322,8 @@ def test_every_log_record_is_checked_at_the_boundary(tmp_path, capsys):
     lambda rec: rec["candidates"][2].update(
         features=[None] + rec["candidates"][2]["features"][1:]),
 ], ids=["feedback_list", "exposed_float", "exposed_string", "request_id_string",
-        "user_id_float", "item_id_float", "item_id_overflow", "features_string",
+        "user_id_float", "item_id_float", "item_id_overflow", "request_id_overflow",
+        "features_string",
         "feedback_string", "features_null"])
 def test_mistyped_log_fields_exit_2_with_line(tmp_path, capsys, damage):
     cfg = write_cfg(tmp_path)

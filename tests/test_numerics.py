@@ -251,6 +251,55 @@ def test_adam_missing_gradient_raises():
         adam_step(params, AdamState())
 
 
+def _two_params(rng, shapes=((3, 2), (4,))):
+    params = Params()
+    for i, shape in enumerate(shapes):
+        params.add(f"p{i}", rng.normal(size=shape)).ensure_grad()[...] = rng.normal(size=shape)
+    return params
+
+
+def test_flat_adam_matches_the_per_tensor_update():
+    # the flat buffers must give every parameter the bits of its own update
+    rng = np.random.default_rng(0)
+    params = _two_params(rng)
+    want = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
+            for name, t in params.items()}
+    state = AdamState(lr=0.05)
+    for step in range(1, 4):
+        grads = {name: rng.normal(size=t.data.shape) for name, t in params.items()}
+        for name, t in params.items():
+            t.grad[...] = grads[name]
+            p, m, v = want[name]
+            g = grads[name] * 0.25
+            m[...] = m * 0.9 + (1.0 - 0.9) * g
+            v[...] = v * 0.999 + (1.0 - 0.999) * g * g
+            p -= 0.05 * (m / (1.0 - 0.9 ** step)) / (np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+        adam_step(params, state, grad_scale=0.25)
+        for name, t in params.items():
+            assert t.data.tobytes() == want[name][0].tobytes(), (step, name)
+            assert not t.grad.any()
+    assert state.step == 3
+
+
+def test_adam_non_finite_gradient_names_its_parameter():
+    params = _two_params(np.random.default_rng(1), shapes=((2, 2), (3,), (2,)))
+    before = {name: t.data.copy() for name, t in params.items()}
+    params["p1"].grad[2] = np.inf
+    with pytest.raises(NumericsError, match="'p1'"):
+        adam_step(params, AdamState())
+    for name, t in params.items():  # nothing was updated
+        assert np.array_equal(t.data, before[name])
+
+
+def test_adam_state_reused_across_params_is_a_shape_error():
+    rng = np.random.default_rng(2)
+    state = AdamState()
+    adam_step(_two_params(rng), state)
+    for shapes in (((3, 2), (5,)), ((3, 2),), ((3, 2), (4,), (1,))):
+        with pytest.raises(ShapeError, match="stale Adam buffer"):
+            adam_step(_two_params(rng, shapes), state)
+
+
 def test_adam_quadratic_bowl_converges():
     params = Params()
     w = params.add("w", np.array([1.0]))
