@@ -346,7 +346,7 @@ def _check_values(records: list[_Record]) -> None:
     bad one raises DataError with its line."""
     if not records:
         return
-    m = records[0].feedback.shape[1]
+    m = len(records[0].exposed)
     try:
         if (all(r.features.ndim == r.feedback.ndim == 2
                 and r.features.shape[0] == len(r.item_ids)

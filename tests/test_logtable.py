@@ -183,6 +183,20 @@ def test_a_bad_value_is_reported_before_a_later_syntax_error(tmp_path, capsys):
         read_logs(path, SCHEMA)
 
 
+def test_a_bad_first_record_is_reported_with_its_line(tmp_path):
+    # the checks over the whole log take their slate length from record 1
+    path = tmp_path / "log.jsonl"
+    write_logs(path, ragged_logs(3, seed=7))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for damage in (lambda rec: rec.update(feedback={}),
+                   lambda rec: rec.update(candidates=[], exposed=[])):
+        first = dict(records[0])
+        damage(first)
+        write_lines(path, [first] + records[1:])
+        with pytest.raises(DataError, match="^line 1: malformed"):
+            read_logs(path, SCHEMA)
+
+
 def test_a_schema_misfit_keeps_its_own_line(tmp_path):
     path = tmp_path / "log.jsonl"
     write_logs(path, ragged_logs(8, seed=6))
