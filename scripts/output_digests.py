@@ -5,7 +5,10 @@ Run it on two checkouts (PYTHONPATH=<checkout>/src python3 scripts/output_digest
 and diff the output: equal lines mean a refactor kept these outputs bit for
 bit. Covered: initial parameters (names, order, shapes, bytes) of the
 generator, the AR baseline and the evaluator; the generator forward on one
-request and on a padded stack; contrastive slates, every `sample_slates`
+request and on a padded stack, at L=2 and on an L=1 config shaped like
+perfbench's, and again on the L=2 parameters after train_generator has
+updated them in place (so a forward that reused values computed from the
+old parameters would show); contrastive slates, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them; AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
@@ -65,6 +68,8 @@ EV = EvaluatorConfig(types=("click", "like"), weights=(1.0, 0.5), d=8, h=2,
 SPEC = UtilitySpec(types=("click", "like"), weights=(1.0, 0.5), tau=1.0)
 # k=3 fits every request (n >= m = 3); small n makes sample_slates dedupe
 DEC = DecodeConfig(alpha=0.3, k=3, num_samples=6)
+# perfbench's generator shape, with one block per encoder
+GEN_L1 = GeneratorConfig(n_max=20, m=6, d=16, h=2, L=1, d_x=10, d_t=8, seed=15)
 WORLD = WorldConfig(num_users=40, num_items=120, latent_dim=4, n_candidates=9, seed=13)
 
 
@@ -186,6 +191,24 @@ def op_digests() -> None:
         print(f"op.{name}", digest(out.data, *[x.grad for x in inputs]))
 
 
+def prob_fields(probs) -> tuple:
+    return (probs.values.data, probs.candidate_reps.data, probs.position_reps.data,
+            probs.valid)
+
+
+def forward_l1_digest() -> None:
+    """One request, a padded stack of five (n from 6 to 20) and the first
+    request again, through one set of L=1 parameters."""
+    rng = np.random.default_rng(41)
+    reqs = [RequestBatch(request_id=i, user_id=0, item_ids=np.arange(n),
+                         features=rng.normal(size=(n, GEN_L1.d_x)))
+            for i, n in enumerate((20, 13, 6, 20, 9))]
+    gen = init_generator_params(GEN_L1)
+    print("forward.one.L1", digest(*prob_fields(forward(reqs[0], gen, GEN_L1)),
+                                   *prob_fields(forward(reqs, gen, GEN_L1)),
+                                   *prob_fields(forward(reqs[0], gen, GEN_L1))))
+
+
 def slate_fields(slate) -> tuple:
     return slate.indices, slate.probabilities, slate.method
 
@@ -283,6 +306,7 @@ def main() -> None:
     stack = forward(reqs[:6], gen, GEN)
     print("forward.stack", digest(stack.values.data, stack.candidate_reps.data,
                                   stack.position_reps.data, stack.valid))
+    forward_l1_digest()
 
     decode_digests(reqs[:12], gen, ev)
 
@@ -309,6 +333,7 @@ def main() -> None:
     train_generator(logs, gen, GEN, SPEC, lr=1e-2, epochs=2, batch_size=7, seed=4,
                     step_log=steps)
     print("train_generator", params_digest(gen), digest(steps_to_csv(steps)))
+    print("forward.after_train", digest(*prob_fields(forward(reqs[0], gen, GEN))))
     ar_losses = []
     train_ar(logs, ar, GEN, lr=1e-2, epochs=2, batch_size=7, seed=4, loss_log=ar_losses)
     print("train_ar", params_digest(ar), digest(ar_losses))
