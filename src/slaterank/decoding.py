@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import slate_indices
 from .errors import ConfigError, InfeasibleSlateError, InvalidSlateError
 from .generator import ProbMatrix
 
@@ -209,10 +210,12 @@ def beam_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
 
 
 def slate_score(probs: ProbMatrix, indices) -> float:
-    """Joint log-probability sum_j log p[indices_j, j] of a slate."""
-    values, _ = _active(probs)
+    """Joint log-probability sum_j log p[indices_j, j] of a slate of m items,
+    checked by `data.slate_indices`."""
+    values, n = _active(probs)
+    idx = slate_indices([indices], n, probs.m)[0]
     with np.errstate(divide="ignore"):
-        return float(np.log(values[np.asarray(indices), np.arange(len(indices))]).sum())
+        return float(np.log(values[idx, np.arange(probs.m)]).sum())
 
 
 def sample_slates(

@@ -18,6 +18,20 @@ All m position distributions come out of a single forward pass. That is the
 property the autoregressive baseline in `ar` deliberately gives up, and the
 one the bench harness measures.
 
+Part of that pass is the same for every request. The position encoder's
+first block reads nothing but parameters until its cross-attention: the slot
+embedding (`pos.table` through `embed.t`), ln1, the self-attention among the
+slots and its residual sum, then ln2 and the cross-attention's query
+projection. Serving (a non-recording tape) computes those two (m, d) tensors,
+the slots and their queries, once per parameter state: `Params.memo` keys
+them on the bytes of the twelve parameters they read and on the head count,
+so an in-place edit of any of them (Adam, a finite-difference probe)
+computes them again on the next call, and they are read-only, so no request
+can change them for the next. A recording tape never reads them and records
+the whole pass, so training and gradients take the same path as before. The
+block is still written once: `_block_head` is the part of a block that reads
+only its input, and both `block` and the memo call it.
+
 Training runs a whole minibatch through the same pass: the requests' feature
 rows are stacked on a leading batch axis, zero-padded to the largest n in the
 minibatch, and the `valid` mask keeps the padded rows out of attention and
@@ -151,41 +165,60 @@ def _ln(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
     return tape.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _attention(tape: Tape, params: Params, prefix: str, q_in: Tensor, kv_in: Tensor,
-               cfg, key_mask: np.ndarray | None = None, causal: bool = False) -> Tensor:
-    q = tape.linear(q_in, params[f"{prefix}.wq"])
+def _attend(tape: Tape, params: Params, prefix: str, q: Tensor, kv_in: Tensor, cfg,
+            key_mask: np.ndarray | None = None, causal: bool = False) -> Tensor:
+    """Attention of the projected queries q into kv_in: keys and values
+    through prefix.wk and prefix.wv, the heads' output through prefix.wo."""
     k = tape.linear(kv_in, params[f"{prefix}.wk"])
     v = tape.linear(kv_in, params[f"{prefix}.wv"])
     heads = tape.attention(q, k, v, cfg.h, key_mask=key_mask, causal=causal)
     return tape.linear(heads, params[f"{prefix}.wo"])
 
 
-def block(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, *,
+def _block_head(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, *,
+                mask: np.ndarray | None = None, causal: bool = False,
+                cross: bool = False) -> tuple[Tensor, Tensor | None]:
+    """The part of a block that reads x and nothing else: x plus the
+    self-attention sublayer, and, with cross, the cross-attention's queries
+    projected from ln2 of that sum (None without)."""
+    normed = _ln(tape, params, f"{prefix}.ln1", x)
+    name = f"{prefix}.{'self' if cross else 'attn'}"
+    x = tape.add(x, _attend(tape, params, name, tape.linear(normed, params[f"{name}.wq"]),
+                            normed, cfg, key_mask=mask, causal=causal))
+    if not cross:
+        return x, None
+    return x, tape.linear(_ln(tape, params, f"{prefix}.ln2", x), params[f"{prefix}.cross.wq"])
+
+
+def block(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
           mask: np.ndarray | None = None, causal: bool = False,
           memory: Tensor | None = None,
-          memory_mask: np.ndarray | None = None) -> Tensor:
+          memory_mask: np.ndarray | None = None,
+          head: tuple[Tensor, Tensor | None] | None = None) -> Tensor:
     """One block over x. `mask` and `causal` restrict the self-attention's
     keys; given `memory`, the block also cross-attends into it, with
-    memory_mask over its keys. cfg gives the head count h."""
-    normed = _ln(tape, params, f"{prefix}.ln1", x)
-    name = "attn" if memory is None else "self"
-    x = tape.add(x, _attention(tape, params, f"{prefix}.{name}", normed, normed, cfg,
-                               key_mask=mask, causal=causal))
+    memory_mask over its keys. cfg gives the head count h. Given `head`, the
+    pair `_block_head` returns for this block's input, the block goes on
+    from there and x is not read."""
+    x, q = head or _block_head(tape, params, prefix, x, cfg, mask=mask, causal=causal,
+                               cross=memory is not None)
     ffn_ln = "ln2"
     if memory is not None:
-        x = tape.add(x, _attention(tape, params, f"{prefix}.cross",
-                                   _ln(tape, params, f"{prefix}.ln2", x), memory, cfg,
-                                   key_mask=memory_mask))
+        x = tape.add(x, _attend(tape, params, f"{prefix}.cross", q, memory, cfg,
+                                key_mask=memory_mask))
         ffn_ln = "ln3"
     hidden = tape.gelu(tape.linear(_ln(tape, params, f"{prefix}.{ffn_ln}", x),
                                    params[f"{prefix}.ffn.w1"]))
     return tape.add(x, tape.linear(hidden, params[f"{prefix}.ffn.w2"]))
 
 
-def blocks(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, **kwargs) -> Tensor:
-    """The cfg.L blocks of build_blocks, then the final layer norm."""
+def blocks(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
+           head: tuple[Tensor, Tensor | None] | None = None, **kwargs) -> Tensor:
+    """The cfg.L blocks of build_blocks, then the final layer norm. `head`
+    is block 0's, as for `block`."""
     for layer in range(cfg.L):
-        x = block(tape, params, f"{prefix}.{layer}", x, cfg, **kwargs)
+        x = block(tape, params, f"{prefix}.{layer}", x, cfg,
+                  head=head if layer == 0 else None, **kwargs)
     return _ln(tape, params, f"{prefix}.final_ln", x)
 
 
@@ -226,6 +259,19 @@ def encode_candidates(feats, params: Params, cfg: GeneratorConfig, tape: Tape,
     return blocks(tape, params, "cand", h, cfg, mask=valid)
 
 
+# every parameter _slot_head reads
+_SLOT_PARAMS = ("pos.table", "embed.t.w", "embed.t.b", "pos.0.ln1.g", "pos.0.ln1.b",
+                "pos.0.self.wq", "pos.0.self.wk", "pos.0.self.wv", "pos.0.self.wo",
+                "pos.0.ln2.g", "pos.0.ln2.b", "pos.0.cross.wq")
+
+
+def _slot_head(params: Params, cfg: GeneratorConfig, tape: Tape) -> tuple[Tensor, Tensor]:
+    """Block 0's head over the embedded position table: the slots after the
+    self-attention sublayer and their cross-attention queries, both (m, d)."""
+    t = tape.linear(params["pos.table"], params["embed.t.w"], params["embed.t.b"])
+    return _block_head(tape, params, "pos.0", t, cfg, cross=True)
+
+
 def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
                      tape: Tape, valid: np.ndarray | None = None) -> Tensor:
     """L pre-norm blocks over the m learned position slots: self-attention
@@ -233,11 +279,27 @@ def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
 
     The slots start shared, (m, d); the first cross-attention into a
     (B, n, d) batch of candidate states gives every request its own.
+    Everything before that cross-attention reads parameters only: the slot
+    embedding (`pos.table` through `embed.t`), block 0's ln1 and
+    self-attention and its residual sum, and ln2 and the cross-attention's
+    query projection. A non-recording tape takes those two (m, d) tensors,
+    the slots and their queries, from `params.memo`, which computes them
+    once and reuses them while cfg.h and the bytes of the twelve parameters
+    they read are unchanged. Any in-place edit of one of those parameters
+    (an Adam step, a finite-difference probe, even 0.0 to -0.0) therefore
+    recomputes them on the next call, and they are read-only, so no request
+    can alter them for the next. A recording tape never reads the memo: it
+    computes the slots on the tape, so their gradients reach the parameters.
     """
     if cand_hidden.data.shape[-1] != cfg.d:
         raise ShapeError("candidate hidden width does not match config d")
-    t = tape.linear(params["pos.table"], params["embed.t.w"], params["embed.t.b"])
-    return blocks(tape, params, "pos", t, cfg, memory=cand_hidden, memory_mask=valid)
+    if tape.recording:
+        head = _slot_head(params, cfg, tape)
+    else:
+        head = params.memo("pos.slot_head", _SLOT_PARAMS, cfg.h,
+                           lambda: _slot_head(params, cfg, tape))
+    return blocks(tape, params, "pos", None, cfg, head=head, memory=cand_hidden,
+                  memory_mask=valid)
 
 
 def matching_head(cand_reps: Tensor, pos_reps: Tensor, tape: Tape,

@@ -526,10 +526,12 @@ class Tape:
 
 
 class Params:
-    """Named parameter tensors with deterministic insertion order."""
+    """Named parameter tensors with deterministic insertion order, and values
+    computed from them that `memo` keeps until the tensors change."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
+        self._memo: dict[str, tuple] = {}
 
     def add(self, name: str, array) -> Tensor:
         if name in self._tensors:
@@ -561,6 +563,27 @@ class Params:
 
     def items(self):
         return self._tensors.items()
+
+    def memo(self, tag: str, names, extra, compute) -> tuple[Tensor, ...]:
+        """The tensors compute() returns, or those it returned on the last
+        call with this tag if `extra` and the named tensors' shapes and bytes
+        are the same as then.
+
+        The key holds the tensors' bytes, not their values, so any edit made
+        in place since, even 0.0 to -0.0 or a NaN's payload, computes again.
+        One value is kept per tag. Every later caller shares its tensors, so
+        their arrays are made read-only.
+        """
+        arrays = [self._tensors[name].data for name in names]
+        key = (extra, [a.shape for a in arrays], b"".join(a.tobytes() for a in arrays))
+        hit = self._memo.get(tag)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        value = compute()
+        for t in value:
+            t.data.flags.writeable = False
+        self._memo[tag] = (key, value)
+        return value
 
     def zero_grad(self) -> None:
         for t in self._tensors.values():

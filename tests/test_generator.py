@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,14 @@ from slaterank.generator import (
     init_generator_params,
     matching_head,
 )
-from slaterank.numerics import Tape, Tensor
+from slaterank.numerics import AdamState, Params, Tape, Tensor, adam_step
 
 SMALL = GeneratorConfig(n_max=6, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=0)
+SMALL_L1 = replace(SMALL, L=1)
+# what block 0 of the position encoder reads before its cross-attention
+SLOT_PARAMS = ("pos.table", "embed.t.w", "embed.t.b", "pos.0.ln1.g", "pos.0.ln1.b",
+               "pos.0.self.wq", "pos.0.self.wk", "pos.0.self.wv", "pos.0.self.wo",
+               "pos.0.ln2.g", "pos.0.ln2.b", "pos.0.cross.wq")
 
 
 def make_request(rng, n, d_x=SMALL.d_x, request_id=0):
@@ -181,3 +187,149 @@ def test_prob_matrix_reports_dims():
                     position_reps=Tensor(np.zeros((2, 3))))
     assert pm.n == 4
     assert pm.m == 2
+
+
+# ---- the position slots a serving forward reuses ----
+
+
+class ProbeTape(Tape):
+    """A tape that counts its linear ops and keeps every tensor its add and
+    attention ops read."""
+
+    def __init__(self, recording: bool = False):
+        super().__init__(recording=recording)
+        self.linears = 0
+        self.operands = []
+
+    def linear(self, x, w, b=None):
+        self.linears += 1
+        return super().linear(x, w, b)
+
+    def add(self, a, b):
+        self.operands += [a, b]
+        return super().add(a, b)
+
+    def attention(self, q, k, v, heads, **kwargs):
+        self.operands += [q, k, v]
+        return super().attention(q, k, v, heads, **kwargs)
+
+
+def _bits(probs):
+    return [(a.shape, a.tobytes()) for a in (probs.values.data,
+                                             probs.candidate_reps.data,
+                                             probs.position_reps.data)]
+
+
+def _serve(req, params, cfg):
+    """A serving forward's outputs as bytes, and the linear ops it ran."""
+    tape = ProbeTape()
+    return _bits(forward(req, params, cfg, tape=tape)), tape.linears
+
+
+def _fresh(params):
+    copy = Params()
+    for name, t in params.items():
+        copy.add(name, t.data.copy())
+    return copy
+
+
+def _loss(req, params, cfg, tape):
+    probs = forward(req, params, cfg, tape=tape)
+    picked = tape.take_entries(probs.values, [3, 0, 4], [0, 1, 2])
+    return tape.neg(tape.sum(tape.log(picked)))
+
+
+@pytest.mark.parametrize("cfg", [SMALL_L1, SMALL], ids=["L1", "L2"])
+def test_serving_forward_equals_recording_forward_bit_for_bit(cfg):
+    rng = np.random.default_rng(10)
+    params = init_generator_params(cfg)
+    one = make_request(rng, 5)
+    stack = [make_request(rng, n, request_id=i) for i, n in enumerate((4, 6, 3))]
+    for req in (one, stack, one):
+        recorded = _bits(forward(req, params, cfg, tape=Tape()))
+        assert _bits(forward(req, params, cfg)) == recorded
+        assert _bits(forward(req, params, cfg)) == recorded
+
+
+@pytest.mark.parametrize("edit", ["quarter", "ulp", "negative_zero"])
+def test_an_in_place_edit_recomputes_the_slots_only_when_they_read_it(edit):
+    rng = np.random.default_rng(11)
+    params = init_generator_params(SMALL)
+    req = make_request(rng, 5)
+    first, computed = _serve(req, params, SMALL)
+    again, reused = _serve(req, params, SMALL)
+    assert again == first
+    # embed.t, the four self-attention projections and the cross queries
+    assert computed - reused == 6
+    for name in params.names():
+        flat = params[name].data.reshape(-1)
+        if edit == "quarter":
+            flat[0] += 0.25
+        elif edit == "ulp":
+            flat[0] = np.nextafter(flat[0], np.inf)
+        else:
+            flat[0] = 0.0
+            _serve(req, params, SMALL)
+            flat[0] = -0.0
+        out, linears = _serve(req, params, SMALL)
+        assert linears == (computed if name in SLOT_PARAMS else reused), name
+        assert out == _serve(req, _fresh(params), SMALL)[0], name
+
+
+def test_an_adam_step_recomputes_the_slots():
+    rng = np.random.default_rng(12)
+    params = init_generator_params(SMALL_L1)
+    req = make_request(rng, 5)
+    before, computed = _serve(req, params, SMALL_L1)
+    tape = Tape()
+    tape.backward(_loss(req, params, SMALL_L1, tape))
+    adam_step(params, AdamState(lr=1e-2))
+    after, linears = _serve(req, params, SMALL_L1)
+    assert linears == computed
+    assert after != before
+    assert after == _serve(req, _fresh(params), SMALL_L1)[0]
+
+
+def test_parameter_sets_and_head_counts_served_in_turn_do_not_cross():
+    rng = np.random.default_rng(13)
+    req = make_request(rng, 5)
+    first = init_generator_params(SMALL_L1)
+    second = init_generator_params(replace(SMALL_L1, seed=1))
+    cases = [(first, SMALL_L1), (second, SMALL_L1), (first, replace(SMALL_L1, h=4))]
+    want = [_serve(req, _fresh(params), cfg)[0] for params, cfg in cases]
+    assert len({str(w) for w in want}) == len(cases)
+    for _ in range(3):
+        for (params, cfg), expected in zip(cases, want):
+            assert _serve(req, params, cfg)[0] == expected
+
+
+def test_reused_slots_are_read_only_and_a_recording_tape_never_reads_them():
+    rng = np.random.default_rng(14)
+    params = init_generator_params(SMALL_L1)
+    req = make_request(rng, 5)
+    tapes = [ProbeTape(), ProbeTape()]
+    for tape in tapes:
+        forward(req, params, SMALL_L1, tape=tape)
+    shared = [[t for t in tape.operands if not t.data.flags.writeable] for tape in tapes]
+    # the cross-attention queries, then the slots they add to, the same
+    # tensors for both requests
+    assert len(shared[0]) == 2
+    assert all(a is b for a, b in zip(*shared))
+    for t in shared[0]:
+        assert t.data.shape == (SMALL_L1.m, SMALL_L1.d)
+        with pytest.raises(ValueError):
+            t.data[0, 0] = 1.0
+    recording = ProbeTape(recording=True)
+    forward(req, params, SMALL_L1, tape=recording)
+    assert all(t.data.flags.writeable for t in recording.operands)
+
+
+def test_recording_forward_after_serving_reaches_the_slot_parameters():
+    rng = np.random.default_rng(15)
+    params = init_generator_params(SMALL_L1)
+    req = make_request(rng, 5)
+    forward(req, params, SMALL_L1)
+    tape = Tape()
+    tape.backward(_loss(req, params, SMALL_L1, tape))
+    for name in SLOT_PARAMS:
+        assert params[name].grad is not None and np.abs(params[name].grad).max() > 0, name

@@ -225,6 +225,35 @@ def test_gradient_accumulates_across_tapes():
     assert w.grad[0, 0] == 3.0
 
 
+def test_params_memo_recomputes_on_any_change_to_its_key():
+    params = Params()
+    a = params.add("a", np.array([0.0, 1.0, np.nan]))
+    params.add("b", np.array([2.0]))
+    calls = []
+
+    def get(extra=1):
+        def compute():
+            calls.append(1)
+            return (Tensor([float(len(calls))]),)
+
+        return params.memo("tag", ["a"], extra, compute)[0].item()
+
+    assert get() == 1 and get() == 1
+    params["b"].data[0] = 3.0  # not a key tensor
+    assert get() == 1
+    a.data[0] = -0.0
+    assert get() == 2
+    a.data[2] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]  # another NaN
+    assert get() == 3
+    assert get(extra=2) == 4
+    a.data = a.data.reshape(3, 1)  # same bytes, another shape
+    assert get(extra=2) == 5
+    other = params.memo("other", ["a"], 2, lambda: (Tensor([7.0]),))
+    assert other[0].item() == 7.0 and get(extra=2) == 5
+    with pytest.raises(ValueError):
+        other[0].data[0] = 1.0
+
+
 def test_adam_first_step_approximates_lr():
     params = Params()
     w = params.add("w", np.array(1.0).reshape(()))

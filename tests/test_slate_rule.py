@@ -7,6 +7,7 @@ import pytest
 
 from slaterank.ar import ar_forward, ar_sequence_loss, init_ar_params
 from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
+from slaterank.decoding import slate_score
 from slaterank.errors import EmptyCandidatesError, InvalidSlateError, ShapeError
 from slaterank.evaluator import (
     EvaluatorConfig,
@@ -60,6 +61,7 @@ def _consumers():
         "select_best": lambda s: select_best(REQ, [GOOD, s], ev, EV),
         "oracle_click_probs": lambda s: oracle_click_probs(WORLD, REQ, s),
         "recall_at_k": lambda s: recall_at_k(forward(REQ, gen, GEN), s, N),
+        "slate_score": lambda s: slate_score(forward(REQ, gen, GEN), s),
     }
 
 
