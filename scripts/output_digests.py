@@ -5,7 +5,7 @@ Run it on two checkouts (PYTHONPATH=<checkout>/src python3 scripts/output_digest
 and diff the output: equal lines mean a refactor kept these outputs bit for
 bit. Covered: initial parameters (names, order, shapes, bytes) of the
 generator, the AR baseline and the evaluator; the generator forward on one
-request and on a padded stack, at L=2 and on an L=1 config shaped like
+request and on a padded LogTable, at L=2 and on an L=1 config shaped like
 perfbench's, and again on the L=2 parameters after train_generator has
 updated them in place (so a forward that reused values computed from the
 old parameters would show); contrastive slates, every `sample_slates`
@@ -37,6 +37,7 @@ from slaterank.data import (
     ExposureLog,
     FeedbackMatrix,
     LogSchema,
+    LogTable,
     RequestBatch,
     read_logs,
     write_logs,
@@ -197,16 +198,20 @@ def prob_fields(probs) -> tuple:
 
 
 def forward_l1_digest() -> None:
-    """One request, a padded stack of five (n from 6 to 20) and the first
-    request again, through one set of L=1 parameters."""
+    """One request, a padded table of five (n from 6 to 20) and the first
+    request again, through one set of L=1 parameters. The logged slate
+    (0 .. m-1, zero feedback) is there only to make the table."""
     rng = np.random.default_rng(41)
-    reqs = [RequestBatch(request_id=i, user_id=0, item_ids=np.arange(n),
-                         features=rng.normal(size=(n, GEN_L1.d_x)))
+    zeros = FeedbackMatrix(values=np.zeros((1, GEN_L1.m)), types=("click",))
+    logs = [ExposureLog(RequestBatch(request_id=i, user_id=0, item_ids=np.arange(n),
+                                     features=rng.normal(size=(n, GEN_L1.d_x)),
+                                     exposed=tuple(range(GEN_L1.m)), feedback=zeros))
             for i, n in enumerate((20, 13, 6, 20, 9))]
+    one = logs[0].request
     gen = init_generator_params(GEN_L1)
-    print("forward.one.L1", digest(*prob_fields(forward(reqs[0], gen, GEN_L1)),
-                                   *prob_fields(forward(reqs, gen, GEN_L1)),
-                                   *prob_fields(forward(reqs[0], gen, GEN_L1))))
+    print("forward.one.L1", digest(*prob_fields(forward(one, gen, GEN_L1)),
+                                   *prob_fields(forward(LogTable.of(logs), gen, GEN_L1)),
+                                   *prob_fields(forward(one, gen, GEN_L1))))
 
 
 def slate_fields(slate) -> tuple:
@@ -303,7 +308,7 @@ def main() -> None:
     one = forward(reqs[0], gen, GEN)
     print("forward.one", digest(one.values.data, one.candidate_reps.data,
                                 one.position_reps.data))
-    stack = forward(reqs[:6], gen, GEN)
+    stack = forward(LogTable.of(logs[:6]), gen, GEN)
     print("forward.stack", digest(stack.values.data, stack.candidate_reps.data,
                                   stack.position_reps.data, stack.valid))
     forward_l1_digest()
@@ -316,7 +321,7 @@ def main() -> None:
     print("ar_sequence_loss.one.grads", grads_digest(ar))
     ar.zero_grad()
     tape = Tape()
-    losses = ar_sequence_loss(reqs[:6], ar, GEN, tape)
+    losses = ar_sequence_loss(LogTable.of(logs[:6]), ar, GEN, tape)
     tape.backward(tape.sum(losses))
     print("ar_sequence_loss.stack", digest(losses.data), grads_digest(ar))
     ar.zero_grad()
