@@ -9,15 +9,15 @@ contrasts against the one-pass generator.
 
 Training is teacher-forced in a single pass with a causal mask, and a
 minibatch goes through that pass on one tape, as the generator's does: the
-requests' features are stacked and zero-padded to the largest n in the
-minibatch (`generator._stack_requests`; a `LogTable` minibatch arrives
-stacked), and the `valid` mask keeps padded candidates out of the encoder's
-attention, the decoder's cross-attention and the pointer softmax. The decoder rows [bos, y_1 ... y_{m-1}] are
-gathered for the whole stack at once; every slate has length m, so the
-decoder side needs no padding.
+minibatch is a `data.LogTable`, whose features arrive stacked and zero-padded
+to the largest n in it (`generator._stack_requests`), and the `valid` mask
+keeps padded candidates out of the encoder's attention, the decoder's
+cross-attention and the pointer softmax. The decoder rows
+[bos, y_1 ... y_{m-1}] are gathered for the whole stack at once; every slate
+has length m, so the decoder side needs no padding.
 
-Logged slates (a minibatch's in one call, or a LogTable's once, when the
-table is built) and decode prefixes are checked by the one slate rule,
+Logged slates (a LogTable's once, when the table is built, or one request's
+here) and decode prefixes are checked by the one slate rule,
 `data.slate_indices`; a prefix may be shorter than m, and one that overruns
 m is a ShapeError.
 """
@@ -114,24 +114,19 @@ def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
                      tape: Tape) -> Tensor:
     """Teacher-forced cross-entropy -sum_t log p(y_t | y_<t) in one pass.
 
-    `req` is one RequestBatch, giving a scalar, or a sequence of them or a
-    LogTable, giving one loss per request, (B,), from one pass over the
-    padded stack.
+    `req` is one RequestBatch, giving a scalar, or a LogTable, giving one
+    loss per request, (B,), from one pass over the padded stack.
     """
     feats, valid = _stack_requests(req, cfg)
-    single = isinstance(req, RequestBatch)
     if isinstance(req, LogTable):
         # its slates were checked by the slate rule when the table was built
         y = req.exposed
         if y.shape[1] != cfg.m:
             raise ShapeError(f"logged slates have {y.shape[1]} items, config m={cfg.m}")
+    elif req.exposed is None:
+        raise InvalidSlateError("request has no exposed slate to fit")
     else:
-        reqs = [req] if single else list(req)
-        if any(r.exposed is None for r in reqs):
-            raise InvalidSlateError("request has no exposed slate to fit")
-        y = slate_indices([r.exposed for r in reqs], [r.n for r in reqs], cfg.m)
-        if single:
-            y = y[0]
+        y = slate_indices([req.exposed], req.n, cfg.m)[0]
     probs = _pointer_probs(tape, params, cfg, feats, y[..., :-1], valid)
     picked = tape.take_entries(probs, np.broadcast_to(np.arange(cfg.m), y.shape), y)
     return tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12)), axis=-1))

@@ -78,7 +78,8 @@ class BenchReport:
         return self.csv_header() + "\n" + self.csv_row() + "\n"
 
 
-def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
+def _times(fn, tasks, warmup: int) -> np.ndarray:
+    """Seconds per task, the first `warmup` tasks left out."""
     times = []
     for i, task in enumerate(tasks):
         start = time.perf_counter()
@@ -86,13 +87,17 @@ def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
         elapsed = time.perf_counter() - start
         if i >= warmup:
             times.append(elapsed)
-    arr = np.asarray(times)
-    return float(arr.mean()), float(arr.std())
+    return np.asarray(times)
+
+
+def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
+    times = _times(fn, tasks, warmup)
+    return float(times.mean()), float(times.std())
 
 
 def _time_inference(kind: str, requests, params, cfg,
-                    decode_cfg: DecodeConfig, warmup: int) -> tuple[float, float, int]:
-    """Mean/std seconds per request plus the exact forward-pass count."""
+                    decode_cfg: DecodeConfig, warmup: int) -> tuple[np.ndarray, int]:
+    """Seconds per request plus the exact forward-pass count."""
     if kind == "nar":
         def step(req):
             decode(forward(req, params, cfg), decode_cfg)
@@ -100,17 +105,21 @@ def _time_inference(kind: str, requests, params, cfg,
         def step(req):
             ar_decode(req, params, cfg)
     FORWARD_PASSES.reset()
-    mean, std = _timed(step, requests, warmup)
+    times = _times(step, requests, warmup)
     total = FORWARD_PASSES.count
     if total % len(requests):
         raise ConfigError(f"forward count {total} not divisible by "
                           f"{len(requests)} requests")
-    return mean, std, total // len(requests)
+    return times, total // len(requests)
 
 
 def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
               batch_size: int = 8, sweep_m: tuple[int, ...] = (1, 2, 4, 6, 8),
               ratio_m: int = 5) -> BenchReport:
+    """Inference is timed once per distinct slate size among the configured
+    m, sweep_m and ratio_m. The sweep and the slopes read the series' means;
+    infer_ratio is the ratio of the medians of the ratio_m series, so that a
+    few stalled requests cannot move it."""
     if steps < 1 or warmup < 0 or batch_size < 1:
         raise ConfigError("steps, warmup and batch_size must be positive")
     world = World(run.world)
@@ -118,28 +127,30 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     requests = [gen_request(world, rng, request_id=i)
                 for i in range(steps + warmup)]
     decode_cfg = run.decode
+    series = {}  # slate size -> its (nar, ar) results of _time_inference
 
-    def infer_at(mv: int) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
-        cfg = replace(run.generator, m=mv)
-        nar = _time_inference("nar", requests, init_generator_params(cfg),
-                              cfg, decode_cfg, warmup)
-        ar = _time_inference("ar", requests, init_ar_params(cfg), cfg,
-                             decode_cfg, warmup)
-        return nar, ar
+    def infer_at(mv: int) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+        if mv not in series:
+            cfg = replace(run.generator, m=mv)
+            series[mv] = (_time_inference("nar", requests, init_generator_params(cfg),
+                                          cfg, decode_cfg, warmup),
+                          _time_inference("ar", requests, init_ar_params(cfg), cfg,
+                                          decode_cfg, warmup))
+        return series[mv]
 
     # Main timing at the configured slate size.
-    (nar_mean, nar_std, nar_fwd), (ar_mean, ar_std, ar_fwd) = infer_at(run.generator.m)
+    (nar_times, nar_fwd), (ar_times, ar_fwd) = infer_at(run.generator.m)
 
     # Slate-size sweep for the scaling shape.
     sweep_nar, sweep_ar = [], []
     for mv in sweep_m:
-        (n_mean, _, _), (a_mean, _, _) = infer_at(mv)
-        sweep_nar.append(n_mean)
-        sweep_ar.append(a_mean)
+        (n_times, _), (a_times, _) = infer_at(mv)
+        sweep_nar.append(float(n_times.mean()))
+        sweep_ar.append(float(a_times.mean()))
     nar_slope = float(np.polyfit(sweep_m, sweep_nar, 1)[0])
     ar_slope = float(np.polyfit(sweep_m, sweep_ar, 1)[0])
 
-    (r_nar_mean, _, _), (r_ar_mean, _, _) = infer_at(ratio_m)
+    (r_nar_times, _), (r_ar_times, _) = infer_at(ratio_m)
 
     # Training steps: one real minibatch update per timed step.
     spec: UtilitySpec = run.utility
@@ -165,12 +176,12 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
 
     return BenchReport(
         batch_size=batch_size, m=run.generator.m,
-        nar_infer_mean=nar_mean, nar_infer_std=nar_std,
-        ar_infer_mean=ar_mean, ar_infer_std=ar_std,
+        nar_infer_mean=float(nar_times.mean()), nar_infer_std=float(nar_times.std()),
+        ar_infer_mean=float(ar_times.mean()), ar_infer_std=float(ar_times.std()),
         nar_train_mean=nar_train_mean, nar_train_std=nar_train_std,
         ar_train_mean=ar_train_mean, ar_train_std=ar_train_std,
         nar_forwards_per_request=nar_fwd, ar_forwards_per_request=ar_fwd,
         sweep_m=tuple(sweep_m), sweep_nar=tuple(sweep_nar),
         sweep_ar=tuple(sweep_ar), nar_slope=nar_slope, ar_slope=ar_slope,
         ratio_m=ratio_m,
-        infer_ratio=r_ar_mean / r_nar_mean)
+        infer_ratio=float(np.median(r_ar_times) / np.median(r_nar_times)))

@@ -156,19 +156,15 @@ def bce_loss(tape: Tape, score: SlateScore, feedback) -> Tensor:
     """Summed binary cross-entropy of every head against logged feedback,
     computed from logits (softplus(z) - y*z) so saturation cannot overflow.
 
-    For a stack of B slates `feedback` holds one FeedbackMatrix per slate,
-    or is a (B, T, m) array with its rows in `score.types` order, and the
-    loss comes back per slate, as a (B,) vector.
+    For one slate `feedback` is its FeedbackMatrix. For a stack of B slates
+    it is a (B, T, m) array with its rows in `score.types` order, as
+    `train_evaluator` gathers it from a LogTable, and the loss comes back
+    per slate, as a (B,) vector.
     """
     total = None
     for k, t in enumerate(score.types):
         z = score.logits[t]
-        if isinstance(feedback, FeedbackMatrix):
-            rows = feedback.row(t)
-        elif isinstance(feedback, np.ndarray):
-            rows = feedback[:, k]
-        else:
-            rows = [f.row(t) for f in feedback]
+        rows = feedback.row(t) if isinstance(feedback, FeedbackMatrix) else feedback[:, k]
         y = np.asarray(rows, dtype=np.float64).reshape(z.data.shape)
         term = tape.sub(tape.sum(tape.softplus(z), axis=(-2, -1)),
                         tape.sum(tape.mask(z, y), axis=(-2, -1)))

@@ -32,10 +32,10 @@ the whole pass, so training and gradients take the same path as before. The
 block is still written once: `_block_head` is the part of a block that reads
 only its input, and both `block` and the memo call it.
 
-Training runs a whole minibatch through the same pass: the requests' feature
-rows are stacked on a leading batch axis, zero-padded to the largest n in the
-minibatch, and the `valid` mask keeps the padded rows out of attention and
-gives them probability exactly 0.
+Training runs a whole minibatch through the same pass: a minibatch is a
+`data.LogTable`, whose feature rows are stacked on a leading batch axis and
+zero-padded to the largest n in the minibatch, and the `valid` mask keeps the
+padded rows out of attention and gives them probability exactly 0.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LogTable, RequestBatch
+from .data import RequestBatch
 from .errors import ConfigError, EmptyCandidatesError, ShapeError
 from .numerics import Params, Tape, Tensor
 
@@ -313,22 +313,16 @@ def matching_head(cand_reps: Tensor, pos_reps: Tensor, tape: Tape,
 
 def _stack_requests(req, cfg: GeneratorConfig,
                     pad_to: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Feature rows of one RequestBatch, (n, d_x), or of a sequence of them
-    or a LogTable, stacked to (B, width, d_x) and zero-padded to the largest
-    n among them, or to pad_to. `valid` marks the real rows, (n,) or
-    (B, width), and is None when nothing was padded. Both the one-shot
-    generator and the AR baseline take their minibatches from here; a
-    LogTable minibatch is already stacked and padded, so only its checks run.
+    """Feature rows of a LogTable, (B, width, d_x), or of one RequestBatch,
+    (n, d_x), zero-padded to the largest n among the requests, or to pad_to.
+    `valid` marks the real rows, (B, width) or (n,), and is None when nothing
+    was padded. Both the one-shot generator and the AR baseline take their
+    minibatches from here. One request goes through as a table of one and is
+    squeezed on return; with nothing to pad it reads its features in place.
     """
     single = isinstance(req, RequestBatch)
-    table = req if isinstance(req, LogTable) else None
-    if table is None:
-        reqs = [req] if single else list(req)
-        ns = [r.features.shape[0] for r in reqs]
-        widths = [r.features.shape for r in reqs]
-    else:
-        ns = table.n.tolist()
-        widths = [table.features.shape]
+    feats = req.features[None] if single else req.features
+    ns = [req.n] if single else req.n.tolist()
     if not ns:
         raise EmptyCandidatesError("no requests to rank")
     if min(ns) == 0:
@@ -338,25 +332,16 @@ def _stack_requests(req, cfg: GeneratorConfig,
     width = max(ns) if pad_to is None else pad_to
     if width < max(ns) or width > cfg.n_max:
         raise ShapeError(f"pad_to={pad_to} out of range for n={max(ns)}")
-    for shape in widths:
-        if shape[-1] != cfg.d_x:
-            raise ShapeError(f"features {shape} do not match d_x={cfg.d_x}")
+    if feats.shape[-1] != cfg.d_x:
+        raise ShapeError(f"features {req.features.shape} do not match d_x={cfg.d_x}")
     valid = None
     if min(ns) < width:
         valid = np.arange(width) < np.array(ns)[:, None]
-    if table is not None:
-        feats = table.features[:, :width]
-        if feats.shape[1] < width:
-            feats = np.pad(feats, ((0, 0), (0, width - feats.shape[1]), (0, 0)))
-        return feats, valid
-    if single and valid is None:
-        # nothing to pad: a one-request pass reads the features in place
-        return np.ascontiguousarray(req.features, dtype=np.float64), None
-    feats = np.zeros((len(reqs), width, cfg.d_x))
-    for b, r in enumerate(reqs):
-        feats[b, :r.features.shape[0]] = r.features
+    feats = feats[:, :width]
+    if feats.shape[1] < width:
+        feats = np.pad(feats, ((0, 0), (0, width - feats.shape[1]), (0, 0)))
     if single:
-        return feats[0], valid[0]
+        return np.ascontiguousarray(feats[0]), None if valid is None else valid[0]
     return feats, valid
 
 
@@ -364,11 +349,11 @@ def forward(req, params: Params, cfg: GeneratorConfig,
             tape: Tape | None = None, pad_to: int | None = None) -> ProbMatrix:
     """One pass: all m position distributions at once.
 
-    `req` is one RequestBatch, giving an (n, m) matrix, or a sequence of
-    them or a LogTable, giving a (B, n, m) stack for a minibatch. Feature
-    rows are zero-padded to the largest n among the requests, or to pad_to,
-    and masked so padded candidates end up with probability exactly 0;
-    `valid` marks the real rows and is None when nothing was padded.
+    `req` is one RequestBatch, giving an (n, m) matrix, or a LogTable,
+    giving a (B, n, m) stack for a minibatch. Feature rows are zero-padded
+    to the largest n among the requests, or to pad_to, and masked so padded
+    candidates end up with probability exactly 0; `valid` marks the real
+    rows and is None when nothing was padded.
     """
     if tape is None:
         tape = Tape(recording=False)

@@ -213,21 +213,16 @@ def total_loss(
 ) -> LossBreakdown:
     """Combine the branch loss with the two contrastive terms.
 
-    For a (B, n, m) minibatch, `exposed` holds one slate per request and
-    `feedback` one FeedbackMatrix per request, or is already the (B,) array
-    of their utilities (training takes it from `utilities`); every term
-    comes back per request.
+    For one request `feedback` is its FeedbackMatrix. For a (B, n, m)
+    minibatch, `exposed` holds one slate per request and `feedback` is the
+    (B,) array of their utilities (training takes it from `utilities` of
+    its LogTable); every term comes back per request.
     With omega = 0 the total equals the branch loss exactly (the weighted
     term is a multiply by 0.0); with rho = 0 the hinges only fire on
     exact-duplicate representations, so the objective degenerates to plain
     likelihood/unlikelihood training.
     """
-    if probs.values.data.ndim == 2:
-        r = utility(feedback, spec)
-    elif isinstance(feedback, np.ndarray):
-        r = feedback
-    else:
-        r = np.array([utility(f, spec) for f in feedback])
+    r = utility(feedback, spec) if probs.values.data.ndim == 2 else feedback
     ul, is_positive, clamped = unlikelihood_loss(tape, probs, exposed, r, spec)
     item = item_contrastive_loss(tape, probs.candidate_reps, rho, probs.valid)
     position = position_contrastive_loss(tape, probs.position_reps, rho)

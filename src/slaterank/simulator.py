@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
+from .data import _INT64_MAX, _INT64_MIN, ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
 from .errors import ConfigError
 from .objectives import UtilitySpec
 
@@ -219,9 +219,13 @@ def gen_log(world: World, policy: str, num_requests: int,
     policy's slate, the feedback uniforms. Features, greedy slates, click
     probabilities and feedback are then computed once per block of at most
     BLOCK_REQUESTS requests. One warning counts the requests whose
-    probabilities were clamped."""
+    probabilities were clamped. Request ids run from start_id and must fit
+    in int64, as the log reader requires."""
     if num_requests < 1:
         raise ConfigError("num_requests must be >= 1")
+    if not _INT64_MIN <= start_id <= _INT64_MAX - (num_requests - 1):
+        raise ConfigError(f"request ids {start_id}..{start_id + num_requests - 1} "
+                          "do not fit in int64")
     cfg = world.config
     shape = (len(cfg.types), cfg.m)
     logs = []

@@ -9,7 +9,7 @@ from slaterank.ar import (
     ar_sequence_loss,
     init_ar_params,
 )
-from slaterank.data import RequestBatch
+from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from slaterank.generator import (
     FORWARD_PASSES,
@@ -151,13 +151,22 @@ def test_single_request_overfit_recovers_logged_slate():
 
 # ------------------------------------------- one tape per minibatch
 
+# the pointer baseline reads no feedback; a logged request still needs some
+ZERO_FEEDBACK = FeedbackMatrix(np.zeros((1, SMALL.m)), ("click",))
+
+
 def _ragged_requests(seed=11, ns=(3, 6, 4, 5, 3, 6)):
     """Requests with n from m to n_max, each with its own logged slate."""
     rng = np.random.default_rng(seed)
     return [RequestBatch(request_id=200 + i, user_id=0, item_ids=np.arange(n),
                          features=rng.normal(size=(n, SMALL.d_x)),
-                         exposed=tuple(rng.choice(n, size=SMALL.m, replace=False).tolist()))
+                         exposed=tuple(rng.choice(n, size=SMALL.m, replace=False).tolist()),
+                         feedback=ZERO_FEEDBACK)
             for i, n in enumerate(ns)]
+
+
+def _table(reqs):
+    return LogTable.of([ExposureLog(r) for r in reqs])
 
 
 def _sharp_params():
@@ -170,7 +179,7 @@ def test_batched_sequence_loss_and_gradients_match_one_tape_per_request():
     params = _sharp_params()
     reqs = _ragged_requests()
     tape = Tape()
-    losses = ar_sequence_loss(reqs, params, SMALL, tape)
+    losses = ar_sequence_loss(_table(reqs), params, SMALL, tape)
     assert losses.data.shape == (len(reqs),)
     tape.backward(tape.sum(losses))
     batched = {name: t.grad.copy() for name, t in params.items()}
@@ -190,7 +199,7 @@ def test_batched_sequence_loss_and_gradients_match_one_tape_per_request():
 def test_batched_padded_candidates_get_zero_probability_and_gradient():
     params = _sharp_params()
     reqs = _ragged_requests()
-    feats, valid = _stack_requests(reqs, SMALL)
+    feats, valid = _stack_requests(_table(reqs), SMALL)
     x = Tensor(feats)
     y = np.array([r.exposed for r in reqs])
     tape = Tape()
@@ -209,9 +218,10 @@ def test_batched_padded_candidates_get_zero_probability_and_gradient():
 
 
 def test_batched_sequence_loss_validates_every_slate():
+    # a stack is a LogTable, so a bad slate stops where the table is built
     reqs = _ragged_requests()
-    params = init_ar_params(SMALL)
     bad = RequestBatch(request_id=7, user_id=0, item_ids=np.arange(4),
-                       features=np.zeros((4, SMALL.d_x)), exposed=(0, 1, 5))
+                       features=np.zeros((4, SMALL.d_x)), exposed=(0, 1, 5),
+                       feedback=ZERO_FEEDBACK)
     with pytest.raises(InvalidSlateError, match="out of range"):
-        ar_sequence_loss(reqs + [bad], params, SMALL, Tape())
+        _table(reqs + [bad])

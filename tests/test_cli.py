@@ -72,6 +72,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_simulate_request_ids_must_fit_int64(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "ids.jsonl"
+    top = 2 ** 63 - 1
+    for start in (top, -(2 ** 63) - 1):
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--num-requests", "2", "--start-id", str(start)]) == 1
+        assert "do not fit in int64" in capsys.readouterr().err
+        assert not out.exists()
+    # the last id that fits is written and read back
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--num-requests", "2", "--start-id", str(top - 1)]) == 0
+    assert read_logs(str(out)).request_id.tolist() == [top - 1, top]
+
+
 def test_missing_or_malformed_logs_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["train-generator", "--config", cfg]) == 2

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import gradcheck, inflate_weights
 
-from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
+from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import (
     ConfigError,
     DataError,
@@ -297,8 +297,9 @@ def test_batched_training_pass_matches_one_tape_per_slate():
     params.zero_grad()
 
     tape = Tape()
-    feats = np.stack([log.request.features[list(log.exposed)] for log in logs])
-    batched = bce_loss(tape, _score(feats, params, cfg, tape), [log.feedback for log in logs])
+    table = LogTable.of(logs)
+    feats = table.features[np.arange(len(table))[:, None], table.exposed]
+    batched = bce_loss(tape, _score(feats, params, cfg, tape), table.feedback)
     assert batched.data.shape == (len(logs),)
     assert np.abs(batched.data - losses).max() <= 1e-10 * max(losses)
     tape.backward(tape.sum(batched))

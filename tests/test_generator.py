@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import gradcheck, inflate_weights
-from slaterank.data import RequestBatch
+from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import ConfigError, EmptyCandidatesError, ShapeError
 from slaterank.generator import (
     FORWARD_PASSES,
@@ -244,7 +244,11 @@ def test_serving_forward_equals_recording_forward_bit_for_bit(cfg):
     rng = np.random.default_rng(10)
     params = init_generator_params(cfg)
     one = make_request(rng, 5)
-    stack = [make_request(rng, n, request_id=i) for i, n in enumerate((4, 6, 3))]
+    # the logged slate and feedback are there only to make the table
+    zeros = FeedbackMatrix(np.zeros((1, cfg.m)), ("click",))
+    stack = LogTable.of([ExposureLog(replace(make_request(rng, n, request_id=i),
+                                             exposed=tuple(range(cfg.m)), feedback=zeros))
+                         for i, n in enumerate((4, 6, 3))])
     for req in (one, stack, one):
         recorded = _bits(forward(req, params, cfg, tape=Tape()))
         assert _bits(forward(req, params, cfg)) == recorded

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from slaterank.ar import ar_sequence_loss, init_ar_params
 from slaterank.cli import main
 from slaterank.data import (
     ExposureLog,
@@ -17,8 +18,11 @@ from slaterank.data import (
     write_logs,
 )
 from slaterank.errors import DataError, ShapeError
+from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, train_evaluator
 from slaterank.generator import GeneratorConfig, _stack_requests
+from slaterank.numerics import Tape
 from slaterank.objectives import UtilitySpec, utilities, utility
+from slaterank.training import train_ar
 
 D_X, M, N_MAX = 4, 3, 9
 CFG = GeneratorConfig(n_max=N_MAX, m=M, d=8, h=2, L=1, d_x=D_X, d_t=5)
@@ -120,6 +124,18 @@ def test_table_is_a_sequence_of_exposure_logs(tmp_path):
         LogTable.of([logs[0], ragged_logs(1, types=("click",))[0]])
 
 
+def zero_padded(reqs):
+    """The requests' feature rows stacked and zero-padded to the largest n,
+    and the mask of real rows (None when nothing is padded), one request at
+    a time."""
+    ns = [r.n for r in reqs]
+    feats = np.zeros((len(reqs), max(ns), D_X))
+    for b, r in enumerate(reqs):
+        feats[b, :r.n] = r.features
+    valid = np.arange(max(ns)) < np.array(ns)[:, None] if min(ns) < max(ns) else None
+    return feats, valid
+
+
 def test_index_slice_minibatch_equals_stack_requests():
     logs = ragged_logs(12, seed=3)
     table = LogTable.of(logs)
@@ -129,7 +145,7 @@ def test_index_slice_minibatch_equals_stack_requests():
     assert len(equal) == 2 and ns[rows].min() < ns[rows].max()
     for pick in (rows, equal):
         batch = table.take(pick)
-        feats, valid = _stack_requests([logs[i].request for i in pick], CFG)
+        feats, valid = zero_padded([logs[i].request for i in pick])
         assert same_bits(batch.features, feats)
         assert same_bits(batch.exposed, table.exposed[pick])
         got_feats, got_valid = _stack_requests(batch, CFG)
@@ -138,6 +154,18 @@ def test_index_slice_minibatch_equals_stack_requests():
             assert valid is None and got_valid is None
         else:
             assert np.array_equal(got_valid, valid)
+
+
+def test_table_slates_of_another_length_are_a_shape_error():
+    table = LogTable.of(ragged_logs(4, m=M - 1))
+    want = f"logged slates have {M - 1} items, config m={M}"
+    with pytest.raises(ShapeError, match=want):
+        ar_sequence_loss(table, init_ar_params(CFG), CFG, Tape())
+    with pytest.raises(ShapeError, match=want):
+        train_ar(table, init_ar_params(CFG), CFG)
+    ev_cfg = EvaluatorConfig(d=8, h=2, d_x=D_X, m=M)
+    with pytest.raises(ShapeError, match=want):
+        train_evaluator(table, init_evaluator_params(ev_cfg), ev_cfg)
 
 
 def test_table_utilities_have_the_bits_of_utility():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from slaterank.ar import ar_forward, ar_sequence_loss, init_ar_params
-from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
+from slaterank.data import (
+    ExposureLog,
+    FeedbackMatrix,
+    LogTable,
+    RequestBatch,
+    slate_indices,
+)
 from slaterank.decoding import slate_score
 from slaterank.errors import EmptyCandidatesError, InvalidSlateError, ShapeError
 from slaterank.evaluator import (
@@ -37,10 +43,14 @@ EV = EvaluatorConfig(d=8, h=2, d_x=WORLD.config.d_x, m=M, seed=3)
 GOOD = (0, 1, 2)
 
 
-def _logged(slate):
-    return RequestBatch(request_id=0, user_id=REQ.user_id, item_ids=REQ.item_ids,
-                        features=REQ.features, exposed=slate,
+def _logged(slate, req=REQ):
+    return RequestBatch(request_id=0, user_id=req.user_id, item_ids=req.item_ids,
+                        features=req.features, exposed=slate,
                         feedback=FeedbackMatrix(np.zeros((2, M)), ("click", "like")))
+
+
+# REQ after a request padded from N - 1, both with the good slate
+STACK = LogTable.of([ExposureLog(_logged(GOOD, SHORTER)), ExposureLog(_logged(GOOD))])
 
 
 def _consumers():
@@ -53,7 +63,7 @@ def _consumers():
         # the bad slate sits on the request with all N candidates, after a
         # request padded from N - 1
         "ce_loss_stack": lambda s: ce_loss(Tape(recording=False),
-                                           forward([SHORTER, REQ], gen, GEN), [GOOD, s]),
+                                           forward(STACK, gen, GEN), [GOOD, s]),
         "ar_forward_prefix": lambda s: ar_forward(REQ, ar_prefix, GEN_PREFIX, prefix=s),
         "ar_sequence_loss": lambda s: ar_sequence_loss(_logged(s), ar, GEN, Tape()),
         "score_slate": lambda s: score_slate(REQ, s, ev, EV),

@@ -9,12 +9,12 @@ import pytest
 from helpers import inflate_weights
 from slaterank.ar import init_ar_params
 from slaterank.cli import main
-from slaterank.data import ExposureLog, FeedbackMatrix, RequestBatch
+from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import DataError, InvalidSlateError, NumericsError
 from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, train_evaluator
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
 from slaterank.numerics import Tape
-from slaterank.objectives import UtilitySpec, total_loss
+from slaterank.objectives import UtilitySpec, total_loss, utilities
 from slaterank.training import (
     CE_ONLY_TAU,
     TrainStep,
@@ -238,9 +238,9 @@ def _grads(params):
 def test_batched_loss_and_gradients_match_one_tape_per_request():
     params, logs = _ragged_minibatch()
     tape = Tape()
-    probs = forward([log.request for log in logs], params, SMALL, tape)
-    batch = total_loss(tape, probs, [log.exposed for log in logs],
-                       [log.feedback for log in logs], CLICK)
+    table = LogTable.of(logs)
+    probs = forward(table, params, SMALL, tape)
+    batch = total_loss(tape, probs, table.exposed, utilities(table, CLICK), CLICK)
     tape.backward(tape.sum(batch.total))
     batched = _grads(params)
 
@@ -265,10 +265,10 @@ def test_batched_loss_and_gradients_match_one_tape_per_request():
 def test_batched_padded_rows_get_zero_probability_and_gradient():
     params, logs = _ragged_minibatch()
     tape = Tape()
-    probs = forward([log.request for log in logs], params, SMALL, tape)
+    table = LogTable.of(logs)
+    probs = forward(table, params, SMALL, tape)
     assert probs.values.data.shape == (len(logs), SMALL.n_max, SMALL.m)
-    batch = total_loss(tape, probs, [log.exposed for log in logs],
-                       [log.feedback for log in logs], CLICK)
+    batch = total_loss(tape, probs, table.exposed, utilities(table, CLICK), CLICK)
     tape.backward(tape.sum(batch.total))
     for b, log in enumerate(logs):
         n = log.request.n
