@@ -18,8 +18,10 @@ read back by read_logs against a LogSchema, and the parameters and loss logs
 of the three trainers run on the log as read back; every record of
 two seeded simulator logs (a small random-policy one, and an affinity_greedy
 one on a default-sized world that spans several of gen_log's blocks), the
-bytes write_logs writes for the second, and the oracle's click probabilities
-and expected utilities for seeded slates on both worlds; and, one line per
+parameters and loss logs of the three trainers run on the first as gen_log
+returns it, the bytes write_logs writes for the second, and the oracle's
+click probabilities and expected utilities for seeded slates on both
+worlds; and, one line per
 public Tape op, its forward
 value and its input gradients on seeded inputs, so a change to numerics is
 checked op by op and not only through the models.
@@ -72,6 +74,10 @@ DEC = DecodeConfig(alpha=0.3, k=3, num_samples=6)
 # perfbench's generator shape, with one block per encoder
 GEN_L1 = GeneratorConfig(n_max=20, m=6, d=16, h=2, L=1, d_x=10, d_t=8, seed=15)
 WORLD = WorldConfig(num_users=40, num_items=120, latent_dim=4, n_candidates=9, seed=13)
+# the three models shaped for WORLD's logs: d_x = latent_dim + 2, m = 6 positions
+GEN_WORLD = GeneratorConfig(n_max=9, m=6, d=8, h=2, L=1, d_x=6, d_t=5, seed=16)
+EV_WORLD = EvaluatorConfig(types=("click", "like"), weights=(1.0, 0.5), d=8, h=2,
+                           d_x=6, m=6, seed=17)
 
 
 def digest(*parts) -> str:
@@ -274,6 +280,25 @@ def read_logs_digests() -> None:
     print("train_evaluator.ragged", params_digest(ev), digest(ev_losses))
 
 
+def gen_log_training_digests(logs) -> None:
+    """The three trainers on gen_log's result, passed to them as it is
+    returned."""
+    gen, ar = init_generator_params(GEN_WORLD), init_ar_params(GEN_WORLD)
+    ev = init_evaluator_params(EV_WORLD)
+    steps = []
+    train_generator(logs, gen, GEN_WORLD, SPEC, lr=1e-2, epochs=2, batch_size=5, seed=6,
+                    step_log=steps)
+    print("train_generator.gen_log", params_digest(gen), digest(steps_to_csv(steps)))
+    ar_losses = []
+    train_ar(logs, ar, GEN_WORLD, lr=1e-2, epochs=2, batch_size=5, seed=6,
+             loss_log=ar_losses)
+    print("train_ar.gen_log", params_digest(ar), digest(ar_losses))
+    ev_losses = []
+    train_evaluator(logs, ev, EV_WORLD, lr=1e-2, epochs=2, batch_size=5, seed=6,
+                    loss_log=ev_losses)
+    print("train_evaluator.gen_log", params_digest(ev), digest(ev_losses))
+
+
 def simulator_digests() -> None:
     """Every record of a seeded 16-request log and of a 600-request
     affinity_greedy log (latent 8, n=20, m=6, ids from 1000), the SHA-256 of
@@ -286,6 +311,7 @@ def simulator_digests() -> None:
         logs = gen_log(world, "random", 16, np.random.default_rng(21))
         print("gen_log", log_digest(logs))
         print("oracle", oracle_digest(world, logs, np.random.default_rng(22)))
+        gen_log_training_digests(logs)
         big = gen_log(big_world, "affinity_greedy", 600, np.random.default_rng(23),
                       start_id=1000)
         print("gen_log.greedy_600", log_digest(big))
@@ -294,7 +320,8 @@ def simulator_digests() -> None:
             write_logs(path, big)
             with open(path, "rb") as fh:
                 print("write_logs.greedy_600", hashlib.sha256(fh.read()).hexdigest()[:16])
-        print("oracle.greedy_600", oracle_digest(big_world, big[:200],
+        first_200 = LogTable.of(big).take(np.arange(200))
+        print("oracle.greedy_600", oracle_digest(big_world, first_200,
                                                  np.random.default_rng(24)))
 
 
