@@ -19,7 +19,7 @@ import numpy as np
 
 from .ar import ar_decode, init_ar_params
 from .configs import RunConfig
-from .decoding import DecodeConfig, decode
+from .decoding import decode
 from .errors import ConfigError
 from .generator import FORWARD_PASSES, forward, init_generator_params
 from .objectives import UtilitySpec
@@ -78,8 +78,9 @@ class BenchReport:
         return self.csv_header() + "\n" + self.csv_row() + "\n"
 
 
-def _times(fn, tasks, warmup: int) -> np.ndarray:
-    """Seconds per task, the first `warmup` tasks left out."""
+def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
+    """Mean and standard deviation of the seconds per task, the first
+    `warmup` tasks left out."""
     times = []
     for i, task in enumerate(tasks):
         start = time.perf_counter()
@@ -87,39 +88,37 @@ def _times(fn, tasks, warmup: int) -> np.ndarray:
         elapsed = time.perf_counter() - start
         if i >= warmup:
             times.append(elapsed)
-    return np.asarray(times)
+    return float(np.mean(times)), float(np.std(times))
 
 
-def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
-    times = _times(fn, tasks, warmup)
-    return float(times.mean()), float(times.std())
-
-
-def _time_inference(kind: str, requests, params, cfg,
-                    decode_cfg: DecodeConfig, warmup: int) -> tuple[np.ndarray, int]:
-    """Seconds per request plus the exact forward-pass count."""
-    if kind == "nar":
-        def step(req):
-            decode(forward(req, params, cfg), decode_cfg)
-    else:
-        def step(req):
-            ar_decode(req, params, cfg)
-    FORWARD_PASSES.reset()
-    times = _times(step, requests, warmup)
-    total = FORWARD_PASSES.count
-    if total % len(requests):
-        raise ConfigError(f"forward count {total} not divisible by "
+def _time_inference(steps, requests, warmup: int) -> list[tuple[np.ndarray, int]]:
+    """Seconds per request and exact forward passes per request of each of
+    `steps`. The steps take turns, one request each, so that a change of
+    machine speed during the run falls on every series alike."""
+    times, forwards = [[] for _ in steps], [0] * len(steps)
+    for i, req in enumerate(requests):
+        for k, step in enumerate(steps):
+            count, start = FORWARD_PASSES.count, time.perf_counter()
+            step(req)
+            elapsed = time.perf_counter() - start
+            forwards[k] += FORWARD_PASSES.count - count
+            if i >= warmup:
+                times[k].append(elapsed)
+    if any(total % len(requests) for total in forwards):
+        raise ConfigError(f"forward counts {forwards} not divisible by "
                           f"{len(requests)} requests")
-    return times, total // len(requests)
+    return [(np.asarray(t), total // len(requests)) for t, total in zip(times, forwards)]
 
 
 def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
               batch_size: int = 8, sweep_m: tuple[int, ...] = (1, 2, 4, 6, 8),
               ratio_m: int = 5) -> BenchReport:
     """Inference is timed once per distinct slate size among the configured
-    m, sweep_m and ratio_m. The sweep and the slopes read the series' means;
-    infer_ratio is the ratio of the medians of the ratio_m series, so that a
-    few stalled requests cannot move it."""
+    m, sweep_m and ratio_m, NAR and AR in turn, one request each. The sweep
+    and the slopes read the series' means; infer_ratio is the median of the
+    ratio_m series' per-request AR/NAR ratios, each from two back-to-back
+    timings, so that neither a few stalled requests nor a change of machine
+    speed during the series can move it."""
     if steps < 1 or warmup < 0 or batch_size < 1:
         raise ConfigError("steps, warmup and batch_size must be positive")
     world = World(run.world)
@@ -127,15 +126,15 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     requests = [gen_request(world, rng, request_id=i)
                 for i in range(steps + warmup)]
     decode_cfg = run.decode
-    series = {}  # slate size -> its (nar, ar) results of _time_inference
+    series = {}  # slate size -> its [nar, ar] results of _time_inference
 
-    def infer_at(mv: int) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+    def infer_at(mv: int) -> list[tuple[np.ndarray, int]]:
         if mv not in series:
             cfg = replace(run.generator, m=mv)
-            series[mv] = (_time_inference("nar", requests, init_generator_params(cfg),
-                                          cfg, decode_cfg, warmup),
-                          _time_inference("ar", requests, init_ar_params(cfg), cfg,
-                                          decode_cfg, warmup))
+            gen, ar = init_generator_params(cfg), init_ar_params(cfg)
+            series[mv] = _time_inference(
+                (lambda req: decode(forward(req, gen, cfg), decode_cfg),
+                 lambda req: ar_decode(req, ar, cfg)), requests, warmup)
         return series[mv]
 
     # Main timing at the configured slate size.
@@ -184,4 +183,4 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
         sweep_m=tuple(sweep_m), sweep_nar=tuple(sweep_nar),
         sweep_ar=tuple(sweep_ar), nar_slope=nar_slope, ar_slope=ar_slope,
         ratio_m=ratio_m,
-        infer_ratio=float(np.median(r_ar_times) / np.median(r_nar_times)))
+        infer_ratio=float(np.median(r_ar_times / r_nar_times)))

@@ -95,17 +95,11 @@ def _coerce(text: str, annotation: str, key: str):
             return float(text)
         if ann == "str":
             return text
-        if ann == "bool":
-            if text in ("true", "false"):
-                return text == "true"
-            raise ValueError(f"expected true/false, got {text!r}")
         if ann.startswith("tuple["):
             inner = ann[len("tuple["):-1].split(",")[0]
             parts = [p for p in text.split(",") if p != ""]
             if inner == "float":
                 return tuple(float(p) for p in parts)
-            if inner == "int":
-                return tuple(int(p) for p in parts)
             if inner == "str":
                 return tuple(parts)
     except ValueError as exc:
@@ -114,8 +108,6 @@ def _coerce(text: str, annotation: str, key: str):
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

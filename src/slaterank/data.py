@@ -10,11 +10,11 @@ One log line per request:
 Floats are serialized with Python's repr, so a write/read cycle is
 bit-exact. `read_logs` checks every record, against a `LogSchema` when one
 is given, names the line of the first bad record, and returns the log as
-one `LogTable`: a column per field, with every request's candidates
-stacked on one axis and zero-padded to the largest n in the log. The table
-is built once per read, and training takes its minibatches from it by row
-number (`LogTable.take`). It is also a sequence of `ExposureLog` views, one
-per request, for the code that walks a log request by request.
+one `LogTable`, as `simulator.gen_log` does: a column per field, with
+every request's candidates stacked on one axis and zero-padded to the
+largest n in the log. Its values are checked once, when it is built;
+training takes minibatches from it by row number (`LogTable.take`), and
+its unchecked `ExposureLog` views serve code that walks it by request.
 """
 
 from __future__ import annotations
@@ -169,6 +169,15 @@ def _log_to_record(log: ExposureLog) -> dict:
     }
 
 
+def _trusted(cls, **values):
+    """A `cls` dataclass holding `values`, its checks not run. Set one by one in
+    field order, they stay in compact attribute storage, not a dict per view."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _padded(rows: list[np.ndarray]) -> np.ndarray:
     """N requests' arrays of n_i rows each as one (N, max n_i, ...) array:
     request i's rows first, zeros after them. All share their other axes."""
@@ -186,9 +195,9 @@ class LogTable(Sequence):
     features is (N, width, d_x) and item_ids (N, width), both zero-padded
     after each request's n[i] real rows, where width is the largest n in the
     table; exposed is (N, m), feedback (N, T, m) with its rows in `types`
-    order. Every slate was checked by the one slate rule when the table was
-    built. table[i] is request i as an ExposureLog whose arrays are views
-    into the table.
+    order. table[i] is request i as an ExposureLog of views into the table,
+    unchecked: `read_logs`, `simulator.gen_log` and `of` (through the logs
+    it stacks) check a table's values when they build it.
     """
 
     request_id: np.ndarray
@@ -247,14 +256,11 @@ class LogTable(Sequence):
 
     def __getitem__(self, i: int) -> ExposureLog:
         n = int(self.n[i])
-        return ExposureLog(RequestBatch(
-            request_id=int(self.request_id[i]), user_id=int(self.user_id[i]),
+        feedback = _trusted(FeedbackMatrix, values=self.feedback[i], types=self.types)
+        return _trusted(ExposureLog, request=_trusted(
+            RequestBatch, request_id=int(self.request_id[i]), user_id=int(self.user_id[i]),
             item_ids=self.item_ids[i, :n], features=self.features[i, :n],
-            exposed=tuple(self.exposed[i].tolist()),
-            feedback=FeedbackMatrix(self.feedback[i], self.types)))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+            exposed=tuple(self.exposed[i].tolist()), feedback=feedback))
 
     def take(self, rows) -> LogTable:
         """The requests at `rows`, in that order, padded only to the largest
@@ -395,10 +401,7 @@ def _misfit(records: list[_Record], schema: LogSchema | None) -> DataError | Non
 
 
 def write_logs(path, logs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for log in logs:
-            fh.write(json.dumps(_log_to_record(log)))
-            fh.write("\n")
+    write_jsonl(path, map(_log_to_record, logs))
 
 
 def write_jsonl(path, rows) -> None:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _INT64_MAX, _INT64_MIN, ExposureLog, FeedbackMatrix, RequestBatch, slate_indices
-from .errors import ConfigError
+from .data import _INT64_MAX, _INT64_MIN, FeedbackMatrix, LogTable, RequestBatch, slate_indices
+from .errors import ConfigError, ShapeError
 from .objectives import UtilitySpec
 
 
@@ -48,8 +48,17 @@ class WorldConfig:
         object.__setattr__(self, "posbias", tuple(float(b) for b in self.posbias))
         object.__setattr__(self, "types", tuple(self.types))
         object.__setattr__(self, "base_rates", tuple(float(r) for r in self.base_rates))
+        for name in ("posbias", "suppression", "base_rates", "affinity_scale",
+                     "affinity_shift", "cluster_spread", "noise_std"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite")
         if min(self.num_users, self.num_items, self.latent_dim, self.clusters) < 1:
             raise ConfigError("world sizes must be positive")
+        if self.n_candidates > self.num_items:
+            raise ConfigError(f"n_candidates={self.n_candidates} exceeds "
+                              f"num_items={self.num_items}")
+        if self.noise_std < 0.0:
+            raise ConfigError("noise_std must be >= 0")
         if not self.posbias:
             raise ConfigError("posbias must cover at least one position")
         bias = np.asarray(self.posbias)
@@ -211,45 +220,52 @@ BLOCK_REQUESTS = 256
 
 
 def gen_log(world: World, policy: str, num_requests: int,
-            rng: np.random.Generator, start_id: int = 0) -> list[ExposureLog]:
-    """Exposure logs under a logging policy, one derived stream per request
-    so generation order cannot change the data.
+            rng: np.random.Generator, start_id: int = 0) -> LogTable:
+    """Exposure logs under a logging policy as one LogTable, one derived
+    stream per request so generation order cannot change the data.
 
     Each stream makes its draws in order: user, items, noise, the random
-    policy's slate, the feedback uniforms. Features, greedy slates, click
-    probabilities and feedback are then computed once per block of at most
-    BLOCK_REQUESTS requests. One warning counts the requests whose
-    probabilities were clamped. Request ids run from start_id and must fit
-    in int64, as the log reader requires."""
+    policy's slate, the feedback uniforms. Features (checked finite), slates
+    (checked by the one slate rule), click probabilities and feedback are
+    then computed once per block of at most BLOCK_REQUESTS requests, into the
+    table's rows. One warning counts the requests with clamped probabilities.
+    Request ids run from start_id and must fit in int64."""
     if num_requests < 1:
         raise ConfigError("num_requests must be >= 1")
     if not _INT64_MIN <= start_id <= _INT64_MAX - (num_requests - 1):
         raise ConfigError(f"request ids {start_id}..{start_id + num_requests - 1} "
                           "do not fit in int64")
     cfg = world.config
-    shape = (len(cfg.types), cfg.m)
-    logs = []
+    n, shape, N = cfg.n_candidates, (len(cfg.types), cfg.m), num_requests
+    # np.arange(start_id, ...) would go through float64 near the top of int64
+    table = LogTable(
+        request_id=start_id + np.arange(N, dtype=np.int64), user_id=np.empty(N, np.int64),
+        item_ids=np.empty((N, n), np.int64), features=np.empty((N, n, cfg.d_x)),
+        n=np.full(N, n, np.int64), exposed=np.empty((N, cfg.m), np.int64),
+        feedback=np.empty((N,) + shape), types=cfg.types)
     clamped = 0
     for first in range(0, num_requests, BLOCK_REQUESTS):
         draws = []
         for child in rng.spawn(min(BLOCK_REQUESTS, num_requests - first)):
             user_id, item_ids, noise = _draw_request(world, child)
-            slate = _draw_slate(policy, cfg.n_candidates, cfg.m, child)
+            slate = _draw_slate(policy, n, cfg.m, child)
             draws.append((user_id, item_ids, noise, slate, child.random(shape)))
         user_ids, item_ids, noise, slates, uniforms = zip(*draws)
+        rows = slice(first, first + len(draws))
         users, item_ids = list(user_ids), np.stack(item_ids)
         features = _features(world, users, item_ids, np.stack(noise))
+        if not np.isfinite(features).all():
+            raise ShapeError("candidate features contain non-finite values")
         slates = _greedy_slates(features, cfg.m) if slates[0] is None else np.stack(slates)
         probs, block_clamped = _click_probs(world, users,
                                             np.take_along_axis(item_ids, slates, axis=1))
         clamped += int(block_clamped.sum())
-        feedback = (np.stack(uniforms) < probs).astype(np.float64)
-        for k, slate in enumerate(slates.tolist()):
-            logs.append(ExposureLog(RequestBatch(
-                request_id=start_id + first + k, user_id=user_ids[k],
-                item_ids=item_ids[k], features=features[k], exposed=tuple(slate),
-                feedback=FeedbackMatrix(feedback[k], cfg.types))))
+        table.user_id[rows] = users
+        table.item_ids[rows] = item_ids
+        table.features[rows] = features
+        table.exposed[rows] = slate_indices(slates, n, cfg.m)
+        table.feedback[rows] = np.stack(uniforms) < probs
     if clamped:
         warnings.warn(f"oracle probability clamped into [0, 1] in {clamped} of "
                       f"{num_requests} requests", RuntimeWarning, stacklevel=2)
-    return logs
+    return table

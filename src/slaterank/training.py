@@ -1,15 +1,15 @@
 """Minibatch training loops for the matching generator and the pointer baseline,
 and the helper that the evaluator's loop shares with them.
 
-Every loop trains on one `data.LogTable`: the table `read_logs` returned is
-used as it is, and a list of ExposureLogs is stacked into one once, at the
-start (`_table`). All three loops, these two and `evaluator.train_evaluator`,
-run through one helper, `_fit`: it shuffles the table's row numbers with the
-training seed and hands each minibatch's rows, `order[start:start + bs]`, to
-the loop's loss, records that minibatch on one tape, checks that every
-request's loss is finite (naming the first request that is not), backprops
-the sum of the per-request losses once and takes one Adam step on the
-minibatch-mean gradient. The generator and the pointer baseline take their
+Every loop trains on one `data.LogTable`: the table `read_logs` or
+`simulator.gen_log` returned is used as it is, and a list of ExposureLogs is
+stacked into one once, at the start (`_table`). All three loops, these two
+and `evaluator.train_evaluator`, run through one helper, `_fit`: it shuffles
+the table's row numbers with the training seed and hands each minibatch's
+rows, `order[start:start + bs]`, to the loop's loss, records that minibatch
+on one tape, checks that every request's loss is finite (naming the first
+request that is not), backprops the sum of the per-request losses once and
+takes one Adam step on the minibatch-mean gradient. The generator and the pointer baseline take their
 minibatch as `table.take(rows)`: the requests' feature rows, sliced to the
 largest candidate count in that minibatch (not to n_max), with a `valid`
 mask that keeps padded rows out of attention and out of every probability

@@ -20,7 +20,7 @@ import pytest
 from helpers import gradcheck, inflate_weights
 from slaterank.bench import run_bench
 from slaterank.configs import RunConfig
-from slaterank.data import FeedbackMatrix, RequestBatch
+from slaterank.data import FeedbackMatrix, LogTable, RequestBatch
 from slaterank.decoding import DecodeConfig, beam_decode, contrastive_decode, greedy_decode
 from slaterank.evaluator import (EvaluatorConfig, bce_loss, init_evaluator_params,
                                  score_slate, select_best, train_evaluator)
@@ -186,7 +186,8 @@ def _build_desk():
     score exposure recall and the slate pipeline against affinity-greedy."""
     t0 = time.perf_counter()
     world = World(WorldConfig())
-    train_logs = _mixed_log(world, 50_000, 21)
+    # stacked once, so that neither trainer stacks a list of its own
+    train_logs = LogTable.of(_mixed_log(world, 50_000, 21))
     test_logs = _mixed_log(world, 1500, 61, start=900_000)
 
     cfg = SMALL_GEN

@@ -87,6 +87,27 @@ def test_simulate_request_ids_must_fit_int64(tmp_path, capsys):
     assert read_logs(str(out)).request_id.tolist() == [top - 1, top]
 
 
+@pytest.mark.parametrize("setting", [
+    "world.noise_std=-1", "world.n_candidates=6000", "world.posbias=nan,0.5",
+    "world.suppression=nan", "world.affinity_shift=inf", "world.affinity_scale=-inf"])
+def test_simulate_rejects_world_values_it_cannot_simulate(tmp_path, capsys, setting):
+    out = tmp_path / "log.jsonl"
+    assert main(["simulate", "--config", write_cfg(tmp_path), "--set", setting,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_non_finite_candidate_features(tmp_path, capsys):
+    # a finite spread so wide that the item latents come out NaN
+    out = tmp_path / "log.jsonl"
+    assert main(["simulate", "--config", write_cfg(tmp_path), "--set",
+                 "world.cluster_spread=1e308", "--out", str(out)]) == 1
+    assert "candidate features contain non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_or_malformed_logs_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["train-generator", "--config", cfg]) == 2

@@ -248,7 +248,7 @@ def test_training_improves_held_out_click_auc():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         logs = gen_log(world, "random", 500, np.random.default_rng(41))
-    train, held = logs[:400], logs[400:]
+    train, held = logs.take(np.arange(400)), logs.take(np.arange(400, 500))
 
     cfg = EvaluatorConfig(d=16, h=2)
     params = init_evaluator_params(cfg)

@@ -62,6 +62,16 @@ def test_world_config_validation():
         WorldConfig(n_candidates=3)
     with pytest.raises(ConfigError):
         WorldConfig(num_items=0)
+    with pytest.raises(ConfigError, match="noise_std"):
+        WorldConfig(noise_std=-1.0)
+    with pytest.raises(ConfigError, match="exceeds num_items"):
+        WorldConfig(n_candidates=6000)
+    for name, value in (("posbias", (1.0, math.nan)), ("suppression", math.nan),
+                        ("base_rates", (1.0, math.inf)), ("affinity_scale", math.inf),
+                        ("affinity_shift", -math.inf), ("cluster_spread", math.nan),
+                        ("noise_std", math.inf)):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            WorldConfig(**{name: value})
 
 
 def test_world_is_deterministic_and_unit_normalized():
@@ -295,6 +305,13 @@ def test_policies():
         policy_slate("oracle", req, 6, rng)
     with pytest.raises(ConfigError):
         gen_log(world, "random", 0, rng)
+
+
+def test_gen_log_request_ids_reach_the_top_of_int64():
+    # np.arange(start, stop) would go through float64 and write 2**63
+    table = quiet_log(World(WorldConfig()), "random", 2, np.random.default_rng(0),
+                      start_id=2 ** 63 - 2)
+    assert table.request_id.tolist() == [2 ** 63 - 2, 2 ** 63 - 1]
 
 
 def per_request_log(world, policy, num_requests, rng, start_id=0):
