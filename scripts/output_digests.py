@@ -21,10 +21,12 @@ one on a default-sized world that spans several of gen_log's blocks), the
 parameters and loss logs of the three trainers run on the first as gen_log
 returns it, the bytes write_logs writes for the second, and the oracle's
 click probabilities and expected utilities for seeded slates on both
-worlds; and, one line per
+worlds; one line per
 public Tape op, its forward
 value and its input gradients on seeded inputs, so a change to numerics is
-checked op by op and not only through the models.
+checked op by op and not only through the models; and sigmoid, softplus and
+gelu at +-0.0, +-40 and +-800, and contrastive slates at alpha 0 and 1, where
+a rewritten formula would most likely part from the old one.
 """
 
 import hashlib
@@ -198,6 +200,20 @@ def op_digests() -> None:
         print(f"op.{name}", digest(out.data, *[x.grad for x in inputs]))
 
 
+def edge_digests() -> None:
+    """sigmoid, softplus and gelu at signed zeros and at large |x|: each
+    op's output and input gradient, as `op_digests` prints them, so the
+    sign of a zero and a saturated value count."""
+    x = np.array([[0.0, -0.0, 40.0, -40.0, 800.0, -800.0]])
+    g = np.random.default_rng(18).normal(size=x.shape)
+    for name in ("sigmoid", "softplus", "gelu"):
+        a = Tensor(x.copy())
+        tape = Tape()
+        out = getattr(tape, name)(a)
+        tape.backward(tape.sum(tape.mask(out, g)))
+        print(f"op.{name}.edges", digest(out.data, a.grad))
+
+
 def prob_fields(probs) -> tuple:
     return (probs.values.data, probs.candidate_reps.data, probs.position_reps.data,
             probs.valid)
@@ -230,6 +246,10 @@ def decode_digests(reqs, gen, ev) -> None:
     probs = [forward(r, gen, GEN) for r in reqs]
     print("contrastive_decode", digest([slate_fields(contrastive_decode(p, DEC))
                                         for p in probs]))
+    for alpha in (0.0, 1.0):
+        cfg = DecodeConfig(alpha=alpha, k=DEC.k, num_samples=DEC.num_samples)
+        print(f"contrastive_decode.alpha{alpha:g}",
+              digest([slate_fields(contrastive_decode(p, cfg)) for p in probs]))
     pools, states = [], []
     for i, p in enumerate(probs):
         rng = np.random.default_rng(100 + i)
@@ -376,6 +396,7 @@ def main() -> None:
     read_logs_digests()
     simulator_digests()
     op_digests()
+    edge_digests()
 
 
 if __name__ == "__main__":
