@@ -42,10 +42,8 @@ class SlateSequence:
         # int() would truncate 1.7 to 1 before any slate rule sees it
         if any(isinstance(i, (float, np.floating)) for i in self.indices):
             raise InvalidSlateError(f"slate index is not an integer: {tuple(self.indices)}")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(
-            self, "probabilities", tuple(float(p) for p in self.probabilities)
-        )
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
+        object.__setattr__(self, "probabilities", tuple(map(float, self.probabilities)))
         if len(self.indices) != len(self.probabilities):
             raise InfeasibleSlateError("one probability per chosen index required")
         if len(set(self.indices)) != len(self.indices):
@@ -78,14 +76,16 @@ class DecodeConfig:
 
 def _active(probs: ProbMatrix) -> tuple[np.ndarray, int]:
     """Column probabilities restricted to real (non-padded) candidates."""
-    n = probs.n if probs.valid is None else int(probs.valid.sum())
+    n = probs.n if probs.valid is None else int(np.count_nonzero(probs.valid))
     if probs.m > n:
         raise InfeasibleSlateError(f"cannot fill {probs.m} positions from {n} candidates")
     return probs.values.data[:n], n
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    # what np.linalg.norm(x, axis=1, keepdims=True) computes for real x
+    norms = np.add.reduce(x * x, axis=1, keepdims=True)
+    np.sqrt(norms, out=norms)
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
 
 
@@ -93,7 +93,7 @@ def _slate(indices: list[int], values: np.ndarray, method: str) -> SlateSequence
     cols = np.arange(len(indices))
     return SlateSequence(
         indices=tuple(indices),
-        probabilities=tuple(values[indices, cols]),
+        probabilities=values[indices, cols].tolist(),
         method=method,
     )
 
@@ -107,20 +107,24 @@ def contrastive_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
     """
     values, n = _active(probs)
     unit = _unit_rows(probs.candidate_reps.data[:n])
+    confidence = (1.0 - cfg.alpha) * values
     selected = np.zeros(n, dtype=bool)
     # the max over the chosen set may be negative, so it cannot start at 0
     max_sim: np.ndarray | None = None
     chosen: list[int] = []
     for t in range(probs.m):
-        score = (1.0 - cfg.alpha) * values[:, t]
+        score = confidence[:, t]
         if max_sim is not None:
             score = score - cfg.alpha * max_sim
         # argmax returns the first maximizer, which is the tie-break rule
-        pick = int(np.argmax(np.where(selected, -np.inf, score)))
+        pick = int(np.where(selected, -np.inf, score).argmax())
         chosen.append(pick)
         selected[pick] = True
         sims = unit @ unit[pick]
-        max_sim = sims if max_sim is None else np.maximum(max_sim, sims)
+        if max_sim is None:
+            max_sim = sims
+        else:
+            np.maximum(max_sim, sims, out=max_sim)
     return _slate(chosen, values, "contrastive")
 
 
@@ -164,14 +168,14 @@ def _topk_draws(
         free_first = np.argsort(selected[:, ranked], axis=1, kind="stable")
         group = ranked[free_first[:, :min(k, n - t)]]
         weights = values[group, t]
-        total = weights.sum(axis=1, keepdims=True)
+        total = np.add.reduce(weights, axis=1, keepdims=True)
         # a rank group whose probabilities sum to zero is sampled uniformly
-        weights = np.divide(weights, total,
-                            out=np.full_like(weights, 1.0 / group.shape[1]),
-                            where=total > 0.0)
-        cdf = weights.cumsum(axis=1)
+        uniform = np.empty(weights.shape)
+        uniform.fill(1.0 / group.shape[1])
+        weights = np.divide(weights, total, out=uniform, where=total > 0.0)
+        cdf = np.add.accumulate(weights, axis=1)
         cdf /= cdf[:, -1:]
-        pick = group[rows, (cdf <= uniforms[:, t:t + 1]).sum(axis=1)]
+        pick = group[rows, np.add.reduce(cdf <= uniforms[:, t:t + 1], axis=1)]
         chosen[:, t] = pick
         selected[rows, pick] = True
     return chosen, values

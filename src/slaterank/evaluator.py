@@ -118,8 +118,8 @@ def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
         logits[t] = z
         row = tape.sigmoid(z).data[..., 0]
         rows.append(row)
-        utility = utility + w * row.sum(axis=-1)
-    return SlateScore(scores=np.stack(rows), utility=utility, types=cfg.types,
+        utility = utility + w * np.add.reduce(row, axis=-1)
+    return SlateScore(scores=np.array(rows), utility=utility, types=cfg.types,
                       logits=logits)
 
 

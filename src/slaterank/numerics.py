@@ -18,6 +18,16 @@ sum of its gradient over the broadcast axes. One tape records a whole
 minibatch and one backward pass serves it; a single example is the
 unbatched case of the same ops. A tape is single-writer and is discarded
 after one backward pass.
+
+The op bodies are written for per-call cost as well as for bits. Each one
+keeps the order of its floating-point operations, so a rewrite of a body
+must give the same bits as the formula it replaces. Reductions call the
+ufunc methods (`np.add.reduce`, `np.maximum.reduce`, `np.add.accumulate`),
+which compute what `ndarray.sum`, `.max` and `.cumsum` compute without their
+Python wrappers. An op writes in place (`out=`, `*=`) only into temporaries
+it allocated itself, never into an operand, an op's output or the incoming
+gradient `g`: `_accumulate` may adopt the array it is given as a `.grad`,
+and `Params.memo` tensors are read-only.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ CHECKPOINT_VERSION = 1
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
+_F64 = np.dtype(np.float64)
 
 
 class Tensor:
@@ -58,7 +69,10 @@ class Tensor:
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        # a float64 ndarray is kept as it is, as np.asarray would keep it
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
 
     @property
@@ -90,9 +104,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `g` over the axes along which an operand of `shape` was broadcast."""
     if g.shape == shape:
         return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    g = np.add.reduce(g, axis=tuple(range(g.ndim - len(shape))))
     stretched = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    return g.sum(axis=stretched, keepdims=True) if stretched else g
+    return np.add.reduce(g, axis=stretched, keepdims=True) if stretched else g
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -106,23 +120,26 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(..., n, d) -> (..., heads, n, d // heads), a view."""
-    *lead, n, d = x.shape
-    return x.reshape(*lead, n, heads, d // heads).swapaxes(-2, -3)
+    s = x.shape
+    return x.reshape(s[:-1] + (heads, s[-1] // heads)).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., heads, n, hd) -> (..., n, heads * hd)."""
-    *lead, heads, n, hd = x.shape
-    return x.swapaxes(-2, -3).reshape(*lead, n, heads * hd)
+    s = x.shape
+    return x.swapaxes(-2, -3).reshape(s[:-3] + (s[-2], s[-3] * s[-1]))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), without overflow for x of either sign."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)), without overflow for x of either sign: with
+    e = exp(-|x|), 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere."""
+    # min(x, -x), not -abs(x), which would flip the sign bit of a NaN
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    y = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    y /= e
     return y
 
 
@@ -185,21 +202,24 @@ class Tape:
         xd, wd = x.data, w.data
         if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
             raise ShapeError(f"linear got {xd.shape} @ {wd.shape}")
-        rows = xd.reshape(-1, wd.shape[0])
+        flat = xd.ndim == 2
+        rows = xd if flat else xd.reshape(-1, wd.shape[0])
         y = rows @ wd
         if b is not None:
             if b.data.shape != (wd.shape[1],):
                 raise ShapeError(f"bias shape {b.data.shape} vs {wd.shape[1]} columns")
-            y = y + b.data
+            y += b.data
 
         def back(g):
-            g2 = g.reshape(-1, wd.shape[1])
-            _accumulate(x, (g2 @ wd.T).reshape(xd.shape))
+            g2 = g if flat else g.reshape(-1, wd.shape[1])
+            gx = g2 @ wd.T
+            _accumulate(x, gx if flat else gx.reshape(xd.shape))
             _accumulate(w, rows.T @ g2)
             if b is not None:
-                _accumulate(b, g2.sum(axis=0))
+                _accumulate(b, np.add.reduce(g2, axis=0))
 
-        return self._record(Tensor(y.reshape(*xd.shape[:-1], wd.shape[1])), back)
+        return self._record(Tensor(y if flat else y.reshape(xd.shape[:-1] + (wd.shape[1],))),
+                            back)
 
     def transpose(self, a: Tensor) -> Tensor:
         """Swap the last two axes."""
@@ -238,21 +258,25 @@ class Tape:
                 raise ShapeError(f"key_mask {km.shape} does not cover {nk} keys")
             allowed = km[..., None, None, :]
         if causal:
-            tril = np.tril(np.ones((nq, nk), dtype=bool))
+            tril = np.tri(nq, nk, dtype=bool)
             allowed = tril if allowed is None else allowed & tril
-        scores = (qh @ kh.swapaxes(-1, -2)) * inv_sqrt
+        scores = qh @ kh.swapaxes(-1, -2)
+        scores *= inv_sqrt
         if allowed is not None:
             scores = np.where(allowed, scores, -np.inf)
-        top = scores.max(axis=-1, keepdims=True)
+        top = np.maximum.reduce(scores, axis=-1, keepdims=True)
         if allowed is not None and np.isneginf(top).any():
             raise ShapeError("attention with a fully masked query row")
-        w = np.exp(scores - top)
-        w /= w.sum(axis=-1, keepdims=True)
+        scores -= top
+        w = np.exp(scores, out=scores)
+        w /= np.add.reduce(w, axis=-1, keepdims=True)
 
         def back(g):
             gh = _split_heads(g, heads)
-            dw = gh @ vh.swapaxes(-1, -2)
-            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv_sqrt
+            ds = gh @ vh.swapaxes(-1, -2)
+            ds -= np.add.reduce(ds * w, axis=-1, keepdims=True)
+            np.multiply(w, ds, out=ds)
+            ds *= inv_sqrt
             _accumulate(q, _unbroadcast(_merge_heads(ds @ kh), qd.shape))
             _accumulate(k, _unbroadcast(_merge_heads(ds.swapaxes(-1, -2) @ qh), kd.shape))
             _accumulate(v, _unbroadcast(_merge_heads(w.swapaxes(-1, -2) @ gh), vd.shape))
@@ -316,22 +340,49 @@ class Tape:
 
     def gelu(self, a: Tensor) -> Tensor:
         x = a.data
-        # x * x * x, not x**3: NumPy runs a float power through pow()
-        t = np.tanh(_GELU_C * (x + _GELU_K * (x * x * x)))
+        # t = tanh(C * (x + K * (x * x * x))); x * x * x, not x**3: NumPy
+        # runs a float power through pow()
+        t = x * x
+        t *= x
+        t *= _GELU_K
+        np.add(x, t, out=t)
+        t *= _GELU_C
+        np.tanh(t, out=t)
 
         def back(g):
-            d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            _accumulate(a, g * local)
+            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * d_inner), with
+            # d_inner = C * (1 + 3K * x * x)
+            d_inner = (3.0 * _GELU_K) * x
+            d_inner *= x
+            d_inner += 1.0
+            d_inner *= _GELU_C
+            local = 0.5 * x
+            tt = t * t
+            np.subtract(1.0, tt, out=tt)
+            local *= tt
+            local *= d_inner
+            half = t + 1.0
+            half *= 0.5
+            half += local
+            np.multiply(g, half, out=half)
+            _accumulate(a, half)
 
-        return self._record(Tensor(0.5 * x * (1.0 + t)), back)
+        y = 0.5 * x
+        y *= t + 1.0
+        return self._record(Tensor(y), back)
 
     def relu(self, a: Tensor) -> Tensor:
         return self.clamp_min(a, 0.0)
 
     def sigmoid(self, a: Tensor) -> Tensor:
         y = _logistic(a.data)
-        return self._record(Tensor(y), lambda g: _accumulate(a, g * y * (1.0 - y)))
+
+        def back(g):
+            gy = g * y
+            gy *= 1.0 - y
+            _accumulate(a, gy)
+
+        return self._record(Tensor(y), back)
 
     def log(self, a: Tensor) -> Tensor:
         if (a.data <= 0.0).any():
@@ -346,8 +397,19 @@ class Tape:
     def softplus(self, a: Tensor) -> Tensor:
         """log(1 + exp(x)) computed without overflow."""
         x = a.data
-        return self._record(Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))),
-                            lambda g: _accumulate(a, g * _logistic(x)))
+        e = np.abs(x)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.log1p(e, out=e)
+        y = np.maximum(x, 0.0)
+        y += e
+
+        def back(g):
+            gl = _logistic(x)
+            np.multiply(g, gl, out=gl)
+            _accumulate(a, gl)
+
+        return self._record(Tensor(y), back)
 
     # ---- reductions and normalization ----
 
@@ -357,7 +419,7 @@ class Tape:
         def back(g):
             a.ensure_grad()[...] += g if axis is None else np.expand_dims(g, axis)
 
-        return self._record(Tensor(a.data.sum(axis=axis)), back)
+        return self._record(Tensor(np.add.reduce(a.data, axis=axis)), back)
 
     def mean(self, a: Tensor) -> Tensor:
         n = a.data.size
@@ -365,7 +427,7 @@ class Tape:
         def back(g):
             a.ensure_grad()[...] += g / n
 
-        return self._record(Tensor(a.data.sum() / n), back)
+        return self._record(Tensor(np.add.reduce(a.data, axis=None) / n), back)
 
     def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
         """Per-row normalization to zero mean, unit variance, then affine."""
@@ -376,34 +438,58 @@ class Tape:
         if gain.data.shape != (d,) or bias.data.shape != (d,):
             raise ShapeError("layer_norm gain/bias must match row width")
 
-        # a sum divided by d, not .mean(): the same bits without the
-        # Python-level overhead of np.mean. Backward keeps the per-row mu and
-        # inv and rebuilds xhat from x, which the tape holds anyway.
-        mu = xd.sum(axis=-1, keepdims=True) / d
+        # mu = sum(x) / d, not .mean(): the same bits without the Python-level
+        # overhead of np.mean; inv = 1 / sqrt(sum(xc * xc) / d + eps).
+        # Backward keeps the per-row mu and inv and rebuilds xhat from x,
+        # which the tape holds anyway.
+        mu = np.add.reduce(xd, axis=-1, keepdims=True)
+        mu /= d
         xc = xd - mu
-        inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+        inv = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+        inv /= d
+        inv += eps
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
 
         def back(g):
-            xhat = (xd - mu) * inv
-            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-            _accumulate(bias, g.reshape(-1, d).sum(axis=0))
+            # dx = inv * (dxhat - sum(dxhat) / d - xhat * (sum(dxhat * xhat) / d))
+            # with dxhat = g * gain
+            xhat = xd - mu
+            xhat *= inv
+            prod = g * xhat
+            _accumulate(gain, np.add.reduce(prod.reshape(-1, d), axis=0))
+            _accumulate(bias, np.add.reduce(g.reshape(-1, d), axis=0))
             dxhat = g * gain.data
-            term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
-                - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-            _accumulate(x, inv * term)
+            mean_d = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            mean_d /= d
+            np.multiply(dxhat, xhat, out=prod)
+            mean_dx = np.add.reduce(prod, axis=-1, keepdims=True)
+            mean_dx /= d
+            dxhat -= mean_d
+            xhat *= mean_dx
+            dxhat -= xhat
+            np.multiply(inv, dxhat, out=dxhat)
+            _accumulate(x, dxhat)
 
-        return self._record(Tensor(xc * inv * gain.data + bias.data), back)
+        xc *= inv
+        xc *= gain.data
+        xc += bias.data
+        return self._record(Tensor(xc), back)
 
     def _softmax(self, a: Tensor, allowed: np.ndarray | None, axis: int) -> Tensor:
         """Softmax along `axis`; entries where `allowed` (which broadcasts
         into a) is False get exactly zero."""
         work = a.data if allowed is None else np.where(allowed, a.data, -np.inf)
-        e = np.exp(work - work.max(axis=axis, keepdims=True))
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = work - np.maximum.reduce(work, axis=axis, keepdims=True)
+        np.exp(y, out=y)
+        y /= np.add.reduce(y, axis=axis, keepdims=True)
 
         def back(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accumulate(a, y * (g - dot))
+            # y * (g - sum(g * y))
+            gy = g * y
+            np.subtract(g, np.add.reduce(gy, axis=axis, keepdims=True), out=gy)
+            np.multiply(y, gy, out=gy)
+            _accumulate(a, gy)
 
         return self._record(Tensor(y), back)
 
@@ -449,7 +535,8 @@ class Tape:
         ad = a.data
         if ad.ndim < 2:
             raise ShapeError("row_normalize expects a matrix")
-        norms = np.sqrt((ad * ad).sum(axis=-1, keepdims=True))
+        norms = np.add.reduce(ad * ad, axis=-1, keepdims=True)
+        np.sqrt(norms, out=norms)
         zero = norms == 0.0
         if zero.any():
             warnings.warn(
@@ -461,8 +548,10 @@ class Tape:
         y = ad / safe
 
         def back(g):
-            proj = (g * y).sum(axis=-1, keepdims=True)
-            da = (g - y * proj) / safe
+            # (g - y * sum(g * y)) / safe, 0 on zero rows
+            da = y * np.add.reduce(g * y, axis=-1, keepdims=True)
+            np.subtract(g, da, out=da)
+            da /= safe
             _accumulate(a, np.where(zero, 0.0, da))
 
         return self._record(Tensor(y), back)

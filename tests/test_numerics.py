@@ -523,3 +523,335 @@ def test_recording_rule_skips_unused_outputs_and_counts_ops():
     quiet = Tape(recording=False)
     quiet.sum(quiet.sigmoid(quiet.matmul(x, w)))
     assert len(quiet) == 0 and not quiet._ops
+
+
+# ---- the op bodies, pinned bit for bit to the plain formulas they compute ----
+#
+# Each reference below is an op's body written as one NumPy expression per
+# quantity, as numerics computed them before its in-place and ufunc-method
+# rewrite. The ops must match them bit for bit, forward and backward: the
+# rewrite keeps every floating-point operation and its order.
+
+
+def _ref_unbroadcast(g, shape):
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    stretched = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
+
+
+def _ref_split_heads(x, heads):
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, heads, d // heads).swapaxes(-2, -3)
+
+
+def _ref_merge_heads(x):
+    *lead, heads, n, hd = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, n, heads * hd)
+
+
+def _ref_logistic(x):
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def _ref_linear(g, x, w, b=None):
+    rows = x.reshape(-1, w.shape[0])
+    y = rows @ w
+    if b is not None:
+        y = y + b
+    g2 = g.reshape(-1, w.shape[1])
+    grads = [(g2 @ w.T).reshape(x.shape), rows.T @ g2]
+    if b is not None:
+        grads.append(g2.sum(axis=0))
+    return y.reshape(*x.shape[:-1], w.shape[1]), grads
+
+
+def _ref_attention(g, q, k, v, heads, key_mask=None, causal=False):
+    inv_sqrt = 1.0 / np.sqrt(q.shape[-1] // heads)
+    qh, kh, vh = (_ref_split_heads(a, heads) for a in (q, k, v))
+    allowed = None if key_mask is None else key_mask[..., None, None, :]
+    if causal:
+        tril = np.tril(np.ones((q.shape[-2], k.shape[-2]), dtype=bool))
+        allowed = tril if allowed is None else allowed & tril
+    scores = (qh @ kh.swapaxes(-1, -2)) * inv_sqrt
+    if allowed is not None:
+        scores = np.where(allowed, scores, -np.inf)
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    gh = _ref_split_heads(g, heads)
+    dw = gh @ vh.swapaxes(-1, -2)
+    ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv_sqrt
+    return _ref_merge_heads(w @ vh), [
+        _ref_unbroadcast(_ref_merge_heads(ds @ kh), q.shape),
+        _ref_unbroadcast(_ref_merge_heads(ds.swapaxes(-1, -2) @ qh), k.shape),
+        _ref_unbroadcast(_ref_merge_heads(w.swapaxes(-1, -2) @ gh), v.shape)]
+
+
+def _ref_gelu(g, x):
+    c, k = np.sqrt(2.0 / np.pi), 0.044715
+    t = np.tanh(c * (x + k * (x * x * x)))
+    d_inner = c * (1.0 + 3.0 * k * x * x)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+    return 0.5 * x * (1.0 + t), [g * local]
+
+
+def _ref_sigmoid(g, x):
+    y = _ref_logistic(x)
+    return y, [g * y * (1.0 - y)]
+
+
+def _ref_softplus(g, x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), [g * _ref_logistic(x)]
+
+
+def _ref_layer_norm(g, x, gain, bias, eps=1e-5):
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gain
+    term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+    return xc * inv * gain + bias, [inv * term, (g * xhat).reshape(-1, d).sum(axis=0),
+                                    g.reshape(-1, d).sum(axis=0)]
+
+
+def _ref_softmax(g, a, allowed, axis):
+    work = a if allowed is None else np.where(allowed, a, -np.inf)
+    e = np.exp(work - work.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    return y, [y * (g - (g * y).sum(axis=axis, keepdims=True))]
+
+
+def _ref_row_normalize(g, a):
+    norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    y = a / safe
+    da = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
+    return y, [np.where(zero, 0.0, da)]
+
+
+def _ref_mul(g, a, b):
+    return a * b, [_ref_unbroadcast(g * b, a.shape), _ref_unbroadcast(g * a, b.shape)]
+
+
+def _with_edges(x, rng):
+    """x with about a third of its entries replaced by +-0.0, +-40 and +-800."""
+    x = x.copy()
+    flat = x.reshape(-1)
+    at = rng.random(flat.size) < 0.35
+    flat[at] = rng.choice([0.0, -0.0, 40.0, -40.0, 800.0, -800.0], size=int(at.sum()))
+    return x
+
+
+def _op_cases():
+    """(name, tape call, reference, input arrays): 2-D and batched 3-D inputs,
+    masked and causal attention, and cross-attention from shared queries."""
+    rng = np.random.default_rng(2024)
+
+    def a(*shape, scale=1.0, edges=False):
+        x = rng.normal(scale=scale, size=shape)
+        return _with_edges(x, rng) if edges else x
+
+    key_mask = rng.random((3, 5)) < 0.6
+    key_mask[:, 0] = True
+    row_mask = rng.random((3, 5, 4)) < 0.6
+    row_mask[..., 0] = True
+    valid = rng.random((3, 5)) < 0.6
+    valid[:, 0] = True
+    zero_row = a(5, 4)
+    zero_row[2] = 0.0
+    cases = [
+        ("linear_2d_bias", lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear,
+         [a(5, 4), a(4, 3), a(3)]),
+        ("linear_2d", lambda tp, x, w: tp.linear(x, w), _ref_linear, [a(5, 4), a(4, 3)]),
+        ("linear_3d_bias", lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear,
+         [a(3, 5, 4), a(4, 3), a(3)]),
+        ("attention_self_2d", lambda tp, q, k, v: tp.attention(q, k, v, 2),
+         lambda g, q, k, v: _ref_attention(g, q, k, v, 2), [a(5, 4), a(5, 4), a(5, 4)]),
+        ("attention_masked_3d",
+         lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask),
+         lambda g, q, k, v: _ref_attention(g, q, k, v, 2, key_mask=key_mask),
+         [a(3, 4, 4), a(3, 5, 4), a(3, 5, 4)]),
+        ("attention_causal_masked_3d",
+         lambda tp, q, k, v: tp.attention(q, k, v, 4, key_mask=key_mask, causal=True),
+         lambda g, q, k, v: _ref_attention(g, q, k, v, 4, key_mask=key_mask, causal=True),
+         [a(3, 5, 8, scale=3.0), a(3, 5, 8), a(3, 5, 8)]),
+        ("attention_shared_queries",
+         lambda tp, q, k, v: tp.attention(q, k, v, 2),
+         lambda g, q, k, v: _ref_attention(g, q, k, v, 2), [a(6, 4), a(3, 5, 4), a(3, 5, 4)]),
+        ("gelu", lambda tp, x: tp.gelu(x), _ref_gelu, [a(3, 5, 4, scale=3.0, edges=True)]),
+        ("sigmoid", lambda tp, x: tp.sigmoid(x), _ref_sigmoid,
+         [a(3, 5, 4, scale=5.0, edges=True)]),
+        ("softplus", lambda tp, x: tp.softplus(x), _ref_softplus,
+         [a(5, 4, scale=5.0, edges=True)]),
+        ("layer_norm_2d", lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm,
+         [a(5, 4, scale=2.0, edges=True), a(4), a(4)]),
+        ("layer_norm_3d", lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm,
+         [a(3, 5, 4, scale=2.0), a(4), a(4)]),
+        ("softmax_rows_masked", lambda tp, x: tp.softmax_rows(x, key_mask=row_mask),
+         lambda g, x: _ref_softmax(g, x, row_mask, -1), [a(3, 5, 4, scale=3.0)]),
+        ("softmax_columns_2d", lambda tp, x: tp.softmax_columns(x),
+         lambda g, x: _ref_softmax(g, x, None, -2), [a(5, 4, scale=3.0, edges=True)]),
+        ("softmax_columns_masked",
+         lambda tp, x: tp.softmax_columns(x, valid_rows=valid),
+         lambda g, x: _ref_softmax(g, x, valid[..., None], -2), [a(3, 5, 4, scale=3.0)]),
+        ("row_normalize", lambda tp, x: tp.row_normalize(x), _ref_row_normalize,
+         [zero_row]),
+        ("mul_broadcast", lambda tp, x, y: tp.mul(x, y), _ref_mul, [a(3, 5, 4), a(1, 4)]),
+        ("sum", lambda tp, x: tp.sum(x, axis=-1),
+         lambda g, x: (x.sum(axis=-1), [np.zeros_like(x) + g[..., None]]), [a(3, 5, 4)]),
+        ("mean", lambda tp, x: tp.mean(x),
+         lambda g, x: (x.sum() / x.size, [np.zeros_like(x) + g / x.size]), [a(3, 5, 4)]),
+    ]
+    return [pytest.param(call, ref, inputs, id=name) for name, call, ref, inputs in cases]
+
+
+@pytest.mark.parametrize("call, ref, inputs", _op_cases())
+def test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs):
+    """Forward value and every input gradient, given a seeded upstream
+    gradient g: mask by g, then sum, hands the op exactly g."""
+    tensors = [Tensor(x.copy()) for x in inputs]
+    tape = Tape()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # row_normalize's zero row
+        out = call(tape, *tensors)
+    g = np.random.default_rng(7).normal(size=out.shape)
+    tape.backward(tape.sum(tape.mask(out, g)))
+    want_out, want_grads = ref(g, *inputs)
+    assert out.data.tobytes() == np.asarray(want_out).tobytes(), "forward"
+    assert out.data.shape == np.shape(want_out)
+    for i, (t, want) in enumerate(zip(tensors, want_grads)):
+        assert t.grad.shape == want.shape and t.grad.tobytes() == want.tobytes(), \
+            f"gradient of input {i}"
+    # the op wrote into no operand
+    for t, x in zip(tensors, inputs):
+        assert t.data.tobytes() == x.tobytes()
+
+
+def test_logistic_matches_its_plain_formula_at_edges_and_nan():
+    # the sign and payload of a NaN, signed zeros, and values where exp
+    # overflows or underflows, in both the forward value and the gradient
+    payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    x = np.array([[np.nan, -np.nan, payload, -payload, 0.0, -0.0, 40.0, -40.0,
+                   709.0, -709.0, 746.0, -746.0, 800.0, -800.0, 5e-324, -5e-324,
+                   np.inf, -np.inf]])
+    g = np.random.default_rng(3).normal(size=x.shape)
+    for op, ref in (("sigmoid", _ref_sigmoid), ("softplus", _ref_softplus)):
+        a = Tensor(x.copy())
+        out = getattr(Tape(recording=False), op)(a)
+        want, _ = ref(g, x)
+        assert out.data.view(np.uint64).tolist() == want.view(np.uint64).tolist(), op
+    finite = x[np.isfinite(x)][None]
+    for op, ref in (("sigmoid", _ref_sigmoid), ("softplus", _ref_softplus),
+                    ("gelu", _ref_gelu)):
+        a = Tensor(finite.copy())
+        tape = Tape()
+        out = getattr(tape, op)(a)
+        gf = g[:, :finite.shape[1]]
+        tape.backward(tape.sum(tape.mask(out, gf)))
+        want, (want_grad,) = ref(gf, finite)
+        assert out.data.tobytes() == want.tobytes(), op
+        assert a.grad.tobytes() == want_grad.tobytes(), op
+
+
+def _ref_unit_rows(reps):
+    norms = np.linalg.norm(reps, axis=1, keepdims=True)
+    return np.divide(reps, norms, out=np.zeros_like(reps), where=norms > 0.0)
+
+
+def _ref_contrastive(values, reps, alpha):
+    unit = _ref_unit_rows(reps)
+    selected = np.zeros(len(values), dtype=bool)
+    max_sim, chosen = None, []
+    for t in range(values.shape[1]):
+        score = (1.0 - alpha) * values[:, t]
+        if max_sim is not None:
+            score = score - alpha * max_sim
+        pick = int(np.argmax(np.where(selected, -np.inf, score)))
+        chosen.append(pick)
+        selected[pick] = True
+        sims = unit @ unit[pick]
+        max_sim = sims if max_sim is None else np.maximum(max_sim, sims)
+    return tuple(chosen), tuple(values[chosen, np.arange(len(chosen))])
+
+
+def _ref_topk_draws(values, k, num, rng):
+    n, m = values.shape
+    order = np.argsort(-values, axis=0, kind="stable")
+    uniforms = rng.random((num, m))
+    selected = np.zeros((num, n), dtype=bool)
+    chosen = np.empty((num, m), dtype=np.int64)
+    rows = np.arange(num)
+    for t in range(m):
+        ranked = order[:, t]
+        free_first = np.argsort(selected[:, ranked], axis=1, kind="stable")
+        group = ranked[free_first[:, :min(k, n - t)]]
+        weights = values[group, t]
+        total = weights.sum(axis=1, keepdims=True)
+        weights = np.divide(weights, total, out=np.full_like(weights, 1.0 / group.shape[1]),
+                            where=total > 0.0)
+        cdf = weights.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        pick = group[rows, (cdf <= uniforms[:, t:t + 1]).sum(axis=1)]
+        chosen[:, t] = pick
+        selected[rows, pick] = True
+    return chosen
+
+
+def test_serving_glue_matches_its_plain_formulas_bit_for_bit():
+    """The unit rows and the contrastive slates at alpha 0, 0.1 and 1 on
+    representations with a zero row, and top-k draws where one position's
+    top-k group sums to zero: the same rows, the same slates, the same
+    probabilities and the same rng state."""
+    from slaterank.decoding import DecodeConfig, _topk_draws, _unit_rows, contrastive_decode
+    from slaterank.generator import ProbMatrix
+
+    rng = np.random.default_rng(55)
+    n, m = 9, 4
+    values = rng.random((n, m)) ** 3
+    values[:, 1] = 0.0  # every top-k group at position 1 sums to zero
+    values[[2, 5], 2] = 0.0
+    values /= np.maximum(values.sum(axis=0), 1e-300)
+    reps = rng.normal(size=(n, 5))
+    reps[4] = 0.0
+    probs = ProbMatrix(values=Tensor(values), candidate_reps=Tensor(reps),
+                       position_reps=Tensor(rng.normal(size=(m, 5))))
+    assert _unit_rows(reps).tobytes() == _ref_unit_rows(reps).tobytes()
+    for alpha in (0.0, 0.1, 1.0):
+        slate = contrastive_decode(probs, DecodeConfig(alpha=alpha))
+        indices, probabilities = _ref_contrastive(values, reps, alpha)
+        assert slate.indices == indices
+        assert np.array(slate.probabilities).tobytes() == np.array(probabilities).tobytes()
+    for k, num in ((1, 3), (3, 7), (n, 5)):
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        chosen, _ = _topk_draws(probs, k, num, got_rng)
+        assert np.array_equal(chosen, _ref_topk_draws(values, k, num, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_tensor_keeps_float64_arrays_and_converts_the_rest():
+    x = np.arange(6.0).reshape(2, 3)
+    assert Tensor(x).data is x
+    view = x[:, 1:]
+    assert Tensor(view).data is view
+    for value in ([[1, 2], [3, 4]], np.arange(4).reshape(2, 2),
+                  np.arange(4, dtype=np.float32).reshape(2, 2),
+                  np.arange(4, dtype=">f8").reshape(2, 2), 3, np.float64(2.5),
+                  np.array(7.0, dtype=np.float32)):
+        data = Tensor(value).data
+        assert type(data) is np.ndarray and data.dtype == np.float64
+        assert data.dtype.isnative
+        assert np.array_equal(data, np.asarray(value, dtype=np.float64))
+    assert Tensor(np.float64(2.5)).data.shape == ()
+    # a subclass is converted to a plain array, as np.asarray does
+    masked = np.ma.masked_array([1.0, 2.0])
+    assert type(Tensor(masked).data) is np.ndarray
