@@ -3,7 +3,8 @@
 One flat config (see configs.py) drives every subcommand; `--set key=value`
 overrides individual keys on top of `--config`. Exit codes: 0 success,
 1 usage/config problems, 2 data problems (missing or malformed logs,
-checkpoint mismatches), 3 numeric failures.
+checkpoint mismatches), 3 numeric failures, 141 when the reader of stdout
+went away (`slaterank bench | head -1`), as for a process ended by SIGPIPE.
 
 Pointwise report metrics (AUC, LogLoss, NDCG) always target the first
 configured interaction type; Recall@k targets exposure prediction.
@@ -37,6 +38,8 @@ from .metrics import EvalReport, auc, logloss, ndcg_list, recall_at_k
 from .numerics import load_checkpoint, save_checkpoint
 from .simulator import POLICIES, World, gen_log
 from .training import steps_to_csv, train_ar, train_generator
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -339,3 +342,14 @@ def main(argv=None) -> int:
     except SlaterankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The recipe of the signal module's "Note on SIGPIPE": point stdout
+        # at os.devnull, so the flush at exit does not raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE

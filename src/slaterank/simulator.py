@@ -97,9 +97,16 @@ class World:
         rng = np.random.default_rng(cfg.seed)
         centers = _unit_rows(rng, (cfg.clusters, cfg.latent_dim))
         assignment = rng.integers(cfg.clusters, size=cfg.num_items)
-        raw = centers[assignment] + cfg.cluster_spread * rng.normal(
-            size=(cfg.num_items, cfg.latent_dim))
-        self.items = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        # a finite but extreme spread overflows the latents or their norms;
+        # say so here, where the config key is known, instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = centers[assignment] + cfg.cluster_spread * rng.normal(
+                size=(cfg.num_items, cfg.latent_dim))
+            norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise ConfigError(f"world.cluster_spread={cfg.cluster_spread!r} is too large: "
+                              f"the item latents overflow")
+        self.items = raw / norms
         self.users = _unit_rows(rng, (cfg.num_users, cfg.latent_dim))
 
     def affinity(self, user_id: int, item_ids: np.ndarray) -> np.ndarray:

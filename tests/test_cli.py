@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +101,45 @@ def test_simulate_rejects_world_values_it_cannot_simulate(tmp_path, capsys, sett
 
 
 def test_simulate_rejects_non_finite_candidate_features(tmp_path, capsys):
-    # a finite spread so wide that the item latents come out NaN
+    # finite spreads so wide that the item latents (1e308) or their norms
+    # (1e200) overflow: a config error naming the key, and no NumPy warning
     out = tmp_path / "log.jsonl"
-    assert main(["simulate", "--config", write_cfg(tmp_path), "--set",
-                 "world.cluster_spread=1e308", "--out", str(out)]) == 1
-    assert "candidate features contain non-finite values" in capsys.readouterr().err
-    assert not out.exists()
+    for spread in ("1e308", "1e200"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", write_cfg(tmp_path), "--set",
+                         f"world.cluster_spread={spread}", "--out", str(out)]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert f"world.cluster_spread={float(spread)!r} is too large" in err
+        assert not out.exists()
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, monkeypatch):
+    # `slaterank ... | head -1`: the reader is gone, so every write to stdout
+    # raises BrokenPipeError; main points stdout's descriptor at os.devnull,
+    # so the flush at exit cannot raise again, and returns 141
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "wb") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+        code = main(["simulate", "--config", write_cfg(tmp_path),
+                     "--out", str(tmp_path / "log.jsonl")])
+        os.write(target.fileno(), b"after")
+    assert code == 141
+    assert (tmp_path / "log.jsonl").exists()
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 def test_missing_or_malformed_logs_exit_2(tmp_path, capsys):
