@@ -39,7 +39,7 @@ from .numerics import load_checkpoint, save_checkpoint
 from .simulator import POLICIES, World, gen_log
 from .training import steps_to_csv, train_ar, train_generator
 
-EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,8 +348,8 @@ def main(argv=None) -> int:
         try:
             fd = sys.stdout.fileno()
         except (AttributeError, OSError, ValueError):
-            return EXIT_BROKEN_PIPE
+            return _EXIT_BROKEN_PIPE
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, fd)
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        return _EXIT_BROKEN_PIPE
