@@ -21,10 +21,11 @@ one on a default-sized world that spans several of gen_log's blocks), the
 parameters and loss logs of the three trainers run on the first as gen_log
 returns it, the bytes write_logs writes for the second, and the oracle's
 click probabilities and expected utilities for seeded slates on both
-worlds; one line per
-public Tape op, its forward
-value and its input gradients on seeded inputs, so a change to numerics is
-checked op by op and not only through the models; and sigmoid, softplus and
+worlds; one line per public Tape op, its forward value and its input
+gradients on seeded inputs, so a change to numerics is checked op by op and
+not only through the models; the ops that sum or take maxima along an axis
+again on minibatch-sized inputs (256 rows or more per sum), where numerics
+may pick other kernels than at serving sizes; and sigmoid, softplus and
 gelu at +-0.0, +-40 and +-800, and contrastive slates at alpha 0 and 1, where
 a rewritten formula would most likely part from the old one.
 """
@@ -189,15 +190,58 @@ def op_cases(rng: np.random.Generator):
     ]
 
 
+def minibatch_op_cases(rng: np.random.Generator):
+    """(op name, call, input tensors) for the ops that sum or take maxima
+    along an axis, on minibatch-sized inputs: 256 rows or more per sum
+    (B = 16 stacks of n = 20 rows, as perfbench trains, and 64 stacks of
+    m = 6 slots), with rows of 20, 16 and 6 terms."""
+    B, n, d, m = 16, 20, 16, 6
+
+    def t(*shape, scale=1.0):
+        return Tensor(rng.normal(scale=scale, size=shape))
+
+    def keep_first(mask):
+        mask[..., 0] = True
+        return mask
+
+    key_mask = keep_first(rng.random((B, n)) < 0.7)
+    col_mask = keep_first(rng.random((B, n, n)) < 0.7)
+    return [
+        ("layer_norm", lambda tp, x, g, b: tp.layer_norm(x, g, b),
+         [t(B, n, d, scale=2.0), t(d), t(d)]),
+        ("attention.masked", lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask),
+         [t(B, n, d), t(B, n, d), t(B, n, d)]),
+        ("attention.causal", lambda tp, q, k, v: tp.attention(q, k, v, 2, causal=True),
+         [t(B, n, d, scale=2.0), t(B, n, d), t(B, n, d)]),
+        ("attention.shared_queries", lambda tp, q, k, v: tp.attention(q, k, v, 2),
+         [t(m, d), t(64, n, d), t(64, n, d)]),
+        ("attention.slots", lambda tp, q, k, v: tp.attention(q, k, v, 2),
+         [t(64, m, d), t(64, m, d), t(64, m, d)]),
+        ("softmax_rows", lambda tp, a: tp.softmax_rows(a, key_mask=col_mask),
+         [t(B, n, n, scale=3.0)]),
+        ("softmax_rows.slots", lambda tp, a: tp.softmax_rows(a), [t(64, m, m, scale=3.0)]),
+        ("row_normalize", lambda tp, a: tp.row_normalize(a), [t(B, n, d)]),
+        ("linear", lambda tp, x, w, b: tp.linear(x, w, b), [t(B, n, d), t(d, 12), t(12)]),
+        ("add", lambda tp, a, b: tp.add(a, b), [t(B, n, d), t(d)]),
+    ]
+
+
 def op_digests() -> None:
     """Print each op's output and the gradients of sum(out * c) with respect
-    to its inputs, for a seeded array c of out's shape."""
+    to its inputs, for a seeded array c of out's shape: every public op on
+    small inputs, then the reducing ops on minibatch-sized ones."""
     rng = np.random.default_rng(17)
     for name, call, inputs in op_cases(rng):
         tape = Tape()
         out = call(tape, *inputs)
         tape.backward(tape.sum(tape.mask(out, rng.normal(size=out.shape))))
         print(f"op.{name}", digest(out.data, *[x.grad for x in inputs]))
+    rng = np.random.default_rng(19)
+    for name, call, inputs in minibatch_op_cases(rng):
+        tape = Tape()
+        out = call(tape, *inputs)
+        tape.backward(tape.sum(tape.mask(out, rng.normal(size=out.shape))))
+        print(f"op.minibatch.{name}", digest(out.data, *[x.grad for x in inputs]))
 
 
 def edge_digests() -> None:
