@@ -193,7 +193,7 @@ def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
     def batch_loss(tape, rows):
         feats = table.features[rows[:, None], table.exposed[rows]]
         losses = bce_loss(tape, _score(feats, params, cfg, tape), y[rows])
-        return losses, losses
+        return losses, (losses,)
 
     return _fit(table, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
                 seed=seed, after_step=_log_mean_loss(loss_log))

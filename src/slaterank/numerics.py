@@ -21,13 +21,37 @@ after one backward pass.
 
 The op bodies are written for per-call cost as well as for bits. Each one
 keeps the order of its floating-point operations, so a rewrite of a body
-must give the same bits as the formula it replaces. Reductions call the
-ufunc methods (`np.add.reduce`, `np.maximum.reduce`, `np.add.accumulate`),
-which compute what `ndarray.sum`, `.max` and `.cumsum` compute without their
-Python wrappers. An op writes in place (`out=`, `*=`) only into temporaries
-it allocated itself, never into an operand, an op's output or the incoming
-gradient `g`: `_accumulate` may adopt the array it is given as a `.grad`,
-and `Params.memo` tensors are read-only.
+must give the same bits as the formula it replaces. How a body sums depends
+on the array's size, counted in rows: the rows of a sum over the last axis,
+or the terms of a sum over leading axes.
+- Below `_BLAS_ROWS` (64) rows, reductions call the ufunc methods
+  (`np.add.reduce`, `np.maximum.reduce`, `np.add.accumulate`), which compute
+  what `ndarray.sum`, `.max` and `.cumsum` compute without their Python
+  wrappers. Every serving request stays below it: perfbench's largest sum
+  of 8 or more terms spans 48 rows. So serving keeps NumPy's bits.
+- From 64 rows on, which is training and padded stacks, NumPy's reduce pays
+  per row for a minibatch's 16- to 20-term rows, and BLAS does not. Row sums
+  over the last axis (layer_norm forward and backward, the normalisers of
+  attention and softmax_rows and their backward, row_normalize) are one
+  `x2 @ ones(d)`, and sums over leading axes (the bias gradients of linear
+  and layer_norm, layer_norm's gain gradient, `_unbroadcast`) one
+  `ones(r) @ x2`, with cached read-only ones vectors. BLAS adds in its own
+  order, so these sums, and the models trained through them, move by ulps.
+- Two cases keep NumPy's bits at any size, so from 64 rows on they are
+  folded column by column instead: rows of fewer than 8 terms, which NumPy
+  adds left to right onto 0.0, and the row maxima of attention and
+  softmax_rows, which do not depend on order (exp(x - max) does not see a
+  zero's sign or a NaN's payload, the only bits in which a fold's maximum
+  may differ).
+64 rows is where the matrix-vector product overtook NumPy's row sum on
+(rows, 16) arrays, between 40 and 64 rows on a 2-vCPU VM. Sums down the
+columns of each matrix (softmax_columns) keep NumPy's reduce, which already
+runs along the rows of memory.
+
+An op writes in place (`out=`, `*=`) only into temporaries it allocated
+itself, never into an operand, an op's output or the incoming gradient `g`:
+`_accumulate` may adopt the array it is given as a `.grad`, and
+`Params.memo` tensors are read-only.
 """
 
 from __future__ import annotations
@@ -61,6 +85,11 @@ CHECKPOINT_VERSION = 1
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 _F64 = np.dtype(np.float64)
+# Sums over arrays of this many rows or more go through BLAS (see the module
+# docstring); rows of fewer than _SHORT_ROW terms are folded instead.
+_BLAS_ROWS = 64
+_SHORT_ROW = 8
+_ONES = np.ones(0)
 
 
 class Tensor:
@@ -100,11 +129,64 @@ def _broadcast_op(ufunc, a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
         raise ShapeError(f"{op} got {a.shape} and {b.shape}") from None
 
 
+def _ones(n: int) -> np.ndarray:
+    """n ones, read-only: a prefix of one cached vector, which grows to the
+    longest length asked for."""
+    global _ONES
+    if len(_ONES) < n:
+        _ONES = np.ones(n)
+        _ONES.flags.writeable = False
+    return _ONES[:n]
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x, axis=-1, keepdims=True): NumPy's own reduce below
+    _BLAS_ROWS rows, a column fold for rows of fewer than _SHORT_ROW terms,
+    and one matrix-vector product with ones otherwise."""
+    d = x.shape[-1]
+    if x.size < _BLAS_ROWS * d or not d:
+        return np.add.reduce(x, axis=-1, keepdims=True)
+    x2 = x.reshape(-1, d)
+    if d < _SHORT_ROW:
+        # NumPy adds a short row left to right onto 0.0, which turns -0.0
+        # into 0.0: the same sums in the same order
+        s = x2[:, 0] + 0.0
+        for j in range(1, d):
+            s += x2[:, j]
+    else:
+        s = x2 @ _ones(d)
+    return s.reshape(x.shape[:-1] + (1,))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(x, axis=-1, keepdims=True) as a column fold, which
+    its callers take from _BLAS_ROWS rows on. It is the same maximum, except
+    that a zero may come out with the other sign and a NaN with another
+    payload."""
+    x2 = x.reshape(-1, x.shape[-1])
+    top = x2[:, 0].copy()
+    for j in range(1, x2.shape[1]):
+        np.maximum(top, x2[:, j], out=top)
+    return top.reshape(x.shape[:-1] + (1,))
+
+
+def _lead_sum(x: np.ndarray, lead: int) -> np.ndarray:
+    """np.add.reduce over the first `lead` axes of x: NumPy's own reduce
+    below _BLAS_ROWS rows (terms), one vector-matrix product with ones
+    otherwise."""
+    rows, tail = math.prod(x.shape[:lead]), x.shape[lead:]
+    if rows < _BLAS_ROWS:
+        return np.add.reduce(x, axis=tuple(range(lead)))
+    return (_ones(rows) @ x.reshape(rows, math.prod(tail))).reshape(tail)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `g` over the axes along which an operand of `shape` was broadcast."""
     if g.shape == shape:
         return g
-    g = np.add.reduce(g, axis=tuple(range(g.ndim - len(shape))))
+    lead = g.ndim - len(shape)
+    if lead:
+        g = _lead_sum(g, lead)
     stretched = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     return np.add.reduce(g, axis=stretched, keepdims=True) if stretched else g
 
@@ -167,6 +249,13 @@ class Tape:
             self._recorded += 1
         return out
 
+    def largest_output(self) -> Tensor | None:
+        """The largest output recorded and not yet passed by backward. A
+        training loop that holds it until its next minibatch is recorded
+        keeps the allocator from returning the pages of the freed
+        activations to the OS and faulting them in again."""
+        return max((out for out, _ in self._ops), key=lambda t: t.data.size, default=None)
+
     def backward(self, root: Tensor) -> None:
         """Seed `root` (a scalar) with gradient 1 and replay the tape in
         reverse, dropping each pair once it has run. An op whose output got
@@ -216,7 +305,7 @@ class Tape:
             _accumulate(x, gx if flat else gx.reshape(xd.shape))
             _accumulate(w, rows.T @ g2)
             if b is not None:
-                _accumulate(b, np.add.reduce(g2, axis=0))
+                _accumulate(b, _lead_sum(g2, 1))
 
         return self._record(Tensor(y if flat else y.reshape(xd.shape[:-1] + (wd.shape[1],))),
                             back)
@@ -264,17 +353,18 @@ class Tape:
         scores *= inv_sqrt
         if allowed is not None:
             scores = np.where(allowed, scores, -np.inf)
-        top = np.maximum.reduce(scores, axis=-1, keepdims=True)
+        small = scores.size < _BLAS_ROWS * nk  # serving sizes call NumPy directly
+        top = np.maximum.reduce(scores, axis=-1, keepdims=True) if small else _row_max(scores)
         if allowed is not None and np.isneginf(top).any():
             raise ShapeError("attention with a fully masked query row")
         scores -= top
         w = np.exp(scores, out=scores)
-        w /= np.add.reduce(w, axis=-1, keepdims=True)
+        w /= np.add.reduce(w, axis=-1, keepdims=True) if small else _row_sum(w)
 
         def back(g):
             gh = _split_heads(g, heads)
             ds = gh @ vh.swapaxes(-1, -2)
-            ds -= np.add.reduce(ds * w, axis=-1, keepdims=True)
+            ds -= _row_sum(ds * w)
             np.multiply(w, ds, out=ds)
             ds *= inv_sqrt
             _accumulate(q, _unbroadcast(_merge_heads(ds @ kh), qd.shape))
@@ -442,10 +532,12 @@ class Tape:
         # overhead of np.mean; inv = 1 / sqrt(sum(xc * xc) / d + eps).
         # Backward keeps the per-row mu and inv and rebuilds xhat from x,
         # which the tape holds anyway.
-        mu = np.add.reduce(xd, axis=-1, keepdims=True)
+        small = xd.size < _BLAS_ROWS * d  # serving sizes call NumPy directly
+        mu = np.add.reduce(xd, axis=-1, keepdims=True) if small else _row_sum(xd)
         mu /= d
         xc = xd - mu
-        inv = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+        sq = xc * xc
+        inv = np.add.reduce(sq, axis=-1, keepdims=True) if small else _row_sum(sq)
         inv /= d
         inv += eps
         np.sqrt(inv, out=inv)
@@ -457,13 +549,13 @@ class Tape:
             xhat = xd - mu
             xhat *= inv
             prod = g * xhat
-            _accumulate(gain, np.add.reduce(prod.reshape(-1, d), axis=0))
-            _accumulate(bias, np.add.reduce(g.reshape(-1, d), axis=0))
+            _accumulate(gain, _lead_sum(prod.reshape(-1, d), 1))
+            _accumulate(bias, _lead_sum(g.reshape(-1, d), 1))
             dxhat = g * gain.data
-            mean_d = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            mean_d = _row_sum(dxhat)
             mean_d /= d
             np.multiply(dxhat, xhat, out=prod)
-            mean_dx = np.add.reduce(prod, axis=-1, keepdims=True)
+            mean_dx = _row_sum(prod)
             mean_dx /= d
             dxhat -= mean_d
             xhat *= mean_dx
@@ -480,14 +572,19 @@ class Tape:
         """Softmax along `axis`; entries where `allowed` (which broadcasts
         into a) is False get exactly zero."""
         work = a.data if allowed is None else np.where(allowed, a.data, -np.inf)
-        y = work - np.maximum.reduce(work, axis=axis, keepdims=True)
+        # rows of a minibatch-sized array go through _row_max and _row_sum;
+        # columns and serving sizes call NumPy directly
+        small = axis != -1 or work.size < _BLAS_ROWS * work.shape[-1]
+        y = work - (np.maximum.reduce(work, axis=axis, keepdims=True) if small
+                    else _row_max(work))
         np.exp(y, out=y)
-        y /= np.add.reduce(y, axis=axis, keepdims=True)
+        y /= np.add.reduce(y, axis=axis, keepdims=True) if small else _row_sum(y)
 
         def back(g):
             # y * (g - sum(g * y))
             gy = g * y
-            np.subtract(g, np.add.reduce(gy, axis=axis, keepdims=True), out=gy)
+            np.subtract(g, np.add.reduce(gy, axis=axis, keepdims=True) if small
+                        else _row_sum(gy), out=gy)
             np.multiply(y, gy, out=gy)
             _accumulate(a, gy)
 
@@ -535,7 +632,7 @@ class Tape:
         ad = a.data
         if ad.ndim < 2:
             raise ShapeError("row_normalize expects a matrix")
-        norms = np.add.reduce(ad * ad, axis=-1, keepdims=True)
+        norms = _row_sum(ad * ad)
         np.sqrt(norms, out=norms)
         zero = norms == 0.0
         if zero.any():
@@ -549,7 +646,7 @@ class Tape:
 
         def back(g):
             # (g - y * sum(g * y)) / safe, 0 on zero rows
-            da = y * np.add.reduce(g * y, axis=-1, keepdims=True)
+            da = y * _row_sum(g * y)
             np.subtract(g, da, out=da)
             da /= safe
             _accumulate(a, np.where(zero, 0.0, da))

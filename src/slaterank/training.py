@@ -114,13 +114,14 @@ def _fit(table: LogTable, params: Params, batch_loss, *, lr: float,
 
 
 def _log_mean_loss(loss_log: list[float] | None):
-    """after_step for a batch_loss whose value is its per-request losses:
-    appends each step's mean loss per request to loss_log as a Python float."""
+    """after_step for a batch_loss whose value is a tuple that starts with
+    its per-request losses: appends each step's mean loss per request to
+    loss_log as a Python float."""
     if loss_log is None:
         return None
 
-    def log_step(step, rows, losses):
-        loss_log.append(float(losses.data.sum()) / len(rows))
+    def log_step(step, rows, value):
+        loss_log.append(float(value[0].data.sum()) / len(rows))
     return log_step
 
 
@@ -177,7 +178,9 @@ def train_ar(logs, params: Params, cfg: GeneratorConfig, *,
 
     def batch_loss(tape, rows):
         losses = ar_sequence_loss(table.take(rows), params, cfg, tape)
-        return losses, losses
+        # the largest activation (the feed-forward's hidden layer) rides
+        # along for the reason train_generator keeps its probs
+        return losses, (losses, tape.largest_output())
 
     return _fit(table, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
                 seed=seed, after_step=_log_mean_loss(loss_log))

@@ -422,3 +422,23 @@ def test_desk_pipeline_script_writes_every_artifact(tmp_path):
     assert len(names) == 8
     for name in names:
         assert (out / name).stat().st_size > 0, name
+
+
+def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):
+    # scripts/ab_inprocess.py on tiny configs: both trees import, every
+    # workload runs its pairs and prints a ratio line
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(slaterank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "ab_inprocess.py"), src, src,
+         "--scale", "tiny", "--pairs", "2"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split()[:2] == ["workload", "pairs"]
+    trainers = ("train_generator", "train_evaluator", "train_ar")
+    assert sorted(row.split()[0] for row in rows) == sorted(
+        [f"{t}.{c}" for t in trainers for c in ("bench", "desk")] + ["onepass", "rerank"])
+    for row in rows:
+        name, pairs, median, q1, q3, wins = row.split()
+        assert pairs == "2" and float(median) > 0 and wins.endswith("/2"), row

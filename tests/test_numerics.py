@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff, gradcheck, max_rel_err
+from slaterank import numerics
 from slaterank.errors import (
     MissingGradientError,
     NumericsError,
@@ -735,6 +736,249 @@ def test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs):
     # the op wrote into no operand
     for t, x in zip(tensors, inputs):
         assert t.data.tobytes() == x.tobytes()
+
+
+# ---- the same ops at minibatch sizes, pinned to their BLAS sums ----
+#
+# From numerics._BLAS_ROWS rows on, a row sum of 8 or more terms is one
+# matrix-vector product with ones, and a sum over leading axes one
+# vector-matrix product; shorter rows and row maxima are folded column by
+# column, which keeps NumPy's bits. The references below are the plain
+# formulas above with those sums written out.
+
+ROWS = numerics._BLAS_ROWS
+
+
+def _gemv_rows(x):
+    """Row sums, keeping the axis: NumPy's for fewer than 8 terms (the fold
+    gives its bits), x2 @ ones otherwise."""
+    d = x.shape[-1]
+    if d < 8:
+        return x.sum(axis=-1, keepdims=True)
+    return (x.reshape(-1, d) @ np.ones(d)).reshape(*x.shape[:-1], 1)
+
+
+def _gemv_lead(g, lead):
+    """The sum over g's first `lead` axes, as ones @ g2."""
+    r = int(np.prod(g.shape[:lead]))
+    return (np.ones(r) @ g.reshape(r, -1)).reshape(g.shape[lead:])
+
+
+def _gemv_unbroadcast(g, shape):
+    if g.shape == shape:
+        return g
+    return _gemv_lead(g, g.ndim - len(shape))
+
+
+def _gemv_linear(g, x, w, b):
+    rows = x.reshape(-1, w.shape[0])
+    g2 = g.reshape(-1, w.shape[1])
+    return (rows @ w + b).reshape(*x.shape[:-1], w.shape[1]), [
+        (g2 @ w.T).reshape(x.shape), rows.T @ g2, _gemv_lead(g2, 1)]
+
+
+def _gemv_attention(g, q, k, v, heads, key_mask=None, causal=False):
+    inv_sqrt = 1.0 / np.sqrt(q.shape[-1] // heads)
+    qh, kh, vh = (_ref_split_heads(a, heads) for a in (q, k, v))
+    allowed = None if key_mask is None else key_mask[..., None, None, :]
+    if causal:
+        tril = np.tril(np.ones((q.shape[-2], k.shape[-2]), dtype=bool))
+        allowed = tril if allowed is None else allowed & tril
+    scores = (qh @ kh.swapaxes(-1, -2)) * inv_sqrt
+    if allowed is not None:
+        scores = np.where(allowed, scores, -np.inf)
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w /= _gemv_rows(w)
+    gh = _ref_split_heads(g, heads)
+    dw = gh @ vh.swapaxes(-1, -2)
+    ds = w * (dw - _gemv_rows(dw * w)) * inv_sqrt
+    return _ref_merge_heads(w @ vh), [
+        _gemv_unbroadcast(_ref_merge_heads(ds @ kh), q.shape),
+        _gemv_unbroadcast(_ref_merge_heads(ds.swapaxes(-1, -2) @ qh), k.shape),
+        _gemv_unbroadcast(_ref_merge_heads(w.swapaxes(-1, -2) @ gh), v.shape)]
+
+
+def _gemv_layer_norm(g, x, gain, bias, eps=1e-5):
+    d = x.shape[-1]
+    mu = _gemv_rows(x) / d
+    xc = x - mu
+    inv = 1.0 / np.sqrt(_gemv_rows(xc * xc) / d + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gain
+    term = dxhat - _gemv_rows(dxhat) / d - xhat * (_gemv_rows(dxhat * xhat) / d)
+    return xc * inv * gain + bias, [inv * term, _gemv_lead((g * xhat).reshape(-1, d), 1),
+                                    _gemv_lead(g.reshape(-1, d), 1)]
+
+
+def _gemv_softmax_rows(g, a, allowed):
+    work = a if allowed is None else np.where(allowed, a, -np.inf)
+    e = np.exp(work - work.max(axis=-1, keepdims=True))
+    y = e / _gemv_rows(e)
+    return y, [y * (g - _gemv_rows(g * y))]
+
+
+def _gemv_row_normalize(g, a):
+    norms = np.sqrt(_gemv_rows(a * a))
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    y = a / safe
+    da = (g - y * _gemv_rows(g * y)) / safe
+    return y, [np.where(zero, 0.0, da)]
+
+
+def _minibatch_cases():
+    """(name, tape call, reference, input arrays) at or above the row count:
+    perfbench's training shapes (16 stacks of 20 rows of width 16, two
+    heads), stacks of 6 slots, and 2-D inputs of exactly ROWS rows."""
+    rng = np.random.default_rng(2025)
+
+    def a(*shape, scale=1.0):
+        return rng.normal(scale=scale, size=shape)
+
+    key_mask = rng.random((16, 20)) < 0.7
+    key_mask[:, 0] = True
+    col_mask = rng.random((16, 20, 20)) < 0.7
+    col_mask[..., 0] = True
+    zero_row = a(16, 20, 16)
+    zero_row[3, 7] = 0.0
+    cases = [
+        ("linear_bias_at_row_count", lambda tp, x, w, b: tp.linear(x, w, b), _gemv_linear,
+         [a(ROWS, 12), a(12, 10), a(10)]),
+        ("linear_3d_bias", lambda tp, x, w, b: tp.linear(x, w, b), _gemv_linear,
+         [a(16, 20, 16), a(16, 12), a(12)]),
+        ("attention_masked", lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask),
+         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2, key_mask=key_mask),
+         [a(16, 20, 16), a(16, 20, 16), a(16, 20, 16)]),
+        ("attention_causal",
+         lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask, causal=True),
+         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2, key_mask=key_mask, causal=True),
+         [a(16, 20, 16, scale=3.0), a(16, 20, 16), a(16, 20, 16)]),
+        ("attention_shared_queries", lambda tp, q, k, v: tp.attention(q, k, v, 2),
+         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2),
+         [a(6, 16), a(ROWS, 20, 16), a(ROWS, 20, 16)]),
+        ("attention_slots", lambda tp, q, k, v: tp.attention(q, k, v, 2, causal=True),
+         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2, causal=True),
+         [a(ROWS, 6, 16), a(ROWS, 6, 16), a(ROWS, 6, 16)]),
+        ("layer_norm_at_row_count", lambda tp, x, gn, b: tp.layer_norm(x, gn, b),
+         _gemv_layer_norm, [a(ROWS, 16, scale=2.0), a(16), a(16)]),
+        ("layer_norm_3d", lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _gemv_layer_norm,
+         [a(16, 20, 16, scale=2.0), a(16), a(16)]),
+        ("softmax_rows_masked", lambda tp, x: tp.softmax_rows(x, key_mask=col_mask),
+         lambda g, x: _gemv_softmax_rows(g, x, col_mask), [a(16, 20, 20, scale=3.0)]),
+        ("softmax_rows_short", lambda tp, x: tp.softmax_rows(x),
+         lambda g, x: _gemv_softmax_rows(g, x, None), [a(ROWS, 1, 5, scale=3.0)]),
+        ("row_normalize", lambda tp, x: tp.row_normalize(x), _gemv_row_normalize,
+         [zero_row]),
+        ("add_broadcast", lambda tp, x, y: tp.add(x, y),
+         lambda g, x, y: (x + y, [np.zeros_like(x) + g, _gemv_unbroadcast(g, y.shape)]),
+         [a(16, 20, 16), a(16)]),
+    ]
+    return [pytest.param(call, ref, inputs, id=name) for name, call, ref, inputs in cases]
+
+
+@pytest.mark.parametrize("call, ref, inputs", _minibatch_cases())
+def test_minibatch_ops_match_their_blas_formulas_bit_for_bit(call, ref, inputs):
+    test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs)
+
+
+def _boundary_cases(rows, rng):
+    """(tape call, plain reference, BLAS reference, input arrays, the output
+    that tells the kernels apart: 0 for the forward value, i for the gradient
+    of input i) whose sums span `rows` rows: a layer norm, a biased linear,
+    one-head attention of one query over 10 keys, and a row softmax."""
+    def a(*shape, spread=3):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-spread, spread + 1, size=shape)
+
+    return [
+        (lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm, _gemv_layer_norm,
+         [a(rows, 16), a(16), a(16)], 0),
+        (lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear, _gemv_linear,
+         [a(rows, 12), a(12, 10), a(10)], 3),
+        (lambda tp, q, k, v: tp.attention(q, k, v, 1),
+         lambda g, q, k, v: _ref_attention(g, q, k, v, 1),
+         lambda g, q, k, v: _gemv_attention(g, q, k, v, 1),
+         [a(rows, 1, 8, spread=0), a(rows, 10, 8, spread=0), a(rows, 10, 8)], 0),
+        (lambda tp, x: tp.softmax_rows(x), lambda g, x: _ref_softmax(g, x, None, -1),
+         lambda g, x: _gemv_softmax_rows(g, x, None), [a(rows, 10, spread=0)], 0),
+    ]
+
+
+def test_sums_change_kernel_exactly_at_the_row_count():
+    """One row fewer than the row count sums as NumPy does, the row count
+    itself through BLAS: row sums, sums over leading axes, and the ops that
+    take them. The data is such that the two kernels give other bits."""
+    rng = np.random.default_rng(8)
+    for rows, blas in ((ROWS - 1, False), (ROWS, True)):
+        x = rng.normal(size=(rows, 16)) * 10.0 ** rng.integers(-4, 5, size=(rows, 16))
+        by_rows = (x @ np.ones(16), x.sum(axis=-1))
+        by_cols = (np.ones(rows) @ x, x.sum(axis=0))
+        assert by_rows[0].tobytes() != by_rows[1].tobytes()
+        assert by_cols[0].tobytes() != by_cols[1].tobytes()
+        want = 0 if blas else 1
+        assert numerics._row_sum(x)[:, 0].tobytes() == by_rows[want].tobytes()
+        assert numerics._lead_sum(x, 1).tobytes() == by_cols[want].tobytes()
+        for call, plain, gemv, inputs, told in _boundary_cases(rows, rng):
+            # the upstream gradient the test below hands the op
+            shape = call(Tape(recording=False), *map(Tensor, inputs)).shape
+            g = np.random.default_rng(7).normal(size=shape)
+            (out_p, grads_p), (out_g, grads_g) = plain(g, *inputs), gemv(g, *inputs)
+            assert (out_p, *grads_p)[told].tobytes() != (out_g, *grads_g)[told].tobytes()
+            test_ops_match_their_plain_formulas_bit_for_bit(call, gemv if blas else plain,
+                                                            inputs)
+
+
+_PAYLOAD_NANS = np.array([0x7FF8000000000123, 0xFFF8000000000456, 0x7FF800000000BEEF],
+                         dtype=np.uint64).view(np.float64)
+_EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, np.inf, -np.inf,
+                          np.nan, *_PAYLOAD_NANS])
+_ENTRIES = st.one_of(_EDGES, st.floats(width=64, allow_nan=False),
+                     st.just(-np.inf))  # masked entries, as attention masks them
+_SHORT_ROWS = st.integers(1, 7).flatmap(
+    lambda d: st.lists(st.lists(_ENTRIES, min_size=d, max_size=d), min_size=1, max_size=6))
+
+
+def _at_row_count(rows):
+    """The drawn rows, repeated to one more than the row count, so the
+    kernels take their minibatch branch."""
+    x = np.array(rows, dtype=np.float64)
+    return np.resize(x, (ROWS + 1, x.shape[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SHORT_ROWS)
+def test_short_row_sum_fold_is_numpys_reduce_bit_for_bit(rows):
+    """Rows of 1 to 7 terms with NaN payloads, signed zeros, infinities and
+    -inf entries: the fold gives np.add.reduce's bits, NaN payloads too."""
+    x = _at_row_count(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+        got = numerics._row_sum(x)
+        want = np.add.reduce(x, axis=-1, keepdims=True)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SHORT_ROWS | st.lists(st.lists(_ENTRIES, min_size=20, max_size=20), min_size=1,
+                              max_size=4))
+def test_row_max_fold_is_numpys_reduce_where_attention_reads_it(rows):
+    """The fold gives np.maximum.reduce's maximum bit for bit, except that a
+    zero may have the other sign and a NaN another payload (NumPy's own
+    reduce replaces a NaN's payload or not depending on where the NaN sits
+    and on the CPU's vector width). Attention only subtracts the maximum
+    before exp, where neither shows: exp(x - max) is the same bit for bit on
+    every row without a NaN, and NaN where the reduce gives NaN."""
+    x = _at_row_count(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = numerics._row_max(x)
+        want = np.maximum.reduce(x, axis=-1, keepdims=True)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        nonzero = ~nan & (want != 0.0)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert np.array_equal(got[~nan], want[~nan])
+        clean = ~np.isnan(x).any(axis=-1)
+        assert np.exp(x - got)[clean].tobytes() == np.exp(x - want)[clean].tobytes()
 
 
 def test_logistic_matches_its_plain_formula_at_edges_and_nan():
