@@ -121,24 +121,22 @@ class Tree:
                 mine[name].data[...] = t.data
 
     def workloads(self) -> dict:
+        """workload name -> its units, each a callable timed on its own."""
         sr = self.sr
-        train = sr.training
 
-        def trainer(log, cfg, batch, epochs, kind):
-            def run():
-                if kind == "generator":
-                    train.train_generator(self.logs[log], sr.generator.init_generator_params(cfg),
-                                          cfg, self.spec, lr=1e-2, epochs=epochs,
-                                          batch_size=batch)
-                elif kind == "evaluator":
-                    sr.evaluator.train_evaluator(self.logs[log],
-                                                 sr.evaluator.init_evaluator_params(self.ev_cfg),
-                                                 self.ev_cfg, lr=1e-2, epochs=epochs,
-                                                 batch_size=batch)
-                else:
-                    train.train_ar(self.logs[log], sr.ar.init_ar_params(cfg), cfg, lr=1e-2,
-                                   epochs=epochs, batch_size=batch)
-            return run
+        def trainer(log, kind, cfg, batch, epochs):
+            table = self.logs[log]
+            if kind == "generator":
+                return lambda: sr.training.train_generator(
+                    table, sr.generator.init_generator_params(cfg), cfg, self.spec,
+                    lr=1e-2, epochs=epochs, batch_size=batch)
+            if kind == "evaluator":
+                return lambda: sr.evaluator.train_evaluator(
+                    table, sr.evaluator.init_evaluator_params(cfg), cfg,
+                    lr=1e-2, epochs=epochs, batch_size=batch)
+            return lambda: sr.training.train_ar(
+                table, sr.ar.init_ar_params(cfg), cfg, lr=1e-2, epochs=epochs,
+                batch_size=batch)
 
         def onepass(req):
             return lambda: sr.decoding.contrastive_decode(
@@ -152,18 +150,16 @@ class Tree:
                 sr.evaluator.select_best(req, slates, self.ev, self.ev_cfg)
             return run
 
-        return {
-            "train_generator.bench": [trainer("bench", self.gen_cfg, 32, self.epochs,
-                                              "generator")],
-            "train_evaluator.bench": [trainer("bench", self.gen_cfg, 32, self.epochs,
-                                              "evaluator")],
-            "train_ar.bench": [trainer("bench", self.gen_cfg, 32, 1, "ar")],
-            "train_generator.desk": [trainer("desk", self.desk_cfg, 256, 1, "generator")],
-            "train_evaluator.desk": [trainer("desk", self.desk_cfg, 256, 1, "evaluator")],
-            "train_ar.desk": [trainer("desk", self.desk_cfg, 256, 1, "ar")],
-            "onepass": [onepass(req) for req in self.pool],
-            "rerank": [rerank(req) for req in self.pool],
-        }
+        units = {}
+        for kind, bench_cfg, desk_cfg, bench_epochs in (
+                ("generator", self.gen_cfg, self.desk_cfg, self.epochs),
+                ("evaluator", self.ev_cfg, self.ev_cfg, self.epochs),
+                ("ar", self.gen_cfg, self.desk_cfg, 1)):
+            units[f"train_{kind}.bench"] = [trainer("bench", kind, bench_cfg, 32, bench_epochs)]
+            units[f"train_{kind}.desk"] = [trainer("desk", kind, desk_cfg, 256, 1)]
+        units["onepass"] = [onepass(req) for req in self.pool]
+        units["rerank"] = [rerank(req) for req in self.pool]
+        return units
 
 
 def seconds(fn) -> float:
@@ -196,7 +192,8 @@ def compare(parent: dict, change: dict, pairs: int) -> dict:
 def report(ratios: dict) -> list[str]:
     lines = [f"{'workload':<24} {'pairs':>5} {'median':>7} {'q1':>7} {'q3':>7}  change faster"]
     for name, r in ratios.items():
-        q1, med, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0],) * 3
+        q1, med, q3 = (statistics.quantiles(r, n=4, method="inclusive") if len(r) > 1
+                       else (r[0],) * 3)
         wins = sum(x < 1.0 for x in r)
         lines.append(f"{name:<24} {len(r):>5} {med:>7.3f} {q1:>7.3f} {q3:>7.3f}  "
                      f"{wins}/{len(r)}")
@@ -216,7 +213,7 @@ def main(argv=None) -> int:
     change_sr = load(args.change_src, "slaterank_change")
     rng = np.random.default_rng(SEED)
     with tempfile.TemporaryDirectory() as tmp:
-        logs = {"bench": os.path.join(tmp, "bench.jsonl"), "desk": os.path.join(tmp, "desk.jsonl")}
+        logs = {name: os.path.join(tmp, f"{name}.jsonl") for name in ("bench", "desk")}
         write_log(change_sr, logs["bench"], range(8, 21), scale[0], rng)
         write_log(change_sr, logs["desk"], (20,), scale[1], rng)
         parent, change = Tree(parent_sr, logs, scale), Tree(change_sr, logs, scale)
