@@ -14,11 +14,12 @@ the `select_best` winners among them; AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
 ragged log (n from m to n_max, two feedback types) written by write_logs and
-read back by read_logs against a LogSchema, and the parameters and loss logs
-of the three trainers run on the log as read back; every record of
-two seeded simulator logs (a small random-policy one, and an affinity_greedy
-one on a default-sized world that spans several of gen_log's blocks), the
-parameters and loss logs of the three trainers run on the first as gen_log
+read back by read_logs against a LogSchema, parsed and from read_logs's
+cache, and the parameters and loss logs of the three trainers run on the
+log as parsed; every record of two seeded simulator logs (a small
+random-policy one, and an affinity_greedy one on a default-sized world that
+spans several of gen_log's blocks), the parameters and loss logs of the
+three trainers run on the first as gen_log
 returns it, the bytes write_logs writes for the second, and the oracle's
 click probabilities and expected utilities for seeded slates on both
 worlds; one line per public Tape op, its forward value and its input
@@ -322,14 +323,20 @@ def oracle_digest(world, logs, rng) -> str:
 
 def read_logs_digests() -> None:
     """A ragged log written by write_logs and read back with a LogSchema:
-    every field of every record, then the three trainers on the log as read.
+    every field of every record, parsed and then from read_logs's cache (the
+    second read with a cache_dir is the first to hit it), then the three
+    trainers on the log as parsed.
     At shuffle seed 5 the last minibatch of the first epoch holds two
     requests of equal n, so one step runs with nothing padded."""
+    schema = LogSchema(GEN.d_x, GEN.m, GEN.n_max)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "ragged.jsonl")
+        path, cache = os.path.join(tmp, "ragged.jsonl"), os.path.join(tmp, "cache")
         write_logs(path, make_ragged_logs(32, seed=31))
-        logs = read_logs(path, LogSchema(GEN.d_x, GEN.m, GEN.n_max))
+        logs = read_logs(path, schema)
+        read_logs(path, schema, cache_dir=cache)
+        warm = read_logs(path, schema, cache_dir=cache)
     print("read_logs.ragged", log_digest(logs))
+    print("read_logs.warm", log_digest(warm))
     gen, ar, ev = init_generator_params(GEN), init_ar_params(GEN), init_evaluator_params(EV)
     steps = []
     train_generator(logs, gen, GEN, SPEC, lr=1e-2, epochs=2, batch_size=6, seed=5,

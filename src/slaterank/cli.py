@@ -154,10 +154,15 @@ def _load_matching(path, want: dict, expected):
     return params
 
 
-def _read_log(path, cfg):
+# read_logs keeps its table cache in this directory under paths.out_dir
+LOG_CACHE_DIR = "log_cache"
+
+
+def _read_log(run: RunConfig, path, cfg):
     """A non-empty log, as one LogTable, whose every record fits the model
     config `cfg`: feature width, slate length and, for the generator, n_max."""
-    logs = read_logs(path, LogSchema(cfg.d_x, cfg.m, getattr(cfg, "n_max", None)))
+    logs = read_logs(path, LogSchema(cfg.d_x, cfg.m, getattr(cfg, "n_max", None)),
+                     cache_dir=os.path.join(run.paths.out_dir, LOG_CACHE_DIR))
     if not logs:
         raise DataError(f"{path} is empty")
     return logs
@@ -180,7 +185,7 @@ def cmd_train(run: RunConfig, args) -> int:
     training log, then write its checkpoint and its loss curve."""
     kind = args.command.removeprefix("train-")
     cfg = run.evaluator if kind == "evaluator" else run.generator
-    logs = _read_log(run.paths.train_log, cfg)
+    logs = _read_log(run, run.paths.train_log, cfg)
     fit = dict(lr=run.train.lr, epochs=run.train.epochs,
                batch_size=run.train.batch_size, seed=run.train.seed)
     curve_log: list = []  # TrainSteps for the generator, mean losses otherwise
@@ -236,7 +241,7 @@ def _load_models(run: RunConfig):
 
 def cmd_generate(run: RunConfig, args) -> int:
     gen_params, ev_params = _load_models(run)
-    logs = _read_log(run.paths.test_log, run.generator)
+    logs = _read_log(run, run.paths.test_log, run.generator)
     rng = np.random.default_rng(run.seed)
     rows = []
     for log in logs:
@@ -260,7 +265,7 @@ def cmd_generate(run: RunConfig, args) -> int:
 
 def cmd_evaluate(run: RunConfig, args) -> int:
     gen_params, ev_params = _load_models(run)
-    logs = _read_log(run.paths.test_log, run.generator)
+    logs = _read_log(run, run.paths.test_log, run.generator)
     if (run.evaluator.d_x, run.evaluator.m) != (run.generator.d_x, run.generator.m):
         raise ConfigError(f"evaluator d_x={run.evaluator.d_x}, m={run.evaluator.m} do not "
                           f"match generator d_x={run.generator.d_x}, m={run.generator.m}")

@@ -12,14 +12,21 @@ bit-exact. `read_logs` checks every record, against a `LogSchema` when one
 is given, names the line of the first bad record, and returns the log as
 one `LogTable`, as `simulator.gen_log` does: a column per field, with
 every request's candidates stacked on one axis and zero-padded to the
-largest n in the log. Its values are checked once, when it is built;
-training takes minibatches from it by row number (`LogTable.take`), and
-its unchecked `ExposureLog` views serve code that walks it by request.
+largest n in the log. Its values are checked once, when it is built or
+read back from `read_logs`'s cache (a binary copy of the table that spares
+a repeated read of an unchanged log its JSON parse); training takes
+minibatches from it by row number (`LogTable.take`), and its unchecked
+`ExposureLog` views serve code that walks it by request.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -284,10 +291,14 @@ class LogSchema:
 
 def _numbers(rows, field: str) -> np.ndarray:
     """JSON numbers only: a float64 array would read "0.5" as 0.5 and True
-    as 1.0, so the array is built without a dtype and checked first."""
+    as 1.0, so the array is built without a dtype and checked first. Among
+    numbers, true and false still read as 1 and 0, so the entries of a table
+    of numbers are checked for them one by one."""
     arr = np.array(rows)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{field} must hold numbers only, got {arr.dtype} entries")
+    if arr.ndim == 2 and bool in {type(v) for row in rows for v in row}:
+        raise TypeError(f"{field} must hold numbers only, got a boolean")
     return arr.astype(np.float64, copy=False)
 
 
@@ -412,7 +423,118 @@ def write_jsonl(path, rows) -> None:
             fh.write("\n")
 
 
-def read_logs(path, schema: LogSchema | None = None) -> LogTable:
+def _read_records(raw: bytes, schema: LogSchema | None) -> list[_Record]:
+    """The records of the log whose file holds `raw`, parsed and checked as
+    read_logs describes."""
+    records: list[_Record] = []
+    # BytesIO ends a piece after each b"\n"; splitting each piece again ends
+    # lines where a text-mode read does, at "\r\n", "\r" or "\n". No UTF-8
+    # character holds a \r or \n byte, so each line decodes on its own.
+    lines = (line for piece in io.BytesIO(raw) for line in piece.splitlines(keepends=True))
+    for lineno, raw_line in enumerate(lines, start=1):
+        body = raw_line.rstrip(b"\r\n")
+        try:
+            # as a text-mode read gives the line: its break read as "\n"
+            line = body.decode("utf-8") + ("\n" if body != raw_line else "")
+            if not line.strip():
+                continue
+            records.append(_parse(json.loads(line), lineno))
+        except _RECORD_ERRORS as exc:
+            _check_values(records)
+            raise DataError(f"malformed log record: {exc}", line=lineno) from exc
+    if records:
+        _check_values(records)
+        misfit = _misfit(records, schema)
+        if misfit is not None:
+            raise misfit
+    return records
+
+
+# The layout of a cached table. Bump the version when it changes: a cache
+# file of another version is a miss.
+_CACHE_VERSION = 1
+_COLUMNS = ("request_id", "user_id", "item_ids", "features", "n", "exposed", "feedback")
+
+
+def _cache_file(cache_dir, path) -> str:
+    """The one cache file of the log at `path`, named from its resolved
+    path, so a log whose content changes overwrites its own entry."""
+    key = hashlib.sha256(os.fsencode(os.path.realpath(path))).hexdigest()[:32]
+    return os.path.join(cache_dir, f"{key}.npz")
+
+
+def _check_table(table: LogTable) -> None:
+    """The checks read_logs runs on a parsed log, on a table read from a
+    cache file: columns of the dtypes and shapes a parse gives, agreeing on
+    the number of requests, n from 1 to the padded width that the largest n
+    sets, finite features and feedback, and the slate rule against n."""
+    t = table
+    ints = (t.request_id, t.user_id, t.item_ids, t.n, t.exposed)
+    if (any(a.dtype != np.int64 for a in ints)
+            or t.features.dtype != np.float64 or t.feedback.dtype != np.float64):
+        raise ShapeError("cached log columns have other dtypes than a parsed log")
+    rows = len(t.n)
+    if not (rows and t.n.ndim == t.request_id.ndim == t.user_id.ndim == 1
+            and len(t.request_id) == len(t.user_id) == rows
+            and t.item_ids.ndim == 2 and t.features.ndim == 3 and t.exposed.ndim == 2
+            and t.item_ids.shape == t.features.shape[:2] and len(t.item_ids) == rows
+            and len(t.exposed) == rows
+            and t.feedback.shape == (rows, len(t.types), t.exposed.shape[1])
+            and t.n.min() >= 1 and t.n.max() == t.item_ids.shape[1]):
+        raise ShapeError("cached log columns do not agree")
+    if not (np.isfinite(t.features).all() and np.isfinite(t.feedback).all()):
+        raise ShapeError("cached log holds non-finite values")
+    slate_indices(t.exposed, t.n, t.exposed.shape[1])
+
+
+def _load_cached(file: str, digest: str) -> LogTable | None:
+    """The table cached in `file` for the log of SHA-256 `digest`, its values
+    checked; None on a miss."""
+    try:
+        with np.load(file, allow_pickle=False) as cached:
+            if cached["version"] != _CACHE_VERSION or cached["digest"] != digest:
+                return None
+            types = cached["types"]
+            if types.dtype.kind != "U" or types.ndim != 1:
+                return None
+            table = LogTable(*(cached[c] for c in _COLUMNS), tuple(types.tolist()))
+        _check_table(table)
+    except Exception:
+        # np.load on damaged bytes raises many types (OSError, EOFError,
+        # BadZipFile, ValueError, ...); the log itself is still there to parse
+        return None
+    return table
+
+
+def _fits(table: LogTable, schema: LogSchema | None) -> bool:
+    """Whether every request of `table` fits `schema`."""
+    return schema is None or (
+        table.features.shape[2] == schema.d_x and table.exposed.shape[1] == schema.m
+        and (schema.n_max is None or table.n.max() <= schema.n_max))
+
+
+def _write_cache(file: str, digest: str, table: LogTable) -> None:
+    """Writes `table` to `file` through a temporary file in its directory and
+    os.replace, so a reader finds the old file or the new one, never part of
+    one. A directory that cannot be written leaves the log uncached."""
+    directory = os.path.dirname(file)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, version=_CACHE_VERSION, digest=digest,
+                     types=np.array(table.types, dtype=str),
+                     **{c: getattr(table, c) for c in _COLUMNS})
+        os.replace(tmp, file)
+    except OSError:  # a full disk, say
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def read_logs(path, schema: LogSchema | None = None, cache_dir=None) -> LogTable:
     """Every record of a JSONL log, as one LogTable.
 
     A record that does not parse raises DataError with its line number. The
@@ -422,27 +544,35 @@ def read_logs(path, schema: LogSchema | None = None) -> LogTable:
     first record that does not fit `schema` (without one, the first record's
     feature width and slate length) or has other feedback types than the
     first record raises DataError with its line.
+
+    With `cache_dir`, a non-empty table is also kept there in a versioned
+    .npz, keyed by the SHA-256 of the log's bytes, one file per log path. A
+    later read of the same bytes loads that table and runs the value checks
+    on it in place of the parse. A table that does not fit `schema` is
+    parsed again, so the error names its line as it does uncached. A cache
+    file that does not read back is a miss; one that cannot be written is
+    left out.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open log {path}: {exc}") from exc
-    records: list[_Record] = []
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(_parse(json.loads(line), lineno))
-            except _RECORD_ERRORS as exc:
-                _check_values(records)
-                raise DataError(f"malformed log record: {exc}", line=lineno) from exc
+    if cache_dir is not None:
+        # the bytes hashed are the bytes parsed, so a log rewritten while it
+        # is read cannot be cached under the other content's digest
+        digest = hashlib.sha256(raw).hexdigest()
+        file = _cache_file(cache_dir, path)
+        table = _load_cached(file, digest)
+        if table is not None and _fits(table, schema):
+            return table
+    records = _read_records(raw, schema)
+    del raw  # the text is larger than its records: free it before stacking them
     if not records:
         return LogTable.empty()
-    _check_values(records)
-    misfit = _misfit(records, schema)
-    if misfit is not None:
-        raise misfit
     _, request_ids, user_ids, item_ids, features, exposed, types, feedback = zip(*records)
-    return LogTable._stack(request_ids, user_ids, item_ids, features, exposed, feedback,
-                           types[0])
+    table = LogTable._stack(request_ids, user_ids, item_ids, features, exposed, feedback,
+                            types[0])
+    if cache_dir is not None:
+        _write_cache(file, digest, table)
+    return table

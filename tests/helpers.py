@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from slaterank import data
 from slaterank.numerics import Tape
 
 
@@ -72,3 +73,13 @@ def gradcheck(make_loss, wrt, h=1e-5, rtol=1e-4, floor=1e-8):
     err = max_rel_err(analytic, numeric, floor=floor)
     assert err < rtol, f"gradcheck failed: max rel err {err:.3e} >= {rtol}"
     return err
+
+
+def counted_parses(monkeypatch):
+    """A list that gains an entry each time read_logs parses a log's JSON,
+    which a read from its table cache does not."""
+    parses = []
+    parse = data._read_records
+    monkeypatch.setattr(data, "_read_records",
+                        lambda raw, schema: parses.append(1) or parse(raw, schema))
+    return parses

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import slaterank
-from slaterank.cli import main
+from helpers import counted_parses
+from slaterank.cli import LOG_CACHE_DIR, main
 from slaterank.errors import NumericsError
 from slaterank.data import read_logs
 from slaterank.decoding import DecodeConfig, contrastive_decode
@@ -152,6 +153,21 @@ def test_missing_or_malformed_logs_exit_2(tmp_path, capsys):
     (tmp_path / "train.jsonl").write_text(good + "\n{broken\n", encoding="utf-8")
     assert main(["train-generator", "--config", cfg]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_a_line_that_is_not_utf8_exits_2_with_its_line(tmp_path, capsys):
+    # the bytes used to be decoded outside the per-line error handling, and
+    # ended the command in a UnicodeDecodeError traceback
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg]) == 0
+    path = tmp_path / "train.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1][:40] + b"\xff\xfe" + lines[1][40:]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["train-generator", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 2: malformed log record: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_checkpoint_mismatch_exit_2(tmp_path, capsys):
@@ -442,3 +458,53 @@ def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):
     for row in rows:
         name, pairs, median, q1, q3, wins = row.split()
         assert pairs == "2" and float(median) > 0 and wins.endswith("/2"), row
+
+
+OUTPUTS = ("gen.npz", "ev.npz", "generator_loss.csv", "evaluator_loss.csv",
+           "slates.jsonl", "eval.csv")
+
+
+def _outputs(tmp_path):
+    return {name: (tmp_path / name).read_bytes() for name in OUTPUTS}
+
+
+def test_a_warm_log_cache_trains_the_same_bytes(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)  # train-generator reads cold, train-evaluator warm
+    parses = counted_parses(monkeypatch)
+    cold = {}
+    for command, files in (("train-generator", ("gen.npz", "generator_loss.csv")),
+                           ("train-evaluator", ("ev.npz", "evaluator_loss.csv"))):
+        for name in os.listdir(tmp_path / LOG_CACHE_DIR):
+            os.unlink(tmp_path / LOG_CACHE_DIR / name)
+        assert main([command, "--config", cfg]) == 0
+        cold.update({name: (tmp_path / name).read_bytes() for name in files})
+        assert main([command, "--config", cfg]) == 0
+        assert {name: (tmp_path / name).read_bytes() for name in files} == {
+            name: cold[name] for name in files}
+    assert len(parses) == 2  # one per command: its second run read the cache
+
+
+def test_commands_run_uncached_where_the_cache_cannot_be_written(tmp_path):
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    assert main(["generate", "--config", cfg]) == 0
+    assert main(["evaluate", "--config", cfg]) == 0
+    want = _outputs(tmp_path)
+    # a file where the cache directory would go
+    cache = tmp_path / LOG_CACHE_DIR
+    for name in os.listdir(cache):
+        os.unlink(cache / name)
+    cache.rmdir()
+    cache.write_text("not a directory", encoding="utf-8")
+    for command in ("train-generator", "train-evaluator", "generate", "evaluate"):
+        assert main([command, "--config", cfg]) == 0, command
+    assert _outputs(tmp_path) == want
+    # an out_dir that cannot be made: generate and evaluate write elsewhere
+    out_dir = f"paths.out_dir={cache}/out"
+    for command, name in (("generate", "slates.jsonl"), ("evaluate", "eval.csv")):
+        out = tmp_path / "elsewhere" / name
+        out.parent.mkdir(exist_ok=True)
+        assert main([command, "--config", cfg, "--set", out_dir, "--out", str(out)]) == 0
+        assert out.read_bytes() == want[name]
+    assert cache.read_text(encoding="utf-8") == "not a directory"

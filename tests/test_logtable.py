@@ -2,10 +2,12 @@
 number, and the reader still names the line of the first bad record."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from helpers import counted_parses
 from slaterank.ar import ar_sequence_loss, init_ar_params
 from slaterank.cli import main
 from slaterank.data import (
@@ -251,3 +253,131 @@ def test_a_schema_misfit_keeps_its_own_line(tmp_path):
                 + records[7:])
     with pytest.raises(DataError, match=f"^line 6: {N_MAX + 1} candidates exceed n_max"):
         read_logs(path, SCHEMA)
+
+
+# ---- the table cache of read_logs ----
+
+COLUMNS = ("request_id", "user_id", "item_ids", "features", "n", "exposed", "feedback")
+
+
+def assert_same_table(got, want):
+    for field in COLUMNS:
+        assert same_bits(getattr(got, field), getattr(want, field)), field
+    assert got.types == want.types
+
+
+def test_a_cached_table_equals_the_parsed_one(tmp_path, monkeypatch):
+    path, cache = tmp_path / "log.jsonl", tmp_path / "cache"
+    write_logs(path, ragged_logs(25, seed=1))
+    parsed = read_logs(path, SCHEMA)
+    parses = counted_parses(monkeypatch)
+    assert_same_table(read_logs(path, SCHEMA, cache_dir=cache), parsed)
+    assert len(parses) == 1 and len(list(cache.iterdir())) == 1
+    # a hit under this schema and under none: no parse, the same columns
+    for schema in (SCHEMA, None):
+        assert_same_table(read_logs(path, schema, cache_dir=cache), parsed)
+    assert len(parses) == 1
+
+
+def test_a_log_rewritten_with_its_size_and_mtime_is_a_miss(tmp_path):
+    path, cache = tmp_path / "log.jsonl", tmp_path / "cache"
+    write_logs(path, ragged_logs(6, seed=3))
+    assert read_logs(path, SCHEMA, cache_dir=cache).request_id[0] == 3
+    before = path.stat()
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"request_id": 3,', '"request_id": 4,', 1), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    table = read_logs(path, SCHEMA, cache_dir=cache)
+    assert table.request_id[0] == 4
+    assert_same_table(table, read_logs(path, SCHEMA))
+    assert len(list(cache.iterdir())) == 1  # the path's one cache file, overwritten
+
+
+def test_a_cache_file_that_does_not_read_back_is_a_miss_and_is_rewritten(
+        tmp_path, monkeypatch):
+    path, cache = tmp_path / "log.jsonl", tmp_path / "cache"
+    write_logs(path, ragged_logs(8, seed=4))
+    parsed = read_logs(path, SCHEMA, cache_dir=cache)
+    (file,) = cache.iterdir()
+    good = file.read_bytes()
+    with np.load(file) as cached:
+        arrays = {key: cached[key] for key in cached.files}
+
+    def saved(**changes):
+        def write():
+            with open(file, "wb") as fh:
+                np.savez(fh, **dict(arrays, **changes))
+        return write
+
+    features, exposed = arrays["features"].copy(), arrays["exposed"].copy()
+    features[2, 0, 1] = np.nan
+    exposed[3, 0] = arrays["n"][3]
+    damages = {
+        "truncated": lambda: file.write_bytes(good[:len(good) // 2]),
+        "garbage": lambda: file.write_bytes(b"not an npz file"),
+        "empty": lambda: file.write_bytes(b""),
+        "another version": saved(version=np.array(2)),
+        "another digest": saved(digest=np.array("0" * 64)),
+        "pickled types": saved(types=np.array(["click", None], dtype=object)),
+        "non-finite feature": saved(features=features),
+        "slate out of range": saved(exposed=exposed),
+        "short column": saved(user_id=arrays["user_id"][:-1]),
+        "float ids": saved(request_id=arrays["request_id"].astype(np.float64)),
+    }
+    parses = counted_parses(monkeypatch)
+    for name, damage in damages.items():
+        damage()
+        assert_same_table(read_logs(path, SCHEMA, cache_dir=cache), parsed)
+        assert len(parses) == 1, name
+        # the rewritten file is a hit
+        assert_same_table(read_logs(path, SCHEMA, cache_dir=cache), parsed)
+        assert len(parses) == 1, name
+        parses.clear()
+
+
+def test_a_schema_misfit_on_a_cached_table_reports_its_line(tmp_path):
+    path, cache = tmp_path / "log.jsonl", tmp_path / "cache"
+    write_logs(path, ragged_logs(8, seed=6))
+    table = read_logs(path, cache_dir=cache)
+    n_max = int(table.n.max()) - 1
+    line = int(np.argmax(table.n > n_max)) + 1
+    for schema in (LogSchema(D_X, M, n_max), LogSchema(D_X + 1, M), LogSchema(D_X, M + 1)):
+        with pytest.raises(DataError) as uncached:
+            read_logs(path, schema)
+        with pytest.raises(DataError) as cached:
+            read_logs(path, schema, cache_dir=cache)
+        assert str(cached.value) == str(uncached.value)
+    assert str(cached.value).startswith("line 1: slate has")
+    with pytest.raises(DataError, match=f"^line {line}: {n_max + 1} candidates exceed"):
+        read_logs(path, LogSchema(D_X, M, n_max), cache_dir=cache)
+
+
+def test_a_cache_dir_that_cannot_be_written_leaves_the_log_uncached(tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_logs(path, ragged_logs(5, seed=8))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, so no directory can be made under it", encoding="utf-8")
+    table = read_logs(path, SCHEMA, cache_dir=blocker / "cache")
+    assert_same_table(table, read_logs(path, SCHEMA))
+    assert blocker.is_file()
+
+
+def test_line_breaks_and_positions_read_as_in_text_mode(tmp_path):
+    # "\r\n" and "\r" end lines as "\n" does, and the JSON error of a cut-off
+    # record gives the position a text-mode read of the line gives
+    path = tmp_path / "log.jsonl"
+    write_logs(path, ragged_logs(4, seed=9))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_bytes(f"{lines[0]}\r\n{lines[1]}\r{lines[2][:-1]}\r\n{lines[3]}\n".encode())
+    with open(path, encoding="utf-8") as fh:
+        cut = list(fh)[2]
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(cut)
+    assert str(want.value).startswith("Expecting ',' delimiter: line 2 column 1")
+    with pytest.raises(DataError) as got:
+        read_logs(path, SCHEMA)
+    assert str(got.value) == f"line 3: malformed log record: {want.value}"
+    path.write_bytes(f"{lines[0]}\r\n\r\n{lines[1]}\r{lines[2]}\r\n{lines[3]}".encode())
+    assert_same_table(read_logs(path, SCHEMA), LogTable.of(ragged_logs(4, seed=9)))
