@@ -8,7 +8,10 @@ generator, the AR baseline and the evaluator; the generator forward on one
 request and on a padded LogTable, at L=2 and on an L=1 config shaped like
 perfbench's, and again on the L=2 parameters after train_generator has
 updated them in place (so a forward that reused values computed from the
-old parameters would show); contrastive slates, every `sample_slates`
+old parameters would show); 256 requests of n = 20 at perfbench's generator
+shape, forward and contrastive slates per request, served as one LogTable
+and one by one (equal lines mean a request's bits do not depend on the
+stack it is served in); contrastive slates, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them; AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
@@ -57,7 +60,7 @@ from slaterank.evaluator import (
     select_best,
     train_evaluator,
 )
-from slaterank.generator import GeneratorConfig, forward, init_generator_params
+from slaterank.generator import GeneratorConfig, ProbMatrix, forward, init_generator_params
 from slaterank.numerics import Tape, Tensor
 from slaterank.objectives import UtilitySpec
 from slaterank.simulator import (
@@ -285,6 +288,29 @@ def slate_fields(slate) -> tuple:
     return slate.indices, slate.probabilities, slate.method
 
 
+def equal_n_digests() -> None:
+    """256 requests of n = 20 through one set of L=1 parameters, served as
+    one LogTable and then one at a time: each request's forward outputs and
+    its contrastive slate (perfbench's DecodeConfig), in request order. The
+    logged slate (0 .. m-1, zero feedback) is there only to make the table."""
+    rng = np.random.default_rng(43)
+    zeros = FeedbackMatrix(values=np.zeros((1, GEN_L1.m)), types=("click",))
+    logs = [ExposureLog(RequestBatch(request_id=i, user_id=0, item_ids=np.arange(20),
+                                     features=rng.normal(size=(20, GEN_L1.d_x)),
+                                     exposed=tuple(range(GEN_L1.m)), feedback=zeros))
+            for i in range(256)]
+    gen = init_generator_params(GEN_L1)
+    stack = forward(LogTable.of(logs), gen, GEN_L1)
+    fields = (stack.values, stack.candidate_reps, stack.position_reps)
+    stacked = [ProbMatrix(*(Tensor(t.data[i]) for t in fields)) for i in range(len(logs))]
+    alone = [forward(log.request, gen, GEN_L1) for log in logs]
+    dec = DecodeConfig()
+    for name, probs in (("stacked", stacked), ("alone", alone)):
+        print(f"forward.equal_n.{name}",
+              digest(*[x for p in probs
+                       for x in (*prob_fields(p), slate_fields(contrastive_decode(p, dec)))]))
+
+
 def decode_digests(reqs, gen, ev) -> None:
     """Contrastive slates, the proposal pools and the rng state each pool
     leaves behind, and the evaluator's pick from each pool."""
@@ -410,6 +436,7 @@ def main() -> None:
     print("forward.stack", digest(stack.values.data, stack.candidate_reps.data,
                                   stack.position_reps.data, stack.valid))
     forward_l1_digest()
+    equal_n_digests()
 
     decode_digests(reqs[:12], gen, ev)
 
