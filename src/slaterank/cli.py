@@ -102,9 +102,16 @@ def _load_run(args) -> RunConfig:
 
 
 def _out_path(run: RunConfig, override, default_name: str) -> str:
+    """The output file: `override`, or default_name under paths.out_dir,
+    which is made here. Commands call this before any work, so an out_dir
+    that cannot be made fails at once (ConfigError) and not after a run."""
     if override:
         return override
-    os.makedirs(run.paths.out_dir, exist_ok=True)
+    try:
+        os.makedirs(run.paths.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"paths.out_dir {run.paths.out_dir!r} cannot be made: "
+                          f"{exc.strerror}") from None
     return os.path.join(run.paths.out_dir, default_name)
 
 
@@ -185,6 +192,7 @@ def cmd_train(run: RunConfig, args) -> int:
     training log, then write its checkpoint and its loss curve."""
     kind = args.command.removeprefix("train-")
     cfg = run.evaluator if kind == "evaluator" else run.generator
+    curve = _out_path(run, None, f"{kind}_loss.csv")
     logs = _read_log(run, run.paths.train_log, cfg)
     fit = dict(lr=run.train.lr, epochs=run.train.epochs,
                batch_size=run.train.batch_size, seed=run.train.seed)
@@ -217,7 +225,6 @@ def cmd_train(run: RunConfig, args) -> int:
         meta = dict(_generator_meta(cfg), kind="ar")
         summary = f"final CE {curve_log[-1]:.4f}"
     save_checkpoint(checkpoint, params, meta=meta)
-    curve = _out_path(run, None, f"{kind}_loss.csv")
     with open(curve, "w", encoding="utf-8") as fh:
         if kind == "generator":
             fh.write(steps_to_csv(curve_log))
@@ -240,6 +247,7 @@ def _load_models(run: RunConfig):
 
 
 def cmd_generate(run: RunConfig, args) -> int:
+    out = _out_path(run, args.out, "slates.jsonl")
     gen_params, ev_params = _load_models(run)
     logs = _read_log(run, run.paths.test_log, run.generator)
     rng = np.random.default_rng(run.seed)
@@ -255,7 +263,6 @@ def cmd_generate(run: RunConfig, args) -> int:
         rows.append({"request_id": req.request_id,
                      "slate": [int(i) for i in slates[best].indices],
                      "utility": float(utilities[best])})
-    out = _out_path(run, args.out, "slates.jsonl")
     write_jsonl(out, rows)
     mean_u = float(np.mean([r["utility"] for r in rows]))
     print(f"reranked {len(rows)} requests to {out} "
@@ -264,6 +271,7 @@ def cmd_generate(run: RunConfig, args) -> int:
 
 
 def cmd_evaluate(run: RunConfig, args) -> int:
+    out_file = _out_path(run, args.out, "eval.csv")
     gen_params, ev_params = _load_models(run)
     logs = _read_log(run, run.paths.test_log, run.generator)
     if (run.evaluator.d_x, run.evaluator.m) != (run.generator.d_x, run.generator.m):
@@ -300,7 +308,6 @@ def cmd_evaluate(run: RunConfig, args) -> int:
                         recall={k: recall_sums[k] / len(logs) for k in ks},
                         num_requests=len(logs), num_lists=len(logs),
                         num_skipped=num_skipped)
-    out_file = _out_path(run, args.out, "eval.csv")
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     print(report.pretty(), end="")
@@ -309,9 +316,9 @@ def cmd_evaluate(run: RunConfig, args) -> int:
 
 
 def cmd_bench(run: RunConfig, args) -> int:
+    out_file = _out_path(run, args.out, "bench.csv")
     report = run_bench(run, steps=args.steps, warmup=args.warmup,
                        batch_size=args.batch)
-    out_file = _out_path(run, args.out, "bench.csv")
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     print(f"inference s/request: nar {report.nar_infer_mean:.5f} "

@@ -508,3 +508,28 @@ def test_commands_run_uncached_where_the_cache_cannot_be_written(tmp_path):
         assert main([command, "--config", cfg, "--set", out_dir, "--out", str(out)]) == 0
         assert out.read_bytes() == want[name]
     assert cache.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_an_out_dir_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys):
+    # the trainers used to train and write their checkpoint first, then end
+    # in a NotADirectoryError traceback writing the loss curve
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    capsys.readouterr()
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file", encoding="utf-8")
+    out_dir = f"paths.out_dir={afile}/sub"
+    fresh = tmp_path / "fresh.npz"
+    for command, checkpoint in (("train-generator", "generator_checkpoint"),
+                                ("train-evaluator", "evaluator_checkpoint"),
+                                ("train-ar", "ar_checkpoint"),
+                                ("generate", None), ("evaluate", None)):
+        extra = [] if checkpoint is None else ["--set", f"paths.{checkpoint}={fresh}"]
+        assert main([command, "--config", cfg, "--set", out_dir, *extra]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: paths.out_dir ") and err.count("\n") == 1, err
+        assert not fresh.exists(), command
+    assert afile.read_text(encoding="utf-8") == "a regular file"
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["afile", "run.cfg", "train.jsonl", "test.jsonl", "gen.npz", "ev.npz",
+         "generator_loss.csv", "evaluator_loss.csv", LOG_CACHE_DIR])
