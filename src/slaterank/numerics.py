@@ -21,32 +21,27 @@ after one backward pass.
 
 The op bodies are written for per-call cost as well as for bits. Each one
 keeps the order of its floating-point operations, so a rewrite of a body
-must give the same bits as the formula it replaces. How a body sums depends
-on the array's size, counted in rows: the rows of a sum over the last axis,
-or the terms of a sum over leading axes.
-- Below `_BLAS_ROWS` (64) rows, reductions call the ufunc methods
-  (`np.add.reduce`, `np.maximum.reduce`, `np.add.accumulate`), which compute
-  what `ndarray.sum`, `.max` and `.cumsum` compute without their Python
-  wrappers. Every serving request stays below it: perfbench's largest sum
-  of 8 or more terms spans 48 rows. So serving keeps NumPy's bits.
-- From 64 rows on, which is training and padded stacks, NumPy's reduce pays
-  per row for a minibatch's 16- to 20-term rows, and BLAS does not. Row sums
-  over the last axis (layer_norm forward and backward, the normalisers of
-  attention and softmax_rows and their backward, row_normalize) are one
-  `x2 @ ones(d)`, and sums over leading axes (the bias gradients of linear
-  and layer_norm, layer_norm's gain gradient, `_unbroadcast`) one
-  `ones(r) @ x2`, with cached read-only ones vectors. BLAS adds in its own
-  order, so these sums, and the models trained through them, move by ulps.
-- Two cases keep NumPy's bits at any size, so from 64 rows on they are
-  folded column by column instead: rows of fewer than 8 terms, which NumPy
-  adds left to right onto 0.0, and the row maxima of attention and
-  softmax_rows, which do not depend on order (exp(x - max) does not see a
-  zero's sign or a NaN's payload, the only bits in which a fold's maximum
-  may differ).
-64 rows is where the matrix-vector product overtook NumPy's row sum on
-(rows, 16) arrays, between 40 and 64 rows on a 2-vCPU VM. Sums down the
-columns of each matrix (softmax_columns) keep NumPy's reduce, which already
-runs along the rows of memory.
+must give the same bits as the formula it replaces. How a body sums along an
+axis depends on the tape, never on the array's size:
+- A non-recording (serving) tape calls the ufunc methods (`np.add.reduce`,
+  `np.maximum.reduce`), which compute what `ndarray.sum` and `.max` compute
+  without their Python wrappers. NumPy reduces each row on its own, so a
+  request served inside a stack of requests of its own size gets the bits it
+  gets when served alone.
+- A recording (training) tape, which also runs the backward pass, sums
+  through BLAS, where NumPy's reduce pays per row for a minibatch's short
+  rows. Row sums over the last axis (layer_norm forward and backward, the
+  normalisers of attention and softmax_rows and their backward,
+  row_normalize) are one `x2 @ ones(d)`, and sums over leading axes (the
+  bias gradients of linear and layer_norm, layer_norm's gain gradient,
+  `_unbroadcast`) one `ones(r) @ x2`, with cached read-only ones vectors.
+  The row maxima of attention and softmax_rows are folded column by column,
+  which gives NumPy's maximum except for a zero's sign and a NaN's payload,
+  neither of which exp(x - max) sees.
+BLAS adds in its own order, and its bits for a row depend on the rows around
+it, so a recording forward parts from a serving forward by ulps. Sums down
+the columns of each matrix (softmax_columns) take NumPy's reduce on both
+tapes, which already runs along the rows of memory.
 
 An op writes in place (`out=`, `*=`) only into temporaries it allocated
 itself, never into an operand, an op's output or the incoming gradient `g`:
@@ -85,10 +80,6 @@ CHECKPOINT_VERSION = 1
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 _F64 = np.dtype(np.float64)
-# Sums over arrays of this many rows or more go through BLAS (see the module
-# docstring); rows of fewer than _SHORT_ROW terms are folded instead.
-_BLAS_ROWS = 64
-_SHORT_ROW = 8
 _ONES = np.ones(0)
 
 
@@ -140,29 +131,16 @@ def _ones(n: int) -> np.ndarray:
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """np.add.reduce(x, axis=-1, keepdims=True): NumPy's own reduce below
-    _BLAS_ROWS rows, a column fold for rows of fewer than _SHORT_ROW terms,
-    and one matrix-vector product with ones otherwise."""
+    """The sum over the last axis, keeping it, as one matrix-vector product
+    with ones."""
     d = x.shape[-1]
-    if x.size < _BLAS_ROWS * d or not d:
-        return np.add.reduce(x, axis=-1, keepdims=True)
-    x2 = x.reshape(-1, d)
-    if d < _SHORT_ROW:
-        # NumPy adds a short row left to right onto 0.0, which turns -0.0
-        # into 0.0: the same sums in the same order
-        s = x2[:, 0] + 0.0
-        for j in range(1, d):
-            s += x2[:, j]
-    else:
-        s = x2 @ _ones(d)
-    return s.reshape(x.shape[:-1] + (1,))
+    return (x.reshape(math.prod(x.shape[:-1]), d) @ _ones(d)).reshape(x.shape[:-1] + (1,))
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
-    """np.maximum.reduce(x, axis=-1, keepdims=True) as a column fold, which
-    its callers take from _BLAS_ROWS rows on. It is the same maximum, except
-    that a zero may come out with the other sign and a NaN with another
-    payload."""
+    """np.maximum.reduce(x, axis=-1, keepdims=True) as a column fold. It is
+    the same maximum, except that a zero may come out with the other sign
+    and a NaN with another payload."""
     x2 = x.reshape(-1, x.shape[-1])
     top = x2[:, 0].copy()
     for j in range(1, x2.shape[1]):
@@ -171,12 +149,9 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _lead_sum(x: np.ndarray, lead: int) -> np.ndarray:
-    """np.add.reduce over the first `lead` axes of x: NumPy's own reduce
-    below _BLAS_ROWS rows (terms), one vector-matrix product with ones
-    otherwise."""
+    """The sum over the first `lead` axes of x, as one vector-matrix product
+    with ones."""
     rows, tail = math.prod(x.shape[:lead]), x.shape[lead:]
-    if rows < _BLAS_ROWS:
-        return np.add.reduce(x, axis=tuple(range(lead)))
     return (_ones(rows) @ x.reshape(rows, math.prod(tail))).reshape(tail)
 
 
@@ -353,13 +328,13 @@ class Tape:
         scores *= inv_sqrt
         if allowed is not None:
             scores = np.where(allowed, scores, -np.inf)
-        small = scores.size < _BLAS_ROWS * nk  # serving sizes call NumPy directly
-        top = np.maximum.reduce(scores, axis=-1, keepdims=True) if small else _row_max(scores)
+        serving = not self.recording
+        top = np.maximum.reduce(scores, axis=-1, keepdims=True) if serving else _row_max(scores)
         if allowed is not None and np.isneginf(top).any():
             raise ShapeError("attention with a fully masked query row")
         scores -= top
         w = np.exp(scores, out=scores)
-        w /= np.add.reduce(w, axis=-1, keepdims=True) if small else _row_sum(w)
+        w /= np.add.reduce(w, axis=-1, keepdims=True) if serving else _row_sum(w)
 
         def back(g):
             gh = _split_heads(g, heads)
@@ -532,12 +507,12 @@ class Tape:
         # overhead of np.mean; inv = 1 / sqrt(sum(xc * xc) / d + eps).
         # Backward keeps the per-row mu and inv and rebuilds xhat from x,
         # which the tape holds anyway.
-        small = xd.size < _BLAS_ROWS * d  # serving sizes call NumPy directly
-        mu = np.add.reduce(xd, axis=-1, keepdims=True) if small else _row_sum(xd)
+        serving = not self.recording
+        mu = np.add.reduce(xd, axis=-1, keepdims=True) if serving else _row_sum(xd)
         mu /= d
         xc = xd - mu
         sq = xc * xc
-        inv = np.add.reduce(sq, axis=-1, keepdims=True) if small else _row_sum(sq)
+        inv = np.add.reduce(sq, axis=-1, keepdims=True) if serving else _row_sum(sq)
         inv /= d
         inv += eps
         np.sqrt(inv, out=inv)
@@ -572,18 +547,18 @@ class Tape:
         """Softmax along `axis`; entries where `allowed` (which broadcasts
         into a) is False get exactly zero."""
         work = a.data if allowed is None else np.where(allowed, a.data, -np.inf)
-        # rows of a minibatch-sized array go through _row_max and _row_sum;
-        # columns and serving sizes call NumPy directly
-        small = axis != -1 or work.size < _BLAS_ROWS * work.shape[-1]
-        y = work - (np.maximum.reduce(work, axis=axis, keepdims=True) if small
+        # a recording tape's rows go through _row_max and _row_sum; columns
+        # and serving call NumPy directly
+        plain = axis != -1 or not self.recording
+        y = work - (np.maximum.reduce(work, axis=axis, keepdims=True) if plain
                     else _row_max(work))
         np.exp(y, out=y)
-        y /= np.add.reduce(y, axis=axis, keepdims=True) if small else _row_sum(y)
+        y /= np.add.reduce(y, axis=axis, keepdims=True) if plain else _row_sum(y)
 
         def back(g):
             # y * (g - sum(g * y))
             gy = g * y
-            np.subtract(g, np.add.reduce(gy, axis=axis, keepdims=True) if small
+            np.subtract(g, np.add.reduce(gy, axis=axis, keepdims=True) if plain
                         else _row_sum(gy), out=gy)
             np.multiply(y, gy, out=gy)
             _accumulate(a, gy)
@@ -632,7 +607,8 @@ class Tape:
         ad = a.data
         if ad.ndim < 2:
             raise ShapeError("row_normalize expects a matrix")
-        norms = _row_sum(ad * ad)
+        sq = ad * ad
+        norms = _row_sum(sq) if self.recording else np.add.reduce(sq, axis=-1, keepdims=True)
         np.sqrt(norms, out=norms)
         zero = norms == 0.0
         if zero.any():

@@ -6,11 +6,13 @@ import pytest
 
 from helpers import gradcheck, inflate_weights
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
+from slaterank.decoding import DecodeConfig, contrastive_decode
 from slaterank.errors import ConfigError, EmptyCandidatesError, ShapeError
 from slaterank.generator import (
     FORWARD_PASSES,
     GeneratorConfig,
     ProbMatrix,
+    _slot_head,
     encode_candidates,
     forward,
     init_generator_params,
@@ -214,10 +216,12 @@ class ProbeTape(Tape):
         return super().attention(q, k, v, heads, **kwargs)
 
 
+def _arrays(probs):
+    return probs.values.data, probs.candidate_reps.data, probs.position_reps.data
+
+
 def _bits(probs):
-    return [(a.shape, a.tobytes()) for a in (probs.values.data,
-                                             probs.candidate_reps.data,
-                                             probs.position_reps.data)]
+    return [(a.shape, a.tobytes()) for a in _arrays(probs)]
 
 
 def _serve(req, params, cfg):
@@ -240,7 +244,9 @@ def _loss(req, params, cfg, tape):
 
 
 @pytest.mark.parametrize("cfg", [SMALL_L1, SMALL], ids=["L1", "L2"])
-def test_serving_forward_equals_recording_forward_bit_for_bit(cfg):
+def test_serving_forward_matches_recording_forward_within_1e_12(cfg):
+    # a recording tape sums through BLAS and a serving tape with NumPy's
+    # reduce, so the two part by ulps; serving again gives the same bits
     rng = np.random.default_rng(10)
     params = init_generator_params(cfg)
     one = make_request(rng, 5)
@@ -250,9 +256,53 @@ def test_serving_forward_equals_recording_forward_bit_for_bit(cfg):
                                              exposed=tuple(range(cfg.m)), feedback=zeros))
                          for i, n in enumerate((4, 6, 3))])
     for req in (one, stack, one):
-        recorded = _bits(forward(req, params, cfg, tape=Tape()))
-        assert _bits(forward(req, params, cfg)) == recorded
-        assert _bits(forward(req, params, cfg)) == recorded
+        recorded = forward(req, params, cfg, tape=Tape())
+        served = _bits(forward(req, params, cfg))
+        assert _bits(forward(req, params, cfg)) == served
+        for (shape, raw), want in zip(served, _arrays(recorded)):
+            got = np.frombuffer(raw).reshape(shape)
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_a_request_in_an_equal_n_stack_serves_as_it_does_alone():
+    # 256 requests of n = 20 at perfbench's generator config, with weights
+    # of trained-like size: the same forward bits and the same contrastive
+    # slate whether a request is served in the stack or on its own
+    cfg = GeneratorConfig(n_max=20, m=6, d=16, h=2, L=1, d_x=10, d_t=8)
+    rng = np.random.default_rng(16)
+    params = init_generator_params(cfg)
+    inflate_weights(params, 15.0)
+    zeros = FeedbackMatrix(np.zeros((1, cfg.m)), ("click",))
+    logs = [ExposureLog(replace(make_request(rng, 20, d_x=cfg.d_x, request_id=i),
+                                exposed=tuple(range(cfg.m)), feedback=zeros))
+            for i in range(256)]
+    stack = forward(LogTable.of(logs), params, cfg)
+    assert stack.valid is None
+    dec = DecodeConfig()
+    for i, log in enumerate(logs):
+        alone = forward(log.request, params, cfg)
+        inside = ProbMatrix(*(Tensor(a[i]) for a in _arrays(stack)))
+        assert _bits(inside) == _bits(alone), i
+        assert contrastive_decode(inside, dec) == contrastive_decode(alone, dec), i
+
+
+def test_a_memo_hit_returns_the_bits_of_a_fresh_serving_computation():
+    rng = np.random.default_rng(17)
+    params = init_generator_params(SMALL)
+    inflate_weights(params, 15.0)
+    req = make_request(rng, 5)
+    forward(req, params, SMALL)
+    forward(req, params, SMALL, tape=Tape())  # a recording forward leaves the memo alone
+
+    def computed_again():
+        raise AssertionError("the second serving forward missed the memo")
+
+    hit = params.memo("pos.slot_head", SLOT_PARAMS, SMALL.h, computed_again)
+    fresh = _slot_head(_fresh(params), SMALL, Tape(recording=False))
+    assert [t.data.tobytes() for t in hit] == [t.data.tobytes() for t in fresh]
+    # a recording tape's slots have other bits, so the check can tell them apart
+    recorded = _slot_head(_fresh(params), SMALL, Tape())
+    assert [t.data.tobytes() for t in recorded] != [t.data.tobytes() for t in fresh]
 
 
 @pytest.mark.parametrize("edit", ["quarter", "ulp", "negative_zero"])

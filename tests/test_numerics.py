@@ -1,4 +1,6 @@
 import warnings
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -531,14 +533,35 @@ def test_recording_rule_skips_unused_outputs_and_counts_ops():
 # Each reference below is an op's body written as one NumPy expression per
 # quantity, as numerics computed them before its in-place and ufunc-method
 # rewrite. The ops must match them bit for bit, forward and backward: the
-# rewrite keeps every floating-point operation and its order.
+# rewrite keeps every floating-point operation and its order. A reference
+# whose op sums along an axis takes the summing kernel as its first argument:
+# REDUCE, NumPy's reduce, which a serving (non-recording) tape uses, or BLAS,
+# products with ones, which a recording tape uses forward and backward. Each
+# tape keeps its kernel at every size.
 
 
-def _ref_unbroadcast(g, shape):
+def _blas_rows(x):
+    d = x.shape[-1]
+    return (x.reshape(-1, d) @ np.ones(d)).reshape(*x.shape[:-1], 1)
+
+
+def _blas_lead(g, lead):
+    r = int(np.prod(g.shape[:lead]))
+    return (np.ones(r) @ g.reshape(r, -1)).reshape(g.shape[lead:])
+
+
+# rows(x) sums over the last axis and keeps it; lead(g, k) sums over g's
+# first k axes
+REDUCE = SimpleNamespace(rows=lambda x: x.sum(axis=-1, keepdims=True),
+                         lead=lambda g, k: g.sum(axis=tuple(range(k))))
+BLAS = SimpleNamespace(rows=_blas_rows, lead=_blas_lead)
+
+
+def _ref_unbroadcast(s, g, shape):
     if g.shape == shape:
         return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    stretched = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    g = s.lead(g, g.ndim - len(shape))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
@@ -561,7 +584,7 @@ def _ref_logistic(x):
     return y
 
 
-def _ref_linear(g, x, w, b=None):
+def _ref_linear(s, g, x, w, b=None):
     rows = x.reshape(-1, w.shape[0])
     y = rows @ w
     if b is not None:
@@ -569,11 +592,11 @@ def _ref_linear(g, x, w, b=None):
     g2 = g.reshape(-1, w.shape[1])
     grads = [(g2 @ w.T).reshape(x.shape), rows.T @ g2]
     if b is not None:
-        grads.append(g2.sum(axis=0))
+        grads.append(s.lead(g2, 1))
     return y.reshape(*x.shape[:-1], w.shape[1]), grads
 
 
-def _ref_attention(g, q, k, v, heads, key_mask=None, causal=False):
+def _ref_attention(s, g, q, k, v, heads, key_mask=None, causal=False):
     inv_sqrt = 1.0 / np.sqrt(q.shape[-1] // heads)
     qh, kh, vh = (_ref_split_heads(a, heads) for a in (q, k, v))
     allowed = None if key_mask is None else key_mask[..., None, None, :]
@@ -584,14 +607,14 @@ def _ref_attention(g, q, k, v, heads, key_mask=None, causal=False):
     if allowed is not None:
         scores = np.where(allowed, scores, -np.inf)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= s.rows(w)
     gh = _ref_split_heads(g, heads)
     dw = gh @ vh.swapaxes(-1, -2)
-    ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv_sqrt
+    ds = w * (dw - s.rows(dw * w)) * inv_sqrt
     return _ref_merge_heads(w @ vh), [
-        _ref_unbroadcast(_ref_merge_heads(ds @ kh), q.shape),
-        _ref_unbroadcast(_ref_merge_heads(ds.swapaxes(-1, -2) @ qh), k.shape),
-        _ref_unbroadcast(_ref_merge_heads(w.swapaxes(-1, -2) @ gh), v.shape)]
+        _ref_unbroadcast(s, _ref_merge_heads(ds @ kh), q.shape),
+        _ref_unbroadcast(s, _ref_merge_heads(ds.swapaxes(-1, -2) @ qh), k.shape),
+        _ref_unbroadcast(s, _ref_merge_heads(w.swapaxes(-1, -2) @ gh), v.shape)]
 
 
 def _ref_gelu(g, x):
@@ -611,37 +634,55 @@ def _ref_softplus(g, x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), [g * _ref_logistic(x)]
 
 
-def _ref_layer_norm(g, x, gain, bias, eps=1e-5):
+def _ref_layer_norm(s, g, x, gain, bias, eps=1e-5):
     d = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / d
+    mu = s.rows(x) / d
     xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(s.rows(xc * xc) / d + eps)
     xhat = (x - mu) * inv
     dxhat = g * gain
-    term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
-        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-    return xc * inv * gain + bias, [inv * term, (g * xhat).reshape(-1, d).sum(axis=0),
-                                    g.reshape(-1, d).sum(axis=0)]
+    term = dxhat - s.rows(dxhat) / d - xhat * (s.rows(dxhat * xhat) / d)
+    return xc * inv * gain + bias, [inv * term, s.lead((g * xhat).reshape(-1, d), 1),
+                                    s.lead(g.reshape(-1, d), 1)]
 
 
-def _ref_softmax(g, a, allowed, axis):
+def _ref_softmax(g, a, allowed, axis, total):
+    """Softmax along `axis`, with `total` its sum along that axis."""
     work = a if allowed is None else np.where(allowed, a, -np.inf)
     e = np.exp(work - work.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-    return y, [y * (g - (g * y).sum(axis=axis, keepdims=True))]
+    y = e / total(e)
+    return y, [y * (g - total(g * y))]
 
 
-def _ref_row_normalize(g, a):
-    norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+def _ref_softmax_rows(s, g, a, allowed=None):
+    return _ref_softmax(g, a, allowed, -1, s.rows)
+
+
+def _ref_softmax_columns(g, a, allowed=None):
+    # both tapes sum down the columns with NumPy's reduce
+    return _ref_softmax(g, a, allowed, -2, lambda x: x.sum(axis=-2, keepdims=True))
+
+
+def _ref_row_normalize(s, g, a):
+    norms = np.sqrt(s.rows(a * a))
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     y = a / safe
-    da = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
+    da = (g - y * s.rows(g * y)) / safe
     return y, [np.where(zero, 0.0, da)]
 
 
-def _ref_mul(g, a, b):
-    return a * b, [_ref_unbroadcast(g * b, a.shape), _ref_unbroadcast(g * a, b.shape)]
+def _ref_mul(s, g, a, b):
+    return a * b, [_ref_unbroadcast(s, g * b, a.shape), _ref_unbroadcast(s, g * a, b.shape)]
+
+
+def _ref_add(s, g, a, b):
+    return a + b, [_ref_unbroadcast(s, g, a.shape), _ref_unbroadcast(s, g, b.shape)]
+
+
+def _kernel_free(ref):
+    """A reference whose op sums along no axis, called as the others are."""
+    return lambda s, *args: ref(*args)
 
 
 def _with_edges(x, rng):
@@ -677,159 +718,86 @@ def _op_cases():
         ("linear_3d_bias", lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear,
          [a(3, 5, 4), a(4, 3), a(3)]),
         ("attention_self_2d", lambda tp, q, k, v: tp.attention(q, k, v, 2),
-         lambda g, q, k, v: _ref_attention(g, q, k, v, 2), [a(5, 4), a(5, 4), a(5, 4)]),
+         partial(_ref_attention, heads=2), [a(5, 4), a(5, 4), a(5, 4)]),
         ("attention_masked_3d",
          lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask),
-         lambda g, q, k, v: _ref_attention(g, q, k, v, 2, key_mask=key_mask),
+         partial(_ref_attention, heads=2, key_mask=key_mask),
          [a(3, 4, 4), a(3, 5, 4), a(3, 5, 4)]),
         ("attention_causal_masked_3d",
          lambda tp, q, k, v: tp.attention(q, k, v, 4, key_mask=key_mask, causal=True),
-         lambda g, q, k, v: _ref_attention(g, q, k, v, 4, key_mask=key_mask, causal=True),
+         partial(_ref_attention, heads=4, key_mask=key_mask, causal=True),
          [a(3, 5, 8, scale=3.0), a(3, 5, 8), a(3, 5, 8)]),
         ("attention_shared_queries",
          lambda tp, q, k, v: tp.attention(q, k, v, 2),
-         lambda g, q, k, v: _ref_attention(g, q, k, v, 2), [a(6, 4), a(3, 5, 4), a(3, 5, 4)]),
-        ("gelu", lambda tp, x: tp.gelu(x), _ref_gelu, [a(3, 5, 4, scale=3.0, edges=True)]),
-        ("sigmoid", lambda tp, x: tp.sigmoid(x), _ref_sigmoid,
+         partial(_ref_attention, heads=2), [a(6, 4), a(3, 5, 4), a(3, 5, 4)]),
+        ("gelu", lambda tp, x: tp.gelu(x), _kernel_free(_ref_gelu),
+         [a(3, 5, 4, scale=3.0, edges=True)]),
+        ("sigmoid", lambda tp, x: tp.sigmoid(x), _kernel_free(_ref_sigmoid),
          [a(3, 5, 4, scale=5.0, edges=True)]),
-        ("softplus", lambda tp, x: tp.softplus(x), _ref_softplus,
+        ("softplus", lambda tp, x: tp.softplus(x), _kernel_free(_ref_softplus),
          [a(5, 4, scale=5.0, edges=True)]),
         ("layer_norm_2d", lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm,
          [a(5, 4, scale=2.0, edges=True), a(4), a(4)]),
         ("layer_norm_3d", lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm,
          [a(3, 5, 4, scale=2.0), a(4), a(4)]),
         ("softmax_rows_masked", lambda tp, x: tp.softmax_rows(x, key_mask=row_mask),
-         lambda g, x: _ref_softmax(g, x, row_mask, -1), [a(3, 5, 4, scale=3.0)]),
+         partial(_ref_softmax_rows, allowed=row_mask), [a(3, 5, 4, scale=3.0)]),
         ("softmax_columns_2d", lambda tp, x: tp.softmax_columns(x),
-         lambda g, x: _ref_softmax(g, x, None, -2), [a(5, 4, scale=3.0, edges=True)]),
+         _kernel_free(_ref_softmax_columns), [a(5, 4, scale=3.0, edges=True)]),
         ("softmax_columns_masked",
          lambda tp, x: tp.softmax_columns(x, valid_rows=valid),
-         lambda g, x: _ref_softmax(g, x, valid[..., None], -2), [a(3, 5, 4, scale=3.0)]),
+         _kernel_free(partial(_ref_softmax_columns, allowed=valid[..., None])),
+         [a(3, 5, 4, scale=3.0)]),
         ("row_normalize", lambda tp, x: tp.row_normalize(x), _ref_row_normalize,
          [zero_row]),
         ("mul_broadcast", lambda tp, x, y: tp.mul(x, y), _ref_mul, [a(3, 5, 4), a(1, 4)]),
         ("sum", lambda tp, x: tp.sum(x, axis=-1),
-         lambda g, x: (x.sum(axis=-1), [np.zeros_like(x) + g[..., None]]), [a(3, 5, 4)]),
+         _kernel_free(lambda g, x: (x.sum(axis=-1), [np.zeros_like(x) + g[..., None]])),
+         [a(3, 5, 4)]),
         ("mean", lambda tp, x: tp.mean(x),
-         lambda g, x: (x.sum() / x.size, [np.zeros_like(x) + g / x.size]), [a(3, 5, 4)]),
+         _kernel_free(lambda g, x: (x.sum() / x.size, [np.zeros_like(x) + g / x.size])),
+         [a(3, 5, 4)]),
     ]
     return [pytest.param(call, ref, inputs, id=name) for name, call, ref, inputs in cases]
 
 
 @pytest.mark.parametrize("call, ref, inputs", _op_cases())
 def test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs):
-    """Forward value and every input gradient, given a seeded upstream
-    gradient g: mask by g, then sum, hands the op exactly g."""
+    """On a recording tape, the forward value and every input gradient match
+    the reference with BLAS sums, given a seeded upstream gradient g (mask by
+    g, then sum, hands the op exactly g); on a serving tape, the forward
+    value matches the reference with NumPy's reduce."""
     tensors = [Tensor(x.copy()) for x in inputs]
     tape = Tape()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # row_normalize's zero row
         out = call(tape, *tensors)
+        served = call(Tape(recording=False), *[Tensor(x.copy()) for x in inputs])
     g = np.random.default_rng(7).normal(size=out.shape)
     tape.backward(tape.sum(tape.mask(out, g)))
-    want_out, want_grads = ref(g, *inputs)
+    want_out, want_grads = ref(BLAS, g, *inputs)
     assert out.data.tobytes() == np.asarray(want_out).tobytes(), "forward"
     assert out.data.shape == np.shape(want_out)
     for i, (t, want) in enumerate(zip(tensors, want_grads)):
         assert t.grad.shape == want.shape and t.grad.tobytes() == want.tobytes(), \
             f"gradient of input {i}"
+    want_served, _ = ref(REDUCE, g, *inputs)
+    assert served.data.tobytes() == np.asarray(want_served).tobytes(), "serving forward"
     # the op wrote into no operand
     for t, x in zip(tensors, inputs):
         assert t.data.tobytes() == x.tobytes()
 
 
-# ---- the same ops at minibatch sizes, pinned to their BLAS sums ----
+# ---- the same ops at minibatch sizes ----
 #
-# From numerics._BLAS_ROWS rows on, a row sum of 8 or more terms is one
-# matrix-vector product with ones, and a sum over leading axes one
-# vector-matrix product; shorter rows and row maxima are folded column by
-# column, which keeps NumPy's bits. The references below are the plain
-# formulas above with those sums written out.
-
-ROWS = numerics._BLAS_ROWS
-
-
-def _gemv_rows(x):
-    """Row sums, keeping the axis: NumPy's for fewer than 8 terms (the fold
-    gives its bits), x2 @ ones otherwise."""
-    d = x.shape[-1]
-    if d < 8:
-        return x.sum(axis=-1, keepdims=True)
-    return (x.reshape(-1, d) @ np.ones(d)).reshape(*x.shape[:-1], 1)
-
-
-def _gemv_lead(g, lead):
-    """The sum over g's first `lead` axes, as ones @ g2."""
-    r = int(np.prod(g.shape[:lead]))
-    return (np.ones(r) @ g.reshape(r, -1)).reshape(g.shape[lead:])
-
-
-def _gemv_unbroadcast(g, shape):
-    if g.shape == shape:
-        return g
-    return _gemv_lead(g, g.ndim - len(shape))
-
-
-def _gemv_linear(g, x, w, b):
-    rows = x.reshape(-1, w.shape[0])
-    g2 = g.reshape(-1, w.shape[1])
-    return (rows @ w + b).reshape(*x.shape[:-1], w.shape[1]), [
-        (g2 @ w.T).reshape(x.shape), rows.T @ g2, _gemv_lead(g2, 1)]
-
-
-def _gemv_attention(g, q, k, v, heads, key_mask=None, causal=False):
-    inv_sqrt = 1.0 / np.sqrt(q.shape[-1] // heads)
-    qh, kh, vh = (_ref_split_heads(a, heads) for a in (q, k, v))
-    allowed = None if key_mask is None else key_mask[..., None, None, :]
-    if causal:
-        tril = np.tril(np.ones((q.shape[-2], k.shape[-2]), dtype=bool))
-        allowed = tril if allowed is None else allowed & tril
-    scores = (qh @ kh.swapaxes(-1, -2)) * inv_sqrt
-    if allowed is not None:
-        scores = np.where(allowed, scores, -np.inf)
-    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w /= _gemv_rows(w)
-    gh = _ref_split_heads(g, heads)
-    dw = gh @ vh.swapaxes(-1, -2)
-    ds = w * (dw - _gemv_rows(dw * w)) * inv_sqrt
-    return _ref_merge_heads(w @ vh), [
-        _gemv_unbroadcast(_ref_merge_heads(ds @ kh), q.shape),
-        _gemv_unbroadcast(_ref_merge_heads(ds.swapaxes(-1, -2) @ qh), k.shape),
-        _gemv_unbroadcast(_ref_merge_heads(w.swapaxes(-1, -2) @ gh), v.shape)]
-
-
-def _gemv_layer_norm(g, x, gain, bias, eps=1e-5):
-    d = x.shape[-1]
-    mu = _gemv_rows(x) / d
-    xc = x - mu
-    inv = 1.0 / np.sqrt(_gemv_rows(xc * xc) / d + eps)
-    xhat = (x - mu) * inv
-    dxhat = g * gain
-    term = dxhat - _gemv_rows(dxhat) / d - xhat * (_gemv_rows(dxhat * xhat) / d)
-    return xc * inv * gain + bias, [inv * term, _gemv_lead((g * xhat).reshape(-1, d), 1),
-                                    _gemv_lead(g.reshape(-1, d), 1)]
-
-
-def _gemv_softmax_rows(g, a, allowed):
-    work = a if allowed is None else np.where(allowed, a, -np.inf)
-    e = np.exp(work - work.max(axis=-1, keepdims=True))
-    y = e / _gemv_rows(e)
-    return y, [y * (g - _gemv_rows(g * y))]
-
-
-def _gemv_row_normalize(g, a):
-    norms = np.sqrt(_gemv_rows(a * a))
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    y = a / safe
-    da = (g - y * _gemv_rows(g * y)) / safe
-    return y, [np.where(zero, 0.0, da)]
+# perfbench trains on stacks of 16 to 32 requests of up to 20 candidates, so
+# one sum spans hundreds of rows there; the checks are the ones above.
 
 
 def _minibatch_cases():
-    """(name, tape call, reference, input arrays) at or above the row count:
+    """(name, tape call, reference, input arrays) at minibatch sizes:
     perfbench's training shapes (16 stacks of 20 rows of width 16, two
-    heads), stacks of 6 slots, and 2-D inputs of exactly ROWS rows."""
+    heads), stacks of 6 slots, and 2-D inputs of 64 rows."""
     rng = np.random.default_rng(2025)
 
     def a(*shape, scale=1.0):
@@ -842,36 +810,33 @@ def _minibatch_cases():
     zero_row = a(16, 20, 16)
     zero_row[3, 7] = 0.0
     cases = [
-        ("linear_bias_at_row_count", lambda tp, x, w, b: tp.linear(x, w, b), _gemv_linear,
-         [a(ROWS, 12), a(12, 10), a(10)]),
-        ("linear_3d_bias", lambda tp, x, w, b: tp.linear(x, w, b), _gemv_linear,
+        ("linear_bias_at_row_count", lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear,
+         [a(64, 12), a(12, 10), a(10)]),
+        ("linear_3d_bias", lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear,
          [a(16, 20, 16), a(16, 12), a(12)]),
         ("attention_masked", lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask),
-         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2, key_mask=key_mask),
+         partial(_ref_attention, heads=2, key_mask=key_mask),
          [a(16, 20, 16), a(16, 20, 16), a(16, 20, 16)]),
         ("attention_causal",
          lambda tp, q, k, v: tp.attention(q, k, v, 2, key_mask=key_mask, causal=True),
-         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2, key_mask=key_mask, causal=True),
+         partial(_ref_attention, heads=2, key_mask=key_mask, causal=True),
          [a(16, 20, 16, scale=3.0), a(16, 20, 16), a(16, 20, 16)]),
         ("attention_shared_queries", lambda tp, q, k, v: tp.attention(q, k, v, 2),
-         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2),
-         [a(6, 16), a(ROWS, 20, 16), a(ROWS, 20, 16)]),
+         partial(_ref_attention, heads=2), [a(6, 16), a(64, 20, 16), a(64, 20, 16)]),
         ("attention_slots", lambda tp, q, k, v: tp.attention(q, k, v, 2, causal=True),
-         lambda g, q, k, v: _gemv_attention(g, q, k, v, 2, causal=True),
-         [a(ROWS, 6, 16), a(ROWS, 6, 16), a(ROWS, 6, 16)]),
+         partial(_ref_attention, heads=2, causal=True),
+         [a(64, 6, 16), a(64, 6, 16), a(64, 6, 16)]),
         ("layer_norm_at_row_count", lambda tp, x, gn, b: tp.layer_norm(x, gn, b),
-         _gemv_layer_norm, [a(ROWS, 16, scale=2.0), a(16), a(16)]),
-        ("layer_norm_3d", lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _gemv_layer_norm,
+         _ref_layer_norm, [a(64, 16, scale=2.0), a(16), a(16)]),
+        ("layer_norm_3d", lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm,
          [a(16, 20, 16, scale=2.0), a(16), a(16)]),
         ("softmax_rows_masked", lambda tp, x: tp.softmax_rows(x, key_mask=col_mask),
-         lambda g, x: _gemv_softmax_rows(g, x, col_mask), [a(16, 20, 20, scale=3.0)]),
-        ("softmax_rows_short", lambda tp, x: tp.softmax_rows(x),
-         lambda g, x: _gemv_softmax_rows(g, x, None), [a(ROWS, 1, 5, scale=3.0)]),
-        ("row_normalize", lambda tp, x: tp.row_normalize(x), _gemv_row_normalize,
+         partial(_ref_softmax_rows, allowed=col_mask), [a(16, 20, 20, scale=3.0)]),
+        ("softmax_rows_short", lambda tp, x: tp.softmax_rows(x), _ref_softmax_rows,
+         [a(64, 1, 5, scale=3.0)]),
+        ("row_normalize", lambda tp, x: tp.row_normalize(x), _ref_row_normalize,
          [zero_row]),
-        ("add_broadcast", lambda tp, x, y: tp.add(x, y),
-         lambda g, x, y: (x + y, [np.zeros_like(x) + g, _gemv_unbroadcast(g, y.shape)]),
-         [a(16, 20, 16), a(16)]),
+        ("add_broadcast", lambda tp, x, y: tp.add(x, y), _ref_add, [a(16, 20, 16), a(16)]),
     ]
     return [pytest.param(call, ref, inputs, id=name) for name, call, ref, inputs in cases]
 
@@ -881,50 +846,43 @@ def test_minibatch_ops_match_their_blas_formulas_bit_for_bit(call, ref, inputs):
     test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs)
 
 
-def _boundary_cases(rows, rng):
-    """(tape call, plain reference, BLAS reference, input arrays, the output
-    that tells the kernels apart: 0 for the forward value, i for the gradient
-    of input i) whose sums span `rows` rows: a layer norm, a biased linear,
-    one-head attention of one query over 10 keys, and a row softmax."""
+def _kernel_cases(rows, rng):
+    """(tape call, reference, input arrays, the output that tells NumPy's
+    reduce from BLAS: 0 for the forward value, i for the gradient of input i)
+    for each op that sums along an axis, its sums spanning `rows` rows: a
+    layer norm, one-head attention of one query over 10 keys, a row softmax,
+    a row normalisation, the bias gradient of linear, and the gradient add
+    sums into a broadcast bias row (`_unbroadcast`)."""
     def a(*shape, spread=3):
         return rng.normal(size=shape) * 10.0 ** rng.integers(-spread, spread + 1, size=shape)
 
     return [
-        (lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm, _gemv_layer_norm,
+        (lambda tp, x, gn, b: tp.layer_norm(x, gn, b), _ref_layer_norm,
          [a(rows, 16), a(16), a(16)], 0),
-        (lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear, _gemv_linear,
-         [a(rows, 12), a(12, 10), a(10)], 3),
-        (lambda tp, q, k, v: tp.attention(q, k, v, 1),
-         lambda g, q, k, v: _ref_attention(g, q, k, v, 1),
-         lambda g, q, k, v: _gemv_attention(g, q, k, v, 1),
+        (lambda tp, q, k, v: tp.attention(q, k, v, 1), partial(_ref_attention, heads=1),
          [a(rows, 1, 8, spread=0), a(rows, 10, 8, spread=0), a(rows, 10, 8)], 0),
-        (lambda tp, x: tp.softmax_rows(x), lambda g, x: _ref_softmax(g, x, None, -1),
-         lambda g, x: _gemv_softmax_rows(g, x, None), [a(rows, 10, spread=0)], 0),
+        (lambda tp, x: tp.softmax_rows(x), _ref_softmax_rows, [a(rows, 10, spread=0)], 0),
+        (lambda tp, x: tp.row_normalize(x), _ref_row_normalize, [a(rows, 16)], 0),
+        (lambda tp, x, w, b: tp.linear(x, w, b), _ref_linear,
+         [a(rows, 12), a(12, 10), a(10)], 3),
+        (lambda tp, x, y: tp.add(x, y), _ref_add, [a(rows, 16), a(16)], 2),
     ]
 
 
-def test_sums_change_kernel_exactly_at_the_row_count():
-    """One row fewer than the row count sums as NumPy does, the row count
-    itself through BLAS: row sums, sums over leading axes, and the ops that
-    take them. The data is such that the two kernels give other bits."""
-    rng = np.random.default_rng(8)
-    for rows, blas in ((ROWS - 1, False), (ROWS, True)):
-        x = rng.normal(size=(rows, 16)) * 10.0 ** rng.integers(-4, 5, size=(rows, 16))
-        by_rows = (x @ np.ones(16), x.sum(axis=-1))
-        by_cols = (np.ones(rows) @ x, x.sum(axis=0))
-        assert by_rows[0].tobytes() != by_rows[1].tobytes()
-        assert by_cols[0].tobytes() != by_cols[1].tobytes()
-        want = 0 if blas else 1
-        assert numerics._row_sum(x)[:, 0].tobytes() == by_rows[want].tobytes()
-        assert numerics._lead_sum(x, 1).tobytes() == by_cols[want].tobytes()
-        for call, plain, gemv, inputs, told in _boundary_cases(rows, rng):
-            # the upstream gradient the test below hands the op
-            shape = call(Tape(recording=False), *map(Tensor, inputs)).shape
-            g = np.random.default_rng(7).normal(size=shape)
-            (out_p, grads_p), (out_g, grads_g) = plain(g, *inputs), gemv(g, *inputs)
-            assert (out_p, *grads_p)[told].tobytes() != (out_g, *grads_g)[told].tobytes()
-            test_ops_match_their_plain_formulas_bit_for_bit(call, gemv if blas else plain,
-                                                            inputs)
+@pytest.mark.parametrize("rows", [63, 256])
+def test_each_tape_sums_with_its_own_kernel_at_every_size(rows):
+    """A serving tape sums as NumPy's reduce does and a recording tape
+    through BLAS, both below 64 rows, where the kernels used to switch on
+    size, and at a minibatch's 256. The data is such that the two kernels
+    give other bits."""
+    rng = np.random.default_rng(rows)
+    for call, ref, inputs, told in _kernel_cases(rows, rng):
+        # the upstream gradient the test above hands the op
+        shape = call(Tape(recording=False), *map(Tensor, inputs)).shape
+        g = np.random.default_rng(7).normal(size=shape)
+        (out_r, grads_r), (out_b, grads_b) = ref(REDUCE, g, *inputs), ref(BLAS, g, *inputs)
+        assert (out_r, *grads_r)[told].tobytes() != (out_b, *grads_b)[told].tobytes()
+        test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs)
 
 
 _PAYLOAD_NANS = np.array([0x7FF8000000000123, 0xFFF8000000000456, 0x7FF800000000BEEF],
@@ -937,26 +895,6 @@ _SHORT_ROWS = st.integers(1, 7).flatmap(
     lambda d: st.lists(st.lists(_ENTRIES, min_size=d, max_size=d), min_size=1, max_size=6))
 
 
-def _at_row_count(rows):
-    """The drawn rows, repeated to one more than the row count, so the
-    kernels take their minibatch branch."""
-    x = np.array(rows, dtype=np.float64)
-    return np.resize(x, (ROWS + 1, x.shape[1]))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_SHORT_ROWS)
-def test_short_row_sum_fold_is_numpys_reduce_bit_for_bit(rows):
-    """Rows of 1 to 7 terms with NaN payloads, signed zeros, infinities and
-    -inf entries: the fold gives np.add.reduce's bits, NaN payloads too."""
-    x = _at_row_count(rows)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
-        got = numerics._row_sum(x)
-        want = np.add.reduce(x, axis=-1, keepdims=True)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-
-
 @settings(max_examples=150, deadline=None)
 @given(_SHORT_ROWS | st.lists(st.lists(_ENTRIES, min_size=20, max_size=20), min_size=1,
                               max_size=4))
@@ -967,7 +905,7 @@ def test_row_max_fold_is_numpys_reduce_where_attention_reads_it(rows):
     and on the CPU's vector width). Attention only subtracts the maximum
     before exp, where neither shows: exp(x - max) is the same bit for bit on
     every row without a NaN, and NaN where the reduce gives NaN."""
-    x = _at_row_count(rows)
+    x = np.array(rows, dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = numerics._row_max(x)
