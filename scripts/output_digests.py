@@ -28,8 +28,8 @@ click probabilities and expected utilities for seeded slates on both
 worlds; one line per public Tape op, its forward value and its input
 gradients on seeded inputs, so a change to numerics is checked op by op and
 not only through the models; the ops that sum or take maxima along an axis
-again on minibatch-sized inputs (256 rows or more per sum), where numerics
-may pick other kernels than at serving sizes; and sigmoid, softplus and
+again on minibatch-sized inputs (256 rows or more per sum), where a BLAS
+sum's bits depend on the stack height; and sigmoid, softplus and
 gelu at +-0.0, +-40 and +-800, and contrastive slates at alpha 0 and 1, where
 a rewritten formula would most likely part from the old one.
 """

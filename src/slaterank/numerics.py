@@ -26,7 +26,7 @@ axis depends on the tape, never on the array's size:
 - A non-recording (serving) tape calls the ufunc methods (`np.add.reduce`,
   `np.maximum.reduce`), which compute what `ndarray.sum` and `.max` compute
   without their Python wrappers. NumPy reduces each row on its own, so a
-  request served inside a stack of requests of its own size gets the bits it
+  request served inside a stack of requests with its own n gets the bits it
   gets when served alone.
 - A recording (training) tape, which also runs the backward pass, sums
   through BLAS, where NumPy's reduce pays per row for a minibatch's short
@@ -36,8 +36,9 @@ axis depends on the tape, never on the array's size:
   bias gradients of linear and layer_norm, layer_norm's gain gradient,
   `_unbroadcast`) one `ones(r) @ x2`, with cached read-only ones vectors.
   The row maxima of attention and softmax_rows are folded column by column,
-  which gives NumPy's maximum except for a zero's sign and a NaN's payload,
-  neither of which exp(x - max) sees.
+  faster than NumPy's reduce on a minibatch. The fold gives NumPy's maximum
+  except for a zero's sign and a NaN's payload, neither of which
+  exp(x - max) sees.
 BLAS adds in its own order, and its bits for a row depend on the rows around
 it, so a recording forward parts from a serving forward by ulps. Sums down
 the columns of each matrix (softmax_columns) take NumPy's reduce on both

@@ -256,11 +256,10 @@ def test_serving_forward_matches_recording_forward_within_1e_12(cfg):
                                              exposed=tuple(range(cfg.m)), feedback=zeros))
                          for i, n in enumerate((4, 6, 3))])
     for req in (one, stack, one):
-        recorded = forward(req, params, cfg, tape=Tape())
-        served = _bits(forward(req, params, cfg))
-        assert _bits(forward(req, params, cfg)) == served
-        for (shape, raw), want in zip(served, _arrays(recorded)):
-            got = np.frombuffer(raw).reshape(shape)
+        recorded = _arrays(forward(req, params, cfg, tape=Tape()))
+        served = forward(req, params, cfg)
+        assert _bits(forward(req, params, cfg)) == _bits(served)
+        for got, want in zip(_arrays(served), recorded):
             assert np.abs(got - want).max() <= 1e-12
 
 
@@ -295,7 +294,7 @@ def test_a_memo_hit_returns_the_bits_of_a_fresh_serving_computation():
     forward(req, params, SMALL, tape=Tape())  # a recording forward leaves the memo alone
 
     def computed_again():
-        raise AssertionError("the second serving forward missed the memo")
+        raise AssertionError("the memo missed after a serving forward")
 
     hit = params.memo("pos.slot_head", SLOT_PARAMS, SMALL.h, computed_again)
     fresh = _slot_head(_fresh(params), SMALL, Tape(recording=False))
