@@ -511,8 +511,7 @@ def test_commands_run_uncached_where_the_cache_cannot_be_written(tmp_path):
 
 
 def test_an_out_dir_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys):
-    # the trainers used to train and write their checkpoint first, then end
-    # in a NotADirectoryError traceback writing the loss curve
+    # one line, exit 1, and no model trained or checkpoint written
     cfg = write_cfg(tmp_path)
     run_pipeline(tmp_path, cfg)
     capsys.readouterr()

@@ -872,9 +872,8 @@ def _kernel_cases(rows, rng):
 @pytest.mark.parametrize("rows", [63, 256])
 def test_each_tape_sums_with_its_own_kernel_at_every_size(rows):
     """A serving tape sums as NumPy's reduce does and a recording tape
-    through BLAS, both below 64 rows, where the kernels used to switch on
-    size, and at a minibatch's 256. The data is such that the two kernels
-    give other bits."""
+    through BLAS, both at 63 rows and at a minibatch's 256. The data is such
+    that the two kernels give other bits."""
     rng = np.random.default_rng(rows)
     for call, ref, inputs, told in _kernel_cases(rows, rng):
         # the upstream gradient the test above hands the op
