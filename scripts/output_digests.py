@@ -13,7 +13,10 @@ shape, forward and contrastive slates per request, served as one LogTable
 and one by one (equal lines mean a request's bits do not depend on the
 stack it is served in); contrastive slates, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
-the `select_best` winners among them; AR decoded slates and sequence-loss
+the `select_best` winners among them, once with k = 3 on small requests and
+once with k = 12 and 16 samples on n = 20 requests (rank groups of 8 terms
+and more, where NumPy sums pairwise, and pools that need several refills);
+AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
 ragged log (n from m to n_max, two feedback types) written by write_logs and
@@ -332,6 +335,31 @@ def decode_digests(reqs, gen, ev) -> None:
                                  for r, pool in zip(reqs, pools)]))
 
 
+def wide_decode_digests() -> None:
+    """`sample_slates` and `select_best` at k = 12 and 16 samples on n = 20
+    requests, through L=1 parameters as initialised and doubled: the doubled
+    ones give peaked columns, so pools repeat slates and refill many times."""
+    rng = np.random.default_rng(47)
+    dec = DecodeConfig(k=12, num_samples=16)
+    ev_cfg = EvaluatorConfig(seed=18)
+    ev = init_evaluator_params(ev_cfg)
+    pools, states, best = [], [], []
+    for scale in (1.0, 2.0):
+        gen = init_generator_params(GEN_L1)
+        for _, t in gen.items():
+            t.data *= scale
+        for i in range(8):
+            req = RequestBatch(request_id=i, user_id=0, item_ids=np.arange(20),
+                               features=rng.normal(size=(20, GEN_L1.d_x)))
+            draw = np.random.default_rng(200 + len(pools))
+            pools.append(sample_slates(forward(req, gen, GEN_L1), dec, draw))
+            states.append(draw.bit_generator.state)
+            best.append(select_best(req, pools[-1], ev, ev_cfg))
+    print("sample_slates.wide", digest([[slate_fields(s) for s in pool] for pool in pools],
+                                       states))
+    print("select_best.wide", digest([slate_fields(s) for s in best]))
+
+
 def log_digest(logs) -> str:
     return digest(*[x for log in logs for x in (
         log.request.request_id, log.request.user_id, log.request.item_ids,
@@ -439,6 +467,7 @@ def main() -> None:
     equal_n_digests()
 
     decode_digests(reqs[:12], gen, ev)
+    wide_decode_digests()
 
     print("ar_decode", digest([ar_decode(r, ar, GEN).indices for r in reqs[:6]]))
     tape = Tape()
