@@ -2,6 +2,7 @@
 """Time two slaterank source trees against each other in one process.
 
     python3 scripts/ab_inprocess.py PARENT_SRC [CHANGE_SRC] [--pairs 10] [--scale tiny]
+        [--workloads rerank,onepass]
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `slaterank` package,
 such as a checkout's `src/`; CHANGE_SRC defaults to this checkout's. Both are
@@ -11,7 +12,10 @@ within a pair the two trees take turns unit by unit, each going first in
 every other turn: a unit is a whole training run, or one serving request.
 A pair's ratio is the change's summed time over the parent's, and each
 workload prints the median ratio, its quartiles and the number of pairs the
-change was faster in.
+change was faster in. A serving workload also prints how many of its requests
+picked another slate in the two trees (counted on the warm-up run);
+`--workloads` runs only the named workloads, so a serving change need not
+wait on the training units.
 
 The workloads:
 - train_generator, train_evaluator and train_ar at perfbench's config
@@ -51,6 +55,9 @@ SEED = 20260
 # (requests in the perfbench-shaped log, in the desk log, serving requests per
 # round, epochs of the generator and the evaluator)
 SCALES = {"full": (384, 2048, 64, 2), "tiny": (24, 32, 2, 1)}
+TRAINERS = ("generator", "evaluator", "ar")
+WORKLOADS = (*(f"train_{kind}.{log}" for kind in TRAINERS for log in ("bench", "desk")),
+             "onepass", "rerank")
 
 
 def load(src, name: str) -> types.SimpleNamespace:
@@ -120,8 +127,9 @@ class Tree:
             for name, t in theirs.items():
                 mine[name].data[...] = t.data
 
-    def workloads(self) -> dict:
-        """workload name -> its units, each a callable timed on its own."""
+    def workloads(self, names) -> dict:
+        """workload name -> its units, each a callable timed on its own, for
+        the named workloads. A serving unit returns its slate."""
         sr = self.sr
 
         def trainer(log, kind, cfg, batch, epochs):
@@ -147,7 +155,7 @@ class Tree:
                 probs = sr.generator.forward(req, self.gen, self.gen_cfg)
                 slates = sr.decoding.sample_slates(
                     probs, self.decode, np.random.default_rng([SEED, req.request_id]))
-                sr.evaluator.select_best(req, slates, self.ev, self.ev_cfg)
+                return sr.evaluator.select_best(req, slates, self.ev, self.ev_cfg)
             return run
 
         units = {}
@@ -159,7 +167,7 @@ class Tree:
             units[f"train_{kind}.desk"] = [trainer("desk", kind, desk_cfg, 256, 1)]
         units["onepass"] = [onepass(req) for req in self.pool]
         units["rerank"] = [rerank(req) for req in self.pool]
-        return units
+        return {name: units[name] for name in names}
 
 
 def seconds(fn) -> float:
@@ -168,13 +176,22 @@ def seconds(fn) -> float:
     return time.perf_counter() - start
 
 
-def compare(parent: dict, change: dict, pairs: int) -> dict:
-    """workload -> the change/parent time ratio of each pair. Each workload
-    is a list of units, run once in both trees before the first pair."""
+def other_slates(parent_units: list, change_units: list) -> str:
+    """"k/N": k of the N units return another slate in the two trees, or "-"
+    where the units return no slate. Running them is also the warm-up:
+    caches, memo, allocator."""
+    outputs = [(p(), c()) for p, c in zip(parent_units, change_units)]
+    if not hasattr(outputs[0][0], "indices"):
+        return "-"
+    return f"{sum(p.indices != c.indices for p, c in outputs)}/{len(outputs)}"
+
+
+def compare(parent: dict, change: dict, pairs: int) -> tuple[dict, dict]:
+    """(workload -> the change/parent time ratio of each pair, workload ->
+    its `other_slates` count). Each workload is a list of units, run once in
+    both trees before the first pair."""
     ratios = {name: [] for name in parent}
-    for name in parent:
-        for unit in parent[name] + change[name]:
-            unit()  # warm-up: caches, memo, allocator
+    others = {name: other_slates(parent[name], change[name]) for name in parent}
     for i in range(pairs):
         for name in parent:
             p = c = 0.0
@@ -186,18 +203,28 @@ def compare(parent: dict, change: dict, pairs: int) -> dict:
                     c += seconds(c_unit)
                     p += seconds(p_unit)
             ratios[name].append(c / p)
-    return ratios
+    return ratios, others
 
 
-def report(ratios: dict) -> list[str]:
-    lines = [f"{'workload':<24} {'pairs':>5} {'median':>7} {'q1':>7} {'q3':>7}  change faster"]
+def report(ratios: dict, others: dict) -> list[str]:
+    lines = [f"{'workload':<24} {'pairs':>5} {'median':>7} {'q1':>7} {'q3':>7}  "
+             f"change faster  other slate"]
     for name, r in ratios.items():
         q1, med, q3 = (statistics.quantiles(r, n=4, method="inclusive") if len(r) > 1
                        else (r[0],) * 3)
         wins = sum(x < 1.0 for x in r)
         lines.append(f"{name:<24} {len(r):>5} {med:>7.3f} {q1:>7.3f} {q3:>7.3f}  "
-                     f"{wins}/{len(r)}")
+                     f"{wins}/{len(r)}  {others[name]}")
     return lines
+
+
+def workload_names(text: str) -> list[str]:
+    names = text.split(",")
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {', '.join(unknown)}; valid: {', '.join(WORKLOADS)}")
+    return names
 
 
 def main(argv=None) -> int:
@@ -207,6 +234,8 @@ def main(argv=None) -> int:
     p.add_argument("change_src", nargs="?", default=str(HERE_SRC))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--scale", choices=sorted(SCALES), default="full")
+    p.add_argument("--workloads", type=workload_names, default=list(WORKLOADS),
+                   help=f"comma-separated, from {','.join(WORKLOADS)} (default: all)")
     args = p.parse_args(argv)
     scale = SCALES[args.scale]
     parent_sr = load(args.parent_src, "slaterank_parent")
@@ -219,7 +248,8 @@ def main(argv=None) -> int:
         parent, change = Tree(parent_sr, logs, scale), Tree(change_sr, logs, scale)
     parent.train()
     change.adopt(parent)
-    print("\n".join(report(compare(parent.workloads(), change.workloads(), args.pairs))))
+    print("\n".join(report(*compare(parent.workloads(args.workloads),
+                                     change.workloads(args.workloads), args.pairs))))
     return 0
 
 

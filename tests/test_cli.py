@@ -441,23 +441,34 @@ def test_desk_pipeline_script_writes_every_artifact(tmp_path):
 
 
 def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):
-    # scripts/ab_inprocess.py on tiny configs: both trees import, every
-    # workload runs its pairs and prints a ratio line
+    # scripts/ab_inprocess.py on tiny configs: both trees import, every named
+    # workload runs its pairs and prints a ratio line in the order named, and
+    # no serving request picks another slate; an unknown name exits 2 and
+    # lists the valid ones
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(slaterank.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "ab_inprocess.py"), src, src,
-         "--scale", "tiny", "--pairs", "2"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    trainers = ("train_generator", "train_evaluator", "train_ar")
+    names = ["rerank", "onepass"] + [f"{t}.{c}" for c in ("desk", "bench") for t in trainers]
+
+    def ab(*args):
+        return subprocess.run(
+            [sys.executable, str(repo / "scripts" / "ab_inprocess.py"), src, src,
+             "--scale", "tiny", "--pairs", "2", *args],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    proc = ab("--workloads", ",".join(names))
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.strip().splitlines()
     assert header.split()[:2] == ["workload", "pairs"]
-    trainers = ("train_generator", "train_evaluator", "train_ar")
-    assert sorted(row.split()[0] for row in rows) == sorted(
-        [f"{t}.{c}" for t in trainers for c in ("bench", "desk")] + ["onepass", "rerank"])
+    assert [row.split()[0] for row in rows] == names
     for row in rows:
-        name, pairs, median, q1, q3, wins = row.split()
+        name, pairs, median, q1, q3, wins, other = row.split()
         assert pairs == "2" and float(median) > 0 and wins.endswith("/2"), row
+        assert other == ("-" if name.startswith("train_") else "0/2"), row
+    proc = ab("--workloads", "rerank,serve")
+    assert proc.returncode == 2 and not proc.stdout
+    assert "unknown workload serve" in proc.stderr
+    assert all(name in proc.stderr for name in names)
 
 
 OUTPUTS = ("gen.npz", "ev.npz", "generator_loss.csv", "evaluator_loss.csv",
