@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+# entries that int() would read as an index, 1.7 and True both as 1
+_NOT_INDEX = (bool, np.bool_, float, np.floating)
+
+
 def slate_indices(slates, n, m: int) -> np.ndarray:
     """K slates (SlateSequences or index sequences) as one (K, m) int64 array.
 
@@ -55,10 +59,12 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
     candidate count for every slate or a sequence of one count per slate.
     Each rule runs over the whole pool before the next: an empty pool raises
     EmptyCandidatesError; a slate without exactly m items, ShapeError; a
-    float entry, a repeated item, or an index outside 0..n-1 (in that order),
-    InvalidSlateError. An entry that is neither a number nor a numeric string
-    keeps NumPy's own error.
+    float or bool entry, a repeated item, or an index outside 0..n-1 (in that
+    order), InvalidSlateError. An entry that is neither a number nor a
+    numeric string keeps NumPy's own error.
     """
+    if not isinstance(slates, np.ndarray):
+        slates = list(slates)
     rows = [getattr(s, "indices", s) for s in slates]
     if not rows:
         raise EmptyCandidatesError("no slates to choose from")
@@ -69,8 +75,12 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
         idx = None
     if idx is None or idx.shape != (len(rows), m) or len(counts) != len(rows):
         raise ShapeError(f"expected {len(counts)} slate(s) of {m} items")
-    # np.array([()]) is float64, so only a non-empty float array holds a float
-    if idx.dtype.kind == "f" and idx.size:
+    # np.array([()]) is float64, so only a non-empty float array holds a
+    # float. A bool among ints reads as 0 or 1, so the entries of a bare
+    # sequence are looked at one by one; a SlateSequence's were when it was made.
+    bare = () if isinstance(slates, np.ndarray) else [r for s, r in zip(slates, rows) if r is s]
+    if (idx.dtype.kind in "fb" and idx.size) or any(
+            isinstance(i, _NOT_INDEX) for row in bare for i in row):
         raise InvalidSlateError("slate index is not an integer")
     idx = idx.astype(np.int64, copy=False)
     rows = idx.tolist()
@@ -131,8 +141,8 @@ class RequestBatch:
         if not np.isfinite(self.features).all():
             raise ShapeError("candidate features contain non-finite values")
         if self.exposed is not None:
-            # int() would truncate 1.7 to 1: a float stays for slate_indices to reject
-            self.exposed = tuple(i if isinstance(i, (float, np.floating)) else int(i)
+            # a float or a bool stays as it is, for slate_indices to reject
+            self.exposed = tuple(i if isinstance(i, _NOT_INDEX) else int(i)
                                  for i in self.exposed)
 
     @property

@@ -18,15 +18,18 @@ the random stream exactly as drawing the samples one by one would.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .data import slate_indices
+from .data import _NOT_INDEX, slate_indices
 from .errors import ConfigError, InfeasibleSlateError, InvalidSlateError
 from .generator import ProbMatrix
 
 _METHODS = ("contrastive", "greedy", "topk", "beam")
+_INT = {int}
 
 
 @dataclass(frozen=True)
@@ -39,16 +42,20 @@ class SlateSequence:
     method: str
 
     def __post_init__(self) -> None:
-        # int() would truncate 1.7 to 1 before any slate rule sees it
-        if any(isinstance(i, (float, np.floating)) for i in self.indices):
-            raise InvalidSlateError(f"slate index is not an integer: {tuple(self.indices)}")
-        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
+        indices = self.indices
+        # a tuple of Python ints, as the decoders build it, is kept as it is
+        if type(indices) is not tuple or not _INT.issuperset(map(type, indices)):
+            # int() would read 1.7 and True as 1 before any slate rule sees them
+            if any(isinstance(i, _NOT_INDEX) for i in indices):
+                raise InvalidSlateError(f"slate index is not an integer: {tuple(indices)}")
+            indices = tuple(map(int, indices))
+            object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "probabilities", tuple(map(float, self.probabilities)))
-        if len(self.indices) != len(self.probabilities):
+        if len(indices) != len(self.probabilities):
             raise InfeasibleSlateError("one probability per chosen index required")
-        if len(set(self.indices)) != len(self.indices):
-            raise InfeasibleSlateError(f"slate repeats an item: {self.indices}")
-        if any(i < 0 for i in self.indices):
+        if len(set(indices)) != len(indices):
+            raise InfeasibleSlateError(f"slate repeats an item: {indices}")
+        if indices and min(indices) < 0:
             raise InfeasibleSlateError("negative candidate index")
 
     @property
@@ -140,45 +147,93 @@ def greedy_decode(probs: ProbMatrix) -> SlateSequence:
     return _slate(chosen, values, "greedy")
 
 
+def _numpy_sum(terms: list[float]) -> float:
+    """`np.add.reduce` of a contiguous float64 row, bit for bit: left to right
+    below 8 terms; from 8 on, NumPy's eight accumulators, each striding by 8,
+    folded pairwise and then the leftover terms added in order; above 128
+    terms, NumPy's split into two halves of a multiple of 8."""
+    count = len(terms)
+    if count < 8:
+        total = 0.0
+        for x in terms:
+            total += x
+        return total
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _numpy_sum(terms[:half]) + _numpy_sum(terms[half:])
+    acc = terms[:8]
+    stop = count - count % 8
+    for i in range(8, stop, 8):
+        acc = [a + x for a, x in zip(acc, terms[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for x in terms[stop:]:
+        total += x
+    return total
+
+
+def _group_bounds(weights: list[float]) -> list[float]:
+    """The renormalized cdf of one rank group's probabilities; a pick is the
+    number of bounds at or below its uniform, as `Generator.choice(p=...)`
+    picks. A group whose probabilities sum to zero is sampled uniformly.
+
+    Bit for bit what NumPy gives on a (samples, group) block of such groups:
+    the same float operations in the same order, that is the row total as
+    `np.add.reduce`, the division by it, the running sum as
+    `np.add.accumulate`, and the division by the last entry.
+    """
+    total = _numpy_sum(weights)
+    if total > 0.0:
+        cdf = list(accumulate([w / total for w in weights]))
+    else:
+        cdf = list(accumulate([1.0 / len(weights)] * len(weights)))
+    last = cdf[-1]
+    # x / 1.0 is x, so the usual last entry of 1.0 needs no division
+    return cdf if last == 1.0 else [c / last for c in cdf]
+
+
 def _topk_draws(
     probs: ProbMatrix, k: int, num: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """`num` independent top-k samples drawn together: their (num, m) chosen
-    indices, plus the active column probabilities.
+) -> tuple[list[tuple[int, ...]], list[list[float]]]:
+    """`num` independent top-k samples drawn together: each one's chosen
+    indices, plus the active column probabilities, one list per position.
 
     Each column is ranked once (a stable sort, so ties go to the lower index)
     and every sample's free candidates are read off in that order. One
     `rng.random((num, m))` block supplies one uniform per pick, row by row,
-    and a pick is the first cdf entry above its uniform, exactly as
-    `Generator.choice(p=...)` picks. The stream is therefore consumed in the
-    same order and amount as `num` one-at-a-time samples.
+    so the stream is consumed in the same order and amount as `num`
+    one-at-a-time samples. At position 0 nothing is taken yet, so every
+    sample draws from one group; later positions go sample by sample, in
+    Python floats. Probabilities are non-negative, so the bounds rise and a
+    bisection counts those at or below a uniform.
     """
     values, n = _active(probs)
     if k > n:
         raise ConfigError(f"k={k} exceeds {n} candidates")
     order = np.argsort(-values, axis=0, kind="stable")
     uniforms = rng.random((num, probs.m))
-    selected = np.zeros((num, n), dtype=bool)
-    chosen = np.empty((num, probs.m), dtype=np.int64)
-    rows = np.arange(num)
-    for t in range(probs.m):
-        ranked = order[:, t]
-        # a stable sort of the taken flags moves free candidates to the
-        # front and keeps them in rank order
-        free_first = np.argsort(selected[:, ranked], axis=1, kind="stable")
-        group = ranked[free_first[:, :min(k, n - t)]]
-        weights = values[group, t]
-        total = np.add.reduce(weights, axis=1, keepdims=True)
-        # a rank group whose probabilities sum to zero is sampled uniformly
-        uniform = np.empty(weights.shape)
-        uniform.fill(1.0 / group.shape[1])
-        weights = np.divide(weights, total, out=uniform, where=total > 0.0)
-        cdf = np.add.accumulate(weights, axis=1)
-        cdf /= cdf[:, -1:]
-        pick = group[rows, np.add.reduce(cdf <= uniforms[:, t:t + 1], axis=1)]
-        chosen[:, t] = pick
-        selected[rows, pick] = True
-    return chosen, values
+    if not probs.m:
+        return [()] * num, []
+    columns = values.T.tolist()
+    ranks = order.T.tolist()
+    draws = uniforms.T.tolist()
+    top = ranks[0][:k]
+    bounds = _group_bounds([columns[0][c] for c in top])
+    picks = [[top[bisect_right(bounds, u)] for u in draws[0]]]
+    for t in range(1, probs.m):
+        width = min(k, n - t)
+        # t of a sample's candidates are taken, so its group lies in these
+        ranked = ranks[t][:width + t]
+        column = columns[t]
+        row = []
+        for mine, u in zip(zip(*picks), draws[t]):
+            group = [c for c in ranked if c not in mine][:width]
+            row.append(group[bisect_right(_group_bounds([column[c] for c in group]), u)])
+        picks.append(row)
+    return list(zip(*picks)), columns
+
+
+def _topk_slate(indices: tuple[int, ...], columns: list[list[float]]) -> SlateSequence:
+    return SlateSequence(indices, [column[c] for column, c in zip(columns, indices)], "topk")
 
 
 def topk_sample(
@@ -190,8 +245,8 @@ def topk_sample(
     in the slate automatically fall back to lower-ranked candidates. A
     rank group whose probabilities sum to zero is sampled uniformly.
     """
-    chosen, values = _topk_draws(probs, cfg.k, 1, rng)
-    return _slate(chosen[0].tolist(), values, "topk")
+    chosen, columns = _topk_draws(probs, cfg.k, 1, rng)
+    return _topk_slate(chosen[0], columns)
 
 
 def beam_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
@@ -240,12 +295,11 @@ def sample_slates(
     while len(slates) < cfg.num_samples and attempts < budget:
         num = min(cfg.num_samples - len(slates), budget - attempts)
         attempts += num
-        chosen, values = _topk_draws(probs, cfg.k, num, rng)
-        picked = values[chosen, np.arange(probs.m)].tolist()
-        for indices, chosen_p in zip(map(tuple, chosen.tolist()), picked):
+        chosen, columns = _topk_draws(probs, cfg.k, num, rng)
+        for indices in chosen:
             if indices not in seen:
                 seen.add(indices)
-                slates.append(SlateSequence(indices, chosen_p, "topk"))
+                slates.append(_topk_slate(indices, columns))
     return slates
 
 

@@ -148,6 +148,8 @@ def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig
     idx = slate_indices(slates, req.n, cfg.m)
     first: dict[tuple[int, ...], int] = {}
     where = [first.setdefault(tuple(row), len(first)) for row in idx.tolist()]
+    if len(first) == len(where):  # no repeats: every slate is scored in place
+        return _score(req.features[idx], params, cfg, tape).utility
     feats = req.features[np.array(list(first))]
     return _score(feats, params, cfg, tape).utility[where]
 

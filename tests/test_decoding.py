@@ -79,6 +79,26 @@ def test_slate_sequence_rejects_float_indices(indices):
         SlateSequence(indices, (0.5, 0.25, 0.125), "greedy")
 
 
+@pytest.mark.parametrize("indices", [(True, 0, 2), (0, np.True_, 2),
+                                     np.array([True, False, True])])
+def test_slate_sequence_rejects_bool_indices(indices):
+    # int() would read True as 1
+    with pytest.raises(InvalidSlateError, match="not an integer"):
+        SlateSequence(indices, (0.5, 0.25, 0.125), "greedy")
+
+
+@pytest.mark.parametrize("indices, probabilities", [
+    ((0, 0), (0.5, 0.5)), ((0, 1), (0.5,)), ((-1, 1), (0.5, 0.5))])
+def test_slate_sequence_checks_a_tuple_of_ints_as_any_other_sequence(indices, probabilities):
+    # a tuple of Python ints skips the conversion, not the checks
+    messages = set()
+    for form in (tuple, list, np.array):
+        with pytest.raises(InfeasibleSlateError) as raised:
+            SlateSequence(form(indices), probabilities, "greedy")
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
 def test_slate_sequence_takes_numpy_integers():
     s = SlateSequence(np.array([2, 0, 1]), (0.5, 0.25, 0.125), "greedy")
     assert s.indices == (2, 0, 1) and all(type(i) is int for i in s.indices)
@@ -201,11 +221,11 @@ def test_topk_frequencies_match_renormalized_column():
     draws = 100_000
     # one batched draw consumes the stream exactly as `draws` topk_sample calls
     chosen, _ = _topk_draws(pm, 3, draws, rng)
-    counts = np.bincount(chosen[:, 0], minlength=3)
+    counts = np.bincount([c[0] for c in chosen], minlength=3)
     assert np.abs(counts / draws - column[:, 0]).max() < 0.01
 
     chosen, _ = _topk_draws(pm, 2, draws, rng)
-    counts = np.bincount(chosen[:, 0], minlength=3)
+    counts = np.bincount([c[0] for c in chosen], minlength=3)
     expected = np.array([0.5 / 0.8, 0.3 / 0.8, 0.0])
     assert np.abs(counts / draws - expected).max() < 0.01
 

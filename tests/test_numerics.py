@@ -1019,6 +1019,72 @@ def test_serving_glue_matches_its_plain_formulas_bit_for_bit():
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _draw_values(rng, n, m, kind):
+    """(n, m) column probabilities: continuous, with exact ties, or mostly
+    zero, so that many top-k groups sum to zero."""
+    if kind == "ties":
+        values = rng.choice([0.0, 0.125, 0.25, 0.5], size=(n, m))
+    elif kind == "zeros":
+        values = np.where(rng.random((n, m)) < 0.2, rng.random((n, m)), 0.0)
+    else:
+        values = rng.random((n, m)) ** 3
+    sums = values.sum(axis=0)
+    return values / np.where(sums > 0.0, sums, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_topk_draws_match_their_numpy_reference_bit_for_bit(data):
+    """The per-sample draw against the per-position NumPy reference: the same
+    picks and the same rng state after, for n from 1 to 20 real rows (with
+    and without padded rows), every k and m up to n, and 0 to 40 samples."""
+    from slaterank.decoding import _topk_draws
+    from slaterank.generator import ProbMatrix
+
+    n = data.draw(st.integers(1, 20), label="n")
+    pad = data.draw(st.integers(0, 3), label="pad")
+    m = data.draw(st.integers(1, n), label="m")
+    k = data.draw(st.integers(1, n), label="k")
+    num = data.draw(st.integers(0, 40), label="num")
+    kind = data.draw(st.sampled_from(["continuous", "ties", "zeros"]), label="kind")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    values = _draw_values(np.random.default_rng(seed), n, m, kind)
+    padded = np.zeros((n + pad, m))
+    padded[:n] = values
+    probs = ProbMatrix(values=Tensor(padded), candidate_reps=Tensor(np.zeros((n + pad, 2))),
+                       position_reps=Tensor(np.zeros((m, 2))),
+                       valid=np.arange(n + pad) < n if pad else None)
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    chosen, columns = _topk_draws(probs, k, num, got_rng)
+    assert chosen == list(map(tuple, _ref_topk_draws(values, k, num, want_rng).tolist()))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.array(columns).reshape(m, n).T.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("width", [*range(1, 21), 129, 300])
+def test_group_bounds_are_numpys_block_arithmetic_bit_for_bit(width):
+    """Each rank group's total and bounds against NumPy's on a block of
+    groups: np.add.reduce, the guarded division, np.add.accumulate and the
+    division by the last entry. From 8 terms on NumPy sums pairwise, where a
+    left-to-right total differs in about 40% of rows but seldom moves a pick,
+    so only the bounds themselves show it. Rows include zero-sum groups,
+    exact ties and zeros among positive terms."""
+    from slaterank.decoding import _group_bounds, _numpy_sum
+
+    rng = np.random.default_rng(width)
+    rows = rng.random((300, width)) ** 3
+    rows[::10] = 0.0
+    rows[1::10] = 0.25
+    rows[2::10, ::2] = 0.0
+    total = np.add.reduce(rows, axis=1, keepdims=True)
+    weights = np.divide(rows, total, out=np.full(rows.shape, 1.0 / width), where=total > 0.0)
+    cdf = np.add.accumulate(weights, axis=1)
+    cdf /= cdf[:, -1:]
+    lists = rows.tolist()
+    assert np.array([_numpy_sum(row) for row in lists]).tobytes() == total[:, 0].tobytes()
+    assert np.array([_group_bounds(row) for row in lists]).tobytes() == cdf.tobytes()
+
+
 def test_tensor_keeps_float64_arrays_and_converts_the_rest():
     x = np.arange(6.0).reshape(2, 3)
     assert Tensor(x).data is x

@@ -83,6 +83,9 @@ BAD = {
     "index_n": ((0, 1, N), InvalidSlateError),
     "index_minus_1": ((-1, 1, 2), InvalidSlateError),
     "float": ((0, 1.7, 2), InvalidSlateError),
+    # np.array would read a bool among ints as 0 or 1
+    "bool": ((0, True, 2), InvalidSlateError),
+    "np_bool": ((0, np.True_, 2), InvalidSlateError),
 }
 
 
@@ -111,6 +114,11 @@ def test_rules_run_in_order_over_the_whole_pool():
         slate_indices([(0, 1, N), (1, 1, 2), (0, 1.0, 2)], N, M)
     with pytest.raises(InvalidSlateError, match="repeats"):
         slate_indices([(0, 1, N), (1, 1, 2)], N, M)
+    # a bool is not an index, in a sequence or an array, even where it fits
+    with pytest.raises(InvalidSlateError, match="not an integer"):
+        slate_indices([(1, 1, 2), (True, 0, 2)], N, M)
+    with pytest.raises(InvalidSlateError, match="not an integer"):
+        slate_indices(np.array([[True, False, True]]), N, M)
     # one candidate count per slate
     with pytest.raises(InvalidSlateError, match="out of range"):
         slate_indices([(0, 1, 3), (0, 1, 3)], [4, 3], M)
