@@ -177,9 +177,9 @@ def seconds(fn) -> float:
 
 
 def other_slates(parent_units: list, change_units: list) -> str:
-    """"k/N": k of the N units return another slate in the two trees, or "-"
-    where the units return no slate. Running them is also the warm-up:
-    caches, memo, allocator."""
+    """How many of the N units return another slate in the two trees, as
+    "k/N", or "-" where the units return no slate. Running them is also the
+    warm-up: caches, memo, allocator."""
     outputs = [(p(), c()) for p, c in zip(parent_units, change_units)]
     if not hasattr(outputs[0][0], "indices"):
         return "-"

@@ -29,6 +29,7 @@ import os
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -75,12 +76,14 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
         idx = None
     if idx is None or idx.shape != (len(rows), m) or len(counts) != len(rows):
         raise ShapeError(f"expected {len(counts)} slate(s) of {m} items")
-    # np.array([()]) is float64, so only a non-empty float array holds a
-    # float. A bool among ints reads as 0 or 1, so the entries of a bare
-    # sequence are looked at one by one; a SlateSequence's were when it was made.
-    bare = () if isinstance(slates, np.ndarray) else [r for s, r in zip(slates, rows) if r is s]
-    if (idx.dtype.kind in "fb" and idx.size) or any(
-            isinstance(i, _NOT_INDEX) for row in bare for i in row):
+    # np.array([()]) is float64, so only a non-empty float array holds a float
+    if idx.dtype.kind in "fb" and idx.size:
+        raise InvalidSlateError("slate index is not an integer")
+    # np.array also reads a bool among ints as 0 or 1, so a bare sequence's
+    # entries are looked at one by one; a SlateSequence's were when it was made
+    bare = not isinstance(slates, np.ndarray) and any(map(is_, slates, rows))
+    if bare and any(isinstance(i, _NOT_INDEX)
+                    for s, row in zip(slates, rows) if row is s for i in row):
         raise InvalidSlateError("slate index is not an integer")
     idx = idx.astype(np.int64, copy=False)
     rows = idx.tolist()
