@@ -13,7 +13,7 @@ from slaterank.data import (
     RequestBatch,
     slate_indices,
 )
-from slaterank.decoding import slate_score
+from slaterank.decoding import SlateSequence, slate_score
 from slaterank.errors import EmptyCandidatesError, InvalidSlateError, ShapeError
 from slaterank.evaluator import (
     EvaluatorConfig,
@@ -117,6 +117,8 @@ def test_rules_run_in_order_over_the_whole_pool():
     # a bool is not an index, in a sequence or an array, even where it fits
     with pytest.raises(InvalidSlateError, match="not an integer"):
         slate_indices([(1, 1, 2), (True, 0, 2)], N, M)
+    with pytest.raises(InvalidSlateError, match="not an integer"):
+        slate_indices([SlateSequence(GOOD, (0.5,) * M, "greedy"), (0, True, 2)], N, M)
     with pytest.raises(InvalidSlateError, match="not an integer"):
         slate_indices(np.array([[True, False, True]]), N, M)
     # one candidate count per slate
