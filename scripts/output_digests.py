@@ -16,6 +16,9 @@ proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them, once with k = 3 on small requests and
 once with k = 12 and 16 samples on n = 20 requests (rank groups of 8 terms
 and more, where NumPy sums pairwise, and pools that need several refills);
+the bounds of single rank groups 8 to 20, 129 and 300 terms wide, where a
+total summed in another order moves the last bits of the bounds without
+often moving a pick;
 AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
@@ -54,7 +57,7 @@ from slaterank.data import (
     read_logs,
     write_logs,
 )
-from slaterank.decoding import DecodeConfig, contrastive_decode, sample_slates
+from slaterank.decoding import DecodeConfig, _group_bounds, contrastive_decode, sample_slates
 from slaterank.evaluator import (
     EvaluatorConfig,
     init_evaluator_params,
@@ -360,6 +363,18 @@ def wide_decode_digests() -> None:
     print("select_best.wide", digest([slate_fields(s) for s in best]))
 
 
+def group_bounds_digest() -> None:
+    """`_group_bounds` on rank groups 8 to 20, 129 and 300 terms wide: cubed
+    uniforms, so terms span several binades, and every tenth group all
+    zeros. From 8 terms NumPy sums pairwise, and the bounds carry the
+    total's last bits even where no pick moves."""
+    rng = np.random.default_rng(49)
+    groups = [rng.random(width) ** 3 for width in (*range(8, 21), 129, 300) for _ in range(10)]
+    for group in groups[::10]:
+        group[:] = 0.0
+    print("group_bounds.wide", digest([_group_bounds(g.tolist()) for g in groups]))
+
+
 def log_digest(logs) -> str:
     return digest(*[x for log in logs for x in (
         log.request.request_id, log.request.user_id, log.request.item_ids,
@@ -468,6 +483,7 @@ def main() -> None:
 
     decode_digests(reqs[:12], gen, ev)
     wide_decode_digests()
+    group_bounds_digest()
 
     print("ar_decode", digest([ar_decode(r, ar, GEN).indices for r in reqs[:6]]))
     tape = Tape()
