@@ -18,8 +18,10 @@ Training is plain off-policy regression: binary cross-entropy of each head
 against the logged feedback on exposed slates. It runs on a `data.LogTable`,
 whose slates were checked when it was built: a minibatch of B exposed slates
 is gathered from the table's features by one index into one (B, m, d) stack
-on one tape, and the loop around it is the generator's and the AR
-baseline's, `training._fit`.
+on one tape, which records the pass up to the heads' logits, stacked as
+(B, T, m), and one BCE over all heads; serving adds the sigmoids and the
+utility. The loop around it is the generator's and the AR baseline's,
+`training._fit`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeedbackMatrix, RequestBatch, slate_indices
+from .data import RequestBatch, slate_indices
 from .errors import ConfigError, ShapeError
 from .generator import _build_layer_norm, _ln, block, build_block
 from .numerics import Params, Tape, Tensor
@@ -74,14 +76,15 @@ class EvaluatorConfig:
 class SlateScore:
     """Predicted per-item per-type scores plus their weighted sum.
 
-    For one slate scores is (types, m) and utility a float; for a stack of B
-    slates scores is (types, B, m) and utility a (B,) array.
+    For one slate scores is (types, m), utility a float and logits a (types,
+    m) tensor; for a stack of B slates scores is (types, B, m), utility a
+    (B,) array and logits (B, types, m).
     """
 
     scores: np.ndarray
     utility: float | np.ndarray
     types: tuple[str, ...]
-    logits: dict[str, Tensor]
+    logits: Tensor
 
 
 def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
@@ -98,28 +101,32 @@ def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
     return params
 
 
-def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
-           tape: Tape) -> SlateScore:
-    """Scores of one slate's (m, d_x) feature rows, or of a (B, m, d_x) stack
-    of B slates run through the block side by side on the batch axis.
-
-    A stack gives scores (types, B, m), utility (B,) and (B, m, 1) logits.
-    """
+def _logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
+            tape: Tape) -> Tensor:
+    """The head logits of one slate's (m, d_x) feature rows as a (T, m)
+    tensor, or of a (B, m, d_x) stack of B slates run through the block side
+    by side on the batch axis as (B, T, m): row k is head cfg.types[k]."""
     if feats.shape[-1] != cfg.d_x:
         raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
     x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
     x = tape.add(x, params["ev.pos"])
     states = _ln(tape, params, "ev.final_ln", block(tape, params, "ev", x, cfg))
-    logits: dict[str, Tensor] = {}
-    rows = []
+    # each head is its own (d, 1) product, whose bits a joint (d, T) one would not keep
+    return tape.concat_rows([
+        tape.transpose(tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"]))
+        for t in cfg.types])
+
+
+def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
+           tape: Tape) -> SlateScore:
+    """Scores of one slate's feature rows, or of a stack of B slates, from
+    their `_logits`. A stack gives scores (types, B, m) and utility (B,)."""
+    logits = _logits(feats, params, cfg, tape)
+    probs = tape.sigmoid(logits).data
     utility = 0.0
-    for t, w in zip(cfg.types, cfg.weights):
-        z = tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"])
-        logits[t] = z
-        row = tape.sigmoid(z).data[..., 0]
-        rows.append(row)
-        utility = utility + w * np.add.reduce(row, axis=-1)
-    return SlateScore(scores=np.array(rows), utility=utility, types=cfg.types,
+    for k, w in enumerate(cfg.weights):
+        utility = utility + w * np.add.reduce(probs[..., k, :], axis=-1)
+    return SlateScore(scores=np.moveaxis(probs, -2, 0), utility=utility, types=cfg.types,
                       logits=logits)
 
 
@@ -154,24 +161,23 @@ def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig
     return _score(feats, params, cfg, tape).utility[where]
 
 
-def bce_loss(tape: Tape, score: SlateScore, feedback) -> Tensor:
+def bce_loss(tape: Tape, logits: Tensor, feedback) -> Tensor:
     """Summed binary cross-entropy of every head against logged feedback,
     computed from logits (softplus(z) - y*z) so saturation cannot overflow.
 
-    For one slate `feedback` is its FeedbackMatrix. For a stack of B slates
-    it is a (B, T, m) array with its rows in `score.types` order, as
-    `train_evaluator` gathers it from a LogTable, and the loss comes back
-    per slate, as a (B,) vector.
+    `logits` are one slate's (T, m) head logits or a stack's (B, T, m), and
+    `feedback` the labels of the same shape, their rows in the heads' order.
+    One softplus and one mask run over all heads; each head's m terms are
+    summed, the label sum taken from the softplus sum, and the heads added
+    in order (NumPy's reduce adds fewer than 8 terms left to right): a
+    scalar for one slate, a (B,) vector of per-slate losses for a stack.
     """
-    total = None
-    for k, t in enumerate(score.types):
-        z = score.logits[t]
-        rows = feedback.row(t) if isinstance(feedback, FeedbackMatrix) else feedback[:, k]
-        y = np.asarray(rows, dtype=np.float64).reshape(z.data.shape)
-        term = tape.sub(tape.sum(tape.softplus(z), axis=(-2, -1)),
-                        tape.sum(tape.mask(z, y), axis=(-2, -1)))
-        total = term if total is None else tape.add(total, term)
-    return total
+    y = np.asarray(feedback, dtype=np.float64)
+    if y.shape != logits.data.shape:
+        raise ShapeError(f"feedback {y.shape} does not match logits {logits.data.shape}")
+    per_head = tape.sub(tape.sum(tape.softplus(logits), axis=-1),
+                        tape.sum(tape.mask(logits, y), axis=-1))
+    return tape.sum(per_head, axis=-1)
 
 
 def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
@@ -182,9 +188,9 @@ def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
 
     The feedback rows are put in the heads' order once for the whole table.
     Each minibatch's exposed feature rows are gathered from the table by one
-    index and go through one evaluator pass, stacked on the batch axis;
-    `training._fit` checks that every slate's loss is finite, naming the
-    request, and backprops their sum once.
+    index and go through one pass to the head logits, stacked on the batch
+    axis, with no sigmoid or utility; `training._fit` checks that every
+    slate's loss is finite, naming the request, and backprops their sum once.
     """
     table = _table(logs)
     if table.exposed.shape[1] != cfg.m:
@@ -194,7 +200,7 @@ def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
 
     def batch_loss(tape, rows):
         feats = table.features[rows[:, None], table.exposed[rows]]
-        losses = bce_loss(tape, _score(feats, params, cfg, tape), y[rows])
+        losses = bce_loss(tape, _logits(feats, params, cfg, tape), y[rows])
         return losses, (losses,)
 
     return _fit(table, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,

@@ -290,7 +290,7 @@ def test_criterion_1_gradient_integrity():
 
         def bce(tape):
             score = score_slate(req, exposed, ev, ecfg, tape=tape)
-            return bce_loss(tape, score, ev_fb)
+            return bce_loss(tape, score.logits, ev_fb.values)
 
         worst = max(worst, gradcheck(
             bce, [ev["ev.embed.w"], ev["ev.pos"], ev["ev.attn.wq"],

@@ -18,7 +18,7 @@ from slaterank.errors import (
 )
 from slaterank.evaluator import (
     EvaluatorConfig,
-    _score,
+    _logits,
     bce_loss,
     init_evaluator_params,
     score_slate,
@@ -149,8 +149,8 @@ def test_bce_matches_manual_formula():
     fb = FeedbackMatrix(values=np.array([[1.0, 0.0, 1.0]]), types=("click",))
     tape = Tape()
     score = score_slate(req, (0, 2, 4), params, TINY, tape)
-    loss = bce_loss(tape, score, fb)
-    z = score.logits["click"].data[:, 0]
+    loss = bce_loss(tape, score.logits, fb.values)
+    z = score.logits.data[0]
     y = fb.values[0]
     want = float((np.logaddexp(0.0, z) - y * z).sum())
     assert abs(loss.item() - want) < 1e-10
@@ -164,7 +164,7 @@ def test_bce_gradcheck():
 
     def make_loss(tape):
         score = score_slate(req, (1, 2, 4), params, TINY, tape)
-        return bce_loss(tape, score, fb)
+        return bce_loss(tape, score.logits, fb.values)
 
     wrt = [params["ev.embed.w"], params["ev.pos"], params["ev.attn.wq"],
            params["ev.ffn.w1"], params["ev.head.click.w"]]
@@ -289,8 +289,8 @@ def test_batched_training_pass_matches_one_tape_per_slate():
     losses = []
     for log in logs:
         tape = Tape()
-        loss = bce_loss(tape, score_slate(log.request, log.exposed, params, cfg, tape),
-                        log.feedback)
+        loss = bce_loss(tape, score_slate(log.request, log.exposed, params, cfg, tape).logits,
+                        log.feedback.values)
         tape.backward(loss)
         losses.append(loss.item())
     single = {name: t.grad.copy() for name, t in params.items()}
@@ -299,7 +299,7 @@ def test_batched_training_pass_matches_one_tape_per_slate():
     tape = Tape()
     table = LogTable.of(logs)
     feats = table.features[np.arange(len(table))[:, None], table.exposed]
-    batched = bce_loss(tape, _score(feats, params, cfg, tape), table.feedback)
+    batched = bce_loss(tape, _logits(feats, params, cfg, tape), table.feedback)
     assert batched.data.shape == (len(logs),)
     assert np.abs(batched.data - losses).max() <= 1e-10 * max(losses)
     tape.backward(tape.sum(batched))
@@ -311,6 +311,6 @@ def test_batched_training_pass_matches_one_tape_per_slate():
     train_evaluator(logs, init_evaluator_params(cfg), cfg, epochs=1,
                     batch_size=len(logs), loss_log=loss_log)
     fresh = init_evaluator_params(cfg)
-    want = np.mean([bce_loss(Tape(), score_slate(log.request, log.exposed, fresh, cfg),
-                             log.feedback).item() for log in logs])
+    want = np.mean([bce_loss(Tape(), score_slate(log.request, log.exposed, fresh, cfg).logits,
+                             log.feedback.values).item() for log in logs])
     assert abs(loss_log[0] - want) <= 1e-12 * want
