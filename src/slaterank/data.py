@@ -25,8 +25,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import is_
@@ -51,6 +53,9 @@ __all__ = [
 
 # entries that int() would read as an index, 1.7 and True both as 1
 _NOT_INDEX = (bool, np.bool_, float, np.floating)
+# up to this many slates (one slate, an AR prefix, a serving pool) the repeat
+# and range rules run row by row in Python, which is faster there than NumPy
+_ROW_BY_ROW = 8
 
 
 def slate_indices(slates, n, m: int) -> np.ndarray:
@@ -62,12 +67,16 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
     EmptyCandidatesError; a slate without exactly m items, ShapeError; a
     float or bool entry, a repeated item, or an index outside 0..n-1 (in that
     order), InvalidSlateError. An entry that is neither a number nor a
-    numeric string keeps NumPy's own error.
+    numeric string keeps NumPy's own error. Each message names the first
+    slate that breaks its rule.
     """
-    if not isinstance(slates, np.ndarray):
-        slates = list(slates)
-    rows = [getattr(s, "indices", s) for s in slates]
-    if not rows:
+    if isinstance(slates, np.ndarray) and slates.dtype != object:
+        rows = slates  # an index array: its rows are the slates
+    else:
+        if not isinstance(slates, np.ndarray):
+            slates = list(slates)
+        rows = [getattr(s, "indices", s) for s in slates]
+    if not len(rows):
         raise EmptyCandidatesError("no slates to choose from")
     counts = n if hasattr(n, "__len__") else [n] * len(rows)
     try:
@@ -86,6 +95,14 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
                     for s, row in zip(slates, rows) if row is s for i in row):
         raise InvalidSlateError("slate index is not an integer")
     idx = idx.astype(np.int64, copy=False)
+    if m and len(idx) > _ROW_BY_ROW:
+        # the whole pool at once: a repeat sits next to its twin in a sorted
+        # row, whose first and last entries are the row's min and max
+        s = np.sort(idx, axis=1)
+        if not ((s[:, 1:] == s[:, :-1]).any() or s[:, 0].min() < 0
+                or (s[:, -1] >= np.asarray(n)).any()):
+            return idx
+    # row by row: a small pool, or a large one with a bad slate to name
     rows = idx.tolist()
     for row in rows:
         if len(set(row)) != m:
@@ -463,15 +480,22 @@ def _read_records(raw: bytes, schema: LogSchema | None) -> list[_Record]:
     return records
 
 
-# The layout of a cached table. Bump the version when it changes: a cache
-# file of another version is a miss.
-_CACHE_VERSION = 1
+# The layout of a cache file: an 8-byte prefix, then a JSON header padded
+# with spaces to a multiple of 8 bytes, then each column's raw bytes in
+# _COLUMNS order, each padded to a multiple of 8, so that every column starts
+# 8-byte aligned. The prefix holds the header's length and the CRC-32 of
+# everything after the prefix, both little-endian uint32; the header holds
+# the version, the log's digest, the feedback types and each column's dtype
+# and shape, from which the columns' offsets follow. Bump the version when
+# the layout changes: a cache file of another version is a miss.
+_CACHE_VERSION = 2
 _COLUMNS = ("request_id", "user_id", "item_ids", "features", "n", "exposed", "feedback")
 
 
 def _cache_file(cache_dir, path) -> str:
     """The one cache file of the log at `path`, named from its resolved
-    path, so a log whose content changes overwrites its own entry."""
+    path, so a log whose content changes overwrites its own entry. The name
+    keeps the .npz suffix of version 1, whose files the new ones replace."""
     key = hashlib.sha256(os.fsencode(os.path.realpath(path))).hexdigest()[:32]
     return os.path.join(cache_dir, f"{key}.npz")
 
@@ -502,19 +526,37 @@ def _check_table(table: LogTable) -> None:
 
 def _load_cached(file: str, digest: str) -> LogTable | None:
     """The table cached in `file` for the log of SHA-256 `digest`, its values
-    checked; None on a miss."""
+    checked; None on a miss. The file is read whole into one buffer, which
+    the columns view, writable. A damaged byte anywhere fails the CRC."""
     try:
-        with np.load(file, allow_pickle=False) as cached:
-            if cached["version"] != _CACHE_VERSION or cached["digest"] != digest:
+        with open(file, "rb") as fh:
+            buf = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(buf) != len(buf):
                 return None
-            types = cached["types"]
-            if types.dtype.kind != "U" or types.ndim != 1:
+        size, crc = int.from_bytes(buf[:4], "little"), int.from_bytes(buf[4:8], "little")
+        if zlib.crc32(memoryview(buf)[8:]) != crc:
+            return None
+        header = json.loads(bytes(buf[8:8 + size]))
+        types, columns = header["types"], header["columns"]
+        if (header["version"] != _CACHE_VERSION or header["digest"] != digest
+                or type(types) is not list or any(type(t) is not str for t in types)
+                or list(columns) != list(_COLUMNS)):
+            return None
+        arrays, offset = [], 8 + size
+        for name in _COLUMNS:
+            dtype, shape = np.dtype(columns[name]["dtype"]), tuple(columns[name]["shape"])
+            if any(type(d) is not int or d < 0 for d in shape):
                 return None
-            table = LogTable(*(cached[c] for c in _COLUMNS), tuple(types.tolist()))
+            count = math.prod(shape)
+            arrays.append(np.frombuffer(buf, dtype, count, offset).reshape(shape))
+            offset += -(-count * dtype.itemsize // 8) * 8
+        if offset != len(buf):
+            return None
+        table = LogTable(*arrays, tuple(types))
         _check_table(table)
     except Exception:
-        # np.load on damaged bytes raises many types (OSError, EOFError,
-        # BadZipFile, ValueError, ...); the log itself is still there to parse
+        # damaged bytes raise many types (UnicodeDecodeError, KeyError,
+        # TypeError, ValueError, ...); the log itself is still there to parse
         return None
     return table
 
@@ -536,11 +578,22 @@ def _write_cache(file: str, digest: str, table: LogTable) -> None:
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
     except OSError:
         return
+    arrays = [np.ascontiguousarray(getattr(table, c)) for c in _COLUMNS]
+    head = json.dumps({
+        "version": _CACHE_VERSION, "digest": digest, "types": list(table.types),
+        "columns": {c: {"dtype": a.dtype.str, "shape": list(a.shape)}
+                    for c, a in zip(_COLUMNS, arrays)}}).encode()
+    head += b" " * (-len(head) % 8)
+    parts = [head]
+    for a in arrays:
+        parts += [a, bytes(-a.nbytes % 8)]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, version=_CACHE_VERSION, digest=digest,
-                     types=np.array(table.types, dtype=str),
-                     **{c: getattr(table, c) for c in _COLUMNS})
+            fh.write(len(head).to_bytes(4, "little") + crc.to_bytes(4, "little"))
+            fh.writelines(parts)
         os.replace(tmp, file)
     except OSError:  # a full disk, say
         with contextlib.suppress(OSError):
@@ -559,12 +612,12 @@ def read_logs(path, schema: LogSchema | None = None, cache_dir=None) -> LogTable
     first record raises DataError with its line.
 
     With `cache_dir`, a non-empty table is also kept there in a versioned
-    .npz, keyed by the SHA-256 of the log's bytes, one file per log path. A
-    later read of the same bytes loads that table and runs the value checks
-    on it in place of the parse. A table that does not fit `schema` is
-    parsed again, so the error names its line as it does uncached. A cache
-    file that does not read back is a miss; one that cannot be written is
-    left out.
+    flat file (the layout is at _CACHE_VERSION), keyed by the SHA-256 of the
+    log's bytes, one file per log path. A later read of the same bytes loads
+    that table and runs the value checks on it in place of the parse. A
+    table that does not fit `schema` is parsed again, so the error names its
+    line as it does uncached. A cache file that does not read back is a
+    miss; one that cannot be written is left out.
     """
     try:
         with open(path, "rb") as fh:

@@ -1,11 +1,17 @@
 """The columnar log: read_logs builds one LogTable, training slices it by row
 number, and the reader still names the line of the first bad record."""
 
+import io
+import itertools
 import json
+import math
 import os
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import counted_parses
 from slaterank.ar import ar_sequence_loss, init_ar_params
@@ -273,9 +279,12 @@ def test_a_cached_table_equals_the_parsed_one(tmp_path, monkeypatch):
     parses = counted_parses(monkeypatch)
     assert_same_table(read_logs(path, SCHEMA, cache_dir=cache), parsed)
     assert len(parses) == 1 and len(list(cache.iterdir())) == 1
-    # a hit under this schema and under none: no parse, the same columns
+    # a hit under this schema and under none: no parse, the same columns,
+    # writable as a parse gives them
     for schema in (SCHEMA, None):
-        assert_same_table(read_logs(path, schema, cache_dir=cache), parsed)
+        hit = read_logs(path, schema, cache_dir=cache)
+        assert_same_table(hit, parsed)
+        assert all(getattr(hit, field).flags.writeable for field in COLUMNS)
     assert len(parses) == 1
 
 
@@ -295,46 +304,157 @@ def test_a_log_rewritten_with_its_size_and_mtime_is_a_miss(tmp_path):
     assert len(list(cache.iterdir())) == 1  # the path's one cache file, overwritten
 
 
-def test_a_cache_file_that_does_not_read_back_is_a_miss_and_is_rewritten(
-        tmp_path, monkeypatch):
-    path, cache = tmp_path / "log.jsonl", tmp_path / "cache"
+def split_cache_file(raw: bytes) -> tuple[dict, bytes]:
+    """A cache file's header, as a dict, and the column bytes after it."""
+    size = int.from_bytes(raw[:4], "little")
+    return json.loads(raw[8:8 + size]), raw[8 + size:]
+
+
+def cache_file(header: dict, body: bytes) -> bytes:
+    """The bytes of a cache file with `header` and the column bytes `body`,
+    framed as read_logs frames one: the header padded, its length, and a
+    CRC-32 that matches, so that only the value checks can refuse it."""
+    head = json.dumps(header).encode()
+    head += b" " * (-len(head) % 8)
+    prefix = len(head).to_bytes(4, "little") + zlib.crc32(head + body).to_bytes(4, "little")
+    return prefix + head + body
+
+
+def same_size_shapes(shape):
+    """Other shapes with as many entries as `shape`: its axes permuted, and
+    its first two merged or the last two merged."""
+    shape = tuple(shape)
+    others = {tuple(p) for p in itertools.permutations(shape)}
+    if len(shape) > 1:
+        others |= {(shape[0] * shape[1],) + shape[2:], shape[:-2] + (shape[-2] * shape[-1],)}
+    others |= {(1,) + shape, shape + (1,)}
+    return sorted(others - {shape})
+
+
+@st.composite
+def damaged_cache_files(draw, good: bytes, table: LogTable) -> bytes:
+    """`good`, the cache file read_logs writes for `table`, damaged in one way."""
+    header, body = split_cache_file(good)
+    start = len(good) - len(body)  # where the first column begins
+    kind = draw(st.sampled_from([
+        "truncated in the header", "truncated in a column", "garbled bytes",
+        "garbled header field", "column overruns the file", "header overruns the file",
+        "other dtype", "other shape", "bad value", "version 1"]))
+    if kind == "truncated in the header":
+        return good[:draw(st.integers(0, start - 1))]
+    if kind == "truncated in a column":
+        return good[:draw(st.integers(start, len(good) - 1))]
+    if kind == "garbled bytes":  # in the header or a column, under the old CRC
+        at = draw(st.integers(0, len(good) - 1))
+        junk = draw(st.binary(min_size=1, max_size=24))
+        assume(junk != good[at:at + len(junk)])
+        return good[:at] + junk + good[at + len(junk):]
+    if kind == "garbled header field":  # with a CRC that matches the garbling
+        key = draw(st.sampled_from(["version", "digest", "types", "columns"]))
+        # (types renamed behind a matching CRC would read as renamed: no
+        # check can tell them from the log's own, so no value here does that)
+        value = draw(st.sampled_from([None, 0, 1, 2.5, "x", "click", [], ["click"],
+                                      ["click", 7], ["click", "like", "share"], {},
+                                      "0" * 64]))
+        garbled = dict(header)
+        if draw(st.booleans()):
+            del garbled[key]
+        else:
+            garbled[key] = value
+        if garbled == header:
+            garbled["version"] = 1
+        return cache_file(garbled, body)
+    column = draw(st.sampled_from(COLUMNS))
+    spec = header["columns"][column]
+    if kind == "column overruns the file":
+        axis = draw(st.integers(0, len(spec["shape"]) - 1))
+        shape = list(spec["shape"])
+        shape[axis] += draw(st.sampled_from([1, 2, 1000, 2 ** 40]))
+        return cache_file(dict(header, columns=dict(header["columns"],
+                                                    **{column: dict(spec, shape=shape)})),
+                          body)
+    if kind == "header overruns the file":  # its length in the prefix, past the end
+        size = draw(st.integers(len(good) - 7, 2 ** 32 - 1))
+        return size.to_bytes(4, "little") + good[4:]
+    if kind == "other dtype":
+        dtype = draw(st.sampled_from(
+            ["<f8", "<i8", "<u8", ">i8", ">f8", "<i4", "<f4", "|u1", "<c16", "|V8", "|O"]))
+        assume(np.dtype(dtype) != np.dtype(spec["dtype"]))
+        return cache_file(dict(header, columns=dict(header["columns"],
+                                                    **{column: dict(spec, dtype=dtype)})),
+                          body)
+    if kind == "other shape":
+        shape = draw(st.sampled_from(same_size_shapes(spec["shape"])))
+        return cache_file(dict(header, columns=dict(header["columns"],
+                                                    **{column: dict(spec, shape=shape)})),
+                          body)
+    if kind == "bad value":  # one entry the value checks refuse, under a new CRC
+        column, bad = draw(st.sampled_from([
+            ("features", np.nan), ("features", -np.inf), ("feedback", np.nan),
+            ("exposed", -1), ("exposed", 2 ** 40), ("n", 0), ("n", 2 ** 40)]))
+        spec = header["columns"][column]
+        at = 8 * sum(math.prod(header["columns"][c]["shape"])
+                     for c in COLUMNS[:COLUMNS.index(column)])
+        at += 8 * draw(st.integers(0, math.prod(spec["shape"]) - 1))
+        value = np.array(bad, dtype=spec["dtype"]).tobytes()
+        return cache_file(header, body[:at] + value + body[at + 8:])
+    # a version 1 file, an .npz, at the same path
+    npz = io.BytesIO()
+    np.savez(npz, version=1, digest=header["digest"], types=np.array(table.types),
+             **{c: getattr(table, c) for c in COLUMNS})
+    return npz.getvalue()
+
+
+def read_outcome(path, schema, cache_dir=None):
+    """read_logs's table, or the type and message of the error it raises."""
+    try:
+        return read_logs(path, schema, cache_dir=cache_dir)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def cached_log(tmp_path_factory):
+    """A ragged log, the directory of its table cache, and the cache file's
+    bytes as read_logs writes them."""
+    root = tmp_path_factory.mktemp("cached_log")
+    path, cache = root / "log.jsonl", root / "cache"
     write_logs(path, ragged_logs(8, seed=4))
-    parsed = read_logs(path, SCHEMA, cache_dir=cache)
+    read_logs(path, SCHEMA, cache_dir=cache)
     (file,) = cache.iterdir()
-    good = file.read_bytes()
-    with np.load(file) as cached:
-        arrays = {key: cached[key] for key in cached.files}
+    return path, cache, file, file.read_bytes()
 
-    def saved(**changes):
-        def write():
-            with open(file, "wb") as fh:
-                np.savez(fh, **dict(arrays, **changes))
-        return write
 
-    features, exposed = arrays["features"].copy(), arrays["exposed"].copy()
-    features[2, 0, 1] = np.nan
-    exposed[3, 0] = arrays["n"][3]
-    damages = {
-        "truncated": lambda: file.write_bytes(good[:len(good) // 2]),
-        "garbage": lambda: file.write_bytes(b"not an npz file"),
-        "empty": lambda: file.write_bytes(b""),
-        "another version": saved(version=np.array(2)),
-        "another digest": saved(digest=np.array("0" * 64)),
-        "pickled types": saved(types=np.array(["click", None], dtype=object)),
-        "non-finite feature": saved(features=features),
-        "slate out of range": saved(exposed=exposed),
-        "short column": saved(user_id=arrays["user_id"][:-1]),
-        "float ids": saved(request_id=arrays["request_id"].astype(np.float64)),
-    }
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_cache_file_that_does_not_read_back_is_a_miss_and_is_rewritten(
+        cached_log, monkeypatch, data):
+    """Each damaged file is a miss: the read gives the table, or the error,
+    of a read without the cache, and a read that succeeds rewrites the file,
+    so the next read is a hit."""
+    path, cache, file, good = cached_log
     parses = counted_parses(monkeypatch)
-    for name, damage in damages.items():
-        damage()
-        assert_same_table(read_logs(path, SCHEMA, cache_dir=cache), parsed)
-        assert len(parses) == 1, name
-        # the rewritten file is a hit
-        assert_same_table(read_logs(path, SCHEMA, cache_dir=cache), parsed)
-        assert len(parses) == 1, name
+    table = read_logs(path, SCHEMA)
+    n_max = int(table.n.max())
+    schema = data.draw(st.sampled_from([SCHEMA, None, LogSchema(D_X, M, n_max - 1),
+                                        LogSchema(D_X + 1, M)]), label="schema")
+    damaged = data.draw(damaged_cache_files(good, table), label="damaged")
+    want = read_outcome(path, schema)
+    file.write_bytes(damaged)
+    parses.clear()
+    got = read_outcome(path, schema, cache)
+    if isinstance(want, LogTable):
+        assert_same_table(got, want)
+    else:
+        assert got == want
+    assert len(parses) == 1
+    if isinstance(want, LogTable):  # rewritten: the next read is a hit
+        assert file.read_bytes() == good
         parses.clear()
+        assert_same_table(read_logs(path, schema, cache_dir=cache), want)
+        assert not parses
+    file.write_bytes(good)
 
 
 def test_a_schema_misfit_on_a_cached_table_reports_its_line(tmp_path):

@@ -4,6 +4,8 @@ wherever it enters."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slaterank.ar import ar_forward, ar_sequence_loss, init_ar_params
 from slaterank.data import (
@@ -139,3 +141,85 @@ def test_rules_run_in_order_over_the_whole_pool():
 def test_exposure_log_checks_length_before_repeats():
     with pytest.raises(ShapeError):
         ExposureLog(_logged((1, 1)))
+
+
+def per_row_slate_indices(slates, n, m):
+    """slate_indices as it checked repeats and ranges before it screened a
+    large pool at once: row by row, each rule over every row before the
+    next. The reference the screen must match."""
+    if not isinstance(slates, np.ndarray):
+        slates = list(slates)
+    rows = [getattr(s, "indices", s) for s in slates]
+    if not rows:
+        raise EmptyCandidatesError("no slates to choose from")
+    counts = n if hasattr(n, "__len__") else [n] * len(rows)
+    try:
+        idx = np.array(rows)
+    except ValueError:
+        idx = None
+    if idx is None or idx.shape != (len(rows), m) or len(counts) != len(rows):
+        raise ShapeError(f"expected {len(counts)} slate(s) of {m} items")
+    if idx.dtype.kind in "fb" and idx.size:
+        raise InvalidSlateError("slate index is not an integer")
+    idx = idx.astype(np.int64, copy=False)
+    rows = idx.tolist()
+    for row in rows:
+        if len(set(row)) != m:
+            raise InvalidSlateError(f"slate repeats an item: {tuple(row)}")
+    for row, count in zip(rows, counts):
+        if m and (min(row) < 0 or max(row) >= count):
+            raise InvalidSlateError(f"slate index out of range for n={count}: {tuple(row)}")
+    return idx
+
+
+def slate_outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def slate_pools(draw):
+    """(slates, n, m): up to 20 slates of m = 0..5 entries, mostly valid
+    permutations and some with a repeat or an index just outside 0..n-1,
+    as tuples, SlateSequences where one can hold the slate, or one index
+    array, against one candidate count or one per slate (a list or an
+    array)."""
+    m = draw(st.integers(0, 5))
+    k = draw(st.integers(1, 20))
+    counts = draw(st.lists(st.integers(max(m, 1), m + 4), min_size=k, max_size=k))
+    rows = []
+    for count in counts:
+        row = draw(st.permutations(range(count)))[:m]
+        if m and draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, m - 1))] = draw(st.sampled_from(
+                [row[0], row[-1], -1, -2, count, count + 1]))
+        rows.append(tuple(row))
+    form = draw(st.sampled_from(["tuples", "sequences", "array"]))
+    if form == "sequences":  # those a SlateSequence takes: no repeat, no negative
+        slates = [SlateSequence(row, (0.5,) * m, "greedy")
+                  if len(set(row)) == m and min(row, default=0) >= 0 else row for row in rows]
+    elif form == "array":
+        slates = np.array(rows, dtype=np.int64).reshape(k, m)
+    else:
+        slates = rows
+    how = draw(st.sampled_from(["one", "list", "array"]))
+    n = max(counts) if how == "one" else counts if how == "list" else np.array(counts)
+    return slates, n, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(pool=slate_pools())
+def test_slate_indices_matches_the_per_row_rule(pool):
+    """The same array, or the same error and message, as the per-row rule,
+    on pools small enough to be checked row by row and large enough to be
+    screened at once."""
+    got = slate_outcome(slate_indices, *pool)
+    want = slate_outcome(per_row_slate_indices, *pool)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
