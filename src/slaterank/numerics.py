@@ -835,42 +835,45 @@ def save_checkpoint(path, params: Params, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Params, dict]:
-    """Read a checkpoint back; exact bit-level round trip of every tensor."""
+    """Read a checkpoint back; exact bit-level round trip of every tensor.
+
+    A file that is not such a checkpoint, or is one whose bytes are damaged
+    (cut short, say), raises CheckpointError naming it: without a version
+    stamp of this version, without a JSON object of metadata, or with a
+    parameter that is not a float64 array."""
+    key = None
     try:
-        payload = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    with payload:
-        if "__checkpoint_version__" not in payload.files:
-            raise CheckpointError(f"{path} has no version stamp")
-        try:
-            version = int(payload["__checkpoint_version__"][0])
-        except (IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path} has an unreadable version stamp") from exc
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path} is version {version}, expected {CHECKPOINT_VERSION}"
-            )
-        if "__meta__" not in payload.files:
-            raise CheckpointError(f"{path} has no metadata")
-        try:
-            meta = json.loads(str(payload["__meta__"]))
-        except ValueError as exc:
-            raise CheckpointError(f"{path} has unreadable metadata: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path} metadata is not a JSON object")
-        params = Params()
-        for key in payload.files:
-            if key.startswith("param:"):
-                name = key[len("param:"):]
-                try:
-                    array = payload[key]
-                except ValueError as exc:
-                    # an object array, which would need pickle to load
-                    raise CheckpointError(
-                        f"{path} parameter {name!r} is unreadable: {exc}") from exc
-                if array.dtype.kind not in "iuf":
-                    raise CheckpointError(
-                        f"{path} parameter {name!r} is not numeric ({array.dtype})")
-                params.add(name, array)
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {}
+            for key in payload.files:
+                arrays[key] = payload[key]
+    except Exception as exc:
+        # damaged bytes raise many types (BadZipFile, EOFError, OSError, ...),
+        # and an object array, which would need pickle, ValueError
+        entry = "" if key is None else f" entry {key!r}"
+        raise CheckpointError(f"unreadable checkpoint {path}{entry}: {exc}") from exc
+    if "__checkpoint_version__" not in arrays:
+        raise CheckpointError(f"{path} has no version stamp")
+    try:
+        version = int(arrays["__checkpoint_version__"][0])
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path} has an unreadable version stamp") from exc
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path} is version {version}, expected {CHECKPOINT_VERSION}")
+    if "__meta__" not in arrays:
+        raise CheckpointError(f"{path} has no metadata")
+    try:
+        meta = json.loads(str(arrays["__meta__"]))
+    except ValueError as exc:
+        raise CheckpointError(f"{path} has unreadable metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path} metadata is not a JSON object")
+    params = Params()
+    for key, array in arrays.items():
+        if key.startswith("param:"):
+            name = key[len("param:"):]
+            if array.dtype != _F64:
+                raise CheckpointError(
+                    f"{path} parameter {name!r} is {array.dtype}, not float64")
+            params.add(name, array)
     return params, meta
