@@ -2,7 +2,7 @@
 """Time two slaterank source trees against each other in one process.
 
     python3 scripts/ab_inprocess.py PARENT_SRC [CHANGE_SRC] [--pairs 10] [--scale tiny]
-        [--workloads rerank,onepass]
+        [--workloads rerank,onepass,cli.train_evaluator]
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `slaterank` package,
 such as a checkout's `src/`; CHANGE_SRC defaults to this checkout's. Both are
@@ -22,6 +22,11 @@ The workloads:
   (`*.bench`: batch 32, n from 8 to 20, two epochs, one for train_ar) and at
   the desk config (`*.desk`: batch 256, n = 20, one epoch), each from
   freshly initialised parameters;
+- cli.train_generator and cli.train_evaluator: the `train-generator` and
+  `train-evaluator` commands through `cli.main` on the perfbench-shaped log,
+  as perfbench's train_ragged runs them (reading the log, training, writing
+  the checkpoint and the loss curve), each tree with its own out_dir, whose
+  log cache the warm-up run fills, so the timed runs read the log from it;
 - serving on n = 20: `onepass` is forward and contrastive_decode per
   request, `rerank` is forward, sample_slates and select_best.
 
@@ -36,7 +41,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib  # noqa: E402
+import io  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -49,7 +56,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 HERE_SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = ("ar", "data", "decoding", "evaluator", "generator", "objectives",
+MODULES = ("ar", "cli", "data", "decoding", "evaluator", "generator", "objectives",
            "simulator", "training")
 SEED = 20260
 # (requests in the perfbench-shaped log, in the desk log, serving requests per
@@ -57,7 +64,7 @@ SEED = 20260
 SCALES = {"full": (384, 2048, 64, 2), "tiny": (24, 32, 2, 1)}
 TRAINERS = ("generator", "evaluator", "ar")
 WORKLOADS = (*(f"train_{kind}.{log}" for kind in TRAINERS for log in ("bench", "desk")),
-             "onepass", "rerank")
+             "cli.train_generator", "cli.train_evaluator", "onepass", "rerank")
 
 
 def load(src, name: str) -> types.SimpleNamespace:
@@ -96,7 +103,7 @@ def write_log(sr, path, ns, count: int, rng) -> None:
 class Tree:
     """One source tree's models, logs and timed workloads."""
 
-    def __init__(self, sr, logs: dict, scale: tuple):
+    def __init__(self, sr, logs: dict, scale: tuple, out_dir: str):
         self.sr = sr
         _, _, self.serve_count, self.epochs = scale
         self.gen_cfg = sr.generator.GeneratorConfig(n_max=20, m=6, d=16, h=2, L=1,
@@ -113,6 +120,19 @@ class Tree:
                      for i in range(self.serve_count)]
         self.gen = sr.generator.init_generator_params(self.gen_cfg)
         self.ev = sr.evaluator.init_evaluator_params(self.ev_cfg)
+        # the commands' config: perfbench's train_ragged one, in this tree's out_dir
+        os.makedirs(out_dir)
+        self.config = os.path.join(out_dir, "run.cfg")
+        cfg = self.gen_cfg
+        with open(self.config, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([
+                f"generator.n_max={cfg.n_max}", f"generator.d={cfg.d}", f"generator.h={cfg.h}",
+                f"generator.L={cfg.L}", f"generator.d_t={cfg.d_t}", "train.lr=0.01",
+                "train.batch_size=32", f"train.epochs={self.epochs}",
+                f"paths.train_log={logs['bench']}", f"paths.out_dir={out_dir}",
+                f"paths.generator_checkpoint={os.path.join(out_dir, 'generator.npz')}",
+                f"paths.evaluator_checkpoint={os.path.join(out_dir, 'evaluator.npz')}",
+            ]) + "\n")
 
     def train(self) -> None:
         """Train the serving models on the perfbench-shaped log."""
@@ -146,6 +166,14 @@ class Tree:
                 table, sr.ar.init_ar_params(cfg), cfg, lr=1e-2, epochs=epochs,
                 batch_size=batch)
 
+        def command(name):
+            def run():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = sr.cli.main([name, "--config", self.config])
+                if code:
+                    raise SystemExit(f"{name} exited with {code}")
+            return run
+
         def onepass(req):
             return lambda: sr.decoding.contrastive_decode(
                 sr.generator.forward(req, self.gen, self.gen_cfg), self.decode)
@@ -165,6 +193,8 @@ class Tree:
                 ("ar", self.gen_cfg, self.desk_cfg, 1)):
             units[f"train_{kind}.bench"] = [trainer("bench", kind, bench_cfg, 32, bench_epochs)]
             units[f"train_{kind}.desk"] = [trainer("desk", kind, desk_cfg, 256, 1)]
+        for kind in ("generator", "evaluator"):
+            units[f"cli.train_{kind}"] = [command(f"train-{kind}")]
         units["onepass"] = [onepass(req) for req in self.pool]
         units["rerank"] = [rerank(req) for req in self.pool]
         return {name: units[name] for name in names}
@@ -245,11 +275,12 @@ def main(argv=None) -> int:
         logs = {name: os.path.join(tmp, f"{name}.jsonl") for name in ("bench", "desk")}
         write_log(change_sr, logs["bench"], range(8, 21), scale[0], rng)
         write_log(change_sr, logs["desk"], (20,), scale[1], rng)
-        parent, change = Tree(parent_sr, logs, scale), Tree(change_sr, logs, scale)
-    parent.train()
-    change.adopt(parent)
-    print("\n".join(report(*compare(parent.workloads(args.workloads),
-                                     change.workloads(args.workloads), args.pairs))))
+        parent = Tree(parent_sr, logs, scale, os.path.join(tmp, "parent"))
+        change = Tree(change_sr, logs, scale, os.path.join(tmp, "change"))
+        parent.train()
+        change.adopt(parent)
+        print("\n".join(report(*compare(parent.workloads(args.workloads),
+                                         change.workloads(args.workloads), args.pairs))))
     return 0
 
 

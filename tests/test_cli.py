@@ -442,13 +442,15 @@ def test_desk_pipeline_script_writes_every_artifact(tmp_path):
 
 def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):
     # scripts/ab_inprocess.py on tiny configs: both trees import, every named
-    # workload runs its pairs and prints a ratio line in the order named, and
+    # workload, the training commands through cli.main among them, runs its
+    # pairs and prints a ratio line in the order named, and
     # no serving request picks another slate; an unknown name exits 2 and
     # lists the valid ones
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(slaterank.__file__).resolve().parents[1])
     trainers = ("train_generator", "train_evaluator", "train_ar")
-    names = ["rerank", "onepass"] + [f"{t}.{c}" for c in ("desk", "bench") for t in trainers]
+    names = (["rerank", "onepass"] + [f"{t}.{c}" for c in ("desk", "bench") for t in trainers]
+             + ["cli.train_evaluator", "cli.train_generator"])
 
     def ab(*args):
         return subprocess.run(
@@ -464,7 +466,7 @@ def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):
     for row in rows:
         name, pairs, median, q1, q3, wins, other = row.split()
         assert pairs == "2" and float(median) > 0 and wins.endswith("/2"), row
-        assert other == ("-" if name.startswith("train_") else "0/2"), row
+        assert other == ("-" if name.startswith(("train_", "cli.")) else "0/2"), row
     proc = ab("--workloads", "rerank,serve")
     assert proc.returncode == 2 and not proc.stdout
     assert "unknown workload serve" in proc.stderr
