@@ -76,15 +76,13 @@ class EvaluatorConfig:
 class SlateScore:
     """Predicted per-item per-type scores plus their weighted sum.
 
-    For one slate scores is (types, m), utility a float and logits a (types,
-    m) tensor; for a stack of B slates scores is (types, B, m), utility a
-    (B,) array and logits (B, types, m).
+    For one slate scores is (types, m) and utility a float; for a stack of B
+    slates scores is (types, B, m) and utility a (B,) array.
     """
 
     scores: np.ndarray
     utility: float | np.ndarray
     types: tuple[str, ...]
-    logits: Tensor
 
 
 def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
@@ -101,33 +99,39 @@ def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
     return params
 
 
-def _logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
-            tape: Tape) -> Tensor:
-    """The head logits of one slate's (m, d_x) feature rows as a (T, m)
-    tensor, or of a (B, m, d_x) stack of B slates run through the block side
-    by side on the batch axis as (B, T, m): row k is head cfg.types[k]."""
+def _head_logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
+                 tape: Tape) -> list[Tensor]:
+    """Each head's logits, in cfg.types order, for one slate's (m, d_x)
+    feature rows as (m, 1), or for a (B, m, d_x) stack of B slates run
+    through the block side by side on the batch axis as (B, m, 1)."""
     if feats.shape[-1] != cfg.d_x:
         raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
     x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
     x = tape.add(x, params["ev.pos"])
     states = _ln(tape, params, "ev.final_ln", block(tape, params, "ev", x, cfg))
     # each head is its own (d, 1) product, whose bits a joint (d, T) one would not keep
-    return tape.concat_rows([
-        tape.transpose(tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"]))
-        for t in cfg.types])
+    return [tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"])
+            for t in cfg.types]
+
+
+def _logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
+            tape: Tape) -> Tensor:
+    """The head logits stacked as rows, (T, m) for one slate and (B, T, m)
+    for a stack: row k is head cfg.types[k]. The training pass stops here."""
+    return tape.concat_rows([tape.transpose(z)
+                             for z in _head_logits(feats, params, cfg, tape)])
 
 
 def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
            tape: Tape) -> SlateScore:
-    """Scores of one slate's feature rows, or of a stack of B slates, from
-    their `_logits`. A stack gives scores (types, B, m) and utility (B,)."""
-    logits = _logits(feats, params, cfg, tape)
-    probs = tape.sigmoid(logits).data
+    """Scores of one slate's feature rows, or of a stack of B slates: each
+    head's sigmoid and their weighted sum. A stack gives scores (types, B,
+    m) and utility (B,)."""
+    rows = [tape.sigmoid(z).data[..., 0] for z in _head_logits(feats, params, cfg, tape)]
     utility = 0.0
-    for k, w in enumerate(cfg.weights):
-        utility = utility + w * np.add.reduce(probs[..., k, :], axis=-1)
-    return SlateScore(scores=np.moveaxis(probs, -2, 0), utility=utility, types=cfg.types,
-                      logits=logits)
+    for row, w in zip(rows, cfg.weights):
+        utility = utility + w * np.add.reduce(row, axis=-1)
+    return SlateScore(scores=np.array(rows), utility=utility, types=cfg.types)
 
 
 def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,

@@ -22,8 +22,8 @@ from slaterank.bench import run_bench
 from slaterank.configs import RunConfig
 from slaterank.data import FeedbackMatrix, LogTable, RequestBatch
 from slaterank.decoding import DecodeConfig, beam_decode, contrastive_decode, greedy_decode
-from slaterank.evaluator import (EvaluatorConfig, bce_loss, init_evaluator_params,
-                                 score_slate, select_best, train_evaluator)
+from slaterank.evaluator import (EvaluatorConfig, _logits, bce_loss, init_evaluator_params,
+                                 select_best, train_evaluator)
 from slaterank.generator import GeneratorConfig, ProbMatrix, forward, init_generator_params
 from slaterank.metrics import auc, logloss, ndcg_list, recall_at_k
 from slaterank.numerics import Tensor
@@ -289,8 +289,8 @@ def test_criterion_1_gradient_integrity():
         ev_fb = FeedbackMatrix(rng.integers(0, 2, size=(1, 3)).astype(float), ("click",))
 
         def bce(tape):
-            score = score_slate(req, exposed, ev, ecfg, tape=tape)
-            return bce_loss(tape, score.logits, ev_fb.values)
+            return bce_loss(tape, _logits(req.features[list(exposed)], ev, ecfg, tape),
+                            ev_fb.values)
 
         worst = max(worst, gradcheck(
             bce, [ev["ev.embed.w"], ev["ev.pos"], ev["ev.attn.wq"],

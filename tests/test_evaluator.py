@@ -148,9 +148,9 @@ def test_bce_matches_manual_formula():
     req = tiny_request(seed=11)
     fb = FeedbackMatrix(values=np.array([[1.0, 0.0, 1.0]]), types=("click",))
     tape = Tape()
-    score = score_slate(req, (0, 2, 4), params, TINY, tape)
-    loss = bce_loss(tape, score.logits, fb.values)
-    z = score.logits.data[0]
+    logits = _logits(req.features[[0, 2, 4]], params, TINY, tape)
+    loss = bce_loss(tape, logits, fb.values)
+    z = logits.data[0]
     y = fb.values[0]
     want = float((np.logaddexp(0.0, z) - y * z).sum())
     assert abs(loss.item() - want) < 1e-10
@@ -163,8 +163,8 @@ def test_bce_gradcheck():
     fb = FeedbackMatrix(values=np.array([[1.0, 0.0, 1.0]]), types=("click",))
 
     def make_loss(tape):
-        score = score_slate(req, (1, 2, 4), params, TINY, tape)
-        return bce_loss(tape, score.logits, fb.values)
+        return bce_loss(tape, _logits(req.features[[1, 2, 4]], params, TINY, tape),
+                        fb.values)
 
     wrt = [params["ev.embed.w"], params["ev.pos"], params["ev.attn.wq"],
            params["ev.ffn.w1"], params["ev.head.click.w"]]
@@ -289,8 +289,8 @@ def test_batched_training_pass_matches_one_tape_per_slate():
     losses = []
     for log in logs:
         tape = Tape()
-        loss = bce_loss(tape, score_slate(log.request, log.exposed, params, cfg, tape).logits,
-                        log.feedback.values)
+        loss = bce_loss(tape, _logits(log.request.features[list(log.exposed)], params, cfg,
+                                      tape), log.feedback.values)
         tape.backward(loss)
         losses.append(loss.item())
     single = {name: t.grad.copy() for name, t in params.items()}
@@ -311,6 +311,7 @@ def test_batched_training_pass_matches_one_tape_per_slate():
     train_evaluator(logs, init_evaluator_params(cfg), cfg, epochs=1,
                     batch_size=len(logs), loss_log=loss_log)
     fresh = init_evaluator_params(cfg)
-    want = np.mean([bce_loss(Tape(), score_slate(log.request, log.exposed, fresh, cfg).logits,
-                             log.feedback.values).item() for log in logs])
+    want = np.mean([bce_loss(Tape(), _logits(log.request.features[list(log.exposed)], fresh,
+                                             cfg, Tape()), log.feedback.values).item()
+                    for log in logs])
     assert abs(loss_log[0] - want) <= 1e-12 * want
