@@ -537,7 +537,7 @@ def _load_cached(file: str, digest: str) -> LogTable | None:
         size, crc = int.from_bytes(buf[:4], "little"), int.from_bytes(buf[4:8], "little")
         if zlib.crc32(memoryview(buf)[8:]) != crc:
             return None
-        header = json.loads(bytes(buf[8:8 + size]))
+        header = json.loads(buf[8:8 + size])
         types, columns = header["types"], header["columns"]
         if (header["version"] != _CACHE_VERSION or header["digest"] != digest
                 or type(types) is not list or any(type(t) is not str for t in types)
@@ -550,7 +550,8 @@ def _load_cached(file: str, digest: str) -> LogTable | None:
                 return None
             count = math.prod(shape)
             arrays.append(np.frombuffer(buf, dtype, count, offset).reshape(shape))
-            offset += -(-count * dtype.itemsize // 8) * 8
+            nbytes = count * dtype.itemsize
+            offset += nbytes + -nbytes % 8
         if offset != len(buf):
             return None
         table = LogTable(*arrays, tuple(types))

@@ -837,10 +837,10 @@ def save_checkpoint(path, params: Params, meta: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[Params, dict]:
     """Read a checkpoint back; exact bit-level round trip of every tensor.
 
-    A file that is not such a checkpoint, or is one whose bytes are damaged
-    (cut short, say), raises CheckpointError naming it: without a version
-    stamp of this version, without a JSON object of metadata, or with a
-    parameter that is not a float64 array."""
+    A file that is not such a checkpoint raises CheckpointError naming it:
+    bytes that do not read back as an .npz (a file cut short, say), a
+    missing or other version stamp, metadata that is not a JSON object, or
+    a parameter that is not a float64 array."""
     key = None
     try:
         with np.load(path, allow_pickle=False) as payload:
