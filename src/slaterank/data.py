@@ -484,11 +484,12 @@ def _read_records(raw: bytes, schema: LogSchema | None) -> list[_Record]:
 # The layout of a cache file: an 8-byte prefix, then a JSON header padded
 # with spaces to a multiple of 8 bytes, then each column's raw bytes in
 # _COLUMNS order, each padded to a multiple of 8, so that every column starts
-# 8-byte aligned. The prefix holds the header's length and the CRC-32 of
-# everything after the prefix, both little-endian uint32; the header holds
-# the version, the log's digest, the feedback types and each column's dtype
-# and shape, from which the columns' offsets follow. Bump the version when
-# the layout changes: a cache file of another version is a miss.
+# 8-byte aligned. The prefix holds the header's length and its CRC-32, both
+# little-endian uint32; the header holds the version, the log's digest, the
+# feedback types and each column's dtype and shape, from which the columns'
+# offsets follow. The columns carry no CRC (one would double the cost of a
+# hit): their values get the checks a parse runs. Bump the version when the
+# layout changes: a cache file of another version is a miss.
 _CACHE_VERSION = 2
 _COLUMNS = ("request_id", "user_id", "item_ids", "features", "n", "exposed", "feedback")
 
@@ -528,16 +529,17 @@ def _check_table(table: LogTable) -> None:
 def _load_cached(file: str, digest: str) -> LogTable | None:
     """The table cached in `file` for the log of SHA-256 `digest`, its values
     checked; None on a miss. The file is read whole into one buffer, which
-    the columns view, writable. A damaged byte anywhere fails the CRC."""
+    the columns view, writable."""
     try:
         with open(file, "rb") as fh:
             buf = bytearray(os.fstat(fh.fileno()).st_size)
             if fh.readinto(buf) != len(buf):
                 return None
         size, crc = int.from_bytes(buf[:4], "little"), int.from_bytes(buf[4:8], "little")
-        if zlib.crc32(memoryview(buf)[8:]) != crc:
+        head = buf[8:8 + size]
+        if len(head) != size or zlib.crc32(head) != crc:
             return None
-        header = json.loads(buf[8:8 + size])
+        header = json.loads(head)
         types, columns = header["types"], header["columns"]
         if (header["version"] != _CACHE_VERSION or header["digest"] != digest
                 or type(types) is not list or any(type(t) is not str for t in types)
@@ -586,16 +588,13 @@ def _write_cache(file: str, digest: str, table: LogTable) -> None:
         "columns": {c: {"dtype": a.dtype.str, "shape": list(a.shape)}
                     for c, a in zip(_COLUMNS, arrays)}}).encode()
     head += b" " * (-len(head) % 8)
-    parts = [head]
-    for a in arrays:
-        parts += [a, bytes(-a.nbytes % 8)]
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(len(head).to_bytes(4, "little") + crc.to_bytes(4, "little"))
-            fh.writelines(parts)
+            fh.write(len(head).to_bytes(4, "little") + zlib.crc32(head).to_bytes(4, "little"))
+            fh.write(head)
+            for a in arrays:
+                fh.write(a)
+                fh.write(bytes(-a.nbytes % 8))
         os.replace(tmp, file)
     except OSError:  # a full disk, say
         with contextlib.suppress(OSError):

@@ -312,12 +312,12 @@ def split_cache_file(raw: bytes) -> tuple[dict, bytes]:
 
 def cache_file(header: dict, body: bytes) -> bytes:
     """The bytes of a cache file with `header` and the column bytes `body`,
-    framed as read_logs frames one: the header padded, its length, and a
-    CRC-32 that matches, so that only the value checks can refuse it."""
+    framed as read_logs frames one: the header padded, its length and a
+    CRC-32 that matches it, so the CRC passes and only the later checks can
+    refuse the file."""
     head = json.dumps(header).encode()
     head += b" " * (-len(head) % 8)
-    prefix = len(head).to_bytes(4, "little") + zlib.crc32(head + body).to_bytes(4, "little")
-    return prefix + head + body
+    return len(head).to_bytes(4, "little") + zlib.crc32(head).to_bytes(4, "little") + head + body
 
 
 def same_size_shapes(shape):
@@ -337,18 +337,25 @@ def damaged_cache_files(draw, good: bytes, table: LogTable) -> bytes:
     header, body = split_cache_file(good)
     start = len(good) - len(body)  # where the first column begins
     kind = draw(st.sampled_from([
-        "truncated in the header", "truncated in a column", "garbled bytes",
-        "garbled header field", "column overruns the file", "header overruns the file",
+        "truncated in the header", "truncated in a column", "garbled header bytes",
+        "renamed type", "garbled header field", "column overruns the file",
+        "header overruns the file",
         "other dtype", "other shape", "bad value", "version 1"]))
     if kind == "truncated in the header":
         return good[:draw(st.integers(0, start - 1))]
     if kind == "truncated in a column":
         return good[:draw(st.integers(start, len(good) - 1))]
-    if kind == "garbled bytes":  # in the header or a column, under the old CRC
-        at = draw(st.integers(0, len(good) - 1))
-        junk = draw(st.binary(min_size=1, max_size=24))
+    if kind == "garbled header bytes":  # the prefix or the header, under the old CRC
+        at = draw(st.integers(0, start - 1))
+        junk = draw(st.binary(min_size=1, max_size=min(24, start - at)))
         assume(junk != good[at:at + len(junk)])
         return good[:at] + junk + good[at + len(junk):]
+    if kind == "renamed type":  # still valid JSON of the same length: only the CRC tells
+        name = draw(st.sampled_from(table.types))
+        at = good.index(json.dumps(name).encode(), 8) + 1 + draw(st.integers(0, len(name) - 1))
+        letter = draw(st.sampled_from(b"aeiouxyz"))
+        assume(letter != good[at])
+        return good[:at] + bytes([letter]) + good[at + 1:]
     if kind == "garbled header field":  # with a CRC that matches the garbling
         key = draw(st.sampled_from(["version", "digest", "types", "columns"]))
         # (types renamed behind a matching CRC would read as renamed: no
@@ -388,7 +395,7 @@ def damaged_cache_files(draw, good: bytes, table: LogTable) -> bytes:
         return cache_file(dict(header, columns=dict(header["columns"],
                                                     **{column: dict(spec, shape=shape)})),
                           body)
-    if kind == "bad value":  # one entry the value checks refuse, under a new CRC
+    if kind == "bad value":  # one entry that the value checks refuse
         column, bad = draw(st.sampled_from([
             ("features", np.nan), ("features", -np.inf), ("feedback", np.nan),
             ("exposed", -1), ("exposed", 2 ** 40), ("n", 0), ("n", 2 ** 40)]))
@@ -396,8 +403,8 @@ def damaged_cache_files(draw, good: bytes, table: LogTable) -> bytes:
         at = 8 * sum(math.prod(header["columns"][c]["shape"])
                      for c in COLUMNS[:COLUMNS.index(column)])
         at += 8 * draw(st.integers(0, math.prod(spec["shape"]) - 1))
-        value = np.array(bad, dtype=spec["dtype"]).tobytes()
-        return cache_file(header, body[:at] + value + body[at + 8:])
+        at += start
+        return good[:at] + np.array(bad, dtype=spec["dtype"]).tobytes() + good[at + 8:]
     # a version 1 file, an .npz, at the same path
     npz = io.BytesIO()
     np.savez(npz, version=1, digest=header["digest"], types=np.array(table.types),
