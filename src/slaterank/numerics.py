@@ -854,10 +854,11 @@ def load_checkpoint(path) -> tuple[Params, dict]:
         raise CheckpointError(f"unreadable checkpoint {path}{entry}: {exc}") from exc
     if "__checkpoint_version__" not in arrays:
         raise CheckpointError(f"{path} has no version stamp")
-    try:
-        version = int(arrays["__checkpoint_version__"][0])
-    except (IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"{path} has an unreadable version stamp") from exc
+    stamp = arrays["__checkpoint_version__"]
+    # one integer, as save_checkpoint writes it: int() would read 1.7, "1" and True as 1
+    if stamp.dtype.kind not in "iu" or stamp.shape != (1,):
+        raise CheckpointError(f"{path} has an unreadable version stamp")
+    version = int(stamp[0])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path} is version {version}, expected {CHECKPOINT_VERSION}")
     if "__meta__" not in arrays:

@@ -96,8 +96,10 @@ def damaged_checkpoints(draw, good: bytes) -> bytes:
     elif kind == "wrong version":
         arrays[VERSION_KEY] = draw(st.sampled_from([
             np.array([0]), np.array([2]), np.array([-1]), np.zeros(0, dtype=np.int64),
-            np.array(1), np.array([np.nan]), np.array([np.inf]), np.array(["x"]),
-            np.array([2 ** 62])]))
+            np.array(1), np.array([[1]]), np.array([1, 1]), np.array([np.nan]),
+            np.array([np.inf]), np.array(["x"]), np.array([2 ** 62]),
+            # int() reads each of these as 1
+            np.array([1.7]), np.array([1.0]), np.array(["1"]), np.array([True])]))
     else:
         key = draw(st.sampled_from(names))
         value = arrays[key]
