@@ -6,7 +6,6 @@ import contextlib
 import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,4 +135,4 @@ def test_a_damaged_checkpoint_exits_2_naming_its_file(trained, data):
         path.write_bytes(trained.files[path])
     assert code == 2, err.getvalue()
     message = err.getvalue()
-    assert message.startswith("error: ") and str(Path(path)) in message, message
+    assert message.startswith("error: ") and str(path) in message, message

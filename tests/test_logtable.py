@@ -317,7 +317,8 @@ def cache_file(header: dict, body: bytes) -> bytes:
     refuse the file."""
     head = json.dumps(header).encode()
     head += b" " * (-len(head) % 8)
-    return len(head).to_bytes(4, "little") + zlib.crc32(head).to_bytes(4, "little") + head + body
+    prefix = len(head).to_bytes(4, "little") + zlib.crc32(head).to_bytes(4, "little")
+    return prefix + head + body
 
 
 def same_size_shapes(shape):
@@ -338,9 +339,9 @@ def damaged_cache_files(draw, good: bytes, table: LogTable) -> bytes:
     start = len(good) - len(body)  # where the first column begins
     kind = draw(st.sampled_from([
         "truncated in the header", "truncated in a column", "garbled header bytes",
-        "renamed type", "garbled header field", "column overruns the file",
-        "header overruns the file",
-        "other dtype", "other shape", "bad value", "version 1"]))
+        "renamed type", "garbled header field", "header overruns the file",
+        "bad value", "version 1", "column overruns the file", "other dtype",
+        "other shape"]))
     if kind == "truncated in the header":
         return good[:draw(st.integers(0, start - 1))]
     if kind == "truncated in a column":
@@ -371,45 +372,40 @@ def damaged_cache_files(draw, good: bytes, table: LogTable) -> bytes:
         if garbled == header:
             garbled["version"] = 1
         return cache_file(garbled, body)
-    column = draw(st.sampled_from(COLUMNS))
-    spec = header["columns"][column]
-    if kind == "column overruns the file":
-        axis = draw(st.integers(0, len(spec["shape"]) - 1))
-        shape = list(spec["shape"])
-        shape[axis] += draw(st.sampled_from([1, 2, 1000, 2 ** 40]))
-        return cache_file(dict(header, columns=dict(header["columns"],
-                                                    **{column: dict(spec, shape=shape)})),
-                          body)
     if kind == "header overruns the file":  # its length in the prefix, past the end
         size = draw(st.integers(len(good) - 7, 2 ** 32 - 1))
         return size.to_bytes(4, "little") + good[4:]
-    if kind == "other dtype":
-        dtype = draw(st.sampled_from(
-            ["<f8", "<i8", "<u8", ">i8", ">f8", "<i4", "<f4", "|u1", "<c16", "|V8", "|O"]))
-        assume(np.dtype(dtype) != np.dtype(spec["dtype"]))
-        return cache_file(dict(header, columns=dict(header["columns"],
-                                                    **{column: dict(spec, dtype=dtype)})),
-                          body)
-    if kind == "other shape":
-        shape = draw(st.sampled_from(same_size_shapes(spec["shape"])))
-        return cache_file(dict(header, columns=dict(header["columns"],
-                                                    **{column: dict(spec, shape=shape)})),
-                          body)
     if kind == "bad value":  # one entry that the value checks refuse
         column, bad = draw(st.sampled_from([
             ("features", np.nan), ("features", -np.inf), ("feedback", np.nan),
             ("exposed", -1), ("exposed", 2 ** 40), ("n", 0), ("n", 2 ** 40)]))
         spec = header["columns"][column]
-        at = 8 * sum(math.prod(header["columns"][c]["shape"])
+        entry = (sum(math.prod(header["columns"][c]["shape"])
                      for c in COLUMNS[:COLUMNS.index(column)])
-        at += 8 * draw(st.integers(0, math.prod(spec["shape"]) - 1))
-        at += start
+                 + draw(st.integers(0, math.prod(spec["shape"]) - 1)))
+        at = start + 8 * entry
         return good[:at] + np.array(bad, dtype=spec["dtype"]).tobytes() + good[at + 8:]
-    # a version 1 file, an .npz, at the same path
-    npz = io.BytesIO()
-    np.savez(npz, version=1, digest=header["digest"], types=np.array(table.types),
-             **{c: getattr(table, c) for c in COLUMNS})
-    return npz.getvalue()
+    if kind == "version 1":  # an .npz at the same path
+        npz = io.BytesIO()
+        np.savez(npz, version=1, digest=header["digest"], types=np.array(table.types),
+                 **{c: getattr(table, c) for c in COLUMNS})
+        return npz.getvalue()
+    # one column's entry in the header, under a CRC that matches it
+    column = draw(st.sampled_from(COLUMNS))
+    spec = header["columns"][column]
+    if kind == "column overruns the file":
+        shape = list(spec["shape"])
+        axis = draw(st.integers(0, len(shape) - 1))
+        shape[axis] += draw(st.sampled_from([1, 2, 1000, 2 ** 40]))
+        spec = dict(spec, shape=shape)
+    elif kind == "other dtype":
+        dtype = draw(st.sampled_from(
+            ["<f8", "<i8", "<u8", ">i8", ">f8", "<i4", "<f4", "|u1", "<c16", "|V8", "|O"]))
+        assume(np.dtype(dtype) != np.dtype(spec["dtype"]))
+        spec = dict(spec, dtype=dtype)
+    else:  # another shape of as many entries
+        spec = dict(spec, shape=draw(st.sampled_from(same_size_shapes(spec["shape"]))))
+    return cache_file(dict(header, columns=dict(header["columns"], **{column: spec})), body)
 
 
 def read_outcome(path, schema, cache_dir=None):
