@@ -70,11 +70,10 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
     numeric string keeps NumPy's own error. Each message names the first
     slate that breaks its rule.
     """
-    if isinstance(slates, np.ndarray) and slates.dtype != object:
+    if isinstance(slates, np.ndarray):
         rows = slates  # an index array: its rows are the slates
     else:
-        if not isinstance(slates, np.ndarray):
-            slates = list(slates)
+        slates = list(slates)
         rows = [getattr(s, "indices", s) for s in slates]
     if not len(rows):
         raise EmptyCandidatesError("no slates to choose from")
