@@ -30,7 +30,6 @@ from .data import LogTable, RequestBatch, slate_indices
 from .decoding import SlateSequence
 from .errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from .generator import (
-    FORWARD_PASSES,
     GeneratorConfig,
     _stack_requests,
     blocks,
@@ -85,7 +84,7 @@ def _pointer_probs(tape: Tape, params: Params, cfg: GeneratorConfig,
     """One full model pass over (n, d_x) features with a (k,) prefix, or over
     a padded (B, n, d_x) stack with (B, k) prefixes: encode the candidates,
     decode k + 1 rows, return row-stochastic pointer probabilities."""
-    FORWARD_PASSES.bump()
+    tape.forwards += 1
     cand = encode_candidates(feats, params, cfg, tape, valid=valid)
     states = blocks(tape, params, "dec", _decoder_rows(tape, params, cand, prefix), cfg,
                     causal=True, memory=cand, memory_mask=valid)
@@ -132,15 +131,18 @@ def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
     return tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12)), axis=-1))
 
 
-def ar_decode(req: RequestBatch, params: Params, cfg: GeneratorConfig) -> SlateSequence:
-    """m sequential picks, each one a complete encoder+decoder pass."""
+def ar_decode(req: RequestBatch, params: Params, cfg: GeneratorConfig,
+              tape: Tape | None = None) -> SlateSequence:
+    """m sequential picks, each one a complete encoder+decoder pass on `tape`."""
+    if tape is None:
+        tape = Tape(recording=False)
     n = req.n
     if cfg.m > n:
         raise InfeasibleSlateError(f"cannot fill {cfg.m} positions from {n} candidates")
     chosen: list[int] = []
     chosen_p: list[float] = []
     for _ in range(cfg.m):
-        probs = ar_forward(req, params, cfg, prefix=tuple(chosen))
+        probs = ar_forward(req, params, cfg, prefix=tuple(chosen), tape=tape)
         row = probs.data[-1].copy()
         row[chosen] = -1.0  # chosen entries are 0; keep them out of argmax ties
         pick = int(np.argmax(row))

@@ -19,16 +19,26 @@ import numpy as np
 
 from .ar import ar_decode, init_ar_params
 from .configs import RunConfig
+from .data import CsvRecord
 from .decoding import decode
 from .errors import ConfigError
-from .generator import FORWARD_PASSES, forward, init_generator_params
+from .generator import forward, init_generator_params
+from .numerics import Tape
 from .objectives import UtilitySpec
 from .simulator import World, gen_log, gen_request
 from .training import train_ar, train_generator
 
 
 @dataclass(frozen=True)
-class BenchReport:
+class BenchReport(CsvRecord):
+    # the sweep writes one nar and one ar column per slate size, where its
+    # three fields stand
+    CSV_EXPAND = {
+        "sweep_m": lambda r: [
+            column for mv, nar, ar in zip(r.sweep_m, r.sweep_nar, r.sweep_ar)
+            for column in ((f"nar_infer_m{mv}", nar), (f"ar_infer_m{mv}", ar))],
+        "sweep_nar": lambda r: [], "sweep_ar": lambda r: []}
+
     batch_size: int
     m: int
     nar_infer_mean: float
@@ -49,34 +59,6 @@ class BenchReport:
     ratio_m: int
     infer_ratio: float
 
-    def csv_header(self) -> str:
-        sweep_cols = []
-        for mv in self.sweep_m:
-            sweep_cols += [f"nar_infer_m{mv}", f"ar_infer_m{mv}"]
-        return ",".join([
-            "batch_size", "m",
-            "nar_infer_mean", "nar_infer_std", "ar_infer_mean", "ar_infer_std",
-            "nar_train_mean", "nar_train_std", "ar_train_mean", "ar_train_std",
-            "nar_forwards_per_request", "ar_forwards_per_request",
-            *sweep_cols, "nar_slope", "ar_slope", "ratio_m", "infer_ratio"])
-
-    def csv_row(self) -> str:
-        cells = [str(self.batch_size), str(self.m),
-                 repr(self.nar_infer_mean), repr(self.nar_infer_std),
-                 repr(self.ar_infer_mean), repr(self.ar_infer_std),
-                 repr(self.nar_train_mean), repr(self.nar_train_std),
-                 repr(self.ar_train_mean), repr(self.ar_train_std),
-                 str(self.nar_forwards_per_request),
-                 str(self.ar_forwards_per_request)]
-        for nar_t, ar_t in zip(self.sweep_nar, self.sweep_ar):
-            cells += [repr(nar_t), repr(ar_t)]
-        cells += [repr(self.nar_slope), repr(self.ar_slope),
-                  str(self.ratio_m), repr(self.infer_ratio)]
-        return ",".join(cells)
-
-    def to_csv(self) -> str:
-        return self.csv_header() + "\n" + self.csv_row() + "\n"
-
 
 def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
     """Mean and standard deviation of the seconds per task, the first
@@ -93,15 +75,17 @@ def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
 
 def _time_inference(steps, requests, warmup: int) -> list[tuple[np.ndarray, int]]:
     """Seconds per request and exact forward passes per request of each of
-    `steps`. The steps take turns, one request each, so that a change of
-    machine speed during the run falls on every series alike."""
+    `steps`, each step(req, tape) run on a fresh non-recording tape whose
+    `forwards` it counts. The steps take turns, one request each, so that a
+    change of machine speed during the run falls on every series alike."""
     times, forwards = [[] for _ in steps], [0] * len(steps)
     for i, req in enumerate(requests):
         for k, step in enumerate(steps):
-            count, start = FORWARD_PASSES.count, time.perf_counter()
-            step(req)
+            tape = Tape(recording=False)
+            start = time.perf_counter()
+            step(req, tape)
             elapsed = time.perf_counter() - start
-            forwards[k] += FORWARD_PASSES.count - count
+            forwards[k] += tape.forwards
             if i >= warmup:
                 times[k].append(elapsed)
     if any(total % len(requests) for total in forwards):
@@ -133,8 +117,8 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
             cfg = replace(run.generator, m=mv)
             gen, ar = init_generator_params(cfg), init_ar_params(cfg)
             series[mv] = _time_inference(
-                (lambda req: decode(forward(req, gen, cfg), decode_cfg),
-                 lambda req: ar_decode(req, ar, cfg)), requests, warmup)
+                (lambda req, tape: decode(forward(req, gen, cfg, tape), decode_cfg),
+                 lambda req, tape: ar_decode(req, ar, cfg, tape)), requests, warmup)
         return series[mv]
 
     # Main timing at the configured slate size.

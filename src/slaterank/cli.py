@@ -1,10 +1,8 @@
 """Command-line entry points.
 
 One flat config (see configs.py) drives every subcommand; `--set key=value`
-overrides individual keys on top of `--config`. Exit codes: 0 success,
-1 usage/config problems, 2 data problems (missing or malformed logs,
-checkpoint mismatches), 3 numeric failures, 141 when the reader of stdout
-went away (`slaterank bench | head -1`), as for a process ended by SIGPIPE.
+overrides individual keys on top of `--config`. The exit codes are tabled
+in the docstring of errors.py.
 
 Pointwise report metrics (AUC, LogLoss, NDCG) always target the first
 configured interaction type; Recall@k targets exposure prediction.
@@ -29,7 +27,6 @@ from .errors import (
     CheckpointError,
     DataError,
     DegenerateLabelsError,
-    NumericsError,
     SlaterankError,
 )
 from .evaluator import init_evaluator_params, score_slate, score_slates, train_evaluator
@@ -342,18 +339,9 @@ def main(argv=None) -> int:
         if args.command == "bench":
             check_pipeline(run)
         return args.func(run, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, DegenerateLabelsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SlaterankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except BrokenPipeError:
         # The recipe of the signal module's "Note on SIGPIPE": point stdout
         # at os.devnull, so the flush at exit does not raise again.
@@ -365,3 +353,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return _EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # Inputs that cannot be read raise errors of their own (DataError,
+        # ConfigError), so what reaches here is an output that cannot be
+        # written: a log, a checkpoint, a curve or a report.
+        where = "" if exc.filename is None else f" {exc.filename}"
+        print(f"error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1

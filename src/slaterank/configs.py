@@ -10,6 +10,7 @@ The same `key=value` grammar backs `--set` overrides on the command line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .decoding import DecodeConfig
@@ -33,6 +34,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lr) and math.isfinite(self.omega)):
+            raise ConfigError("lr and omega must be finite")
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("lr, batch_size and epochs must be positive")
         if self.objective not in ("ul", "ce"):
@@ -72,6 +75,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.num_requests < 1:
             raise ConfigError("num_requests must be >= 1")
+        # every seed seeds a NumPy generator, which takes no negative seed
+        for key, value in (("seed", self.seed), ("generator.seed", self.generator.seed),
+                           ("evaluator.seed", self.evaluator.seed),
+                           ("decode.seed", self.decode.seed), ("world.seed", self.world.seed),
+                           ("train.seed", self.train.seed)):
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
 _SECTIONS = {

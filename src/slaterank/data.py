@@ -16,7 +16,8 @@ largest n in the log. Its values are checked once, when it is built or
 read back from `read_logs`'s cache (a binary copy of the table that spares
 a repeated read of an unchanged log its JSON parse); training takes
 minibatches from it by row number (`LogTable.take`), and its unchecked
-`ExposureLog` views serve code that walks it by request.
+`ExposureLog` views serve code that walks it by request. `CsvRecord` lays
+out the CSV reports (the bench and eval reports, the generator's curve).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 import tempfile
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import is_
 from typing import NamedTuple
 
@@ -48,6 +49,7 @@ __all__ = [
     "read_logs",
     "write_logs",
     "write_jsonl",
+    "CsvRecord",
 ]
 
 
@@ -451,6 +453,35 @@ def write_jsonl(path, rows) -> None:
         for row in rows:
             fh.write(json.dumps(row))
             fh.write("\n")
+
+
+class CsvRecord:
+    """Base of a dataclass written as a CSV header and one row, both read off
+    its fields in one pass. A field named in CSV_EXPAND writes the (column,
+    value) pairs its function returns for the record, possibly none; any
+    other field writes one column of its own name. Ints are written with str,
+    other values with repr(float(v)), so that a cell parses back to its value
+    (NumPy 2 reprs a NumPy scalar as "np.float64(...)")."""
+
+    CSV_EXPAND: dict = {}
+
+    def csv_columns(self) -> list[tuple[str, str]]:
+        columns = []
+        for f in fields(self):
+            expand = self.CSV_EXPAND.get(f.name)
+            pairs = [(f.name, getattr(self, f.name))] if expand is None else expand(self)
+            columns += [(name, str(v) if isinstance(v, (int, np.integer)) else repr(float(v)))
+                        for name, v in pairs]
+        return columns
+
+    def csv_header(self) -> str:
+        return ",".join(name for name, _ in self.csv_columns())
+
+    def csv_row(self) -> str:
+        return ",".join(cell for _, cell in self.csv_columns())
+
+    def to_csv(self) -> str:
+        return self.csv_header() + "\n" + self.csv_row() + "\n"
 
 
 def _read_records(raw: bytes, schema: LogSchema | None) -> list[_Record]:

@@ -1,12 +1,23 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError (and subclasses) -> 2, NumericsError -> 3.
+Each class carries the process exit code that `slaterank` ends with when
+the error reaches the command line (`cli.main`), and this is the one table
+of those codes:
+
+    0    success
+    1    usage and config problems (ConfigError, and any SlaterankError
+         without a code of its own); an output file that cannot be written
+    2    data problems: a missing or malformed log, a checkpoint that is
+         unreadable or does not match the config (DataError, CheckpointError),
+         test labels with only one class (DegenerateLabelsError)
+    3    non-finite numerics (NumericsError)
+    141  the reader of stdout went away (`slaterank bench | head -1`), as a
+         shell reports for a process ended by SIGPIPE
 """
 
 
 class SlaterankError(Exception):
-    pass
+    exit_code = 1
 
 
 class ShapeError(SlaterankError):
@@ -32,6 +43,8 @@ class MissingGradientError(SlaterankError):
 class DegenerateLabelsError(SlaterankError):
     """A metric needs both label classes but got only one."""
 
+    exit_code = 2
+
 
 class ConfigError(SlaterankError):
     """Bad configuration value or malformed command line."""
@@ -39,6 +52,8 @@ class ConfigError(SlaterankError):
 
 class DataError(SlaterankError):
     """Malformed or missing input data."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -53,3 +68,5 @@ class CheckpointError(DataError):
 
 class NumericsError(SlaterankError):
     """A computation produced NaN or Inf, or was otherwise ill-posed."""
+
+    exit_code = 3

@@ -51,7 +51,6 @@ from .numerics import Params, Tape, Tensor
 __all__ = [
     "GeneratorConfig",
     "ProbMatrix",
-    "FORWARD_PASSES",
     "init_generator_params",
     "encode_candidates",
     "encode_positions",
@@ -87,23 +86,6 @@ class GeneratorConfig:
     @property
     def d_ff(self) -> int:
         return 2 * self.d
-
-
-class ForwardCounter:
-    """Counts whole-model forward passes so AR-vs-NAR cost is checkable
-    structurally, not just by wall clock."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self):
-        self.count += 1
-
-    def reset(self):
-        self.count = 0
-
-
-FORWARD_PASSES = ForwardCounter()
 
 
 @dataclass
@@ -358,7 +340,7 @@ def forward(req, params: Params, cfg: GeneratorConfig,
     if tape is None:
         tape = Tape(recording=False)
     feats, valid = _stack_requests(req, cfg, pad_to)
-    FORWARD_PASSES.bump()
+    tape.forwards += 1
     cand = encode_candidates(feats, params, cfg, tape, valid=valid)
     pos = encode_positions(params, cand, cfg, tape, valid=valid)
     return matching_head(cand, pos, tape, valid=valid)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import slate_indices
+from .data import CsvRecord, slate_indices
 from .errors import DegenerateLabelsError, ShapeError
 from .generator import ProbMatrix
 
@@ -109,9 +109,11 @@ def recall_at_k(probs: ProbMatrix, exposed, k: int) -> float:
 
 
 @dataclass
-class EvalReport:
+class EvalReport(CsvRecord):
     """One evaluation run rolled into a row: itemwise metrics from the
     evaluator plus exposure recall from the generator."""
+
+    CSV_EXPAND = {"recall": lambda r: [(f"recall@{k}", r.recall[k]) for k in sorted(r.recall)]}
 
     auc: float
     logloss: float
@@ -120,20 +122,6 @@ class EvalReport:
     num_requests: int = 0
     num_lists: int = 0
     num_skipped: int = 0
-
-    def csv_header(self) -> str:
-        recall_cols = [f"recall@{k}" for k in sorted(self.recall)]
-        return ",".join(["auc", "logloss", "ndcg", *recall_cols,
-                         "num_requests", "num_lists", "num_skipped"])
-
-    def csv_row(self) -> str:
-        recall_vals = [repr(self.recall[k]) for k in sorted(self.recall)]
-        return ",".join([repr(self.auc), repr(self.logloss), repr(self.ndcg),
-                         *recall_vals, str(self.num_requests),
-                         str(self.num_lists), str(self.num_skipped)])
-
-    def to_csv(self) -> str:
-        return self.csv_header() + "\n" + self.csv_row() + "\n"
 
     def pretty(self) -> str:
         out = io.StringIO()

@@ -24,12 +24,12 @@ pair fixes the whole parameter trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .ar import ar_sequence_loss
-from .data import LogTable
+from .data import CsvRecord, LogTable
 from .errors import DataError, NumericsError
 from .generator import GeneratorConfig, forward
 from .numerics import AdamState, Params, Tape, adam_step
@@ -41,7 +41,7 @@ CE_ONLY_TAU = -1e30
 
 
 @dataclass(frozen=True)
-class TrainStep:
+class TrainStep(CsvRecord):
     """Batch-mean loss components for one optimizer step."""
 
     step: int
@@ -52,18 +52,10 @@ class TrainStep:
     positive_fraction: float
     clamp_fraction: float
 
-    @staticmethod
-    def csv_header() -> str:
-        return ("step,total,ce_or_ul,item_contrastive,position_contrastive,"
-                "positive_fraction,clamp_fraction")
-
-    def csv_row(self) -> str:
-        # float() first: under NumPy 2 the repr of a NumPy scalar is
-        # "np.float64(...)", which is not a CSV number
-        values = (self.total, self.ce_or_ul, self.item_contrastive,
-                  self.position_contrastive, self.positive_fraction,
-                  self.clamp_fraction)
-        return ",".join([str(self.step)] + [repr(float(v)) for v in values])
+    @classmethod
+    def csv_header(cls) -> str:
+        # no field expands, so a curve of no steps has a header too
+        return ",".join(f.name for f in fields(cls))
 
 
 def steps_to_csv(steps: list[TrainStep]) -> str:

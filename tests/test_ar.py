@@ -12,7 +12,6 @@ from slaterank.ar import (
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from slaterank.generator import (
-    FORWARD_PASSES,
     GeneratorConfig,
     _stack_requests,
     init_generator_params,
@@ -109,9 +108,9 @@ def test_decode_uses_exactly_m_forward_passes():
     rng = np.random.default_rng(6)
     params = init_ar_params(SMALL)
     req = make_request(rng, 6)
-    FORWARD_PASSES.reset()
-    slate = ar_decode(req, params, SMALL)
-    assert FORWARD_PASSES.count == SMALL.m
+    tape = Tape(recording=False)
+    slate = ar_decode(req, params, SMALL, tape)
+    assert tape.forwards == SMALL.m
     assert slate.method == "ar" and slate.m == SMALL.m
 
 

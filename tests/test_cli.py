@@ -545,3 +545,23 @@ def test_an_out_dir_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == sorted(
         ["afile", "run.cfg", "train.jsonl", "test.jsonl", "gen.npz", "ev.npz",
          "generator_loss.csv", "evaluator_loss.csv", LOG_CACHE_DIR])
+
+
+def test_an_output_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys):
+    # a log or a checkpoint under a directory that does not exist: one line
+    # naming the path, exit 1, no traceback
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg]) == 0
+    capsys.readouterr()
+    absent = tmp_path / "absent"
+    for argv, path in (
+            (["simulate", "--config", cfg, "--num-requests", "30",
+              "--out", str(absent / "x.jsonl")], absent / "x.jsonl"),
+            (["train-generator", "--config", cfg, "--set",
+              f"paths.generator_checkpoint={absent / 'g.npz'}"], absent / "g.npz")):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot write {path}: No such file or directory"], err
+        assert "Traceback" not in err
+    assert not absent.exists()

@@ -98,6 +98,18 @@ def test_section_validation_still_applies():
         TrainConfig(lr=-1.0)
 
 
+@pytest.mark.parametrize("setting", [
+    "train.lr=nan", "train.lr=inf", "train.omega=nan", "train.omega=inf",
+    "seed=-1", "generator.seed=-1", "evaluator.seed=-1", "decode.seed=-1",
+    "world.seed=-1", "train.seed=-1"])
+def test_non_finite_rates_and_negative_seeds_are_refused(setting):
+    # a NaN rate trains NaN parameters, an infinite one overflows, and
+    # NumPy's generators take no negative seed
+    key = setting.partition("=")[0]
+    with pytest.raises(ConfigError, match=key.rpartition(".")[2]):
+        parse_config(setting + "\n")
+
+
 def test_file_round_trip(tmp_path):
     run = apply_overrides(RunConfig(), ["seed=11", "decode.method=beam"])
     path = tmp_path / "run.cfg"

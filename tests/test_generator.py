@@ -9,7 +9,6 @@ from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.decoding import DecodeConfig, contrastive_decode
 from slaterank.errors import ConfigError, EmptyCandidatesError, ShapeError
 from slaterank.generator import (
-    FORWARD_PASSES,
     GeneratorConfig,
     ProbMatrix,
     _slot_head,
@@ -148,9 +147,9 @@ def test_padding_rows_get_exact_zero():
 def test_forward_counter_counts_single_pass():
     rng = np.random.default_rng(7)
     params = init_generator_params(SMALL)
-    FORWARD_PASSES.reset()
-    forward(make_request(rng, 5), params, SMALL)
-    assert FORWARD_PASSES.count == 1
+    tape = Tape(recording=False)
+    forward(make_request(rng, 5), params, SMALL, tape)
+    assert tape.forwards == 1
 
 
 def test_end_to_end_gradient_matches_finite_differences():
