@@ -190,6 +190,12 @@ def cmd_train(run: RunConfig, args) -> int:
     kind = args.command.removeprefix("train-")
     cfg = run.evaluator if kind == "evaluator" else run.generator
     curve = _out_path(run, None, f"{kind}_loss.csv")
+    checkpoint = getattr(run.paths, f"{kind}_checkpoint")
+    try:  # a missing directory, found now and not by the write after the run
+        os.scandir(os.path.dirname(checkpoint) or os.curdir).close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {checkpoint}: {exc.strerror}") from None
+    name = {"ar": "AR baseline"}.get(kind, kind)
     logs = _read_log(run, run.paths.train_log, cfg)
     fit = dict(lr=run.train.lr, epochs=run.train.epochs,
                batch_size=run.train.batch_size, seed=run.train.seed)
@@ -203,7 +209,6 @@ def cmd_train(run: RunConfig, args) -> int:
         train_generator(logs, params, cfg, run.utility, omega=run.train.omega,
                         rho=run.train.rho, objective=run.train.objective,
                         step_log=curve_log, **fit)
-        name, checkpoint = "generator", run.paths.generator_checkpoint
         meta = _generator_meta(cfg)
         summary = f"{run.train.objective}, final loss {curve_log[-1].total:.4f}"
     elif kind == "evaluator":
@@ -212,13 +217,11 @@ def cmd_train(run: RunConfig, args) -> int:
                               f"match evaluator types {cfg.types}")
         params = init_evaluator_params(cfg)
         train_evaluator(logs, params, cfg, loss_log=curve_log, **fit)
-        name, checkpoint = "evaluator", run.paths.evaluator_checkpoint
         meta = _evaluator_meta(cfg)
         summary = f"final BCE {curve_log[-1]:.4f}"
     else:
         params = init_ar_params(cfg)
         train_ar(logs, params, cfg, loss_log=curve_log, **fit)
-        name, checkpoint = "AR baseline", run.paths.ar_checkpoint
         meta = dict(_generator_meta(cfg), kind="ar")
         summary = f"final CE {curve_log[-1]:.4f}"
     save_checkpoint(checkpoint, params, meta=meta)

@@ -98,6 +98,8 @@ _TOP_LEVEL = ("seed", "num_requests")
 
 def _coerce(text: str, annotation: str, key: str):
     ann = annotation.replace(" ", "")
+    if "\0" in text:  # no path, name or number holds one; open() would raise
+        raise ConfigError(f"bad value for {key}: it holds a NUL byte")
     try:
         if ann == "int":
             return int(text)

@@ -8,11 +8,11 @@ position embeddings added to the item features. The overall utility is the
 weighted sum of predicted scores, and `select_best` picks the highest-utility
 slate from a candidate pool.
 
-The block takes an optional leading batch axis: `score_slate` runs one
-slate's (m, d) rows, while `score_slates` scores a whole pool in one pass with
-the K slates stacked as (K, m, d), each attending to its own items only.
-Slates are checked by the one slate rule, `data.slate_indices`: a pool, or a
-training minibatch's exposed slates, in one call.
+`score_slates` scores a pool in one pass with the K slates stacked as
+(K, m, d) on the block's batch axis, each attending to its own items only; a
+slate gets the same bits at any place in any pool, and `score_slate` is the
+pass on a pool of one. Slates are checked by the one slate rule,
+`data.slate_indices`: a pool, or a training minibatch's exposed slates.
 
 Training is plain off-policy regression: binary cross-entropy of each head
 against the logged feedback on exposed slates. It runs on a `data.LogTable`,
@@ -74,14 +74,11 @@ class EvaluatorConfig:
 
 @dataclass
 class SlateScore:
-    """Predicted per-item per-type scores plus their weighted sum.
-
-    For one slate scores is (types, m) and utility a float; for a stack of B
-    slates scores is (types, B, m) and utility a (B,) array.
-    """
+    """One slate's predicted per-type per-item scores, (types, m), plus
+    their weighted sum."""
 
     scores: np.ndarray
-    utility: float | np.ndarray
+    utility: float
     types: tuple[str, ...]
 
 
@@ -99,70 +96,62 @@ def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
     return params
 
 
-def _head_logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
-                 tape: Tape) -> list[Tensor]:
-    """Each head's logits, in cfg.types order, for one slate's (m, d_x)
-    feature rows as (m, 1), or for a (B, m, d_x) stack of B slates run
-    through the block side by side on the batch axis as (B, m, 1)."""
+def _logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
+            tape: Tape) -> Tensor:
+    """The head logits of one slate's (m, d_x) feature rows as (T, m), or of
+    a (B, m, d_x) stack of B slates, run through the block side by side on
+    the batch axis, as (B, T, m): row k is head cfg.types[k]. The training
+    pass stops here.
+
+    The heads run as one product: their weights and biases are joined on
+    the tape and zero-padded to at least 4 columns. BLAS's bits for a row of
+    a 1- or 2-column product depend on the row count, of 4 and more they do
+    not, so a slate's logits do not depend on the stack it is in."""
     if feats.shape[-1] != cfg.d_x:
         raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
     x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
     x = tape.add(x, params["ev.pos"])
     states = _ln(tape, params, "ev.final_ln", block(tape, params, "ev", x, cfg))
-    # each head is its own (d, 1) product, whose bits a joint (d, T) one would not keep
-    return [tape.linear(states, params[f"ev.head.{t}.w"], params[f"ev.head.{t}.b"])
-            for t in cfg.types]
+    heads = len(cfg.types)
+    pad = max(heads, 4) - heads
+    w = tape.concat_rows([params[f"ev.head.{t}.w"] for t in cfg.types]
+                         + [Tensor(np.zeros((cfg.d, pad)))], axis=-1)
+    b = tape.concat_rows([params[f"ev.head.{t}.b"] for t in cfg.types]
+                         + [Tensor(np.zeros(pad))], axis=-1)
+    return tape.slice_rows(tape.transpose(tape.linear(states, w, b)), 0, heads)
 
 
-def _logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
-            tape: Tape) -> Tensor:
-    """The head logits stacked as rows, (T, m) for one slate and (B, T, m)
-    for a stack: row k is head cfg.types[k]. The training pass stops here."""
-    return tape.concat_rows([tape.transpose(z)
-                             for z in _head_logits(feats, params, cfg, tape)])
-
-
-def _score(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
-           tape: Tape) -> SlateScore:
-    """Scores of one slate's feature rows, or of a stack of B slates: each
-    head's sigmoid and their weighted sum. A stack gives scores (types, B,
-    m) and utility (B,)."""
-    rows = [tape.sigmoid(z).data[..., 0] for z in _head_logits(feats, params, cfg, tape)]
+def _score(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
+           tape: Tape | None) -> tuple[np.ndarray, np.ndarray]:
+    """One evaluator pass over a pool of K slates stacked on the batch axis,
+    checked as a whole by `slate_indices`: each head's sigmoid scores as
+    (K, T, m), and their weighted sum per slate as (K,)."""
+    if tape is None:
+        tape = Tape(recording=False)
+    feats = req.features[slate_indices(slates, req.n, cfg.m)]
+    scores = tape.sigmoid(_logits(feats, params, cfg, tape)).data
+    sums = np.add.reduce(scores, axis=-1)
     utility = 0.0
-    for row, w in zip(rows, cfg.weights):
-        utility = utility + w * np.add.reduce(row, axis=-1)
-    return SlateScore(scores=np.array(rows), utility=utility, types=cfg.types)
+    for k, w in enumerate(cfg.weights):
+        utility = utility + w * sums[:, k]
+    return scores, utility
 
 
 def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
                 tape: Tape | None = None) -> SlateScore:
-    """Listwise scores for one slate; `slate` is a SlateSequence or indices."""
-    if tape is None:
-        tape = Tape(recording=False)
-    score = _score(req.features[slate_indices([slate], req.n, cfg.m)[0]], params, cfg, tape)
-    score.utility = float(score.utility)
-    return score
+    """Listwise scores for one slate, a SlateSequence or indices: the pass of
+    `score_slates` on a pool of one."""
+    scores, utility = _score(req, [slate], params, cfg, tape)
+    return SlateScore(scores=scores[0], utility=float(utility[0]), types=cfg.types)
 
 
 def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
                  tape: Tape | None = None) -> np.ndarray:
     """Predicted utility of each slate, from one evaluator pass over the
-    slates stacked on the batch axis. The pool is checked as a whole by
-    `slate_indices`.
-
-    A slate's rows can round differently at another place in the stack, so
-    repeated slates are scored once and share one utility: equal slates
-    always tie exactly.
-    """
-    if tape is None:
-        tape = Tape(recording=False)
-    idx = slate_indices(slates, req.n, cfg.m)
-    first: dict[tuple[int, ...], int] = {}
-    where = [first.setdefault(tuple(row), len(first)) for row in idx.tolist()]
-    if len(first) == len(where):  # no repeats: every slate is scored in place
-        return _score(req.features[idx], params, cfg, tape).utility
-    feats = req.features[np.array(list(first))]
-    return _score(feats, params, cfg, tape).utility[where]
+    slates stacked on the batch axis. A slate gets the same bits at any
+    place in any pool, so equal slates tie exactly and each utility equals
+    the slate's own `score_slate`."""
+    return _score(req, slates, params, cfg, tape)[1]
 
 
 def bce_loss(tape: Tape, logits: Tensor, feedback) -> Tensor:

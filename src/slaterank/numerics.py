@@ -657,10 +657,12 @@ class Tape:
         raise ShapeError("take_entries wants parallel index arrays, one row per matrix")
 
     def slice_rows(self, a: Tensor, i0: int, i1: int) -> Tensor:
-        def back(g):
-            a.ensure_grad()[i0:i1] += g
+        """Rows i0:i1 of a matrix, or of each matrix of a stack."""
 
-        return self._record(Tensor(a.data[i0:i1].copy()), back)
+        def back(g):
+            a.ensure_grad()[..., i0:i1, :] += g
+
+        return self._record(Tensor(a.data[..., i0:i1, :].copy()), back)
 
     def take_rows(self, a: Tensor, rows) -> Tensor:
         """Rows a[rows] of a matrix, for (k,) rows; of a (B, r, c) stack,
@@ -673,24 +675,27 @@ class Tape:
             return self._gather(a, (np.arange(ad.shape[0])[:, None], idx))
         raise ShapeError(f"take_rows got {ad.shape} with rows {idx.shape}")
 
-    def concat_rows(self, parts: list[Tensor]) -> Tensor:
-        """Join parts along the row (second to last) axis. Leading axes
+    def concat_rows(self, parts: list[Tensor], axis: int = -2) -> Tensor:
+        """Join parts along the row (second to last) axis, or along another
+        axis counted from the end, such as -1 for columns. The axes before it
         broadcast, so a shared (r, c) part joins a (B, r', c) stack."""
         datas = [p.data for p in parts]
-        if any(d.ndim < 2 for d in datas):
-            raise ShapeError("concat_rows expects matrices")
-        if len({d.shape[:-2] for d in datas}) > 1:
-            lead = np.broadcast_shapes(*(d.shape[:-2] for d in datas))
-            datas = [np.broadcast_to(d, lead + d.shape[-2:]) for d in datas]
-        heights = [p.data.shape[-2] for p in parts]
+        if axis >= 0 or any(d.ndim < -axis for d in datas):
+            raise ShapeError(f"concat_rows cannot join along axis {axis}")
+        if len({d.shape[:axis] for d in datas}) > 1:
+            lead = np.broadcast_shapes(*(d.shape[:axis] for d in datas))
+            datas = [np.broadcast_to(d, lead + d.shape[axis:]) for d in datas]
+        tail = (slice(None),) * (-1 - axis)
 
         def back(g):
             i = 0
-            for p, h in zip(parts, heights):
-                p.ensure_grad()[...] += _unbroadcast(g[..., i:i + h, :], p.data.shape)
+            for p in parts:
+                h = p.data.shape[axis]
+                p.ensure_grad()[...] += _unbroadcast(g[(..., slice(i, i + h)) + tail],
+                                                     p.data.shape)
                 i += h
 
-        return self._record(Tensor(np.concatenate(datas, axis=-2)), back)
+        return self._record(Tensor(np.concatenate(datas, axis=axis)), back)
 
 
 class Params:

@@ -547,6 +547,37 @@ def test_an_out_dir_that_cannot_be_made_exits_1_before_any_work(tmp_path, capsys
          "generator_loss.csv", "evaluator_loss.csv", LOG_CACHE_DIR])
 
 
+def test_a_checkpoint_directory_that_is_missing_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # the log is not read and no model is trained: one line naming the path
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the checkpoint path was checked")
+
+    for name in ("read_logs", "train_generator", "train_evaluator", "train_ar"):
+        monkeypatch.setattr(f"slaterank.cli.{name}", never)
+    path = tmp_path / "absent" / "model.npz"
+    for command, key in (("train-generator", "generator_checkpoint"),
+                         ("train-evaluator", "evaluator_checkpoint"),
+                         ("train-ar", "ar_checkpoint")):
+        assert main([command, "--config", cfg, "--set", f"paths.{key}={path}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: No such file or directory\n", command
+    assert not path.parent.exists()
+
+
+def test_a_nul_byte_in_a_config_value_exits_1_naming_the_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra=[f"paths.train_log={tmp_path}/x\0y.jsonl"])
+    for command in ("simulate", "train-generator"):
+        assert main([command, "--config", cfg]) == 1, command
+        err = capsys.readouterr().err
+        assert err == "error: bad value for paths.train_log: it holds a NUL byte\n", err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 def test_an_output_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys):
     # a log or a checkpoint under a directory that does not exist: one line
     # naming the path, exit 1, no traceback

@@ -155,6 +155,26 @@ def test_concat_slice_transpose_gradients():
     gradcheck(loss, [a, b])
 
 
+def test_column_concat_and_stacked_slice_gradients():
+    # the evaluator's head join: (d, 1) weights and (1,) biases joined along
+    # the last axis with a zero pad, and rows sliced from each matrix of a stack
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w1, w2 = Tensor(rng.normal(size=(4, 1))), Tensor(rng.normal(size=(4, 1)))
+    b1, b2 = Tensor(rng.normal(size=(1,))), Tensor(rng.normal(size=(1,)))
+    coef = rng.normal(size=(2, 2, 3))
+
+    def loss(tape):
+        w = tape.concat_rows([w1, w2, Tensor(np.zeros((4, 2)))], axis=-1)
+        b = tape.concat_rows([b1, b2, Tensor(np.zeros(2))], axis=-1)
+        rows = tape.slice_rows(tape.transpose(tape.linear(x, w, b)), 0, 2)
+        return tape.sum(tape.mask(tape.gelu(rows), coef))
+
+    gradcheck(loss, [x, w1, w2, b1, b2])
+    with pytest.raises(ShapeError):
+        Tape().concat_rows([b1, b2])
+
+
 def test_take_rows_and_broadcast_concat_gradients():
     # a repeated row index must add both gradients into that row; a shared
     # (1, c) row joins a (B, r, c) stack and gets the batch's summed gradient
