@@ -185,6 +185,30 @@ def test_select_best_is_argmax_and_breaks_ties_first():
         select_best(req, [], params, TINY)
 
 
+def test_score_slates_single_slate_is_bit_identical_to_score_slate():
+    params = init_evaluator_params(TINY)
+    inflate_weights(params, 15.0)
+    for seed in range(10):
+        req = tiny_request(seed=seed, n=7)
+        slate = tuple(np.random.default_rng(seed).permutation(7)[:3])
+        assert score_slates(req, [slate], params, TINY)[0] == \
+            score_slate(req, slate, params, TINY).utility
+
+
+def test_stacked_utilities_match_one_pass_per_slate():
+    cfg = EvaluatorConfig(d=16, h=4, d_x=4, m=4, seed=3)
+    params = init_evaluator_params(cfg)
+    inflate_weights(params, 15.0)
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        req = tiny_request(seed=trial, n=9)
+        slates = [tuple(rng.permutation(9)[:4]) for _ in range(int(rng.integers(2, 10)))]
+        got = score_slates(req, slates, params, cfg)
+        want = np.array([score_slate(req, s, params, cfg).utility for s in slates])
+        assert got.shape == (len(slates),)
+        assert got.tobytes() == want.tobytes(), trial
+
+
 def test_a_slate_in_a_pool_scores_as_it_does_alone():
     # pools of K = 1..8 at the default config, with weights of trained-like
     # size and, from K = 3 on, a repeat of the first slate: each utility of
