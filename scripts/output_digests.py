@@ -16,9 +16,12 @@ proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them, once with k = 3 on small requests and
 once with k = 12 and 16 samples on n = 20 requests (rank groups of 8 terms
 and more, where NumPy sums pairwise, and pools that need several refills);
-the bounds of single rank groups 8 to 20, 129 and 300 terms wide, where a
-total summed in another order moves the last bits of the bounds without
-often moving a pick;
+the rerank path at perfbench's serving shapes: pools of 8 proposals from
+world requests of n = 20, scored by the default evaluator at trained-like
+weights with `score_slates`, `score_slate` and `select_best`, and by the
+oracle's expected utility; the bounds of single rank groups 8 to 20, 129
+and 300 terms wide, where a total summed in another order moves the last
+bits of the bounds without often moving a pick;
 AR decoded slates and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
@@ -73,6 +76,7 @@ from slaterank.simulator import (
     World,
     WorldConfig,
     gen_log,
+    gen_request,
     oracle_click_probs,
     oracle_expected_utility,
 )
@@ -363,6 +367,45 @@ def wide_decode_digests() -> None:
     print("select_best.wide", digest([slate_fields(s) for s in best]))
 
 
+def serving_pool_digests() -> None:
+    """The rerank path at perfbench's serving shapes: 24 requests of n = 20
+    from a default-sized world, pools of up to 8 proposals drawn by
+    `sample_slates` (perfbench's DecodeConfig) from the L=1 generator's
+    forward, then the default evaluator (d_x = 10, m = 6) with its weight
+    matrices scaled by 15, to the size training gives them, on every pool:
+    `score_slates`, `score_slate` of each proposal, the `select_best` pick,
+    and the oracle's expected utility of each proposal. The oracle's weights
+    are not powers of two, so a weighted utility summed in another grouping
+    would show (with SPEC's 1.0 and 0.5, each product is exact)."""
+    world = World(WorldConfig(seed=25))
+    rng = np.random.default_rng(51)
+    reqs = [gen_request(world, rng, request_id=i) for i in range(24)]
+    gen = init_generator_params(GEN_L1)
+    ev_cfg = EvaluatorConfig()
+    ev = init_evaluator_params(ev_cfg)
+    for _, t in ev.items():
+        if t.data.ndim == 2:
+            t.data *= 15.0
+    pools, states = [], []
+    for i, req in enumerate(reqs):
+        draw = np.random.default_rng(300 + i)
+        pools.append(sample_slates(forward(req, gen, GEN_L1), DecodeConfig(), draw))
+        states.append(draw.bit_generator.state)
+    print("serve.sample_slates", digest([[slate_fields(s) for s in pool] for pool in pools],
+                                        states))
+    print("serve.score_slates", digest(*[score_slates(r, pool, ev, ev_cfg)
+                                         for r, pool in zip(reqs, pools)]))
+    alone = [score_slate(r, s, ev, ev_cfg) for r, pool in zip(reqs, pools) for s in pool]
+    print("serve.score_slate", digest(*[x.scores for x in alone], [x.utility for x in alone]))
+    print("serve.select_best", digest([slate_fields(select_best(r, pool, ev, ev_cfg))
+                                       for r, pool in zip(reqs, pools)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's clamp warning
+        spec = UtilitySpec(types=("click", "like"), weights=(1.1, 0.35), tau=1.0)
+        print("serve.oracle", digest([[oracle_expected_utility(world, r, s, spec) for s in pool]
+                                      for r, pool in zip(reqs, pools)]))
+
+
 def group_bounds_digest() -> None:
     """`_group_bounds` on rank groups 8 to 20, 129 and 300 terms wide: cubed
     uniforms, so terms span several binades, and every tenth group all
@@ -483,6 +526,7 @@ def main() -> None:
 
     decode_digests(reqs[:12], gen, ev)
     wide_decode_digests()
+    serving_pool_digests()
     group_bounds_digest()
 
     print("ar_decode", digest([ar_decode(r, ar, GEN).indices for r in reqs[:6]]))
