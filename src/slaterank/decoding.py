@@ -54,9 +54,9 @@ class SlateSequence:
         if len(indices) != len(self.probabilities):
             raise InfeasibleSlateError("one probability per chosen index required")
         if len(set(indices)) != len(indices):
-            raise InfeasibleSlateError(f"slate repeats an item: {indices}")
+            raise InvalidSlateError(f"slate repeats an item: {indices}")
         if indices and min(indices) < 0:
-            raise InfeasibleSlateError("negative candidate index")
+            raise InvalidSlateError(f"slate index out of range: {indices}")
 
     @property
     def m(self) -> int:

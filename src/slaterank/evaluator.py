@@ -5,8 +5,8 @@ order, run through one pre-norm self-attention + feed-forward block (the
 same `generator.block` the generator and the AR baseline stack), then per-item
 sigmoid heads predict each interaction type. Order enters through learned
 position embeddings added to the item features. The overall utility is the
-weighted sum of predicted scores, and `select_best` picks the highest-utility
-slate from a candidate pool.
+weighted sum of predicted scores (`objectives.weighted_sum`), and
+`select_best` picks the highest-utility slate from a candidate pool.
 
 `score_slates` scores a pool in one pass with the K slates stacked as
 (K, m, d) on the block's batch axis, each attending to its own items only; a
@@ -34,6 +34,7 @@ from .data import RequestBatch, slate_indices
 from .errors import ConfigError, ShapeError
 from .generator import _build_layer_norm, _ln, block, build_block
 from .numerics import Params, Tape, Tensor
+from .objectives import weighted_sum
 from .training import _fit, _log_mean_loss, _table
 
 
@@ -130,11 +131,7 @@ def _score(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
         tape = Tape(recording=False)
     feats = req.features[slate_indices(slates, req.n, cfg.m)]
     scores = tape.sigmoid(_logits(feats, params, cfg, tape)).data
-    sums = np.add.reduce(scores, axis=-1)
-    utility = 0.0
-    for k, w in enumerate(cfg.weights):
-        utility = utility + w * sums[:, k]
-    return scores, utility
+    return scores, weighted_sum(scores, cfg.weights)
 
 
 def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,

@@ -1,7 +1,8 @@
 """Training losses for slate generation.
 
 A logged slate is scored by a weighted sum of its interaction outcomes
-(`utility`). Slates at or above a threshold are treated as positive
+(`utility`, through `weighted_sum`, which the evaluator and the simulator's
+oracle share). Slates at or above a threshold are treated as positive
 sequences and trained with cross-entropy on the matched cells of the
 probability matrix; slates below it are pushed away with an unlikelihood
 term on the same cells. Two hinge losses on cosine similarity spread the
@@ -72,6 +73,17 @@ class UtilitySpec:
             raise ShapeError(f"no utility weight for interaction type {name!r}") from None
 
 
+def weighted_sum(values: np.ndarray, weights) -> np.ndarray:
+    """sum_t weights[t] * sum_j values[..., t, j], the type axis second to
+    last: the one sum behind every utility, logged, predicted or expected.
+    Each type's row is summed by NumPy's reduce over the last axis, and the
+    weighted sums are added in type order to a total that starts at 0.0."""
+    total = np.zeros(values.shape[:-2])
+    for t, w in enumerate(weights):
+        total = total + w * np.add.reduce(values[..., t, :], axis=-1)
+    return total
+
+
 @dataclass
 class LossBreakdown:
     """Loss terms per request. `total` is the tensor to backprop.
@@ -93,22 +105,12 @@ class LossBreakdown:
 
 def utility(feedback: FeedbackMatrix, spec: UtilitySpec) -> float:
     """Weighted sum of all interaction outcomes on an exposed slate."""
-    total = 0.0
-    for name, row in zip(feedback.types, feedback.values):
-        total += spec.weight_for(name) * float(row.sum())
-    return total
+    return float(weighted_sum(feedback.values, [spec.weight_for(t) for t in feedback.types]))
 
 
 def utilities(table: LogTable, spec: UtilitySpec) -> np.ndarray:
-    """`utility` of every logged slate of a LogTable, as one (N,) array.
-
-    The same bits as `utility` per request: each type's row sums, weighted,
-    are added in the table's type order to a total that starts at 0.0.
-    """
-    total = np.zeros(len(table))
-    for k, name in enumerate(table.types):
-        total = total + spec.weight_for(name) * table.feedback[:, k].sum(axis=-1)
-    return total
+    """`utility` of every logged slate of a LogTable, as one (N,) array."""
+    return weighted_sum(table.feedback, [spec.weight_for(t) for t in table.types])
 
 
 def _flag(x: np.ndarray) -> bool | np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import _INT64_MAX, _INT64_MIN, FeedbackMatrix, LogTable, RequestBatch, slate_indices
 from .errors import ConfigError, ShapeError
-from .objectives import UtilitySpec
+from .objectives import UtilitySpec, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,10 @@ def oracle_feedback(world: World, req: RequestBatch, slate,
 
 def oracle_expected_utility(world: World, req: RequestBatch, slate,
                             spec: UtilitySpec) -> float:
-    """Exact E[utility]: utility is linear in the Bernoulli outcomes."""
+    """Exact E[utility]: utility is linear in the Bernoulli outcomes, so it
+    is `weighted_sum` of the click probabilities."""
     probs = oracle_click_probs(world, req, slate)
-    total = 0.0
-    for b, t in enumerate(world.config.types):
-        total += spec.weight_for(t) * float(probs[b].sum())
-    return total
+    return float(weighted_sum(probs, [spec.weight_for(t) for t in world.config.types]))
 
 
 POLICIES = ("random", "affinity_greedy")

@@ -62,11 +62,11 @@ def oracle_contrastive(values, reps, alpha):
 
 
 def test_slate_sequence_invariants():
-    with pytest.raises(InfeasibleSlateError):
+    with pytest.raises(InvalidSlateError, match="repeats"):
         SlateSequence((0, 0), (0.5, 0.5), "greedy")
     with pytest.raises(InfeasibleSlateError):
         SlateSequence((0, 1), (0.5,), "greedy")
-    with pytest.raises(InfeasibleSlateError):
+    with pytest.raises(InvalidSlateError, match="out of range"):
         SlateSequence((-1, 1), (0.5, 0.5), "greedy")
     s = SlateSequence((2, 0), (0.25, 0.5), "beam")
     assert s.m == 2 and s.indices == (2, 0)
@@ -91,9 +91,10 @@ def test_slate_sequence_rejects_bool_indices(indices):
     ((0, 0), (0.5, 0.5)), ((0, 1), (0.5,)), ((-1, 1), (0.5, 0.5))])
 def test_slate_sequence_checks_a_tuple_of_ints_as_any_other_sequence(indices, probabilities):
     # a tuple of Python ints skips the conversion, not the checks
+    error = InfeasibleSlateError if len(indices) != len(probabilities) else InvalidSlateError
     messages = set()
     for form in (tuple, list, np.array):
-        with pytest.raises(InfeasibleSlateError) as raised:
+        with pytest.raises(error) as raised:
             SlateSequence(form(indices), probabilities, "greedy")
         messages.add(str(raised.value))
     assert len(messages) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import gradcheck, inflate_weights
 from slaterank.data import FeedbackMatrix
 from slaterank.errors import ConfigError, InvalidSlateError, ShapeError
+from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, score_slate
 from slaterank.generator import GeneratorConfig, ProbMatrix, forward, init_generator_params
 from slaterank.numerics import Tape, Tensor
 from slaterank.objectives import (
@@ -19,6 +21,14 @@ from slaterank.objectives import (
     total_loss,
     unlikelihood_loss,
     utility,
+    weighted_sum,
+)
+from slaterank.simulator import (
+    World,
+    WorldConfig,
+    gen_request,
+    oracle_click_probs,
+    oracle_expected_utility,
 )
 
 CLICK = UtilitySpec(types=("click",), weights=(1.0,), tau=1.0)
@@ -85,6 +95,45 @@ def test_utility_spec_validation():
         UtilitySpec(types=("click",), weights=(1.0,), tau=float("nan"))
     with pytest.raises(ConfigError):
         UtilitySpec(types=("click", "click"), weights=(1.0, 1.0), tau=0.0)
+
+
+def per_type_loop(values, weights):
+    """The utility loop each caller wrote before they shared `weighted_sum`:
+    per type, the row's NumPy sum as a Python float, weighted and added in
+    type order to a total that starts at 0.0."""
+    total = 0.0
+    for w, row in zip(weights, values):
+        total += w * float(row.sum())
+    return total
+
+
+def test_every_utility_has_the_bits_of_the_per_type_loop():
+    # rows of 20 are summed pairwise by NumPy, and terms over 16 decades
+    # make the order of each addition show in the last bits
+    rng = np.random.default_rng(8)
+    weights = (1.1, 0.3, -0.7)
+    spec = UtilitySpec(types=("like", "click", "share"), weights=(0.3, 1.1, -0.7), tau=0.0)
+    for m in (3, 6, 20):
+        values = rng.normal(size=(7, 3, m)) * 10.0 ** rng.integers(-8, 8, size=(7, 3, m))
+        want = np.array([per_type_loop(v, weights) for v in values])
+        assert weighted_sum(values, weights).tobytes() == want.tobytes()
+        for v, u in zip(values, want):
+            assert utility(FeedbackMatrix(v, ("click", "like", "share")), spec) == u
+    # the oracle on its click probabilities, the evaluator on its head scores
+    world = World(WorldConfig())
+    cfg = EvaluatorConfig(weights=(1.0, -0.35))
+    params = init_evaluator_params(cfg)
+    inflate_weights(params, 15.0)
+    for _ in range(10):
+        req = gen_request(world, rng)
+        slate = tuple(rng.permutation(req.n)[:6].tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's clamp warning
+            probs = oracle_click_probs(world, req, slate)
+            assert oracle_expected_utility(world, req, slate, spec) == per_type_loop(
+                probs, [spec.weight_for(t) for t in world.config.types])
+        out = score_slate(req, slate, params, cfg)
+        assert out.utility == per_type_loop(out.scores, cfg.weights)
 
 
 # ---------------------------------------------------------------- ce_loss
