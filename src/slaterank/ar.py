@@ -38,6 +38,7 @@ from .generator import (
     encode_candidates,
 )
 from .numerics import Params, Tape, Tensor
+from .objectives import _neg_log_sum
 
 
 def init_ar_params(cfg: GeneratorConfig) -> Params:
@@ -128,7 +129,7 @@ def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
         y = slate_indices([req.exposed], req.n, cfg.m)[0]
     probs = _pointer_probs(tape, params, cfg, feats, y[..., :-1], valid)
     picked = tape.take_entries(probs, np.broadcast_to(np.arange(cfg.m), y.shape), y)
-    return tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12)), axis=-1))
+    return _neg_log_sum(tape, picked)
 
 
 def ar_decode(req: RequestBatch, params: Params, cfg: GeneratorConfig,

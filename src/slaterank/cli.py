@@ -98,12 +98,22 @@ def _load_run(args) -> RunConfig:
     return apply_overrides(run, args.set)
 
 
+def _writable(path: str) -> str:
+    """`path`, once its directory is found to exist. Commands call this for
+    every output before any work, so a missing directory fails at once
+    (ConfigError) and not when the output is written after a run."""
+    try:
+        os.scandir(os.path.dirname(path) or os.curdir).close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    return path
+
+
 def _out_path(run: RunConfig, override, default_name: str) -> str:
-    """The output file: `override`, or default_name under paths.out_dir,
-    which is made here. Commands call this before any work, so an out_dir
-    that cannot be made fails at once (ConfigError) and not after a run."""
+    """The output file, checked by `_writable`: `override`, or default_name
+    under paths.out_dir, which is made here (ConfigError if it cannot be)."""
     if override:
-        return override
+        return _writable(override)
     try:
         os.makedirs(run.paths.out_dir, exist_ok=True)
     except OSError as exc:
@@ -173,12 +183,12 @@ def _read_log(run: RunConfig, path, cfg):
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
+    out = _writable(args.out or run.paths.train_log)
     world = World(run.world)
     count = args.num_requests if args.num_requests else run.num_requests
     rng = np.random.default_rng(run.seed)
     logs = _quiet_world_call(gen_log, world, args.policy, count, rng,
                              start_id=args.start_id)
-    out = args.out or run.paths.train_log
     write_logs(out, logs)
     print(f"wrote {len(logs)} {args.policy} requests to {out}")
     return 0
@@ -190,11 +200,7 @@ def cmd_train(run: RunConfig, args) -> int:
     kind = args.command.removeprefix("train-")
     cfg = run.evaluator if kind == "evaluator" else run.generator
     curve = _out_path(run, None, f"{kind}_loss.csv")
-    checkpoint = getattr(run.paths, f"{kind}_checkpoint")
-    try:  # a missing directory, found now and not by the write after the run
-        os.scandir(os.path.dirname(checkpoint) or os.curdir).close()
-    except OSError as exc:
-        raise ConfigError(f"cannot write {checkpoint}: {exc.strerror}") from None
+    checkpoint = _writable(getattr(run.paths, f"{kind}_checkpoint"))
     name = {"ar": "AR baseline"}.get(kind, kind)
     logs = _read_log(run, run.paths.train_log, cfg)
     fit = dict(lr=run.train.lr, epochs=run.train.epochs,
@@ -277,8 +283,11 @@ def cmd_evaluate(run: RunConfig, args) -> int:
     if (run.evaluator.d_x, run.evaluator.m) != (run.generator.d_x, run.generator.m):
         raise ConfigError(f"evaluator d_x={run.evaluator.d_x}, m={run.evaluator.m} do not "
                           f"match generator d_x={run.generator.d_x}, m={run.generator.m}")
-
     target = run.evaluator.types[0]
+    if target not in logs.types:
+        raise ConfigError(f"log feedback types {logs.types} do not include {target!r}, "
+                          f"the first of evaluator types {run.evaluator.types}")
+
     m = run.generator.m
     ks = sorted({1, max(1, m // 2), m})
     recall_sums = {k: 0.0 for k in ks}

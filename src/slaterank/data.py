@@ -55,6 +55,7 @@ __all__ = [
 
 # entries that int() would read as an index, 1.7 and True both as 1
 _NOT_INDEX = (bool, np.bool_, float, np.floating)
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # up to this many slates (one slate, an AR prefix, a serving pool) the repeat
 # and range rules run row by row in Python, which is faster there than NumPy
 _ROW_BY_ROW = 8
@@ -67,8 +68,8 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
     candidate count for every slate or a sequence of one count per slate.
     Each rule runs over the whole pool before the next: an empty pool raises
     EmptyCandidatesError; a slate without exactly m items, ShapeError; a
-    float or bool entry, a repeated item, or an index outside 0..n-1 (in that
-    order), InvalidSlateError. An entry that is neither a number nor a
+    float or bool entry, a repeated item, or an index outside 0..n-1, past
+    int64 too (in that order), InvalidSlateError. An entry that is neither a number nor a
     numeric string keeps NumPy's own error. Each message names the first
     slate that breaks its rule.
     """
@@ -86,8 +87,13 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
         idx = None
     if idx is None or idx.shape != (len(rows), m) or len(counts) != len(rows):
         raise ShapeError(f"expected {len(counts)} slate(s) of {m} items")
+    # an integer past int64 makes the array float or object; it is out of
+    # range for any n, and stays a Python int for the rules below to name
+    past_int64 = idx.dtype.kind in "fO" and any(
+        isinstance(i, (int, np.integer)) and not _INT64_MIN <= i <= _INT64_MAX
+        for row in rows for i in row)
     # np.array([()]) is float64, so only a non-empty float array holds a float
-    if idx.dtype.kind in "fb" and idx.size:
+    if idx.dtype.kind in "fb" and idx.size and not past_int64:
         raise InvalidSlateError("slate index is not an integer")
     # np.array also reads a bool among ints as 0 or 1, so a bare sequence's
     # entries are looked at one by one; a SlateSequence's were when it was made
@@ -95,17 +101,19 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
     if bare and any(isinstance(i, _NOT_INDEX)
                     for s, row in zip(slates, rows) if row is s for i in row):
         raise InvalidSlateError("slate index is not an integer")
-    idx = idx.astype(np.int64, copy=False)
-    if m and len(idx) > _ROW_BY_ROW:
-        # the whole pool at once: a repeat equals the entry s places to its
-        # left for some shift s, and each row's entries lie in 0..n-1. (Not
-        # through np.sort, whose code alone adds 0.25 MB of resident memory
-        # to a process that sorts nothing else.)
-        if not (any(np.count_nonzero(idx[:, s:] == idx[:, :-s]) for s in range(1, m))
-                or idx.min() < 0 or (idx.T >= np.asarray(n)).any()):
-            return idx
-    # row by row: a small pool, or a large one with a bad slate to name
-    rows = idx.tolist()
+    if not past_int64:
+        idx = idx.astype(np.int64, copy=False)
+        if m and len(idx) > _ROW_BY_ROW:
+            # the whole pool at once: a repeat equals the entry s places to its
+            # left for some shift s, and each row's entries lie in 0..n-1. (Not
+            # through np.sort, whose code alone adds 0.25 MB of resident memory
+            # to a process that sorts nothing else.)
+            if not (any(np.count_nonzero(idx[:, s:] == idx[:, :-s]) for s in range(1, m))
+                    or idx.min() < 0 or (idx.T >= np.asarray(n)).any()):
+                return idx
+        rows = idx.tolist()
+    # row by row: a small pool, a large one with a bad slate to name, or one
+    # with an integer past int64
     for row in rows:
         if len(set(row)) != m:
             raise InvalidSlateError(f"slate repeats an item: {tuple(row)}")
@@ -217,13 +225,16 @@ def _trusted(cls, **values):
     return obj
 
 
-def _padded(rows: list[np.ndarray]) -> np.ndarray:
-    """N requests' arrays of n_i rows each as one (N, max n_i, ...) array:
-    request i's rows first, zeros after them. All share their other axes."""
-    out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:],
-                   dtype=rows[0].dtype)
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
+def _padded(rows: list[np.ndarray], n: list[int]) -> np.ndarray:
+    """N requests' arrays, request i's of n[i] rows, as one (N, max n, ...)
+    array: request i's rows first, zeros after them. An array of another
+    length, or whose other axes differ from the first's, is a ValueError."""
+    tail = rows[0].shape[1:]
+    out = np.zeros((len(rows), max(n)) + tail, dtype=rows[0].dtype)
+    for i, (r, length) in enumerate(zip(rows, n)):
+        if r.shape != (length,) + tail:
+            raise ValueError(f"rows of shape {r.shape} do not stack on {rows[0].shape}")
+        out[i, :length] = r
     return out
 
 
@@ -280,12 +291,14 @@ class LogTable(Sequence):
     def _stack(cls, request_ids, user_ids, item_ids, features, exposed, feedback,
                types) -> LogTable:
         """One table from per-request columns, at least one request: item_ids
-        (n,), features (n, d_x), m slate indices and (T, m) feedback each."""
+        (n,), features (n, d_x), m slate indices and (T, m) feedback each.
+        Columns that do not stack raise ValueError or OverflowError."""
+        n = [len(f) for f in features]
         return cls(request_id=np.array(request_ids, dtype=np.int64),
                    user_id=np.array(user_ids, dtype=np.int64),
-                   item_ids=_padded(item_ids),
-                   features=_padded(features),
-                   n=np.array([len(f) for f in features], dtype=np.int64),
+                   item_ids=_padded(item_ids, n),
+                   features=_padded(features, n),
+                   n=np.array(n, dtype=np.int64),
                    exposed=np.array(exposed, dtype=np.int64),
                    feedback=np.stack(feedback),
                    types=tuple(types))
@@ -332,9 +345,6 @@ def _numbers(rows, field: str) -> np.ndarray:
     if arr.ndim == 2 and bool in {type(v) for row in rows for v in row}:
         raise TypeError(f"{field} must hold numbers only, got a boolean")
     return arr.astype(np.float64, copy=False)
-
-
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 def _integer(value, field: str) -> int:
@@ -386,25 +396,21 @@ _RECORD_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError, Overflo
                   ShapeError, InvalidSlateError)
 
 
-def _check_values(records: list[_Record]) -> None:
-    """The checks of RequestBatch, FeedbackMatrix and ExposureLog on parsed
-    records: a feature row per item and a feedback row per type, finite
-    values, and the one slate rule against each record's own n and feedback
-    width. They run over all the records at once; only when that finds a
-    problem are the records built one at a time, in order, so that the first
-    bad one raises DataError with its line."""
-    if not records:
-        return
-    m = len(records[0].exposed)
+def _check_values(records: list[_Record]) -> LogTable | None:
+    """The parsed records stacked into one table whose values pass
+    `_check_table`, the check a cache hit runs. Only when that check fails,
+    or the records do not stack, are they built one at a time, in order,
+    through RequestBatch, FeedbackMatrix and ExposureLog: a feature row per
+    item and a feedback row per type, finite values, and the one slate rule
+    against each record's own n and feedback width. The first bad record
+    raises DataError with its line; None if none is bad, for records that
+    differ in feature width, slate length or feedback types (`_misfit`)."""
     try:
-        if (all(r.features.ndim == r.feedback.ndim == 2
-                and r.features.shape[0] == len(r.item_ids)
-                and r.feedback.shape[0] == len(r.types)
-                and len(r.exposed) == r.feedback.shape[1] == m for r in records)
-                and np.isfinite(np.concatenate([r.features.ravel() for r in records])).all()
-                and np.isfinite(np.concatenate([r.feedback.ravel() for r in records])).all()):
-            slate_indices([r.exposed for r in records], [len(r.item_ids) for r in records], m)
-            return
+        _, request_ids, user_ids, item_ids, features, exposed, types, feedback = zip(*records)
+        table = LogTable._stack(request_ids, user_ids, item_ids, features, exposed, feedback,
+                                types[0])
+        _check_table(table)
+        return table
     except _RECORD_ERRORS:
         pass
     for r in records:
@@ -413,6 +419,7 @@ def _check_values(records: list[_Record]) -> None:
                                      tuple(r.exposed), FeedbackMatrix(r.feedback, r.types)))
         except _RECORD_ERRORS as exc:
             raise DataError(f"malformed log record: {exc}", line=r.line) from exc
+    return None
 
 
 def _misfit(records: list[_Record], schema: LogSchema | None) -> DataError | None:
@@ -484,9 +491,10 @@ class CsvRecord:
         return self.csv_header() + "\n" + self.csv_row() + "\n"
 
 
-def _read_records(raw: bytes, schema: LogSchema | None) -> list[_Record]:
-    """The records of the log whose file holds `raw`, parsed and checked as
-    read_logs describes."""
+def _read_records(raw: bytes) -> list[_Record]:
+    """The records of the log whose file holds `raw`, parsed. A line that
+    does not parse raises DataError, after the records before it are
+    checked (`_check_values`)."""
     records: list[_Record] = []
     # BytesIO ends a piece after each b"\n"; splitting each piece again ends
     # lines where a text-mode read does, at "\r\n", "\r" or "\n". No UTF-8
@@ -501,13 +509,9 @@ def _read_records(raw: bytes, schema: LogSchema | None) -> list[_Record]:
                 continue
             records.append(_parse(json.loads(line), lineno))
         except _RECORD_ERRORS as exc:
-            _check_values(records)
+            if records:
+                _check_values(records)
             raise DataError(f"malformed log record: {exc}", line=lineno) from exc
-    if records:
-        _check_values(records)
-        misfit = _misfit(records, schema)
-        if misfit is not None:
-            raise misfit
     return records
 
 
@@ -533,15 +537,16 @@ def _cache_file(cache_dir, path) -> str:
 
 
 def _check_table(table: LogTable) -> None:
-    """The checks read_logs runs on a parsed log, on a table read from a
-    cache file: columns of the dtypes and shapes a parse gives, agreeing on
-    the number of requests, n from 1 to the padded width that the largest n
-    sets, finite features and feedback, and the slate rule against n."""
+    """The value checks read_logs runs on a log, parsed and stacked or read
+    from a cache file: columns of the dtypes and shapes a parse gives,
+    agreeing on the number of requests, n from 1 to the padded width that
+    the largest n sets, finite features and feedback, and the slate rule
+    against n."""
     t = table
     ints = (t.request_id, t.user_id, t.item_ids, t.n, t.exposed)
     if (any(a.dtype != np.int64 for a in ints)
             or t.features.dtype != np.float64 or t.feedback.dtype != np.float64):
-        raise ShapeError("cached log columns have other dtypes than a parsed log")
+        raise ShapeError("log columns have other dtypes than a parsed log")
     rows = len(t.n)
     if not (rows and t.n.ndim == t.request_id.ndim == t.user_id.ndim == 1
             and len(t.request_id) == len(t.user_id) == rows
@@ -550,9 +555,9 @@ def _check_table(table: LogTable) -> None:
             and len(t.exposed) == rows
             and t.feedback.shape == (rows, len(t.types), t.exposed.shape[1])
             and t.n.min() >= 1 and t.n.max() == t.item_ids.shape[1]):
-        raise ShapeError("cached log columns do not agree")
+        raise ShapeError("log columns do not agree")
     if not (np.isfinite(t.features).all() and np.isfinite(t.feedback).all()):
-        raise ShapeError("cached log holds non-finite values")
+        raise ShapeError("log holds non-finite values")
     slate_indices(t.exposed, t.n, t.exposed.shape[1])
 
 
@@ -663,13 +668,14 @@ def read_logs(path, schema: LogSchema | None = None, cache_dir=None) -> LogTable
         table = _load_cached(file, digest)
         if table is not None and _fits(table, schema):
             return table
-    records = _read_records(raw, schema)
+    records = _read_records(raw)
     del raw  # the text is larger than its records: free it before stacking them
     if not records:
         return LogTable.empty()
-    _, request_ids, user_ids, item_ids, features, exposed, types, feedback = zip(*records)
-    table = LogTable._stack(request_ids, user_ids, item_ids, features, exposed, feedback,
-                            types[0])
+    table = _check_values(records)
+    misfit = _misfit(records, schema)
+    if misfit is not None:
+        raise misfit
     if cache_dir is not None:
         _write_cache(file, digest, table)
     return table

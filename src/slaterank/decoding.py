@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .data import _NOT_INDEX, slate_indices
-from .errors import ConfigError, InfeasibleSlateError, InvalidSlateError
+from .errors import ConfigError, InfeasibleSlateError, InvalidSlateError, ShapeError
 from .generator import ProbMatrix
 
 _METHODS = ("contrastive", "greedy", "topk", "beam")
@@ -52,7 +52,7 @@ class SlateSequence:
             object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "probabilities", tuple(map(float, self.probabilities)))
         if len(indices) != len(self.probabilities):
-            raise InfeasibleSlateError("one probability per chosen index required")
+            raise ShapeError("one probability per chosen index required")
         if len(set(indices)) != len(indices):
             raise InvalidSlateError(f"slate repeats an item: {indices}")
         if indices and min(indices) < 0:

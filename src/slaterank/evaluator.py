@@ -35,7 +35,7 @@ from .errors import ConfigError, ShapeError
 from .generator import _build_layer_norm, _ln, block, build_block
 from .numerics import Params, Tape, Tensor
 from .objectives import weighted_sum
-from .training import _fit, _log_mean_loss, _table
+from .training import _fit, _table
 
 
 @dataclass(frozen=True)
@@ -182,19 +182,15 @@ def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
     axis, with no sigmoid or utility; `training._fit` checks that every
     slate's loss is finite, naming the request, and backprops their sum once.
     """
-    table = _table(logs)
-    if table.exposed.shape[1] != cfg.m:
-        raise ShapeError(f"logged slates have {table.exposed.shape[1]} items, "
-                         f"config m={cfg.m}")
+    table = _table(logs, cfg.m)
     y = table.feedback[:, [table.types.index(t) for t in cfg.types]]
 
     def batch_loss(tape, rows):
         feats = table.features[rows[:, None], table.exposed[rows]]
-        losses = bce_loss(tape, _logits(feats, params, cfg, tape), y[rows])
-        return losses, (losses,)
+        return bce_loss(tape, _logits(feats, params, cfg, tape), y[rows]), None
 
     return _fit(table, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
-                seed=seed, after_step=_log_mean_loss(loss_log))
+                seed=seed, loss_log=loss_log)
 
 
 def select_best(req: RequestBatch, slates, params: Params,

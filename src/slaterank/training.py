@@ -30,7 +30,7 @@ import numpy as np
 
 from .ar import ar_sequence_loss
 from .data import CsvRecord, LogTable
-from .errors import DataError, NumericsError
+from .errors import DataError, NumericsError, ShapeError
 from .generator import GeneratorConfig, forward
 from .numerics import AdamState, Params, Tape, adam_step
 from .objectives import UtilitySpec, total_loss, utilities
@@ -64,23 +64,33 @@ def steps_to_csv(steps: list[TrainStep]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table(logs) -> LogTable:
+def _table(logs, m: int) -> LogTable:
     """The training log as one LogTable: a LogTable as it is, a list of
-    ExposureLogs stacked once. An empty log is a DataError."""
+    ExposureLogs stacked once. An empty log is a DataError, and slates of
+    other than m items a ShapeError."""
     table = LogTable.of(logs)
     if not len(table):
         raise DataError("training log is empty")
+    if table.exposed.shape[1] != m:
+        raise ShapeError(f"logged slates have {table.exposed.shape[1]} items, config m={m}")
     return table
 
 
 def _fit(table: LogTable, params: Params, batch_loss, *, lr: float,
-         epochs: int, batch_size: int, seed: int, after_step=None) -> Params:
+         epochs: int, batch_size: int, seed: int, loss_log: list[float] | None = None,
+         after_step=None) -> Params:
     """Adam over seeded shuffles of the table's rows, one tape per minibatch.
 
     batch_loss(tape, rows) gets a minibatch's row numbers and returns the
     per-request loss vector and a value that after_step(step, rows, value)
-    receives once the step is taken; the value stays alive until the next
-    minibatch has been recorded.
+    receives once the step is taken. loss_log gets each step's mean loss per
+    request as a Python float.
+
+    Each minibatch's largest activation is held until the next minibatch
+    has been recorded. The allocator then reuses the freed activations'
+    pages instead of returning them to the OS after each backward pass and
+    faulting them in again: without it a generator training run took ~75%
+    more minor page faults and ~6% longer.
     """
     state = AdamState(lr=lr)
     rng = np.random.default_rng(seed)
@@ -91,6 +101,7 @@ def _fit(table: LogTable, params: Params, batch_loss, *, lr: float,
             rows = order[start:start + batch_size]
             tape = Tape()
             losses, value = batch_loss(tape, rows)
+            held = tape.largest_output()  # replaced once the next minibatch is recorded
             finite = np.isfinite(losses.data)
             if not finite.all():
                 first = table.request_id[rows[int(np.argmin(finite))]]
@@ -99,22 +110,12 @@ def _fit(table: LogTable, params: Params, batch_loss, *, lr: float,
                     "lower the learning rate or check the log")
             tape.backward(tape.sum(losses))
             adam_step(params, state, grad_scale=1.0 / len(rows))
+            if loss_log is not None:
+                loss_log.append(float(losses.data.sum()) / len(rows))
             if after_step is not None:
                 after_step(step, rows, value)
             step += 1
     return params
-
-
-def _log_mean_loss(loss_log: list[float] | None):
-    """after_step for a batch_loss whose value is a tuple that starts with
-    its per-request losses: appends each step's mean loss per request to
-    loss_log as a Python float."""
-    if loss_log is None:
-        return None
-
-    def log_step(step, rows, value):
-        loss_log.append(float(value[0].data.sum()) / len(rows))
-    return log_step
 
 
 def train_generator(logs, params: Params,
@@ -129,23 +130,16 @@ def train_generator(logs, params: Params,
         spec = replace(spec, tau=CE_ONLY_TAU)
     elif objective != "ul":
         raise DataError(f"unknown objective {objective!r}")
-    table = _table(logs)
+    table = _table(logs, cfg.m)
     r = utilities(table, spec)
 
     def batch_loss(tape, rows):
         batch = table.take(rows)
-        probs = forward(batch, params, cfg, tape)
-        breakdown = total_loss(tape, probs, batch.exposed, r[rows], spec,
-                               rho=rho, omega=omega)
-        # probs rides along so that _fit holds it until the next minibatch is
-        # recorded. The allocator then reuses the freed activations' pages
-        # instead of returning them to the OS after each backward pass and
-        # faulting them in again: without it a training run took ~75% more
-        # minor page faults and ~6% longer.
-        return breakdown.total, (breakdown, probs)
+        breakdown = total_loss(tape, forward(batch, params, cfg, tape), batch.exposed,
+                               r[rows], spec, rho=rho, omega=omega)
+        return breakdown.total, breakdown
 
-    def log_step(step, rows, value):
-        breakdown = value[0]
+    def log_step(step, rows, breakdown):
         mean = [float(t.data.sum()) / len(rows) for t in (
             breakdown.total, breakdown.ce_or_ul,
             breakdown.item_contrastive, breakdown.position_contrastive)]
@@ -166,13 +160,10 @@ def train_ar(logs, params: Params, cfg: GeneratorConfig, *,
     """Teacher-forced CE training of the autoregressive pointer baseline on a
     LogTable or a list of ExposureLogs; loss_log gets each step's mean loss
     per request as a Python float."""
-    table = _table(logs)
+    table = _table(logs, cfg.m)
 
     def batch_loss(tape, rows):
-        losses = ar_sequence_loss(table.take(rows), params, cfg, tape)
-        # the largest activation (the feed-forward's hidden layer) rides
-        # along for the reason train_generator keeps its probs
-        return losses, (losses, tape.largest_output())
+        return ar_sequence_loss(table.take(rows), params, cfg, tape), None
 
     return _fit(table, params, batch_loss, lr=lr, epochs=epochs, batch_size=batch_size,
-                seed=seed, after_step=_log_mean_loss(loss_log))
+                seed=seed, loss_log=loss_log)

@@ -81,5 +81,5 @@ def counted_parses(monkeypatch):
     parses = []
     parse = data._read_records
     monkeypatch.setattr(data, "_read_records",
-                        lambda raw, schema: parses.append(1) or parse(raw, schema))
+                        lambda raw: parses.append(1) or parse(raw))
     return parses

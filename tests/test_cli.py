@@ -569,6 +569,70 @@ def test_a_checkpoint_directory_that_is_missing_exits_1_before_any_work(
     assert not path.parent.exists()
 
 
+def test_an_output_directory_that_is_missing_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # simulate, generate and evaluate used to run every request and bench its
+    # whole sweep before the write failed
+    cfg = write_cfg(tmp_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("World", "gen_log", "load_checkpoint", "read_logs", "forward", "run_bench"):
+        monkeypatch.setattr(f"slaterank.cli.{name}", never)
+    path = tmp_path / "absent" / "out.txt"
+    for argv in (["simulate", "--out", str(path)],
+                 ["simulate", "--set", f"paths.train_log={path}"],
+                 ["generate", "--out", str(path)], ["evaluate", "--out", str(path)],
+                 ["bench", "--out", str(path)]):
+        assert main([*argv, "--config", cfg]) == 1, argv
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: No such file or directory\n", argv
+    assert not path.parent.exists()
+
+
+def test_feedback_types_that_a_model_cannot_use_exit_1_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    capsys.readouterr()
+    world = ["--set", "world.types=view,buy", "--set", "world.base_rates=1.0,0.3"]
+    wider = ["--set", "world.types=click,like,share",
+             "--set", "world.base_rates=1.0,0.35,0.2"]
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the log's types were checked")
+
+    # evaluate used to die of a ValueError from FeedbackMatrix.row after the
+    # first forward; a log with more types than the evaluator's still serves
+    test_log = ["--out", f"{tmp_path}/test.jsonl", "--num-requests", "30"]
+    assert main(["simulate", "--config", cfg, *wider, *test_log]) == 0
+    assert main(["evaluate", "--config", cfg]) == 0
+    assert main(["simulate", "--config", cfg, *world, *test_log]) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr("slaterank.cli.forward", never)
+        assert main(["evaluate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: log feedback types ('view', 'buy') do not include 'click', "
+        "the first of evaluator types ('click', 'like')\n")
+    # the trainers' own checks: the utility spec must weigh every logged
+    # type, and the evaluator's heads must be the logged types exactly
+    for name in ("train_generator", "train_evaluator"):
+        monkeypatch.setattr(f"slaterank.cli.{name}", never)
+    assert main(["simulate", "--config", cfg, *world]) == 0
+    capsys.readouterr()
+    assert main(["train-generator", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: utility spec has no weights for logged interaction types ['view', 'buy']\n")
+    assert main(["simulate", "--config", cfg, *wider]) == 0
+    capsys.readouterr()
+    assert main(["train-evaluator", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: log feedback types ('click', 'like', 'share') do not match "
+        "evaluator types ('click', 'like')\n")
+
+
 def test_a_nul_byte_in_a_config_value_exits_1_naming_the_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, extra=[f"paths.train_log={tmp_path}/x\0y.jsonl"])
     for command in ("simulate", "train-generator"):

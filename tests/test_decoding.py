@@ -16,7 +16,7 @@ from slaterank.decoding import (
     slate_score,
     topk_sample,
 )
-from slaterank.errors import ConfigError, InfeasibleSlateError, InvalidSlateError
+from slaterank.errors import ConfigError, InfeasibleSlateError, InvalidSlateError, ShapeError
 from slaterank.generator import ProbMatrix
 from slaterank.numerics import Tensor
 
@@ -64,7 +64,7 @@ def oracle_contrastive(values, reps, alpha):
 def test_slate_sequence_invariants():
     with pytest.raises(InvalidSlateError, match="repeats"):
         SlateSequence((0, 0), (0.5, 0.5), "greedy")
-    with pytest.raises(InfeasibleSlateError):
+    with pytest.raises(ShapeError):
         SlateSequence((0, 1), (0.5,), "greedy")
     with pytest.raises(InvalidSlateError, match="out of range"):
         SlateSequence((-1, 1), (0.5, 0.5), "greedy")
@@ -91,7 +91,7 @@ def test_slate_sequence_rejects_bool_indices(indices):
     ((0, 0), (0.5, 0.5)), ((0, 1), (0.5,)), ((-1, 1), (0.5, 0.5))])
 def test_slate_sequence_checks_a_tuple_of_ints_as_any_other_sequence(indices, probabilities):
     # a tuple of Python ints skips the conversion, not the checks
-    error = InfeasibleSlateError if len(indices) != len(probabilities) else InvalidSlateError
+    error = ShapeError if len(indices) != len(probabilities) else InvalidSlateError
     messages = set()
     for form in (tuple, list, np.array):
         with pytest.raises(error) as raised:

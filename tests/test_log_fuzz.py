@@ -282,8 +282,9 @@ def other_feedback_types(rec, draw):
 
 
 # faults whose message the reference parser words: NumPy's own message for
-# a ragged feature table or a slate index past int64 is left to the test above
-REFERENCE_FAULTS = (partial(bad_slate, huge=(2 ** 40,)), refused_value, missing_key,
+# a ragged feature table is left to the test above
+REFERENCE_FAULTS = (partial(bad_slate, huge=(2 ** 40, 2 ** 63, 2 ** 64, -2 ** 70)),
+                    refused_value, missing_key,
                     partial(wrong_width, ragged=False), other_feedback_types,
                     too_many_candidates, non_finite)
 

@@ -27,10 +27,10 @@ from slaterank.data import (
 )
 from slaterank.errors import DataError, ShapeError
 from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, train_evaluator
-from slaterank.generator import GeneratorConfig, _stack_requests
+from slaterank.generator import GeneratorConfig, _stack_requests, init_generator_params
 from slaterank.numerics import Tape
 from slaterank.objectives import UtilitySpec, utilities, utility
-from slaterank.training import train_ar
+from slaterank.training import train_ar, train_generator
 
 D_X, M, N_MAX = 4, 3, 9
 CFG = GeneratorConfig(n_max=N_MAX, m=M, d=8, h=2, L=1, d_x=D_X, d_t=5)
@@ -171,6 +171,10 @@ def test_table_slates_of_another_length_are_a_shape_error():
         ar_sequence_loss(table, init_ar_params(CFG), CFG, Tape())
     with pytest.raises(ShapeError, match=want):
         train_ar(table, init_ar_params(CFG), CFG)
+    # the generator's trainer fails before its first minibatch, as the others do
+    with pytest.raises(ShapeError, match=want):
+        train_generator(table, init_generator_params(CFG), CFG,
+                        UtilitySpec(types=("click", "like"), weights=(1.0, 0.5), tau=0.0))
     ev_cfg = EvaluatorConfig(d=8, h=2, d_x=D_X, m=M)
     with pytest.raises(ShapeError, match=want):
         train_evaluator(table, init_evaluator_params(ev_cfg), ev_cfg)
@@ -230,6 +234,24 @@ def test_a_bad_first_record_is_reported_with_its_line(tmp_path):
         damage(first)
         write_lines(path, [first] + records[1:])
         with pytest.raises(DataError, match="^line 1: malformed"):
+            read_logs(path, SCHEMA)
+
+
+def test_a_record_that_would_broadcast_into_the_table_is_reported_with_its_line(tmp_path):
+    # scalar features on n = D_X candidates, or one feature per candidate,
+    # would broadcast into the stacked feature table; each record is a bad one
+    path = tmp_path / "log.jsonl"
+    write_logs(path, ragged_logs(3, seed=7))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for features, match in (([0.5], "^line 2: malformed log record: features must be one row"),
+                            ([[0.5]], "^line 2: features have width 1")):
+        second = json.loads(json.dumps(records[1]))
+        second["candidates"] = second["candidates"][:D_X]
+        second["exposed"] = list(range(M))
+        for cand in second["candidates"]:
+            cand["features"] = features[0]
+        write_lines(path, [records[0], second, records[2]])
+        with pytest.raises(DataError, match=match):
             read_logs(path, SCHEMA)
 
 

@@ -138,6 +138,23 @@ def test_rules_run_in_order_over_the_whole_pool():
         slate_indices([(0, 1, "a")], N, M)
 
 
+def test_an_integer_past_int64_is_out_of_range():
+    # it used to read as "not an integer" (a float64 array) or escape as
+    # NumPy's OverflowError (an object array)
+    for big in (2 ** 63, 2 ** 64, -2 ** 70):
+        # (a SlateSequence refuses a negative index itself)
+        decoded = [[SlateSequence((0, 1, big), (0.5,) * M, "greedy")]] if big > 0 else []
+        for pool in [[(0, 1, big)], [GOOD] * 8 + [(0, 1, big)]] + decoded:
+            with pytest.raises(InvalidSlateError,
+                               match=rf"out of range for n={N}: \(0, 1, {big}\)"):
+                slate_indices(pool, N, M)
+    # the rules before the range rule still run over the whole pool first
+    with pytest.raises(InvalidSlateError, match="repeats"):
+        slate_indices([(0, 1, 2 ** 64), (1, 1, 2)], N, M)
+    with pytest.raises(InvalidSlateError, match="not an integer"):
+        slate_indices([(0, 1, 2 ** 63), (0, 1.5, 2)], N, M)
+
+
 def test_exposure_log_checks_length_before_repeats():
     with pytest.raises(ShapeError):
         ExposureLog(_logged((1, 1)))
