@@ -24,7 +24,6 @@ from .decoding import decode
 from .errors import ConfigError
 from .generator import forward, init_generator_params
 from .numerics import Tape
-from .objectives import UtilitySpec
 from .simulator import World, gen_log, gen_request
 from .training import train_ar, train_generator
 
@@ -60,46 +59,35 @@ class BenchReport(CsvRecord):
     infer_ratio: float
 
 
-def _timed(fn, tasks, warmup: int) -> tuple[float, float]:
-    """Mean and standard deviation of the seconds per task, the first
-    `warmup` tasks left out."""
-    times = []
-    for i, task in enumerate(tasks):
-        start = time.perf_counter()
-        fn(task)
-        elapsed = time.perf_counter() - start
-        if i >= warmup:
-            times.append(elapsed)
-    return float(np.mean(times)), float(np.std(times))
-
-
-def _time_inference(steps, requests, warmup: int) -> list[tuple[np.ndarray, int]]:
-    """Seconds per request and exact forward passes per request of each of
-    `steps`, each step(req, tape) run on a fresh non-recording tape whose
-    `forwards` it counts. The steps take turns, one request each, so that a
-    change of machine speed during the run falls on every series alike."""
+def _time_series(steps, tasks, warmup: int) -> list[tuple[np.ndarray, int]]:
+    """Seconds per task and exact forward passes per task of each of
+    `steps`, the first `warmup` tasks left out of the seconds. Each
+    step(task, tape) runs on a fresh non-recording tape whose `forwards` it
+    counts. The steps take turns, one task each, so that a change of machine
+    speed during the run falls on every series alike."""
     times, forwards = [[] for _ in steps], [0] * len(steps)
-    for i, req in enumerate(requests):
+    for i, task in enumerate(tasks):
         for k, step in enumerate(steps):
             tape = Tape(recording=False)
             start = time.perf_counter()
-            step(req, tape)
+            step(task, tape)
             elapsed = time.perf_counter() - start
             forwards[k] += tape.forwards
             if i >= warmup:
                 times[k].append(elapsed)
-    if any(total % len(requests) for total in forwards):
+    if any(total % len(tasks) for total in forwards):
         raise ConfigError(f"forward counts {forwards} not divisible by "
-                          f"{len(requests)} requests")
-    return [(np.asarray(t), total // len(requests)) for t, total in zip(times, forwards)]
+                          f"{len(tasks)} tasks")
+    return [(np.asarray(t), total // len(tasks)) for t, total in zip(times, forwards)]
 
 
 def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
               batch_size: int = 8, sweep_m: tuple[int, ...] = (1, 2, 4, 6, 8),
               ratio_m: int = 5) -> BenchReport:
     """Inference is timed once per distinct slate size among the configured
-    m, sweep_m and ratio_m, NAR and AR in turn, one request each. The sweep
-    and the slopes read the series' means; infer_ratio is the median of the
+    m, sweep_m and ratio_m, NAR and AR in turn, one request each; training
+    is timed NAR and AR in turn, one minibatch update each. The sweep and
+    the slopes read the series' means; infer_ratio is the median of the
     ratio_m series' per-request AR/NAR ratios, each from two back-to-back
     timings, so that neither a few stalled requests nor a change of machine
     speed during the series can move it."""
@@ -109,60 +97,42 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     rng = np.random.default_rng(run.seed)
     requests = [gen_request(world, rng, request_id=i)
                 for i in range(steps + warmup)]
-    decode_cfg = run.decode
-    series = {}  # slate size -> its [nar, ar] results of _time_inference
-
-    def infer_at(mv: int) -> list[tuple[np.ndarray, int]]:
-        if mv not in series:
-            cfg = replace(run.generator, m=mv)
-            gen, ar = init_generator_params(cfg), init_ar_params(cfg)
-            series[mv] = _time_inference(
-                (lambda req, tape: decode(forward(req, gen, cfg, tape), decode_cfg),
-                 lambda req, tape: ar_decode(req, ar, cfg, tape)), requests, warmup)
-        return series[mv]
-
-    # Main timing at the configured slate size.
-    (nar_times, nar_fwd), (ar_times, ar_fwd) = infer_at(run.generator.m)
-
-    # Slate-size sweep for the scaling shape.
-    sweep_nar, sweep_ar = [], []
-    for mv in sweep_m:
-        (n_times, _), (a_times, _) = infer_at(mv)
-        sweep_nar.append(float(n_times.mean()))
-        sweep_ar.append(float(a_times.mean()))
+    series = {}  # slate size -> its NAR and AR (times, forwards per request)
+    for mv in dict.fromkeys((run.generator.m, *sweep_m, ratio_m)):
+        cfg = replace(run.generator, m=mv)
+        gen, ar = init_generator_params(cfg), init_ar_params(cfg)
+        series[mv] = _time_series(
+            (lambda req, tape: decode(forward(req, gen, cfg, tape), run.decode),
+             lambda req, tape: ar_decode(req, ar, cfg, tape)), requests, warmup)
+    (nar_times, nar_fwd), (ar_times, ar_fwd) = series[run.generator.m]
+    sweep_nar = [float(series[mv][0][0].mean()) for mv in sweep_m]
+    sweep_ar = [float(series[mv][1][0].mean()) for mv in sweep_m]
     nar_slope = float(np.polyfit(sweep_m, sweep_nar, 1)[0])
     ar_slope = float(np.polyfit(sweep_m, sweep_ar, 1)[0])
-
-    (r_nar_times, _), (r_ar_times, _) = infer_at(ratio_m)
+    (r_nar_times, _), (r_ar_times, _) = series[ratio_m]
 
     # Training steps: one real minibatch update per timed step.
-    spec: UtilitySpec = run.utility
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         logs = gen_log(world, "random", batch_size, rng)
     gen_params = init_generator_params(run.generator)
     ar_params = init_ar_params(run.generator)
-
-    def nar_train_step(_):
-        train_generator(logs, gen_params, run.generator, spec,
-                        lr=run.train.lr, epochs=1, batch_size=batch_size,
-                        omega=run.train.omega, rho=run.train.rho,
-                        objective=run.train.objective, seed=0)
-
-    def ar_train_step(_):
-        train_ar(logs, ar_params, run.generator, lr=run.train.lr, epochs=1,
-                 batch_size=batch_size, seed=0)
-
-    ticks = range(steps + warmup)
-    nar_train_mean, nar_train_std = _timed(nar_train_step, ticks, warmup)
-    ar_train_mean, ar_train_std = _timed(ar_train_step, ticks, warmup)
+    train = run.train
+    (nar_train, _), (ar_train, _) = _time_series(
+        (lambda _, tape: train_generator(
+            logs, gen_params, run.generator, run.utility, lr=train.lr, epochs=1,
+            batch_size=batch_size, omega=train.omega, rho=train.rho,
+            objective=train.objective, seed=0),
+         lambda _, tape: train_ar(logs, ar_params, run.generator, lr=train.lr,
+                                  epochs=1, batch_size=batch_size, seed=0)),
+        range(steps + warmup), warmup)
 
     return BenchReport(
         batch_size=batch_size, m=run.generator.m,
         nar_infer_mean=float(nar_times.mean()), nar_infer_std=float(nar_times.std()),
         ar_infer_mean=float(ar_times.mean()), ar_infer_std=float(ar_times.std()),
-        nar_train_mean=nar_train_mean, nar_train_std=nar_train_std,
-        ar_train_mean=ar_train_mean, ar_train_std=ar_train_std,
+        nar_train_mean=float(nar_train.mean()), nar_train_std=float(nar_train.std()),
+        ar_train_mean=float(ar_train.mean()), ar_train_std=float(ar_train.std()),
         nar_forwards_per_request=nar_fwd, ar_forwards_per_request=ar_fwd,
         sweep_m=tuple(sweep_m), sweep_nar=tuple(sweep_nar),
         sweep_ar=tuple(sweep_ar), nar_slope=nar_slope, ar_slope=ar_slope,

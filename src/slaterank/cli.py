@@ -185,7 +185,7 @@ def _read_log(run: RunConfig, path, cfg):
 def cmd_simulate(run: RunConfig, args) -> int:
     out = _writable(args.out or run.paths.train_log)
     world = World(run.world)
-    count = args.num_requests if args.num_requests else run.num_requests
+    count = run.num_requests if args.num_requests is None else args.num_requests
     rng = np.random.default_rng(run.seed)
     logs = _quiet_world_call(gen_log, world, args.policy, count, rng,
                              start_id=args.start_id)

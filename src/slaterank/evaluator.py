@@ -59,6 +59,10 @@ class EvaluatorConfig:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.types) != len(self.weights) or not self.types:
             raise ConfigError("one selection weight per interaction type required")
+        if len(set(self.types)) != len(self.types):
+            raise ConfigError(f"evaluator.types repeats an interaction type: {self.types}")
+        if not np.isfinite(self.weights).all():
+            raise ConfigError(f"evaluator.weights must be finite, got {self.weights}")
         if min(self.d, self.h, self.d_x, self.m) <= 0:
             raise ConfigError("evaluator dims must be positive")
         if self.d % self.h:

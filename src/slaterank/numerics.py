@@ -383,12 +383,6 @@ class Tape:
 
         return self._record(Tensor(_broadcast_op(np.multiply, ad, bd, "mul")), back)
 
-    def scale(self, a: Tensor, c: float) -> Tensor:
-        return self.mask(a, float(c))
-
-    def neg(self, a: Tensor) -> Tensor:
-        return self.scale(a, -1.0)
-
     def add_scalar(self, a: Tensor, c) -> Tensor:
         """a + c for a constant c: a float, or an array that broadcasts into a."""
         out = Tensor(a.data + np.asarray(c, dtype=np.float64))
@@ -441,9 +435,6 @@ class Tape:
         y = 0.5 * x
         y *= t + 1.0
         return self._record(Tensor(y), back)
-
-    def relu(self, a: Tensor) -> Tensor:
-        return self.clamp_min(a, 0.0)
 
     def sigmoid(self, a: Tensor) -> Tensor:
         y = _logistic(a.data)

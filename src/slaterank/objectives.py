@@ -136,7 +136,7 @@ def _labeled_probs(tape: Tape, probs: ProbMatrix, exposed) -> Tensor:
 
 def _neg_log_sum(tape: Tape, p: Tensor) -> Tensor:
     """-sum_j log max(p_j, 1e-12) over the last axis: one value per request."""
-    return tape.neg(tape.sum(tape.log(tape.clamp_min(p, _P_CLAMP)), axis=-1))
+    return tape.mask(tape.sum(tape.log(tape.clamp_min(p, _P_CLAMP)), axis=-1), -1.0)
 
 
 def ce_loss(tape: Tape, probs: ProbMatrix, exposed) -> Tensor:
@@ -184,7 +184,7 @@ def _pairwise_hinge(tape: Tape, reps: Tensor, rho: float,
     unit = tape.row_normalize(reps)
     cos = tape.matmul(unit, tape.transpose(unit))
     # -inf shifts the pairs left out below the hinge: exactly 0, no gradient
-    hinge = tape.relu(tape.add_scalar(cos, np.where(pairs, rho - 1.0, -np.inf)))
+    hinge = tape.clamp_min(tape.add_scalar(cos, np.where(pairs, rho - 1.0, -np.inf)), 0.0)
     return tape.mask(tape.sum(hinge, axis=(-2, -1)), 1.0 / (k * (k - 1)))
 
 
@@ -228,7 +228,7 @@ def total_loss(
     ul, is_positive, clamped = unlikelihood_loss(tape, probs, exposed, r, spec)
     item = item_contrastive_loss(tape, probs.candidate_reps, rho, probs.valid)
     position = position_contrastive_loss(tape, probs.position_reps, rho)
-    total = tape.add(ul, tape.scale(tape.add(item, position), omega))
+    total = tape.add(ul, tape.mask(tape.add(item, position), float(omega)))
     return LossBreakdown(
         total=total,
         ce_or_ul=ul,

@@ -70,6 +70,8 @@ class WorldConfig:
             raise ConfigError("suppression must be >= 0")
         if len(self.types) != len(self.base_rates):
             raise ConfigError("one base rate per interaction type required")
+        if len(set(self.types)) != len(self.types):
+            raise ConfigError(f"world.types repeats an interaction type: {self.types}")
         if any(not 0.0 <= r <= 1.0 for r in self.base_rates):
             raise ConfigError("base rates must lie in [0, 1]")
         if self.n_candidates < self.m:

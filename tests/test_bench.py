@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from slaterank.bench import BenchReport, _timed, run_bench
+from slaterank import bench
+from slaterank.bench import BenchReport, _time_series, run_bench
 from slaterank.configs import RunConfig
 from slaterank.errors import ConfigError
 
@@ -31,13 +32,23 @@ def test_report_structure_and_forward_counts():
 
 
 def test_timed_discards_warmup():
-    def slow_then_fast(task):
+    def slow_then_fast(task, tape):
         if task < 10:
             time.sleep(0.005)
 
-    mean, std = _timed(slow_then_fast, range(12), warmup=10)
-    assert mean < 0.003
-    assert std >= 0.0
+    [(times, forwards)] = _time_series((slow_then_fast,), range(12), warmup=10)
+    assert len(times) == 2
+    assert times.mean() < 0.003
+    assert forwards == 0
+
+
+def test_training_steps_are_timed_in_turn(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "train_generator", lambda *a, **k: calls.append("nar"))
+    monkeypatch.setattr(bench, "train_ar", lambda *a, **k: calls.append("ar"))
+    rep = run_bench(RunConfig(), steps=3, warmup=1, batch_size=2, sweep_m=(1, 2), ratio_m=2)
+    assert calls == ["nar", "ar"] * 4
+    assert rep.nar_train_mean > 0.0 and rep.ar_train_mean > 0.0
 
 
 def test_bench_validation():

@@ -101,6 +101,41 @@ def test_simulate_rejects_world_values_it_cannot_simulate(tmp_path, capsys, sett
     assert not out.exists()
 
 
+def test_simulate_num_requests_below_one_exits_1(tmp_path, capsys):
+    # --num-requests 0 used to be read as absent, and simulated num_requests
+    out = tmp_path / "log.jsonl"
+    for count in ("0", "-3"):
+        assert main(["simulate", "--config", write_cfg(tmp_path), "--set", "num_requests=30",
+                     "--num-requests", count, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: num_requests must be >= 1\n"
+        assert not out.exists()
+
+
+def test_world_types_that_repeat_exit_1_naming_the_field(tmp_path, capsys):
+    # each record used to keep one row of the repeated type
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg, "--set", "world.types=click,click",
+                 "--set", "world.base_rates=1.0,0.3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: world.types repeats an interaction type: ('click', 'click')\n")
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("evaluator.weights=nan,0.5", "evaluator.weights must be finite, got (nan, 0.5)"),
+    ("evaluator.weights=inf,-inf", "evaluator.weights must be finite, got (inf, -inf)"),
+    ("evaluator.types=click,click",
+     "evaluator.types repeats an interaction type: ('click', 'click')")])
+def test_evaluator_types_that_repeat_or_weights_not_finite_exit_1_naming_the_field(
+        tmp_path, capsys, setting, message):
+    # a non-finite weight used to write "utility": NaN into slates.jsonl, and
+    # a repeated type to fail on a parameter name
+    cfg = write_cfg(tmp_path)
+    assert main(["generate", "--config", cfg, "--set", setting]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 def test_simulate_rejects_non_finite_candidate_features(tmp_path, capsys):
     # finite spreads so wide that the item latents (1e308) or their norms
     # (1e200) overflow: a config error naming the key, and no NumPy warning

@@ -14,6 +14,7 @@ from slaterank.errors import (
     NumericsError,
     ShapeError,
 )
+from slaterank.generator import ProbMatrix
 from slaterank.numerics import (
     AdamState,
     Params,
@@ -23,6 +24,7 @@ from slaterank.numerics import (
     load_checkpoint,
     save_checkpoint,
 )
+from slaterank.objectives import UtilitySpec, total_loss
 
 
 def test_matmul_identity():
@@ -124,7 +126,7 @@ def test_elementwise_and_reduction_gradients():
         s = tape.softmax_rows(h)
         picked = tape.take_entries(s, [0, 1, 2], [2, 0, 1])
         safe = tape.clamp_min(picked, 1e-12)
-        return tape.neg(tape.sum(tape.log(safe)))
+        return tape.mask(tape.sum(tape.log(safe)), -1.0)
 
     gradcheck(loss, [x, w, b, gain, bias])
 
@@ -219,7 +221,7 @@ def test_row_normalize_gradient_and_zero_row_flag():
 def test_backward_requires_scalar_root():
     t = Tape()
     x = Tensor(np.ones((2, 2)))
-    y = t.scale(x, 2.0)
+    y = t.mask(x, 2.0)
     with pytest.raises(ShapeError):
         t.backward(y)
 
@@ -864,6 +866,54 @@ def _minibatch_cases():
 @pytest.mark.parametrize("call, ref, inputs", _minibatch_cases())
 def test_minibatch_ops_match_their_blas_formulas_bit_for_bit(call, ref, inputs):
     test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs)
+
+
+def test_no_public_tape_method_calls_another(monkeypatch):
+    """Each public Tape method does its work without going through another
+    public one, so a timer wrapped around each charges every op its own time
+    only. The two op tables above drive their ops, the other ops run once
+    each, and the generator's loss runs on both of its branches."""
+    public = {name for name, v in vars(Tape).items()
+              if callable(v) and not name.startswith("_")}
+    stack, called, nested = [], set(), set()
+
+    def wrap(name, method):
+        def wrapper(*args, **kwargs):
+            if stack:
+                nested.add((stack[-1], name))
+            stack.append(name)
+            called.add(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in public:
+        monkeypatch.setattr(Tape, name, wrap(name, vars(Tape)[name]))
+    for case in _op_cases() + _minibatch_cases():
+        test_ops_match_their_plain_formulas_bit_for_bit(*case.values)
+
+    rng = np.random.default_rng(3)
+    x, y = Tensor(rng.normal(size=(2, 5, 3))), Tensor(rng.normal(size=(2, 5, 3)))
+    values = rng.uniform(0.05, 1.0, size=(2, 5, 3))
+    probs = ProbMatrix(values=Tensor(values / values.sum(axis=-2, keepdims=True)),
+                       candidate_reps=Tensor(rng.normal(size=(2, 5, 4))),
+                       position_reps=Tensor(rng.normal(size=(2, 3, 4))))
+    tape = Tape()
+    parts = [tape.matmul(x, tape.transpose(y)), tape.sub(x, y), tape.add_scalar(x, 1.0),
+             tape.log(tape.clamp_min(x, 0.1)), tape.take_entries(x, [[0, 4], [1, 2]], [0, 2]),
+             tape.take_rows(x, [[0, 0], [3, 1]]), tape.slice_rows(x, 1, 3),
+             tape.concat_rows([x, y]),
+             total_loss(tape, probs, [(0, 1, 2), (4, 3, 0)], np.array([2.0, 0.0]),
+                        UtilitySpec(types=("click",), weights=(1.0,), tau=1.0)).total]
+    root = tape.sum(parts[0])
+    for part in parts[1:]:
+        root = tape.add(root, tape.sum(part))
+    assert tape.largest_output() is not None
+    tape.backward(root)
+    assert not nested, f"(outer, inner) calls: {sorted(nested)}"
+    assert called == public, f"not driven: {sorted(public - called)}"
 
 
 def _kernel_cases(rows, rng):
