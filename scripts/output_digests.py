@@ -22,7 +22,7 @@ weights with `score_slates`, `score_slate` and `select_best`, and by the
 oracle's expected utility; the bounds of single rank groups 8 to 20, 129
 and 300 terms wide, where a total summed in another order moves the last
 bits of the bounds without often moving a pick;
-AR decoded slates and sequence-loss
+AR decoded slates, their pick probabilities and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
 ragged log (n from m to n_max, two feedback types) written by write_logs and
@@ -531,7 +531,9 @@ def main() -> None:
     serving_pool_digests()
     group_bounds_digest()
 
-    print("ar_decode", digest([ar_decode(r, ar, GEN).indices for r in reqs[:6]]))
+    ar_slates = [ar_decode(r, ar, GEN) for r in reqs[:6]]
+    print("ar_decode", digest([s.indices for s in ar_slates]))
+    print("ar_decode.probs", digest([s.probabilities for s in ar_slates]))
     tape = Tape()
     tape.backward(ar_sequence_loss(reqs[0], ar, GEN, tape))
     print("ar_sequence_loss.one.grads", grads_digest(ar))
