@@ -2,7 +2,7 @@
 """Time two slaterank source trees against each other in one process.
 
     python3 scripts/ab_inprocess.py PARENT_SRC [CHANGE_SRC] [--pairs 10] [--scale tiny]
-        [--workloads rerank,onepass,cli.train_evaluator]
+        [--workloads rerank,onepass,ar,cli.train_evaluator]
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `slaterank` package,
 such as a checkout's `src/`; CHANGE_SRC defaults to this checkout's. Both are
@@ -28,11 +28,14 @@ The workloads:
   the checkpoint and the loss curve), each tree with its own out_dir, whose
   log cache the warm-up run fills, so the timed runs read the log from it;
 - serving on n = 20: `onepass` is forward and contrastive_decode per
-  request, `rerank` is forward, sample_slates and select_best.
+  request, `rerank` is forward, sample_slates and select_best, and `ar` is
+  the AR pointer baseline's ar_decode.
 
 Both trees train on the same log, which the change's simulator draws and
 each tree reads back with its own read_logs, and serve with the same
-parameters, trained once by the parent. BLAS runs on one thread.
+parameters (the generator, the evaluator and the AR baseline), trained
+once by the parent; a serving workload's "other slate" count is then its
+exactness check. BLAS runs on one thread.
 """
 
 import os
@@ -64,7 +67,7 @@ SEED = 20260
 SCALES = {"full": (384, 2048, 64, 2), "tiny": (24, 32, 2, 1)}
 TRAINERS = ("generator", "evaluator", "ar")
 WORKLOADS = (*(f"train_{kind}.{log}" for kind in TRAINERS for log in ("bench", "desk")),
-             "cli.train_generator", "cli.train_evaluator", "onepass", "rerank")
+             "cli.train_generator", "cli.train_evaluator", "onepass", "rerank", "ar")
 
 
 def load(src, name: str) -> types.SimpleNamespace:
@@ -120,6 +123,7 @@ class Tree:
                      for i in range(self.serve_count)]
         self.gen = sr.generator.init_generator_params(self.gen_cfg)
         self.ev = sr.evaluator.init_evaluator_params(self.ev_cfg)
+        self.ar = sr.ar.init_ar_params(self.gen_cfg)
         # the commands' config: perfbench's train_ragged one, in this tree's out_dir
         os.makedirs(out_dir)
         self.config = os.path.join(out_dir, "run.cfg")
@@ -140,10 +144,12 @@ class Tree:
                                          lr=1e-2, epochs=self.epochs, batch_size=32)
         self.sr.evaluator.train_evaluator(self.logs["bench"], self.ev, self.ev_cfg, lr=1e-2,
                                           epochs=self.epochs, batch_size=32)
+        self.sr.training.train_ar(self.logs["bench"], self.ar, self.gen_cfg, lr=1e-2,
+                                  batch_size=32)
 
     def adopt(self, other: "Tree") -> None:
         """Serve with the other tree's parameters."""
-        for mine, theirs in ((self.gen, other.gen), (self.ev, other.ev)):
+        for mine, theirs in ((self.gen, other.gen), (self.ev, other.ev), (self.ar, other.ar)):
             for name, t in theirs.items():
                 mine[name].data[...] = t.data
 
@@ -186,6 +192,9 @@ class Tree:
                 return sr.evaluator.select_best(req, slates, self.ev, self.ev_cfg)
             return run
 
+        def ar(req):
+            return lambda: sr.ar.ar_decode(req, self.ar, self.gen_cfg)
+
         units = {}
         for kind, bench_cfg, desk_cfg, bench_epochs in (
                 ("generator", self.gen_cfg, self.desk_cfg, self.epochs),
@@ -197,6 +206,7 @@ class Tree:
             units[f"cli.train_{kind}"] = [command(f"train-{kind}")]
         units["onepass"] = [onepass(req) for req in self.pool]
         units["rerank"] = [rerank(req) for req in self.pool]
+        units["ar"] = [ar(req) for req in self.pool]
         return {name: units[name] for name in names}
 
 

@@ -3,9 +3,10 @@
 Same candidate encoder as the one-shot generator (built by the same
 function, so the two differ only in how positions are filled): a causal
 decoder consumes a start row plus the already-chosen items and points back
-into the candidate states for the next pick. Inference re-runs the whole
-model once per position, which is exactly the sequential cost the benchmark
-contrasts against the one-pass generator.
+into the candidate states for the next pick. Inference encodes the
+candidates once per request and then runs one pointer pass (decoder blocks,
+pointer logits, softmax) per position: those m sequential passes are the
+cost the benchmark contrasts against the one-pass generator.
 
 Training is teacher-forced in a single pass with a causal mask, and a
 minibatch goes through that pass on one tape, as the generator's does: the
@@ -81,12 +82,11 @@ def _pointer_mask(prefix: np.ndarray, n: int, valid: np.ndarray | None) -> np.nd
 
 
 def _pointer_probs(tape: Tape, params: Params, cfg: GeneratorConfig,
-                   feats, prefix: np.ndarray, valid: np.ndarray | None) -> Tensor:
-    """One full model pass over (n, d_x) features with a (k,) prefix, or over
-    a padded (B, n, d_x) stack with (B, k) prefixes: encode the candidates,
-    decode k + 1 rows, return row-stochastic pointer probabilities."""
+                   cand: Tensor, prefix: np.ndarray, valid: np.ndarray | None) -> Tensor:
+    """One pointer pass over encoded candidates, (n, d) with a (k,) prefix or
+    a padded (B, n, d) stack with (B, k) prefixes: decode k + 1 rows and
+    return row-stochastic pointer probabilities."""
     tape.forwards += 1
-    cand = encode_candidates(feats, params, cfg, tape, valid=valid)
     states = blocks(tape, params, "dec", _decoder_rows(tape, params, cand, prefix), cfg,
                     causal=True, memory=cand, memory_mask=valid)
     logits = tape.matmul(states, tape.transpose(cand))
@@ -94,20 +94,29 @@ def _pointer_probs(tape: Tape, params: Params, cfg: GeneratorConfig,
 
 
 def ar_forward(req: RequestBatch, params: Params, cfg: GeneratorConfig,
-               prefix: tuple[int, ...] = (), tape: Tape | None = None) -> Tensor:
-    """One full model pass: encode candidates, decode len(prefix)+1 rows,
-    return row-stochastic pointer probabilities (len(prefix)+1) x n.
+               prefix: tuple[int, ...] = (), tape: Tape | None = None, *,
+               cand: Tensor | None = None) -> Tensor:
+    """One pointer pass: decode len(prefix)+1 rows, return row-stochastic
+    pointer probabilities (len(prefix)+1) x n.
 
     Row t is the next-item distribution given prefix[:t]; entries for
-    already-chosen candidates are exactly 0.
+    already-chosen candidates are exactly 0. `cand` is the request's
+    encoded candidates, (n, d), as `ar_decode` hands them from one
+    `encode_candidates` call to each of its passes; without it the
+    candidates are encoded here.
     """
     if tape is None:
         tape = Tape(recording=False)
     feats, _ = _stack_requests(req, cfg)
     if len(prefix) + 1 > cfg.m:
         raise ShapeError(f"prefix of {len(prefix)} items overruns m={cfg.m}")
-    return _pointer_probs(tape, params, cfg, feats,
-                          slate_indices([prefix], req.n, len(prefix))[0], None)
+    chosen = slate_indices([prefix], req.n, len(prefix))[0]
+    if cand is None:
+        cand = encode_candidates(feats, params, cfg, tape)
+    elif cand.shape != (req.n, cfg.d):
+        raise ShapeError(f"encoded candidates {cand.shape} do not match "
+                         f"(n, d) = {(req.n, cfg.d)}")
+    return _pointer_probs(tape, params, cfg, cand, chosen, None)
 
 
 def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
@@ -127,23 +136,26 @@ def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
         raise InvalidSlateError("request has no exposed slate to fit")
     else:
         y = slate_indices([req.exposed], req.n, cfg.m)[0]
-    probs = _pointer_probs(tape, params, cfg, feats, y[..., :-1], valid)
+    cand = encode_candidates(feats, params, cfg, tape, valid=valid)
+    probs = _pointer_probs(tape, params, cfg, cand, y[..., :-1], valid)
     picked = tape.take_entries(probs, np.broadcast_to(np.arange(cfg.m), y.shape), y)
     return _neg_log_sum(tape, picked)
 
 
 def ar_decode(req: RequestBatch, params: Params, cfg: GeneratorConfig,
               tape: Tape | None = None) -> SlateSequence:
-    """m sequential picks, each one a complete encoder+decoder pass on `tape`."""
+    """m sequential picks on `tape`: the candidates are encoded once, then
+    each pick is one `ar_forward` pointer pass against that encoding."""
     if tape is None:
         tape = Tape(recording=False)
     n = req.n
     if cfg.m > n:
         raise InfeasibleSlateError(f"cannot fill {cfg.m} positions from {n} candidates")
+    cand = encode_candidates(_stack_requests(req, cfg)[0], params, cfg, tape)
     chosen: list[int] = []
     chosen_p: list[float] = []
     for _ in range(cfg.m):
-        probs = ar_forward(req, params, cfg, prefix=tuple(chosen), tape=tape)
+        probs = ar_forward(req, params, cfg, prefix=tuple(chosen), tape=tape, cand=cand)
         row = probs.data[-1].copy()
         row[chosen] = -1.0  # chosen entries are 0; keep them out of argmax ties
         pick = int(np.argmax(row))

@@ -207,9 +207,9 @@ class Tape:
     Build with recording=False for pure inference: ops then record nothing
     and behave as plain NumPy compositions.
 
-    `forwards` counts the whole-model passes run on the tape (one per
-    `generator.forward`, one per AR pointer pass), so a caller can check the
-    one-pass-versus-m-passes cost structurally and not only by the clock.
+    `forwards` counts the whole-model or pointer passes run on the tape (one
+    per `generator.forward`, one per AR pointer pass), so a caller can check
+    the one-pass-versus-m-passes cost structurally and not only by the clock.
     """
 
     def __init__(self, recording: bool = True):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import slaterank.ar
 from helpers import gradcheck, inflate_weights
 from slaterank.ar import (
     _pointer_probs,
@@ -14,6 +15,7 @@ from slaterank.errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from slaterank.generator import (
     GeneratorConfig,
     _stack_requests,
+    encode_candidates,
     init_generator_params,
 )
 from slaterank.numerics import AdamState, Tape, Tensor, adam_step
@@ -114,6 +116,52 @@ def test_decode_uses_exactly_m_forward_passes():
     assert slate.method == "ar" and slate.m == SMALL.m
 
 
+def test_forward_rejects_candidates_encoded_for_another_shape():
+    rng = np.random.default_rng(12)
+    params = init_ar_params(SMALL)
+    req = make_request(rng, 5)
+    other = make_request(rng, 4)
+    cand = encode_candidates(other.features, params, SMALL, Tape(recording=False))
+    with pytest.raises(ShapeError, match=r"\(4, 8\).*\(5, 8\)"):
+        ar_forward(req, params, SMALL, prefix=(1,), cand=cand)
+    wide = Tensor(np.zeros((5, SMALL.d + 1)))
+    with pytest.raises(ShapeError, match=r"\(5, 9\).*\(5, 8\)"):
+        ar_forward(req, params, SMALL, cand=wide)
+
+
+def test_decode_matches_a_loop_that_encodes_at_every_step(monkeypatch):
+    # ar_decode encodes once and hands the encoding to every pass; a loop of
+    # plain ar_forward calls, each encoding anew, must pick the same items
+    # with the same probabilities, bit for bit
+    cfg = GeneratorConfig(n_max=9, m=4, d=8, h=2, L=2, d_x=4, d_t=5, seed=13)
+    params = init_ar_params(cfg)
+    inflate_weights(params, 4.0)
+    rng = np.random.default_rng(14)
+    encodes = []
+
+    def counted(*args, **kwargs):
+        encodes.append(1)
+        return encode_candidates(*args, **kwargs)
+
+    for n in (4, 4, 5, 6, 7, 9, 9):
+        req = make_request(rng, n, d_x=cfg.d_x)
+        chosen, chosen_p = [], []
+        for _ in range(cfg.m):
+            probs = ar_forward(req, params, cfg, prefix=tuple(chosen)).data
+            row = probs[-1].copy()
+            row[chosen] = -1.0
+            chosen.append(int(np.argmax(row)))
+            chosen_p.append(float(probs[-1, chosen[-1]]))
+        monkeypatch.setattr(slaterank.ar, "encode_candidates", counted)
+        encodes.clear()
+        tape = Tape(recording=False)
+        slate = ar_decode(req, params, cfg, tape)
+        monkeypatch.undo()
+        assert slate.indices == tuple(chosen), n
+        assert slate.probabilities == tuple(chosen_p), n
+        assert len(encodes) == 1 and tape.forwards == cfg.m, n
+
+
 def test_decode_never_repeats_and_is_deterministic():
     rng = np.random.default_rng(7)
     params = init_ar_params(SMALL)
@@ -202,7 +250,8 @@ def test_batched_padded_candidates_get_zero_probability_and_gradient():
     x = Tensor(feats)
     y = np.array([r.exposed for r in reqs])
     tape = Tape()
-    probs = _pointer_probs(tape, params, SMALL, x, y[:, :-1], valid)
+    cand = encode_candidates(x, params, SMALL, tape, valid=valid)
+    probs = _pointer_probs(tape, params, SMALL, cand, y[:, :-1], valid)
     assert probs.data.shape == (len(reqs), SMALL.m, SMALL.n_max)
     picked = tape.take_entries(probs, np.broadcast_to(np.arange(SMALL.m), y.shape), y)
     tape.backward(tape.sum(tape.log(picked)))
