@@ -40,10 +40,15 @@ not only through the models; the ops that sum or take maxima along an axis
 again on minibatch-sized inputs (256 rows or more per sum), where a BLAS
 sum's bits depend on the stack height; and sigmoid, softplus and
 gelu at +-0.0, +-40 and +-800, and contrastive slates at alpha 0 and 1, where
-a rewritten formula would most likely part from the old one.
+a rewritten formula would most likely part from the old one. Last, the
+bytes of each file a small seeded simulate, train-generator,
+train-evaluator, train-ar, generate and evaluate pipeline writes through
+`cli.main`: the slates, the report and the three loss curves.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import tempfile
 import warnings
@@ -51,6 +56,7 @@ import warnings
 import numpy as np
 
 from slaterank.ar import ar_decode, ar_sequence_loss, init_ar_params
+from slaterank.cli import main as cli_main
 from slaterank.data import (
     ExposureLog,
     FeedbackMatrix,
@@ -510,6 +516,45 @@ def simulator_digests() -> None:
                                                  np.random.default_rng(24)))
 
 
+def cli_pipeline_digests() -> None:
+    """The files a small seeded pipeline writes through `cli.main`, run in a
+    temp directory with each command's own messages held back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([
+                "seed=7", "num_requests=200",
+                "world.num_users=100", "world.num_items=400", "world.n_candidates=12",
+                "generator.d=8", "generator.h=2", "generator.L=1", "generator.d_t=5",
+                "evaluator.d=8", "evaluator.h=2",
+                "train.lr=0.01", "train.batch_size=32",
+                f"paths.out_dir={tmp}",
+                f"paths.train_log={os.path.join(tmp, 'train.jsonl')}",
+                f"paths.test_log={os.path.join(tmp, 'test.jsonl')}",
+                f"paths.generator_checkpoint={os.path.join(tmp, 'generator.npz')}",
+                f"paths.evaluator_checkpoint={os.path.join(tmp, 'evaluator.npz')}",
+                f"paths.ar_checkpoint={os.path.join(tmp, 'ar.npz')}",
+            ]) + "\n")
+        base = ["--config", cfg]
+        commands = [
+            ["simulate", *base, "--policy", "affinity_greedy"],
+            ["simulate", *base, "--policy", "random", "--num-requests", "60",
+             "--start-id", "1000", "--out", os.path.join(tmp, "test.jsonl")],
+            ["train-generator", *base], ["train-evaluator", *base], ["train-ar", *base],
+            ["generate", *base], ["evaluate", *base],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(argv)
+            if code != 0:
+                raise SystemExit(f"slaterank {argv[0]} exited {code}")
+        for name in ("slates.jsonl", "eval.csv", "generator_loss.csv",
+                     "evaluator_loss.csv", "ar_loss.csv"):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                print(f"cli.{name}", hashlib.sha256(fh.read()).hexdigest()[:16])
+
+
 def main() -> None:
     logs = make_logs(24, seed=5)
     reqs = [log.request for log in logs]
@@ -568,6 +613,7 @@ def main() -> None:
     simulator_digests()
     op_digests()
     edge_digests()
+    cli_pipeline_digests()
 
 
 if __name__ == "__main__":
