@@ -6,7 +6,8 @@ requests (forward + decode); training steps are one minibatch Adam update
 through the real training loops. The first `warmup` steps of every series
 are discarded by contract. Wall-clock numbers vary across machines; the
 stable claims are the forward-pass counts and the scaling shape, which is
-why the report also records exact counts and linear-fit slopes over m.
+why the report also records exact counts and linear-fit slopes over m,
+fitted to each slate size's median time per request.
 """
 
 from __future__ import annotations
@@ -87,10 +88,11 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     """Inference is timed once per distinct slate size among the configured
     m, sweep_m and ratio_m, NAR and AR in turn, one request each; training
     is timed NAR and AR in turn, one minibatch update each. The sweep and
-    the slopes read the series' means; infer_ratio is the median of the
-    ratio_m series' per-request AR/NAR ratios, each from two back-to-back
-    timings, so that neither a few stalled requests nor a change of machine
-    speed during the series can move it."""
+    the slopes read each series' median, so that a few stalled requests
+    cannot tilt the fit; infer_ratio is the median of the ratio_m series'
+    per-request AR/NAR ratios, each from two back-to-back timings, so that
+    neither stalls nor a change of machine speed during the series can
+    move it."""
     if steps < 1 or warmup < 0 or batch_size < 1:
         raise ConfigError("steps, warmup and batch_size must be positive")
     world = World(run.world)
@@ -105,8 +107,8 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
             (lambda req, tape: decode(forward(req, gen, cfg, tape), run.decode),
              lambda req, tape: ar_decode(req, ar, cfg, tape)), requests, warmup)
     (nar_times, nar_fwd), (ar_times, ar_fwd) = series[run.generator.m]
-    sweep_nar = [float(series[mv][0][0].mean()) for mv in sweep_m]
-    sweep_ar = [float(series[mv][1][0].mean()) for mv in sweep_m]
+    sweep_nar = [float(np.median(series[mv][0][0])) for mv in sweep_m]
+    sweep_ar = [float(np.median(series[mv][1][0])) for mv in sweep_m]
     nar_slope = float(np.polyfit(sweep_m, sweep_nar, 1)[0])
     ar_slope = float(np.polyfit(sweep_m, sweep_ar, 1)[0])
     (r_nar_times, _), (r_ar_times, _) = series[ratio_m]

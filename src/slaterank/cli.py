@@ -22,16 +22,10 @@ from .bench import run_bench
 from .configs import RunConfig, apply_overrides, check_pipeline, load_config
 from .data import LogSchema, read_logs, write_jsonl, write_logs
 from .decoding import sample_slates
-from .errors import (
-    ConfigError,
-    CheckpointError,
-    DataError,
-    DegenerateLabelsError,
-    SlaterankError,
-)
+from .errors import ConfigError, CheckpointError, DataError, SlaterankError
 from .evaluator import init_evaluator_params, score_slate, score_slates, train_evaluator
 from .generator import forward, init_generator_params
-from .metrics import EvalReport, auc, logloss, ndcg_list, recall_at_k
+from .metrics import EvalReport, auc, logloss, ndcg, recall_at_k
 from .numerics import load_checkpoint, save_checkpoint
 from .simulator import POLICIES, World, gen_log
 from .training import steps_to_csv, train_ar, train_generator
@@ -256,6 +250,12 @@ def cmd_generate(run: RunConfig, args) -> int:
     out = _out_path(run, args.out, "slates.jsonl")
     gen_params, ev_params = _load_models(run)
     logs = _read_log(run, run.paths.test_log, run.generator)
+    # a pool of more than one slate draws top-k proposals from every request
+    if run.decode.num_samples > 1:
+        fewest = int(np.argmin(logs.n))
+        if run.decode.k > logs.n[fewest]:
+            raise ConfigError(f"decode.k={run.decode.k} exceeds the {logs.n[fewest]} "
+                              f"candidates of request {logs.request_id[fewest]}")
     rng = np.random.default_rng(run.seed)
     rows = []
     for log in logs:
@@ -292,28 +292,18 @@ def cmd_evaluate(run: RunConfig, args) -> int:
     ks = sorted({1, max(1, m // 2), m})
     recall_sums = {k: 0.0 for k in ks}
     scores, labels = [], []
-    num_skipped = 0
-    ndcg_values = []
     for log in logs:
         req = log.request
         probs = forward(req, gen_params, run.generator)
         for k in ks:
             recall_sums[k] += recall_at_k(probs, log.exposed, k)
-        out = score_slate(req, log.exposed, ev_params, run.evaluator)
-        row = out.scores[run.evaluator.types.index(target)]
-        y = log.feedback.row(target)
-        scores.extend(row)
-        labels.extend(y)
-        value = ndcg_list(row, y)
-        if value is None:
-            num_skipped += 1
-        else:
-            ndcg_values.append(value)
-    if not ndcg_values:
-        raise DegenerateLabelsError("every test list was skipped for NDCG")
+        # the target is the first type, so its scores are the first head's
+        scores.append(score_slate(req, log.exposed, ev_params, run.evaluator).scores[0])
+        labels.append(log.feedback.row(target))
+    mean_ndcg, num_skipped = ndcg(scores, labels)
     report = EvalReport(auc=auc(scores, labels),
                         logloss=logloss(scores, labels),
-                        ndcg=float(np.mean(ndcg_values)),
+                        ndcg=mean_ndcg,
                         recall={k: recall_sums[k] / len(logs) for k in ks},
                         num_requests=len(logs), num_lists=len(logs),
                         num_skipped=num_skipped)

@@ -425,29 +425,29 @@ def _check_values(records: list[_Record]) -> LogTable | None:
 def _misfit(records: list[_Record], schema: LogSchema | None) -> DataError | None:
     """The first record that has other feedback types than the first record
     or does not fit `schema` (without one, the first record's feature width
-    and slate length), as a DataError with its line; None if all fit."""
+    and slate length), as a DataError with its line; None if all fit. A
+    record is checked for its types, width, n_max and slate length, in that
+    order."""
     first = records[0]
     d_x = schema.d_x if schema else first.features.shape[1]
     m = schema.m if schema else len(first.exposed)
     want_d_x = f"config d_x={d_x}" if schema else f"the first record's {d_x}"
     want_m = f"config m={m}" if schema else f"the first record's {m}"
-    n_max = schema.n_max if schema and schema.n_max is not None else np.inf
-    width = np.array([r.features.shape[1] for r in records])
-    n = np.array([len(r.item_ids) for r in records])
-    slate = np.array([len(r.exposed) for r in records])
-    checks = (  # (which records fail, the message for record i), in reporting order
-        (np.array([r.types != first.types for r in records]),
-         lambda i: f"feedback types {list(records[i].types)} differ from "
-                   f"the first record's {list(first.types)}"),
-        (width != d_x, lambda i: f"features have width {width[i]}, {want_d_x}"),
-        (n > n_max, lambda i: f"{n[i]} candidates exceed n_max={n_max}"),
-        (slate != m, lambda i: f"slate has {slate[i]} positions, {want_m}"),
-    )
-    bad = np.array([fails for fails, _ in checks])
-    if not bad.any():
-        return None
-    i = int(bad.any(axis=0).argmax())
-    return DataError(checks[int(bad[:, i].argmax())][1](i), line=records[i].line)
+    n_max = schema.n_max if schema else None
+    for r in records:
+        if r.types != first.types:
+            message = (f"feedback types {list(r.types)} differ from "
+                       f"the first record's {list(first.types)}")
+        elif r.features.shape[1] != d_x:
+            message = f"features have width {r.features.shape[1]}, {want_d_x}"
+        elif n_max is not None and len(r.item_ids) > n_max:
+            message = f"{len(r.item_ids)} candidates exceed n_max={n_max}"
+        elif len(r.exposed) != m:
+            message = f"slate has {len(r.exposed)} positions, {want_m}"
+        else:
+            continue
+        return DataError(message, line=r.line)
+    return None
 
 
 def write_logs(path, logs) -> None:

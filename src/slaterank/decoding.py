@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import _NOT_INDEX, slate_indices
+from .data import _NOT_INDEX
 from .errors import ConfigError, InfeasibleSlateError, InvalidSlateError, ShapeError
 from .generator import ProbMatrix
 
@@ -266,15 +266,6 @@ def beam_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
         expanded.sort(key=lambda entry: (-entry[0], entry[1]))
         beams = expanded[: cfg.width]
     return _slate(list(beams[0][1]), values, "beam")
-
-
-def slate_score(probs: ProbMatrix, indices) -> float:
-    """Joint log-probability sum_j log p[indices_j, j] of a slate of m items,
-    checked by `data.slate_indices`."""
-    values, n = _active(probs)
-    idx = slate_indices([indices], n, probs.m)[0]
-    with np.errstate(divide="ignore"):
-        return float(np.log(values[idx, np.arange(probs.m)]).sum())
 
 
 def sample_slates(

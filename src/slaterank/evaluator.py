@@ -68,14 +68,6 @@ class EvaluatorConfig:
         if self.d % self.h:
             raise ConfigError(f"d={self.d} not divisible by h={self.h}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.h
-
-    @property
-    def d_ff(self) -> int:
-        return 2 * self.d
-
 
 @dataclass
 class SlateScore:
@@ -84,7 +76,6 @@ class SlateScore:
 
     scores: np.ndarray
     utility: float
-    types: tuple[str, ...]
 
 
 def init_evaluator_params(cfg: EvaluatorConfig) -> Params:
@@ -143,7 +134,7 @@ def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
     """Listwise scores for one slate, a SlateSequence or indices: the pass of
     `score_slates` on a pool of one."""
     scores, utility = _score(req, [slate], params, cfg, tape)
-    return SlateScore(scores=scores[0], utility=float(utility[0]), types=cfg.types)
+    return SlateScore(scores=scores[0], utility=float(utility[0]))
 
 
 def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,

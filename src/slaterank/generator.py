@@ -79,14 +79,6 @@ class GeneratorConfig:
         if self.m > self.n_max:
             raise ConfigError(f"m={self.m} exceeds n_max={self.n_max}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.h
-
-    @property
-    def d_ff(self) -> int:
-        return 2 * self.d
-
 
 @dataclass
 class ProbMatrix:
@@ -125,15 +117,15 @@ def _build_attention(params: Params, prefix: str, d: int, rng) -> None:
 
 
 def build_block(params: Params, prefix: str, cfg, rng, cross: bool = False) -> None:
-    """One block's parameters; cfg gives the width d and the FFN width d_ff."""
+    """One block's parameters at cfg's width d; the feed-forward is 2d wide."""
     _build_layer_norm(params, f"{prefix}.ln1", cfg.d)
     _build_attention(params, f"{prefix}.{'self' if cross else 'attn'}", cfg.d, rng)
     if cross:
         _build_layer_norm(params, f"{prefix}.ln2", cfg.d)
         _build_attention(params, f"{prefix}.cross", cfg.d, rng)
     _build_layer_norm(params, f"{prefix}.{'ln3' if cross else 'ln2'}", cfg.d)
-    params.new_gaussian(f"{prefix}.ffn.w1", (cfg.d, cfg.d_ff), rng)
-    params.new_gaussian(f"{prefix}.ffn.w2", (cfg.d_ff, cfg.d), rng)
+    params.new_gaussian(f"{prefix}.ffn.w1", (cfg.d, 2 * cfg.d), rng)
+    params.new_gaussian(f"{prefix}.ffn.w2", (2 * cfg.d, cfg.d), rng)
 
 
 def build_blocks(params: Params, prefix: str, cfg, rng, cross: bool = False) -> None:

@@ -83,13 +83,13 @@ def ndcg_list(scores, labels) -> float | None:
     return dcg / ideal
 
 
-def ndcg(score_lists, label_lists) -> float:
-    """Mean NDCG over lists; all-zero-label lists are skipped."""
-    values = [v for v in (ndcg_list(s, y) for s, y in zip(score_lists, label_lists))
-              if v is not None]
-    if not values:
+def ndcg(score_lists, label_lists) -> tuple[float, int]:
+    """Mean NDCG over lists, and how many all-zero-label lists it skipped."""
+    values = [ndcg_list(s, y) for s, y in zip(score_lists, label_lists)]
+    kept = [v for v in values if v is not None]
+    if not kept:
         raise DegenerateLabelsError("every list was skipped: no relevant items")
-    return float(np.mean(values))
+    return float(np.mean(kept)), len(values) - len(kept)
 
 
 def recall_at_k(probs: ProbMatrix, exposed, k: int) -> float:

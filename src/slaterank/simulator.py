@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _INT64_MAX, _INT64_MIN, FeedbackMatrix, LogTable, RequestBatch, slate_indices
+from .data import _INT64_MAX, _INT64_MIN, LogTable, RequestBatch, slate_indices
 from .errors import ConfigError, ShapeError
 from .objectives import UtilitySpec, weighted_sum
 
@@ -176,14 +176,6 @@ def oracle_click_probs(world: World, req: RequestBatch, slate) -> np.ndarray:
         warnings.warn("oracle probability clamped into [0, 1]", RuntimeWarning,
                       stacklevel=2)
     return probs[0]
-
-
-def oracle_feedback(world: World, req: RequestBatch, slate,
-                    rng: np.random.Generator) -> FeedbackMatrix:
-    """One Bernoulli draw per interaction type and position."""
-    probs = oracle_click_probs(world, req, slate)
-    draws = (rng.random(size=probs.shape) < probs).astype(np.float64)
-    return FeedbackMatrix(values=draws, types=world.config.types)
 
 
 def oracle_expected_utility(world: World, req: RequestBatch, slate,

@@ -51,6 +51,29 @@ def test_training_steps_are_timed_in_turn(monkeypatch):
     assert rep.nar_train_mean > 0.0 and rep.ar_train_mean > 0.0
 
 
+def test_a_slow_request_per_size_leaves_the_slopes_unchanged(monkeypatch):
+    # A scripted clock: a request takes 1 us plus 1 us (NAR) or 10 us (AR)
+    # per position, and one request of every size stalls for 0.1/m s, a
+    # stall that would tilt a line fitted through the sizes' means.
+    clock = [0.0]
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])
+
+    def spend(req, m, per_position):
+        clock[0] += 1e-6 + per_position * m + (0.1 / m if req.request_id == 4 else 0.0)
+
+    monkeypatch.setattr(bench, "forward", lambda req, gen, cfg, tape: spend(req, cfg.m, 1e-6))
+    monkeypatch.setattr(bench, "decode", lambda probs, cfg: None)
+    monkeypatch.setattr(bench, "ar_decode", lambda req, ar, cfg, tape: spend(req, cfg.m, 1e-5))
+    monkeypatch.setattr(bench, "train_generator", lambda *a, **k: None)
+    monkeypatch.setattr(bench, "train_ar", lambda *a, **k: None)
+    sizes = (1, 2, 4, 8)
+    rep = run_bench(RunConfig(), steps=9, warmup=2, batch_size=2, sweep_m=sizes, ratio_m=2)
+    assert rep.sweep_nar == pytest.approx([1e-6 + 1e-6 * m for m in sizes], rel=1e-9)
+    assert rep.sweep_ar == pytest.approx([1e-6 + 1e-5 * m for m in sizes], rel=1e-9)
+    assert rep.nar_slope == pytest.approx(1e-6, rel=1e-6)
+    assert rep.ar_slope == pytest.approx(1e-5, rel=1e-6)
+
+
 def test_bench_validation():
     with pytest.raises(ConfigError):
         run_bench(RunConfig(), steps=0)

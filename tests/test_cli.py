@@ -19,9 +19,10 @@ from helpers import counted_parses
 from slaterank.cli import LOG_CACHE_DIR, main
 from slaterank.errors import NumericsError
 from slaterank.data import read_logs
-from slaterank.decoding import DecodeConfig, contrastive_decode
+from slaterank.decoding import DecodeConfig, contrastive_decode, sample_slates
+from slaterank.evaluator import EvaluatorConfig, score_slate, select_best
 from slaterank.generator import GeneratorConfig, forward
-from slaterank.metrics import EvalReport
+from slaterank.metrics import EvalReport, auc, logloss, ndcg_list, recall_at_k
 from slaterank.numerics import Params, load_checkpoint, save_checkpoint
 
 
@@ -345,6 +346,114 @@ def test_single_sample_generate_equals_contrastive_decode(tmp_path):
         probs = forward(log.request, params, gen_cfg)
         want = contrastive_decode(probs, DecodeConfig(num_samples=1))
         assert tuple(row["slate"]) == want.indices
+
+
+def test_generate_writes_select_best_picks_and_their_utilities(tmp_path):
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    assert main(["generate", "--config", cfg]) == 0
+
+    gen_cfg = GeneratorConfig(n_max=8, m=6, d=8, h=2, L=1, d_x=10, d_t=8)
+    ev_cfg = EvaluatorConfig(d=8, h=2)
+    gen, _ = load_checkpoint(tmp_path / "gen.npz")
+    ev, _ = load_checkpoint(tmp_path / "ev.npz")
+    rng = np.random.default_rng(5)  # the run's seed
+    rows = [json.loads(line)
+            for line in (tmp_path / "slates.jsonl").read_text().splitlines()]
+    logs = read_logs(tmp_path / "test.jsonl")
+    assert len(rows) == len(logs)
+    for row, log in zip(rows, logs):
+        req = log.request
+        pool = sample_slates(forward(req, gen, gen_cfg), DecodeConfig(), rng)
+        pick = select_best(req, pool, ev, ev_cfg)
+        assert row["request_id"] == req.request_id
+        assert tuple(row["slate"]) == pick.indices
+        assert row["utility"] == score_slate(req, pick, ev, ev_cfg).utility
+
+
+def test_evaluate_reports_the_metrics_of_each_request(tmp_path):
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    assert main(["evaluate", "--config", cfg]) == 0
+
+    gen_cfg = GeneratorConfig(n_max=8, m=6, d=8, h=2, L=1, d_x=10, d_t=8)
+    ev_cfg = EvaluatorConfig(d=8, h=2)
+    gen, _ = load_checkpoint(tmp_path / "gen.npz")
+    ev, _ = load_checkpoint(tmp_path / "ev.npz")
+    logs = read_logs(tmp_path / "test.jsonl")
+    scores, labels, ndcgs = [], [], []
+    recall = {1: 0.0, 3: 0.0, 6: 0.0}
+    for log in logs:
+        # the report targets the first evaluator type, click
+        s = score_slate(log.request, log.exposed, ev, ev_cfg).scores[0]
+        y = log.feedback.row("click")
+        scores.append(s)
+        labels.append(y)
+        ndcgs.append(ndcg_list(s, y))
+        probs = forward(log.request, gen, gen_cfg)
+        for k in recall:
+            recall[k] += recall_at_k(probs, log.exposed, k)
+    kept = [v for v in ndcgs if v is not None]
+    assert kept
+    header, row = (tmp_path / "eval.csv").read_text().splitlines()
+    got = dict(zip(header.split(","), row.split(",")))
+    assert float(got["auc"]) == auc(np.concatenate(scores), np.concatenate(labels))
+    assert float(got["logloss"]) == logloss(np.concatenate(scores), np.concatenate(labels))
+    assert float(got["ndcg"]) == float(np.mean(kept))
+    for k, total in recall.items():
+        assert float(got[f"recall@{k}"]) == total / len(logs)
+    assert int(got["num_requests"]) == int(got["num_lists"]) == len(logs)
+    assert int(got["num_skipped"]) == len(ndcgs) - len(kept)
+
+
+def test_evaluate_a_log_without_a_relevant_item_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    test_log = tmp_path / "test.jsonl"
+    records = [json.loads(line) for line in test_log.read_text().splitlines()]
+    for rec in records:
+        rec["feedback"]["click"] = [0.0] * len(rec["feedback"]["click"])
+    test_log.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: every list was skipped: no relevant items\n"
+
+
+def _test_log_of_candidate_counts(tmp_path, cfg, counts):
+    """A test log of two requests per world of n candidates, in that order."""
+    lines = []
+    for i, n in enumerate(counts):
+        part = tmp_path / f"test_{n}.jsonl"
+        assert main(["simulate", "--config", cfg, "--set", f"world.n_candidates={n}",
+                     "--out", str(part), "--num-requests", "2",
+                     "--start-id", str(1000 * (i + 1))]) == 0
+        lines.append(part.read_text(encoding="utf-8"))
+    (tmp_path / "test.jsonl").write_text("".join(lines), encoding="utf-8")
+
+
+def test_generate_k_above_a_requests_candidates_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # generate used to fail at the first such request, mid-run, with a
+    # message that named neither the config key nor the request
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    _test_log_of_candidate_counts(tmp_path, cfg, (7, 6, 8))
+    capsys.readouterr()
+    assert main(["generate", "--config", cfg, "--set", "decode.k=7"]) == 1
+    assert capsys.readouterr().err == (
+        "error: decode.k=7 exceeds the 6 candidates of request 2000\n")
+    assert not (tmp_path / "slates.jsonl").exists()
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before decode.k was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("slaterank.cli.forward", never)
+        assert main(["generate", "--config", cfg, "--set", "decode.k=7"]) == 1
+    # k up to the smallest count serves; one slate per request draws no top-k
+    assert main(["generate", "--config", cfg, "--set", "decode.k=6"]) == 0
+    assert main(["generate", "--config", cfg, "--set", "decode.k=7",
+                 "--set", "decode.num_samples=1"]) == 0
 
 
 def test_train_ar_and_bench_smoke(tmp_path):

@@ -13,12 +13,12 @@ from slaterank.decoding import (
     decode,
     greedy_decode,
     sample_slates,
-    slate_score,
     topk_sample,
 )
 from slaterank.errors import ConfigError, InfeasibleSlateError, InvalidSlateError, ShapeError
 from slaterank.generator import ProbMatrix
 from slaterank.numerics import Tensor
+from slaterank.objectives import sequence_log_likelihood
 
 
 def make_probs(values, reps=None, rng=None):
@@ -291,8 +291,8 @@ def test_beam_never_worse_than_greedy():
         n = int(rng.integers(2, 9))
         pm = random_probs(rng, n, int(rng.integers(1, min(n, 4) + 1)))
         beam = beam_decode(pm, cfg)
-        assert (slate_score(pm, beam.indices)
-                >= slate_score(pm, greedy_decode(pm).indices) - 1e-12)
+        assert (sequence_log_likelihood(pm, beam.indices)
+                >= sequence_log_likelihood(pm, greedy_decode(pm).indices) - 1e-12)
 
 
 # --------------------------------------------------------- sample_slates
@@ -389,10 +389,11 @@ def test_decode_dispatch():
 
 
 def test_slate_score_matches_manual_sum():
+    # the slate score beam search maximizes: sum_j log p[y_j, j]
     pm = random_probs(np.random.default_rng(16), 4, 3)
     idx = (2, 0, 3)
     want = sum(math.log(pm.values.data[i, j]) for j, i in enumerate(idx))
-    assert abs(slate_score(pm, idx) - want) < 1e-12
+    assert abs(sequence_log_likelihood(pm, idx) - want) < 1e-12
 
 
 # ------------------------------------- batched draws vs one-at-a-time loop

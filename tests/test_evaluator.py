@@ -49,9 +49,8 @@ def test_config_validation():
         EvaluatorConfig(d=30, h=4)
     with pytest.raises(ConfigError):
         EvaluatorConfig(m=0)
-    cfg = EvaluatorConfig()
-    assert cfg.head_dim == 8
-    assert cfg.d_ff == 64
+    # the block's feed-forward is 2d wide
+    assert init_evaluator_params(EvaluatorConfig())["ev.ffn.w1"].shape == (32, 64)
 
 
 def test_score_shape_and_utility_definition():

@@ -113,8 +113,9 @@ def test_ndcg_graded_gains():
 
 def test_ndcg_skips_zero_label_lists():
     assert ndcg_list([0.4, 0.6], [0, 0]) is None
-    combined = ndcg([[0.9, 0.1], [0.6, 0.4]], [[0, 0], [0, 1]])
+    combined, skipped = ndcg([[0.9, 0.1], [0.6, 0.4]], [[0, 0], [0, 1]])
     assert abs(combined - 0.6309297535714575) < 1e-15
+    assert skipped == 1
     with pytest.raises(DegenerateLabelsError):
         ndcg([[0.9], [0.5]], [[0], [0]])
 

@@ -25,7 +25,6 @@ from slaterank.simulator import (
     gen_request,
     oracle_click_probs,
     oracle_expected_utility,
-    oracle_feedback,
     policy_slate,
 )
 
@@ -180,23 +179,12 @@ def test_expected_utility_matches_monte_carlo():
         exact = oracle_expected_utility(world, req, slate, CLICK_LIKE)
     probs = quiet_probs(world, req, slate)
 
-    # 1e5 vectorized draws under the same Bernoulli rule oracle_feedback uses.
+    # 1e5 vectorized draws under the Bernoulli rule gen_log's feedback uses.
     rng = np.random.default_rng(99)
     draws = (rng.random(size=(100_000,) + probs.shape) < probs).astype(np.float64)
     w = np.asarray([CLICK_LIKE.weight_for(t) for t in world.config.types])
     mc = float((draws * w[None, :, None]).sum(axis=(1, 2)).mean())
     assert abs(mc - exact) / exact < 0.01
-
-    # Smaller sample routed through oracle_feedback itself, 3 standard errors.
-    rng = np.random.default_rng(17)
-    vals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(4000):
-            vals.append(utility(oracle_feedback(world, req, slate, rng), CLICK_LIKE))
-    vals = np.asarray(vals)
-    se = vals.std(ddof=1) / math.sqrt(vals.size)
-    assert abs(vals.mean() - exact) < 3.0 * se
 
 
 def test_exhaustive_slate_enumeration_reference():

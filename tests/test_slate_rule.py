@@ -15,7 +15,7 @@ from slaterank.data import (
     RequestBatch,
     slate_indices,
 )
-from slaterank.decoding import SlateSequence, slate_score
+from slaterank.decoding import SlateSequence
 from slaterank.errors import EmptyCandidatesError, InvalidSlateError, ShapeError
 from slaterank.evaluator import (
     EvaluatorConfig,
@@ -27,7 +27,7 @@ from slaterank.evaluator import (
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
 from slaterank.metrics import recall_at_k
 from slaterank.numerics import Tape
-from slaterank.objectives import ce_loss
+from slaterank.objectives import ce_loss, sequence_log_likelihood
 from slaterank.simulator import World, WorldConfig, gen_request, oracle_click_probs
 
 N, M = 5, 3
@@ -73,7 +73,8 @@ def _consumers():
         "select_best": lambda s: select_best(REQ, [GOOD, s], ev, EV),
         "oracle_click_probs": lambda s: oracle_click_probs(WORLD, REQ, s),
         "recall_at_k": lambda s: recall_at_k(forward(REQ, gen, GEN), s, N),
-        "slate_score": lambda s: slate_score(forward(REQ, gen, GEN), s),
+        # the slate's log-probability score under the generator
+        "slate_score": lambda s: sequence_log_likelihood(forward(REQ, gen, GEN), s),
     }
 
 
