@@ -11,7 +11,9 @@ updated them in place (so a forward that reused values computed from the
 old parameters would show); 256 requests of n = 20 at perfbench's generator
 shape, forward and contrastive slates per request, served as one LogTable
 and one by one (equal lines mean a request's bits do not depend on the
-stack it is served in); contrastive slates, every `sample_slates`
+stack it is served in); `total_loss` on a padded LogTable with its (B,)
+utilities, every term, both flags and the gradients; contrastive slates,
+the slate `decode` returns by each of its four methods, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them, once with k = 3 on small requests and
 once with k = 12 and 16 samples on n = 20 requests (rank groups of 8 terms
@@ -66,7 +68,13 @@ from slaterank.data import (
     read_logs,
     write_logs,
 )
-from slaterank.decoding import DecodeConfig, _group_bounds, contrastive_decode, sample_slates
+from slaterank.decoding import (
+    DecodeConfig,
+    _group_bounds,
+    contrastive_decode,
+    decode,
+    sample_slates,
+)
 from slaterank.evaluator import (
     EvaluatorConfig,
     init_evaluator_params,
@@ -77,7 +85,7 @@ from slaterank.evaluator import (
 )
 from slaterank.generator import GeneratorConfig, ProbMatrix, forward, init_generator_params
 from slaterank.numerics import Tape, Tensor
-from slaterank.objectives import UtilitySpec
+from slaterank.objectives import UtilitySpec, total_loss, utilities
 from slaterank.simulator import (
     World,
     WorldConfig,
@@ -285,6 +293,22 @@ def prob_fields(probs) -> tuple:
             probs.valid)
 
 
+def total_loss_digest(logs) -> None:
+    """`total_loss` on a padded LogTable of six requests with their (B,)
+    utilities, as training calls it: every term, both flags and the
+    gradients of the summed total, on fresh generator parameters."""
+    table = LogTable.of(logs)
+    gen = init_generator_params(GEN)
+    tape = Tape()
+    bd = total_loss(tape, forward(table, gen, GEN, tape), table.exposed,
+                    utilities(table, SPEC), SPEC, rho=0.4, omega=0.3)
+    tape.backward(tape.sum(bd.total))
+    print("total_loss.stack", digest(bd.total.data, bd.ce_or_ul.data,
+                                     bd.item_contrastive.data, bd.position_contrastive.data,
+                                     bd.is_positive_sequence, bd.clamped),
+          grads_digest(gen))
+
+
 def forward_l1_digest() -> None:
     """One request, a padded table of five (n from 6 to 20) and the first
     request again, through one set of L=1 parameters. The logged slate
@@ -339,6 +363,9 @@ def decode_digests(reqs, gen, ev) -> None:
         cfg = DecodeConfig(alpha=alpha, k=DEC.k, num_samples=DEC.num_samples)
         print(f"contrastive_decode.alpha{alpha:g}",
               digest([slate_fields(contrastive_decode(p, cfg)) for p in probs]))
+    for method in ("contrastive", "greedy", "beam", "topk"):
+        cfg = DecodeConfig(method=method, alpha=DEC.alpha, k=DEC.k, width=3, seed=9)
+        print(f"decode.{method}", digest([slate_fields(decode(p, cfg)) for p in probs]))
     pools, states = [], []
     for i, p in enumerate(probs):
         rng = np.random.default_rng(100 + i)
@@ -568,6 +595,7 @@ def main() -> None:
     stack = forward(LogTable.of(logs[:6]), gen, GEN)
     print("forward.stack", digest(stack.values.data, stack.candidate_reps.data,
                                   stack.position_reps.data, stack.valid))
+    total_loss_digest(logs[:6])
     forward_l1_digest()
     equal_n_digests()
 
