@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .generator import forward, init_generator_params
 from .numerics import Tape
 from .simulator import World, gen_log, gen_request
-from .training import train_ar, train_generator
+from .training import check_trainable_m, train_ar, train_generator
 
 
 @dataclass(frozen=True)
@@ -82,30 +82,47 @@ def _time_series(steps, tasks, warmup: int) -> list[tuple[np.ndarray, int]]:
     return [(np.asarray(t), total // len(tasks)) for t, total in zip(times, forwards)]
 
 
+def _infer_steps(run: RunConfig, m: int):
+    """The NAR and the AR inference step at slate size m, each on its own
+    freshly initialised parameters."""
+    cfg = replace(run.generator, m=m)
+    gen, ar = init_generator_params(cfg), init_ar_params(cfg)
+    return (lambda req, tape: decode(forward(req, gen, cfg, tape), run.decode),
+            lambda req, tape: ar_decode(req, ar, cfg, tape))
+
+
 def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
               batch_size: int = 8, sweep_m: tuple[int, ...] = (1, 2, 4, 6, 8),
               ratio_m: int = 5) -> BenchReport:
-    """Inference is timed once per distinct slate size among the configured
-    m, sweep_m and ratio_m, NAR and AR in turn, one request each; training
-    is timed NAR and AR in turn, one minibatch update each. The sweep and
-    the slopes read each series' median, so that a few stalled requests
-    cannot tilt the fit; infer_ratio is the median of the ratio_m series'
-    per-request AR/NAR ratios, each from two back-to-back timings, so that
-    neither stalls nor a change of machine speed during the series can
-    move it."""
+    """Inference is timed at every distinct slate size among the configured
+    m, sweep_m and ratio_m, NAR and AR at each, all of them in turn on each
+    request, so that a change of machine speed during the run falls on
+    every size alike; training is timed NAR and AR in turn, one minibatch
+    update each, at the configured m. Before any timing, every size is
+    checked against the candidates a request has, and the configured m
+    against `training.check_trainable_m`. The sweep and the slopes read
+    each series' median, so that a few stalled requests cannot tilt the
+    fit; infer_ratio is the median of the ratio_m series' per-request
+    AR/NAR ratios, each from two back-to-back timings, so that neither
+    stalls nor a change of machine speed during the series can move it."""
     if steps < 1 or warmup < 0 or batch_size < 1:
         raise ConfigError("steps, warmup and batch_size must be positive")
+    sizes = tuple(dict.fromkeys((run.generator.m, *sweep_m, ratio_m)))
+    limit = min(run.world.n_candidates, run.generator.n_max)
+    too_big = [mv for mv in sizes if mv > limit]
+    if too_big:
+        key = "world.n_candidates" if limit == run.world.n_candidates else "generator.n_max"
+        raise ConfigError(f"bench times slate sizes {list(sizes)}, and {too_big} "
+                          f"exceed {key}={limit}")
+    check_trainable_m(run.generator.m)
     world = World(run.world)
     rng = np.random.default_rng(run.seed)
     requests = [gen_request(world, rng, request_id=i)
                 for i in range(steps + warmup)]
-    series = {}  # slate size -> its NAR and AR (times, forwards per request)
-    for mv in dict.fromkeys((run.generator.m, *sweep_m, ratio_m)):
-        cfg = replace(run.generator, m=mv)
-        gen, ar = init_generator_params(cfg), init_ar_params(cfg)
-        series[mv] = _time_series(
-            (lambda req, tape: decode(forward(req, gen, cfg, tape), run.decode),
-             lambda req, tape: ar_decode(req, ar, cfg, tape)), requests, warmup)
+    timed = _time_series([step for mv in sizes for step in _infer_steps(run, mv)],
+                         requests, warmup)
+    # slate size -> its NAR and AR (times, forwards per request)
+    series = {mv: timed[2 * i:2 * i + 2] for i, mv in enumerate(sizes)}
     (nar_times, nar_fwd), (ar_times, ar_fwd) = series[run.generator.m]
     sweep_nar = [float(np.median(series[mv][0][0])) for mv in sweep_m]
     sweep_ar = [float(np.median(series[mv][1][0])) for mv in sweep_m]

@@ -28,7 +28,7 @@ from .generator import forward, init_generator_params
 from .metrics import EvalReport, auc, logloss, ndcg, recall_at_k
 from .numerics import load_checkpoint, save_checkpoint
 from .simulator import POLICIES, World, gen_log
-from .training import steps_to_csv, train_ar, train_generator
+from .training import check_trainable_m, steps_to_csv, train_ar, train_generator
 
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 
@@ -193,6 +193,8 @@ def cmd_train(run: RunConfig, args) -> int:
     training log, then write its checkpoint and its loss curve."""
     kind = args.command.removeprefix("train-")
     cfg = run.evaluator if kind == "evaluator" else run.generator
+    if kind != "evaluator":
+        check_trainable_m(cfg.m)
     curve = _out_path(run, None, f"{kind}_loss.csv")
     checkpoint = _writable(getattr(run.paths, f"{kind}_checkpoint"))
     name = {"ar": "AR baseline"}.get(kind, kind)

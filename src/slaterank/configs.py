@@ -152,7 +152,7 @@ def parse_pairs(pairs: list[tuple[str, str]],
     return RunConfig(**top, **built)
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -162,16 +162,16 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if not eq:
             raise ConfigError(f"config line {lineno}: expected key=value, got {raw!r}")
         pairs.append((key.strip(), value.strip()))
-    return parse_pairs(pairs, base)
+    return parse_pairs(pairs)
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base)
+    return parse_config(text)
 
 
 def apply_overrides(run: RunConfig, settings: list[str]) -> RunConfig:

@@ -268,18 +268,15 @@ def beam_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
     return _slate(list(beams[0][1]), values, "beam")
 
 
-def sample_slates(
-    probs: ProbMatrix, cfg: DecodeConfig, rng: np.random.Generator | None = None
-) -> list[SlateSequence]:
+def sample_slates(probs: ProbMatrix, cfg: DecodeConfig,
+                  rng: np.random.Generator) -> list[SlateSequence]:
     """The contrastive slate plus deduplicated top-k samples, up to
-    cfg.num_samples of them; deterministic given cfg.seed.
+    cfg.num_samples of them, drawn from `rng`; deterministic given rng.
 
     Each refill draws as many samples as are still missing in one batch, so
     it never draws past the sample that completes the pool: the proposals
     and the rng state afterwards match drawing one sample at a time.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     slates = [contrastive_decode(probs, cfg)]
     seen = {slates[0].indices}
     attempts, budget = 0, 20 * cfg.num_samples
@@ -294,16 +291,13 @@ def sample_slates(
     return slates
 
 
-def decode(
-    probs: ProbMatrix, cfg: DecodeConfig, rng: np.random.Generator | None = None
-) -> SlateSequence:
-    """Dispatch on cfg.method."""
+def decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
+    """One slate by cfg.method; top-k draws from a new rng seeded with
+    cfg.seed, so every method is deterministic given cfg."""
     if cfg.method == "contrastive":
         return contrastive_decode(probs, cfg)
     if cfg.method == "greedy":
         return greedy_decode(probs)
     if cfg.method == "beam":
         return beam_decode(probs, cfg)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return topk_sample(probs, cfg, rng)
+    return topk_sample(probs, cfg, np.random.default_rng(cfg.seed))

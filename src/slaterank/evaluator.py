@@ -117,33 +117,30 @@ def _logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
     return tape.slice_rows(tape.transpose(tape.linear(states, w, b)), 0, heads)
 
 
-def _score(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
-           tape: Tape | None) -> tuple[np.ndarray, np.ndarray]:
+def _score(req: RequestBatch, slates, params: Params,
+           cfg: EvaluatorConfig) -> tuple[np.ndarray, np.ndarray]:
     """One evaluator pass over a pool of K slates stacked on the batch axis,
     checked as a whole by `slate_indices`: each head's sigmoid scores as
     (K, T, m), and their weighted sum per slate as (K,)."""
-    if tape is None:
-        tape = Tape(recording=False)
+    tape = Tape(recording=False)
     feats = req.features[slate_indices(slates, req.n, cfg.m)]
     scores = tape.sigmoid(_logits(feats, params, cfg, tape)).data
     return scores, weighted_sum(scores, cfg.weights)
 
 
-def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig,
-                tape: Tape | None = None) -> SlateScore:
+def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig) -> SlateScore:
     """Listwise scores for one slate, a SlateSequence or indices: the pass of
     `score_slates` on a pool of one."""
-    scores, utility = _score(req, [slate], params, cfg, tape)
+    scores, utility = _score(req, [slate], params, cfg)
     return SlateScore(scores=scores[0], utility=float(utility[0]))
 
 
-def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig,
-                 tape: Tape | None = None) -> np.ndarray:
+def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig) -> np.ndarray:
     """Predicted utility of each slate, from one evaluator pass over the
     slates stacked on the batch axis. A slate gets the same bits at any
     place in any pool, so equal slates tie exactly and each utility equals
     the slate's own `score_slate`."""
-    return _score(req, slates, params, cfg, tape)[1]
+    return _score(req, slates, params, cfg)[1]
 
 
 def bce_loss(tape: Tape, logits: Tensor, feedback) -> Tensor:

@@ -82,6 +82,9 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 _F64 = np.dtype(np.float64)
 _ONES = np.ones(0)
+_LN_EPS = 1e-5  # layer_norm's variance floor
+_INIT_STD = 0.02  # the standard deviation of new_gaussian's draws
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # adam_step's decay rates and floor
 
 
 class Tensor:
@@ -491,7 +494,7 @@ class Tape:
 
         return self._record(Tensor(np.add.reduce(a.data, axis=None) / n), back)
 
-    def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         """Per-row normalization to zero mean, unit variance, then affine."""
         xd = x.data
         if xd.ndim < 2:
@@ -511,7 +514,7 @@ class Tape:
         sq = xc * xc
         inv = np.add.reduce(sq, axis=-1, keepdims=True) if serving else _row_sum(sq)
         inv /= d
-        inv += eps
+        inv += _LN_EPS
         np.sqrt(inv, out=inv)
         np.divide(1.0, inv, out=inv)
 
@@ -704,8 +707,8 @@ class Params:
         self._tensors[name] = t
         return t
 
-    def new_gaussian(self, name: str, shape, rng: np.random.Generator, std: float = 0.02) -> Tensor:
-        return self.add(name, rng.normal(0.0, std, size=shape))
+    def new_gaussian(self, name: str, shape, rng: np.random.Generator) -> Tensor:
+        return self.add(name, rng.normal(0.0, _INIT_STD, size=shape))
 
     def new_zeros(self, name: str, shape) -> Tensor:
         return self.add(name, np.zeros(shape))
@@ -762,12 +765,8 @@ class AdamState:
     they were built for, which `layout` records as (name, shape) pairs.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -805,7 +804,7 @@ def adam_step(params: Params, state: AdamState, grad_scale: float = 1.0) -> Para
         name = items[int(np.searchsorted(ends, bad.argmax(), side="right"))][0]
         raise NumericsError(f"non-finite gradient for {name!r}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     m, v = state.m, state.v
@@ -813,7 +812,7 @@ def adam_step(params: Params, state: AdamState, grad_scale: float = 1.0) -> Para
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
-    update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    update = state.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
     start = 0
     for _, p in items:
         size = p.data.size

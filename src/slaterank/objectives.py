@@ -5,9 +5,9 @@ A logged slate is scored by a weighted sum of its interaction outcomes
 oracle share). Slates at or above a threshold are treated as positive
 sequences and trained with cross-entropy on the matched cells of the
 probability matrix; slates below it are pushed away with an unlikelihood
-term on the same cells. Two hinge losses on cosine similarity spread the
-candidate and position representations apart so that near-duplicate rows
-stop collapsing onto the same column.
+term on the same cells. One hinge loss on cosine similarity, applied to the
+candidate and to the position representations, spreads each set apart so
+that near-duplicate rows stop collapsing onto the same column.
 
 The exposed slate names the labeled cells. `data.slate_indices` checks it,
 or a minibatch's B slates in one call: m distinct integer indices into each
@@ -167,10 +167,15 @@ def unlikelihood_loss(
     return _neg_log_sum(tape, target), _flag(is_positive), _flag(clamped)
 
 
-def _pairwise_hinge(tape: Tape, reps: Tensor, rho: float,
-                    valid: np.ndarray | None = None) -> Tensor:
-    """Mean over ordered pairs i != j of max(0, rho - 1 + cos(x_i, x_j)),
-    over the last two axes; with `valid`, over pairs of valid rows only."""
+def contrastive_loss(tape: Tape, reps: Tensor, rho: float,
+                     valid: np.ndarray | None = None) -> Tensor:
+    """Hinge separation: the mean over ordered pairs i != j of
+    max(0, rho - 1 + cos(x_i, x_j)), over the last two axes; with `valid`,
+    over pairs of valid rows only, so padded candidates take no part.
+
+    Zero-norm rows get similarity 0 against everything (row_normalize
+    warns when that happens).
+    """
     n = reps.data.shape[-2]
     pairs = ~np.eye(n, dtype=bool)
     k = n
@@ -188,46 +193,30 @@ def _pairwise_hinge(tape: Tape, reps: Tensor, rho: float,
     return tape.mask(tape.sum(hinge, axis=(-2, -1)), 1.0 / (k * (k - 1)))
 
 
-def item_contrastive_loss(tape: Tape, cand_reps: Tensor, rho: float,
-                          valid: np.ndarray | None = None) -> Tensor:
-    """Hinge separation over candidate representations; padded rows, those
-    outside `valid`, take no part.
-
-    Zero-norm rows get similarity 0 against everything (row_normalize
-    warns when that happens).
-    """
-    return _pairwise_hinge(tape, cand_reps, rho, valid)
-
-
-def position_contrastive_loss(tape: Tape, pos_reps: Tensor, rho: float) -> Tensor:
-    """Hinge separation over position representations; mirrors the item loss."""
-    return _pairwise_hinge(tape, pos_reps, rho)
-
-
 def total_loss(
     tape: Tape,
     probs: ProbMatrix,
     exposed,
-    feedback,
+    r,
     spec: UtilitySpec,
     rho: float = 0.5,
     omega: float = 0.01,
 ) -> LossBreakdown:
-    """Combine the branch loss with the two contrastive terms.
+    """Combine the branch loss with `contrastive_loss` over the candidate
+    representations (padded rows left out) and over the position ones.
 
-    For one request `feedback` is its FeedbackMatrix. For a (B, n, m)
-    minibatch, `exposed` holds one slate per request and `feedback` is the
-    (B,) array of their utilities (training takes it from `utilities` of
-    its LogTable); every term comes back per request.
+    `r` is the logged utility, as `unlikelihood_loss` takes it: a float for
+    one request; for a (B, n, m) minibatch, whose `exposed` holds one slate
+    per request, the (B,) array of their utilities (training takes it from
+    `utilities` of its LogTable), and every term comes back per request.
     With omega = 0 the total equals the branch loss exactly (the weighted
     term is a multiply by 0.0); with rho = 0 the hinges only fire on
     exact-duplicate representations, so the objective degenerates to plain
     likelihood/unlikelihood training.
     """
-    r = utility(feedback, spec) if probs.values.data.ndim == 2 else feedback
     ul, is_positive, clamped = unlikelihood_loss(tape, probs, exposed, r, spec)
-    item = item_contrastive_loss(tape, probs.candidate_reps, rho, probs.valid)
-    position = position_contrastive_loss(tape, probs.position_reps, rho)
+    item = contrastive_loss(tape, probs.candidate_reps, rho, probs.valid)
+    position = contrastive_loss(tape, probs.position_reps, rho)
     total = tape.add(ul, tape.mask(tape.add(item, position), float(omega)))
     return LossBreakdown(
         total=total,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .ar import ar_sequence_loss
 from .data import CsvRecord, LogTable
-from .errors import DataError, NumericsError, ShapeError
+from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .generator import GeneratorConfig, forward
 from .numerics import AdamState, Params, Tape, adam_step
 from .objectives import UtilitySpec, total_loss, utilities
@@ -62,6 +62,15 @@ def steps_to_csv(steps: list[TrainStep]) -> str:
     lines = [TrainStep.csv_header()]
     lines.extend(s.csv_row() for s in steps)
     return "\n".join(lines) + "\n"
+
+
+def check_trainable_m(m: int) -> None:
+    """The generator and the AR baseline train on slates of at least 2
+    items: the position hinge compares slots in pairs, and at m = 1 the AR
+    decoder sees no chosen item. A ConfigError naming generator.m if not."""
+    if m < 2:
+        raise ConfigError(f"generator.m={m}: the generator and the AR baseline "
+                          "train on slates of at least 2 items")
 
 
 def _table(logs, m: int) -> LogTable:
@@ -126,6 +135,7 @@ def train_generator(logs, params: Params,
                     step_log: list[TrainStep] | None = None) -> Params:
     """Unlikelihood (or plain CE) training of the matching generator on a
     LogTable or a list of ExposureLogs."""
+    check_trainable_m(cfg.m)
     if objective == "ce":
         spec = replace(spec, tau=CE_ONLY_TAU)
     elif objective != "ul":
@@ -160,6 +170,7 @@ def train_ar(logs, params: Params, cfg: GeneratorConfig, *,
     """Teacher-forced CE training of the autoregressive pointer baseline on a
     LogTable or a list of ExposureLogs; loss_log gets each step's mean loss
     per request as a Python float."""
+    check_trainable_m(cfg.m)
     table = _table(logs, cfg.m)
 
     def batch_loss(tape, rows):

@@ -27,9 +27,8 @@ from slaterank.evaluator import (EvaluatorConfig, _logits, bce_loss, init_evalua
 from slaterank.generator import GeneratorConfig, ProbMatrix, forward, init_generator_params
 from slaterank.metrics import auc, logloss, ndcg_list, recall_at_k
 from slaterank.numerics import Tensor
-from slaterank.objectives import (UtilitySpec, ce_loss, item_contrastive_loss,
-                                  position_contrastive_loss, sequence_log_likelihood,
-                                  unlikelihood_loss, utility)
+from slaterank.objectives import (UtilitySpec, ce_loss, contrastive_loss,
+                                  sequence_log_likelihood, unlikelihood_loss, utility)
 from slaterank.simulator import (World, WorldConfig, gen_log, gen_request,
                                  oracle_expected_utility, policy_slate)
 from slaterank.training import train_generator
@@ -279,9 +278,9 @@ def test_criterion_1_gradient_integrity():
         reps = Tensor(rng.normal(size=(5, 8)))
         pos_reps = Tensor(rng.normal(size=(3, 8)))
         worst = max(worst, gradcheck(
-            lambda tape: item_contrastive_loss(tape, reps, 0.5), [reps]))
+            lambda tape: contrastive_loss(tape, reps, 0.5), [reps]))
         worst = max(worst, gradcheck(
-            lambda tape: position_contrastive_loss(tape, pos_reps, 0.5), [pos_reps]))
+            lambda tape: contrastive_loss(tape, pos_reps, 0.5), [pos_reps]))
 
         ecfg = EvaluatorConfig(("click",), (1.0,), d=8, h=2, d_x=4, m=3, seed=seed)
         ev = init_evaluator_params(ecfg)

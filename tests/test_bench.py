@@ -8,6 +8,7 @@ import pytest
 
 from slaterank import bench
 from slaterank.bench import BenchReport, _time_series, run_bench
+from slaterank.cli import main
 from slaterank.configs import RunConfig
 from slaterank.errors import ConfigError
 
@@ -79,3 +80,54 @@ def test_bench_validation():
         run_bench(RunConfig(), steps=0)
     with pytest.raises(ConfigError):
         run_bench(RunConfig(), batch_size=0)
+
+
+def test_a_clock_that_slows_halfway_keeps_the_slopes_ratio(monkeypatch):
+    # A scripted clock: a request takes 50 us plus 1 us per position (NAR),
+    # or 5 us plus 10 us per position (AR), and from halfway through the
+    # timed steps every step takes twice as long. The intercepts differ, so a
+    # slowdown that fell on some slate sizes only would tilt the slopes apart.
+    clock = {"now": 0.0, "steps": 0, "slow_after": None}
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: clock["now"])
+
+    def spend(m, base, per_position):
+        clock["steps"] += 1
+        slow = clock["slow_after"] is not None and clock["steps"] > clock["slow_after"]
+        clock["now"] += (base + per_position * m) * (2.0 if slow else 1.0)
+
+    monkeypatch.setattr(bench, "forward", lambda req, gen, cfg, tape: spend(cfg.m, 5e-5, 1e-6))
+    monkeypatch.setattr(bench, "decode", lambda probs, cfg: None)
+    monkeypatch.setattr(bench, "ar_decode", lambda req, ar, cfg, tape: spend(cfg.m, 5e-6, 1e-5))
+    monkeypatch.setattr(bench, "train_generator", lambda *a, **k: None)
+    monkeypatch.setattr(bench, "train_ar", lambda *a, **k: None)
+
+    def slope_ratio(slow_after):
+        clock.update(now=0.0, steps=0, slow_after=slow_after)
+        rep = run_bench(RunConfig(), steps=9, warmup=2, batch_size=2,
+                        sweep_m=(1, 2, 4, 8), ratio_m=2)
+        return rep.ar_slope / rep.nar_slope
+
+    steady = slope_ratio(None)
+    assert steady == pytest.approx(10.0, rel=1e-6)
+    assert slope_ratio(clock["steps"] // 2) == pytest.approx(steady, rel=1e-6)
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["world.n_candidates=6", "generator.n_max=6"],
+     "bench times slate sizes [6, 1, 2, 4, 8, 5], and [8] exceed world.n_candidates=6"),
+    (["world.n_candidates=6"],
+     "bench times slate sizes [6, 1, 2, 4, 8, 5], and [8] exceed world.n_candidates=6"),
+    (["world.n_candidates=4", "world.posbias=1.0,0.8", "generator.m=2", "evaluator.m=2"],
+     "bench times slate sizes [2, 1, 4, 6, 8, 5], and [6, 8, 5] exceed world.n_candidates=4"),
+    (["world.posbias=1.0", "generator.m=1", "evaluator.m=1"],
+     "generator.m=1: the generator and the AR baseline train on slates of at least 2 items"),
+], ids=["n_max_6", "n_candidates_6", "n_candidates_4", "m_1"])
+def test_bench_sizes_that_cannot_run_exit_1_before_any_timing(
+        tmp_path, capsys, monkeypatch, settings, message):
+    def never(*args, **kwargs):
+        raise AssertionError("timing started before the sizes were checked")
+
+    monkeypatch.setattr(bench, "_time_series", never)
+    overrides = [x for setting in settings for x in ("--set", setting)]
+    assert main(["bench", "--out", str(tmp_path / "bench.csv"), *overrides]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -456,6 +456,29 @@ def test_generate_k_above_a_requests_candidates_exits_1_before_any_work(
                  "--set", "decode.num_samples=1"]) == 0
 
 
+def test_training_on_one_slot_slates_exits_1_naming_generator_m(
+        tmp_path, capsys, monkeypatch):
+    # the position hinge needs two slots, and at m = 1 the AR decoder sees no
+    # chosen item; the evaluator trains on one-slot slates
+    cfg = write_cfg(tmp_path, ["num_requests=50", "world.posbias=1.0",
+                               "generator.m=1", "evaluator.m=1"])
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["train-evaluator", "--config", cfg]) == 0
+    capsys.readouterr()
+    for command in ("train-generator", "train-ar"):
+        assert main([command, "--config", cfg]) == 1, command
+        assert capsys.readouterr().err == (
+            "error: generator.m=1: the generator and the AR baseline train on "
+            "slates of at least 2 items\n"), command
+
+    def never(*args, **kwargs):
+        raise AssertionError("the log was read before generator.m was checked")
+
+    monkeypatch.setattr("slaterank.cli.read_logs", never)
+    for command in ("train-generator", "train-ar"):
+        assert main([command, "--config", cfg]) == 1, command
+
+
 def test_train_ar_and_bench_smoke(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["simulate", "--config", cfg]) == 0

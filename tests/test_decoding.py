@@ -301,7 +301,7 @@ def test_beam_never_worse_than_greedy():
 def test_sample_slates_single_is_contrastive():
     pm = random_probs(np.random.default_rng(11), 5, 3)
     cfg = DecodeConfig(num_samples=1, alpha=0.2)
-    slates = sample_slates(pm, cfg)
+    slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
     assert len(slates) == 1
     assert slates[0] == contrastive_decode(pm, cfg)
 
@@ -309,7 +309,7 @@ def test_sample_slates_single_is_contrastive():
 def test_sample_slates_bounded_by_feasible_count():
     pm = random_probs(np.random.default_rng(12), 3, 2)
     cfg = DecodeConfig(num_samples=10, k=3)
-    slates = sample_slates(pm, cfg)
+    slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
     assert 1 <= len(slates) <= 6  # |A(3,2)| = 6
     assert len({s.indices for s in slates}) == len(slates)
 
@@ -321,8 +321,8 @@ def test_sample_slates_valid_and_deterministic():
         m = int(rng.integers(1, min(n, 4) + 1))
         pm = random_probs(rng, n, m)
         cfg = DecodeConfig(num_samples=6, k=min(3, n), seed=21)
-        slates = sample_slates(pm, cfg)
-        again = sample_slates(pm, cfg)
+        slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
+        again = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
         assert slates == again
         for s in slates:
             assert s.m == m
@@ -338,7 +338,8 @@ def test_sample_slates_proposals_equal_checked_slates():
         n = int(rng.integers(3, 9))
         m = int(rng.integers(1, min(n, 5) + 1))
         pm = random_probs(rng, n, m)
-        slates = sample_slates(pm, DecodeConfig(num_samples=8, k=min(3, n), seed=22))
+        cfg = DecodeConfig(num_samples=8, k=min(3, n), seed=22)
+        slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
         for s in slates:
             checked = SlateSequence(s.indices, s.probabilities, s.method)
             assert (s.indices, s.probabilities, s.method) == \

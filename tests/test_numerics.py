@@ -398,7 +398,7 @@ def test_checkpoint_round_trip_exact(tmp_path):
     p = Params()
     p.new_gaussian("enc.w", (3, 5), rng)
     p.new_zeros("enc.b", (5,))
-    p.new_gaussian("head", (5, 2), rng, std=1.3)
+    p.add("head", rng.normal(0.0, 1.3, size=(5, 2)))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, p, meta={"d": 5, "kind": "test"})
     loaded, meta = load_checkpoint(path)

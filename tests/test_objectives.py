@@ -15,8 +15,7 @@ from slaterank.numerics import Tape, Tensor
 from slaterank.objectives import (
     UtilitySpec,
     ce_loss,
-    item_contrastive_loss,
-    position_contrastive_loss,
+    contrastive_loss,
     sequence_log_likelihood,
     total_loss,
     unlikelihood_loss,
@@ -51,13 +50,6 @@ def one_hot_probs(n, m, labels):
     for j, i in enumerate(labels):
         values[i, j] = 1.0
     return make_probs(values)
-
-
-def feedback_with_utility(r, m=3):
-    """Single-type click feedback whose utility under CLICK is exactly r."""
-    row = np.zeros(m)
-    row[0] = r
-    return FeedbackMatrix(values=row[None, :], types=("click",))
 
 
 # ---------------------------------------------------------------- utility
@@ -289,13 +281,13 @@ def test_unlikelihood_gradient_matches_finite_differences():
 
 def test_contrastive_orthogonal_reps_zero():
     reps = Tensor(np.diag([1.0, 3.0, 0.5]))
-    loss = item_contrastive_loss(Tape(recording=False), reps, rho=0.5)
+    loss = contrastive_loss(Tape(recording=False), reps, rho=0.5)
     assert loss.item() == 0.0
 
 
 def test_contrastive_identical_pair():
     reps = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    loss = item_contrastive_loss(Tape(recording=False), reps, rho=0.5)
+    loss = contrastive_loss(Tape(recording=False), reps, rho=0.5)
     assert abs(loss.item() - 0.5) < 1e-15
 
 
@@ -309,34 +301,36 @@ def test_contrastive_pairwise_cosine_080():
     cos = unit @ unit.T
     off = ~np.eye(3, dtype=bool)
     assert np.abs(cos[off] - 0.8).max() < 1e-12
-    loss = item_contrastive_loss(Tape(recording=False), Tensor(x), rho=0.5)
+    loss = contrastive_loss(Tape(recording=False), Tensor(x), rho=0.5)
     assert abs(loss.item() - 0.3) < 1e-12
 
 
 def test_position_loss_mirrors_item_loss():
+    # total_loss calls the hinge without a mask for the positions and with
+    # the valid mask for the candidates: with every row valid they agree
     rng = np.random.default_rng(2)
     reps = rng.normal(size=(4, 6))
     tape = Tape(recording=False)
-    a = item_contrastive_loss(tape, Tensor(reps), rho=0.4).item()
-    b = position_contrastive_loss(tape, Tensor(reps), rho=0.4).item()
+    a = contrastive_loss(tape, Tensor(reps), rho=0.4, valid=np.ones(4, dtype=bool)).item()
+    b = contrastive_loss(tape, Tensor(reps), rho=0.4).item()
     assert a == b
     ident = Tensor(np.ones((2, 3)))
-    assert abs(position_contrastive_loss(tape, ident, rho=0.5).item() - 0.5) < 1e-15
+    assert abs(contrastive_loss(tape, ident, rho=0.5).item() - 0.5) < 1e-15
 
 
 def test_contrastive_zero_norm_row_flagged_and_inert():
     reps = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.warns(RuntimeWarning):
-        loss = item_contrastive_loss(Tape(recording=False), reps, rho=0.5)
+        loss = contrastive_loss(Tape(recording=False), reps, rho=0.5)
     assert loss.item() == 0.0
 
 
 def test_contrastive_validation():
     tape = Tape(recording=False)
     with pytest.raises(ShapeError):
-        item_contrastive_loss(tape, Tensor(np.ones((1, 3))), rho=0.5)
+        contrastive_loss(tape, Tensor(np.ones((1, 3))), rho=0.5)
     with pytest.raises(ConfigError):
-        item_contrastive_loss(tape, Tensor(np.ones((3, 3))), rho=1.5)
+        contrastive_loss(tape, Tensor(np.ones((3, 3))), rho=1.5)
 
 
 def test_contrastive_gradient_matches_finite_differences():
@@ -350,7 +344,7 @@ def test_contrastive_gradient_matches_finite_differences():
     assert np.abs(cos[off] - (1.0 - rho)).min() > 1e-3
 
     def make_loss(tape):
-        return item_contrastive_loss(tape, reps, rho)
+        return contrastive_loss(tape, reps, rho)
 
     assert gradcheck(make_loss, [reps]) < 1e-4
 
@@ -367,8 +361,7 @@ def test_total_with_zero_omega_equals_branch_loss():
     rng = np.random.default_rng(13)
     pm = make_probs(random_column_stochastic(rng, 6, 3), rng=rng)
     labels = (5, 2, 0)
-    fb = feedback_with_utility(0.0)
-    bd = total_loss(Tape(recording=False), pm, labels, fb, CLICK,
+    bd = total_loss(Tape(recording=False), pm, labels, 0.0, CLICK,
                     rho=0.5, omega=0.0)
     standalone, positive, _ = unlikelihood_loss(
         Tape(recording=False), pm, labels, r=0.0, spec=CLICK)
@@ -380,8 +373,7 @@ def test_total_with_zero_omega_equals_branch_loss():
 def test_total_with_zero_rho_drops_contrastive_terms():
     rng = np.random.default_rng(17)
     pm = make_probs(random_column_stochastic(rng, 6, 3), rng=rng)
-    fb = feedback_with_utility(2.0)
-    bd = total_loss(Tape(recording=False), pm, (0, 1, 2), fb, CLICK,
+    bd = total_loss(Tape(recording=False), pm, (0, 1, 2), 2.0, CLICK,
                     rho=0.0, omega=0.01)
     assert bd.item_contrastive.item() == 0.0
     assert bd.position_contrastive.item() == 0.0
@@ -398,8 +390,7 @@ def test_total_defaults_and_composition():
 
     rng = np.random.default_rng(19)
     pm = make_probs(random_column_stochastic(rng, 5, 3), rng=rng)
-    fb = feedback_with_utility(3.0)
-    bd = total_loss(Tape(recording=False), pm, (4, 2, 1), fb, CLICK)
+    bd = total_loss(Tape(recording=False), pm, (4, 2, 1), 3.0, CLICK)
     recomposed = bd.ce_or_ul.item() + 0.01 * (
         bd.item_contrastive.item() + bd.position_contrastive.item())
     assert abs(bd.total.item() - recomposed) < 1e-15
@@ -418,9 +409,8 @@ def test_total_contrastive_ignores_padded_rows():
                     candidate_reps=Tensor(reps),
                     position_reps=Tensor(rng.normal(size=(3, 4))),
                     valid=np.array([True] * 4 + [False] * 2))
-    fb = feedback_with_utility(0.0)
-    bd = total_loss(Tape(recording=False), pm, (0, 1, 2), fb, CLICK)
-    expected = item_contrastive_loss(
+    bd = total_loss(Tape(recording=False), pm, (0, 1, 2), 0.0, CLICK)
+    expected = contrastive_loss(
         Tape(recording=False), Tensor(reps[:4]), rho=0.5)
     assert abs(bd.item_contrastive.item() - expected.item()) < 1e-15
 
@@ -437,8 +427,7 @@ def test_total_gradient_through_model_both_branches():
     for r in (5.0, 0.0):
         def make_loss(tape):
             pm = forward(req, params, cfg, tape=tape)
-            fb = feedback_with_utility(r)
-            return total_loss(tape, pm, (1, 3, 0), fb, CLICK).total
+            return total_loss(tape, pm, (1, 3, 0), r, CLICK).total
 
         assert gradcheck(make_loss, wrt) < 1e-4
 

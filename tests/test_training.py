@@ -10,11 +10,11 @@ from helpers import inflate_weights
 from slaterank.ar import init_ar_params
 from slaterank.cli import main
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
-from slaterank.errors import DataError, InvalidSlateError, NumericsError
+from slaterank.errors import ConfigError, DataError, InvalidSlateError, NumericsError
 from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, train_evaluator
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
 from slaterank.numerics import Tape
-from slaterank.objectives import UtilitySpec, total_loss, utilities
+from slaterank.objectives import UtilitySpec, total_loss, utilities, utility
 from slaterank.training import (
     CE_ONLY_TAU,
     TrainStep,
@@ -140,6 +140,16 @@ def test_rejects_bad_logs():
         train_generator(mixed_logs(2), params, SMALL, CLICK, objective="mle")
 
 
+def test_generator_and_ar_refuse_one_slot_slates_before_the_first_minibatch():
+    # the position hinge needs two slots, and at m = 1 the AR decoder sees no
+    # chosen item; the rule runs before the (here empty) log is looked at
+    one = GeneratorConfig(n_max=6, m=1, d=8, h=2, L=1, d_x=4, d_t=5, seed=0)
+    with pytest.raises(ConfigError, match="^generator.m=1: "):
+        train_generator([], init_generator_params(one), one, CLICK)
+    with pytest.raises(ConfigError, match="^generator.m=1: "):
+        train_ar([], init_ar_params(one), one)
+
+
 EV_SMALL = EvaluatorConfig(types=("click",), weights=(1.0,), d=8, h=2, d_x=4, m=3)
 TRAINERS = {
     "train_generator": lambda logs: train_generator(
@@ -249,7 +259,7 @@ def test_batched_loss_and_gradients_match_one_tape_per_request():
     for b, log in enumerate(logs):
         tape = Tape()
         one = total_loss(tape, forward(log.request, params, SMALL, tape),
-                         log.exposed, log.feedback, CLICK)
+                         log.exposed, utility(log.feedback, CLICK), CLICK)
         tape.backward(one.total)
         for part in ("total", "ce_or_ul", "item_contrastive", "position_contrastive"):
             got = getattr(batch, part).data[b]
@@ -283,7 +293,7 @@ def test_batched_step_log_matches_per_request_losses():
     for log in logs:
         one = total_loss(Tape(recording=False),
                          forward(log.request, params, SMALL), log.exposed,
-                         log.feedback, CLICK)
+                         utility(log.feedback, CLICK), CLICK)
         totals.append(one.total.item())
         positives += one.is_positive_sequence
         clamps += one.clamped
