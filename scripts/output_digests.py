@@ -23,7 +23,7 @@ world requests of n = 20, scored by the default evaluator at trained-like
 weights with `score_slates`, `score_slate` and `select_best`, and by the
 oracle's expected utility; the bounds of single rank groups 8 to 20, 129
 and 300 terms wide, where a total summed in another order moves the last
-bits of the bounds without often moving a pick;
+bits of the bounds without often moving a pick; `auc` on tie-heavy scores;
 AR decoded slates, their pick probabilities and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
@@ -84,6 +84,7 @@ from slaterank.evaluator import (
     train_evaluator,
 )
 from slaterank.generator import GeneratorConfig, ProbMatrix, forward, init_generator_params
+from slaterank.metrics import auc
 from slaterank.numerics import Tape, Tensor
 from slaterank.objectives import UtilitySpec, total_loss, utilities
 from slaterank.simulator import (
@@ -453,6 +454,22 @@ def group_bounds_digest() -> None:
     print("group_bounds.wide", digest([_group_bounds(g.tolist()) for g in groups]))
 
 
+def auc_digest() -> None:
+    """`auc` on tie-heavy scores: 40 cases of 20 to 9000 scores rounded to
+    one decimal, a third of the zeros made -0.0, so most scores share a
+    tie group and a signed zero must tie with its positive twin."""
+    rng = np.random.default_rng(55)
+    values = []
+    for size in (*rng.integers(20, 400, size=39), 9000):
+        scores = np.round(rng.normal(size=size), 1)
+        zeros = np.flatnonzero(scores == 0.0)
+        scores[zeros[::3]] = -0.0
+        labels = rng.integers(0, 2, size=size)
+        labels[:2] = (0, 1)
+        values.append(auc(scores, labels))
+    print("auc.ties", digest(values))
+
+
 def log_digest(logs) -> str:
     return digest(*[x for log in logs for x in (
         log.request.request_id, log.request.user_id, log.request.item_ids,
@@ -603,6 +620,7 @@ def main() -> None:
     wide_decode_digests()
     serving_pool_digests()
     group_bounds_digest()
+    auc_digest()
 
     ar_slates = [ar_decode(r, ar, GEN) for r in reqs[:6]]
     print("ar_decode", digest([s.indices for s in ar_slates]))
