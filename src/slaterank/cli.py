@@ -19,7 +19,8 @@ import numpy as np
 
 from .ar import init_ar_params
 from .bench import run_bench
-from .configs import RunConfig, apply_overrides, check_pipeline, load_config
+from .configs import (RunConfig, apply_overrides, check_pipeline, load_config,
+                      unmatched_heads, unweighted_types)
 from .data import LogSchema, read_logs, write_jsonl, write_logs
 from .decoding import sample_slates
 from .errors import ConfigError, CheckpointError, DataError, SlaterankError
@@ -85,11 +86,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bench)
 
     return parser
-
-
-def _load_run(args) -> RunConfig:
-    run = load_config(args.config) if args.config else RunConfig()
-    return apply_overrides(run, args.set)
 
 
 def _writable(path: str) -> str:
@@ -203,10 +199,8 @@ def cmd_train(run: RunConfig, args) -> int:
                batch_size=run.train.batch_size, seed=run.train.seed)
     curve_log: list = []  # TrainSteps for the generator, mean losses otherwise
     if kind == "generator":
-        uncovered = [t for t in logs.types if t not in run.utility.types]
-        if uncovered:
-            raise ConfigError(f"utility spec has no weights for logged "
-                              f"interaction types {uncovered}")
+        if problem := unweighted_types(run.utility, logs.types, "logged"):
+            raise ConfigError(problem)
         params = init_generator_params(cfg)
         train_generator(logs, params, cfg, run.utility, omega=run.train.omega,
                         rho=run.train.rho, objective=run.train.objective,
@@ -214,9 +208,8 @@ def cmd_train(run: RunConfig, args) -> int:
         meta = _generator_meta(cfg)
         summary = f"{run.train.objective}, final loss {curve_log[-1].total:.4f}"
     elif kind == "evaluator":
-        if logs.types != tuple(cfg.types):
-            raise ConfigError(f"log feedback types {logs.types} do not "
-                              f"match evaluator types {cfg.types}")
+        if problem := unmatched_heads(cfg, logs.types, "logged"):
+            raise ConfigError(problem)
         params = init_evaluator_params(cfg)
         train_evaluator(logs, params, cfg, loss_log=curve_log, **fit)
         meta = _evaluator_meta(cfg)
@@ -238,20 +231,24 @@ def cmd_train(run: RunConfig, args) -> int:
     return 0
 
 
-def _load_models(run: RunConfig):
-    gen_params = _load_matching(run.paths.generator_checkpoint,
-                                _generator_meta(run.generator),
-                                init_generator_params(run.generator))
-    ev_params = _load_matching(run.paths.evaluator_checkpoint,
-                               _evaluator_meta(run.evaluator),
-                               init_evaluator_params(run.evaluator))
-    return gen_params, ev_params
+def _rerank_setup(run: RunConfig, out, default_name: str):
+    """The output path, both checkpoints and the test log of generate and
+    evaluate, once the evaluator is found to fit the generator's slates."""
+    out = _out_path(run, out, default_name)
+    gen, ev = run.generator, run.evaluator
+    if (ev.d_x, ev.m) != (gen.d_x, gen.m):
+        raise ConfigError(f"evaluator d_x={ev.d_x}, m={ev.m} do not "
+                          f"match generator d_x={gen.d_x}, m={gen.m}")
+    gen_params = _load_matching(run.paths.generator_checkpoint, _generator_meta(gen),
+                                init_generator_params(gen))
+    ev_params = _load_matching(run.paths.evaluator_checkpoint, _evaluator_meta(ev),
+                               init_evaluator_params(ev))
+    logs = _read_log(run, run.paths.test_log, gen)
+    return out, gen_params, ev_params, logs
 
 
 def cmd_generate(run: RunConfig, args) -> int:
-    out = _out_path(run, args.out, "slates.jsonl")
-    gen_params, ev_params = _load_models(run)
-    logs = _read_log(run, run.paths.test_log, run.generator)
+    out, gen_params, ev_params, logs = _rerank_setup(run, args.out, "slates.jsonl")
     # a pool of more than one slate draws top-k proposals from every request
     if run.decode.num_samples > 1:
         fewest = int(np.argmin(logs.n))
@@ -279,12 +276,7 @@ def cmd_generate(run: RunConfig, args) -> int:
 
 
 def cmd_evaluate(run: RunConfig, args) -> int:
-    out_file = _out_path(run, args.out, "eval.csv")
-    gen_params, ev_params = _load_models(run)
-    logs = _read_log(run, run.paths.test_log, run.generator)
-    if (run.evaluator.d_x, run.evaluator.m) != (run.generator.d_x, run.generator.m):
-        raise ConfigError(f"evaluator d_x={run.evaluator.d_x}, m={run.evaluator.m} do not "
-                          f"match generator d_x={run.generator.d_x}, m={run.generator.m}")
+    out_file, gen_params, ev_params, logs = _rerank_setup(run, args.out, "eval.csv")
     target = run.evaluator.types[0]
     if target not in logs.types:
         raise ConfigError(f"log feedback types {logs.types} do not include {target!r}, "
@@ -317,6 +309,7 @@ def cmd_evaluate(run: RunConfig, args) -> int:
 
 
 def cmd_bench(run: RunConfig, args) -> int:
+    check_pipeline(run)
     out_file = _out_path(run, args.out, "bench.csv")
     report = run_bench(run, steps=args.steps, warmup=args.warmup,
                        batch_size=args.batch)
@@ -337,12 +330,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        run = _load_run(args)
-        # Only bench mixes the world with both models in one process;
-        # the other commands check their logs against their own config.
-        if args.command == "bench":
-            check_pipeline(run)
-        return args.func(run, args)
+        run = load_config(args.config) if args.config else RunConfig()
+        return args.func(apply_overrides(run, args.set), args)
     except SlaterankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,6 +19,7 @@ from .evaluator import EvaluatorConfig
 from .generator import GeneratorConfig
 from .objectives import UtilitySpec
 from .simulator import WorldConfig
+from .training import check_objective
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,7 @@ class TrainConfig:
             raise ConfigError("lr and omega must be finite")
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("lr, batch_size and epochs must be positive")
-        if self.objective not in ("ul", "ce"):
-            raise ConfigError(f"objective must be 'ul' or 'ce', got {self.objective!r}")
+        check_objective(self.objective)
         if self.omega < 0:
             raise ConfigError("omega must be >= 0")
         if not -1.0 <= self.rho <= 1.0:
@@ -201,26 +201,37 @@ def save_config(run: RunConfig, path) -> None:
 def check_pipeline(run: RunConfig) -> None:
     """Dimension and type agreement between the world and both models.
 
-    Commands that chain modules call this up front so mismatches fail
-    with one clear message instead of a shape error mid-run.
+    `bench`, which mixes the world with both models, calls this up front
+    so mismatches fail with one clear message instead of a shape error
+    mid-run.
     """
     problems = []
-    if run.generator.d_x != run.world.d_x:
-        problems.append(f"generator.d_x={run.generator.d_x} != world d_x={run.world.d_x}")
-    if run.evaluator.d_x != run.world.d_x:
-        problems.append(f"evaluator.d_x={run.evaluator.d_x} != world d_x={run.world.d_x}")
-    if run.generator.m != run.world.m:
-        problems.append(f"generator.m={run.generator.m} != world m={run.world.m}")
-    if run.evaluator.m != run.world.m:
-        problems.append(f"evaluator.m={run.evaluator.m} != world m={run.world.m}")
+    for key in ("d_x", "m"):
+        want = getattr(run.world, key)
+        for name in ("generator", "evaluator"):
+            got = getattr(getattr(run, name), key)
+            if got != want:
+                problems.append(f"{name}.{key}={got} != world {key}={want}")
     if run.generator.n_max < run.world.n_candidates:
         problems.append(f"generator.n_max={run.generator.n_max} below "
                         f"world n_candidates={run.world.n_candidates}")
-    missing = [t for t in run.world.types if t not in run.utility.types]
-    if missing:
-        problems.append(f"utility spec missing weights for world types {missing}")
-    if tuple(run.evaluator.types) != tuple(run.world.types):
-        problems.append(f"evaluator types {run.evaluator.types} != "
-                        f"world types {run.world.types}")
+    problems += [p for p in (unweighted_types(run.utility, run.world.types, "world"),
+                             unmatched_heads(run.evaluator, run.world.types, "world")) if p]
     if problems:
         raise ConfigError("; ".join(problems))
+
+
+def unweighted_types(spec: UtilitySpec, types, source: str) -> str | None:
+    """The problem, if any, when the utility spec gives no weight to some of
+    `types`, the interaction types of `source` ("world" or "logged")."""
+    missing = [t for t in types if t not in spec.types]
+    return (f"utility spec has no weights for {source} interaction types {missing}"
+            if missing else None)
+
+
+def unmatched_heads(evaluator: EvaluatorConfig, types, source: str) -> str | None:
+    """The problem, if any, when the evaluator's heads are not exactly
+    `types`, the interaction types of `source` ("world" or "logged")."""
+    return (None if tuple(types) == tuple(evaluator.types) else
+            f"{source} interaction types {tuple(types)} do not match "
+            f"evaluator types {evaluator.types}")

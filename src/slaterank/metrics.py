@@ -43,16 +43,10 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("AUC needs at least one positive and one negative")
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(y.size)
-    sorted_scores = s[order]
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # mean rank of the tie group
-        i = j + 1
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # each tie group at its mean rank; half-integer ranks sum exactly in any order
+    _, first, count = np.unique(s[order], return_index=True, return_counts=True, equal_nan=False)
+    rank_sum = np.repeat(first + 0.5 * (count - 1) + 1.0, count)[pos[order]].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def logloss(scores, labels) -> float:

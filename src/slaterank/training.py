@@ -73,6 +73,12 @@ def check_trainable_m(m: int) -> None:
                           "train on slates of at least 2 items")
 
 
+def check_objective(objective: str) -> None:
+    """A ConfigError unless the generator's objective is "ul" or "ce"."""
+    if objective not in ("ul", "ce"):
+        raise ConfigError(f"objective must be 'ul' or 'ce', got {objective!r}")
+
+
 def _table(logs, m: int) -> LogTable:
     """The training log as one LogTable: a LogTable as it is, a list of
     ExposureLogs stacked once. An empty log is a DataError, and slates of
@@ -136,10 +142,9 @@ def train_generator(logs, params: Params,
     """Unlikelihood (or plain CE) training of the matching generator on a
     LogTable or a list of ExposureLogs."""
     check_trainable_m(cfg.m)
+    check_objective(objective)
     if objective == "ce":
         spec = replace(spec, tau=CE_ONLY_TAU)
-    elif objective != "ul":
-        raise DataError(f"unknown objective {objective!r}")
     table = _table(logs, cfg.m)
     r = utilities(table, spec)
 

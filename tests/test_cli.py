@@ -796,8 +796,54 @@ def test_feedback_types_that_a_model_cannot_use_exit_1_before_any_work(
     capsys.readouterr()
     assert main(["train-evaluator", "--config", cfg]) == 1
     assert capsys.readouterr().err == (
-        "error: log feedback types ('click', 'like', 'share') do not match "
+        "error: logged interaction types ('click', 'like', 'share') do not match "
         "evaluator types ('click', 'like')\n")
+
+
+@pytest.mark.parametrize("world, evaluator, message", [
+    ("world.posbias=1.0,0.85,0.72,0.61,0.52", "evaluator.m=5",
+     "evaluator d_x=10, m=5 do not match generator d_x=10, m=6"),
+    ("world.latent_dim=6", "evaluator.d_x=8",
+     "evaluator d_x=8, m=6 do not match generator d_x=10, m=6")])
+def test_an_evaluator_that_does_not_fit_the_generator_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch, world, evaluator, message):
+    # generate used to load both models, read the log and run a forward
+    # before it failed on the evaluator's slate shape, and evaluate checked
+    # the pair only once both checkpoints were loaded and the log was read
+    cfg = write_cfg(tmp_path)
+    run_pipeline(tmp_path, cfg)
+    other = ["--set", evaluator, "--set", f"paths.evaluator_checkpoint={tmp_path}/other.npz"]
+    assert main(["simulate", "--config", cfg, "--set", world,
+                 "--set", f"paths.train_log={tmp_path}/other.jsonl"]) == 0
+    assert main(["train-evaluator", "--config", cfg, *other,
+                 "--set", f"paths.train_log={tmp_path}/other.jsonl"]) == 0
+    capsys.readouterr()
+    for command in ("generate", "evaluate"):
+        assert main([command, "--config", cfg, *other]) == 1, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+    assert not (tmp_path / "slates.jsonl").exists()
+    assert not (tmp_path / "eval.csv").exists()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a model or the log was read before the model pair was checked")
+
+    for name in ("load_checkpoint", "read_logs", "forward"):
+        monkeypatch.setattr(f"slaterank.cli.{name}", never)
+    for command in ("generate", "evaluate"):
+        assert main([command, "--config", cfg, *other]) == 1, command
+
+
+def test_a_mismatched_model_pair_is_reported_before_a_missing_input(tmp_path, capsys):
+    # with a missing evaluator checkpoint or test log, generate and evaluate
+    # used to exit 2 on the file and never report the config
+    cfg = write_cfg(tmp_path)
+    for command in ("generate", "evaluate"):
+        for absent in (f"paths.evaluator_checkpoint={tmp_path}/absent.npz",
+                       f"paths.test_log={tmp_path}/absent.jsonl"):
+            assert main([command, "--config", cfg, "--set", "evaluator.m=5",
+                         "--set", absent]) == 1, (command, absent)
+            assert capsys.readouterr().err == (
+                "error: evaluator d_x=10, m=5 do not match generator d_x=10, m=6\n")
 
 
 def test_a_nul_byte_in_a_config_value_exits_1_naming_the_key(tmp_path, capsys):

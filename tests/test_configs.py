@@ -11,6 +11,8 @@ from slaterank.configs import (
     parse_config,
     save_config,
     serialize_config,
+    unmatched_heads,
+    unweighted_types,
 )
 from slaterank.errors import ConfigError
 
@@ -130,9 +132,26 @@ def test_check_pipeline_reports_mismatches():
 
     run = apply_overrides(RunConfig(), ["utility.types=click",
                                         "utility.weights=1.0"])
-    with pytest.raises(ConfigError, match="missing weights"):
+    with pytest.raises(ConfigError, match="no weights for world interaction types"):
         check_pipeline(run)
 
     run = apply_overrides(RunConfig(), ["generator.n_max=10"])
     with pytest.raises(ConfigError, match="n_max"):
         check_pipeline(run)
+
+
+def test_each_type_rule_names_the_source_of_its_types():
+    run = RunConfig()
+    assert unweighted_types(run.utility, ("click", "like"), "world") is None
+    assert unweighted_types(run.utility, ("view", "click"), "logged") == (
+        "utility spec has no weights for logged interaction types ['view']")
+    assert unmatched_heads(run.evaluator, ["click", "like"], "logged") is None
+    assert unmatched_heads(run.evaluator, ("click",), "world") == (
+        "world interaction types ('click',) do not match evaluator types ('click', 'like')")
+    # check_pipeline joins both rules' problems into one message
+    run = apply_overrides(run, ["world.types=view", "world.base_rates=1.0"])
+    with pytest.raises(ConfigError) as caught:
+        check_pipeline(run)
+    assert str(caught.value) == (
+        "utility spec has no weights for world interaction types ['view']; "
+        "world interaction types ('view',) do not match evaluator types ('click', 'like')")

@@ -77,6 +77,44 @@ def test_auc_scale_invariance(rows):
     assert auc(scores, labels) == auc(4.0 * scores, labels)
 
 
+def auc_by_tie_loop(scores, labels) -> float:
+    """Reference AUC: walks the stably sorted scores and gives each run of
+    equal scores its mean rank."""
+    s = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) > 0
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(s.size)
+    sorted_scores = s[order]
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.1, -0.1, 0.5, 1.0, 1e300, np.nan]),
+                          st.booleans()), min_size=2, max_size=60),
+       st.integers(0, 2 ** 32 - 1))
+def test_auc_matches_the_tie_loop_bit_for_bit(rows, seed):
+    # few distinct values, so most scores share a tie group; -0.0 must tie
+    # 0.0 and each NaN stands alone, as in the loop
+    scores = np.array([s for s, _ in rows])
+    labels = np.array([int(b) for _, b in rows])
+    if labels.min() == labels.max():
+        return
+    assert auc(scores, labels) == auc_by_tie_loop(scores, labels)
+    rng = np.random.default_rng(seed)
+    rounded = np.round(rng.normal(size=500), 1)
+    coin = rng.integers(0, 2, size=500)
+    coin[:2] = (0, 1)
+    assert auc(rounded, coin) == auc_by_tie_loop(rounded, coin)
+
+
 # ---------------------------------------------------------------- LogLoss
 
 

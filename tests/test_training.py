@@ -9,6 +9,7 @@ import pytest
 from helpers import inflate_weights
 from slaterank.ar import init_ar_params
 from slaterank.cli import main
+from slaterank.configs import TrainConfig
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import ConfigError, DataError, InvalidSlateError, NumericsError
 from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, train_evaluator
@@ -136,8 +137,17 @@ def test_rejects_bad_logs():
         ExposureLog(RequestBatch(request_id=3, user_id=0,
                                  item_ids=np.arange(5),
                                  features=np.zeros((5, 4))))
-    with pytest.raises(DataError):
-        train_generator(mixed_logs(2), params, SMALL, CLICK, objective="mle")
+
+
+def test_an_unknown_objective_is_a_config_error_as_in_train_config():
+    # train_generator used to refuse it as a DataError, the exit code of a bad log
+    message = "objective must be 'ul' or 'ce', got 'mle'"
+    with pytest.raises(ConfigError) as from_config:
+        TrainConfig(objective="mle")
+    with pytest.raises(ConfigError) as from_training:
+        train_generator(mixed_logs(2), init_generator_params(SMALL), SMALL, CLICK,
+                        objective="mle")
+    assert str(from_config.value) == str(from_training.value) == message
 
 
 def test_generator_and_ar_refuse_one_slot_slates_before_the_first_minibatch():
