@@ -98,22 +98,25 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     m, sweep_m and ratio_m, NAR and AR at each, all of them in turn on each
     request, so that a change of machine speed during the run falls on
     every size alike; training is timed NAR and AR in turn, one minibatch
-    update each, at the configured m. Before any timing, every size is
-    checked against the candidates a request has, and the configured m
-    against `training.check_trainable_m`. The sweep and the slopes read
-    each series' median, so that a few stalled requests cannot tilt the
-    fit; infer_ratio is the median of the ratio_m series' per-request
-    AR/NAR ratios, each from two back-to-back timings, so that neither
-    stalls nor a change of machine speed during the series can move it."""
+    update each, at the configured m. Before any timing, every size, and
+    decode.k when top-k sampling decodes, is checked against the candidates
+    a request has, and the configured m against `training.check_trainable_m`.
+    The sweep and the slopes read each series' median, so that a few
+    stalled requests cannot tilt the fit; infer_ratio is the median of the
+    ratio_m series' per-request AR/NAR ratios, each from two back-to-back
+    timings, so that neither stalls nor a change of machine speed during
+    the series can move it."""
     if steps < 1 or warmup < 0 or batch_size < 1:
         raise ConfigError("steps, warmup and batch_size must be positive")
     sizes = tuple(dict.fromkeys((run.generator.m, *sweep_m, ratio_m)))
     limit = min(run.world.n_candidates, run.generator.n_max)
+    key = "world.n_candidates" if limit == run.world.n_candidates else "generator.n_max"
     too_big = [mv for mv in sizes if mv > limit]
     if too_big:
-        key = "world.n_candidates" if limit == run.world.n_candidates else "generator.n_max"
         raise ConfigError(f"bench times slate sizes {list(sizes)}, and {too_big} "
                           f"exceed {key}={limit}")
+    if run.decode.method == "topk" and run.decode.k > limit:
+        raise ConfigError(f"decode.k={run.decode.k} exceeds {key}={limit}")
     check_trainable_m(run.generator.m)
     world = World(run.world)
     rng = np.random.default_rng(run.seed)

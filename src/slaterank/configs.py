@@ -193,11 +193,6 @@ def serialize_config(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_config(run: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(run))
-
-
 def check_pipeline(run: RunConfig) -> None:
     """Dimension and type agreement between the world and both models.
 

@@ -16,8 +16,10 @@ largest n in the log. Its values are checked once, when it is built or
 read back from `read_logs`'s cache (a binary copy of the table that spares
 a repeated read of an unchanged log its JSON parse); training takes
 minibatches from it by row number (`LogTable.take`), and its unchecked
-`ExposureLog` views serve code that walks it by request. `CsvRecord` lays
-out the CSV reports (the bench and eval reports, the generator's curve).
+`ExposureLog` views serve code that walks it by request. `slate_indices`
+is the one slate rule, and the only code that reads the type of a slate
+index. `CsvRecord` lays out the CSV reports (the bench and eval reports,
+the generator's curve).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import tempfile
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 
-# entries that int() would read as an index, 1.7 and True both as 1
+# entries that are numbers but not indices (np.array reads True as 1)
 _NOT_INDEX = (bool, np.bool_, float, np.floating)
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # up to this many slates (one slate, an AR prefix, a serving pool) the repeat
@@ -64,7 +65,9 @@ _ROW_BY_ROW = 8
 def slate_indices(slates, n, m: int) -> np.ndarray:
     """K slates (SlateSequences or index sequences) as one (K, m) int64 array.
 
-    The one slate rule, shared by every stage that takes a slate. `n` is one
+    The one slate rule, shared by every stage that takes a slate, and the
+    only code that reads the type of a slate index: SlateSequence and
+    RequestBatch keep their indices as they are given. `n` is one
     candidate count for every slate or a sequence of one count per slate.
     Each rule runs over the whole pool before the next: an empty pool raises
     EmptyCandidatesError; a slate without exactly m items, ShapeError; a
@@ -95,11 +98,10 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
     # np.array([()]) is float64, so only a non-empty float array holds a float
     if idx.dtype.kind in "fb" and idx.size and not past_int64:
         raise InvalidSlateError("slate index is not an integer")
-    # np.array also reads a bool among ints as 0 or 1, so a bare sequence's
-    # entries are looked at one by one; a SlateSequence's were when it was made
-    bare = not isinstance(slates, np.ndarray) and any(map(is_, slates, rows))
-    if bare and any(isinstance(i, _NOT_INDEX)
-                    for s, row in zip(slates, rows) if row is s for i in row):
+    # np.array also reads a bool among ints as 0 or 1, so the type of each
+    # entry of a pool that is not an index array is looked at
+    if not isinstance(slates, np.ndarray) and any(
+            issubclass(t, _NOT_INDEX) for t in {type(i) for row in rows for i in row}):
         raise InvalidSlateError("slate index is not an integer")
     if not past_int64:
         idx = idx.astype(np.int64, copy=False)
@@ -154,6 +156,8 @@ class RequestBatch:
 
     User context enters through the per-candidate cross features (the
     affinity column in the simulator), so candidates are self-contained.
+    `exposed` is kept as it is given, as a tuple: only the slate rule,
+    `slate_indices`, reads the type of its indices.
     """
 
     request_id: int
@@ -171,9 +175,7 @@ class RequestBatch:
         if not np.isfinite(self.features).all():
             raise ShapeError("candidate features contain non-finite values")
         if self.exposed is not None:
-            # a float or a bool stays as it is, for slate_indices to reject
-            self.exposed = tuple(i if isinstance(i, _NOT_INDEX) else int(i)
-                                 for i in self.exposed)
+            self.exposed = tuple(self.exposed)
 
     @property
     def n(self) -> int:
@@ -202,7 +204,9 @@ class ExposureLog:
 
 
 def _log_to_record(log: ExposureLog) -> dict:
-    # .tolist() gives Python floats; json writes them, like NumPy's, by float.__repr__
+    # .tolist() gives Python floats; json writes them, like NumPy's, by
+    # float.__repr__. A request built by hand may hold NumPy ints in its slate,
+    # which json cannot write.
     req = log.request
     return {
         "request_id": req.request_id,
@@ -211,7 +215,7 @@ def _log_to_record(log: ExposureLog) -> dict:
             {"item_id": item, "features": row}
             for item, row in zip(req.item_ids.tolist(), req.features.tolist())
         ],
-        "exposed": list(log.exposed),
+        "exposed": [int(i) for i in log.exposed],
         "feedback": dict(zip(log.feedback.types, log.feedback.values.tolist())),
     }
 

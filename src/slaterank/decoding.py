@@ -24,39 +24,28 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import _NOT_INDEX
-from .errors import ConfigError, InfeasibleSlateError, InvalidSlateError, ShapeError
+from .errors import ConfigError, InfeasibleSlateError, ShapeError
 from .generator import ProbMatrix
 
 _METHODS = ("contrastive", "greedy", "topk", "beam")
-_INT = {int}
 
 
 @dataclass(frozen=True)
 class SlateSequence:
     """An ordered slate: indices, their chosen-column probabilities, and the
-    decode method that produced it."""
+    decode method that produced it. The indices are kept as they are given;
+    only the slate rule, `data.slate_indices`, reads their type, wherever
+    the slate is used."""
 
     indices: tuple[int, ...]
     probabilities: tuple[float, ...]
     method: str
 
     def __post_init__(self) -> None:
-        indices = self.indices
-        # a tuple of Python ints, as the decoders build it, is kept as it is
-        if type(indices) is not tuple or not _INT.issuperset(map(type, indices)):
-            # int() would read 1.7 and True as 1 before any slate rule sees them
-            if any(isinstance(i, _NOT_INDEX) for i in indices):
-                raise InvalidSlateError(f"slate index is not an integer: {tuple(indices)}")
-            indices = tuple(map(int, indices))
-            object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "indices", tuple(self.indices))
         object.__setattr__(self, "probabilities", tuple(map(float, self.probabilities)))
-        if len(indices) != len(self.probabilities):
+        if len(self.indices) != len(self.probabilities):
             raise ShapeError("one probability per chosen index required")
-        if len(set(indices)) != len(indices):
-            raise InvalidSlateError(f"slate repeats an item: {indices}")
-        if indices and min(indices) < 0:
-            raise InvalidSlateError(f"slate index out of range: {indices}")
 
     @property
     def m(self) -> int:

@@ -168,13 +168,19 @@ def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
     """Minibatch Adam on BCE over logged exposures, a LogTable or a list of
     ExposureLogs; returns the params.
 
-    The feedback rows are put in the heads' order once for the whole table.
+    The feedback rows are put in the heads' order once for the whole table;
+    a table that lacks one of the heads' types is a ConfigError naming them,
+    and logged types that no head predicts are left out.
     Each minibatch's exposed feature rows are gathered from the table by one
     index and go through one pass to the head logits, stacked on the batch
     axis, with no sigmoid or utility; `training._fit` checks that every
     slate's loss is finite, naming the request, and backprops their sum once.
     """
     table = _table(logs, cfg.m)
+    missing = [t for t in cfg.types if t not in table.types]
+    if missing:
+        raise ConfigError(f"logged interaction types {table.types} lack evaluator "
+                          f"types {missing}")
     y = table.feedback[:, [table.types.index(t) for t in cfg.types]]
 
     def batch_loss(tape, rows):

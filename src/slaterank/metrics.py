@@ -4,7 +4,8 @@ AUC, LogLoss and NDCG judge itemwise interaction prediction (the evaluator's
 heads); Recall@k judges exposure prediction (does the generator put the
 items that were actually shown into its top k). All functions are pure and
 deterministic; ties are handled by explicit rules (0.5 credit in AUC,
-stable sorts elsewhere) so reports are byte-reproducible.
+stable sorts elsewhere) so reports are byte-reproducible. A non-finite
+score or label is a NumericsError, not a plausible-looking metric.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CsvRecord, slate_indices
-from .errors import DegenerateLabelsError, ShapeError
+from .errors import DegenerateLabelsError, NumericsError, ShapeError
 from .generator import ProbMatrix
 
 _CLAMP = 1e-12
@@ -26,6 +27,8 @@ def _pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(labels, dtype=np.float64).ravel()
     if s.shape != y.shape or s.size == 0:
         raise ShapeError(f"scores {s.shape} and labels {y.shape} must match")
+    if not (np.isfinite(s).all() and np.isfinite(y).all()):
+        raise NumericsError("scores and labels must be finite")
     return s, y
 
 
@@ -44,7 +47,7 @@ def auc(scores, labels) -> float:
         raise DegenerateLabelsError("AUC needs at least one positive and one negative")
     order = np.argsort(s, kind="stable")
     # each tie group at its mean rank; half-integer ranks sum exactly in any order
-    _, first, count = np.unique(s[order], return_index=True, return_counts=True, equal_nan=False)
+    _, first, count = np.unique(s[order], return_index=True, return_counts=True)
     rank_sum = np.repeat(first + 0.5 * (count - 1) + 1.0, count)[pos[order]].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

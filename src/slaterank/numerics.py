@@ -486,14 +486,6 @@ class Tape:
 
         return self._record(Tensor(np.add.reduce(a.data, axis=axis)), back)
 
-    def mean(self, a: Tensor) -> Tensor:
-        n = a.data.size
-
-        def back(g):
-            a.ensure_grad()[...] += g / n
-
-        return self._record(Tensor(np.add.reduce(a.data, axis=None) / n), back)
-
     def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         """Per-row normalization to zero mean, unit variance, then affine."""
         xd = x.data
@@ -751,11 +743,6 @@ class Params:
             t.data.flags.writeable = False
         self._memo[tag] = (key, value)
         return value
-
-    def zero_grad(self) -> None:
-        for t in self._tensors.values():
-            if t.grad is not None:
-                t.grad[...] = 0.0
 
 
 class AdamState:

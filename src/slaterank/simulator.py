@@ -111,9 +111,6 @@ class World:
         self.items = raw / norms
         self.users = _unit_rows(rng, (cfg.num_users, cfg.latent_dim))
 
-    def affinity(self, user_id: int, item_ids: np.ndarray) -> np.ndarray:
-        return _affinity(self.items[item_ids], self.users[user_id])
-
 
 def _affinity(latents: np.ndarray, users: np.ndarray) -> np.ndarray:
     """(..., n) dot products of (..., n, L) item latents with (..., L) user

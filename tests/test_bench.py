@@ -112,6 +112,10 @@ def test_a_clock_that_slows_halfway_keeps_the_slopes_ratio(monkeypatch):
     assert slope_ratio(clock["steps"] // 2) == pytest.approx(steady, rel=1e-6)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("timing started before the sizes were checked")
+
+
 @pytest.mark.parametrize("settings, message", [
     (["world.n_candidates=6", "generator.n_max=6"],
      "bench times slate sizes [6, 1, 2, 4, 8, 5], and [8] exceed world.n_candidates=6"),
@@ -121,13 +125,19 @@ def test_a_clock_that_slows_halfway_keeps_the_slopes_ratio(monkeypatch):
      "bench times slate sizes [2, 1, 4, 6, 8, 5], and [6, 8, 5] exceed world.n_candidates=4"),
     (["world.posbias=1.0", "generator.m=1", "evaluator.m=1"],
      "generator.m=1: the generator and the AR baseline train on slates of at least 2 items"),
-], ids=["n_max_6", "n_candidates_6", "n_candidates_4", "m_1"])
+    (["decode.method=topk", "decode.k=25"], "decode.k=25 exceeds world.n_candidates=20"),
+], ids=["n_max_6", "n_candidates_6", "n_candidates_4", "m_1", "topk_k_25"])
 def test_bench_sizes_that_cannot_run_exit_1_before_any_timing(
         tmp_path, capsys, monkeypatch, settings, message):
-    def never(*args, **kwargs):
-        raise AssertionError("timing started before the sizes were checked")
-
-    monkeypatch.setattr(bench, "_time_series", never)
+    monkeypatch.setattr(bench, "_time_series", _never)
     overrides = [x for setting in settings for x in ("--set", setting)]
     assert main(["bench", "--out", str(tmp_path / "bench.csv"), *overrides]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bench_checks_decode_k_only_for_top_k_sampling(tmp_path, monkeypatch):
+    # greedy decoding never reads k, so k past the candidates reaches the timing
+    monkeypatch.setattr(bench, "_time_series", _never)
+    with pytest.raises(AssertionError, match="timing started"):
+        main(["bench", "--out", str(tmp_path / "bench.csv"),
+              "--set", "decode.method=greedy", "--set", "decode.k=25"])

@@ -6,6 +6,7 @@ stay visible; each scenario works in its own tmp_path sandbox.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -605,6 +606,24 @@ def test_desk_pipeline_script_writes_every_artifact(tmp_path):
     assert len(names) == 8
     for name in names:
         assert (out / name).stat().st_size > 0, name
+
+
+def test_output_digest_script_prints_one_line_per_name(tmp_path):
+    # scripts/output_digests.py, the bit-for-bit check a refactor is diffed
+    # on, run as its docstring says: each line is a name and one or more
+    # 16-hex digests, and no name repeats
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(slaterank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "output_digests.py")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [line.split(" ", 1)[0] for line in lines]
+    assert lines and len(set(names)) == len(names)
+    for line in lines:
+        assert re.fullmatch(r"\S+( [0-9a-f]{16})+", line), line
 
 
 def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):

@@ -9,7 +9,6 @@ from slaterank.configs import (
     check_pipeline,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
     unmatched_heads,
     unweighted_types,
@@ -115,7 +114,7 @@ def test_non_finite_rates_and_negative_seeds_are_refused(setting):
 def test_file_round_trip(tmp_path):
     run = apply_overrides(RunConfig(), ["seed=11", "decode.method=beam"])
     path = tmp_path / "run.cfg"
-    save_config(run, path)
+    path.write_text(serialize_config(run), encoding="utf-8")
     assert load_config(path) == run
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")

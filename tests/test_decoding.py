@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from slaterank.data import slate_indices
 from slaterank.decoding import (
     DecodeConfig,
     _topk_draws,
@@ -62,47 +63,51 @@ def oracle_contrastive(values, reps, alpha):
 
 
 def test_slate_sequence_invariants():
-    with pytest.raises(InvalidSlateError, match="repeats"):
-        SlateSequence((0, 0), (0.5, 0.5), "greedy")
+    # the constructor checks one probability per index; the indices are
+    # checked by the slate rule, data.slate_indices, where the slate is used
     with pytest.raises(ShapeError):
         SlateSequence((0, 1), (0.5,), "greedy")
-    with pytest.raises(InvalidSlateError, match="out of range"):
-        SlateSequence((-1, 1), (0.5, 0.5), "greedy")
+    for indices, message in [((0, 0), "repeats"), ((-1, 1), "out of range")]:
+        with pytest.raises(InvalidSlateError, match=message):
+            slate_indices([SlateSequence(indices, (0.5, 0.5), "greedy")], 3, 2)
     s = SlateSequence((2, 0), (0.25, 0.5), "beam")
     assert s.m == 2 and s.indices == (2, 0)
 
 
 @pytest.mark.parametrize("indices", [(0, 1.7, 2), (0, 1.0, 2), (0, np.float32(1.0), 2)])
 def test_slate_sequence_rejects_float_indices(indices):
-    # int() would read 1.7 as 1, so a float slate would reach every consumer truncated
+    # kept as given, not truncated by int(), a float reaches the slate rule
     with pytest.raises(InvalidSlateError, match="not an integer"):
-        SlateSequence(indices, (0.5, 0.25, 0.125), "greedy")
+        slate_indices([SlateSequence(indices, (0.5, 0.25, 0.125), "greedy")], 3, 3)
 
 
 @pytest.mark.parametrize("indices", [(True, 0, 2), (0, np.True_, 2),
                                      np.array([True, False, True])])
 def test_slate_sequence_rejects_bool_indices(indices):
-    # int() would read True as 1
+    # kept as given, not read as 1 by int(), a bool reaches the slate rule
     with pytest.raises(InvalidSlateError, match="not an integer"):
-        SlateSequence(indices, (0.5, 0.25, 0.125), "greedy")
+        slate_indices([SlateSequence(indices, (0.5, 0.25, 0.125), "greedy")], 3, 3)
 
 
 @pytest.mark.parametrize("indices, probabilities", [
     ((0, 0), (0.5, 0.5)), ((0, 1), (0.5,)), ((-1, 1), (0.5, 0.5))])
 def test_slate_sequence_checks_a_tuple_of_ints_as_any_other_sequence(indices, probabilities):
-    # a tuple of Python ints skips the conversion, not the checks
+    # a tuple of Python ints, a list and an array fail alike, at the
+    # constructor (a probability missing) or at the slate rule
     error = ShapeError if len(indices) != len(probabilities) else InvalidSlateError
     messages = set()
     for form in (tuple, list, np.array):
         with pytest.raises(error) as raised:
-            SlateSequence(form(indices), probabilities, "greedy")
+            slate_indices([SlateSequence(form(indices), probabilities, "greedy")], 3, 2)
         messages.add(str(raised.value))
     assert len(messages) == 1
 
 
 def test_slate_sequence_takes_numpy_integers():
     s = SlateSequence(np.array([2, 0, 1]), (0.5, 0.25, 0.125), "greedy")
-    assert s.indices == (2, 0, 1) and all(type(i) is int for i in s.indices)
+    assert s.indices == (2, 0, 1)
+    idx = slate_indices([s], 3, 3)
+    assert idx.dtype == np.int64 and idx.tolist() == [[2, 0, 1]]
 
 
 def test_decode_config_validation():

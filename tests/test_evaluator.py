@@ -263,6 +263,22 @@ def test_training_fits_constant_positive_labels():
     assert scores.min() > 0.9
 
 
+def test_training_on_a_log_without_an_evaluator_type_is_a_config_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        clicks = gen_log(World(WorldConfig(types=("click",), base_rates=(1.0,))),
+                         "random", 8, np.random.default_rng(0))
+        both = gen_log(World(WorldConfig()), "random", 8, np.random.default_rng(0))
+    cfg = EvaluatorConfig()
+    with pytest.raises(ConfigError, match=r"lack evaluator types \['like'\]"):
+        train_evaluator(clicks, init_evaluator_params(cfg), cfg)
+    # a logged type that no head predicts is left out
+    click_head = EvaluatorConfig(types=("click",), weights=(1.0,))
+    loss_log = []
+    train_evaluator(both, init_evaluator_params(click_head), click_head, loss_log=loss_log)
+    assert len(loss_log) == 1 and np.isfinite(loss_log[0])
+
+
 def test_training_improves_held_out_click_auc():
     world = World(WorldConfig())
     with warnings.catch_warnings():
@@ -314,7 +330,8 @@ def test_batched_training_pass_matches_one_tape_per_slate():
         tape.backward(loss)
         losses.append(loss.item())
     single = {name: t.grad.copy() for name, t in params.items()}
-    params.zero_grad()
+    for _, t in params.items():
+        t.grad[...] = 0.0
 
     tape = Tape()
     table = LogTable.of(logs)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slaterank.errors import DegenerateLabelsError, ShapeError
+from slaterank.errors import DegenerateLabelsError, NumericsError, ShapeError
 from slaterank.generator import ProbMatrix
 from slaterank.metrics import (
     EvalReport,
@@ -102,17 +102,30 @@ def auc_by_tie_loop(scores, labels) -> float:
        st.integers(0, 2 ** 32 - 1))
 def test_auc_matches_the_tie_loop_bit_for_bit(rows, seed):
     # few distinct values, so most scores share a tie group; -0.0 must tie
-    # 0.0 and each NaN stands alone, as in the loop
+    # 0.0, and a NaN is refused, not ranked
     scores = np.array([s for s, _ in rows])
     labels = np.array([int(b) for _, b in rows])
-    if labels.min() == labels.max():
-        return
-    assert auc(scores, labels) == auc_by_tie_loop(scores, labels)
+    if np.isnan(scores).any():
+        with pytest.raises(NumericsError):
+            auc(scores, labels)
+    elif labels.min() != labels.max():
+        assert auc(scores, labels) == auc_by_tie_loop(scores, labels)
     rng = np.random.default_rng(seed)
     rounded = np.round(rng.normal(size=500), 1)
     coin = rng.integers(0, 2, size=500)
     coin[:2] = (0, 1)
     assert auc(rounded, coin) == auc_by_tie_loop(rounded, coin)
+
+
+@pytest.mark.parametrize("metric", [auc, logloss, ndcg_list])
+def test_a_non_finite_score_or_label_is_a_numerics_error(metric):
+    # a NaN once read as a plausible AUC (0.667 here) and NDCG (0.5)
+    with pytest.raises(NumericsError, match="finite"):
+        metric([-0.0, np.nan, 0.3, np.nan], [0, 1, 0, 0])
+    with pytest.raises(NumericsError, match="finite"):
+        metric([0.1, np.inf, 0.3], [0, 1, 0])
+    with pytest.raises(NumericsError, match="finite"):
+        metric([0.1, 0.2, 0.3], [0, np.nan, 1])
 
 
 # ---------------------------------------------------------------- LogLoss

@@ -21,6 +21,7 @@ from slaterank.simulator import (
     POLICIES,
     World,
     WorldConfig,
+    _affinity,
     gen_log,
     gen_request,
     oracle_click_probs,
@@ -92,8 +93,8 @@ def test_request_layout():
     assert len(set(req.item_ids.tolist())) == cfg.n_candidates
     np.testing.assert_array_equal(req.features[:, : cfg.latent_dim],
                                   world.items[req.item_ids])
-    np.testing.assert_array_equal(req.features[:, -2],
-                                  world.affinity(req.user_id, req.item_ids))
+    np.testing.assert_array_equal(
+        req.features[:, -2], _affinity(world.items[req.item_ids], world.users[req.user_id]))
 
     again = gen_request(world, np.random.default_rng(3), request_id=42)
     assert np.array_equal(req.features, again.features)

@@ -1,6 +1,11 @@
 """The one slate rule: every stage that takes a slate checks it through
 `data.slate_indices`, so the same bad slate raises the same error class
-wherever it enters."""
+wherever it enters. It is the only code that reads the type of a slate
+index: a SlateSequence and a RequestBatch keep their indices as given, so a
+bad slate in either form reaches the rule as it was made."""
+
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +18,9 @@ from slaterank.data import (
     FeedbackMatrix,
     LogTable,
     RequestBatch,
+    read_logs,
     slate_indices,
+    write_logs,
 )
 from slaterank.decoding import SlateSequence
 from slaterank.errors import EmptyCandidatesError, InvalidSlateError, ShapeError
@@ -97,14 +104,42 @@ def test_every_consumer_accepts_a_valid_slate(consumer):
     CONSUMERS[consumer]((2, 4, 0))
 
 
+# the consumers of decoded slates, which get each case as a SlateSequence too
+DECODED = ("score_slate", "score_slates", "select_best")
+
+
+def _decoded(slate):
+    return SlateSequence(slate, (0.5,) * len(slate), "greedy")
+
+
 @pytest.mark.parametrize("consumer, case", [
     (consumer, case) for consumer in CONSUMERS for case in BAD
     # a prefix may be shorter than m; only one that overruns m is a shape error
     if (consumer, case) != ("ar_forward_prefix", "short")])
 def test_one_rule_everywhere(consumer, case):
     slate, error = BAD[case]
-    with pytest.raises(error):
-        CONSUMERS[consumer](slate)
+    for form in [slate, _decoded(slate)] if consumer in DECODED else [slate]:
+        with pytest.raises(error):
+            CONSUMERS[consumer](form)
+
+
+def test_a_slate_sequence_of_numpy_ints_picks_as_one_of_python_ints():
+    ev = init_evaluator_params(EV)
+    # more slates than the rule checks row by row, so the pool is screened at once
+    rows = list(itertools.permutations(range(N), M))[::6]
+    python = [_decoded(row) for row in rows]
+    numpy_ints = [_decoded(np.array(row)) for row in rows]
+    assert np.array_equal(score_slates(REQ, numpy_ints, ev, EV),
+                          score_slates(REQ, python, ev, EV))
+    best = select_best(REQ, numpy_ints, ev, EV)
+    assert numpy_ints.index(best) == python.index(select_best(REQ, python, ev, EV))
+
+
+def test_write_logs_writes_numpy_int_indices_as_json_integers(tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_logs(path, [ExposureLog(_logged(np.array([2, 4, 0])))])
+    assert json.loads(path.read_text())["exposed"] == [2, 4, 0]
+    assert read_logs(path).exposed.tolist() == [[2, 4, 0]]
 
 
 def test_rules_run_in_order_over_the_whole_pool():
@@ -143,9 +178,7 @@ def test_an_integer_past_int64_is_out_of_range():
     # it used to read as "not an integer" (a float64 array) or escape as
     # NumPy's OverflowError (an object array)
     for big in (2 ** 63, 2 ** 64, -2 ** 70):
-        # (a SlateSequence refuses a negative index itself)
-        decoded = [[SlateSequence((0, 1, big), (0.5,) * M, "greedy")]] if big > 0 else []
-        for pool in [[(0, 1, big)], [GOOD] * 8 + [(0, 1, big)]] + decoded:
+        for pool in [[(0, 1, big)], [GOOD] * 8 + [(0, 1, big)], [_decoded((0, 1, big))]]:
             with pytest.raises(InvalidSlateError,
                                match=rf"out of range for n={N}: \(0, 1, {big}\)"):
                 slate_indices(pool, N, M)
@@ -201,9 +234,8 @@ def slate_outcome(call, *args):
 def slate_pools(draw):
     """(slates, n, m): up to 20 slates of m = 0..5 entries, mostly valid
     permutations and some with a repeat or an index just outside 0..n-1,
-    as tuples, SlateSequences where one can hold the slate, or one index
-    array, against one candidate count or one per slate (a list or an
-    array)."""
+    as tuples, SlateSequences or one index array, against one candidate
+    count or one per slate (a list or an array)."""
     m = draw(st.integers(0, 5))
     k = draw(st.integers(1, 20))
     counts = draw(st.lists(st.integers(max(m, 1), m + 4), min_size=k, max_size=k))
@@ -215,9 +247,8 @@ def slate_pools(draw):
                 [row[0], row[-1], -1, -2, count, count + 1]))
         rows.append(tuple(row))
     form = draw(st.sampled_from(["tuples", "sequences", "array"]))
-    if form == "sequences":  # those a SlateSequence takes: no repeat, no negative
-        slates = [SlateSequence(row, (0.5,) * m, "greedy")
-                  if len(set(row)) == m and min(row, default=0) >= 0 else row for row in rows]
+    if form == "sequences":
+        slates = [_decoded(row) for row in rows]
     elif form == "array":
         slates = np.array(rows, dtype=np.int64).reshape(k, m)
     else:

@@ -251,7 +251,8 @@ def _ragged_minibatch():
 
 def _grads(params):
     grads = {name: t.grad.copy() for name, t in params.items()}
-    params.zero_grad()
+    for _, t in params.items():
+        t.grad[...] = 0.0
     return grads
 
 
