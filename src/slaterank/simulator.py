@@ -59,6 +59,9 @@ class WorldConfig:
                               f"num_items={self.num_items}")
         if self.noise_std < 0.0:
             raise ConfigError("noise_std must be >= 0")
+        # -0.0 passes the check above, but NumPy refuses a scale whose sign
+        # bit is set; adding 0.0 turns it into 0.0
+        object.__setattr__(self, "noise_std", float(self.noise_std) + 0.0)
         if not self.posbias:
             raise ConfigError("posbias must cover at least one position")
         bias = np.asarray(self.posbias)

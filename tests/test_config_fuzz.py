@@ -65,7 +65,8 @@ def tiny(tmp_path_factory):
 @given(command=st.sampled_from(["simulate", "train-generator"]), pairs=SETTINGS)
 # a NaN or infinite rate once trained a checkpoint of NaNs with exit 0, a NaN
 # omega failed mid-training with exit 3, and a negative seed ended in
-# NumPy's traceback
+# NumPy's traceback, as did a noise_std of -0.0
+@example(command="simulate", pairs=[("world.noise_std", "-0.0")])
 @example(command="train-generator", pairs=[("train.lr", "nan")])
 @example(command="train-generator", pairs=[("train.lr", "inf")])
 @example(command="train-generator", pairs=[("train.omega", "nan")])
