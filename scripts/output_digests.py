@@ -498,8 +498,11 @@ def read_logs_digests() -> None:
     every field of every record, parsed and then from read_logs's cache (the
     second read with a cache_dir is the first to hit it), then the three
     trainers on the log as parsed.
-    At shuffle seed 5 the last minibatch of the first epoch holds two
-    requests of equal n, so one step runs with nothing padded."""
+    At batch 6 the 32 requests fit in one of `_fit`'s grouping windows, so
+    each epoch visits them in order of n: at shuffle seed 5 three of an
+    epoch's six minibatches (the second, the third and the last, of two
+    requests) hold requests of one n and run with nothing padded, and the
+    other three pad their shorter requests by one candidate."""
     schema = LogSchema(GEN.d_x, GEN.m, GEN.n_max)
     with tempfile.TemporaryDirectory() as tmp:
         path, cache = os.path.join(tmp, "ragged.jsonl"), os.path.join(tmp, "cache")

@@ -90,17 +90,19 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
         idx = None
     if idx is None or idx.shape != (len(rows), m) or len(counts) != len(rows):
         raise ShapeError(f"expected {len(counts)} slate(s) of {m} items")
-    # an integer past int64 makes the array float or object; it is out of
-    # range for any n, and stays a Python int for the rules below to name
-    past_int64 = idx.dtype.kind in "fO" and any(
+    # an integer past int64 makes the array float, object or (when no entry
+    # fits int64) uint64; it is out of range for any n, and is read back as a
+    # Python int for the rules below to name
+    past_int64 = idx.dtype.kind in "fOu" and any(
         isinstance(i, (int, np.integer)) and not _INT64_MIN <= i <= _INT64_MAX
         for row in rows for i in row)
     # np.array([()]) is float64, so only a non-empty float array holds a float
     if idx.dtype.kind in "fb" and idx.size and not past_int64:
         raise InvalidSlateError("slate index is not an integer")
     # np.array also reads a bool among ints as 0 or 1, so the type of each
-    # entry of a pool that is not an index array is looked at
-    if not isinstance(slates, np.ndarray) and any(
+    # entry of a pool that is not an index array, or of an object array, is
+    # looked at
+    if (idx.dtype.kind == "O" or not isinstance(slates, np.ndarray)) and any(
             issubclass(t, _NOT_INDEX) for t in {type(i) for row in rows for i in row}):
         raise InvalidSlateError("slate index is not an integer")
     if not past_int64:
@@ -114,6 +116,8 @@ def slate_indices(slates, n, m: int) -> np.ndarray:
                     or idx.min() < 0 or (idx.T >= np.asarray(n)).any()):
                 return idx
         rows = idx.tolist()
+    else:
+        rows = [[int(i) for i in row] for row in rows]
     # row by row: a small pool, a large one with a bad slate to name, or one
     # with an integer past int64
     for row in rows:

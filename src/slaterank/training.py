@@ -5,11 +5,14 @@ Every loop trains on one `data.LogTable`: the table `read_logs` or
 `simulator.gen_log` returned is used as it is, and a list of ExposureLogs is
 stacked into one once, at the start (`_table`). All three loops, these two
 and `evaluator.train_evaluator`, run through one helper, `_fit`: it shuffles
-the table's row numbers with the training seed and hands each minibatch's
-rows, `order[start:start + bs]`, to the loop's loss, records that minibatch
-on one tape, checks that every request's loss is finite (naming the first
-request that is not), backprops the sum of the per-request losses once and
-takes one Adam step on the minibatch-mean gradient. The generator and the pointer baseline take their
+the table's row numbers with the training seed, stable-sorts each window
+of `GROUP_WINDOW` minibatches of the shuffle by candidate count (which
+draws nothing from the rng, and is the identity on an equal-n log), hands
+each minibatch's rows, `order[start:start + bs]` of that order, to the
+loop's loss, records that minibatch on one tape, checks that every
+request's loss is finite (naming the first request that is not), backprops
+the sum of the per-request losses once and takes one Adam step on the
+minibatch-mean gradient. The generator and the pointer baseline take their
 minibatch as `table.take(rows)`: the requests' feature rows, sliced to the
 largest candidate count in that minibatch (not to n_max), with a `valid`
 mask that keeps padded rows out of attention and out of every probability
@@ -38,6 +41,11 @@ from .objectives import UtilitySpec, total_loss, utilities
 # Finite stand-in for "no threshold": every logged slate trains on the
 # positive branch, which reduces unlikelihood training to plain CE.
 CE_ONLY_TAU = -1e30
+
+# Minibatches per window of the shuffle that `_fit` sorts by candidate count:
+# on a log with n from 8 to 20 at batch 32, it cuts the padded share of the
+# rows a generator minibatch computes from about 30% to about 7%.
+GROUP_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,13 @@ def _fit(table: LogTable, params: Params, batch_loss, *, lr: float,
          after_step=None) -> Params:
     """Adam over seeded shuffles of the table's rows, one tape per minibatch.
 
+    Each epoch draws one permutation of the rows, then stable-sorts each
+    window of GROUP_WINDOW * batch_size rows of it by candidate count, so a
+    minibatch is padded to an n close to its rows' own; minibatches are then
+    cut from the grouped order, batch_size rows at a time. Nothing else is
+    drawn from the rng, and on an equal-n table the grouped order is the
+    permutation itself.
+
     batch_loss(tape, rows) gets a minibatch's row numbers and returns the
     per-request loss vector and a value that after_step(step, rows, value)
     receives once the step is taken. loss_log gets each step's mean loss per
@@ -112,6 +127,9 @@ def _fit(table: LogTable, params: Params, batch_loss, *, lr: float,
     step = 0
     for epoch in range(epochs):
         order = rng.permutation(len(table))
+        for w in range(0, len(order), GROUP_WINDOW * batch_size):
+            window = order[w:w + GROUP_WINDOW * batch_size]
+            window[:] = window[np.argsort(table.n[window], kind="stable")]
         for start in range(0, len(order), batch_size):
             rows = order[start:start + batch_size]
             tape = Tape()

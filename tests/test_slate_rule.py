@@ -187,6 +187,14 @@ def test_an_integer_past_int64_is_out_of_range():
         slate_indices([(0, 1, 2 ** 64), (1, 1, 2)], N, M)
     with pytest.raises(InvalidSlateError, match="not an integer"):
         slate_indices([(0, 1, 2 ** 63), (0, 1.5, 2)], N, M)
+    # with no entry that fits int64 the array is uint64, which used to wrap
+    # 2 ** 63 to -2 ** 63 in the message
+    with pytest.raises(InvalidSlateError, match=rf"out of range for n={N}: \({2 ** 63},\)"):
+        slate_indices([(2 ** 63,)], N, 1)
+    # an object index array's entries are looked at one by one, as a
+    # sequence's are: its float used to pass as out of range
+    with pytest.raises(InvalidSlateError, match="not an integer"):
+        slate_indices(np.array([(0, 1, 2 ** 64), (0, 1.5, 2)], dtype=object), N, M)
 
 
 def test_exposure_log_checks_length_before_repeats():
@@ -197,30 +205,27 @@ def test_exposure_log_checks_length_before_repeats():
 def per_row_slate_indices(slates, n, m):
     """slate_indices as it checked repeats and ranges before it screened a
     large pool at once: row by row, each rule over every row before the
-    next. The reference the screen must match."""
-    if not isinstance(slates, np.ndarray):
-        slates = list(slates)
-    rows = [getattr(s, "indices", s) for s in slates]
+    next, and each entry's type read one by one (an index array's as
+    `tolist` gives it). The reference the screen must match."""
+    if isinstance(slates, np.ndarray):
+        rows = [list(row) for row in slates.tolist()]
+    else:
+        rows = [list(getattr(s, "indices", s)) for s in slates]
     if not rows:
         raise EmptyCandidatesError("no slates to choose from")
     counts = n if hasattr(n, "__len__") else [n] * len(rows)
-    try:
-        idx = np.array(rows)
-    except ValueError:
-        idx = None
-    if idx is None or idx.shape != (len(rows), m) or len(counts) != len(rows):
+    if any(len(row) != m for row in rows) or len(counts) != len(rows):
         raise ShapeError(f"expected {len(counts)} slate(s) of {m} items")
-    if idx.dtype.kind in "fb" and idx.size:
+    if any(isinstance(i, (bool, np.bool_, float, np.floating)) for row in rows for i in row):
         raise InvalidSlateError("slate index is not an integer")
-    idx = idx.astype(np.int64, copy=False)
-    rows = idx.tolist()
+    rows = [[int(i) for i in row] for row in rows]
     for row in rows:
         if len(set(row)) != m:
             raise InvalidSlateError(f"slate repeats an item: {tuple(row)}")
     for row, count in zip(rows, counts):
         if m and (min(row) < 0 or max(row) >= count):
             raise InvalidSlateError(f"slate index out of range for n={count}: {tuple(row)}")
-    return idx
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m)
 
 
 def slate_outcome(call, *args):
@@ -230,27 +235,38 @@ def slate_outcome(call, *args):
         return type(exc), str(exc)
 
 
+# entries that are numbers but not indices, and integers past int64
+ODD_ENTRIES = (0.0, 1.5, 2.0, np.float64(1.0), True, False, np.True_,
+               2 ** 63, 2 ** 64, -2 ** 63 - 1, -2 ** 70)
+
+
 @st.composite
 def slate_pools(draw):
     """(slates, n, m): up to 20 slates of m = 0..5 entries, mostly valid
     permutations and some with a repeat or an index just outside 0..n-1,
     as tuples, SlateSequences or one index array, against one candidate
-    count or one per slate (a list or an array)."""
+    count or one per slate (a list or an array). In a quarter of the pools
+    some rows also hold a float, a bool or an integer past int64."""
     m = draw(st.integers(0, 5))
     k = draw(st.integers(1, 20))
     counts = draw(st.lists(st.integers(max(m, 1), m + 4), min_size=k, max_size=k))
+    odd = m and draw(st.integers(0, 3)) == 0
     rows = []
     for count in counts:
         row = draw(st.permutations(range(count)))[:m]
         if m and draw(st.integers(0, 9)) == 0:
             row[draw(st.integers(0, m - 1))] = draw(st.sampled_from(
                 [row[0], row[-1], -1, -2, count, count + 1]))
+        if odd and draw(st.integers(0, 2)) == 0:
+            row[draw(st.integers(0, m - 1))] = draw(st.sampled_from(ODD_ENTRIES))
         rows.append(tuple(row))
     form = draw(st.sampled_from(["tuples", "sequences", "array"]))
     if form == "sequences":
         slates = [_decoded(row) for row in rows]
     elif form == "array":
-        slates = np.array(rows, dtype=np.int64).reshape(k, m)
+        # NumPy picks the dtype: an odd entry makes the array float, bool or
+        # object, or is read as an int among ints
+        slates = np.array(rows, dtype=None if odd else np.int64).reshape(k, m)
     else:
         slates = rows
     how = draw(st.sampled_from(["one", "list", "array"]))

@@ -14,11 +14,13 @@ from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import ConfigError, DataError, InvalidSlateError, NumericsError
 from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, train_evaluator
 from slaterank.generator import GeneratorConfig, forward, init_generator_params
-from slaterank.numerics import Tape
+from slaterank.numerics import Params, Tape
 from slaterank.objectives import UtilitySpec, total_loss, utilities, utility
 from slaterank.training import (
     CE_ONLY_TAU,
+    GROUP_WINDOW,
     TrainStep,
+    _fit,
     steps_to_csv,
     train_ar,
     train_generator,
@@ -358,3 +360,65 @@ def test_train_ar_is_seed_deterministic():
         assert np.array_equal(tensor.data, b[name].data), name
     assert any(not np.array_equal(tensor.data, c[name].data)
                for name, tensor in a.items())
+
+
+# ------------------------------------------- minibatch order
+
+def _fit_rows(logs, *, epochs, batch_size, seed):
+    """The table of `logs` and the row numbers of each minibatch `_fit`
+    hands to its loss, per epoch."""
+    table = LogTable.of(logs)
+    params = Params()
+    w = params.new_zeros("w", (len(table), 1))
+    seen = []
+
+    def spy(tape, rows):
+        seen.append(rows.copy())
+        return tape.sum(tape.take_rows(w, rows), axis=1), None
+
+    _fit(table, params, spy, lr=1e-3, epochs=epochs, batch_size=batch_size, seed=seed)
+    per_epoch = -(-len(table) // batch_size)
+    return table, [seen[e * per_epoch:(e + 1) * per_epoch] for e in range(epochs)]
+
+
+def _ragged_logs(count):
+    rng = np.random.default_rng(11)
+    return [make_log(i, rng, feedback_value=i % 2, n=int(rng.integers(3, 9)),
+                     slate=(2, 0, 1)) for i in range(count)]
+
+
+def test_equal_n_minibatches_are_slices_of_the_shuffle():
+    # a stable sort by n is the identity when every request has the same n
+    _, epochs = _fit_rows(mixed_logs(53), epochs=3, batch_size=4, seed=9)
+    rng = np.random.default_rng(9)
+    for batches in epochs:
+        order = rng.permutation(53)
+        assert len(batches) == 14
+        for start, rows in zip(range(0, 53, 4), batches):
+            assert np.array_equal(rows, order[start:start + 4])
+
+
+def test_ragged_epochs_visit_every_row_once():
+    table, epochs = _fit_rows(_ragged_logs(70), epochs=3, batch_size=3, seed=2)
+    assert len(set(table.n.tolist())) > 1
+    for batches in epochs:
+        assert [len(rows) for rows in batches] == [3] * 23 + [1]
+        assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(70))
+
+
+def test_ragged_windows_hold_the_shuffles_rows_in_non_decreasing_n():
+    table, epochs = _fit_rows(_ragged_logs(70), epochs=3, batch_size=3, seed=2)
+    rng = np.random.default_rng(2)
+    window = GROUP_WINDOW * 3
+    for batches in epochs:
+        order = rng.permutation(70)  # _fit draws nothing else from its rng
+        visited = np.concatenate(batches)
+        assert not np.array_equal(visited, order)
+        for w in range(0, 70, window):
+            got, shuffled = visited[w:w + window], order[w:w + window]
+            assert np.array_equal(np.sort(got), np.sort(shuffled))
+            assert (np.diff(table.n[got]) >= 0).all()
+            # rows of equal n keep their order in the shuffle
+            for n in set(table.n[got].tolist()):
+                assert np.array_equal(got[table.n[got] == n],
+                                      shuffled[table.n[shuffled] == n])
