@@ -13,7 +13,7 @@ shape, forward and contrastive slates per request, served as one LogTable
 and one by one (equal lines mean a request's bits do not depend on the
 stack it is served in); `total_loss` on a padded LogTable with its (B,)
 utilities, every term, both flags and the gradients; contrastive slates,
-the slate `decode` returns by each of its four methods, every `sample_slates`
+the slates of greedy, width-3 beam and top-k decoding, every `sample_slates`
 proposal (indices, probabilities, method) with the rng state it leaves, and
 the `select_best` winners among them, once with k = 3 on small requests and
 once with k = 12 and 16 samples on n = 20 requests (rank groups of 8 terms
@@ -71,9 +71,11 @@ from slaterank.data import (
 from slaterank.decoding import (
     DecodeConfig,
     _group_bounds,
+    beam_decode,
     contrastive_decode,
-    decode,
+    greedy_decode,
     sample_slates,
+    topk_sample,
 )
 from slaterank.evaluator import (
     EvaluatorConfig,
@@ -372,9 +374,12 @@ def decode_digests(reqs, gen, ev) -> None:
         cfg = DecodeConfig(alpha=alpha, k=DEC.k, num_samples=DEC.num_samples)
         print(f"contrastive_decode.alpha{alpha:g}",
               digest([slate_fields(contrastive_decode(p, cfg)) for p in probs]))
-    for method in ("contrastive", "greedy", "beam", "topk"):
-        cfg = DecodeConfig(method=method, alpha=DEC.alpha, k=DEC.k, width=3, seed=9)
-        print(f"decode.{method}", digest([slate_fields(decode(p, cfg)) for p in probs]))
+    for name, decoder in (
+            ("contrastive", lambda p: contrastive_decode(p, DEC)),
+            ("greedy", greedy_decode),
+            ("beam", lambda p: beam_decode(p, DecodeConfig(width=3))),
+            ("topk", lambda p: topk_sample(p, DEC, np.random.default_rng(9)))):
+        print(f"decode.{name}", digest([slate_fields(decoder(p)) for p in probs]))
     pools, states = [], []
     for i, p in enumerate(probs):
         rng = np.random.default_rng(100 + i)
