@@ -377,7 +377,7 @@ def decode_digests(reqs, gen, ev) -> None:
     for name, decoder in (
             ("contrastive", lambda p: contrastive_decode(p, DEC)),
             ("greedy", greedy_decode),
-            ("beam", lambda p: beam_decode(p, DecodeConfig(width=3))),
+            ("beam", lambda p: beam_decode(p, 3)),
             ("topk", lambda p: topk_sample(p, DEC, np.random.default_rng(9)))):
         print(f"decode.{name}", digest([slate_fields(decoder(p)) for p in probs]))
     pools, states = [], []

@@ -2,12 +2,13 @@
 
 Both models share the candidate encoder and run on the same requests, so
 the measured gap isolates autoregression. Inference steps are single
-requests (forward + decode); training steps are one minibatch Adam update
-through the real training loops. The first `warmup` steps of every series
-are discarded by contract. Wall-clock numbers vary across machines; the
-stable claims are the forward-pass counts and the scaling shape, which is
-why the report also records exact counts and linear-fit slopes over m,
-fitted to each slate size's median time per request.
+requests (forward + contrastive decode, the paper's one-pass path);
+training steps are one minibatch Adam update through the real training
+loops. The first `warmup` steps of every series are discarded by contract.
+Wall-clock numbers vary across machines; the stable claims are the
+forward-pass counts and the scaling shape, which is why the report also
+records exact counts and linear-fit slopes over m, fitted to each slate
+size's median time per request.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .ar import ar_decode, init_ar_params
 from .configs import RunConfig
 from .data import CsvRecord
-from .decoding import decode
+from .decoding import contrastive_decode
 from .errors import ConfigError
 from .generator import forward, init_generator_params
 from .numerics import Tape
@@ -87,7 +88,7 @@ def _infer_steps(run: RunConfig, m: int):
     freshly initialised parameters."""
     cfg = replace(run.generator, m=m)
     gen, ar = init_generator_params(cfg), init_ar_params(cfg)
-    return (lambda req, tape: decode(forward(req, gen, cfg, tape), run.decode),
+    return (lambda req, tape: contrastive_decode(forward(req, gen, cfg, tape), run.decode),
             lambda req, tape: ar_decode(req, ar, cfg, tape))
 
 
@@ -98,9 +99,9 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     m, sweep_m and ratio_m, NAR and AR at each, all of them in turn on each
     request, so that a change of machine speed during the run falls on
     every size alike; training is timed NAR and AR in turn, one minibatch
-    update each, at the configured m. Before any timing, every size, and
-    decode.k when top-k sampling decodes, is checked against the candidates
-    a request has, and the configured m against `training.check_trainable_m`.
+    update each, at the configured m. Before any timing, every size is
+    checked against the candidates a request has, and the configured m
+    against `training.check_trainable_m`.
     The sweep and the slopes read each series' median, so that a few
     stalled requests cannot tilt the fit; infer_ratio is the median of the
     ratio_m series' per-request AR/NAR ratios, each from two back-to-back
@@ -115,8 +116,6 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     if too_big:
         raise ConfigError(f"bench times slate sizes {list(sizes)}, and {too_big} "
                           f"exceed {key}={limit}")
-    if run.decode.method == "topk" and run.decode.k > limit:
-        raise ConfigError(f"decode.k={run.decode.k} exceeds {key}={limit}")
     check_trainable_m(run.generator.m)
     world = World(run.world)
     rng = np.random.default_rng(run.seed)

@@ -89,9 +89,12 @@ def build_parser() -> _Parser:
 
 
 def _writable(path: str) -> str:
-    """`path`, once its directory is found to exist. Commands call this for
-    every output before any work, so a missing directory fails at once
-    (ConfigError) and not when the output is written after a run."""
+    """`path`, once its directory is found to exist and `path` itself not to
+    be a directory. Commands call this for every output before any work, so
+    either fault fails at once (ConfigError) and not when the output is
+    written after a run."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
     try:
         os.scandir(os.path.dirname(path) or os.curdir).close()
     except OSError as exc:
@@ -109,7 +112,7 @@ def _out_path(run: RunConfig, override, default_name: str) -> str:
     except OSError as exc:
         raise ConfigError(f"paths.out_dir {run.paths.out_dir!r} cannot be made: "
                           f"{exc.strerror}") from None
-    return os.path.join(run.paths.out_dir, default_name)
+    return _writable(os.path.join(run.paths.out_dir, default_name))
 
 
 def _quiet_world_call(fn, *args, **kwargs):

@@ -78,8 +78,7 @@ class RunConfig:
         # every seed seeds a NumPy generator, which takes no negative seed
         for key, value in (("seed", self.seed), ("generator.seed", self.generator.seed),
                            ("evaluator.seed", self.evaluator.seed),
-                           ("decode.seed", self.decode.seed), ("world.seed", self.world.seed),
-                           ("train.seed", self.train.seed)):
+                           ("world.seed", self.world.seed), ("train.seed", self.train.seed)):
             if value < 0:
                 raise ConfigError(f"{key} must be >= 0, got {value}")
 

@@ -10,10 +10,11 @@ against brute force.
 against the maximum cosine similarity to anything already placed, so a
 near-duplicate of a chosen item has to clear a penalty before it can win a
 later slot. The others (greedy, top-k sampling, beam search) are ablation
-baselines, and `sample_slates` pools them into a candidate set for slate-level
-reranking. Its top-k samples are drawn together: each column is ranked once,
-and one block of uniforms fills every missing sample's positions, consuming
-the random stream exactly as drawing the samples one by one would.
+baselines, and `sample_slates` pools the contrastive slate with top-k samples
+into a candidate set for slate-level reranking. Its top-k samples are drawn
+together: each column is ranked once, and one block of uniforms fills every
+missing sample's positions, consuming the random stream exactly as drawing
+the samples one by one would.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleSlateError, ShapeError
 from .generator import ProbMatrix
-
-_METHODS = ("contrastive", "greedy", "topk", "beam")
 
 
 @dataclass(frozen=True)
@@ -54,20 +53,15 @@ class SlateSequence:
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    method: str = "contrastive"
     alpha: float = 0.1
     k: int = 4
-    width: int = 4
     num_samples: int = 8
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown decode method {self.method!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.k < 1 or self.width < 1 or self.num_samples < 1:
-            raise ConfigError("k, width and num_samples must all be >= 1")
+        if self.k < 1 or self.num_samples < 1:
+            raise ConfigError("k and num_samples must both be >= 1")
 
 
 def _active(probs: ProbMatrix) -> tuple[np.ndarray, int]:
@@ -238,9 +232,11 @@ def topk_sample(
     return _topk_slate(chosen[0], columns)
 
 
-def beam_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
+def beam_decode(probs: ProbMatrix, width: int) -> SlateSequence:
     """Width-limited search over without-replacement slates maximizing
     sum_j log p[y_j, j]; ties prefer the lexicographically smallest slate."""
+    if width < 1:
+        raise ConfigError(f"beam width must be >= 1, got {width}")
     values, n = _active(probs)
     with np.errstate(divide="ignore"):
         logp = np.log(values)
@@ -253,7 +249,7 @@ def beam_decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
             if i not in prefix
         ]
         expanded.sort(key=lambda entry: (-entry[0], entry[1]))
-        beams = expanded[: cfg.width]
+        beams = expanded[:width]
     return _slate(list(beams[0][1]), values, "beam")
 
 
@@ -278,15 +274,3 @@ def sample_slates(probs: ProbMatrix, cfg: DecodeConfig,
                 seen.add(indices)
                 slates.append(_topk_slate(indices, columns))
     return slates
-
-
-def decode(probs: ProbMatrix, cfg: DecodeConfig) -> SlateSequence:
-    """One slate by cfg.method; top-k draws from a new rng seeded with
-    cfg.seed, so every method is deterministic given cfg."""
-    if cfg.method == "contrastive":
-        return contrastive_decode(probs, cfg)
-    if cfg.method == "greedy":
-        return greedy_decode(probs)
-    if cfg.method == "beam":
-        return beam_decode(probs, cfg)
-    return topk_sample(probs, cfg, np.random.default_rng(cfg.seed))

@@ -112,7 +112,7 @@ def _build_c3():
         probs = ProbMatrix(Tensor(values), Tensor(rng.normal(size=(n, 4))),
                            Tensor(rng.normal(size=(m, 4))))
         # width 720 >= n!/(n-m)! for n<=6, m<=3, so the search is exhaustive
-        got = beam_decode(probs, DecodeConfig(method="beam", width=720)).indices
+        got = beam_decode(probs, 720).indices
         logp = np.log(values)
         best_score, best_perm = -np.inf, None
         for perm in permutations(range(n), m):

@@ -63,7 +63,7 @@ def test_a_slow_request_per_size_leaves_the_slopes_unchanged(monkeypatch):
         clock[0] += 1e-6 + per_position * m + (0.1 / m if req.request_id == 4 else 0.0)
 
     monkeypatch.setattr(bench, "forward", lambda req, gen, cfg, tape: spend(req, cfg.m, 1e-6))
-    monkeypatch.setattr(bench, "decode", lambda probs, cfg: None)
+    monkeypatch.setattr(bench, "contrastive_decode", lambda probs, cfg: None)
     monkeypatch.setattr(bench, "ar_decode", lambda req, ar, cfg, tape: spend(req, cfg.m, 1e-5))
     monkeypatch.setattr(bench, "train_generator", lambda *a, **k: None)
     monkeypatch.setattr(bench, "train_ar", lambda *a, **k: None)
@@ -96,7 +96,7 @@ def test_a_clock_that_slows_halfway_keeps_the_slopes_ratio(monkeypatch):
         clock["now"] += (base + per_position * m) * (2.0 if slow else 1.0)
 
     monkeypatch.setattr(bench, "forward", lambda req, gen, cfg, tape: spend(cfg.m, 5e-5, 1e-6))
-    monkeypatch.setattr(bench, "decode", lambda probs, cfg: None)
+    monkeypatch.setattr(bench, "contrastive_decode", lambda probs, cfg: None)
     monkeypatch.setattr(bench, "ar_decode", lambda req, ar, cfg, tape: spend(cfg.m, 5e-6, 1e-5))
     monkeypatch.setattr(bench, "train_generator", lambda *a, **k: None)
     monkeypatch.setattr(bench, "train_ar", lambda *a, **k: None)
@@ -125,19 +125,10 @@ def _never(*args, **kwargs):
      "bench times slate sizes [2, 1, 4, 6, 8, 5], and [6, 8, 5] exceed world.n_candidates=4"),
     (["world.posbias=1.0", "generator.m=1", "evaluator.m=1"],
      "generator.m=1: the generator and the AR baseline train on slates of at least 2 items"),
-    (["decode.method=topk", "decode.k=25"], "decode.k=25 exceeds world.n_candidates=20"),
-], ids=["n_max_6", "n_candidates_6", "n_candidates_4", "m_1", "topk_k_25"])
+], ids=["n_max_6", "n_candidates_6", "n_candidates_4", "m_1"])
 def test_bench_sizes_that_cannot_run_exit_1_before_any_timing(
         tmp_path, capsys, monkeypatch, settings, message):
     monkeypatch.setattr(bench, "_time_series", _never)
     overrides = [x for setting in settings for x in ("--set", setting)]
     assert main(["bench", "--out", str(tmp_path / "bench.csv"), *overrides]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_bench_checks_decode_k_only_for_top_k_sampling(tmp_path, monkeypatch):
-    # greedy decoding never reads k, so k past the candidates reaches the timing
-    monkeypatch.setattr(bench, "_time_series", _never)
-    with pytest.raises(AssertionError, match="timing started"):
-        main(["bench", "--out", str(tmp_path / "bench.csv"),
-              "--set", "decode.method=greedy", "--set", "decode.k=25"])

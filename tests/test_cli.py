@@ -745,14 +745,18 @@ def test_a_checkpoint_directory_that_is_missing_exits_1_before_any_work(
 
     for name in ("read_logs", "train_generator", "train_evaluator", "train_ar"):
         monkeypatch.setattr(f"slaterank.cli.{name}", never)
-    path = tmp_path / "absent" / "model.npz"
-    for command, key in (("train-generator", "generator_checkpoint"),
-                         ("train-evaluator", "evaluator_checkpoint"),
-                         ("train-ar", "ar_checkpoint")):
-        assert main([command, "--config", cfg, "--set", f"paths.{key}={path}"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: cannot write {path}: No such file or directory\n", command
-    assert not path.parent.exists()
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for path, reason in ((tmp_path / "absent" / "model.npz", "No such file or directory"),
+                         (taken, "Is a directory")):
+        for command, key in (("train-generator", "generator_checkpoint"),
+                             ("train-evaluator", "evaluator_checkpoint"),
+                             ("train-ar", "ar_checkpoint")):
+            assert main([command, "--config", cfg, "--set", f"paths.{key}={path}"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {path}: {reason}\n", command
+    assert not (tmp_path / "absent").exists()
+    assert not any(taken.iterdir())
 
 
 def test_an_output_directory_that_is_missing_exits_1_before_any_work(
@@ -766,15 +770,29 @@ def test_an_output_directory_that_is_missing_exits_1_before_any_work(
 
     for name in ("World", "gen_log", "load_checkpoint", "read_logs", "forward", "run_bench"):
         monkeypatch.setattr(f"slaterank.cli.{name}", never)
-    path = tmp_path / "absent" / "out.txt"
-    for argv in (["simulate", "--out", str(path)],
-                 ["simulate", "--set", f"paths.train_log={path}"],
-                 ["generate", "--out", str(path)], ["evaluate", "--out", str(path)],
-                 ["bench", "--out", str(path)]):
-        assert main([*argv, "--config", cfg]) == 1, argv
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for path, reason in ((tmp_path / "absent" / "out.txt", "No such file or directory"),
+                         (taken, "Is a directory")):
+        for argv in (["simulate", "--out", str(path)],
+                     ["simulate", "--set", f"paths.train_log={path}"],
+                     ["generate", "--out", str(path)], ["evaluate", "--out", str(path)],
+                     ["bench", "--out", str(path)]):
+            assert main([*argv, "--config", cfg]) == 1, argv
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {path}: {reason}\n", argv
+    assert not (tmp_path / "absent").exists()
+    assert not any(taken.iterdir())
+    # a default output under paths.out_dir that is a directory
+    out_dir = tmp_path / "out"
+    for command, name in (("train-generator", "generator_loss.csv"),
+                          ("train-evaluator", "evaluator_loss.csv"),
+                          ("train-ar", "ar_loss.csv"), ("generate", "slates.jsonl"),
+                          ("evaluate", "eval.csv"), ("bench", "bench.csv")):
+        (out_dir / name).mkdir(parents=True)
+        assert main([command, "--config", cfg, "--set", f"paths.out_dir={out_dir}"]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: cannot write {path}: No such file or directory\n", argv
-    assert not path.parent.exists()
+        assert err == f"error: cannot write {out_dir / name}: Is a directory\n", command
 
 
 def test_feedback_types_that_a_model_cannot_use_exit_1_before_any_work(

@@ -86,6 +86,9 @@ def test_unknown_keys_and_bad_values_raise():
         parse_config("just a line without equals\n")
     with pytest.raises(ConfigError):
         apply_overrides(RunConfig(), ["no-equals-here"])
+    for removed in ("decode.method=greedy", "decode.width=3", "decode.seed=1"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(removed + "\n")
 
 
 def test_section_validation_still_applies():
@@ -101,7 +104,7 @@ def test_section_validation_still_applies():
 
 @pytest.mark.parametrize("setting", [
     "train.lr=nan", "train.lr=inf", "train.omega=nan", "train.omega=inf",
-    "seed=-1", "generator.seed=-1", "evaluator.seed=-1", "decode.seed=-1",
+    "seed=-1", "generator.seed=-1", "evaluator.seed=-1",
     "world.seed=-1", "train.seed=-1"])
 def test_non_finite_rates_and_negative_seeds_are_refused(setting):
     # a NaN rate trains NaN parameters, an infinite one overflows, and
@@ -112,7 +115,7 @@ def test_non_finite_rates_and_negative_seeds_are_refused(setting):
 
 
 def test_file_round_trip(tmp_path):
-    run = apply_overrides(RunConfig(), ["seed=11", "decode.method=beam"])
+    run = apply_overrides(RunConfig(), ["seed=11", "decode.alpha=0.25"])
     path = tmp_path / "run.cfg"
     path.write_text(serialize_config(run), encoding="utf-8")
     assert load_config(path) == run

@@ -11,7 +11,6 @@ from slaterank.decoding import (
     SlateSequence,
     beam_decode,
     contrastive_decode,
-    decode,
     greedy_decode,
     sample_slates,
     topk_sample,
@@ -112,13 +111,11 @@ def test_slate_sequence_takes_numpy_integers():
 
 def test_decode_config_validation():
     with pytest.raises(ConfigError):
-        DecodeConfig(method="dpp")
-    with pytest.raises(ConfigError):
         DecodeConfig(alpha=1.5)
     with pytest.raises(ConfigError):
         DecodeConfig(k=0)
     with pytest.raises(ConfigError):
-        DecodeConfig(width=0)
+        beam_decode(random_probs(np.random.default_rng(0), 3, 2), 0)
     with pytest.raises(ConfigError):
         DecodeConfig(num_samples=0)
     assert DecodeConfig().alpha == 0.1
@@ -129,7 +126,7 @@ def test_infeasible_when_m_exceeds_n():
     cfg = DecodeConfig(k=1)
     for fn in (lambda: contrastive_decode(pm, cfg),
                lambda: greedy_decode(pm),
-               lambda: beam_decode(pm, cfg),
+               lambda: beam_decode(pm, 4),
                lambda: topk_sample(pm, cfg, np.random.default_rng(0))):
         with pytest.raises(InfeasibleSlateError):
             fn()
@@ -238,9 +235,9 @@ def test_topk_frequencies_match_renormalized_column():
 
 def test_topk_seeded_determinism():
     pm = random_probs(np.random.default_rng(5), 6, 3)
-    cfg = DecodeConfig(k=3, seed=11)
-    a = topk_sample(pm, cfg, np.random.default_rng(cfg.seed))
-    b = topk_sample(pm, cfg, np.random.default_rng(cfg.seed))
+    cfg = DecodeConfig(k=3)
+    a = topk_sample(pm, cfg, np.random.default_rng(11))
+    b = topk_sample(pm, cfg, np.random.default_rng(11))
     assert a == b
 
 
@@ -266,36 +263,34 @@ def brute_force_best(values):
 
 def test_beam_width1_equals_greedy():
     rng = np.random.default_rng(7)
-    cfg = DecodeConfig(width=1)
     for _ in range(50):
         n = int(rng.integers(2, 7))
         pm = random_probs(rng, n, int(rng.integers(1, min(n, 3) + 1)))
-        assert beam_decode(pm, cfg).indices == greedy_decode(pm).indices
+        assert beam_decode(pm, 1).indices == greedy_decode(pm).indices
 
 
 def test_beam_exhaustive_width_is_exact_n4_m2():
     rng = np.random.default_rng(8)
-    cfg = DecodeConfig(width=12)  # |A(4,2)| = 12
+    width = 12  # |A(4,2)| = 12
     for _ in range(200):
         pm = random_probs(rng, 4, 2)
-        assert beam_decode(pm, cfg).indices == brute_force_best(pm.values.data)
+        assert beam_decode(pm, width).indices == brute_force_best(pm.values.data)
 
 
 def test_beam_exhaustive_width_is_exact_n5_m3():
     rng = np.random.default_rng(9)
-    cfg = DecodeConfig(width=60)  # |A(5,3)| = 60
+    width = 60  # |A(5,3)| = 60
     for _ in range(50):
         pm = random_probs(rng, 5, 3)
-        assert beam_decode(pm, cfg).indices == brute_force_best(pm.values.data)
+        assert beam_decode(pm, width).indices == brute_force_best(pm.values.data)
 
 
 def test_beam_never_worse_than_greedy():
     rng = np.random.default_rng(10)
-    cfg = DecodeConfig(width=4)
     for _ in range(200):
         n = int(rng.integers(2, 9))
         pm = random_probs(rng, n, int(rng.integers(1, min(n, 4) + 1)))
-        beam = beam_decode(pm, cfg)
+        beam = beam_decode(pm, 4)
         assert (sequence_log_likelihood(pm, beam.indices)
                 >= sequence_log_likelihood(pm, greedy_decode(pm).indices) - 1e-12)
 
@@ -306,7 +301,7 @@ def test_beam_never_worse_than_greedy():
 def test_sample_slates_single_is_contrastive():
     pm = random_probs(np.random.default_rng(11), 5, 3)
     cfg = DecodeConfig(num_samples=1, alpha=0.2)
-    slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
+    slates = sample_slates(pm, cfg, np.random.default_rng(0))
     assert len(slates) == 1
     assert slates[0] == contrastive_decode(pm, cfg)
 
@@ -314,7 +309,7 @@ def test_sample_slates_single_is_contrastive():
 def test_sample_slates_bounded_by_feasible_count():
     pm = random_probs(np.random.default_rng(12), 3, 2)
     cfg = DecodeConfig(num_samples=10, k=3)
-    slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
+    slates = sample_slates(pm, cfg, np.random.default_rng(0))
     assert 1 <= len(slates) <= 6  # |A(3,2)| = 6
     assert len({s.indices for s in slates}) == len(slates)
 
@@ -325,9 +320,9 @@ def test_sample_slates_valid_and_deterministic():
         n = int(rng.integers(2, 8))
         m = int(rng.integers(1, min(n, 4) + 1))
         pm = random_probs(rng, n, m)
-        cfg = DecodeConfig(num_samples=6, k=min(3, n), seed=21)
-        slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
-        again = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
+        cfg = DecodeConfig(num_samples=6, k=min(3, n))
+        slates = sample_slates(pm, cfg, np.random.default_rng(21))
+        again = sample_slates(pm, cfg, np.random.default_rng(21))
         assert slates == again
         for s in slates:
             assert s.m == m
@@ -343,8 +338,8 @@ def test_sample_slates_proposals_equal_checked_slates():
         n = int(rng.integers(3, 9))
         m = int(rng.integers(1, min(n, 5) + 1))
         pm = random_probs(rng, n, m)
-        cfg = DecodeConfig(num_samples=8, k=min(3, n), seed=22)
-        slates = sample_slates(pm, cfg, np.random.default_rng(cfg.seed))
+        cfg = DecodeConfig(num_samples=8, k=min(3, n))
+        slates = sample_slates(pm, cfg, np.random.default_rng(22))
         for s in slates:
             checked = SlateSequence(s.indices, s.probabilities, s.method)
             assert (s.indices, s.probabilities, s.method) == \
@@ -372,26 +367,14 @@ def test_decoders_ignore_padded_rows():
     pm = ProbMatrix(values=Tensor(values), candidate_reps=Tensor(reps),
                     position_reps=Tensor(rng.normal(size=(2, 4))),
                     valid=np.array([True] * 4 + [False] * 2))
-    cfg = DecodeConfig(alpha=0.9, k=4, width=3)
+    cfg = DecodeConfig(alpha=0.9, k=4)
     seen = set()
     seen.update(contrastive_decode(pm, cfg).indices)
     seen.update(greedy_decode(pm).indices)
-    seen.update(beam_decode(pm, cfg).indices)
+    seen.update(beam_decode(pm, 3).indices)
     for trial in range(50):
         seen.update(topk_sample(pm, cfg, np.random.default_rng(trial)).indices)
     assert max(seen) < 4
-
-
-def test_decode_dispatch():
-    pm = random_probs(np.random.default_rng(15), 5, 2)
-    assert decode(pm, DecodeConfig(method="greedy")) == greedy_decode(pm)
-    assert decode(pm, DecodeConfig(method="beam", width=2)) == beam_decode(
-        pm, DecodeConfig(method="beam", width=2))
-    assert decode(pm, DecodeConfig(method="contrastive")) == contrastive_decode(
-        pm, DecodeConfig())
-    t1 = decode(pm, DecodeConfig(method="topk", seed=3))
-    t2 = topk_sample(pm, DecodeConfig(k=4), np.random.default_rng(3))
-    assert t1 == t2
 
 
 def test_slate_score_matches_manual_sum():
