@@ -21,7 +21,10 @@ and more, where NumPy sums pairwise, and pools that need several refills);
 the rerank path at perfbench's serving shapes: pools of 8 proposals from
 world requests of n = 20, scored by the default evaluator at trained-like
 weights with `score_slates`, `score_slate` and `select_best`, and by the
-oracle's expected utility; the bounds of single rank groups 8 to 20, 129
+oracle's expected utility; one request's pool of 2000 random slates
+(serve.score_slates.wide), scored once as a pool and once slate by slate,
+whose two digests are equal when each slate of a wide pool gets its own
+`score_slate` bits; the bounds of single rank groups 8 to 20, 129
 and 300 terms wide, where a total summed in another order moves the last
 bits of the bounds without often moving a pick; `auc` on tie-heavy scores;
 AR decoded slates, their pick probabilities and sequence-loss
@@ -423,7 +426,11 @@ def serving_pool_digests() -> None:
     forward, then the default evaluator (d_x = 10, m = 6) with its weight
     matrices scaled by 15, to the size training gives them, on every pool:
     `score_slates`, `score_slate` of each proposal, the `select_best` pick,
-    and the oracle's expected utility of each proposal. The oracle's weights
+    and the oracle's expected utility of each proposal. Then one request's
+    pool of 2000 random slates, far more rows than a serving pool: the
+    digest of its `score_slates` and the digest of each slate's own
+    `score_slate` utility, equal when a slate's bits do not depend on the
+    pool it is in. The oracle's weights
     are not powers of two, so a weighted utility summed in another grouping
     would show (with SPEC's 1.0 and 0.5, each product is exact)."""
     world = World(WorldConfig(seed=25))
@@ -448,6 +455,10 @@ def serving_pool_digests() -> None:
     print("serve.score_slate", digest(*[x.scores for x in alone], [x.utility for x in alone]))
     print("serve.select_best", digest([slate_fields(select_best(r, pool, ev, ev_cfg))
                                        for r, pool in zip(reqs, pools)]))
+    wide = [tuple(rng.permutation(20)[:ev_cfg.m]) for _ in range(2000)]
+    alone = [score_slate(reqs[0], s, ev, ev_cfg).utility for s in wide]
+    print("serve.score_slates.wide", digest(score_slates(reqs[0], wide, ev, ev_cfg)),
+          digest(np.array(alone)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's clamp warning
         spec = UtilitySpec(types=("click", "like"), weights=(1.1, 0.35), tau=1.0)
