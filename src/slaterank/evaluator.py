@@ -10,8 +10,8 @@ weighted sum of predicted scores (`objectives.weighted_sum`), and
 
 `score_slates` scores a pool in one pass with the K slates stacked as
 (K, m, d) on the block's batch axis, each attending to its own items only; a
-slate gets the same bits at any place in a pool below the row bound given in
-`_logits`, and `score_slate` is the pass on a pool of one. Slates are
+slate gets the same bits at any place in any pool, and `score_slate` is the
+pass on a pool of one. Slates are
 checked by the one slate rule, `data.slate_indices`: a pool, or a training
 minibatch's exposed slates.
 
@@ -100,25 +100,17 @@ def _logits(feats: np.ndarray, params: Params, cfg: EvaluatorConfig,
     the batch axis, as (B, T, m): row k is head cfg.types[k]. The training
     pass stops here.
 
-    The heads run as one product: their weights and biases are joined on
-    the tape and zero-padded to at least 4 columns. BLAS's bits for a row of
-    a 1- or 2-column product depend on the row count. Of a 4-column product
-    they do not while rows * 4 * d stays at or below about 1e6 (OpenBLAS
-    0.3.31: 7812 rows, 1302 slates of m = 6, at d = 32); above that some
-    rows move by ulps. So below that bound a slate's logits do not depend on
-    the stack it is in."""
+    The heads run as one product, their weights and biases joined on the
+    tape. A serving tape multiplies each slate of a stack on its own, so a
+    slate's logits do not depend on the stack it is in."""
     if feats.shape[-1] != cfg.d_x:
         raise ShapeError(f"features {feats.shape} do not match d_x={cfg.d_x}")
     x = tape.linear(Tensor(feats), params["ev.embed.w"], params["ev.embed.b"])
     x = tape.add(x, params["ev.pos"])
     states = _ln(tape, params, "ev.final_ln", block(tape, params, "ev", x, cfg))
-    heads = len(cfg.types)
-    pad = max(heads, 4) - heads
-    w = tape.concat_rows([params[f"ev.head.{t}.w"] for t in cfg.types]
-                         + [Tensor(np.zeros((cfg.d, pad)))], axis=-1)
-    b = tape.concat_rows([params[f"ev.head.{t}.b"] for t in cfg.types]
-                         + [Tensor(np.zeros(pad))], axis=-1)
-    return tape.slice_rows(tape.transpose(tape.linear(states, w, b)), 0, heads)
+    w = tape.concat_rows([params[f"ev.head.{t}.w"] for t in cfg.types], axis=-1)
+    b = tape.concat_rows([params[f"ev.head.{t}.b"] for t in cfg.types], axis=-1)
+    return tape.transpose(tape.linear(states, w, b))
 
 
 def _score(req: RequestBatch, slates, params: Params,
@@ -141,9 +133,9 @@ def score_slate(req: RequestBatch, slate, params: Params, cfg: EvaluatorConfig) 
 
 def score_slates(req: RequestBatch, slates, params: Params, cfg: EvaluatorConfig) -> np.ndarray:
     """Predicted utility of each slate, from one evaluator pass over the
-    slates stacked on the batch axis. Below the row bound given in `_logits`
-    a slate gets the same bits at any place in a pool, so equal slates tie
-    exactly and each utility equals the slate's own `score_slate`."""
+    slates stacked on the batch axis. A slate gets the same bits at any
+    place in any pool, so equal slates tie exactly and each utility equals
+    the slate's own `score_slate`."""
     return _score(req, slates, params, cfg)[1]
 
 

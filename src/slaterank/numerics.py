@@ -44,6 +44,11 @@ it, so a recording forward parts from a serving forward by ulps. Sums down
 the columns of each matrix (softmax_columns) take NumPy's reduce on both
 tapes, which already runs along the rows of memory.
 
+Products follow the tape too. A serving tape's `linear` multiplies a stack
+as `x @ w`, one (rows, d) @ (d, e) product per example, the call a lone
+example gets, so an example's bits do not depend on the stack; a recording
+tape's multiplies the flattened stack as one product.
+
 An op writes in place (`out=`, `*=`) only into temporaries it allocated
 itself, never into an operand, an op's output or the incoming gradient `g`:
 `_accumulate` may adopt the array it is given as a `.grad`, and
@@ -270,12 +275,12 @@ class Tape:
         return self._record(Tensor(ad @ bd), back)
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-        """x @ w with an optional bias row; every row of every leading axis of
-        x goes through one (rows, d) @ (d, e) product."""
+        """x @ w with an optional bias row; a stacked x is multiplied as the
+        tape's product rule in the module docstring says."""
         xd, wd = x.data, w.data
         if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
             raise ShapeError(f"linear got {xd.shape} @ {wd.shape}")
-        flat = xd.ndim == 2
+        flat = xd.ndim == 2 or not self.recording
         rows = xd if flat else xd.reshape(-1, wd.shape[0])
         y = rows @ wd
         if b is not None:

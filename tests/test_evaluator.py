@@ -156,18 +156,24 @@ def test_bce_matches_manual_formula():
 
 
 def test_bce_gradcheck():
-    params = init_evaluator_params(TINY)
-    inflate_weights(params, 15.0)
+    # one head and two, so every head's weight and bias is checked through
+    # the joined head columns
+    two_heads = EvaluatorConfig(types=("click", "like"), weights=(1.0, 0.5), d=8, h=2,
+                                d_x=4, m=3)
     req = tiny_request(seed=13)
-    fb = FeedbackMatrix(values=np.array([[1.0, 0.0, 1.0]]), types=("click",))
+    labels = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    for cfg in (TINY, two_heads):
+        params = init_evaluator_params(cfg)
+        inflate_weights(params, 15.0)
+        y = labels[:len(cfg.types)]
 
-    def make_loss(tape):
-        return bce_loss(tape, _logits(req.features[[1, 2, 4]], params, TINY, tape),
-                        fb.values)
+        def make_loss(tape):
+            return bce_loss(tape, _logits(req.features[[1, 2, 4]], params, cfg, tape), y)
 
-    wrt = [params["ev.embed.w"], params["ev.pos"], params["ev.attn.wq"],
-           params["ev.ffn.w1"], params["ev.head.click.w"]]
-    gradcheck(make_loss, wrt)
+        wrt = [params["ev.embed.w"], params["ev.pos"], params["ev.attn.wq"],
+               params["ev.ffn.w1"]]
+        wrt += [params[f"ev.head.{t}.{p}"] for t in cfg.types for p in ("w", "b")]
+        gradcheck(make_loss, wrt)
 
 
 def test_select_best_is_argmax_and_breaks_ties_first():
@@ -211,7 +217,10 @@ def test_stacked_utilities_match_one_pass_per_slate():
 def test_a_slate_in_a_pool_scores_as_it_does_alone():
     # pools of K = 1..8 at the default config, with weights of trained-like
     # size and, from K = 3 on, a repeat of the first slate: each utility of
-    # the stacked pass has the bits of that slate's own score_slate
+    # the stacked pass has the bits of that slate's own score_slate. Then
+    # pools of 1302, 1303 and 5000 slates, with two heads and with one, on
+    # both sides of the stack height where one BLAS product over the whole
+    # stack gives a row other bits; every third or twelfth slate is checked
     cfg = EvaluatorConfig()
     params = init_evaluator_params(cfg)
     inflate_weights(params, 15.0)
@@ -227,6 +236,17 @@ def test_a_slate_in_a_pool_scores_as_it_does_alone():
             want = np.array([score_slate(req, s, params, cfg).utility for s in slates])
             assert got.shape == (k,)
             assert got.tobytes() == want.tobytes(), (trial, k)
+
+    one_head = EvaluatorConfig(types=("click",), weights=(1.0,))
+    for cfg in (cfg, one_head):
+        params = init_evaluator_params(cfg)
+        inflate_weights(params, 15.0)
+        for k, step in ((1302, 3), (1303, 3), (5000, 12)):
+            slates = [tuple(rng.permutation(20)[:cfg.m]) for _ in range(k)]
+            got = score_slates(req, slates, params, cfg)[::step]
+            want = np.array([score_slate(req, s, params, cfg).utility
+                             for s in slates[::step]])
+            assert got.tobytes() == want.tobytes(), (cfg.types, k)
 
 
 def test_select_best_returns_first_maximizer():

@@ -556,10 +556,11 @@ def test_recording_rule_skips_unused_outputs_and_counts_ops():
 # quantity, as numerics computed them before its in-place and ufunc-method
 # rewrite. The ops must match them bit for bit, forward and backward: the
 # rewrite keeps every floating-point operation and its order. A reference
-# whose op sums along an axis takes the summing kernel as its first argument:
-# REDUCE, NumPy's reduce, which a serving (non-recording) tape uses, or BLAS,
-# products with ones, which a recording tape uses forward and backward. Each
-# tape keeps its kernel at every size.
+# whose op sums along an axis or multiplies a stack takes the tape's kernels
+# as its first argument: REDUCE, NumPy's reduce and stacked product, which a
+# serving (non-recording) tape uses, or BLAS, products with ones and one
+# product over the flattened stack, which a recording tape uses forward and
+# backward. Each tape keeps its kernels at every size.
 
 
 def _blas_rows(x):
@@ -572,11 +573,16 @@ def _blas_lead(g, lead):
     return (np.ones(r) @ g.reshape(r, -1)).reshape(g.shape[lead:])
 
 
+def _blas_product(x, w):
+    return (x.reshape(-1, w.shape[0]) @ w).reshape(*x.shape[:-1], w.shape[1])
+
+
 # rows(x) sums over the last axis and keeps it; lead(g, k) sums over g's
-# first k axes
+# first k axes; product(x, w) is x @ w for a stack x and a matrix w
 REDUCE = SimpleNamespace(rows=lambda x: x.sum(axis=-1, keepdims=True),
-                         lead=lambda g, k: g.sum(axis=tuple(range(k))))
-BLAS = SimpleNamespace(rows=_blas_rows, lead=_blas_lead)
+                         lead=lambda g, k: g.sum(axis=tuple(range(k))),
+                         product=lambda x, w: x @ w)
+BLAS = SimpleNamespace(rows=_blas_rows, lead=_blas_lead, product=_blas_product)
 
 
 def _ref_unbroadcast(s, g, shape):
@@ -607,15 +613,15 @@ def _ref_logistic(x):
 
 
 def _ref_linear(s, g, x, w, b=None):
-    rows = x.reshape(-1, w.shape[0])
-    y = rows @ w
+    y = s.product(x, w)
     if b is not None:
         y = y + b
+    rows = x.reshape(-1, w.shape[0])
     g2 = g.reshape(-1, w.shape[1])
     grads = [(g2 @ w.T).reshape(x.shape), rows.T @ g2]
     if b is not None:
         grads.append(s.lead(g2, 1))
-    return y.reshape(*x.shape[:-1], w.shape[1]), grads
+    return y, grads
 
 
 def _ref_attention(s, g, q, k, v, heads, key_mask=None, causal=False):
@@ -952,6 +958,23 @@ def test_each_tape_sums_with_its_own_kernel_at_every_size(rows):
         (out_r, grads_r), (out_b, grads_b) = ref(REDUCE, g, *inputs), ref(BLAS, g, *inputs)
         assert (out_r, *grads_r)[told].tobytes() != (out_b, *grads_b)[told].tobytes()
         test_ops_match_their_plain_formulas_bit_for_bit(call, ref, inputs)
+
+
+@pytest.mark.parametrize("e", [1, 2, 4, 32])
+def test_serving_linear_gives_each_example_of_a_stack_its_own_bits(e):
+    """On a serving tape, linear over a (K, r, d) stack equals the K products
+    of its examples alone, bit for bit, at any K: here up to 3000 stacked
+    slates of m = 6 rows at d = 32, far past the height where one BLAS
+    product over the whole stack gives some rows other bits."""
+    rng = np.random.default_rng(e)
+    x = rng.normal(size=(3000, 6, 32))
+    w, b = Tensor(rng.normal(size=(32, e))), Tensor(rng.normal(size=e))
+    tape = Tape(recording=False)
+    alone = np.stack([tape.linear(Tensor(xk), w, b).data for xk in x])
+    for k in (1, 7, 1303, 3000):
+        stacked = tape.linear(Tensor(x[:k]), w, b).data
+        assert stacked.shape == (k, 6, e)
+        assert stacked.tobytes() == alone[:k].tobytes(), k
 
 
 _PAYLOAD_NANS = np.array([0x7FF8000000000123, 0xFFF8000000000456, 0x7FF800000000BEEF],
