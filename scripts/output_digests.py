@@ -24,9 +24,11 @@ weights with `score_slates`, `score_slate` and `select_best`, and by the
 oracle's expected utility; one request's pool of 2000 random slates
 (serve.score_slates.wide), scored once as a pool and once slate by slate,
 whose two digests are equal when each slate of a wide pool gets its own
-`score_slate` bits; the bounds of single rank groups 8 to 20, 129
-and 300 terms wide, where a total summed in another order moves the last
-bits of the bounds without often moving a pick; `auc` on tie-heavy scores;
+`score_slate` bits; the bounds of single rank groups 1 to 7 terms wide
+(group_bounds.narrow), which NumPy adds left to right, and 8 to 20, 129
+and 300 terms wide (group_bounds.wide), which it adds pairwise: a total
+summed in another order moves the last bits of the bounds without often
+moving a pick; `auc` on tie-heavy scores;
 AR decoded slates, their pick probabilities and sequence-loss
 gradients; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
@@ -467,10 +469,17 @@ def serving_pool_digests() -> None:
 
 
 def group_bounds_digest() -> None:
-    """`_group_bounds` on rank groups 8 to 20, 129 and 300 terms wide: cubed
-    uniforms, so terms span several binades, and every tenth group all
-    zeros. From 8 terms NumPy sums pairwise, and the bounds carry the
-    total's last bits even where no pick moves."""
+    """`_group_bounds` on rank groups 1 to 7 terms wide, which NumPy sums
+    left to right, and 8 to 20, 129 and 300 terms wide, which it sums
+    pairwise: cubed uniforms, so terms span several binades, every tenth
+    group all zeros, and among the narrow groups every tenth one of exact
+    ties. The bounds carry the total's last bits even where no pick moves."""
+    rng = np.random.default_rng(48)
+    narrow = [rng.random(width) ** 3 for width in range(1, 8) for _ in range(30)]
+    for zeros, ties in zip(narrow[::10], narrow[1::10]):
+        zeros[:] = 0.0
+        ties[:] = 0.1
+    print("group_bounds.narrow", digest([_group_bounds(g.tolist()) for g in narrow]))
     rng = np.random.default_rng(49)
     groups = [rng.random(width) ** 3 for width in (*range(8, 21), 129, 300) for _ in range(10)]
     for group in groups[::10]:
