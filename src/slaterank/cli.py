@@ -211,7 +211,7 @@ def cmd_train(run: RunConfig, args) -> int:
         meta = _generator_meta(cfg)
         summary = f"{run.train.objective}, final loss {curve_log[-1].total:.4f}"
     elif kind == "evaluator":
-        if problem := unmatched_heads(cfg, logs.types, "logged"):
+        if problem := unmatched_heads(cfg, logs.types):
             raise ConfigError(problem)
         params = init_evaluator_params(cfg)
         train_evaluator(logs, params, cfg, loss_log=curve_log, **fit)

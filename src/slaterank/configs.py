@@ -193,24 +193,23 @@ def serialize_config(run: RunConfig) -> str:
 
 
 def check_pipeline(run: RunConfig) -> None:
-    """Dimension and type agreement between the world and both models.
+    """Dimension and type agreement between the world and the generator,
+    whose config the AR baseline shares.
 
-    `bench`, which mixes the world with both models, calls this up front
-    so mismatches fail with one clear message instead of a shape error
-    mid-run.
+    `bench`, which runs the generator and the AR baseline on the world's
+    requests, calls this up front so mismatches fail with one clear message
+    instead of a shape error mid-run.
     """
     problems = []
     for key in ("d_x", "m"):
-        want = getattr(run.world, key)
-        for name in ("generator", "evaluator"):
-            got = getattr(getattr(run, name), key)
-            if got != want:
-                problems.append(f"{name}.{key}={got} != world {key}={want}")
+        want, got = getattr(run.world, key), getattr(run.generator, key)
+        if got != want:
+            problems.append(f"generator.{key}={got} != world {key}={want}")
     if run.generator.n_max < run.world.n_candidates:
         problems.append(f"generator.n_max={run.generator.n_max} below "
                         f"world n_candidates={run.world.n_candidates}")
-    problems += [p for p in (unweighted_types(run.utility, run.world.types, "world"),
-                             unmatched_heads(run.evaluator, run.world.types, "world")) if p]
+    if problem := unweighted_types(run.utility, run.world.types, "world"):
+        problems.append(problem)
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -223,9 +222,9 @@ def unweighted_types(spec: UtilitySpec, types, source: str) -> str | None:
             if missing else None)
 
 
-def unmatched_heads(evaluator: EvaluatorConfig, types, source: str) -> str | None:
+def unmatched_heads(evaluator: EvaluatorConfig, types) -> str | None:
     """The problem, if any, when the evaluator's heads are not exactly
-    `types`, the interaction types of `source` ("world" or "logged")."""
+    `types`, the logged interaction types."""
     return (None if tuple(types) == tuple(evaluator.types) else
-            f"{source} interaction types {tuple(types)} do not match "
+            f"logged interaction types {tuple(types)} do not match "
             f"evaluator types {evaluator.types}")

@@ -130,30 +130,6 @@ def greedy_decode(probs: ProbMatrix) -> SlateSequence:
     return _slate(chosen, values, "greedy")
 
 
-def _numpy_sum(terms: list[float]) -> float:
-    """`np.add.reduce` of a contiguous float64 row, bit for bit: left to right
-    below 8 terms; from 8 on, NumPy's eight accumulators, each striding by 8,
-    folded pairwise and then the leftover terms added in order; above 128
-    terms, NumPy's split into two halves of a multiple of 8."""
-    count = len(terms)
-    if count < 8:
-        total = 0.0
-        for x in terms:
-            total += x
-        return total
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _numpy_sum(terms[:half]) + _numpy_sum(terms[half:])
-    acc = terms[:8]
-    stop = count - count % 8
-    for i in range(8, stop, 8):
-        acc = [a + x for a, x in zip(acc, terms[i:i + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for x in terms[stop:]:
-        total += x
-    return total
-
-
 def _group_bounds(weights: list[float]) -> list[float]:
     """The renormalized cdf of one rank group's probabilities; a pick is the
     number of bounds at or below its uniform, as `Generator.choice(p=...)`
@@ -162,9 +138,17 @@ def _group_bounds(weights: list[float]) -> list[float]:
     Bit for bit what NumPy gives on a (samples, group) block of such groups:
     the same float operations in the same order, that is the row total as
     `np.add.reduce`, the division by it, the running sum as
-    `np.add.accumulate`, and the division by the last entry.
+    `np.add.accumulate`, and the division by the last entry. NumPy adds
+    fewer than 8 terms left to right, as the loop here does; a wider group
+    takes NumPy's own sum, which adds pairwise.
     """
-    total = _numpy_sum(weights)
+    if len(weights) < 8:
+        # not `sum`, which compensates its rounding from Python 3.12 on
+        total = 0.0
+        for w in weights:
+            total += w
+    else:
+        total = float(np.add.reduce(np.array(weights)))
     if total > 0.0:
         cdf = list(accumulate([w / total for w in weights]))
     else:

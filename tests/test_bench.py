@@ -121,9 +121,9 @@ def _never(*args, **kwargs):
      "bench times slate sizes [6, 1, 2, 4, 8, 5], and [8] exceed world.n_candidates=6"),
     (["world.n_candidates=6"],
      "bench times slate sizes [6, 1, 2, 4, 8, 5], and [8] exceed world.n_candidates=6"),
-    (["world.n_candidates=4", "world.posbias=1.0,0.8", "generator.m=2", "evaluator.m=2"],
+    (["world.n_candidates=4", "world.posbias=1.0,0.8", "generator.m=2"],
      "bench times slate sizes [2, 1, 4, 6, 8, 5], and [6, 8, 5] exceed world.n_candidates=4"),
-    (["world.posbias=1.0", "generator.m=1", "evaluator.m=1"],
+    (["world.posbias=1.0", "generator.m=1"],
      "generator.m=1: the generator and the AR baseline train on slates of at least 2 items"),
 ], ids=["n_max_6", "n_candidates_6", "n_candidates_4", "m_1"])
 def test_bench_sizes_that_cannot_run_exit_1_before_any_timing(
@@ -132,3 +132,19 @@ def test_bench_sizes_that_cannot_run_exit_1_before_any_timing(
     overrides = [x for setting in settings for x in ("--set", setting)]
     assert main(["bench", "--out", str(tmp_path / "bench.csv"), *overrides]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("settings", [
+    ["evaluator.m=5"],
+    ["evaluator.d_x=8"],
+    ["evaluator.types=click", "evaluator.weights=1.0"],
+], ids=["m", "d_x", "types"])
+def test_bench_runs_whatever_the_evaluator_config(tmp_path, capsys, monkeypatch, settings):
+    # bench builds no evaluator, so its settings cannot stop a run
+    report = BenchReport(*[1] * 12, (1,), (1.0,), (1.0,), 1.0, 1.0, 1, 1.0)
+    monkeypatch.setattr("slaterank.cli.run_bench", lambda run, **kwargs: report)
+    overrides = [x for setting in settings for x in ("--set", setting)]
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--out", str(out), *overrides]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8") == report.to_csv()

@@ -147,13 +147,13 @@ def test_each_type_rule_names_the_source_of_its_types():
     assert unweighted_types(run.utility, ("click", "like"), "world") is None
     assert unweighted_types(run.utility, ("view", "click"), "logged") == (
         "utility spec has no weights for logged interaction types ['view']")
-    assert unmatched_heads(run.evaluator, ["click", "like"], "logged") is None
-    assert unmatched_heads(run.evaluator, ("click",), "world") == (
-        "world interaction types ('click',) do not match evaluator types ('click', 'like')")
-    # check_pipeline joins both rules' problems into one message
-    run = apply_overrides(run, ["world.types=view", "world.base_rates=1.0"])
+    assert unmatched_heads(run.evaluator, ["click", "like"]) is None
+    assert unmatched_heads(run.evaluator, ("click",)) == (
+        "logged interaction types ('click',) do not match evaluator types ('click', 'like')")
+    # check_pipeline joins its problems into one message
+    run = apply_overrides(run, ["world.types=view", "world.base_rates=1.0", "generator.m=5"])
     with pytest.raises(ConfigError) as caught:
         check_pipeline(run)
     assert str(caught.value) == (
-        "utility spec has no weights for world interaction types ['view']; "
-        "world interaction types ('view',) do not match evaluator types ('click', 'like')")
+        "generator.m=5 != world m=6; "
+        "utility spec has no weights for world interaction types ['view']")

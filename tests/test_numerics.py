@@ -158,8 +158,9 @@ def test_concat_slice_transpose_gradients():
 
 
 def test_column_concat_and_stacked_slice_gradients():
-    # the evaluator's head join: (d, 1) weights and (1,) biases joined along
-    # the last axis with a zero pad, and rows sliced from each matrix of a stack
+    # gradients of a column concat, (d, 1) weights and (1,) biases joined
+    # along the last axis beside constant columns, and of rows sliced from
+    # each matrix of a stack
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(2, 3, 4)))
     w1, w2 = Tensor(rng.normal(size=(4, 1))), Tensor(rng.normal(size=(4, 1)))
@@ -1156,13 +1157,13 @@ def test_topk_draws_match_their_numpy_reference_bit_for_bit(data):
 
 @pytest.mark.parametrize("width", [*range(1, 21), 129, 300])
 def test_group_bounds_are_numpys_block_arithmetic_bit_for_bit(width):
-    """Each rank group's total and bounds against NumPy's on a block of
-    groups: np.add.reduce, the guarded division, np.add.accumulate and the
-    division by the last entry. From 8 terms on NumPy sums pairwise, where a
-    left-to-right total differs in about 40% of rows but seldom moves a pick,
-    so only the bounds themselves show it. Rows include zero-sum groups,
-    exact ties and zeros among positive terms."""
-    from slaterank.decoding import _group_bounds, _numpy_sum
+    """Each rank group's bounds against NumPy's on a block of groups:
+    np.add.reduce, the guarded division, np.add.accumulate and the division
+    by the last entry. From 8 terms on NumPy sums pairwise, where a
+    left-to-right total differs in about 40% of rows but seldom moves a pick;
+    each bound carries its total's bits, so the bounds show it. Rows include
+    zero-sum groups, exact ties and zeros among positive terms."""
+    from slaterank.decoding import _group_bounds
 
     rng = np.random.default_rng(width)
     rows = rng.random((300, width)) ** 3
@@ -1173,9 +1174,7 @@ def test_group_bounds_are_numpys_block_arithmetic_bit_for_bit(width):
     weights = np.divide(rows, total, out=np.full(rows.shape, 1.0 / width), where=total > 0.0)
     cdf = np.add.accumulate(weights, axis=1)
     cdf /= cdf[:, -1:]
-    lists = rows.tolist()
-    assert np.array([_numpy_sum(row) for row in lists]).tobytes() == total[:, 0].tobytes()
-    assert np.array([_group_bounds(row) for row in lists]).tobytes() == cdf.tobytes()
+    assert np.array([_group_bounds(row) for row in rows.tolist()]).tobytes() == cdf.tobytes()
 
 
 def test_tensor_keeps_float64_arrays_and_converts_the_rest():
