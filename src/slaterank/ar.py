@@ -18,9 +18,9 @@ cross-attention and the pointer softmax. The decoder rows
 has length m, so the decoder side needs no padding.
 
 Logged slates (a LogTable's once, when the table is built, or one request's
-here) and decode prefixes are checked by the one slate rule,
-`data.slate_indices`; a prefix may be shorter than m, and one that overruns
-m is a ShapeError.
+here) are checked by the one slate rule, `data.slate_indices`; `ar_forward`
+takes the prefix its caller hands it: `ar_decode`'s own picks, or the logged
+slate teacher-forced by `ar_sequence_loss`.
 """
 
 from __future__ import annotations
@@ -81,42 +81,21 @@ def _pointer_mask(prefix: np.ndarray, n: int, valid: np.ndarray | None) -> np.nd
     return allowed if valid is None else allowed & valid[..., None, :]
 
 
-def _pointer_probs(tape: Tape, params: Params, cfg: GeneratorConfig,
-                   cand: Tensor, prefix: np.ndarray, valid: np.ndarray | None) -> Tensor:
+def ar_forward(params: Params, cand: Tensor, prefix: np.ndarray, cfg: GeneratorConfig,
+               tape: Tape, valid: np.ndarray | None = None) -> Tensor:
     """One pointer pass over encoded candidates, (n, d) with a (k,) prefix or
-    a padded (B, n, d) stack with (B, k) prefixes: decode k + 1 rows and
-    return row-stochastic pointer probabilities."""
+    a padded (B, n, d) stack with (B, k) prefixes and its `valid` mask:
+    decode k + 1 rows and return row-stochastic pointer probabilities.
+
+    Row t is the next-item distribution given prefix[..., :t]; entries for
+    already-chosen candidates are exactly 0. The prefix is taken as given:
+    its callers hand it their own picks or a slate checked by the slate rule.
+    """
     tape.forwards += 1
     states = blocks(tape, params, "dec", _decoder_rows(tape, params, cand, prefix), cfg,
                     causal=True, memory=cand, memory_mask=valid)
     logits = tape.matmul(states, tape.transpose(cand))
     return tape.softmax_rows(logits, key_mask=_pointer_mask(prefix, cand.shape[-2], valid))
-
-
-def ar_forward(req: RequestBatch, params: Params, cfg: GeneratorConfig,
-               prefix: tuple[int, ...] = (), tape: Tape | None = None, *,
-               cand: Tensor | None = None) -> Tensor:
-    """One pointer pass: decode len(prefix)+1 rows, return row-stochastic
-    pointer probabilities (len(prefix)+1) x n.
-
-    Row t is the next-item distribution given prefix[:t]; entries for
-    already-chosen candidates are exactly 0. `cand` is the request's
-    encoded candidates, (n, d), as `ar_decode` hands them from one
-    `encode_candidates` call to each of its passes; without it the
-    candidates are encoded here.
-    """
-    if tape is None:
-        tape = Tape(recording=False)
-    feats, _ = _stack_requests(req, cfg)
-    if len(prefix) + 1 > cfg.m:
-        raise ShapeError(f"prefix of {len(prefix)} items overruns m={cfg.m}")
-    chosen = slate_indices([prefix], req.n, len(prefix))[0]
-    if cand is None:
-        cand = encode_candidates(feats, params, cfg, tape)
-    elif cand.shape != (req.n, cfg.d):
-        raise ShapeError(f"encoded candidates {cand.shape} do not match "
-                         f"(n, d) = {(req.n, cfg.d)}")
-    return _pointer_probs(tape, params, cfg, cand, chosen, None)
 
 
 def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
@@ -137,7 +116,7 @@ def ar_sequence_loss(req, params: Params, cfg: GeneratorConfig,
     else:
         y = slate_indices([req.exposed], req.n, cfg.m)[0]
     cand = encode_candidates(feats, params, cfg, tape, valid=valid)
-    probs = _pointer_probs(tape, params, cfg, cand, y[..., :-1], valid)
+    probs = ar_forward(params, cand, y[..., :-1], cfg, tape, valid)
     picked = tape.take_entries(probs, np.broadcast_to(np.arange(cfg.m), y.shape), y)
     return _neg_log_sum(tape, picked)
 
@@ -155,7 +134,7 @@ def ar_decode(req: RequestBatch, params: Params, cfg: GeneratorConfig,
     chosen: list[int] = []
     chosen_p: list[float] = []
     for _ in range(cfg.m):
-        probs = ar_forward(req, params, cfg, prefix=tuple(chosen), tape=tape, cand=cand)
+        probs = ar_forward(params, cand, np.array(chosen, dtype=np.int64), cfg, tape)
         row = probs.data[-1].copy()
         row[chosen] = -1.0  # chosen entries are 0; keep them out of argmax ties
         pick = int(np.argmax(row))

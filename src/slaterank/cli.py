@@ -356,3 +356,7 @@ def main(argv=None) -> int:
         where = "" if exc.filename is None else f" {exc.filename}"
         print(f"error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

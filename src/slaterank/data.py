@@ -57,8 +57,8 @@ __all__ = [
 # entries that are numbers but not indices (np.array reads True as 1)
 _NOT_INDEX = (bool, np.bool_, float, np.floating)
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
-# up to this many slates (one slate, an AR prefix, a serving pool) the repeat
-# and range rules run row by row in Python, which is faster there than NumPy
+# up to this many slates (one slate, a serving pool) the repeat and range
+# rules run row by row in Python, which is faster there than NumPy
 _ROW_BY_ROW = 8
 
 

@@ -3,13 +3,7 @@ import pytest
 
 import slaterank.ar
 from helpers import gradcheck, inflate_weights
-from slaterank.ar import (
-    _pointer_probs,
-    ar_decode,
-    ar_forward,
-    ar_sequence_loss,
-    init_ar_params,
-)
+from slaterank.ar import ar_decode, ar_forward, ar_sequence_loss, init_ar_params
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from slaterank.generator import (
@@ -33,6 +27,13 @@ def make_request(rng, n, exposed=None, d_x=SMALL.d_x):
     )
 
 
+def encode_and_point(req, params, cfg, prefix=()):
+    """Encode one request's candidates, then one ar_forward pass on them."""
+    tape = Tape(recording=False)
+    cand = encode_candidates(req.features, params, cfg, tape)
+    return ar_forward(params, cand, np.array(prefix, dtype=np.int64), cfg, tape)
+
+
 def test_shares_candidate_encoder_with_generator():
     gen = init_generator_params(SMALL)
     ar = init_ar_params(SMALL)
@@ -47,24 +48,12 @@ def test_forward_rows_are_stochastic_and_exclude_prefix():
     rng = np.random.default_rng(0)
     params = init_ar_params(SMALL)
     req = make_request(rng, 5)
-    probs = ar_forward(req, params, SMALL, prefix=(3, 0))
+    probs = encode_and_point(req, params, SMALL, prefix=(3, 0))
     assert probs.data.shape == (3, 5)
     assert np.abs(probs.data.sum(axis=1) - 1.0).max() < 1e-9
     assert probs.data[1, 3] == 0.0
     assert probs.data[2, 3] == 0.0 and probs.data[2, 0] == 0.0
     assert probs.data[0, 3] > 0.0  # row 0 conditions on nothing
-
-
-def test_forward_validates_prefix():
-    rng = np.random.default_rng(1)
-    params = init_ar_params(SMALL)
-    req = make_request(rng, 4)
-    with pytest.raises(InvalidSlateError):
-        ar_forward(req, params, SMALL, prefix=(1, 1))
-    with pytest.raises(InvalidSlateError):
-        ar_forward(req, params, SMALL, prefix=(9,))
-    with pytest.raises(ShapeError):
-        ar_forward(req, params, SMALL, prefix=(0, 1, 2))  # m=3 rows max
 
 
 def test_causal_consistency_between_training_and_decode_rows():
@@ -74,9 +63,9 @@ def test_causal_consistency_between_training_and_decode_rows():
     params = init_ar_params(SMALL)
     req = make_request(rng, 6)
     y = (4, 1, 5)
-    full = ar_forward(req, params, SMALL, prefix=y[:-1]).data
+    full = encode_and_point(req, params, SMALL, prefix=y[:-1]).data
     for t in range(3):
-        step = ar_forward(req, params, SMALL, prefix=y[:t]).data
+        step = encode_and_point(req, params, SMALL, prefix=y[:t]).data
         assert np.allclose(step[-1], full[t], atol=1e-12)
 
 
@@ -116,22 +105,9 @@ def test_decode_uses_exactly_m_forward_passes():
     assert slate.method == "ar" and slate.m == SMALL.m
 
 
-def test_forward_rejects_candidates_encoded_for_another_shape():
-    rng = np.random.default_rng(12)
-    params = init_ar_params(SMALL)
-    req = make_request(rng, 5)
-    other = make_request(rng, 4)
-    cand = encode_candidates(other.features, params, SMALL, Tape(recording=False))
-    with pytest.raises(ShapeError, match=r"\(4, 8\).*\(5, 8\)"):
-        ar_forward(req, params, SMALL, prefix=(1,), cand=cand)
-    wide = Tensor(np.zeros((5, SMALL.d + 1)))
-    with pytest.raises(ShapeError, match=r"\(5, 9\).*\(5, 8\)"):
-        ar_forward(req, params, SMALL, cand=wide)
-
-
 def test_decode_matches_a_loop_that_encodes_at_every_step(monkeypatch):
-    # ar_decode encodes once and hands the encoding to every pass; a loop of
-    # plain ar_forward calls, each encoding anew, must pick the same items
+    # ar_decode encodes once and hands the encoding to every pass; a loop
+    # that encodes anew before each ar_forward call must pick the same items
     # with the same probabilities, bit for bit
     cfg = GeneratorConfig(n_max=9, m=4, d=8, h=2, L=2, d_x=4, d_t=5, seed=13)
     params = init_ar_params(cfg)
@@ -147,7 +123,7 @@ def test_decode_matches_a_loop_that_encodes_at_every_step(monkeypatch):
         req = make_request(rng, n, d_x=cfg.d_x)
         chosen, chosen_p = [], []
         for _ in range(cfg.m):
-            probs = ar_forward(req, params, cfg, prefix=tuple(chosen)).data
+            probs = encode_and_point(req, params, cfg, prefix=chosen).data
             row = probs[-1].copy()
             row[chosen] = -1.0
             chosen.append(int(np.argmax(row)))
@@ -252,7 +228,7 @@ def test_batched_padded_candidates_get_zero_probability_and_gradient():
     y = np.array([r.exposed for r in reqs])
     tape = Tape()
     cand = encode_candidates(x, params, SMALL, tape, valid=valid)
-    probs = _pointer_probs(tape, params, SMALL, cand, y[:, :-1], valid)
+    probs = ar_forward(params, cand, y[:, :-1], SMALL, tape, valid)
     assert probs.data.shape == (len(reqs), SMALL.m, SMALL.n_max)
     picked = tape.take_entries(probs, np.broadcast_to(np.arange(SMALL.m), y.shape), y)
     tape.backward(tape.sum(tape.log(picked)))

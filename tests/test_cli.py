@@ -608,6 +608,18 @@ def test_desk_pipeline_script_writes_every_artifact(tmp_path):
         assert (out / name).stat().st_size > 0, name
 
 
+def test_cli_module_runs_as_a_script(tmp_path):
+    # python3 -m slaterank.cli runs the command, as python3 -m slaterank does
+    src = str(Path(slaterank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "slaterank.cli", "simulate", "--num-requests", "2",
+         "--out", "log.jsonl", "--set", "world.num_items=50", "--set", "world.num_users=5"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 2
+
+
 def test_output_digest_script_prints_one_line_per_name(tmp_path):
     # scripts/output_digests.py, the bit-for-bit check a refactor is diffed
     # on, run as its docstring says: each line is a name and one or more
@@ -635,7 +647,8 @@ def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(slaterank.__file__).resolve().parents[1])
     trainers = ("train_generator", "train_evaluator", "train_ar")
-    names = (["rerank", "onepass"] + [f"{t}.{c}" for c in ("desk", "bench") for t in trainers]
+    names = (["rerank", "onepass", "ar"]
+             + [f"{t}.{c}" for c in ("desk", "bench") for t in trainers]
              + ["cli.train_evaluator", "cli.train_generator"])
 
     def ab(*args):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slaterank.ar import ar_forward, ar_sequence_loss, init_ar_params
+from slaterank.ar import ar_sequence_loss, init_ar_params
 from slaterank.data import (
     ExposureLog,
     FeedbackMatrix,
@@ -45,9 +45,6 @@ REQ = gen_request(WORLD, np.random.default_rng(4))
 SHORTER = RequestBatch(request_id=1, user_id=0, item_ids=np.arange(N - 1),
                        features=REQ.features[:N - 1])
 GEN = GeneratorConfig(n_max=N, m=M, d=8, h=2, L=1, d_x=WORLD.config.d_x, d_t=5, seed=2)
-# one position more, so that a slate of m items fits as a prefix
-GEN_PREFIX = GeneratorConfig(n_max=N, m=M + 1, d=8, h=2, L=1, d_x=WORLD.config.d_x,
-                             d_t=5, seed=2)
 EV = EvaluatorConfig(d=8, h=2, d_x=WORLD.config.d_x, m=M, seed=3)
 GOOD = (0, 1, 2)
 
@@ -64,7 +61,7 @@ STACK = LogTable.of([ExposureLog(_logged(GOOD, SHORTER)), ExposureLog(_logged(GO
 
 def _consumers():
     gen = init_generator_params(GEN)
-    ar, ar_prefix = init_ar_params(GEN), init_ar_params(GEN_PREFIX)
+    ar = init_ar_params(GEN)
     ev = init_evaluator_params(EV)
     return {
         "ExposureLog": lambda s: ExposureLog(_logged(s)),
@@ -73,7 +70,6 @@ def _consumers():
         # request padded from N - 1
         "ce_loss_stack": lambda s: ce_loss(Tape(recording=False),
                                            forward(STACK, gen, GEN), [GOOD, s]),
-        "ar_forward_prefix": lambda s: ar_forward(REQ, ar_prefix, GEN_PREFIX, prefix=s),
         "ar_sequence_loss": lambda s: ar_sequence_loss(_logged(s), ar, GEN, Tape()),
         "score_slate": lambda s: score_slate(REQ, s, ev, EV),
         "score_slates": lambda s: score_slates(REQ, [GOOD, s], ev, EV),
@@ -112,10 +108,7 @@ def _decoded(slate):
     return SlateSequence(slate, (0.5,) * len(slate), "greedy")
 
 
-@pytest.mark.parametrize("consumer, case", [
-    (consumer, case) for consumer in CONSUMERS for case in BAD
-    # a prefix may be shorter than m; only one that overruns m is a shape error
-    if (consumer, case) != ("ar_forward_prefix", "short")])
+@pytest.mark.parametrize("consumer, case", itertools.product(CONSUMERS, BAD))
 def test_one_rule_everywhere(consumer, case):
     slate, error = BAD[case]
     for form in [slate, _decoded(slate)] if consumer in DECODED else [slate]:
