@@ -89,10 +89,12 @@ def build_parser() -> _Parser:
 
 
 def _writable(path: str) -> str:
-    """`path`, once its directory is found to exist and `path` itself not to
-    be a directory. Commands call this for every output before any work, so
-    either fault fails at once (ConfigError) and not when the output is
-    written after a run."""
+    """`path`, once it is found to be non-empty, its directory to exist and
+    `path` itself not to be a directory. Commands call this for every output
+    before any work, so each fault fails at once (ConfigError) and not when
+    the output is written after a run."""
+    if not path:
+        raise ConfigError(f"cannot write {path}: the path is empty")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: Is a directory")
     try:
@@ -236,12 +238,9 @@ def cmd_train(run: RunConfig, args) -> int:
 
 def _rerank_setup(run: RunConfig, out, default_name: str):
     """The output path, both checkpoints and the test log of generate and
-    evaluate, once the evaluator is found to fit the generator's slates."""
+    evaluate. The run config gives the evaluator the generator's slate shape."""
     out = _out_path(run, out, default_name)
     gen, ev = run.generator, run.evaluator
-    if (ev.d_x, ev.m) != (gen.d_x, gen.m):
-        raise ConfigError(f"evaluator d_x={ev.d_x}, m={ev.m} do not "
-                          f"match generator d_x={gen.d_x}, m={gen.m}")
     gen_params = _load_matching(run.paths.generator_checkpoint, _generator_meta(gen),
                                 init_generator_params(gen))
     ev_params = _load_matching(run.paths.evaluator_checkpoint, _evaluator_meta(ev),

@@ -11,7 +11,7 @@ The same `key=value` grammar backs `--set` overrides on the command line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .decoding import DecodeConfig
 from .errors import ConfigError
@@ -62,6 +62,8 @@ def _default_utility() -> UtilitySpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run; the evaluator takes `d_x` and `m` from the generator."""
+
     seed: int = 0
     num_requests: int = 50_000
     paths: Paths = field(default_factory=Paths)
@@ -81,6 +83,8 @@ class RunConfig:
                            ("world.seed", self.world.seed), ("train.seed", self.train.seed)):
             if value < 0:
                 raise ConfigError(f"{key} must be >= 0, got {value}")
+        object.__setattr__(self, "evaluator", replace(
+            self.evaluator, d_x=self.generator.d_x, m=self.generator.m))
 
 
 _SECTIONS = {
@@ -93,6 +97,8 @@ _SECTIONS = {
     "train": TrainConfig,
 }
 _TOP_LEVEL = ("seed", "num_requests")
+# fields that RunConfig takes from the generator section: no config names them
+_DERIVED = ("evaluator.d_x", "evaluator.m")
 
 
 def _coerce(text: str, annotation: str, key: str):
@@ -144,7 +150,7 @@ def parse_pairs(pairs: list[tuple[str, str]],
             raise ConfigError(f"unknown config key {key!r}")
         cls = _SECTIONS[section]
         match = [f for f in fields(cls) if f.name == name]
-        if not match:
+        if not match or key in _DERIVED:
             raise ConfigError(f"unknown config key {key!r}")
         sections[section][name] = _coerce(value, match[0].type, key)
     built = {name: cls(**sections[name]) for name, cls in _SECTIONS.items()}
@@ -186,9 +192,9 @@ def apply_overrides(run: RunConfig, settings: list[str]) -> RunConfig:
 
 def serialize_config(run: RunConfig) -> str:
     lines = [f"{name}={_render(getattr(run, name))}" for name in _TOP_LEVEL]
-    for name, cls in _SECTIONS.items():
-        for f in fields(cls):
-            lines.append(f"{name}.{f.name}={_render(getattr(getattr(run, name), f.name))}")
+    lines += [f"{name}.{f.name}={_render(getattr(getattr(run, name), f.name))}"
+              for name, cls in _SECTIONS.items() for f in fields(cls)
+              if f"{name}.{f.name}" not in _DERIVED]
     return "\n".join(lines) + "\n"
 
 

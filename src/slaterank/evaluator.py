@@ -44,7 +44,8 @@ class EvaluatorConfig:
     """Interaction heads, their selection weights, and block dimensions.
 
     Zero weights are allowed (a head can be trained but ignored during
-    selection); the objectives-side UtilitySpec is stricter.
+    selection); the objectives-side UtilitySpec is stricter. A run config
+    fills `d_x` and `m` from its generator section.
     """
 
     types: tuple[str, ...] = ("click", "like")

@@ -135,10 +135,8 @@ def test_bench_sizes_that_cannot_run_exit_1_before_any_timing(
 
 
 @pytest.mark.parametrize("settings", [
-    ["evaluator.m=5"],
-    ["evaluator.d_x=8"],
     ["evaluator.types=click", "evaluator.weights=1.0"],
-], ids=["m", "d_x", "types"])
+], ids=["types"])
 def test_bench_runs_whatever_the_evaluator_config(tmp_path, capsys, monkeypatch, settings):
     # bench builds no evaluator, so its settings cannot stop a run
     report = BenchReport(*[1] * 12, (1,), (1.0,), (1.0,), 1.0, 1.0, 1, 1.0)

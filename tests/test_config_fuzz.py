@@ -25,8 +25,9 @@ from slaterank.numerics import load_checkpoint
 
 KEYS = sorted(line.partition("=")[0] for line in serialize_config(RunConfig()).splitlines()
               if not line.startswith("paths."))
+# the last two are the generator's, which the evaluator takes
 UNKNOWN_KEYS = ["bogus", "seed.x", "generator", "generator.", ".seed", "generator.bogus",
-                "paths.bogus", "train.Lr", "world.seed.x"]
+                "paths.bogus", "train.Lr", "world.seed.x", "evaluator.d_x", "evaluator.m"]
 LOG_SCHEMA_KEYS = {"generator.d_x", "generator.m", "generator.n_max"}
 
 # printable ASCII, as a command line carries it

@@ -13,7 +13,10 @@ from slaterank.configs import (
     unmatched_heads,
     unweighted_types,
 )
+from slaterank.cli import main
 from slaterank.errors import ConfigError
+from slaterank.evaluator import EvaluatorConfig
+from slaterank.generator import GeneratorConfig
 
 
 def test_defaults_are_mutually_consistent():
@@ -89,6 +92,28 @@ def test_unknown_keys_and_bad_values_raise():
     for removed in ("decode.method=greedy", "decode.width=3", "decode.seed=1"):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(removed + "\n")
+
+
+def test_the_evaluator_takes_its_slate_shape_from_the_generator(tmp_path, capsys):
+    gen = GeneratorConfig(d_x=8, m=5)
+    for run in (RunConfig(generator=gen),
+                RunConfig(generator=gen, evaluator=EvaluatorConfig(d_x=3, m=2)),
+                parse_config("generator.d_x=8\ngenerator.m=5\n")):
+        assert (run.evaluator.d_x, run.evaluator.m) == (8, 5)
+    lines = serialize_config(RunConfig()).splitlines()
+    assert len(lines) == 48
+    assert not [line for line in lines if line.startswith(("evaluator.d_x=", "evaluator.m="))]
+    cfg = tmp_path / "run.cfg"
+    for key in ("evaluator.d_x", "evaluator.m"):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            parse_config(f"{key}=5\n")
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            apply_overrides(RunConfig(), [f"{key}=5"])
+        cfg.write_text(f"{key}=5\n", encoding="utf-8")
+        for argv in (["--config", str(cfg)], ["--set", f"{key}=5"]):
+            assert main(["simulate", "--out", str(tmp_path / "log.jsonl"), *argv]) == 1
+            assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_section_validation_still_applies():

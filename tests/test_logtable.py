@@ -213,7 +213,7 @@ def test_a_bad_value_is_reported_before_a_later_syntax_error(tmp_path, capsys):
         with pytest.raises(DataError, match="^line 2: malformed"):
             read_logs(path, SCHEMA)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"paths.train_log={path}\nevaluator.d_x={D_X}\nevaluator.m={M}\n"
+        cfg.write_text(f"paths.train_log={path}\ngenerator.d_x={D_X}\ngenerator.m={M}\n"
                        f"paths.out_dir={tmp_path}\n", encoding="utf-8")
         assert main(["train-evaluator", "--config", str(cfg)]) == 2
         assert "line 2: malformed" in capsys.readouterr().err
