@@ -2,6 +2,6 @@
 
 from .numerics import AdamState, Params, Tape, Tensor, adam_step
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = ["Tensor", "Tape", "Params", "AdamState", "adam_step", "__version__"]

@@ -4,8 +4,9 @@ One flat config (see configs.py) drives every subcommand; `--set key=value`
 overrides individual keys on top of `--config`. The exit codes are tabled
 in the docstring of errors.py.
 
-Pointwise report metrics (AUC, LogLoss, NDCG) always target the first
-configured interaction type; Recall@k targets exposure prediction.
+Pointwise report metrics (AUC, LogLoss, NDCG) always target the first of
+`utility.types`, which are also the evaluator's head types; Recall@k
+targets exposure prediction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .ar import init_ar_params
 from .bench import run_bench
 from .configs import (RunConfig, apply_overrides, check_pipeline, load_config,
-                      unmatched_heads, unweighted_types)
+                      unweighted_types)
 from .data import LogSchema, read_logs, write_jsonl, write_logs
 from .decoding import sample_slates
 from .errors import ConfigError, CheckpointError, DataError, SlaterankError
@@ -200,12 +201,14 @@ def cmd_train(run: RunConfig, args) -> int:
     checkpoint = _writable(getattr(run.paths, f"{kind}_checkpoint"))
     name = {"ar": "AR baseline"}.get(kind, kind)
     logs = _read_log(run, run.paths.train_log, cfg)
+    # both trainers need a utility weight for every logged type; the
+    # evaluator also needs every head type logged (train_evaluator's check)
+    if kind != "ar" and (problem := unweighted_types(run.utility, logs.types, "logged")):
+        raise ConfigError(problem)
     fit = dict(lr=run.train.lr, epochs=run.train.epochs,
                batch_size=run.train.batch_size, seed=run.train.seed)
     curve_log: list = []  # TrainSteps for the generator, mean losses otherwise
     if kind == "generator":
-        if problem := unweighted_types(run.utility, logs.types, "logged"):
-            raise ConfigError(problem)
         params = init_generator_params(cfg)
         train_generator(logs, params, cfg, run.utility, omega=run.train.omega,
                         rho=run.train.rho, objective=run.train.objective,
@@ -213,8 +216,6 @@ def cmd_train(run: RunConfig, args) -> int:
         meta = _generator_meta(cfg)
         summary = f"{run.train.objective}, final loss {curve_log[-1].total:.4f}"
     elif kind == "evaluator":
-        if problem := unmatched_heads(cfg, logs.types):
-            raise ConfigError(problem)
         params = init_evaluator_params(cfg)
         train_evaluator(logs, params, cfg, loss_log=curve_log, **fit)
         meta = _evaluator_meta(cfg)
@@ -279,10 +280,10 @@ def cmd_generate(run: RunConfig, args) -> int:
 
 def cmd_evaluate(run: RunConfig, args) -> int:
     out_file, gen_params, ev_params, logs = _rerank_setup(run, args.out, "eval.csv")
-    target = run.evaluator.types[0]
+    target = run.utility.types[0]
     if target not in logs.types:
         raise ConfigError(f"log feedback types {logs.types} do not include {target!r}, "
-                          f"the first of evaluator types {run.evaluator.types}")
+                          f"the first of utility.types {run.utility.types}")
 
     m = run.generator.m
     ks = sorted({1, max(1, m // 2), m})

@@ -62,7 +62,8 @@ def _default_utility() -> UtilitySpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every setting of a run; the evaluator takes `d_x` and `m` from the generator."""
+    """Every setting of a run. The evaluator takes `d_x` and `m` from the
+    generator, and its head types and selection weights from the utility."""
 
     seed: int = 0
     num_requests: int = 50_000
@@ -84,7 +85,8 @@ class RunConfig:
             if value < 0:
                 raise ConfigError(f"{key} must be >= 0, got {value}")
         object.__setattr__(self, "evaluator", replace(
-            self.evaluator, d_x=self.generator.d_x, m=self.generator.m))
+            self.evaluator, d_x=self.generator.d_x, m=self.generator.m,
+            types=self.utility.types, weights=self.utility.weights))
 
 
 _SECTIONS = {
@@ -97,8 +99,9 @@ _SECTIONS = {
     "train": TrainConfig,
 }
 _TOP_LEVEL = ("seed", "num_requests")
-# fields that RunConfig takes from the generator section: no config names them
-_DERIVED = ("evaluator.d_x", "evaluator.m")
+# fields that RunConfig takes from the generator and utility sections: no
+# config names them
+_DERIVED = ("evaluator.d_x", "evaluator.m", "evaluator.types", "evaluator.weights")
 
 
 def _coerce(text: str, annotation: str, key: str):
@@ -114,7 +117,7 @@ def _coerce(text: str, annotation: str, key: str):
             return text
         if ann.startswith("tuple["):
             inner = ann[len("tuple["):-1].split(",")[0]
-            parts = [p for p in text.split(",") if p != ""]
+            parts = [p.strip() for p in text.split(",") if p.strip()]
             if inner == "float":
                 return tuple(float(p) for p in parts)
             if inner == "str":
@@ -174,7 +177,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -226,11 +229,3 @@ def unweighted_types(spec: UtilitySpec, types, source: str) -> str | None:
     missing = [t for t in types if t not in spec.types]
     return (f"utility spec has no weights for {source} interaction types {missing}"
             if missing else None)
-
-
-def unmatched_heads(evaluator: EvaluatorConfig, types) -> str | None:
-    """The problem, if any, when the evaluator's heads are not exactly
-    `types`, the logged interaction types."""
-    return (None if tuple(types) == tuple(evaluator.types) else
-            f"logged interaction types {tuple(types)} do not match "
-            f"evaluator types {evaluator.types}")

@@ -45,7 +45,8 @@ class EvaluatorConfig:
 
     Zero weights are allowed (a head can be trained but ignored during
     selection); the objectives-side UtilitySpec is stricter. A run config
-    fills `d_x` and `m` from its generator section.
+    fills `d_x` and `m` from its generator section, and `types` and
+    `weights` from its utility section.
     """
 
     types: tuple[str, ...] = ("click", "like")
@@ -176,7 +177,7 @@ def train_evaluator(logs, params: Params, cfg: EvaluatorConfig,
     table = _table(logs, cfg.m)
     missing = [t for t in cfg.types if t not in table.types]
     if missing:
-        raise ConfigError(f"logged interaction types {table.types} lack evaluator "
+        raise ConfigError(f"logged interaction types {table.types} lack head "
                           f"types {missing}")
     y = table.feedback[:, [table.types.index(t) for t in cfg.types]]
 

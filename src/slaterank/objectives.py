@@ -55,16 +55,17 @@ class UtilitySpec:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "tau", float(self.tau))
         if len(self.types) != len(set(self.types)):
-            raise ConfigError("duplicate interaction type in UtilitySpec")
+            raise ConfigError(f"utility.types repeats an interaction type: {self.types}")
         if len(self.types) != len(self.weights):
-            raise ConfigError(
-                f"{len(self.types)} interaction types but {len(self.weights)} weights"
-            )
+            raise ConfigError(f"{len(self.types)} utility.types but "
+                              f"{len(self.weights)} utility.weights")
         w = np.asarray(self.weights)
-        if not np.isfinite(w).all() or not np.isfinite(self.tau):
-            raise ConfigError("utility weights and tau must be finite")
+        if not np.isfinite(w).all():
+            raise ConfigError(f"utility.weights must be finite, got {self.weights}")
+        if not np.isfinite(self.tau):
+            raise ConfigError("utility.tau must be finite")
         if not (w != 0.0).any():
-            raise ConfigError("at least one interaction weight must be nonzero")
+            raise ConfigError("at least one of utility.weights must be nonzero")
 
     def weight_for(self, name: str) -> float:
         try:

@@ -135,7 +135,7 @@ def test_bench_sizes_that_cannot_run_exit_1_before_any_timing(
 
 
 @pytest.mark.parametrize("settings", [
-    ["evaluator.types=click", "evaluator.weights=1.0"],
+    ["utility.types=click,like,share", "utility.weights=1.0,0.5,0.25"],
 ], ids=["types"])
 def test_bench_runs_whatever_the_evaluator_config(tmp_path, capsys, monkeypatch, settings):
     # bench builds no evaluator, so its settings cannot stop a run

@@ -74,6 +74,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    # a config file that is not UTF-8 used to end in a traceback
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"seed=\xff\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec")
 
 
 def test_simulate_request_ids_must_fit_int64(tmp_path, capsys):
@@ -124,14 +129,16 @@ def test_world_types_that_repeat_exit_1_naming_the_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("evaluator.weights=nan,0.5", "evaluator.weights must be finite, got (nan, 0.5)"),
-    ("evaluator.weights=inf,-inf", "evaluator.weights must be finite, got (inf, -inf)"),
-    ("evaluator.types=click,click",
-     "evaluator.types repeats an interaction type: ('click', 'click')")])
-def test_evaluator_types_that_repeat_or_weights_not_finite_exit_1_naming_the_field(
+    ("utility.weights=nan,0.5", "utility.weights must be finite, got (nan, 0.5)"),
+    ("utility.weights=inf,-inf", "utility.weights must be finite, got (inf, -inf)"),
+    ("utility.types=click,click",
+     "utility.types repeats an interaction type: ('click', 'click')"),
+    ("utility.tau=nan", "utility.tau must be finite")])
+def test_utility_types_that_repeat_or_weights_not_finite_exit_1_naming_the_field(
         tmp_path, capsys, setting, message):
-    # a non-finite weight used to write "utility": NaN into slates.jsonl, and
-    # a repeated type to fail on a parameter name
+    # the evaluator takes its heads and selection weights from the utility
+    # section; a non-finite selection weight used to write "utility": NaN
+    # into slates.jsonl, and a repeated head type to fail on a parameter name
     cfg = write_cfg(tmp_path)
     assert main(["generate", "--config", cfg, "--set", setting]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -851,22 +858,42 @@ def test_feedback_types_that_a_model_cannot_use_exit_1_before_any_work(
         assert main(["evaluate", "--config", cfg]) == 1
     assert capsys.readouterr().err == (
         "error: log feedback types ('view', 'buy') do not include 'click', "
-        "the first of evaluator types ('click', 'like')\n")
-    # the trainers' own checks: the utility spec must weigh every logged
-    # type, and the evaluator's heads must be the logged types exactly
-    for name in ("train_generator", "train_evaluator"):
-        monkeypatch.setattr(f"slaterank.cli.{name}", never)
-    assert main(["simulate", "--config", cfg, *world]) == 0
-    capsys.readouterr()
-    assert main(["train-generator", "--config", cfg]) == 1
-    assert capsys.readouterr().err == (
-        "error: utility spec has no weights for logged interaction types ['view', 'buy']\n")
-    assert main(["simulate", "--config", cfg, *wider]) == 0
+        "the first of utility.types ('click', 'like')\n")
+    # the trainers' one check: the utility spec must weigh every logged type
+    monkeypatch.setattr("slaterank.cli.train_generator", never)
+    monkeypatch.setattr("slaterank.evaluator._fit", never)
+    for setting, logged in ((world, "['view', 'buy']"), (wider, "['share']")):
+        assert main(["simulate", "--config", cfg, *setting]) == 0
+        capsys.readouterr()
+        for command in ("train-generator", "train-evaluator"):
+            assert main([command, "--config", cfg]) == 1, command
+            assert capsys.readouterr().err == (
+                f"error: utility spec has no weights for logged interaction types "
+                f"{logged}\n"), command
+    # and train_evaluator's own: every head type must be logged
+    assert main(["simulate", "--config", cfg, "--set", "world.types=click",
+                 "--set", "world.base_rates=1.0"]) == 0
     capsys.readouterr()
     assert main(["train-evaluator", "--config", cfg]) == 1
     assert capsys.readouterr().err == (
-        "error: logged interaction types ('click', 'like', 'share') do not match "
-        "evaluator types ('click', 'like')\n")
+        "error: logged interaction types ('click',) lack head types ['like']\n")
+
+
+@pytest.mark.parametrize("settings, heads", [
+    (["world.types=click", "world.base_rates=1.0",
+      "utility.types=click", "utility.weights=1.0"], ["click"]),
+    (["world.types=like,click", "world.base_rates=0.35,1.0"], ["click", "like"]),
+], ids=["one_type", "reordered"])
+def test_a_pipeline_on_any_weighted_log_types_sets_no_evaluator_key(tmp_path, settings, heads):
+    # the evaluator takes its heads and weights from the utility section;
+    # train-evaluator used to exit 1 on its default two heads, and on the
+    # logged ('like', 'click'), which it compared to them as ordered tuples
+    cfg = write_cfg(tmp_path, settings)
+    run_pipeline(tmp_path, cfg)
+    assert main(["generate", "--config", cfg]) == 0
+    assert main(["evaluate", "--config", cfg]) == 0
+    _, meta = load_checkpoint(tmp_path / "ev.npz")
+    assert meta["types"] == heads
 
 
 def test_a_nul_byte_in_a_config_value_exits_1_naming_the_key(tmp_path, capsys):

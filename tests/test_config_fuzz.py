@@ -1,8 +1,8 @@
 """`--set` overrides through the CLI: keys drawn from the serialized default
 config and unknown ones, values from junk text, non-finite floats, empty
-tuples, negatives and small integers. `simulate` and `train-generator` on a
-tiny log either run (exit 0) or refuse the config with one `error:` line
-(exit 1), and never end in a traceback.
+tuples, negatives and small integers. `simulate`, `train-generator` and
+`train-evaluator` on a tiny log either run (exit 0) or refuse the config
+with one `error:` line (exit 1), and never end in a traceback.
 
 `paths.*` keys are left out, so that no draw writes outside the test's
 directory; outputs that cannot be written are tested in test_cli.py. A
@@ -25,9 +25,10 @@ from slaterank.numerics import load_checkpoint
 
 KEYS = sorted(line.partition("=")[0] for line in serialize_config(RunConfig()).splitlines()
               if not line.startswith("paths."))
-# the last two are the generator's, which the evaluator takes
+# the last four are the generator's and the utility's, which the evaluator takes
 UNKNOWN_KEYS = ["bogus", "seed.x", "generator", "generator.", ".seed", "generator.bogus",
-                "paths.bogus", "train.Lr", "world.seed.x", "evaluator.d_x", "evaluator.m"]
+                "paths.bogus", "train.Lr", "world.seed.x", "evaluator.d_x", "evaluator.m",
+                "evaluator.types", "evaluator.weights"]
 LOG_SCHEMA_KEYS = {"generator.d_x", "generator.m", "generator.n_max"}
 
 # printable ASCII, as a command line carries it
@@ -63,7 +64,8 @@ def tiny(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(command=st.sampled_from(["simulate", "train-generator"]), pairs=SETTINGS)
+@given(command=st.sampled_from(["simulate", "train-generator", "train-evaluator"]),
+       pairs=SETTINGS)
 # a NaN or infinite rate once trained a checkpoint of NaNs with exit 0, a NaN
 # omega failed mid-training with exit 3, and a negative seed ended in
 # NumPy's traceback, as did a noise_std of -0.0
@@ -85,13 +87,14 @@ def test_a_set_override_runs_or_exits_1_with_one_error_line(tiny, command, pairs
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     allowed = {0, 1}
-    if command == "train-generator" and LOG_SCHEMA_KEYS & {key for key, _ in pairs}:
+    if command != "simulate" and LOG_SCHEMA_KEYS & {key for key, _ in pairs}:
         allowed.add(2)
     assert code in allowed, (code, err.getvalue())
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert len(errors) == (code != 0), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    if command == "train-generator" and code == 0:
+    if command != "simulate" and code == 0:
         # a run that succeeds leaves a model that can be served
-        params, _ = load_checkpoint(tiny / "gen.npz")
+        checkpoint = "gen.npz" if command == "train-generator" else "ev.npz"
+        params, _ = load_checkpoint(tiny / checkpoint)
         assert all(np.isfinite(t.data).all() for _, t in params.items()), pairs

@@ -1,5 +1,7 @@
 """Config text format: round trips, overrides, and pipeline agreement."""
 
+import re
+
 import pytest
 
 from slaterank.configs import (
@@ -10,13 +12,13 @@ from slaterank.configs import (
     load_config,
     parse_config,
     serialize_config,
-    unmatched_heads,
     unweighted_types,
 )
 from slaterank.cli import main
 from slaterank.errors import ConfigError
 from slaterank.evaluator import EvaluatorConfig
 from slaterank.generator import GeneratorConfig
+from slaterank.objectives import UtilitySpec
 
 
 def test_defaults_are_mutually_consistent():
@@ -95,16 +97,24 @@ def test_unknown_keys_and_bad_values_raise():
 
 
 def test_the_evaluator_takes_its_slate_shape_from_the_generator(tmp_path, capsys):
+    # and its head types and selection weights from the utility section
     gen = GeneratorConfig(d_x=8, m=5)
-    for run in (RunConfig(generator=gen),
-                RunConfig(generator=gen, evaluator=EvaluatorConfig(d_x=3, m=2)),
-                parse_config("generator.d_x=8\ngenerator.m=5\n")):
+    utility = UtilitySpec(types=("like", "click"), weights=(1.0, 2.0), tau=1.0)
+    for run in (RunConfig(generator=gen, utility=utility),
+                RunConfig(generator=gen, utility=utility, evaluator=EvaluatorConfig(
+                    d_x=3, m=2, types=("share",), weights=(3.0,))),
+                parse_config("generator.d_x=8\ngenerator.m=5\n"
+                             "utility.types=like,click\nutility.weights=1.0,2.0\n")):
         assert (run.evaluator.d_x, run.evaluator.m) == (8, 5)
+        assert (run.evaluator.types, run.evaluator.weights) == (utility.types, utility.weights)
+    run = apply_overrides(RunConfig(), ["utility.weights=1.0,2.0"])
+    assert run.evaluator.weights == (1.0, 2.0)
+    keys = ("evaluator.d_x", "evaluator.m", "evaluator.types", "evaluator.weights")
     lines = serialize_config(RunConfig()).splitlines()
-    assert len(lines) == 48
-    assert not [line for line in lines if line.startswith(("evaluator.d_x=", "evaluator.m="))]
+    assert len(lines) == 46
+    assert not [line for line in lines if line.startswith(tuple(f"{k}=" for k in keys))]
     cfg = tmp_path / "run.cfg"
-    for key in ("evaluator.d_x", "evaluator.m"):
+    for key in keys:
         with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
             parse_config(f"{key}=5\n")
         with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
@@ -146,6 +156,20 @@ def test_file_round_trip(tmp_path):
     assert load_config(path) == run
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")
+    # a file that is not UTF-8 used to raise UnicodeDecodeError past main
+    path.write_bytes(b"seed=\xff\n")
+    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: 'utf-8' codec"):
+        load_config(path)
+
+
+def test_tuple_values_drop_the_spaces_around_their_commas():
+    # ' like' used to be a type of its own, which no log holds
+    run = parse_config("utility.types=click, like\nworld.posbias= 1.0 ,0.8, 0.6,0.5,0.4,0.3\n")
+    assert run.utility.types == ("click", "like")
+    assert run.world.posbias == (1.0, 0.8, 0.6, 0.5, 0.4, 0.3)
+    assert "utility.types=click,like\n" in serialize_config(run)
+    assert apply_overrides(RunConfig(), ["utility.types= like ,click,"]).utility.types == (
+        "like", "click")
 
 
 def test_check_pipeline_reports_mismatches():
@@ -172,9 +196,6 @@ def test_each_type_rule_names_the_source_of_its_types():
     assert unweighted_types(run.utility, ("click", "like"), "world") is None
     assert unweighted_types(run.utility, ("view", "click"), "logged") == (
         "utility spec has no weights for logged interaction types ['view']")
-    assert unmatched_heads(run.evaluator, ["click", "like"]) is None
-    assert unmatched_heads(run.evaluator, ("click",)) == (
-        "logged interaction types ('click',) do not match evaluator types ('click', 'like')")
     # check_pipeline joins its problems into one message
     run = apply_overrides(run, ["world.types=view", "world.base_rates=1.0", "generator.m=5"])
     with pytest.raises(ConfigError) as caught:

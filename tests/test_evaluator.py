@@ -290,7 +290,7 @@ def test_training_on_a_log_without_an_evaluator_type_is_a_config_error():
                          "random", 8, np.random.default_rng(0))
         both = gen_log(World(WorldConfig()), "random", 8, np.random.default_rng(0))
     cfg = EvaluatorConfig()
-    with pytest.raises(ConfigError, match=r"lack evaluator types \['like'\]"):
+    with pytest.raises(ConfigError, match=r"lack head types \['like'\]"):
         train_evaluator(clicks, init_evaluator_params(cfg), cfg)
     # a logged type that no head predicts is left out
     click_head = EvaluatorConfig(types=("click",), weights=(1.0,))
