@@ -30,7 +30,8 @@ and 300 terms wide (group_bounds.wide), which it adds pairwise: a total
 summed in another order moves the last bits of the bounds without often
 moving a pick; `auc` on tie-heavy scores;
 AR decoded slates, their pick probabilities and sequence-loss
-gradients; evaluator scores and pooled utilities; the trained parameters and
+gradients, and AR slates with their pick probabilities on 32 requests of
+n = 20 at perfbench's L=1 shape with trained-like weights; evaluator scores and pooled utilities; the trained parameters and
 loss logs of train_generator, train_ar and train_evaluator; every field of a
 ragged log (n from m to n_max, two feedback types) written by write_logs and
 read back by read_logs against a LogSchema, parsed and from read_logs's
@@ -468,6 +469,23 @@ def serving_pool_digests() -> None:
                                       for r, pool in zip(reqs, pools)]))
 
 
+def ar_l1_digests() -> None:
+    """The AR pointer baseline at perfbench's shapes: `ar_decode` on 32
+    world requests of n = 20 through L=1 parameters with their weight
+    matrices scaled by 15, as the serve.* lines scale the evaluator's, so a
+    serving pass that moved the last bits of a pick probability would show.
+    The picks and their probabilities."""
+    world = World(WorldConfig(seed=25))
+    rng = np.random.default_rng(53)
+    reqs = [gen_request(world, rng, request_id=i) for i in range(32)]
+    ar = init_ar_params(GEN_L1)
+    for _, t in ar.items():
+        if t.data.ndim == 2:
+            t.data *= 15.0
+    slates = [ar_decode(r, ar, GEN_L1) for r in reqs]
+    print("ar_decode.l1", digest([s.indices for s in slates], [s.probabilities for s in slates]))
+
+
 def group_bounds_digest() -> None:
     """`_group_bounds` on rank groups 1 to 7 terms wide, which NumPy sums
     left to right, and 8 to 20, 129 and 300 terms wide, which it sums
@@ -661,6 +679,7 @@ def main() -> None:
     ar_slates = [ar_decode(r, ar, GEN) for r in reqs[:6]]
     print("ar_decode", digest([s.indices for s in ar_slates]))
     print("ar_decode.probs", digest([s.probabilities for s in ar_slates]))
+    ar_l1_digests()
     tape = Tape()
     tape.backward(ar_sequence_loss(reqs[0], ar, GEN, tape))
     print("ar_sequence_loss.one.grads", grads_digest(ar))
