@@ -108,7 +108,7 @@ def run_bench(run: RunConfig, *, steps: int = 100, warmup: int = 10,
     timings, so that neither stalls nor a change of machine speed during
     the series can move it."""
     if steps < 1 or warmup < 0 or batch_size < 1:
-        raise ConfigError("steps, warmup and batch_size must be positive")
+        raise ConfigError("steps and batch_size must be positive, and warmup at least 0")
     sizes = tuple(dict.fromkeys((run.generator.m, *sweep_m, ratio_m)))
     limit = min(run.world.n_candidates, run.generator.n_max)
     key = "world.n_candidates" if limit == run.world.n_candidates else "generator.n_max"

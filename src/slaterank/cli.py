@@ -318,13 +318,13 @@ def cmd_bench(run: RunConfig, args) -> int:
                        batch_size=args.batch)
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
-    print(f"inference s/request: nar {report.nar_infer_mean:.5f} "
-          f"ar {report.ar_infer_mean:.5f} "
+    print(f"inference us/request: nar {report.nar_infer_mean * 1e6:.1f} "
+          f"ar {report.ar_infer_mean * 1e6:.1f} "
           f"(ratio at m={report.ratio_m}: {report.infer_ratio:.2f})")
     print(f"forward passes/request: nar {report.nar_forwards_per_request} "
           f"ar {report.ar_forwards_per_request}")
-    print(f"inference slope vs m: nar {report.nar_slope:.6f} "
-          f"ar {report.ar_slope:.6f}")
+    print(f"inference slope vs m: nar {report.nar_slope * 1e6:.1f} "
+          f"ar {report.ar_slope * 1e6:.1f} us/position")
     print(f"report written to {out_file}")
     return 0
 

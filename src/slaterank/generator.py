@@ -12,7 +12,11 @@ with cross-attention, + attention(ln2(x), memory), then + ffn(ln(x)), with a
 final layer norm after the stack (`build_block`/`block` for one block,
 `build_blocks`/`blocks` for the stack). The self-attention is named `attn`,
 or `self` beside a `cross`; the feed-forward's norm is `ln2`, or `ln3` after
-the cross-attention's.
+the cross-attention's. A cross-attending stack takes its memory already
+projected: `cross_memory` runs the memory through each block's `cross.wk`
+and `cross.wv` once, and the blocks read those keys and values. The
+position encoder projects the candidate states once per forward, the AR
+decoder once per request for all of its m passes.
 
 All m position distributions come out of a single forward pass. That is the
 property the autoregressive baseline in `ar` deliberately gives up, and the
@@ -139,12 +143,22 @@ def _ln(tape: Tape, params: Params, prefix: str, x: Tensor) -> Tensor:
     return tape.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _attend(tape: Tape, params: Params, prefix: str, q: Tensor, kv_in: Tensor, cfg,
-            key_mask: np.ndarray | None = None, causal: bool = False) -> Tensor:
-    """Attention of the projected queries q into kv_in: keys and values
-    through prefix.wk and prefix.wv, the heads' output through prefix.wo."""
-    k = tape.linear(kv_in, params[f"{prefix}.wk"])
-    v = tape.linear(kv_in, params[f"{prefix}.wv"])
+def cross_memory(tape: Tape, params: Params, prefix: str, memory: Tensor,
+                 cfg) -> list[tuple[Tensor, Tensor]]:
+    """The keys and values each of the cfg.L blocks prefix.0 ... cross-attends
+    into: memory through that block's cross.wk and cross.wv. They read
+    nothing but memory and parameters, so a decoder that runs its blocks
+    again over the same memory projects it once."""
+    return [(tape.linear(memory, params[f"{prefix}.{layer}.cross.wk"]),
+             tape.linear(memory, params[f"{prefix}.{layer}.cross.wv"]))
+            for layer in range(cfg.L)]
+
+
+def _attend(tape: Tape, params: Params, prefix: str, q: Tensor, kv: tuple[Tensor, Tensor],
+            cfg, key_mask: np.ndarray | None = None, causal: bool = False) -> Tensor:
+    """Attention of the projected queries q into the projected keys and
+    values kv, the heads' output through prefix.wo."""
+    k, v = kv
     heads = tape.attention(q, k, v, cfg.h, key_mask=key_mask, causal=causal)
     return tape.linear(heads, params[f"{prefix}.wo"])
 
@@ -157,8 +171,9 @@ def _block_head(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, *,
     projected from ln2 of that sum (None without)."""
     normed = _ln(tape, params, f"{prefix}.ln1", x)
     name = f"{prefix}.{'self' if cross else 'attn'}"
-    x = tape.add(x, _attend(tape, params, name, tape.linear(normed, params[f"{name}.wq"]),
-                            normed, cfg, key_mask=mask, causal=causal))
+    q = tape.linear(normed, params[f"{name}.wq"])
+    kv = tape.linear(normed, params[f"{name}.wk"]), tape.linear(normed, params[f"{name}.wv"])
+    x = tape.add(x, _attend(tape, params, name, q, kv, cfg, key_mask=mask, causal=causal))
     if not cross:
         return x, None
     return x, tape.linear(_ln(tape, params, f"{prefix}.ln2", x), params[f"{prefix}.cross.wq"])
@@ -166,12 +181,13 @@ def _block_head(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, *,
 
 def block(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
           mask: np.ndarray | None = None, causal: bool = False,
-          memory: Tensor | None = None,
+          memory: tuple[Tensor, Tensor] | None = None,
           memory_mask: np.ndarray | None = None,
           head: tuple[Tensor, Tensor | None] | None = None) -> Tensor:
     """One block over x. `mask` and `causal` restrict the self-attention's
-    keys; given `memory`, the block also cross-attends into it, with
-    memory_mask over its keys. cfg gives the head count h. Given `head`, the
+    keys; given `memory`, this block's cross-attention keys and values (one
+    entry of `cross_memory`), the block also cross-attends into them, with
+    memory_mask over the keys. cfg gives the head count h. Given `head`, the
     pair `_block_head` returns for this block's input, the block goes on
     from there and x is not read."""
     x, q = head or _block_head(tape, params, prefix, x, cfg, mask=mask, causal=causal,
@@ -187,12 +203,15 @@ def block(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
 
 
 def blocks(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
-           head: tuple[Tensor, Tensor | None] | None = None, **kwargs) -> Tensor:
+           head: tuple[Tensor, Tensor | None] | None = None,
+           memory: list[tuple[Tensor, Tensor]] | None = None, **kwargs) -> Tensor:
     """The cfg.L blocks of build_blocks, then the final layer norm. `head`
-    is block 0's, as for `block`."""
+    is block 0's, as for `block`; `memory`, when given, is the list
+    `cross_memory` returns, one (keys, values) pair per block."""
     for layer in range(cfg.L):
         x = block(tape, params, f"{prefix}.{layer}", x, cfg,
-                  head=head if layer == 0 else None, **kwargs)
+                  head=head if layer == 0 else None,
+                  memory=None if memory is None else memory[layer], **kwargs)
     return _ln(tape, params, f"{prefix}.final_ln", x)
 
 
@@ -272,7 +291,8 @@ def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
     else:
         head = params.memo("pos.slot_head", _SLOT_PARAMS, cfg.h,
                            lambda: _slot_head(params, cfg, tape))
-    return blocks(tape, params, "pos", None, cfg, head=head, memory=cand_hidden,
+    return blocks(tape, params, "pos", None, cfg, head=head,
+                  memory=cross_memory(tape, params, "pos", cand_hidden, cfg),
                   memory_mask=valid)
 
 

@@ -87,6 +87,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 _F64 = np.dtype(np.float64)
 _ONES = np.ones(0)
+_TRI = np.ones((0, 0), dtype=bool)
 _LN_EPS = 1e-5  # layer_norm's variance floor
 _INIT_STD = 0.02  # the standard deviation of new_gaussian's draws
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # adam_step's decay rates and floor
@@ -137,6 +138,17 @@ def _ones(n: int) -> np.ndarray:
         _ONES = np.ones(n)
         _ONES.flags.writeable = False
     return _ONES[:n]
+
+
+def _causal_mask(nq: int, nk: int) -> np.ndarray:
+    """np.tri(nq, nk, dtype=bool), read-only: the top-left corner of one
+    cached lower-triangular matrix, which grows to the largest shape asked
+    for."""
+    global _TRI
+    if _TRI.shape[0] < nq or _TRI.shape[1] < nk:
+        _TRI = np.tri(max(nq, _TRI.shape[0]), max(nk, _TRI.shape[1]), dtype=bool)
+        _TRI.flags.writeable = False
+    return _TRI[:nq, :nk]
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -336,7 +348,7 @@ class Tape:
                 raise ShapeError(f"key_mask {km.shape} does not cover {nk} keys")
             allowed = km[..., None, None, :]
         if causal:
-            tril = np.tri(nq, nk, dtype=bool)
+            tril = _causal_mask(nq, nk)
             allowed = tril if allowed is None else allowed & tril
         scores = qh @ kh.swapaxes(-1, -2)
         scores *= inv_sqrt

@@ -3,7 +3,7 @@
 import numpy as np
 
 from slaterank import data
-from slaterank.numerics import Tape
+from slaterank.numerics import Params, Tape
 
 
 def central_diff(value_fn, tensors, h=1e-5):
@@ -83,3 +83,37 @@ def counted_parses(monkeypatch):
     monkeypatch.setattr(data, "_read_records",
                         lambda raw: parses.append(1) or parse(raw))
     return parses
+
+
+class ProbeTape(Tape):
+    """A tape that counts its linear ops, keeps the weight each multiplies
+    by, and keeps every tensor its add and attention ops read."""
+
+    def __init__(self, recording: bool = False):
+        super().__init__(recording=recording)
+        self.weights = []
+        self.operands = []
+
+    @property
+    def linears(self) -> int:
+        return len(self.weights)
+
+    def linear(self, x, w, b=None):
+        self.weights.append(w)
+        return super().linear(x, w, b)
+
+    def add(self, a, b):
+        self.operands += [a, b]
+        return super().add(a, b)
+
+    def attention(self, q, k, v, heads, **kwargs):
+        self.operands += [q, k, v]
+        return super().attention(q, k, v, heads, **kwargs)
+
+
+def fresh_params(params):
+    """A copy of params with arrays of its own and nothing memoised."""
+    copy = Params()
+    for name, t in params.items():
+        copy.add(name, t.data.copy())
+    return copy

@@ -1,9 +1,21 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import slaterank.ar
-from helpers import gradcheck, inflate_weights
-from slaterank.ar import ar_decode, ar_forward, ar_sequence_loss, init_ar_params
+from helpers import ProbeTape, fresh_params, gradcheck, inflate_weights
+from slaterank.ar import (
+    _START_PARAMS,
+    _decoder_rows,
+    _pointer_mask,
+    _pointer_memory,
+    ar_decode,
+    ar_forward,
+    ar_sequence_loss,
+    init_ar_params,
+)
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from slaterank.generator import (
@@ -15,6 +27,7 @@ from slaterank.generator import (
 from slaterank.numerics import AdamState, Tape, Tensor, adam_step
 
 SMALL = GeneratorConfig(n_max=6, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=0)
+SMALL_L1 = replace(SMALL, L=1)
 
 
 def make_request(rng, n, exposed=None, d_x=SMALL.d_x):
@@ -27,11 +40,19 @@ def make_request(rng, n, exposed=None, d_x=SMALL.d_x):
     )
 
 
+def point(tape, params, cand, prefix, cfg, valid=None):
+    """One ar_forward pass on encoded candidates, with its decoder rows, its
+    projections of the candidates and its pointer mask all built anew."""
+    return ar_forward(params, _decoder_rows(tape, params, cand, prefix),
+                      _pointer_memory(tape, params, cand, cfg),
+                      _pointer_mask(prefix, cand.shape[-2], valid), cfg, tape, valid)
+
+
 def encode_and_point(req, params, cfg, prefix=()):
     """Encode one request's candidates, then one ar_forward pass on them."""
     tape = Tape(recording=False)
     cand = encode_candidates(req.features, params, cfg, tape)
-    return ar_forward(params, cand, np.array(prefix, dtype=np.int64), cfg, tape)
+    return point(tape, params, cand, np.array(prefix, dtype=np.int64), cfg)
 
 
 def test_shares_candidate_encoder_with_generator():
@@ -106,36 +127,114 @@ def test_decode_uses_exactly_m_forward_passes():
 
 
 def test_decode_matches_a_loop_that_encodes_at_every_step(monkeypatch):
-    # ar_decode encodes once and hands the encoding to every pass; a loop
-    # that encodes anew before each ar_forward call must pick the same items
-    # with the same probabilities, bit for bit
-    cfg = GeneratorConfig(n_max=9, m=4, d=8, h=2, L=2, d_x=4, d_t=5, seed=13)
-    params = init_ar_params(cfg)
-    inflate_weights(params, 4.0)
-    rng = np.random.default_rng(14)
+    # ar_decode encodes and projects the candidates once, keeps one pointer
+    # mask and takes pass 0's start head from the memo; a loop that encodes,
+    # projects and masks anew before each ar_forward call must pick the same
+    # items with the same probabilities, bit for bit. Each block's cross.wk
+    # and cross.wv product runs once per request, not once per pass
     encodes = []
 
     def counted(*args, **kwargs):
         encodes.append(1)
         return encode_candidates(*args, **kwargs)
 
-    for n in (4, 4, 5, 6, 7, 9, 9):
-        req = make_request(rng, n, d_x=cfg.d_x)
-        chosen, chosen_p = [], []
-        for _ in range(cfg.m):
-            probs = encode_and_point(req, params, cfg, prefix=chosen).data
-            row = probs[-1].copy()
-            row[chosen] = -1.0
-            chosen.append(int(np.argmax(row)))
-            chosen_p.append(float(probs[-1, chosen[-1]]))
-        monkeypatch.setattr(slaterank.ar, "encode_candidates", counted)
-        encodes.clear()
-        tape = Tape(recording=False)
-        slate = ar_decode(req, params, cfg, tape)
-        monkeypatch.undo()
-        assert slate.indices == tuple(chosen), n
-        assert slate.probabilities == tuple(chosen_p), n
-        assert len(encodes) == 1 and tape.forwards == cfg.m, n
+    for L in (2, 1):
+        cfg = GeneratorConfig(n_max=9, m=4, d=8, h=2, L=L, d_x=4, d_t=5, seed=13)
+        params = init_ar_params(cfg)
+        inflate_weights(params, 4.0)
+        rng = np.random.default_rng(14)
+        cross = [params[f"dec.{layer}.cross.{w}"] for layer in range(L) for w in ("wk", "wv")]
+        for n in (4, 4, 5, 6, 7, 9, 9):
+            req = make_request(rng, n, d_x=cfg.d_x)
+            chosen, chosen_p = [], []
+            for _ in range(cfg.m):
+                probs = encode_and_point(req, params, cfg, prefix=chosen).data
+                row = probs[-1].copy()
+                row[chosen] = -1.0
+                chosen.append(int(np.argmax(row)))
+                chosen_p.append(float(probs[-1, chosen[-1]]))
+            monkeypatch.setattr(slaterank.ar, "encode_candidates", counted)
+            encodes.clear()
+            tape = ProbeTape()
+            slate = ar_decode(req, params, cfg, tape)
+            monkeypatch.undo()
+            assert slate.indices == tuple(chosen), (L, n)
+            assert slate.probabilities == tuple(chosen_p), (L, n)
+            assert len(encodes) == 1 and tape.forwards == cfg.m, (L, n)
+            products = Counter(id(w) for w in tape.weights)
+            assert [products[id(w)] for w in cross] == [1] * len(cross), (L, n)
+
+
+# ---- the start row's block head a serving decode reuses
+
+
+def _serve(req, params, cfg):
+    """A serving decode's picks and probability bytes, and the linear ops
+    it ran."""
+    tape = ProbeTape()
+    slate = ar_decode(req, params, cfg, tape)
+    return (slate.indices, np.array(slate.probabilities).tobytes()), tape.linears
+
+
+@pytest.mark.parametrize("edit", ["quarter", "ulp", "negative_zero"])
+def test_an_in_place_edit_recomputes_the_start_head_only_when_it_reads_it(edit):
+    rng = np.random.default_rng(21)
+    params = init_ar_params(SMALL)
+    req = make_request(rng, 5)
+    first, computed = _serve(req, params, SMALL)
+    again, reused = _serve(req, params, SMALL)
+    assert again == first
+    # the four self-attention projections and the cross query
+    assert computed - reused == 5
+    for name in params.names():
+        flat = params[name].data.reshape(-1)
+        if edit == "quarter":
+            flat[0] += 0.25
+        elif edit == "ulp":
+            flat[0] = np.nextafter(flat[0], np.inf)
+        else:
+            flat[0] = 0.0
+            _serve(req, params, SMALL)
+            flat[0] = -0.0
+        out, linears = _serve(req, params, SMALL)
+        assert linears == (computed if name in _START_PARAMS else reused), name
+        assert out == _serve(req, fresh_params(params), SMALL)[0], name
+
+
+def test_an_adam_step_recomputes_the_start_head():
+    rng = np.random.default_rng(22)
+    params = init_ar_params(SMALL_L1)
+    req = make_request(rng, 5, exposed=(3, 0, 4))
+    before, computed = _serve(req, params, SMALL_L1)
+    tape = Tape()
+    tape.backward(ar_sequence_loss(req, params, SMALL_L1, tape))
+    adam_step(params, AdamState(lr=1e-2))
+    after, linears = _serve(req, params, SMALL_L1)
+    assert linears == computed
+    assert after != before
+    assert after == _serve(req, fresh_params(params), SMALL_L1)[0]
+
+
+def test_the_reused_start_head_is_read_only_and_a_recording_tape_never_reads_it():
+    rng = np.random.default_rng(23)
+    params = init_ar_params(SMALL_L1)
+    req = make_request(rng, 5)
+    tapes = [ProbeTape(), ProbeTape()]
+    for tape in tapes:
+        ar_decode(req, params, SMALL_L1, tape)
+    shared = [[t for t in tape.operands if not t.data.flags.writeable] for tape in tapes]
+    # pass 0's cross-attention query, then the start row it adds to, the
+    # same tensors for both requests
+    assert len(shared[0]) == 2
+    assert all(a is b for a, b in zip(*shared))
+    for t in shared[0]:
+        assert t.data.shape == (1, SMALL_L1.d)
+        with pytest.raises(ValueError):
+            t.data[0, 0] = 1.0
+    recording = ProbeTape(recording=True)
+    slate = ar_decode(req, params, SMALL_L1, recording)
+    assert all(t.data.flags.writeable for t in recording.operands)
+    assert slate.indices == ar_decode(req, fresh_params(params), SMALL_L1).indices
 
 
 def test_decode_never_repeats_and_is_deterministic():
@@ -228,7 +327,7 @@ def test_batched_padded_candidates_get_zero_probability_and_gradient():
     y = np.array([r.exposed for r in reqs])
     tape = Tape()
     cand = encode_candidates(x, params, SMALL, tape, valid=valid)
-    probs = ar_forward(params, cand, y[:, :-1], SMALL, tape, valid)
+    probs = point(tape, params, cand, y[:, :-1], SMALL, valid)
     assert probs.data.shape == (len(reqs), SMALL.m, SMALL.n_max)
     picked = tape.take_entries(probs, np.broadcast_to(np.arange(SMALL.m), y.shape), y)
     tape.backward(tape.sum(tape.log(picked)))

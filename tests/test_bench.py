@@ -80,6 +80,9 @@ def test_bench_validation():
         run_bench(RunConfig(), steps=0)
     with pytest.raises(ConfigError):
         run_bench(RunConfig(), batch_size=0)
+    # a warmup of 0 is accepted, so the message does not call it positive
+    with pytest.raises(ConfigError, match="warmup at least 0"):
+        run_bench(RunConfig(), warmup=-1)
 
 
 def test_a_clock_that_slows_halfway_keeps_the_slopes_ratio(monkeypatch):

@@ -501,7 +501,7 @@ def test_training_on_one_slot_slates_exits_1_naming_generator_m(
         assert main([command, "--config", cfg]) == 1, command
 
 
-def test_train_ar_and_bench_smoke(tmp_path):
+def test_train_ar_and_bench_smoke(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["simulate", "--config", cfg]) == 0
     assert main(["train-ar", "--config", cfg]) == 0
@@ -509,10 +509,20 @@ def test_train_ar_and_bench_smoke(tmp_path):
     assert curve[0] == "step,loss"
     assert len(curve) == 3
 
+    capsys.readouterr()
     assert main(["bench", "--config", cfg, "--steps", "3", "--warmup", "1",
                  "--batch", "1"]) == 0
     header, row, _ = (tmp_path / "bench.csv").read_text().split("\n")
     assert len(header.split(",")) == len(row.split(","))
+    # the summary reads in microseconds, one decimal, as criterion 6's line
+    # does; bench.csv keeps seconds
+    times, _, slopes, _ = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"inference us/request: nar \d+\.\d ar \d+\.\d "
+                        r"\(ratio at m=5: \d+\.\d\d\)", times), times
+    assert re.fullmatch(r"inference slope vs m: nar -?\d+\.\d ar -?\d+\.\d us/position",
+                        slopes), slopes
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert times.split()[3] == f"{float(fields['nar_infer_mean']) * 1e6:.1f}"
 
 
 def test_empty_test_log_exits_2(tmp_path):

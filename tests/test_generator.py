@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import gradcheck, inflate_weights
+from helpers import ProbeTape, fresh_params, gradcheck, inflate_weights
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
 from slaterank.decoding import DecodeConfig, contrastive_decode
 from slaterank.errors import ConfigError, EmptyCandidatesError, ShapeError
@@ -17,7 +17,7 @@ from slaterank.generator import (
     init_generator_params,
     matching_head,
 )
-from slaterank.numerics import AdamState, Params, Tape, Tensor, adam_step
+from slaterank.numerics import AdamState, Tape, Tensor, adam_step
 
 SMALL = GeneratorConfig(n_max=6, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=0)
 SMALL_L1 = replace(SMALL, L=1)
@@ -193,28 +193,6 @@ def test_prob_matrix_reports_dims():
 # ---- the position slots a serving forward reuses ----
 
 
-class ProbeTape(Tape):
-    """A tape that counts its linear ops and keeps every tensor its add and
-    attention ops read."""
-
-    def __init__(self, recording: bool = False):
-        super().__init__(recording=recording)
-        self.linears = 0
-        self.operands = []
-
-    def linear(self, x, w, b=None):
-        self.linears += 1
-        return super().linear(x, w, b)
-
-    def add(self, a, b):
-        self.operands += [a, b]
-        return super().add(a, b)
-
-    def attention(self, q, k, v, heads, **kwargs):
-        self.operands += [q, k, v]
-        return super().attention(q, k, v, heads, **kwargs)
-
-
 def _arrays(probs):
     return probs.values.data, probs.candidate_reps.data, probs.position_reps.data
 
@@ -227,13 +205,6 @@ def _serve(req, params, cfg):
     """A serving forward's outputs as bytes, and the linear ops it ran."""
     tape = ProbeTape()
     return _bits(forward(req, params, cfg, tape=tape)), tape.linears
-
-
-def _fresh(params):
-    copy = Params()
-    for name, t in params.items():
-        copy.add(name, t.data.copy())
-    return copy
 
 
 def _loss(req, params, cfg, tape):
@@ -296,10 +267,10 @@ def test_a_memo_hit_returns_the_bits_of_a_fresh_serving_computation():
         raise AssertionError("the memo missed after a serving forward")
 
     hit = params.memo("pos.slot_head", SLOT_PARAMS, SMALL.h, computed_again)
-    fresh = _slot_head(_fresh(params), SMALL, Tape(recording=False))
+    fresh = _slot_head(fresh_params(params), SMALL, Tape(recording=False))
     assert [t.data.tobytes() for t in hit] == [t.data.tobytes() for t in fresh]
     # a recording tape's slots have other bits, so the check can tell them apart
-    recorded = _slot_head(_fresh(params), SMALL, Tape())
+    recorded = _slot_head(fresh_params(params), SMALL, Tape())
     assert [t.data.tobytes() for t in recorded] != [t.data.tobytes() for t in fresh]
 
 
@@ -325,7 +296,7 @@ def test_an_in_place_edit_recomputes_the_slots_only_when_they_read_it(edit):
             flat[0] = -0.0
         out, linears = _serve(req, params, SMALL)
         assert linears == (computed if name in SLOT_PARAMS else reused), name
-        assert out == _serve(req, _fresh(params), SMALL)[0], name
+        assert out == _serve(req, fresh_params(params), SMALL)[0], name
 
 
 def test_an_adam_step_recomputes_the_slots():
@@ -339,7 +310,7 @@ def test_an_adam_step_recomputes_the_slots():
     after, linears = _serve(req, params, SMALL_L1)
     assert linears == computed
     assert after != before
-    assert after == _serve(req, _fresh(params), SMALL_L1)[0]
+    assert after == _serve(req, fresh_params(params), SMALL_L1)[0]
 
 
 def test_parameter_sets_and_head_counts_served_in_turn_do_not_cross():
@@ -348,7 +319,7 @@ def test_parameter_sets_and_head_counts_served_in_turn_do_not_cross():
     first = init_generator_params(SMALL_L1)
     second = init_generator_params(replace(SMALL_L1, seed=1))
     cases = [(first, SMALL_L1), (second, SMALL_L1), (first, replace(SMALL_L1, h=4))]
-    want = [_serve(req, _fresh(params), cfg)[0] for params, cfg in cases]
+    want = [_serve(req, fresh_params(params), cfg)[0] for params, cfg in cases]
     assert len({str(w) for w in want}) == len(cases)
     for _ in range(3):
         for (params, cfg), expected in zip(cases, want):

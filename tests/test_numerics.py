@@ -457,6 +457,30 @@ def test_fused_attention_matches_per_head_loop():
     assert np.abs(causal.data - want).max() < 1e-12
 
 
+def test_causal_attention_reads_one_read_only_mask_per_shape():
+    # causal attention takes its np.tri from a cache: a read-only corner of
+    # one shared array, so no call can change a later one's mask, and a key
+    # mask combined with it leaves it as it was; after the cache grows, a
+    # smaller corner is still np.tri of its own shape
+    tri = numerics._causal_mask(3, 5)
+    assert np.shares_memory(tri, numerics._causal_mask(2, 4))
+    assert np.array_equal(tri, np.tri(3, 5, dtype=bool))
+    with pytest.raises(ValueError):
+        tri[0, 1] = True
+    for nq, nk in ((7, 2), (1, 9), (3, 5)):
+        assert np.array_equal(numerics._causal_mask(nq, nk), np.tri(nq, nk, dtype=bool))
+    rng = np.random.default_rng(12)
+    q, kv = rng.normal(size=(3, 6)), rng.normal(size=(2, 5, 6))
+    mask = np.array([[True, False, True, True, False], [True] * 5])
+    for _ in range(2):
+        out = Tape(recording=False).attention(Tensor(q), Tensor(kv), Tensor(kv), 2,
+                                              key_mask=mask, causal=True)
+        for b in range(2):
+            want = _attention_loop(q, kv[b], kv[b], 2, mask[b] & np.tri(3, 5, dtype=bool))
+            assert np.abs(out.data[b] - want).max() < 1e-12
+    assert np.array_equal(numerics._causal_mask(3, 5), np.tri(3, 5, dtype=bool))
+
+
 def test_fused_attention_gradients_on_a_masked_batch():
     rng = np.random.default_rng(9)
     q = Tensor(rng.normal(size=(3, 4, 6)))
