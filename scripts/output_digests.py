@@ -32,7 +32,10 @@ moving a pick; `auc` on tie-heavy scores;
 AR decoded slates, their pick probabilities and sequence-loss
 gradients, and AR slates with their pick probabilities on 32 requests of
 n = 20 at perfbench's L=1 shape with trained-like weights; evaluator scores and pooled utilities; the trained parameters and
-loss logs of train_generator, train_ar and train_evaluator; every field of a
+loss logs of train_generator, train_ar and train_evaluator, and AR slates
+with their pick probabilities again after train_ar has updated its
+parameters in place (ar_decode.after_train, as forward.after_train is for
+the generator); every field of a
 ragged log (n from m to n_max, two feedback types) written by write_logs and
 read back by read_logs against a LogSchema, parsed and from read_logs's
 cache, and the parameters and loss logs of the three trainers run on the
@@ -706,6 +709,9 @@ def main() -> None:
     ar_losses = []
     train_ar(logs, ar, GEN, lr=1e-2, epochs=2, batch_size=7, seed=4, loss_log=ar_losses)
     print("train_ar", params_digest(ar), digest(ar_losses))
+    ar_slates = [ar_decode(r, ar, GEN) for r in reqs[:6]]
+    print("ar_decode.after_train", digest([s.indices for s in ar_slates],
+                                          [s.probabilities for s in ar_slates]))
     ev_losses = []
     train_evaluator(logs, ev, EV, lr=1e-2, epochs=2, batch_size=7, seed=4,
                     loss_log=ev_losses)
