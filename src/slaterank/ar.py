@@ -12,8 +12,9 @@ one-pass generator. What no pick changes is not redone per pass:
   values, and the pointer keys), and one (m, n) pointer mask is kept, which
   loses a pick's column for the later rows;
 - once per parameter state, on a non-recording tape, block 0's head over
-  the start row (pass 0's whole input reads only parameters), kept by
-  `Params.memo` exactly as the generator keeps its position slots.
+  the start row: pass 0's whole input reads only parameters, so it goes to
+  the blocks as a function of them, and `generator.block` keeps the head
+  as it keeps the generator's over the position slots.
 
 Training is teacher-forced in a single pass with a causal mask, and a
 minibatch goes through that pass on one tape, as the generator's does: the
@@ -39,7 +40,6 @@ from .decoding import SlateSequence
 from .errors import InfeasibleSlateError, InvalidSlateError, ShapeError
 from .generator import (
     GeneratorConfig,
-    _block_head,
     _stack_requests,
     blocks,
     build_blocks,
@@ -80,17 +80,9 @@ def _decoder_rows(tape: Tape, params: Params, cand_hidden: Tensor | None,
     return tape.add(x, tape.slice_rows(params["dec.pos"], 0, k + 1))
 
 
-# every parameter _start_head reads
-_START_PARAMS = ("dec.bos", "dec.pos", "dec.0.ln1.g", "dec.0.ln1.b", "dec.0.self.wq",
-                 "dec.0.self.wk", "dec.0.self.wv", "dec.0.self.wo", "dec.0.ln2.g",
-                 "dec.0.ln2.b", "dec.0.cross.wq")
-
-
-def _start_head(params: Params, cfg: GeneratorConfig, tape: Tape) -> tuple[Tensor, Tensor]:
-    """Block 0's head over the start row alone, pass 0's whole input: the
-    row after the self-attention sublayer and its cross-attention query."""
-    x = _decoder_rows(tape, params, None, np.zeros(0, dtype=np.int64))
-    return _block_head(tape, params, "dec.0", x, cfg, causal=True, cross=True)
+def _start_row(tape: Tape, params: Params) -> Tensor:
+    """Pass 0's decoder input, the start row alone: parameters only."""
+    return _decoder_rows(tape, params, None, np.zeros(0, dtype=np.int64))
 
 
 def _pointer_mask(prefix: np.ndarray, n: int, valid: np.ndarray | None) -> np.ndarray:
@@ -111,15 +103,14 @@ def _pointer_memory(tape: Tape, params: Params, cand: Tensor,
     return cross_memory(tape, params, "dec", cand, cfg), tape.transpose(cand)
 
 
-def ar_forward(params: Params, x: Tensor | None, memory, allowed: np.ndarray,
-               cfg: GeneratorConfig, tape: Tape, valid: np.ndarray | None = None,
-               head: tuple[Tensor, Tensor] | None = None) -> Tensor:
+def ar_forward(params: Params, x, memory, allowed: np.ndarray,
+               cfg: GeneratorConfig, tape: Tape, valid: np.ndarray | None = None) -> Tensor:
     """One pointer pass: the decoder blocks over the k + 1 input rows x
-    (`_decoder_rows` of a (k,) prefix, or of a (B, k) stack of them),
+    (`_decoder_rows` of a (k,) prefix, or of a (B, k) stack of them, or a
+    function of parameters alone that returns them, as `blocks` takes),
     cross-attending into `_pointer_memory` of the encoded candidates, then
-    row-stochastic pointer probabilities over the candidates. Given `head`,
-    block 0's head of x, x is not read. `valid` masks a padded stack's
-    candidates out of the cross-attention.
+    row-stochastic pointer probabilities over the candidates. `valid` masks
+    a padded stack's candidates out of the cross-attention.
 
     Row t is the next-item distribution given the first t prefix items;
     allowed[..., t, i] is False where candidate i may not come next (it is
@@ -129,8 +120,7 @@ def ar_forward(params: Params, x: Tensor | None, memory, allowed: np.ndarray,
     """
     tape.forwards += 1
     kv, keys = memory
-    states = blocks(tape, params, "dec", x, cfg, head=head, causal=True, memory=kv,
-                    memory_mask=valid)
+    states = blocks(tape, params, "dec", x, cfg, causal=True, memory=kv, memory_mask=valid)
     return tape.softmax_rows(tape.matmul(states, keys), key_mask=allowed)
 
 
@@ -171,28 +161,24 @@ def ar_decode(req: RequestBatch, params: Params, cfg: GeneratorConfig,
     `_pointer_memory` projects them, once per request; one (m, n) pointer
     mask loses a pick's column for the later rows, and pass k reads its
     first k + 1 rows. Pass 0's input is the start row alone, which reads
-    only parameters, so a non-recording tape takes block 0's head of it from
-    `params.memo`: computed once and reused while cfg.h and the bytes of the
-    parameters it reads are unchanged, and read-only, as the generator's
-    position slots are. A recording tape computes it on the tape.
+    only parameters, so it goes to the blocks as a function of them, and a
+    serving tape keeps block 0's head over it once per parameter state, as
+    the generator's position slots are kept (see `generator.block`).
     """
     if tape is None:
         tape = Tape(recording=False)
+    feats = _stack_requests(req, cfg)[0]  # the boundary checks, an empty request first
     n = req.n
     if cfg.m > n:
         raise InfeasibleSlateError(f"cannot fill {cfg.m} positions from {n} candidates")
-    cand = encode_candidates(_stack_requests(req, cfg)[0], params, cfg, tape)
+    cand = encode_candidates(feats, params, cfg, tape)
     memory = _pointer_memory(tape, params, cand, cfg)
     allowed = np.ones((cfg.m, n), dtype=bool)
     chosen: list[int] = []
     chosen_p: list[float] = []
     for k in range(cfg.m):
-        if k or tape.recording:
-            x, head = _decoder_rows(tape, params, cand, np.array(chosen, dtype=np.int64)), None
-        else:
-            x, head = None, params.memo("dec.start_head", _START_PARAMS, cfg.h,
-                                        lambda: _start_head(params, cfg, tape))
-        probs = ar_forward(params, x, memory, allowed[:k + 1], cfg, tape, head=head)
+        x = _decoder_rows(tape, params, cand, np.array(chosen, dtype=np.int64)) if k else _start_row
+        probs = ar_forward(params, x, memory, allowed[:k + 1], cfg, tape)
         row = probs.data[-1].copy()
         row[chosen] = -1.0  # chosen entries are 0; keep them out of argmax ties
         pick = int(np.argmax(row))

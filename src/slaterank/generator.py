@@ -23,18 +23,20 @@ property the autoregressive baseline in `ar` deliberately gives up, and the
 one the bench harness measures.
 
 Part of that pass is the same for every request. The position encoder's
-first block reads nothing but parameters until its cross-attention: the slot
-embedding (`pos.table` through `embed.t`), ln1, the self-attention among the
-slots and its residual sum, then ln2 and the cross-attention's query
-projection. Serving (a non-recording tape) computes those two (m, d) tensors,
-the slots and their queries, once per parameter state: `Params.memo` keys
-them on the bytes of the twelve parameters they read and on the head count,
-so an in-place edit of any of them (Adam, a finite-difference probe)
-computes them again on the next call, and they are read-only, so no request
-can change them for the next. A recording tape never reads them and records
-the whole pass, so training and gradients take the same path as before. The
-block is still written once: `_block_head` is the part of a block that reads
-only its input, and both `block` and the memo call it.
+input, the slot embedding, reads only parameters, and so does its first
+block until the cross-attention: ln1, the self-attention among the slots and
+its residual sum, then ln2 and the cross-attention's query projection. That
+rule belongs to the block: `block` and `blocks` take, in place of a tensor,
+a function of parameters alone, and block 0 then takes its head over it
+(`_block_head`, the part of a block that reads only its input) from
+`Params.memo`. On a serving (non-recording) tape the memo notes which
+parameters the head reads and keeps its two tensors while the config and
+the bytes of those parameters are unchanged, so an in-place edit of any of
+them (Adam, a finite-difference probe) computes them again on the next call;
+they are read-only, so no request can change them for the next. A recording
+tape never reads the memo and records the whole pass, so training and
+gradients take the same path as ever. The AR decoder's start row is kept by
+the same rule.
 
 Training runs a whole minibatch through the same pass: a minibatch is a
 `data.LogTable`, whose feature rows are stacked on a leading batch axis and
@@ -179,21 +181,30 @@ def _block_head(tape: Tape, params: Params, prefix: str, x: Tensor, cfg, *,
     return x, tape.linear(_ln(tape, params, f"{prefix}.ln2", x), params[f"{prefix}.cross.wq"])
 
 
-def block(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
+def block(tape: Tape, params: Params, prefix: str, x, cfg, *,
           mask: np.ndarray | None = None, causal: bool = False,
           memory: tuple[Tensor, Tensor] | None = None,
-          memory_mask: np.ndarray | None = None,
-          head: tuple[Tensor, Tensor | None] | None = None) -> Tensor:
+          memory_mask: np.ndarray | None = None) -> Tensor:
     """One block over x. `mask` and `causal` restrict the self-attention's
     keys; given `memory`, this block's cross-attention keys and values (one
     entry of `cross_memory`), the block also cross-attends into them, with
-    memory_mask over the keys. cfg gives the head count h. Given `head`, the
-    pair `_block_head` returns for this block's input, the block goes on
-    from there and x is not read."""
-    x, q = head or _block_head(tape, params, prefix, x, cfg, mask=mask, causal=causal,
-                               cross=memory is not None)
+    memory_mask over the keys. cfg gives the head count h.
+
+    x is a Tensor, or a function x(tape, params) of parameters alone. Then
+    the block's head over it (`_block_head`) reads nothing but parameters,
+    and `params.memo` keeps it under prefix.head: a serving tape computes it
+    once per parameter state and cfg, a recording tape every time. The key
+    holds neither the function nor the masks, so a prefix keeps one of each.
+    """
+    cross = memory is not None
+    if callable(x):
+        inputs = x
+        x, q = params.memo(f"{prefix}.head", tape, cfg, lambda p: _block_head(
+            tape, p, prefix, inputs(tape, p), cfg, mask=mask, causal=causal, cross=cross))
+    else:
+        x, q = _block_head(tape, params, prefix, x, cfg, mask=mask, causal=causal, cross=cross)
     ffn_ln = "ln2"
-    if memory is not None:
+    if cross:
         x = tape.add(x, _attend(tape, params, f"{prefix}.cross", q, memory, cfg,
                                 key_mask=memory_mask))
         ffn_ln = "ln3"
@@ -202,15 +213,14 @@ def block(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
     return tape.add(x, tape.linear(hidden, params[f"{prefix}.ffn.w2"]))
 
 
-def blocks(tape: Tape, params: Params, prefix: str, x: Tensor | None, cfg, *,
-           head: tuple[Tensor, Tensor | None] | None = None,
+def blocks(tape: Tape, params: Params, prefix: str, x, cfg, *,
            memory: list[tuple[Tensor, Tensor]] | None = None, **kwargs) -> Tensor:
-    """The cfg.L blocks of build_blocks, then the final layer norm. `head`
-    is block 0's, as for `block`; `memory`, when given, is the list
-    `cross_memory` returns, one (keys, values) pair per block."""
+    """The cfg.L blocks of build_blocks, then the final layer norm. x is
+    block 0's input, a Tensor or a function of parameters alone, as for
+    `block`; `memory`, when given, is the list `cross_memory` returns, one
+    (keys, values) pair per block."""
     for layer in range(cfg.L):
         x = block(tape, params, f"{prefix}.{layer}", x, cfg,
-                  head=head if layer == 0 else None,
                   memory=None if memory is None else memory[layer], **kwargs)
     return _ln(tape, params, f"{prefix}.final_ln", x)
 
@@ -252,17 +262,9 @@ def encode_candidates(feats, params: Params, cfg: GeneratorConfig, tape: Tape,
     return blocks(tape, params, "cand", h, cfg, mask=valid)
 
 
-# every parameter _slot_head reads
-_SLOT_PARAMS = ("pos.table", "embed.t.w", "embed.t.b", "pos.0.ln1.g", "pos.0.ln1.b",
-                "pos.0.self.wq", "pos.0.self.wk", "pos.0.self.wv", "pos.0.self.wo",
-                "pos.0.ln2.g", "pos.0.ln2.b", "pos.0.cross.wq")
-
-
-def _slot_head(params: Params, cfg: GeneratorConfig, tape: Tape) -> tuple[Tensor, Tensor]:
-    """Block 0's head over the embedded position table: the slots after the
-    self-attention sublayer and their cross-attention queries, both (m, d)."""
-    t = tape.linear(params["pos.table"], params["embed.t.w"], params["embed.t.b"])
-    return _block_head(tape, params, "pos.0", t, cfg, cross=True)
+def _slots(tape: Tape, params: Params) -> Tensor:
+    """The embedded position table, (m, d): parameters only."""
+    return tape.linear(params["pos.table"], params["embed.t.w"], params["embed.t.b"])
 
 
 def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
@@ -271,27 +273,15 @@ def encode_positions(params: Params, cand_hidden: Tensor, cfg: GeneratorConfig,
     among the slots, cross-attention into the candidate states.
 
     The slots start shared, (m, d); the first cross-attention into a
-    (B, n, d) batch of candidate states gives every request its own.
-    Everything before that cross-attention reads parameters only: the slot
-    embedding (`pos.table` through `embed.t`), block 0's ln1 and
-    self-attention and its residual sum, and ln2 and the cross-attention's
-    query projection. A non-recording tape takes those two (m, d) tensors,
-    the slots and their queries, from `params.memo`, which computes them
-    once and reuses them while cfg.h and the bytes of the twelve parameters
-    they read are unchanged. Any in-place edit of one of those parameters
-    (an Adam step, a finite-difference probe, even 0.0 to -0.0) therefore
-    recomputes them on the next call, and they are read-only, so no request
-    can alter them for the next. A recording tape never reads the memo: it
-    computes the slots on the tape, so their gradients reach the parameters.
+    (B, n, d) batch of candidate states gives every request its own. The
+    slot embedding (`pos.table` through `embed.t`) reads parameters only, so
+    the blocks take it as a function and block 0 keeps its head over it,
+    the slots after the self-attention sublayer and their cross-attention
+    queries, once per parameter state on a serving tape (see `block`).
     """
     if cand_hidden.data.shape[-1] != cfg.d:
         raise ShapeError("candidate hidden width does not match config d")
-    if tape.recording:
-        head = _slot_head(params, cfg, tape)
-    else:
-        head = params.memo("pos.slot_head", _SLOT_PARAMS, cfg.h,
-                           lambda: _slot_head(params, cfg, tape))
-    return blocks(tape, params, "pos", None, cfg, head=head,
+    return blocks(tape, params, "pos", _slots, cfg,
                   memory=cross_memory(tape, params, "pos", cand_hidden, cfg),
                   memory_mask=valid)
 

@@ -740,26 +740,49 @@ class Params:
     def items(self):
         return self._tensors.items()
 
-    def memo(self, tag: str, names, extra, compute) -> tuple[Tensor, ...]:
-        """The tensors compute() returns, or those it returned on the last
-        call with this tag if `extra` and the named tensors' shapes and bytes
-        are the same as then.
+    def memo(self, tag: str, tape: Tape, extra, compute) -> tuple:
+        """compute(params), a tuple of tensors (or None), kept per tag while
+        serving.
 
-        The key holds the tensors' bytes, not their values, so any edit made
-        in place since, even 0.0 to -0.0 or a NaN's payload, computes again.
+        A recording tape calls compute(self) every time and keeps nothing.
+        On a serving tape compute reads its parameters through a view that
+        notes each name, and the value is kept under `extra` and the shapes
+        and bytes of exactly the parameters it read; a later call with this
+        tag returns it while that key is the same, and computes again
+        otherwise. The key holds bytes, not values, so any edit made in
+        place since, even 0.0 to -0.0 or a NaN's payload, computes again.
         One value is kept per tag. Every later caller shares its tensors, so
         their arrays are made read-only.
         """
-        arrays = [self._tensors[name].data for name in names]
-        key = (extra, [a.shape for a in arrays], b"".join(a.tobytes() for a in arrays))
+        if tape.recording:
+            return compute(self)
         hit = self._memo.get(tag)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        value = compute()
+        if hit is not None and hit[1] == self._memo_key(hit[0], extra):
+            return hit[2]
+        view = _ReadNames(self)
+        value = compute(view)
         for t in value:
-            t.data.flags.writeable = False
-        self._memo[tag] = (key, value)
+            if t is not None:
+                t.data.flags.writeable = False
+        names = tuple(view.names)
+        self._memo[tag] = (names, self._memo_key(names, extra), value)
         return value
+
+    def _memo_key(self, names, extra) -> tuple:
+        arrays = [self._tensors[name].data for name in names]
+        return extra, [a.shape for a in arrays], b"".join(a.tobytes() for a in arrays)
+
+
+class _ReadNames:
+    """Params as `Params.memo`'s compute sees them: each name read is noted."""
+
+    def __init__(self, params: Params):
+        self._params = params
+        self.names: dict[str, None] = {}
+
+    def __getitem__(self, name: str) -> Tensor:
+        self.names[name] = None
+        return self._params[name]
 
 
 class AdamState:

@@ -7,7 +7,6 @@ import pytest
 import slaterank.ar
 from helpers import ProbeTape, fresh_params, gradcheck, inflate_weights
 from slaterank.ar import (
-    _START_PARAMS,
     _decoder_rows,
     _pointer_mask,
     _pointer_memory,
@@ -17,17 +16,28 @@ from slaterank.ar import (
     init_ar_params,
 )
 from slaterank.data import ExposureLog, FeedbackMatrix, LogTable, RequestBatch
-from slaterank.errors import InfeasibleSlateError, InvalidSlateError, ShapeError
+from slaterank.decoding import DecodeConfig, contrastive_decode
+from slaterank.errors import (
+    EmptyCandidatesError,
+    InfeasibleSlateError,
+    InvalidSlateError,
+    ShapeError,
+)
 from slaterank.generator import (
     GeneratorConfig,
     _stack_requests,
     encode_candidates,
+    forward,
     init_generator_params,
 )
 from slaterank.numerics import AdamState, Tape, Tensor, adam_step
 
 SMALL = GeneratorConfig(n_max=6, m=3, d=8, h=2, L=2, d_x=4, d_t=5, seed=0)
 SMALL_L1 = replace(SMALL, L=1)
+# what block 0 of the decoder reads of the start row before its cross-attention
+START_PARAMS = ("dec.bos", "dec.pos", "dec.0.ln1.g", "dec.0.ln1.b", "dec.0.self.wq",
+                "dec.0.self.wk", "dec.0.self.wv", "dec.0.self.wo", "dec.0.ln2.g",
+                "dec.0.ln2.b", "dec.0.cross.wq")
 
 
 def make_request(rng, n, exposed=None, d_x=SMALL.d_x):
@@ -197,7 +207,7 @@ def test_an_in_place_edit_recomputes_the_start_head_only_when_it_reads_it(edit):
             _serve(req, params, SMALL)
             flat[0] = -0.0
         out, linears = _serve(req, params, SMALL)
-        assert linears == (computed if name in _START_PARAMS else reused), name
+        assert linears == (computed if name in START_PARAMS else reused), name
         assert out == _serve(req, fresh_params(params), SMALL)[0], name
 
 
@@ -213,6 +223,19 @@ def test_an_adam_step_recomputes_the_start_head():
     assert linears == computed
     assert after != before
     assert after == _serve(req, fresh_params(params), SMALL_L1)[0]
+
+
+def test_parameter_sets_and_head_counts_served_in_turn_do_not_cross():
+    rng = np.random.default_rng(24)
+    req = make_request(rng, 5)
+    first = init_ar_params(SMALL_L1)
+    second = init_ar_params(replace(SMALL_L1, seed=1))
+    cases = [(first, SMALL_L1), (second, SMALL_L1), (first, replace(SMALL_L1, h=4))]
+    want = [_serve(req, fresh_params(params), cfg)[0] for params, cfg in cases]
+    assert len({str(w) for w in want}) == len(cases)
+    for _ in range(3):
+        for (params, cfg), expected in zip(cases, want):
+            assert _serve(req, params, cfg)[0] == expected
 
 
 def test_the_reused_start_head_is_read_only_and_a_recording_tape_never_reads_it():
@@ -253,6 +276,18 @@ def test_decode_infeasible_when_m_exceeds_n():
     params = init_ar_params(SMALL)
     with pytest.raises(InfeasibleSlateError):
         ar_decode(make_request(rng, 2), params, SMALL)
+
+
+@pytest.mark.parametrize("n, error", [(0, EmptyCandidatesError), (2, InfeasibleSlateError),
+                                      (SMALL.n_max + 1, ShapeError)])
+def test_both_generators_reject_a_bad_request_alike(n, error):
+    # an empty request, or one past n_max, fails the boundary checks before
+    # the check that m positions can be filled from n candidates
+    req = make_request(np.random.default_rng(25), n)
+    with pytest.raises(error):
+        ar_decode(req, init_ar_params(SMALL), SMALL)
+    with pytest.raises(error):
+        contrastive_decode(forward(req, init_generator_params(SMALL), SMALL), DecodeConfig())
 
 
 def test_single_request_overfit_recovers_logged_slate():

@@ -11,7 +11,7 @@ from slaterank.errors import ConfigError, EmptyCandidatesError, ShapeError
 from slaterank.generator import (
     GeneratorConfig,
     ProbMatrix,
-    _slot_head,
+    _block_head,
     encode_candidates,
     forward,
     init_generator_params,
@@ -263,14 +263,18 @@ def test_a_memo_hit_returns_the_bits_of_a_fresh_serving_computation():
     forward(req, params, SMALL)
     forward(req, params, SMALL, tape=Tape())  # a recording forward leaves the memo alone
 
-    def computed_again():
+    def computed_again(view):
         raise AssertionError("the memo missed after a serving forward")
 
-    hit = params.memo("pos.slot_head", SLOT_PARAMS, SMALL.h, computed_again)
-    fresh = _slot_head(fresh_params(params), SMALL, Tape(recording=False))
+    def slot_head(params, tape):  # computed outside the memo
+        slots = tape.linear(params["pos.table"], params["embed.t.w"], params["embed.t.b"])
+        return _block_head(tape, params, "pos.0", slots, SMALL, cross=True)
+
+    hit = params.memo("pos.0.head", Tape(recording=False), SMALL, computed_again)
+    fresh = slot_head(fresh_params(params), Tape(recording=False))
     assert [t.data.tobytes() for t in hit] == [t.data.tobytes() for t in fresh]
     # a recording tape's slots have other bits, so the check can tell them apart
-    recorded = _slot_head(fresh_params(params), SMALL, Tape())
+    recorded = slot_head(fresh_params(params), Tape())
     assert [t.data.tobytes() for t in recorded] != [t.data.tobytes() for t in fresh]
 
 

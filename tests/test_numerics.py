@@ -254,28 +254,34 @@ def test_gradient_accumulates_across_tapes():
 def test_params_memo_recomputes_on_any_change_to_its_key():
     params = Params()
     a = params.add("a", np.array([0.0, 1.0, np.nan]))
-    params.add("b", np.array([2.0]))
+    b = params.add("b", np.array([2.0]))
     calls = []
 
-    def get(extra=1):
-        def compute():
-            calls.append(1)
+    def get(extra=1, recording=False):
+        def compute(p):
+            calls.append(p["a"])  # the one parameter it reads
             return (Tensor([float(len(calls))]),)
 
-        return params.memo("tag", ["a"], extra, compute)[0].item()
+        return params.memo("tag", Tape(recording=recording), extra, compute)[0].item()
 
     assert get() == 1 and get() == 1
-    params["b"].data[0] = 3.0  # not a key tensor
+    b.data[0] = 3.0  # compute does not read b
     assert get() == 1
-    a.data[0] = -0.0
+    a.data[1] = 1.5  # it reads a
     assert get() == 2
-    a.data[2] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]  # another NaN
+    a.data[0] = -0.0
     assert get() == 3
-    assert get(extra=2) == 4
-    a.data = a.data.reshape(3, 1)  # same bytes, another shape
+    a.data[2] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]  # another NaN
+    assert get() == 4
     assert get(extra=2) == 5
-    other = params.memo("other", ["a"], 2, lambda: (Tensor([7.0]),))
-    assert other[0].item() == 7.0 and get(extra=2) == 5
+    a.data = a.data.reshape(3, 1)  # same bytes, another shape
+    assert get(extra=2) == 6
+    # a recording tape computes on every call and keeps nothing
+    assert get(extra=2, recording=True) == 7 and get(extra=2, recording=True) == 8
+    assert get(extra=3, recording=True) == 9
+    assert get(extra=2) == 6
+    other = params.memo("other", Tape(recording=False), 2, lambda p: (Tensor([7.0]),))
+    assert other[0].item() == 7.0 and get(extra=2) == 6
     with pytest.raises(ValueError):
         other[0].data[0] = 1.0
 
