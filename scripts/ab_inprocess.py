@@ -35,12 +35,15 @@ Both trees train on the same log, which the change's simulator draws and
 each tree reads back with its own read_logs, and serve with the same
 parameters (the generator, the evaluator and the AR baseline), trained
 once by the parent; a serving workload's "other slate" count is then its
-exactness check. BLAS runs on one thread.
+exactness check. BLAS runs on one thread. Before the table, one line on
+stderr names what the run ran on: the Python and NumPy versions, the BLAS
+thread variables, the CPU count, the machine and both source trees.
 """
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
@@ -48,6 +51,7 @@ import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
 import importlib.util  # noqa: E402
+import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -267,6 +271,14 @@ def workload_names(text: str) -> list[str]:
     return names
 
 
+def environment(parent_src, change_src) -> str:
+    """The run's environment as one line."""
+    blas = " ".join(f"{var}={os.environ[var]}" for var in BLAS_VARS)
+    return (f"python {platform.python_version()} numpy {np.__version__} {blas} "
+            f"cpus {os.cpu_count()} machine {platform.machine()} "
+            f"parent {Path(parent_src).resolve()} change {Path(change_src).resolve()}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -278,6 +290,7 @@ def main(argv=None) -> int:
                    help=f"comma-separated, from {','.join(WORKLOADS)} (default: all)")
     args = p.parse_args(argv)
     scale = SCALES[args.scale]
+    print(environment(args.parent_src, args.change_src), file=sys.stderr)
     parent_sr = load(args.parent_src, "slaterank_parent")
     change_sr = load(args.change_src, "slaterank_change")
     rng = np.random.default_rng(SEED)

@@ -1,10 +1,11 @@
 """Slate construction from a probability matrix.
 
 The generator emits every position's distribution in one forward pass, so
-decoding is pure selection: no model evaluation happens here. All decoders
-fill positions left to right without replacement and break ties toward the
-lowest candidate index, which keeps them reproducible and easy to test
-against brute force.
+decoding is pure selection: no model evaluation happens here. Every decoder
+takes one request's (n, m) ProbMatrix (a (B, n, m) stack is a ShapeError),
+fills positions left to right without replacement and breaks ties toward the
+lowest candidate index, which keeps it reproducible and easy to test against
+brute force.
 
 `contrastive_decode` is the production method: model confidence traded off
 against the maximum cosine similarity to anything already placed, so a
@@ -66,10 +67,10 @@ class DecodeConfig:
 
 def _active(probs: ProbMatrix) -> tuple[np.ndarray, int]:
     """Column probabilities restricted to real (non-padded) candidates."""
-    n = probs.n if probs.valid is None else int(np.count_nonzero(probs.valid))
+    values, n = probs.active()
     if probs.m > n:
         raise InfeasibleSlateError(f"cannot fill {probs.m} positions from {n} candidates")
-    return probs.values.data[:n], n
+    return values, n
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

@@ -108,6 +108,14 @@ class ProbMatrix:
     def m(self) -> int:
         return self.values.data.shape[-1]
 
+    def active(self) -> tuple[np.ndarray, int]:
+        """One request's probabilities on its real (non-padded) rows, and
+        their count; a (B, n, m) stack is a ShapeError."""
+        if self.values.data.ndim != 2:
+            raise ShapeError(f"one request's (n, m) matrix wanted, got {self.values.data.shape}")
+        n = self.n if self.valid is None else int(np.count_nonzero(self.valid))
+        return self.values.data[:n], n
+
 
 # ---- the pre-norm block, shared by every model ----
 

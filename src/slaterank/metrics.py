@@ -1,8 +1,9 @@
 """Offline evaluation metrics and the report they roll up into.
 
 AUC, LogLoss and NDCG judge itemwise interaction prediction (the evaluator's
-heads); Recall@k judges exposure prediction (does the generator put the
-items that were actually shown into its top k). All functions are pure and
+heads); Recall@k judges exposure prediction on one request's (n, m) matrix
+(does the generator put the items that were shown into its top k; a
+(B, n, m) stack is a ShapeError). All functions are pure and
 deterministic; ties are handled by explicit rules (0.5 credit in AUC,
 stable sorts elsewhere) so reports are byte-reproducible. A non-finite
 score or label is a NumericsError, not a plausible-looking metric.
@@ -96,11 +97,11 @@ def recall_at_k(probs: ProbMatrix, exposed, k: int) -> float:
     items in its top 6 scores Recall@6 = 1.0. Random scoring with n=60,
     m=6, k=6 averages about 6/60 = 0.1 over many draws.
     """
-    n = probs.n if probs.valid is None else int(probs.valid.sum())
+    values, n = probs.active()
     if not 1 <= k <= n:
         raise ShapeError(f"k={k} out of range for n={n}")
     exposed = slate_indices([exposed], n, probs.m)[0].tolist()
-    per_item = probs.values.data[:n].max(axis=1)
+    per_item = values.max(axis=1)
     top = np.argsort(-per_item, kind="stable")[:k]
     return len(set(top.tolist()) & set(exposed)) / len(exposed)
 

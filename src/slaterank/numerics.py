@@ -22,7 +22,7 @@ after one backward pass.
 The op bodies are written for per-call cost as well as for bits. Each one
 keeps the order of its floating-point operations, so a rewrite of a body
 must give the same bits as the formula it replaces. How a body sums along an
-axis depends on the tape, never on the array's size:
+axis depends on the tape, never on the array's size; `Tape._kernels` picks:
 - A non-recording (serving) tape calls the ufunc methods (`np.add.reduce`,
   `np.maximum.reduce`), which compute what `ndarray.sum` and `.max` compute
   without their Python wrappers. NumPy reduces each row on its own, so a
@@ -31,18 +31,21 @@ axis depends on the tape, never on the array's size:
 - A recording (training) tape, which also runs the backward pass, sums
   through BLAS, where NumPy's reduce pays per row for a minibatch's short
   rows. Row sums over the last axis (layer_norm forward and backward, the
-  normalisers of attention and softmax_rows and their backward,
-  row_normalize) are one `x2 @ ones(d)`, and sums over leading axes (the
-  bias gradients of linear and layer_norm, layer_norm's gain gradient,
-  `_unbroadcast`) one `ones(r) @ x2`, with cached read-only ones vectors.
-  The row maxima of attention and softmax_rows are folded column by column,
-  faster than NumPy's reduce on a minibatch. The fold gives NumPy's maximum
-  except for a zero's sign and a NaN's payload, neither of which
-  exp(x - max) sees.
+  softmax kernel's normaliser and backward, row_normalize) are one
+  `x2 @ ones(d)`, and sums over leading axes (the bias gradients of linear
+  and layer_norm, layer_norm's gain gradient, `_unbroadcast`) one
+  `ones(r) @ x2`, with cached read-only ones vectors. The softmax kernel's
+  row maxima are folded column by column, faster than NumPy's reduce on a
+  minibatch. The fold gives NumPy's maximum except for a zero's sign and a
+  NaN's payload, neither of which exp(x - max) sees.
 BLAS adds in its own order, and its bits for a row depend on the rows around
-it, so a recording forward parts from a serving forward by ulps. Sums down
-the columns of each matrix (softmax_columns) take NumPy's reduce on both
-tapes, which already runs along the rows of memory.
+it, so a recording forward parts from a serving forward by ulps. Sums and
+maxima down the columns of each matrix (softmax_columns) take NumPy's reduce
+on both tapes, which already runs along the rows of memory.
+
+Attention's weights, softmax_rows and softmax_columns share one kernel,
+`Tape._softmax`, forward and backward, and its one masked-line rule: a line
+whose maximum is -inf after masking is a ShapeError naming the op.
 
 Products follow the tape too. A serving tape's `linear` multiplies a stack
 as `x @ w`, one (rows, d) @ (d, e) product per example, the call a lone
@@ -91,6 +94,7 @@ _TRI = np.ones((0, 0), dtype=bool)
 _LN_EPS = 1e-5  # layer_norm's variance floor
 _INIT_STD = 0.02  # the standard deviation of new_gaussian's draws
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # adam_step's decay rates and floor
+_REDUCE = np.add.reduce, np.maximum.reduce  # NumPy's (sum, max), bound once
 
 
 class Tensor:
@@ -151,17 +155,18 @@ def _causal_mask(nq: int, nk: int) -> np.ndarray:
     return _TRI[:nq, :nk]
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
+def _row_sum(x: np.ndarray, axis: int = -1, keepdims: bool = True) -> np.ndarray:
     """The sum over the last axis, keeping it, as one matrix-vector product
-    with ones."""
+    with ones. It takes np.add.reduce's axis and keepdims, always -1 and
+    True here, so that `Tape._kernels` can hand out either."""
     d = x.shape[-1]
     return (x.reshape(math.prod(x.shape[:-1]), d) @ _ones(d)).reshape(x.shape[:-1] + (1,))
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """np.maximum.reduce(x, axis=-1, keepdims=True) as a column fold. It is
-    the same maximum, except that a zero may come out with the other sign
-    and a NaN with another payload."""
+def _row_max(x: np.ndarray, axis: int = -1, keepdims: bool = True) -> np.ndarray:
+    """np.maximum.reduce(x, axis=-1, keepdims=True) as a column fold, with
+    the same arguments. It is the same maximum, except that a zero may come
+    out with the other sign and a NaN with another payload."""
     x2 = x.reshape(-1, x.shape[-1])
     top = x2[:, 0].copy()
     for j in range(1, x2.shape[1]):
@@ -352,21 +357,11 @@ class Tape:
             allowed = tril if allowed is None else allowed & tril
         scores = qh @ kh.swapaxes(-1, -2)
         scores *= inv_sqrt
-        if allowed is not None:
-            scores = np.where(allowed, scores, -np.inf)
-        serving = not self.recording
-        top = np.maximum.reduce(scores, axis=-1, keepdims=True) if serving else _row_max(scores)
-        if allowed is not None and np.isneginf(top).any():
-            raise ShapeError("attention with a fully masked query row")
-        scores -= top
-        w = np.exp(scores, out=scores)
-        w /= np.add.reduce(w, axis=-1, keepdims=True) if serving else _row_sum(w)
+        w, grad = self._softmax(scores, -1, allowed, "attention", owned=True)
 
         def back(g):
             gh = _split_heads(g, heads)
-            ds = gh @ vh.swapaxes(-1, -2)
-            ds -= _row_sum(ds * w)
-            np.multiply(w, ds, out=ds)
+            ds = grad(gh @ vh.swapaxes(-1, -2), into_g=True)
             ds *= inv_sqrt
             _accumulate(q, _unbroadcast(_merge_heads(ds @ kh), qd.shape))
             _accumulate(k, _unbroadcast(_merge_heads(ds.swapaxes(-1, -2) @ qh), kd.shape))
@@ -516,12 +511,12 @@ class Tape:
         # overhead of np.mean; inv = 1 / sqrt(sum(xc * xc) / d + eps).
         # Backward keeps the per-row mu and inv and rebuilds xhat from x,
         # which the tape holds anyway.
-        serving = not self.recording
-        mu = np.add.reduce(xd, axis=-1, keepdims=True) if serving else _row_sum(xd)
+        total = self._kernels()[0]
+        mu = total(xd, axis=-1, keepdims=True)
         mu /= d
         xc = xd - mu
         sq = xc * xc
-        inv = np.add.reduce(sq, axis=-1, keepdims=True) if serving else _row_sum(sq)
+        inv = total(sq, axis=-1, keepdims=True)
         inv /= d
         inv += _LN_EPS
         np.sqrt(inv, out=inv)
@@ -552,72 +547,68 @@ class Tape:
         xc += bias.data
         return self._record(Tensor(xc), back)
 
-    def _softmax(self, a: Tensor, allowed: np.ndarray | None, axis: int) -> Tensor:
-        """Softmax along `axis`; entries where `allowed` (which broadcasts
-        into a) is False get exactly zero."""
-        work = a.data if allowed is None else np.where(allowed, a.data, -np.inf)
-        # a recording tape's rows go through _row_max and _row_sum; columns
-        # and serving call NumPy directly
-        plain = axis != -1 or not self.recording
-        y = work - (np.maximum.reduce(work, axis=axis, keepdims=True) if plain
-                    else _row_max(work))
+    def _kernels(self, axis: int = -1) -> tuple:
+        """The (sum, max) this tape reduces along `axis` with, each called as
+        np.add.reduce is: BLAS and the column fold for a recording tape's
+        rows, NumPy's reduce for columns and on a serving tape."""
+        return (_row_sum, _row_max) if self.recording and axis == -1 else _REDUCE
+
+    def _softmax(self, x: np.ndarray, axis: int, allowed, op: str, owned=False) -> tuple:
+        """Softmax of x along `axis`, and the map from its gradient to x's.
+        Entries where `allowed` is False get exactly 0; a line whose maximum
+        is -inf after masking is a ShapeError naming `op`. The output is
+        written over np.where's array, over x if `owned`, else anew."""
+        if x.ndim < 2:
+            raise ShapeError(f"{op} expects a matrix")
+        total, peak = self._kernels(axis)
+        if allowed is not None:
+            try:
+                x = np.where(allowed, x, -np.inf)
+            except ValueError:
+                raise ShapeError(f"{op} mask does not fit {x.shape}") from None
+            owned = True
+        top = peak(x, axis=axis, keepdims=True)
+        if allowed is not None and np.isneginf(top).any():
+            raise ShapeError(f"{op} with a fully masked {'row' if axis == -1 else 'column'}")
+        y = np.subtract(x, top, out=x if owned else None)
         np.exp(y, out=y)
-        y /= np.add.reduce(y, axis=axis, keepdims=True) if plain else _row_sum(y)
+        y /= total(y, axis=axis, keepdims=True)
 
-        def back(g):
-            # y * (g - sum(g * y))
+        def grad(g: np.ndarray, into_g: bool = False) -> np.ndarray:
+            # y * (g - sum(g * y)), into g if the caller owns it, else into g * y
             gy = g * y
-            np.subtract(g, np.add.reduce(gy, axis=axis, keepdims=True) if plain
-                        else _row_sum(gy), out=gy)
-            np.multiply(y, gy, out=gy)
-            _accumulate(a, gy)
+            out = g if into_g else gy
+            np.subtract(g, total(gy, axis=axis, keepdims=True), out=out)
+            return np.multiply(y, out, out=out)
 
-        return self._record(Tensor(y), back)
+        return y, grad
 
     def softmax_rows(self, a: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         """Softmax along each row; masked-out columns get exactly zero.
-
         key_mask covers the columns, (cols,), or broadcasts into the array,
-        e.g. (rows, cols) for a different set of columns per row.
-        """
-        if a.data.ndim < 2:
-            raise ShapeError("softmax_rows expects a matrix")
-        km = None
-        if key_mask is not None:
-            km = np.asarray(key_mask, dtype=bool)
-            try:
-                full = np.broadcast_to(km, a.data.shape)
-            except ValueError:
-                raise ShapeError("key_mask must cover columns or the full matrix") from None
-            if not full.any(axis=-1).all():
-                raise ShapeError("softmax_rows with a fully masked row")
-        return self._softmax(a, km, axis=-1)
+        e.g. (rows, cols) for a different set of columns per row."""
+        km = None if key_mask is None else np.asarray(key_mask, dtype=bool)
+        y, grad = self._softmax(a.data, -1, km, "softmax_rows")
+        if y.shape != a.data.shape:  # the mask broadcast the array to more rows
+            raise ShapeError("key_mask must cover columns or the full matrix")
+        return self._record(Tensor(y), lambda g: _accumulate(a, grad(g)))
 
     def softmax_columns(self, a: Tensor, valid_rows: np.ndarray | None = None) -> Tensor:
         """Softmax along each column; rows outside valid_rows get exactly zero.
-
         valid_rows has one entry per row of each matrix: (rows,), or
-        (B, rows) for a stack of B matrices.
-        """
-        if a.data.ndim < 2:
-            raise ShapeError("softmax_columns expects a matrix")
-        vm = None
-        if valid_rows is not None:
-            vm = np.asarray(valid_rows, dtype=bool)
-            if vm.shape != a.data.shape[:-1]:
-                raise ShapeError("valid_rows must have one entry per row")
-            if not vm.any(axis=-1).all():
-                raise ShapeError("softmax_columns with every row masked")
-            vm = vm[..., None]
-        return self._softmax(a, vm, axis=-2)
+        (B, rows) for a stack of B matrices."""
+        vm = None if valid_rows is None else np.asarray(valid_rows, dtype=bool)[..., None]
+        if vm is not None and vm.shape[:-1] != a.data.shape[:-1]:
+            raise ShapeError("valid_rows must have one entry per row")
+        y, grad = self._softmax(a.data, -2, vm, "softmax_columns")
+        return self._record(Tensor(y), lambda g: _accumulate(a, grad(g)))
 
     def row_normalize(self, a: Tensor) -> Tensor:
         """Scale each row to unit L2 norm; all-zero rows stay zero (flagged)."""
         ad = a.data
         if ad.ndim < 2:
             raise ShapeError("row_normalize expects a matrix")
-        sq = ad * ad
-        norms = _row_sum(sq) if self.recording else np.add.reduce(sq, axis=-1, keepdims=True)
+        norms = self._kernels()[0](ad * ad, axis=-1, keepdims=True)
         np.sqrt(norms, out=norms)
         zero = norms == 0.0
         if zero.any():

@@ -17,7 +17,8 @@ All losses are recorded on a Tape. On one request's (n, m) matrix they
 return scalar Tensors, so `tape.backward(breakdown.total)` reaches every
 parameter; on a (B, n, m) minibatch they return one value per request, and
 training backprops their sum. `utility` is a plain float: it is a statistic
-of the logged feedback, not a function of the model.
+of the logged feedback, not a function of the model. The evaluation helper
+`sequence_log_likelihood` takes one request's (n, m) matrix only.
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ def _label_indices(exposed, probs: ProbMatrix) -> np.ndarray:
     slates as (B, m), each checked by `slate_indices` against its request's
     real (non-padded) candidates."""
     lead = probs.values.data.shape[:-2]
-    n = np.full(lead, probs.n) if probs.valid is None else probs.valid.sum(axis=-1)
     if not lead:
-        return slate_indices([exposed], int(n), probs.m)[0]
+        return slate_indices([exposed], probs.active()[1], probs.m)[0]
+    n = np.full(lead, probs.n) if probs.valid is None else probs.valid.sum(axis=-1)
     return slate_indices(exposed, n.tolist(), probs.m)
 
 
@@ -230,10 +231,8 @@ def total_loss(
 
 
 def sequence_log_likelihood(probs: ProbMatrix, exposed) -> float:
-    """log p(slate) = sum_j log p[exposed_j, j], as a plain float.
-
-    Evaluation helper; does not touch the tape.
-    """
-    idx = _label_indices(exposed, probs)
-    picked = probs.values.data[idx, np.arange(probs.m)]
+    """log p(slate) = sum_j log p[exposed_j, j] of one request's (n, m)
+    matrix, as a plain float, off the tape; a stack is a ShapeError."""
+    values, n = probs.active()
+    picked = values[slate_indices([exposed], n, probs.m)[0], np.arange(probs.m)]
     return float(np.log(np.maximum(picked, _P_CLAMP)).sum())

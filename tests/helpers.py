@@ -3,6 +3,7 @@
 import numpy as np
 
 from slaterank import data
+from slaterank.generator import GeneratorConfig, forward, init_generator_params
 from slaterank.numerics import Params, Tape
 
 
@@ -117,3 +118,17 @@ def fresh_params(params):
     for name, t in params.items():
         copy.add(name, t.data.copy())
     return copy
+
+
+def stacked_probs(ns, seed=0):
+    """A LogTable of one request per n in ns, each with a random logged
+    slate of 3, and the generator's (B, n, m) ProbMatrix of it, padded where
+    the ns differ."""
+    cfg = GeneratorConfig(n_max=max(ns), m=3, d=8, h=2, L=1, d_x=4, d_t=5)
+    rng = np.random.default_rng(seed)
+    zeros = data.FeedbackMatrix(np.zeros((1, cfg.m)), ("click",))
+    table = data.LogTable.of([data.ExposureLog(data.RequestBatch(
+        i, 0, np.arange(n), rng.normal(size=(n, cfg.d_x)),
+        exposed=tuple(rng.choice(n, size=cfg.m, replace=False).tolist()), feedback=zeros))
+        for i, n in enumerate(ns)])
+    return table, forward(table, init_generator_params(cfg), cfg)

@@ -234,8 +234,16 @@ def test_parameter_sets_and_head_counts_served_in_turn_do_not_cross():
     want = [_serve(req, fresh_params(params), cfg)[0] for params, cfg in cases]
     assert len({str(w) for w in want}) == len(cases)
     for _ in range(3):
+        kept = []
         for (params, cfg), expected in zip(cases, want):
-            assert _serve(req, params, cfg)[0] == expected
+            tape = ProbeTape()
+            slate = ar_decode(req, params, cfg, tape)
+            assert (slate.indices, np.array(slate.probabilities).tobytes()) == expected
+            kept.append([t for t in tape.operands if not t.data.flags.writeable])
+        # the start row's one key gives it the same head for any h, so only
+        # the kept tensors show whether h = 4 was served h = 2's dec.0.head
+        assert kept[0] and kept[2]
+        assert not any(a is b for a in kept[0] for b in kept[2])
 
 
 def test_the_reused_start_head_is_read_only_and_a_recording_tape_never_reads_it():

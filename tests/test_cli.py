@@ -6,6 +6,7 @@ stay visible; each scenario works in its own tmp_path sandbox.
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -690,6 +691,12 @@ def test_inprocess_ab_script_times_a_tree_against_itself(tmp_path):
 
     proc = ab("--workloads", ",".join(names))
     assert proc.returncode == 0, proc.stderr
+    # stderr names the run's environment on one line, outside stdout's table
+    env = [line for line in proc.stderr.splitlines() if line.startswith("python ")]
+    assert env == [f"python {platform.python_version()} numpy {np.__version__} "
+                   "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 "
+                   f"cpus {os.cpu_count()} machine {platform.machine()} "
+                   f"parent {Path(src).resolve()} change {Path(src).resolve()}"]
     header, *rows = proc.stdout.strip().splitlines()
     assert header.split()[:2] == ["workload", "pairs"]
     assert [row.split()[0] for row in rows] == names

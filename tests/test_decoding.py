@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import stacked_probs
 from slaterank.data import slate_indices
 from slaterank.decoding import (
     DecodeConfig,
@@ -130,6 +131,22 @@ def test_infeasible_when_m_exceeds_n():
                lambda: topk_sample(pm, cfg, np.random.default_rng(0))):
         with pytest.raises(InfeasibleSlateError):
             fn()
+
+
+@pytest.mark.parametrize("ns", [(4, 4, 4), (4, 6, 5)], ids=["equal_n", "padded"])
+@pytest.mark.parametrize("decode", [
+    lambda pm, rng: contrastive_decode(pm, DecodeConfig(k=2)),
+    lambda pm, rng: greedy_decode(pm),
+    lambda pm, rng: beam_decode(pm, 3),
+    lambda pm, rng: topk_sample(pm, DecodeConfig(k=2), rng),
+    lambda pm, rng: sample_slates(pm, DecodeConfig(k=2), rng),
+], ids=["contrastive", "greedy", "beam", "topk", "sample_slates"])
+def test_a_decoder_rejects_a_stacked_matrix(ns, decode):
+    # every decoder reads one request's (n, m) matrix; the (B, n, m) stack
+    # of a batched forward is a ShapeError, not NumPy's error or a slate
+    _, stack = stacked_probs(ns)
+    with pytest.raises(ShapeError):
+        decode(stack, np.random.default_rng(0))
 
 
 # ---------------------------------------------------- contrastive decoding

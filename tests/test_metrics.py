@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import stacked_probs
 from slaterank.errors import DegenerateLabelsError, NumericsError, ShapeError
 from slaterank.generator import ProbMatrix
 from slaterank.metrics import (
@@ -242,6 +243,16 @@ def test_recall_respects_padding_and_bounds():
         recall_at_k(pm, (3, 1), 5)
     with pytest.raises(ShapeError):
         recall_at_k(pm, (3, 1), 0)
+
+
+@pytest.mark.parametrize("ns", [(4, 4, 4), (4, 6, 5)], ids=["equal_n", "padded"])
+def test_recall_rejects_a_stacked_matrix(ns):
+    # recall reads one request's (n, m) matrix; a (B, n, m) stack from a
+    # batched forward is a ShapeError, with its slates or with one of them
+    table, stack = stacked_probs(ns)
+    for exposed in (table.exposed, tuple(table.exposed[0])):
+        with pytest.raises(ShapeError):
+            recall_at_k(stack, exposed, 2)
 
 
 # -------------------------------------------------------------- reports

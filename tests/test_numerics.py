@@ -110,6 +110,76 @@ def test_softmax_rows_masked_columns_zero_and_normalized():
     assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["matrix", "stack"])
+@pytest.mark.parametrize("recording", [True, False], ids=["recording", "serving"])
+def test_a_fully_masked_line_raises_and_a_lone_allowed_entry_gets_one(recording, lead):
+    # one rule for attention, softmax_rows and softmax_columns, on either
+    # tape, alone or as the last matrix of a stack: a line with no allowed
+    # entry is a ShapeError; a line with one puts probability exactly 1 there
+    rng = np.random.default_rng(13)
+    at = tuple(b - 1 for b in lead)  # the last matrix
+    a = rng.normal(size=lead + (4, 5))
+    q, kv = rng.normal(size=lead + (4, 6)), rng.normal(size=lead + (5, 6))
+
+    def rows(line):
+        mask = np.ones(lead + (4, 5), dtype=bool)
+        mask[at + (1,)] = line
+        return Tape(recording).softmax_rows(Tensor(a), key_mask=mask).data[at + (1,)]
+
+    def columns(line):
+        valid = np.ones(lead + (5,), dtype=bool)
+        valid[at] = line
+        out = Tape(recording).softmax_columns(Tensor(a.swapaxes(-1, -2)), valid_rows=valid)
+        return out.data[at][:, 0]
+
+    def attention(line):
+        mask = np.ones(lead + (5,), dtype=bool)
+        mask[at] = line
+        return Tape(recording).attention(Tensor(q), Tensor(kv), Tensor(kv), 2,
+                                         key_mask=mask).data[at]
+
+    for op in (rows, columns, attention):
+        with pytest.raises(ShapeError):
+            op(np.zeros(5, dtype=bool))
+    lone = np.arange(5) == 3
+    assert np.array_equal(rows(lone), lone) and np.array_equal(columns(lone), lone)
+    # weight exactly 1 on key 3: every query's output is that key's value row
+    assert np.array_equal(attention(lone), np.broadcast_to(kv[at][3], (4, 6)))
+
+
+def test_a_masked_line_whose_allowed_entries_are_all_minus_inf_raises():
+    # the masked-line rule reads the line's maximum after masking, so a line
+    # whose allowed entries are all -inf has no entry to normalise over
+    a = np.zeros((3, 4))
+    a[1, :2] = -np.inf
+    mask = np.array([[True] * 4, [True, True, False, False], [True] * 4])
+    for tape in (Tape(), Tape(recording=False)):
+        with pytest.raises(ShapeError):
+            tape.softmax_rows(Tensor(a), key_mask=mask)
+        with pytest.raises(ShapeError):
+            tape.softmax_columns(Tensor(a.T), valid_rows=mask.T[:, 1])
+
+
+@pytest.mark.parametrize("recording", [True, False], ids=["recording", "serving"])
+def test_softmax_masks_of_the_wrong_shape_are_shape_errors(recording):
+    # a mask that does not broadcast, or that would broadcast the input to
+    # more rows, is a ShapeError from every softmax op, not NumPy's ValueError
+    tape = Tape(recording)
+    a = Tensor(np.zeros((2, 3, 4)))
+    q, kv = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
+    for call in (
+        lambda: tape.softmax_rows(a, key_mask=np.ones(3, dtype=bool)),
+        lambda: tape.softmax_rows(a, key_mask=np.ones((3, 3, 4), dtype=bool)),
+        lambda: tape.softmax_rows(Tensor(np.zeros((3, 4))), key_mask=np.ones((2, 3, 4), dtype=bool)),
+        lambda: tape.softmax_columns(a, valid_rows=np.ones(4, dtype=bool)),
+        lambda: tape.softmax_columns(a, valid_rows=np.ones((2, 4), dtype=bool)),
+        lambda: tape.attention(q, kv, kv, 2, key_mask=np.ones(4, dtype=bool)),
+        lambda: tape.attention(q, kv, kv, 2, key_mask=np.ones((3, 5), dtype=bool)),
+    ):
+        with pytest.raises(ShapeError):
+            call()
+
+
 def test_elementwise_and_reduction_gradients():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(4, 3)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gradcheck, inflate_weights
+from helpers import gradcheck, inflate_weights, stacked_probs
 from slaterank.data import FeedbackMatrix
 from slaterank.errors import ConfigError, InvalidSlateError, ShapeError
 from slaterank.evaluator import EvaluatorConfig, init_evaluator_params, score_slate
@@ -439,3 +439,18 @@ def test_sequence_log_likelihood_matches_ce():
     ll = sequence_log_likelihood(pm, labels)
     ce = ce_loss(Tape(recording=False), pm, labels).item()
     assert abs(ll + ce) < 1e-12
+
+
+@pytest.mark.parametrize("ns", [(8,) * 10, (5, 8, 6)], ids=["equal_n", "padded"])
+def test_sequence_log_likelihood_rejects_a_stacked_matrix(ns):
+    # it is one slate's float: a (B, n, m) stack from a batched forward was
+    # once read as one matrix and gave a wrong number; each request's own
+    # matrix gives what the minibatch's cross-entropy gives for it
+    table, stack = stacked_probs(ns)
+    with pytest.raises(ShapeError):
+        sequence_log_likelihood(stack, table.exposed)
+    ce = ce_loss(Tape(recording=False), stack, table.exposed).data
+    for i, exposed in enumerate(table.exposed):
+        n = ns[i]
+        one = make_probs(stack.values.data[i, :n])
+        assert abs(sequence_log_likelihood(one, tuple(exposed)) + ce[i]) < 1e-12
